@@ -14,6 +14,7 @@ package cfi
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -87,26 +88,50 @@ type FDE struct {
 	Insts []PCInst
 }
 
-// State is the evaluated unwind state at some program counter.
+// NumRegs bounds the register numbers a State tracks: DWARF columns 0-15
+// (the general-purpose registers) and 16 (the return address).
+const NumRegs = 17
+
+// State is the evaluated unwind state at some program counter. It is a
+// fixed-size comparable value: two states are equal under == iff they
+// describe the same CFA and the same saved registers at the same offsets
+// (the offset slot of an unsaved register is always zero).
 type State struct {
 	CfaReg uint8
 	CfaOff int32
-	// Saved maps register -> offset from CFA where its old value lives.
-	Saved map[uint8]int32
+	saved  uint32         // bit r set: register r's old value lives at CFA + offs[r]
+	offs   [NumRegs]int32 // zero where the bit is clear
 }
 
-func (s *State) clone() State {
-	m := make(map[uint8]int32, len(s.Saved))
-	for k, v := range s.Saved {
-		m[k] = v
+// Save records that reg's old value lives at CFA + off. Register numbers
+// the state cannot track (>= NumRegs) are ignored.
+func (s *State) Save(reg uint8, off int32) {
+	if reg < NumRegs {
+		s.saved |= 1 << reg
+		s.offs[reg] = off
 	}
-	return State{CfaReg: s.CfaReg, CfaOff: s.CfaOff, Saved: m}
+}
+
+// Restore marks reg as no longer saved.
+func (s *State) Restore(reg uint8) {
+	if reg < NumRegs {
+		s.saved &^= 1 << reg
+		s.offs[reg] = 0
+	}
+}
+
+// SavedAt returns the CFA offset reg is saved at, and whether it is saved.
+func (s *State) SavedAt(reg uint8) (int32, bool) {
+	if reg < NumRegs && s.saved&(1<<reg) != 0 {
+		return s.offs[reg], true
+	}
+	return 0, false
 }
 
 // InitialState is the ABI-defined state at function entry: CFA = rsp + 8
 // (the call pushed the return address), nothing saved yet.
 func InitialState() State {
-	return State{CfaReg: 4 /* rsp */, CfaOff: 8, Saved: map[uint8]int32{}}
+	return State{CfaReg: 4 /* rsp */, CfaOff: 8}
 }
 
 // Evaluate replays the FDE's CFI program up to (and including) code offset
@@ -126,11 +151,11 @@ func (f *FDE) Evaluate(pc uint32) (State, error) {
 		case OpDefCfaOffset:
 			st.CfaOff = pi.Inst.Off
 		case OpOffset:
-			st.Saved[pi.Inst.Reg] = pi.Inst.Off
+			st.Save(pi.Inst.Reg, pi.Inst.Off)
 		case OpRestore:
-			delete(st.Saved, pi.Inst.Reg)
+			st.Restore(pi.Inst.Reg)
 		case OpRememberState:
-			stack = append(stack, st.clone())
+			stack = append(stack, st)
 		case OpRestoreState:
 			if len(stack) == 0 {
 				return st, fmt.Errorf("cfi: restore_state with empty stack at pc %#x", pc)
@@ -303,25 +328,21 @@ const (
 // state `to`. Code emitters use it to splice correct unwind info between
 // arbitrarily reordered blocks instead of replaying prologue history.
 func StateDiff(from, to *State) []Inst {
+	if *from == *to {
+		return nil
+	}
 	var out []Inst
 	if from.CfaReg != to.CfaReg || from.CfaOff != to.CfaOff {
 		out = append(out, Inst{Kind: OpDefCfa, Reg: to.CfaReg, Off: to.CfaOff})
 	}
 	// Deterministic order: restores then offsets, by register number.
-	for r := uint8(0); r < 17; r++ {
-		if _, had := from.Saved[r]; had {
-			if _, has := to.Saved[r]; !has {
-				out = append(out, Inst{Kind: OpRestore, Reg: r})
-			}
-		}
+	for m := from.saved &^ to.saved; m != 0; m &= m - 1 {
+		out = append(out, Inst{Kind: OpRestore, Reg: uint8(bits.TrailingZeros32(m))})
 	}
-	for r := uint8(0); r < 17; r++ {
-		off, has := to.Saved[r]
-		if !has {
-			continue
-		}
-		if old, had := from.Saved[r]; !had || old != off {
-			out = append(out, Inst{Kind: OpOffset, Reg: r, Off: off})
+	for m := to.saved; m != 0; m &= m - 1 {
+		r := uint8(bits.TrailingZeros32(m))
+		if from.saved&(1<<r) == 0 || from.offs[r] != to.offs[r] {
+			out = append(out, Inst{Kind: OpOffset, Reg: r, Off: to.offs[r]})
 		}
 	}
 	return out

@@ -1,8 +1,29 @@
 package cfi
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 )
+
+// savedMap lists a state's saved registers the way the old map-backed
+// State stored them.
+func savedMap(st *State) map[uint8]int32 {
+	m := map[uint8]int32{}
+	for r := uint8(0); r < NumRegs; r++ {
+		if off, ok := st.SavedAt(r); ok {
+			m[r] = off
+		}
+	}
+	return m
+}
+
+func wantSaved(t *testing.T, what string, st State, want map[uint8]int32) {
+	t.Helper()
+	if got := savedMap(&st); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: saved registers %v, want %v", what, got, want)
+	}
+}
 
 // standardPrologue builds the CFI program for:
 //
@@ -29,23 +50,25 @@ func TestEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 4 || st.CfaOff != 8 || len(st.Saved) != 0 {
+	if st != InitialState() {
 		t.Errorf("entry state wrong: %+v", st)
 	}
 	st, err = f.Evaluate(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 4 || st.CfaOff != 16 || st.Saved[6] != -16 {
+	if st.CfaReg != 4 || st.CfaOff != 16 {
 		t.Errorf("state after push rbp wrong: %+v", st)
 	}
+	wantSaved(t, "after push rbp", st, map[uint8]int32{6: -16})
 	st, err = f.Evaluate(0x20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 6 || st.CfaOff != 16 || st.Saved[3] != -24 || st.Saved[6] != -16 {
+	if st.CfaReg != 6 || st.CfaOff != 16 {
 		t.Errorf("steady state wrong: %+v", st)
 	}
+	wantSaved(t, "steady state", st, map[uint8]int32{3: -24, 6: -16})
 }
 
 func TestRememberRestore(t *testing.T) {
@@ -60,13 +83,15 @@ func TestRememberRestore(t *testing.T) {
 		},
 	}
 	st, _ := f.Evaluate(0x10)
-	if st.CfaOff != 24 || st.Saved[3] != -24 {
+	if st.CfaOff != 24 {
 		t.Errorf("inside region: %+v", st)
 	}
+	wantSaved(t, "inside region", st, map[uint8]int32{3: -24})
 	st, _ = f.Evaluate(0x30)
-	if st.CfaOff != 16 || len(st.Saved) != 0 {
+	if st.CfaOff != 16 {
 		t.Errorf("after restore: %+v", st)
 	}
+	wantSaved(t, "after restore", st, map[uint8]int32{})
 }
 
 func TestRestoreStateUnderflow(t *testing.T) {
@@ -161,5 +186,134 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := DecodeLSDA([]byte{255, 0, 0, 0}, 0); err == nil {
 		t.Error("oversized LSDA accepted")
+	}
+}
+
+// TestStateAccessors pins the value semantics interning relies on:
+// restoring a register returns the state to == its earlier value, and a
+// register number the state cannot track is ignored, not indexed with.
+func TestStateAccessors(t *testing.T) {
+	st := InitialState()
+	st.Save(3, -24)
+	if off, ok := st.SavedAt(3); !ok || off != -24 {
+		t.Errorf("SavedAt(3) = %d, %v after Save", off, ok)
+	}
+	st.Restore(3)
+	if st != InitialState() {
+		t.Errorf("Save then Restore left %+v, want the initial state", st)
+	}
+	for _, reg := range []uint8{NumRegs, 64, 255} {
+		st.Save(reg, -8)
+		st.Restore(reg)
+		if _, ok := st.SavedAt(reg); ok || st != InitialState() {
+			t.Errorf("register %d beyond NumRegs changed the state: %+v", reg, st)
+		}
+	}
+	f := FDE{Insts: []PCInst{
+		{PC: 0, Inst: Inst{Kind: OpOffset, Reg: 200, Off: -16}},
+		{PC: 0, Inst: Inst{Kind: OpRestore, Reg: 99}},
+	}}
+	if got, err := f.Evaluate(0); err != nil || got != InitialState() {
+		t.Errorf("Evaluate with out-of-range registers = %+v, %v", got, err)
+	}
+}
+
+// refState and refStateDiff are the map-backed State and StateDiff this
+// package used before State became a value: the reference the property
+// test below holds the mask walk to, instruction for instruction.
+type refState struct {
+	CfaReg uint8
+	CfaOff int32
+	Saved  map[uint8]int32
+}
+
+func refStateDiff(from, to *refState) []Inst {
+	var out []Inst
+	if from.CfaReg != to.CfaReg || from.CfaOff != to.CfaOff {
+		out = append(out, Inst{Kind: OpDefCfa, Reg: to.CfaReg, Off: to.CfaOff})
+	}
+	for r := uint8(0); r < 17; r++ {
+		if _, had := from.Saved[r]; had {
+			if _, has := to.Saved[r]; !has {
+				out = append(out, Inst{Kind: OpRestore, Reg: r})
+			}
+		}
+	}
+	for r := uint8(0); r < 17; r++ {
+		off, has := to.Saved[r]
+		if !has {
+			continue
+		}
+		if old, had := from.Saved[r]; !had || old != off {
+			out = append(out, Inst{Kind: OpOffset, Reg: r, Off: off})
+		}
+	}
+	return out
+}
+
+// randomStatePair draws the same state in both representations. Few
+// distinct values per field, so pairs often agree on the CFA, on a
+// register being saved, or on its offset.
+func randomStatePair(rng *rand.Rand) (State, refState) {
+	st := State{CfaReg: uint8(4 + 2*rng.Intn(2)), CfaOff: int32(8 * (1 + rng.Intn(3)))}
+	ref := refState{CfaReg: st.CfaReg, CfaOff: st.CfaOff, Saved: map[uint8]int32{}}
+	for n := rng.Intn(6); n > 0; n-- {
+		reg, off := uint8(rng.Intn(NumRegs)), int32(-8*(1+rng.Intn(4)))
+		st.Save(reg, off)
+		ref.Saved[reg] = off
+	}
+	if rng.Intn(4) == 0 {
+		reg := uint8(rng.Intn(NumRegs))
+		st.Restore(reg)
+		delete(ref.Saved, reg)
+	}
+	return st, ref
+}
+
+func TestStateDiffMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 1000; i++ {
+		from, refFrom := randomStatePair(rng)
+		to, refTo := randomStatePair(rng)
+		if i%10 == 0 {
+			to, refTo = from, refFrom // the early-out path
+		}
+		got, want := StateDiff(&from, &to), refStateDiff(&refFrom, &refTo)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pair %d: StateDiff(%+v, %+v)\n got %v\nwant %v", i, refFrom, refTo, got, want)
+		}
+		// Applying the diff to `from` must reach `to`.
+		for _, in := range got {
+			switch in.Kind {
+			case OpDefCfa:
+				from.CfaReg, from.CfaOff = in.Reg, in.Off
+			case OpOffset:
+				from.Save(in.Reg, in.Off)
+			case OpRestore:
+				from.Restore(in.Reg)
+			}
+		}
+		if from != to {
+			t.Fatalf("pair %d: applying the diff reached %+v, want %+v", i, from, to)
+		}
+	}
+}
+
+func BenchmarkStateDiff(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	var pairs [64][2]State
+	for i := range pairs {
+		pairs[i][0], _ = randomStatePair(rng)
+		pairs[i][1], _ = randomStatePair(rng)
+		if i%2 == 0 {
+			pairs[i][1] = pairs[i][0] // the emitter's common case: state unchanged
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		p := &pairs[i%len(pairs)]
+		StateDiff(&p[0], &p[1])
+		i++
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"gobolt/internal/cfi"
 )
 
 // Microbenchmarks for the pipeline's hot phases, over the same linked
@@ -51,6 +53,39 @@ func BenchmarkRewrite(b *testing.B) {
 	for b.Loop() {
 		if _, err := ctx.Rewrite(context.Background()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInternState measures the loader's per-instruction interning
+// call on the state sequence of a framed function: a standard prologue,
+// a long body in the steady state, and the epilogue.
+func BenchmarkInternState(b *testing.B) {
+	var seq []cfi.State
+	st := cfi.InitialState()
+	seq = append(seq, st)
+	st.CfaOff = 16
+	st.Save(6, -16)
+	seq = append(seq, st)
+	st.CfaReg = 6
+	seq = append(seq, st)
+	for i, r := range []uint8{3, 12, 13} {
+		st.Save(r, int32(-24-8*i))
+		seq = append(seq, st)
+	}
+	steady := st
+	for i := 0; i < 40; i++ {
+		seq = append(seq, steady)
+	}
+	for _, r := range []uint8{13, 12, 3} {
+		st.Restore(r)
+		seq = append(seq, st)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		fn := &BinaryFunction{}
+		for i := range seq {
+			fn.InternState(seq[i])
 		}
 	}
 }

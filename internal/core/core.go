@@ -298,7 +298,6 @@ type BinaryFunction struct {
 
 	Blocks    []*BasicBlock // current layout order
 	cfiStates []cfi.State
-	stateKeys map[string]int32
 	JTs       []*JumpTable
 
 	HasLSDA   bool
@@ -311,10 +310,10 @@ type BinaryFunction struct {
 	// a reference to another function.
 	FoldedInto *BinaryFunction
 
-	// ICFKey caches the congruence key computed by the (parallel) ICF
-	// hash pass; the sequential fold pass consumes and clears it, so a
-	// stale key never survives into a later round.
-	ICFKey string
+	// ICFDigest caches the digest of the canonical body computed by the
+	// (parallel) ICF hash pass, 0 = none; the sequential fold pass consumes
+	// and clears it, so a stale digest never survives into a later round.
+	ICFDigest uint64
 
 	// IsSplit marks functions whose cold blocks go to the cold section.
 	IsSplit bool
@@ -330,10 +329,11 @@ type BinaryFunction struct {
 	ordIdx int
 
 	jtPending map[int]*pendingJT
+	// instIndex is the address -> instruction lookup behind InstAt and
+	// BlockContaining, built on first use by the worker that owns the
+	// function. Only profile matching reads it, and ApplyProfile releases
+	// it on return, so no index outlives a pass restructuring the CFG.
 	instIndex map[uint64]instRef
-	// keyBuf is InternState's reusable key-encoding scratch. Safe because
-	// a function is only ever mutated by the one worker that owns it.
-	keyBuf []byte
 }
 
 type instRef struct {
@@ -341,13 +341,12 @@ type instRef struct {
 	i int
 }
 
-// RebuildIndex refreshes the address lookup after passes restructure the
-// CFG (block reordering, splitting, splicing).
-func (f *BinaryFunction) RebuildIndex() { f.buildInstIndex() }
-
-// buildInstIndex (re)builds the address -> instruction lookup table,
-// sized up front so the map never rehashes while filling.
-func (f *BinaryFunction) buildInstIndex() {
+// index returns the address -> instruction lookup table, building it if
+// needed, sized up front so the map never rehashes while filling.
+func (f *BinaryFunction) index() map[uint64]instRef {
+	if f.instIndex != nil {
+		return f.instIndex
+	}
 	n := 0
 	for _, b := range f.Blocks {
 		n += len(b.Insts)
@@ -360,6 +359,7 @@ func (f *BinaryFunction) buildInstIndex() {
 			}
 		}
 	}
+	return f.instIndex
 }
 
 // NumBlocks returns the block count.
@@ -367,20 +367,16 @@ func (f *BinaryFunction) NumBlocks() int { return len(f.Blocks) }
 
 // InternState interns a CFI state and returns its index. It is hot under
 // the parallel loader (one call per instruction of every framed
-// function), so the lookup key is encoded into a reusable scratch buffer
-// and only materialized as a string on first insertion.
+// function); a function has a handful of distinct states, and consecutive
+// instructions mostly share one, so a backwards scan beats a map.
 func (f *BinaryFunction) InternState(st cfi.State) int32 {
-	f.keyBuf = appendStateKey(f.keyBuf[:0], st)
-	if i, ok := f.stateKeys[string(f.keyBuf)]; ok {
-		return i
+	for i := len(f.cfiStates) - 1; i >= 0; i-- {
+		if f.cfiStates[i] == st {
+			return int32(i)
+		}
 	}
-	if f.stateKeys == nil {
-		f.stateKeys = map[string]int32{}
-	}
-	i := int32(len(f.cfiStates))
-	f.cfiStates = append(f.cfiStates, cloneState(st))
-	f.stateKeys[string(f.keyBuf)] = i
-	return i
+	f.cfiStates = append(f.cfiStates, st)
+	return int32(len(f.cfiStates) - 1)
 }
 
 // StateAt returns the interned CFI state by index.
@@ -389,51 +385,6 @@ func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
 		return nil
 	}
 	return &f.cfiStates[idx]
-}
-
-// appendStateKey encodes a CFI state into buf as a compact comparable
-// key: CFA register and offset, then the saved-register set sorted by
-// register number with each register's CFA offset. The layout
-// (5 + 5*len(Saved) bytes) is unambiguous, so two states map to the same
-// key iff they are equal. This replaces a fmt.Sprintf renderer that
-// allocated several strings per call.
-func appendStateKey(buf []byte, st cfi.State) []byte {
-	buf = append(buf, st.CfaReg,
-		byte(st.CfaOff), byte(st.CfaOff>>8), byte(st.CfaOff>>16), byte(st.CfaOff>>24))
-	if len(st.Saved) == 0 {
-		return buf
-	}
-	regsAt := len(buf)
-	for r := range st.Saved {
-		buf = append(buf, r)
-	}
-	// Insertion sort: the saved set is a handful of callee-saved
-	// registers at most.
-	regs := buf[regsAt:]
-	for i := 1; i < len(regs); i++ {
-		for j := i; j > 0 && regs[j] < regs[j-1]; j-- {
-			regs[j], regs[j-1] = regs[j-1], regs[j]
-		}
-	}
-	for _, r := range regs {
-		off := st.Saved[r]
-		buf = append(buf, byte(off), byte(off>>8), byte(off>>16), byte(off>>24))
-	}
-	return buf
-}
-
-func cloneState(st cfi.State) cfi.State {
-	// A nil Saved map for the (common) no-saved-registers state: readers
-	// only range over or look up in it, and the replay state the clone
-	// detaches from is mutated through its own map, never this one.
-	var m map[uint8]int32
-	if len(st.Saved) > 0 {
-		m = make(map[uint8]int32, len(st.Saved))
-		for k, v := range st.Saved {
-			m[k] = v
-		}
-	}
-	return cfi.State{CfaReg: st.CfaReg, CfaOff: st.CfaOff, Saved: m}
 }
 
 // BlockAt finds the block starting at the given original address.
@@ -449,7 +400,7 @@ func (f *BinaryFunction) BlockAt(addr uint64) *BasicBlock {
 // BlockContaining finds the block whose original instruction range covers
 // addr (used for profile matching).
 func (f *BinaryFunction) BlockContaining(addr uint64) *BasicBlock {
-	if r, ok := f.instIndex[addr]; ok {
+	if r, ok := f.index()[addr]; ok {
 		return r.b
 	}
 	// Fall back to range check (the address may be inside an instruction
@@ -465,7 +416,7 @@ func (f *BinaryFunction) BlockContaining(addr uint64) *BasicBlock {
 
 // InstAt returns the block and instruction at an original address.
 func (f *BinaryFunction) InstAt(addr uint64) (*BasicBlock, *Inst) {
-	if r, ok := f.instIndex[addr]; ok {
+	if r, ok := f.index()[addr]; ok {
 		return r.b, &r.b.Insts[r.i]
 	}
 	return nil, nil
@@ -628,6 +579,3 @@ type Pass interface {
 func RunPasses(cx context.Context, ctx *BinaryContext, passes []Pass) error {
 	return NewPassManager(1).Run(cx, ctx, passes)
 }
-
-// InitialStateForTest exposes the ABI entry unwind state to tests.
-func InitialStateForTest() cfi.State { return cfi.InitialState() }

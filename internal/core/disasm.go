@@ -234,7 +234,7 @@ func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 	}
 	if fn.Simple {
 		ctx.buildCFG(fn, sc)
-		ctx.attachCFI(fn)
+		ctx.attachCFI(fn, sc)
 		ctx.attachLSDA(fn, sc)
 	}
 	if fn.Simple {
@@ -638,7 +638,6 @@ func (ctx *BinaryContext) buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		e.from.Succs = append(e.from.Succs, Edge{To: e.to})
 		e.to.Preds = append(e.to.Preds, e.from)
 	}
-	fn.buildInstIndex()
 }
 
 // resetCounts returns a zeroed int32 slice of length n, reusing s's
@@ -664,8 +663,9 @@ func jtRawTargets(fn *BinaryFunction, jt *JumpTable) []uint64 {
 }
 
 // attachCFI replays the FDE over the original instruction order and
-// interns per-instruction unwind states.
-func (ctx *BinaryContext) attachCFI(fn *BinaryFunction) {
+// interns per-instruction unwind states. Save and restore rules naming a
+// register the state cannot track are skipped and counted.
+func (ctx *BinaryContext) attachCFI(fn *BinaryFunction, sc *loaderScratch) {
 	fde, ok := cfi.FindFDE(ctx.fdes, fn.Addr)
 	if !ok {
 		return
@@ -684,17 +684,20 @@ func (ctx *BinaryContext) attachCFI(fn *BinaryFunction) {
 			case cfi.OpDefCfaOffset:
 				st.CfaOff = in.Off
 			case cfi.OpOffset:
-				st.Saved[in.Reg] = in.Off
+				st.Save(in.Reg, in.Off)
 			case cfi.OpRestore:
-				delete(st.Saved, in.Reg)
+				st.Restore(in.Reg)
 			case cfi.OpRememberState:
 				//boltvet:alloc-ok remember/restore nesting is rare (depth 0 for almost every function); lazy append beats an unconditional prealloc
-				stack = append(stack, cloneState(st))
+				stack = append(stack, st)
 			case cfi.OpRestoreState:
 				if len(stack) > 0 {
 					st = stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 				}
+			}
+			if in.Reg >= cfi.NumRegs && (in.Kind == cfi.OpOffset || in.Kind == cfi.OpRestore) {
+				sc.stats["load-cfi-bad-reg"]++ // Save and Restore skipped it
 			}
 			k++
 		}

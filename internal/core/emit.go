@@ -224,8 +224,7 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 		for _, d := range diff {
 			sc.cfiMarks = append(sc.cfiMarks, cfiMark{label: l, inst: d})
 		}
-		// Clone so later mutations of the interned state don't alias.
-		running = cloneState(*target)
+		running = *target
 	}
 
 	// branchTo emits a direct branch instruction to a block, via label

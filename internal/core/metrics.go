@@ -54,6 +54,7 @@ func StatDefs() []obsv.Def {
 		counter("load-simple", "functions disassembled into a complete CFG"),
 		counter("load-blocks", "basic blocks built across all simple functions"),
 		counter("load-non-simple", "functions left untouched (indirect tails, jump tables, undecodable bytes)"),
+		counter("load-cfi-bad-reg", "CFI save/restore rules skipped because they name a register number the unwind state cannot track"),
 
 		// Profile application (ApplyProfile): counts are weighted by
 		// record count, so the eight weighted keys sum exactly to

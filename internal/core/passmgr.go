@@ -30,6 +30,10 @@ type FunctionPass interface {
 type FuncCtx struct {
 	*BinaryContext
 	stats map[string]int64
+	// Scratch is a byte buffer the worker keeps across the functions it
+	// visits: a pass reslices it to [:0], appends, and stores it back, and
+	// keeps nothing that points into it past RunOnFunction.
+	Scratch []byte
 }
 
 // CountStat bumps a named statistic in the worker-private shard.

@@ -56,6 +56,11 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	} else {
 		nfuncs, jobs, err = ctx.applySamples(cx, fd, sm)
 	}
+	// The address indices the lookups built are dead weight from here on,
+	// and the passes will restructure the CFGs they describe.
+	for _, fn := range ctx.Funcs {
+		fn.instIndex = nil
+	}
 	applyWall := time.Since(start)
 	ctx.Opts.Trace.Phase("profile:apply", start, applyWall, jobs)
 	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{

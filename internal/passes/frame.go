@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"gobolt/internal/cfi"
 	"gobolt/internal/core"
 	"gobolt/internal/dataflow"
 	"gobolt/internal/isa"
@@ -22,7 +21,6 @@ func (FrameOpts) Name() string { return "frame-opts" }
 // RunOnFunction implements core.FunctionPass.
 func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	liveOut := flagsLiveOut(fn) // full register liveness, reused
-	changed := false
 	for _, b := range fn.Blocks {
 		for i := 0; i+2 < len(b.Insts); i++ {
 			push := &b.Insts[i]
@@ -51,11 +49,7 @@ func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 			// After removal the pop sits at i+1; delete it too.
 			b.Insts = append(b.Insts[:i+1:i+1], b.Insts[i+2:]...)
 			fc.CountStat("frame-opts-spills", 1)
-			changed = true
 		}
-	}
-	if changed {
-		fn.RebuildIndex()
 	}
 	return nil
 }
@@ -186,35 +180,20 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 
 	// 4. CFI: remove reg from every state outside the home block; inside
 	// (after the push) it stays saved at the same CFA offset.
-	inHome := func(st cfi.State) cfi.State {
-		st.Saved[uint8(reg)] = saveOff
-		return st
-	}
-	outHome := func(st cfi.State) cfi.State {
-		delete(st.Saved, uint8(reg))
-		return st
-	}
-	remap := func(b *core.BasicBlock, f func(cfi.State) cfi.State) {
+	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			if b.Insts[i].CFIIdx < 0 {
 				continue
 			}
-			st := fn.StateAt(b.Insts[i].CFIIdx)
-			ns := cfi.State{CfaReg: st.CfaReg, CfaOff: st.CfaOff, Saved: map[uint8]int32{}}
-			for k, v := range st.Saved {
-				ns.Saved[k] = v
+			st := *fn.StateAt(b.Insts[i].CFIIdx)
+			if b == home {
+				st.Save(uint8(reg), saveOff)
+			} else {
+				st.Restore(uint8(reg))
 			}
-			ns = f(ns)
-			b.Insts[i].CFIIdx = fn.InternState(ns)
+			b.Insts[i].CFIIdx = fn.InternState(st)
 		}
 	}
-	for _, b := range fn.Blocks {
-		if b == home {
-			continue
-		}
-		remap(b, outHome)
-	}
-	remap(home, inHome)
 
 	// Insert the push first / pop last (before a trailing branch).
 	pushIn.CFIIdx = home.CFIIn
@@ -233,6 +212,5 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	newInsts = append(newInsts, home.Insts[insertAt:]...)
 	home.Insts = newInsts
 
-	fn.RebuildIndex()
 	fc.CountStat("shrink-wrapping", 1)
 }

@@ -1,8 +1,12 @@
 package passes
 
+//boltvet:hot-path ICF canonical-body encoding and digest: one pass over every instruction, twice per run
+
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"encoding/binary"
+	"hash/maphash"
+	"slices"
 
 	"gobolt/internal/core"
 )
@@ -15,25 +19,33 @@ import (
 // external references symbolized (paper §4: ~3% size win over the
 // linker's pass on HHVM).
 //
-// ICF runs in two pipeline steps: key computation is sharded across the
-// worker pool (ICFHash, a FunctionPass — each function's congruence key
-// depends only on that function), while the fold itself stays a short
-// sequential barrier (ICF.Run compares and mutates arbitrary function
-// pairs, so it cannot run per-function). Splitting the expensive half
-// out takes both ICF rounds off the whole-binary barrier list.
+// ICF runs in two pipeline steps: digest computation is sharded across
+// the worker pool (ICFHash, a FunctionPass — each function's canonical
+// body depends only on that function), while the fold itself stays a
+// short sequential barrier (ICF.Run compares and mutates arbitrary
+// function pairs, so it cannot run per-function). Like BOLT (§4), the
+// hash only nominates candidates: the fold re-encodes both bodies and
+// folds on exact equality, so no body outlives the hash pass and a
+// digest collision costs a comparison, never a wrong fold.
 
-// ICFHash computes each candidate function's congruence key ahead of
-// the fold. Schedule it (via ForEachFunction) immediately before the
+// ICFHash computes each candidate function's body digest ahead of the
+// fold. Schedule it (via ForEachFunction) immediately before the
 // matching ICF round.
 type ICFHash struct{ Round int }
 
 // Name implements core.FunctionPass.
-func (p ICFHash) Name() string { return fmt.Sprintf("icf-%d-hash", p.Round) }
+func (p ICFHash) Name() string {
+	if p.Round == 2 {
+		return "icf-2-hash"
+	}
+	return "icf-1-hash"
+}
 
 // RunOnFunction implements core.FunctionPass.
 func (p ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	if icfEligible(fn) {
-		fn.ICFKey = icfKey(fn)
+		fc.Scratch = appendICFBody(fc.Scratch[:0], fn)
+		fn.ICFDigest = icfDigest(fc.Scratch) | 1 // 0 means none
 		fc.CountStat("icf-hashed", 1)
 	}
 	return nil
@@ -49,105 +61,143 @@ func icfEligible(fn *core.BinaryFunction) bool {
 }
 
 // ICF is the fold step: a sequential barrier that buckets the
-// precomputed keys and folds congruent functions.
+// precomputed digests and folds congruent functions.
 type ICF struct{ Round int }
 
 // Name implements core.Pass.
-func (p ICF) Name() string { return fmt.Sprintf("icf-%d", p.Round) }
+func (p ICF) Name() string {
+	if p.Round == 2 {
+		return "icf-2"
+	}
+	return "icf-1"
+}
 
 // Run implements core.Pass. Functions are visited in the context's
-// address-sorted order, so the kept (canonical) member of every bucket
-// is deterministic regardless of how the keys were computed.
+// address-sorted order, so the kept (canonical) member of every
+// congruence class is the first in address order however the digests
+// were computed.
 func (p ICF) Run(ctx *core.BinaryContext) error {
-	buckets := map[string]*core.BinaryFunction{}
+	// kept holds one function per distinct body seen so far, keyed by
+	// digest; a body whose digest slot is taken by a different body
+	// probes the following keys, so colliding bodies chain without a
+	// per-bucket list.
+	kept := map[uint64]*core.BinaryFunction{}
+	var body, other []byte
 	for _, fn := range ctx.Funcs {
 		if !icfEligible(fn) {
 			continue
 		}
-		key := fn.ICFKey
-		// Consume the cached key: bodies may change before the next
+		// Consume the cached digest: bodies may change before the next
 		// round recomputes it. Compute on demand when ICF runs without
 		// a preceding ICFHash pass.
-		fn.ICFKey = ""
-		if key == "" {
-			key = icfKey(fn)
+		d := fn.ICFDigest
+		fn.ICFDigest, body = 0, body[:0]
+		if d == 0 {
+			body = appendICFBody(body, fn)
+			d = icfDigest(body) | 1
 		}
-		if kept, ok := buckets[key]; ok {
-			fn.FoldedInto = kept
-			kept.Aliases = append(kept.Aliases, fn.Name)
-			kept.ExecCount += fn.ExecCount
-			// Merge block profile so layout decisions see total heat.
-			for i, b := range fn.Blocks {
-				if i < len(kept.Blocks) {
-					kept.Blocks[i].ExecCount += b.ExecCount
-					for k := range b.Succs {
-						if k < len(kept.Blocks[i].Succs) {
-							kept.Blocks[i].Succs[k].Count += b.Succs[k].Count
-							kept.Blocks[i].Succs[k].Mispreds += b.Succs[k].Mispreds
-						}
-					}
-				}
+		var twin *core.BinaryFunction
+		for ; twin == nil; d++ {
+			cand, ok := kept[d]
+			if !ok {
+				kept[d] = fn
+				break
 			}
-			ctx.CountStat("icf-folded", 1)
-			ctx.CountStat("icf-bytes", int64(fn.Size))
+			if len(body) == 0 {
+				body = appendICFBody(body, fn)
+			}
+			if other = appendICFBody(other[:0], cand); bytes.Equal(body, other) {
+				twin = cand
+			}
+		}
+		if twin == nil {
 			continue
 		}
-		buckets[key] = fn
+		fn.FoldedInto = twin
+		twin.Aliases = append(twin.Aliases, fn.Name)
+		twin.ExecCount += fn.ExecCount
+		// Merge block profile so layout decisions see total heat. Equal
+		// bodies have equal block and successor counts.
+		for i, b := range fn.Blocks {
+			tb := twin.Blocks[i]
+			tb.ExecCount += b.ExecCount
+			for k := range b.Succs {
+				tb.Succs[k].Count += b.Succs[k].Count
+				tb.Succs[k].Mispreds += b.Succs[k].Mispreds
+			}
+		}
+		ctx.CountStat("icf-folded", 1)
+		ctx.CountStat("icf-bytes", int64(fn.Size))
 	}
 	return nil
 }
 
-// icfKey renders a function body to a canonical string: block boundaries,
+// icfDigest hashes a canonical body; a variable so that tests can force
+// collisions. The seed differs from process to process, which cannot show
+// in the output: the digest only nominates candidates.
+var (
+	icfSeed   = maphash.MakeSeed()
+	icfDigest = func(body []byte) uint64 { return maphash.Bytes(icfSeed, body) }
+)
+
+// appendICFBody appends fn's canonical body to buf: block boundaries,
 // instructions with intra-function targets as block indices, external
 // targets as symbols, memory targets as absolute addresses (data does not
-// move), and jump tables as target-index sequences.
-func icfKey(fn *core.BinaryFunction) string {
-	blockIdx := map[*core.BasicBlock]int{}
-	for i, b := range fn.Blocks {
-		blockIdx[b] = i
-	}
-	// The function's own jump tables are position-dependent data; the
-	// *structure* (entry target blocks) is compared instead, so two
-	// clones with distinct table addresses still fold — the capability
-	// linkers lack (§4).
-	ownJT := map[uint64]bool{}
-	for _, jt := range fn.JTs {
-		ownJT[jt.Addr] = true
-	}
-	var sb strings.Builder
+// move), and jump tables as target-index sequences. An instruction record
+// opens with 'I' and has a fixed part, a length-prefixed symbol and an
+// optional jump-table part ('T', or 'P' for a PIC table); a zero byte and
+// the length-prefixed successor list close the block. The bytes parse one
+// way only, so two bodies are equal iff their encodings are.
+func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 	for _, b := range fn.Blocks {
-		fmt.Fprintf(&sb, "[%d]", blockIdx[b])
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			inst := in.I
-			// Normalize branch targets out of the byte-level fields.
-			inst.TargetAddr = 0
-			inst.Target = -1
-			fmt.Fprintf(&sb, "%d/%d/%d/%d/%d;", inst.Op, inst.R1, inst.R2, inst.Cc, inst.Imm)
-			if ownJT[in.MemTarget] {
-				sb.WriteString("Mjt;")
-			} else if in.MemTarget != 0 {
-				fmt.Fprintf(&sb, "M%x;", in.MemTarget)
-			} else if in.I.HasMem() {
+			kind, mem := byte('M'), in.MemTarget // 'M' with 0: no memory operand
+			switch {
+			case mem != 0 && slices.ContainsFunc(fn.JTs, func(jt *core.JumpTable) bool { return jt.Addr == mem }):
+				// The function's own jump tables are position-dependent
+				// data; the *structure* (entry target blocks) is compared
+				// instead, so two clones with distinct table addresses
+				// still fold — the capability linkers lack (§4).
+				kind, mem = 'J', 0
+			case mem == 0 && in.I.HasMem():
 				m := in.I.M
-				fmt.Fprintf(&sb, "m%d/%d/%d/%d;", m.Base, m.Index, m.Scale, m.Disp)
+				kind = 'm'
+				mem = uint64(m.Base) | uint64(m.Index)<<8 | uint64(m.Scale)<<16 | uint64(uint32(m.Disp))<<32
 			}
-			if in.TargetSym != "" {
-				fmt.Fprintf(&sb, "S%s;", in.TargetSym)
-			}
+			// Branch targets (TargetAddr, Target) stay out: the successor
+			// lists carry them as block indices.
+			buf = append(buf, 'I', byte(in.I.Op), byte(in.I.R1), byte(in.I.R2), byte(in.I.Cc), kind)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(in.I.Imm))
+			buf = binary.LittleEndian.AppendUint64(buf, mem)
+			buf = binary.AppendUvarint(buf, uint64(len(in.TargetSym)))
+			buf = append(buf, in.TargetSym...)
 			if in.JT != nil {
-				fmt.Fprintf(&sb, "JT%v:", in.JT.PIC)
-				for _, t := range in.JT.Targets {
-					fmt.Fprintf(&sb, "%d,", blockIdx[t])
+				tag := byte('T')
+				if in.JT.PIC {
+					tag = 'P'
 				}
-				sb.WriteByte(';')
+				buf = append(buf, tag)
+				buf = binary.AppendUvarint(buf, uint64(len(in.JT.Targets)))
+				for _, t := range in.JT.Targets {
+					buf = binary.AppendUvarint(buf, uint64(blockPos(fn, t)))
+				}
 			}
 		}
-		sb.WriteString("->")
+		buf = binary.AppendUvarint(append(buf, 0), uint64(len(b.Succs)))
 		for _, e := range b.Succs {
-			fmt.Fprintf(&sb, "%d,", blockIdx[e.To])
+			buf = binary.AppendUvarint(buf, uint64(blockPos(fn, e.To)))
 		}
-		sb.WriteByte('|')
 	}
-	return sb.String()
+	return buf
+}
+
+// blockPos returns t's position in fn.Blocks, 0 when it has none (an
+// unresolved jump-table slot). Passes keep Index equal to the position,
+// so the search is a fallback only.
+func blockPos(fn *core.BinaryFunction, t *core.BasicBlock) int {
+	if t != nil && t.Index < len(fn.Blocks) && fn.Blocks[t.Index] == t {
+		return t.Index
+	}
+	return max(slices.Index(fn.Blocks, t), 0)
 }

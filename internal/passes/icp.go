@@ -96,7 +96,6 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 		for i, b := range fn.Blocks {
 			b.Index = i
 		}
-		fn.RebuildIndex()
 	}
 	return nil
 }

@@ -27,7 +27,6 @@ func (InlineSmall) Name() string { return "inline-small" }
 // Run implements core.Pass.
 func (InlineSmall) Run(ctx *core.BinaryContext) error {
 	for _, fn := range ctx.SimpleFuncs() {
-		changed := false
 		for _, b := range fn.Blocks {
 			for i := 0; i < len(b.Insts); i++ {
 				in := &b.Insts[i]
@@ -55,12 +54,8 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				spliced = append(spliced, b.Insts[i+1:]...)
 				b.Insts = spliced
 				i += len(body) - 1
-				changed = true
 				ctx.CountStat("inline-small", 1)
 			}
-		}
-		if changed {
-			fn.RebuildIndex()
 		}
 	}
 	return nil

@@ -79,9 +79,6 @@ func reorderOne(fn *core.BinaryFunction, algo layout.Algorithm) {
 	for i, b := range fn.Blocks {
 		b.Index = i
 	}
-	// Indices changed: rebuild the address lookup used by profile and
-	// rewrite mapping.
-	fn.RebuildIndex()
 }
 
 // markCold assigns cold blocks to the cold fragment. -split-functions

@@ -52,7 +52,6 @@ func (SCTC) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 		for i, blk := range fn.Blocks {
 			blk.Index = i
 		}
-		fn.RebuildIndex()
 	}
 	return nil
 }

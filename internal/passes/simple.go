@@ -151,7 +151,6 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	for i, b := range fn.Blocks {
 		b.Index = i
 	}
-	fn.RebuildIndex()
 	return nil
 }
 

@@ -30,6 +30,9 @@ func (m *Machine) unwind(retAddr uint64) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("vm: unwind at %#x: %w", pc, err)
 		}
+		if state.CfaReg >= isa.NumRegs {
+			return 0, fmt.Errorf("vm: unwind at %#x: CFA register r%d does not exist", pc, state.CfaReg)
+		}
 		cfa := m.Regs[state.CfaReg] + uint64(int64(state.CfaOff))
 
 		// Does this frame handle the exception?
@@ -47,7 +50,14 @@ func (m *Machine) unwind(retAddr uint64) (uint64, error) {
 		}
 
 		// Pop this frame: restore its saved registers, move to caller.
-		for reg, slot := range state.Saved {
+		for reg := uint8(0); reg < cfi.NumRegs; reg++ {
+			slot, saved := state.SavedAt(reg)
+			if !saved {
+				continue
+			}
+			if reg >= isa.NumRegs {
+				return 0, fmt.Errorf("vm: unwind at %#x: saved register r%d does not exist", pc, reg)
+			}
 			v, err := m.read(cfa+uint64(int64(slot)), 8)
 			if err != nil {
 				return 0, fmt.Errorf("vm: unwind: restoring r%d: %w", reg, err)
