@@ -41,11 +41,13 @@
 package bolt
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"gobolt/internal/core"
@@ -82,17 +84,21 @@ type Session struct {
 
 // Open reads the input executable from a file path.
 func Open(path string, opts ...Option) (*Session, error) {
-	f, err := elfx.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bolt: open %s: %w", path, err)
 	}
-	return newSession(path, f, opts), nil
+	f, err := elfx.Read(data)
+	if err != nil {
+		return nil, fmt.Errorf("bolt: open %s: %w", path, err)
+	}
+	return newSession(path, f, data, opts), nil
 }
 
 // OpenReader reads the input executable from a stream (for example a
 // pipe or an in-memory buffer).
 func OpenReader(r io.Reader, opts ...Option) (*Session, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("bolt: read input: %w", err)
 	}
@@ -100,7 +106,35 @@ func OpenReader(r io.Reader, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bolt: parse input: %w", err)
 	}
-	return newSession("<reader>", f, opts), nil
+	return newSession("<reader>", f, data, opts), nil
+}
+
+// readAll is io.ReadAll with the buffer allocated once at its final size
+// when the reader can say how much is left — in-memory readers through
+// Len, files through Seek — instead of doubling its way past a
+// multi-megabyte image.
+func readAll(r io.Reader) ([]byte, error) {
+	left := int64(-1)
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		left = int64(v.Len())
+	case io.Seeker:
+		if cur, err := v.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := v.Seek(0, io.SeekEnd); err == nil {
+				left = end - cur
+			}
+			if _, err := v.Seek(cur, io.SeekStart); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if left < 0 {
+		return io.ReadAll(r)
+	}
+	// ReadFrom wants MinRead spare bytes before the read that reports EOF.
+	buf := bytes.NewBuffer(make([]byte, 0, left+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // OpenELF wraps an already-loaded ELF image — the entry point for
@@ -112,10 +146,13 @@ func OpenELF(f *elfx.File, opts ...Option) (*Session, error) {
 	if f == nil {
 		return nil, fmt.Errorf("bolt: OpenELF: nil file")
 	}
-	return newSession("<memory>", f, opts), nil
+	return newSession("<memory>", f, nil, opts), nil
 }
 
-func newSession(input string, f *elfx.File, opts []Option) *Session {
+// newSession starts a session on f. image is the serialized input when
+// the caller read one (nil for OpenELF, which has to serialize f to
+// fingerprint it).
+func newSession(input string, f *elfx.File, image []byte, opts []Option) *Session {
 	o := core.DefaultOptions()
 	for _, opt := range opts {
 		opt(&o)
@@ -124,9 +161,14 @@ func newSession(input string, f *elfx.File, opts []Option) *Session {
 	// Fingerprint the input image now, before any stage mutates the
 	// file in place; Report.InputSHA256 identifies the exact binary a
 	// run report describes.
-	if data, err := f.Bytes(); err == nil {
-		sum := sha256.Sum256(data)
-		s.inputSHA, s.inputSize = hex.EncodeToString(sum[:]), len(data)
+	if image == nil {
+		// An image that does not serialize has no fingerprint; the report
+		// leaves both fields empty.
+		image, _ = f.Bytes()
+	}
+	if image != nil {
+		sum := sha256.Sum256(image)
+		s.inputSHA, s.inputSize = hex.EncodeToString(sum[:]), len(image)
 	}
 	return s
 }

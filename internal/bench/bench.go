@@ -133,22 +133,25 @@ func SourceProfile(f *elfx.File, fd *profile.Fdata) (*cc.SourceProfile, error) {
 			sp.Func[fn.Name] += fn.ExecCount
 		}
 		for _, b := range fn.Blocks {
-			last := b.LastInst()
-			if last != nil && len(b.Succs) == 2 && last.File != "" {
-				key := cc.SrcKey{File: last.File, Line: last.Line}
-				for _, e := range b.Succs {
-					succ, ok := blockSrcKey(e.To)
-					if !ok {
-						continue
+			if last := b.LastInst(); last != nil && len(b.Succs) == 2 {
+				if file, line := fn.SourceLine(last); file != "" {
+					key := cc.SrcKey{File: file, Line: line}
+					for _, e := range b.Succs {
+						succ, ok := blockSrcKey(fn, e.To)
+						if !ok {
+							continue
+						}
+						sp.AddBranchSample(key, succ, e.Count)
 					}
-					sp.AddBranchSample(key, succ, e.Count)
 				}
 			}
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				if in.IsCall() && in.File != "" {
-					key := cc.SrcKey{File: in.File, Line: in.Line}
-					sp.Call[key] += b.ExecCount
+				if !in.IsCall() {
+					continue
+				}
+				if file, line := fn.SourceLine(in); file != "" {
+					sp.Call[cc.SrcKey{File: file, Line: line}] += b.ExecCount
 				}
 			}
 		}
@@ -158,10 +161,10 @@ func SourceProfile(f *elfx.File, fd *profile.Fdata) (*cc.SourceProfile, error) {
 
 // blockSrcKey reads the source coordinate of a CFG block's first
 // attributed instruction.
-func blockSrcKey(b *core.BasicBlock) (cc.SrcKey, bool) {
+func blockSrcKey(fn *core.BinaryFunction, b *core.BasicBlock) (cc.SrcKey, bool) {
 	for i := range b.Insts {
-		if b.Insts[i].File != "" {
-			return cc.SrcKey{File: b.Insts[i].File, Line: b.Insts[i].Line}, true
+		if file, line := fn.SourceLine(&b.Insts[i]); file != "" {
+			return cc.SrcKey{File: file, Line: line}, true
 		}
 	}
 	return cc.SrcKey{}, false

@@ -22,7 +22,6 @@ import (
 	"gobolt/internal/dbg"
 	"gobolt/internal/elfx"
 	"gobolt/internal/hfsort"
-	"gobolt/internal/intern"
 	"gobolt/internal/isa"
 	"gobolt/internal/layout"
 	"gobolt/internal/obsv"
@@ -194,34 +193,72 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3).
+// annotation mechanism from paper §3.3). It is a pointer-free value of at
+// most 80 bytes (TestInstLayout): every phase streams the instruction
+// slabs and the collector never scans them, so the rare facts — source
+// file, symbolic target, jump table, landing pad — are small indices into
+// tables owned by the function or the context, 0 meaning none.
 type Inst struct {
 	I    isa.Inst
-	Size uint8
 	Addr uint64 // original address; 0 for synthesized instructions
+	// MemTarget is the resolved absolute address of a RIP-relative memory
+	// operand (0 = none/unresolved).
+	MemTarget uint64
 
-	// Source origin (from .debug_line), shown in CFG dumps.
-	File string
-	Line int32
-
+	// Src is one plus the index of the .debug_line entry covering the
+	// instruction's origin (see BinaryFunction.SourceLine; the table is
+	// the context's, so this one survives a copy across functions).
+	Src int32
 	// CFIIdx indexes the function's interned CFI state table: the unwind
 	// state in effect AT this instruction. -1 = unknown/na.
 	CFIIdx int32
 
-	// LP is the landing pad covering this call, if any.
-	LP       *BasicBlock
-	LPAction int32
-
 	// TargetSym names an external direct-call/branch target.
-	TargetSym string
+	TargetSym FuncRef
 	// ImmSym, when set, makes the instruction's 32-bit immediate the
-	// absolute address of the named function (ICP's `cmp $target, %reg`).
-	ImmSym string
-	// MemTarget is the resolved absolute address of a RIP-relative memory
-	// operand (0 = none/unresolved).
-	MemTarget uint64
-	// JT is the jump table driving this indirect jump.
-	JT *JumpTable
+	// absolute address of the function (ICP's `cmp $target, %reg`).
+	ImmSym FuncRef
+
+	// JT selects the jump table driving this indirect jump and LP the
+	// landing pad covering this call, both in the owning function's tables
+	// (BinaryFunction.JumpTable, BinaryFunction.LandingPad): an Inst
+	// carrying either must not be copied into another function.
+	JT   uint16
+	LP   uint16
+	Size uint8
+}
+
+// FuncRef names a function of the context: its ordinal in
+// BinaryContext.Funcs plus one, so the zero value is "no function".
+type FuncRef int32
+
+// NoFunc is the FuncRef of an instruction with no symbolic target.
+const NoFunc FuncRef = 0
+
+// Ref returns the reference instructions use to name f.
+func (f *BinaryFunction) Ref() FuncRef { return FuncRef(f.ordIdx + 1) }
+
+// Func resolves a reference; nil for NoFunc.
+func (ctx *BinaryContext) Func(r FuncRef) *BinaryFunction {
+	if r == NoFunc {
+		return nil
+	}
+	return ctx.Funcs[r-1]
+}
+
+// SourceLine returns the source origin of in (from .debug_line), "" and
+// 0 when it has none.
+func (f *BinaryFunction) SourceLine(in *Inst) (file string, line int32) {
+	return sourceAt(f.lines, in.Src)
+}
+
+// sourceAt resolves an Inst.Src value against the context's line table.
+func sourceAt(t *dbg.Table, src int32) (file string, line int32) {
+	if src == 0 {
+		return "", 0
+	}
+	e := &t.Entries[src-1]
+	return t.Files[e.File], int32(e.Line)
 }
 
 // IsCall reports whether the instruction is any call form.
@@ -328,38 +365,40 @@ type BinaryFunction struct {
 	// per-function side tables without map lookups.
 	ordIdx int
 
-	jtPending map[int]*pendingJT
-	// instIndex is the address -> instruction lookup behind InstAt and
-	// BlockContaining, built on first use by the worker that owns the
-	// function. Only profile matching reads it, and ApplyProfile releases
-	// it on return, so no index outlives a pass restructuring the CFG.
-	instIndex map[uint64]instRef
+	// jtRaw holds each jump table's raw target addresses, parallel to JTs,
+	// from disassembly until buildCFG resolves them to blocks.
+	jtRaw [][]uint64
+	// lines is the context's line table, which Inst.Src indexes.
+	lines *dbg.Table
+	// lps holds the distinct (landing pad, action) pairs of the LSDA;
+	// Inst.LP indexes it (one-based).
+	lps []landingPad
 }
 
-type instRef struct {
-	b *BasicBlock
-	i int
+// landingPad is one exception-table target: the handler block and the
+// action record the unwinder passes it.
+type landingPad struct {
+	block  *BasicBlock
+	action int32
 }
 
-// index returns the address -> instruction lookup table, building it if
-// needed, sized up front so the map never rehashes while filling.
-func (f *BinaryFunction) index() map[uint64]instRef {
-	if f.instIndex != nil {
-		return f.instIndex
+// JumpTable returns the table driving the indirect jump in, nil when in
+// is not a jump-table dispatch.
+func (f *BinaryFunction) JumpTable(in *Inst) *JumpTable {
+	if in.JT == 0 {
+		return nil
 	}
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Insts)
+	return f.JTs[in.JT-1]
+}
+
+// LandingPad returns the handler block and action covering the call in,
+// nil and 0 when an exception unwinds straight through it.
+func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
+	if in.LP == 0 {
+		return nil, 0
 	}
-	f.instIndex = make(map[uint64]instRef, n)
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if b.Insts[i].Addr != 0 {
-				f.instIndex[b.Insts[i].Addr] = instRef{b: b, i: i}
-			}
-		}
-	}
-	return f.instIndex
+	lp := f.lps[in.LP-1]
+	return lp.block, lp.action
 }
 
 // NumBlocks returns the block count.
@@ -397,41 +436,35 @@ func (f *BinaryFunction) BlockAt(addr uint64) *BasicBlock {
 	return nil
 }
 
-// BlockContaining finds the block whose original instruction range covers
-// addr (used for profile matching).
-func (f *BinaryFunction) BlockContaining(addr uint64) *BasicBlock {
-	if r, ok := f.index()[addr]; ok {
-		return r.b
+// blockContaining finds the block whose original instruction range covers
+// addr: the last block starting at or before it. Like instAt it binary
+// searches the loader's address order, so both serve profile matching
+// only and are not offered to passes, which reorder and renumber blocks.
+func (f *BinaryFunction) blockContaining(addr uint64) *BasicBlock {
+	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Addr > addr })
+	if i == 0 {
+		return nil
 	}
-	// Fall back to range check (the address may be inside an instruction
-	// or a stripped NOP).
-	var best *BasicBlock
-	for _, b := range f.Blocks {
-		if b.Addr <= addr && (best == nil || b.Addr > best.Addr) {
-			best = b
-		}
-	}
-	return best
+	return f.Blocks[i-1]
 }
 
-// InstAt returns the block and instruction at an original address.
-func (f *BinaryFunction) InstAt(addr uint64) (*BasicBlock, *Inst) {
-	if r, ok := f.index()[addr]; ok {
-		return r.b, &r.b.Insts[r.i]
+// instAt returns the block and instruction at an original address.
+func (f *BinaryFunction) instAt(addr uint64) (*BasicBlock, *Inst) {
+	b := f.blockContaining(addr)
+	if b == nil {
+		return nil, nil
 	}
-	return nil, nil
+	i := sort.Search(len(b.Insts), func(i int) bool { return b.Insts[i].Addr >= addr })
+	if i == len(b.Insts) || b.Insts[i].Addr != addr {
+		return nil, nil
+	}
+	return b, &b.Insts[i]
 }
 
 // BinaryContext owns everything gobolt knows about the input binary.
 type BinaryContext struct {
 	File *elfx.File
 	Opts Options
-
-	// Strings interns the repeated strings the loader attaches to
-	// instructions (source files, call-target symbols) so each distinct
-	// value is stored once per context and comparisons can rely on
-	// identity. Safe for concurrent use by the parallel phases.
-	Strings intern.Table
 
 	Funcs  []*BinaryFunction
 	ByName map[string]*BinaryFunction

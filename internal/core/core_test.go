@@ -83,7 +83,7 @@ func TestDiscoveryAndCFG(t *testing.T) {
 	// The switch block must have two successors.
 	var swBlock *BasicBlock
 	for _, b := range fn.Blocks {
-		if last := b.LastInst(); last != nil && last.JT != nil {
+		if last := b.LastInst(); last != nil && fn.JumpTable(last) != nil {
 			swBlock = b
 		}
 	}
@@ -98,7 +98,7 @@ func TestDiscoveryAndCFG(t *testing.T) {
 	found := false
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
-			if b.Insts[i].TargetSym == "leaf" {
+			if g := ctx.Func(b.Insts[i].TargetSym); g != nil && g.Name == "leaf" {
 				found = true
 			}
 		}
@@ -238,27 +238,46 @@ func TestAttachCFIBadRegister(t *testing.T) {
 	}
 }
 
-// TestAddressIndexLifetime: the address index is built on first lookup,
-// ApplyProfile releases every index it caused, and a lookup after a pass
-// has inserted instructions sees the new positions (synthesized
-// instructions excluded) because nothing stale was left to answer it.
-func TestAddressIndexLifetime(t *testing.T) {
+// TestAddressLookupBySearch: profile matching resolves addresses by binary
+// search over the loader's address order — every loaded instruction is
+// found in its block, an address inside an instruction or a stripped NOP
+// falls to the covering block, addresses outside miss — and both the
+// parallel apply and the serial call-edge tail resolve their records.
+func TestAddressLookupBySearch(t *testing.T) {
 	ctx := buildBinary(t)
-	fn := ctx.ByName["switchy"]
-	if fn.instIndex != nil {
-		t.Fatal("loader built the address index eagerly")
+	for _, fn := range ctx.SimpleFuncs() {
+		for _, blk := range fn.Blocks {
+			for i := range blk.Insts {
+				in := &blk.Insts[i]
+				if gb, gi := fn.instAt(in.Addr); gb != blk || gi != in {
+					t.Errorf("%s: instAt(%#x) = block %v inst %p, want block %d inst %p",
+						fn.Name, in.Addr, gb, gi, blk.Index, in)
+				}
+				if gb := fn.blockContaining(in.Addr); gb != blk {
+					t.Errorf("%s: blockContaining(%#x) = %v, want block %d", fn.Name, in.Addr, gb, blk.Index)
+				}
+				if in.Size > 1 {
+					if gb, gi := fn.instAt(in.Addr + 1); gb != nil || gi != nil {
+						t.Errorf("%s: instAt(%#x) resolved a mid-instruction address", fn.Name, in.Addr+1)
+					}
+					if gb := fn.blockContaining(in.Addr + 1); gb != blk {
+						t.Errorf("%s: blockContaining(mid-instruction %#x) = %v, want block %d", fn.Name, in.Addr+1, gb, blk.Index)
+					}
+				}
+			}
+		}
+		if gb, gi := fn.instAt(fn.Addr - 1); gb != nil || gi != nil {
+			t.Errorf("%s: instAt below the function resolved", fn.Name)
+		}
+		if gb := fn.blockContaining(fn.Addr - 1); gb != nil {
+			t.Errorf("%s: blockContaining below the function = %v", fn.Name, gb)
+		}
 	}
-	b := fn.Blocks[1]
-	addr := b.Insts[0].Addr
-	if gb, gi := fn.InstAt(addr); gb != b || gi != &b.Insts[0] {
-		t.Fatalf("InstAt(%#x) before the edit = %v, %v", addr, gb, gi)
-	}
-	if fn.instIndex == nil {
-		t.Fatal("lookup did not build the index")
-	}
+
 	// One record inside switchy and a call record out of _start, so both
 	// the parallel apply and the serial call-edge tail do lookups.
-	start := ctx.ByName["_start"]
+	fn, start := ctx.ByName["switchy"], ctx.ByName["_start"]
+	off := fn.Blocks[1].Insts[0].Addr - fn.Addr
 	var callOff uint64
 	for i := range start.Blocks[0].Insts {
 		if in := &start.Blocks[0].Insts[i]; in.IsCall() {
@@ -266,7 +285,7 @@ func TestAddressIndexLifetime(t *testing.T) {
 		}
 	}
 	fd := &profile.Fdata{LBR: true, Branches: []profile.Branch{
-		{From: profile.Loc{Sym: "switchy", Off: addr - fn.Addr}, To: profile.Loc{Sym: "switchy", Off: addr - fn.Addr}, Count: 1},
+		{From: profile.Loc{Sym: "switchy", Off: off}, To: profile.Loc{Sym: "switchy", Off: off}, Count: 1},
 		{From: profile.Loc{Sym: "_start", Off: callOff}, To: profile.Loc{Sym: "switchy"}, Count: 1},
 	}}
 	if err := ctx.ApplyProfile(context.Background(), fd); err != nil {
@@ -274,40 +293,6 @@ func TestAddressIndexLifetime(t *testing.T) {
 	}
 	if ctx.Stats["profile-call-count"] != 1 || ctx.Stats["profile-ignored-count"] != 1 {
 		t.Fatalf("the two records did not both resolve: %v", ctx.Stats)
-	}
-	for _, f := range ctx.Funcs {
-		if f.instIndex != nil {
-			t.Errorf("%s: address index outlived ApplyProfile", f.Name)
-		}
-	}
-
-	// What shrink-wrapping does to its home block: a synthesized
-	// instruction (Addr 0) goes in front, everything else shifts by one.
-	push := Inst{I: isa.NewInst(isa.PUSH), CFIIdx: b.Insts[0].CFIIdx}
-	push.I.R1 = isa.RBX
-	b.Insts = append([]Inst{push}, b.Insts...)
-
-	for _, blk := range fn.Blocks {
-		for i := range blk.Insts {
-			in := &blk.Insts[i]
-			if in.Addr == 0 {
-				continue
-			}
-			if gb, gi := fn.InstAt(in.Addr); gb != blk || gi != in {
-				t.Errorf("InstAt(%#x) after the edit: block %v inst %p, want block %d inst %p",
-					in.Addr, gb, gi, blk.Index, in)
-			}
-			if gb := fn.BlockContaining(in.Addr); gb != blk {
-				t.Errorf("BlockContaining(%#x) after the edit = %v, want block %d", in.Addr, gb, blk.Index)
-			}
-		}
-	}
-	if gb, gi := fn.InstAt(0); gb != nil || gi != nil {
-		t.Error("the synthesized instruction is reachable through address 0")
-	}
-	// An address inside an instruction falls back to the covering block.
-	if gb := fn.BlockContaining(addr + 1); gb != b {
-		t.Errorf("BlockContaining(mid-instruction) = %v, want block %d", gb, b.Index)
 	}
 }
 

@@ -228,6 +228,7 @@ func (sc *loaderScratch) init() {
 // caller's private scratch.
 func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 	sc.init()
+	fn.lines = ctx.LineTable
 	if err := ctx.disassemble(fn, sc); err != nil {
 		fn.Simple = false
 		fn.Reason = err.Error()
@@ -340,6 +341,10 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		}
 	}
 
+	if len(jts) > maxInstTable {
+		return fmt.Errorf("%d jump tables exceed the %d an instruction can index", len(jts), maxInstTable)
+	}
+
 	// LSDA landing pads are leaders too.
 	if fde, ok := cfi.FindFDE(ctx.fdes, fn.Addr); ok && fde.LSDA != 0 {
 		lsda, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
@@ -404,15 +409,20 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		if r.inst.Op == isa.NOP {
 			continue // stripped
 		}
-		ci := Inst{I: r.inst, Size: r.size, Addr: r.addr, CFIIdx: -1}
+		// Filled in place: the slab came zeroed, and an Inst is too wide
+		// to build on the stack and copy in.
+		instSlab = instSlab[:len(instSlab)+1]
+		ci := &instSlab[len(instSlab)-1]
+		ci.I, ci.Size, ci.Addr, ci.CFIIdx = r.inst, r.size, r.addr, -1
 		if ctx.LineTable != nil {
-			if file, line, ok := ctx.LineTable.Lookup(r.addr); ok {
-				ci.File, ci.Line = ctx.Strings.Intern(file), int32(line)
+			if e, ok := ctx.LineTable.LookupEntry(r.addr); ok {
+				ci.Src = int32(e + 1)
 			}
 		}
 		if jt, ok := jts[i]; ok {
-			ci.JT = jt.JumpTable
 			fn.JTs = append(fn.JTs, jt.JumpTable)
+			fn.jtRaw = append(fn.jtRaw, jt.rawTargets)
+			ci.JT = uint16(len(fn.JTs))
 		}
 		// Resolve RIP memory operands via decode (absolute target).
 		if r.inst.HasMem() && r.inst.M.RIP {
@@ -421,15 +431,17 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		// Symbolize external direct targets.
 		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !inside(r.inst.TargetAddr)) {
 			if g := ctx.FuncContaining(r.inst.TargetAddr); g != nil && g.Addr == r.inst.TargetAddr {
-				ci.TargetSym = ctx.Strings.Intern(g.Name)
+				ci.TargetSym = g.Ref()
 			}
 		}
-		instSlab = append(instSlab, ci)
 	}
 	seal()
-	fn.jtPending = jts
 	return nil
 }
+
+// maxInstTable bounds the per-function tables Inst.JT and Inst.LP index
+// (one-based uint16); a function past it is left untouched as non-simple.
+const maxInstTable = 1<<16 - 1
 
 // pendingJT carries raw target addresses until blocks exist.
 type pendingJT struct {
@@ -587,18 +599,19 @@ func (ctx *BinaryContext) buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 			if next != nil {
 				addEdge(b, next) // fall-through (Succs[1], or [0] for a cond tail call)
 			}
-		case last.JT != nil:
+		case last.JT != 0:
 			// One edge per unique target; the table keeps one slot per
 			// entry (duplicates allowed).
 			seen := sc.jtSeen
 			clear(seen)
-			for _, taddr := range jtRawTargets(fn, last.JT) {
+			jt := fn.JumpTable(last)
+			for _, taddr := range fn.jtRaw[last.JT-1] {
 				to := byAddr[taddr]
 				if to != nil && !seen[to] {
 					seen[to] = true
 					addEdge(b, to)
 				}
-				last.JT.Targets = append(last.JT.Targets, to)
+				jt.Targets = append(jt.Targets, to)
 			}
 		case last.I.IsReturn() || last.I.Op == isa.HLT || last.I.Op == isa.UD2:
 			// no successors
@@ -651,17 +664,6 @@ func resetCounts(s []int32, n int) []int32 {
 	return s
 }
 
-// jtRawTargets retrieves the pending raw target addresses recorded at
-// disassembly time (they live on the function until CFG build).
-func jtRawTargets(fn *BinaryFunction, jt *JumpTable) []uint64 {
-	for _, p := range fn.jtPending {
-		if p.JumpTable == jt {
-			return p.rawTargets
-		}
-	}
-	return nil
-}
-
 // attachCFI replays the FDE over the original instruction order and
 // interns per-instruction unwind states. Save and restore rules naming a
 // register the state cannot track are skipped and counted.
@@ -675,7 +677,7 @@ func (ctx *BinaryContext) attachCFI(fn *BinaryFunction, sc *loaderScratch) {
 	k := 0
 	apply := func(upto uint32) {
 		for k < len(fde.Insts) && fde.Insts[k].PC <= upto {
-			in := fde.Insts[k].Inst
+			in := &fde.Insts[k].Inst
 			switch in.Kind {
 			case cfi.OpDefCfa:
 				st.CfaReg, st.CfaOff = in.Reg, in.Off
@@ -722,6 +724,23 @@ func (ctx *BinaryContext) attachCFI(fn *BinaryFunction, sc *loaderScratch) {
 	}
 }
 
+// internLandingPad returns the one-based index of (lpb, action) in the
+// function's landing-pad table, adding it if new; 0 when the table is
+// full. Consecutive calls mostly share a pad and a function has few, so a
+// backwards scan beats a map (as in InternState).
+func (f *BinaryFunction) internLandingPad(lpb *BasicBlock, action int32) uint16 {
+	for i := len(f.lps) - 1; i >= 0; i-- {
+		if f.lps[i].block == lpb && f.lps[i].action == action {
+			return uint16(i + 1)
+		}
+	}
+	if len(f.lps) == maxInstTable {
+		return 0
+	}
+	f.lps = append(f.lps, landingPad{block: lpb, action: action})
+	return uint16(len(f.lps))
+}
+
 // attachLSDA connects calls to their landing pads and marks LP blocks.
 // The per-block LPs lists are deduplicated through a scratch set keyed
 // by (block, landing pad) index pair — the old linear scan per insert
@@ -761,8 +780,11 @@ func (ctx *BinaryContext) attachLSDA(fn *BinaryFunction, sc *loaderScratch) {
 					fn.Reason = "landing pad not at block boundary"
 					return
 				}
-				in.LP = lpb
-				in.LPAction = action
+				if in.LP = fn.internLandingPad(lpb, action); in.LP == 0 {
+					fn.Simple = false
+					fn.Reason = "too many landing pads"
+					return
+				}
 				lpb.IsLP = true
 				if key := (blockPair{from: b.Index, to: lpb.Index}); !lpSeen[key] {
 					lpSeen[key] = true

@@ -86,8 +86,7 @@ type csMark struct {
 }
 type lineMark struct {
 	label asmx.Label
-	file  string
-	line  int32
+	src   int32 // Inst.Src of the instruction that opened the line
 }
 type anchorMark struct {
 	label  asmx.Label
@@ -139,7 +138,7 @@ func fragmentBlocks(fn *BinaryFunction) (hot, cold []*BasicBlock) {
 // exception call sites are collected per fragment. Everything it reads
 // and writes (including the JCC inversion persisted into the CFG) is
 // local to fn or to the worker-owned scratch — shared context state is
-// only read (ByName, Funcs ordinals) — so Rewrite safely calls it
+// only read (the line table) — so Rewrite safely calls it
 // concurrently, one worker per function, with all cross-function address
 // resolution deferred to the serial layout step.
 func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, sc *emitScratch) (*emitted, error) {
@@ -165,15 +164,8 @@ func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, sc *emitScratch) (*em
 	return out, nil
 }
 
-// funcSymID resolves a referenced function name to its packed symbol ID.
-// ByName is frozen after discovery, so concurrent reads are safe.
-func (ctx *BinaryContext) funcSymID(name string) (obj.SymID, error) {
-	g := ctx.ByName[name]
-	if g == nil {
-		return 0, fmt.Errorf("core: unresolved function %q", name)
-	}
-	return obj.FuncSym(g.ordIdx), nil
-}
+// symID packs a referenced function into an emission relocation symbol.
+func (r FuncRef) symID() obj.SymID { return obj.FuncSym(int(r) - 1) }
 
 func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock, sc *emitScratch) (*emittedFrag, error) {
 	a := &sc.asm
@@ -209,7 +201,9 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 	}
 
 	running := cfi.InitialState()
-	lastFile, lastLine := "", int32(-1)
+	// A line mark opens where the (file, line) pair changes.
+	type srcPos struct{ file, line uint32 } // file is one-based, zero = no source
+	var lastPos srcPos
 
 	emitCFIDiff := func(target *cfi.State) {
 		if target == nil {
@@ -237,7 +231,6 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 		a.EmitRelocID(inst, obj.RelPC32, obj.BlockSym(ord, to.Index), -4)
 	}
 
-	var emitErr error
 	for bi, b := range blocks {
 		a.Bind(labels[b.Index])
 		var next *BasicBlock
@@ -261,15 +254,22 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 
 		emitOne := func(in *Inst) {
 			emitCFIDiff(fn.StateAt(in.CFIIdx))
-			if in.File != lastFile || in.Line != lastLine {
-				l := a.NewLabel()
-				a.Bind(l)
-				sc.lineMarks = append(sc.lineMarks, lineMark{label: l, file: in.File, line: in.Line})
-				lastFile, lastLine = in.File, in.Line
+			var pos srcPos
+			if in.Src != 0 {
+				e := &ctx.LineTable.Entries[in.Src-1]
+				pos = srcPos{file: e.File + 1, line: e.Line}
+			}
+			if pos != lastPos {
+				lastPos = pos
+				if in.Src != 0 {
+					l := a.NewLabel()
+					a.Bind(l)
+					sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: in.Src})
+				}
 			}
 			inst := in.I
 			var start, end asmx.Label
-			if in.LP != nil {
+			if in.LP != 0 {
 				start, end = a.NewLabel(), a.NewLabel()
 				a.Bind(start)
 			}
@@ -279,25 +279,12 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 			switch {
 			case inst.Op == isa.NOP:
 				// dropped
-			case in.ImmSym != "":
-				id, err := ctx.funcSymID(in.ImmSym)
-				if err != nil {
-					emitErr = err
-					return
-				}
-				a.EmitRelocID(inst, relImmAbs32, id, 0)
+			case in.ImmSym != NoFunc:
+				a.EmitRelocID(inst, relImmAbs32, in.ImmSym.symID(), 0)
+			case inst.Op == isa.CALL && in.TargetSym != NoFunc:
+				a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 			case inst.Op == isa.CALL:
-				switch {
-				case in.TargetSym != "":
-					id, err := ctx.funcSymID(in.TargetSym)
-					if err != nil {
-						emitErr = err
-						return
-					}
-					a.EmitRelocID(inst, obj.RelPC32, id, -4)
-				default:
-					a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
-				}
+				a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
 			case inst.HasMem() && inst.M.RIP && in.MemTarget != 0:
 				m := inst
 				m.M.Disp = 0
@@ -305,9 +292,10 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 			default:
 				a.Emit(inst)
 			}
-			if in.LP != nil {
+			if in.LP != 0 {
 				a.Bind(end)
-				sc.csMarks = append(sc.csMarks, csMark{start: start, end: end, lp: in.LP, action: in.LPAction})
+				lp, action := fn.LandingPad(in)
+				sc.csMarks = append(sc.csMarks, csMark{start: start, end: end, lp: lp, action: action})
 			}
 		}
 
@@ -317,9 +305,6 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 		}
 		for i := 0; i < bodyEnd; i++ {
 			emitOne(&b.Insts[i])
-			if emitErr != nil {
-				return nil, emitErr
-			}
 		}
 
 		// Control-flow tail, materialized against the layout.
@@ -335,14 +320,10 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 		emitCFIDiff(fn.StateAt(in.CFIIdx))
 		inst := in.I
 		switch {
-		case inst.Op == isa.JCC && in.TargetSym != "":
+		case inst.Op == isa.JCC && in.TargetSym != NoFunc:
 			// Conditional tail call (SCTC output).
 			anchor(in.Addr)
-			id, err := ctx.funcSymID(in.TargetSym)
-			if err != nil {
-				return nil, err
-			}
-			a.EmitRelocID(inst, obj.RelPC32, id, -4)
+			a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 			if len(b.Succs) == 1 && b.Succs[0].To != next {
 				branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
 			}
@@ -366,14 +347,10 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 				branchTo(inst, taken)
 				branchTo(isa.NewInst(isa.JMP), fall)
 			}
-		case inst.Op == isa.JMP && in.TargetSym != "":
+		case inst.Op == isa.JMP && in.TargetSym != NoFunc:
 			// Tail call to another function.
 			anchor(in.Addr)
-			id, err := ctx.funcSymID(in.TargetSym)
-			if err != nil {
-				return nil, err
-			}
-			a.EmitRelocID(inst, obj.RelPC32, id, -4)
+			a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 		case inst.Op == isa.JMP:
 			if len(b.Succs) != 1 {
 				return nil, fmt.Errorf("core: %s block %d: jmp with %d successors", fn.Name, b.Index, len(b.Succs))
@@ -389,9 +366,6 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 		default:
 			// ret / repz ret / hlt / ud2
 			emitOne(in)
-		}
-		if emitErr != nil {
-			return nil, emitErr
 		}
 	}
 
@@ -433,10 +407,11 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 	if n := len(sc.lineMarks); n > 0 {
 		frag.Lines = make([]obj.LineEntry, 0, n)
 		for _, m := range sc.lineMarks {
-			if m.file == "" {
+			file, line := sourceAt(ctx.LineTable, m.src)
+			if file == "" {
 				continue
 			}
-			frag.Lines = append(frag.Lines, obj.LineEntry{Off: res.LabelOffs[m.label], File: m.file, Line: m.line})
+			frag.Lines = append(frag.Lines, obj.LineEntry{Off: res.LabelOffs[m.label], File: file, Line: line})
 		}
 	}
 	// Anchors bind in emission order, which is layout order, so offsets

@@ -1,0 +1,39 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"gobolt/internal/isa"
+)
+
+// TestInstLayout holds the instruction IR to its budget: the slabs of
+// Inst are the largest allocation of a run and every phase walks them, so
+// Inst stays within 80 bytes and free of anything the collector would
+// have to scan.
+func TestInstLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n > 80 {
+		t.Errorf("sizeof(core.Inst) = %d, want <= 80", n)
+	}
+	if n := unsafe.Sizeof(isa.Inst{}); n > 40 {
+		t.Errorf("sizeof(isa.Inst) = %d, want <= 40", n)
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s is a %s: Inst must stay pointer-free", path, ty.Kind())
+		}
+	}
+	walk("Inst", reflect.TypeOf(Inst{}))
+}

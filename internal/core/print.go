@@ -64,14 +64,14 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 			lastCFI = in.CFIIdx
 			line := fmt.Sprintf("    %08x: %s", in.Addr-fn.Addr, in.I.Format(ctx.symNamer()))
 			var notes []string
-			if in.LP != nil {
-				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", in.LP.Label, in.LPAction))
+			if lp, action := fn.LandingPad(in); lp != nil {
+				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))
 			}
-			if in.TargetSym != "" && in.IsCall() {
-				notes = append(notes, in.TargetSym)
+			if in.TargetSym != NoFunc && in.IsCall() {
+				notes = append(notes, ctx.Func(in.TargetSym).Name)
 			}
-			if in.File != "" {
-				notes = append(notes, fmt.Sprintf("%s:%d", in.File, in.Line))
+			if file, line := fn.SourceLine(in); file != "" {
+				notes = append(notes, fmt.Sprintf("%s:%d", file, line))
 			}
 			if len(notes) > 0 {
 				line += " # " + strings.Join(notes, " # ")
@@ -168,8 +168,10 @@ func (ctx *BinaryContext) BadLayoutReport(limit int) string {
 	fmt.Fprintf(&sb, "report-bad-layout: %d cold blocks interleaved between hot blocks\n", len(finds))
 	for _, f := range finds {
 		src := ""
-		if len(f.block.Insts) > 0 && f.block.Insts[0].File != "" {
-			src = fmt.Sprintf(" # %s:%d", f.block.Insts[0].File, f.block.Insts[0].Line)
+		if len(f.block.Insts) > 0 {
+			if file, line := f.fn.SourceLine(&f.block.Insts[0]); file != "" {
+				src = fmt.Sprintf(" # %s:%d", file, line)
+			}
 		}
 		fmt.Fprintf(&sb, "  %s: block %s (Exec Count: 0) between hot blocks (count %d)%s\n",
 			f.fn.Name, f.block.Label, f.score, src)

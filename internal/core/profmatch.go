@@ -56,11 +56,6 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	} else {
 		nfuncs, jobs, err = ctx.applySamples(cx, fd, sm)
 	}
-	// The address indices the lookups built are dead weight from here on,
-	// and the passes will restructure the CFGs they describe.
-	for _, fn := range ctx.Funcs {
-		fn.instIndex = nil
-	}
 	applyWall := time.Since(start)
 	ctx.Opts.Trace.Phase("profile:apply", start, applyWall, jobs)
 	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
@@ -366,7 +361,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 			cr.fromFn.Sampled = true
 			if sf := sm.lookup(cr.fromFn); sf == nil || !sf.stale {
 				fromAddr := cr.fromFn.Addr + br.From.Off
-				if _, fi := cr.fromFn.InstAt(fromAddr); fi != nil {
+				if _, fi := cr.fromFn.instAt(fromAddr); fi != nil {
 					if fi.I.Op == isa.CALLr || fi.I.Op == isa.CALLm {
 						m := ctx.CallTargets[fromAddr]
 						if m == nil {
@@ -418,7 +413,7 @@ func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *a
 	}
 	fromAddr := fn.Addr + br.From.Off
 	toAddr := fn.Addr + br.To.Off
-	fb, fi := fn.InstAt(fromAddr)
+	fb, fi := fn.instAt(fromAddr)
 	if fb == nil {
 		c.drop += br.Count
 		return
@@ -563,7 +558,7 @@ func applySample(fn *BinaryFunction, sf *staleFunc, s profile.Sample, c *applyCo
 		}
 		return
 	}
-	b := fn.BlockContaining(fn.Addr + s.At.Off)
+	b := fn.blockContaining(fn.Addr + s.At.Off)
 	if b == nil {
 		c.drop += s.Count
 		return

@@ -60,15 +60,23 @@ func (t *Table) Sort() {
 
 // Lookup returns the source position covering addr.
 func (t *Table) Lookup(addr uint64) (file string, line uint32, ok bool) {
-	i := sort.Search(len(t.Entries), func(i int) bool { return t.Entries[i].Addr > addr })
-	if i == 0 {
+	i, ok := t.LookupEntry(addr)
+	if !ok {
 		return "", 0, false
 	}
-	e := t.Entries[i-1]
-	if int(e.File) >= len(t.Files) {
-		return "", 0, false
-	}
+	e := t.Entries[i]
 	return t.Files[e.File], e.Line, true
+}
+
+// LookupEntry returns the index in Entries of the entry covering addr,
+// for callers that keep the position instead of the strings. An entry
+// naming a file the table does not have counts as no entry.
+func (t *Table) LookupEntry(addr uint64) (int, bool) {
+	i := sort.Search(len(t.Entries), func(i int) bool { return t.Entries[i].Addr > addr })
+	if i == 0 || int(t.Entries[i-1].File) >= len(t.Files) {
+		return 0, false
+	}
+	return i - 1, true
 }
 
 // Encode serializes the table.

@@ -1,35 +1,10 @@
-// Package intern provides string interning for the loader's hot path.
-// The disassembler attaches the same handful of strings — source file
-// names, call-target symbols, block labels — to hundreds of thousands of
-// instructions; interning collapses them to one canonical copy each, so
-// repeated values cost a map lookup instead of an allocation and
-// downstream comparisons can rely on identity.
+// Package intern provides the process-wide basic-block labels. The same
+// ".LBB<i>" strings repeat across every function in a binary, so the
+// loader takes them from one precomputed table instead of formatting a
+// fresh string per block.
 package intern
 
-import (
-	"strconv"
-	"sync"
-)
-
-// Table is a concurrent string interner. The zero value is ready to use.
-// Intern is identity-stable: every call with an equal string returns the
-// same canonical copy, no matter which goroutine got there first — the
-// property the parallel loader's workers depend on.
-type Table struct {
-	m sync.Map // string -> string (canonical)
-}
-
-// Intern returns the canonical copy of s.
-func (t *Table) Intern(s string) string {
-	if s == "" {
-		return ""
-	}
-	if v, ok := t.m.Load(s); ok {
-		return v.(string)
-	}
-	v, _ := t.m.LoadOrStore(s, s)
-	return v.(string)
-}
+import "strconv"
 
 // nLabels bounds the precomputed block-label table; functions with more
 // basic blocks than this exist but are rare enough that falling back to
@@ -45,8 +20,7 @@ var lbb = func() [nLabels]string {
 }()
 
 // Label returns the canonical ".LBB<i>" basic-block label. Labels repeat
-// across every function in a binary, so they are process-wide constants
-// rather than per-table entries.
+// across every function in a binary, so they are process-wide constants.
 func Label(i int) string {
 	if i >= 0 && i < nLabels {
 		return lbb[i]

@@ -2,69 +2,9 @@ package intern
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"unsafe"
 )
-
-// data returns the string's backing-array pointer, the identity the
-// loader relies on: two interned strings with equal content must share
-// storage so the per-function metadata keeps one copy per distinct file
-// name / symbol instead of one per instruction.
-func data(s string) *byte { return unsafe.StringData(s) }
-
-func TestInternIdentity(t *testing.T) {
-	var tab Table
-	// Build the contents separately so the inputs don't share backing
-	// arrays to begin with.
-	a := tab.Intern(string([]byte("src/lib/parse.c")))
-	b := tab.Intern(string([]byte("src/lib/parse.c")))
-	if a != b {
-		t.Fatalf("interned values differ: %q vs %q", a, b)
-	}
-	if data(a) != data(b) {
-		t.Fatal("equal strings interned to distinct backing arrays")
-	}
-	if got := tab.Intern(""); got != "" {
-		t.Fatalf("Intern(%q) = %q", "", got)
-	}
-}
-
-// TestInternConcurrent is the loader-shaped contract: many workers
-// interning overlapping string sets concurrently (as the parallel
-// disassembly phase does with file names and call-target symbols) must
-// all observe the same canonical instance. Run under -race this also
-// proves the table itself is safe for concurrent use.
-func TestInternConcurrent(t *testing.T) {
-	var tab Table
-	const workers = 16
-	const distinct = 64
-	out := make([][]string, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got := make([]string, distinct)
-			for i := 0; i < distinct; i++ {
-				// Fresh allocation per worker: no accidental sharing.
-				got[i] = tab.Intern(fmt.Sprintf("module%02d/file%02d.c", i%7, i))
-			}
-			out[w] = got
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for i := range out[w] {
-			if out[w][i] != out[0][i] {
-				t.Fatalf("worker %d interned %q, worker 0 %q", w, out[w][i], out[0][i])
-			}
-			if data(out[w][i]) != data(out[0][i]) {
-				t.Fatalf("worker %d: %q not identity-stable across workers", w, out[w][i])
-			}
-		}
-	}
-}
 
 func TestLabel(t *testing.T) {
 	for _, i := range []int{0, 1, 37, nLabels - 1, nLabels, nLabels + 5} {
@@ -75,7 +15,7 @@ func TestLabel(t *testing.T) {
 	}
 	// Within the precomputed range the same instance comes back every
 	// time — block labels are process-wide constants.
-	if data(Label(3)) != data(Label(3)) {
+	if unsafe.StringData(Label(3)) != unsafe.StringData(Label(3)) {
 		t.Fatal("Label(3) not identity-stable")
 	}
 }

@@ -76,17 +76,18 @@ const NoTarget = -1
 // Inst is one machine instruction. Direct branches carry their destination
 // two ways: TargetAddr (absolute address, filled by the decoder and used by
 // the encoder) and Target (a symbolic label index used by assemblers before
-// layout is final).
+// layout is final). Fields run widest first so the struct packs to 40
+// bytes with no interior padding; every IR instruction embeds one.
 type Inst struct {
-	Op  Op
-	R1  Reg // destination / primary operand
-	R2  Reg // source
-	Cc  Cond
-	Imm int64 // immediate, or NOP length
-	M   Mem
-
-	Target     int    // symbolic label id, or NoTarget
+	Imm        int64  // immediate, or NOP length
 	TargetAddr uint64 // absolute branch target (decode output / encode input)
+	Target     int    // symbolic label id, or NoTarget
+	M          Mem
+
+	Op Op
+	R1 Reg // destination / primary operand
+	R2 Reg // source
+	Cc Cond
 }
 
 // NewInst returns a non-branch instruction with Target cleared.

@@ -12,6 +12,8 @@ package ld
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"gobolt/internal/cfi"
@@ -423,7 +425,9 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 			Type: elfx.STTFunc, Bind: bind, Section: ".text",
 		})
 	}
-	for folded, keptName := range aliases {
+	// Sorted: the symbol table must not depend on map order.
+	for _, folded := range slices.Sorted(maps.Keys(aliases)) {
+		keptName := aliases[folded]
 		out.Symbols = append(out.Symbols, elfx.Symbol{
 			Name: folded, Value: funcAddr[keptName], Size: uint64(len(funcByName[keptName].Bytes)),
 			Type: elfx.STTFunc, Bind: elfx.STBLocal, Section: ".text",

@@ -1,6 +1,8 @@
 package ld
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"gobolt/internal/obj"
@@ -100,5 +102,37 @@ func TestFuncOrder(t *testing.T) {
 	bSym, _ := res.File.SymbolByName("b")
 	if bSym.Value >= aSym.Value {
 		t.Fatalf("FuncOrder ignored: b=%#x a=%#x", bSym.Value, aSym.Value)
+	}
+}
+
+// TestLinkDeterministic: two links of the same objects are the same
+// bytes. The symbols of ICF-folded aliases used to be appended in map
+// order, so the symbol table differed from link to link.
+func TestLinkDeterministic(t *testing.T) {
+	link := func() []byte {
+		t.Helper()
+		objs := tinyObjects()
+		for i := 0; i < 8; i++ {
+			objs[0].Funcs = append(objs[0].Funcs,
+				&obj.Func{Name: fmt.Sprintf("dup%d", i), Bytes: []byte{0x48, 0x31, 0xC0, 0xC3}})
+		}
+		res, err := Link(objs, Options{ICF: true, EmitRelocs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ICFFolded != 7 {
+			t.Fatalf("folded %d, want 7", res.ICFFolded)
+		}
+		data, err := res.File.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first := link()
+	for i := 1; i < 20; i++ {
+		if !bytes.Equal(link(), first) {
+			t.Fatalf("link %d differs from link 0", i)
+		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 // root if it receives an io.Writer-shaped destination (io.Writer,
 // *bytes.Buffer, *strings.Builder) or its name matches the writer
 // naming convention (Write*/Print*/Emit*/Serialize*/Marshal*/
-// Render*/Report*/Fprint*/Dump*, or String()). Reachability is the
+// Render*/Report*/Fprint*/Dump*/Link*, or String(); Link because the
+// linker returns its image instead of writing it, and a symbol table
+// built in map order is output all the same). Reachability is the
 // static call graph within the package (calls resolved through
 // go/types; calls through function values are approximated by
 // treating referenced functions as callees).
@@ -41,7 +43,7 @@ var MapIter = &Analyzer{
 	Run:       runMapIter,
 }
 
-var outputNameRE = regexp.MustCompile(`(?i)^(write|print|emit|serialize|marshal|render|report|fprint|dump)|(?i)(rewrite|tostring|dynostats)|^String$`)
+var outputNameRE = regexp.MustCompile(`(?i)^(write|print|emit|serialize|marshal|render|report|fprint|dump|link)|(?i)(rewrite|tostring|dynostats)|^String$`)
 
 func runMapIter(p *Pass) {
 	decls := funcDecls(p.Files)

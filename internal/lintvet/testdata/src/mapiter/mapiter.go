@@ -104,3 +104,13 @@ func WriteDebug(w io.Writer, m map[string]int) {
 		fmt.Fprintln(w, k)
 	}
 }
+
+// Link is a root by name alone: a linker hands back its image rather
+// than writing it, so no writer parameter gives it away.
+func Link(m map[string]int) []string {
+	var syms []string
+	for k := range m { // want "iterating a map in output-reachable Link"
+		syms = append(syms, k)
+	}
+	return syms
+}

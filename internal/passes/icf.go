@@ -144,8 +144,8 @@ var (
 // instructions with intra-function targets as block indices, external
 // targets as symbols, memory targets as absolute addresses (data does not
 // move), and jump tables as target-index sequences. An instruction record
-// opens with 'I' and has a fixed part, a length-prefixed symbol and an
-// optional jump-table part ('T', or 'P' for a PIC table); a zero byte and
+// opens with 'I' and has a fixed part, the symbol's function reference
+// and an optional jump-table part ('T', or 'P' for a PIC table); a zero byte and
 // the length-prefixed successor list close the block. The bytes parse one
 // way only, so two bodies are equal iff their encodings are.
 func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
@@ -170,16 +170,15 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 			buf = append(buf, 'I', byte(in.I.Op), byte(in.I.R1), byte(in.I.R2), byte(in.I.Cc), kind)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(in.I.Imm))
 			buf = binary.LittleEndian.AppendUint64(buf, mem)
-			buf = binary.AppendUvarint(buf, uint64(len(in.TargetSym)))
-			buf = append(buf, in.TargetSym...)
-			if in.JT != nil {
+			buf = binary.AppendUvarint(buf, uint64(in.TargetSym))
+			if jt := fn.JumpTable(in); jt != nil {
 				tag := byte('T')
-				if in.JT.PIC {
+				if jt.PIC {
 					tag = 'P'
 				}
 				buf = append(buf, tag)
-				buf = binary.AppendUvarint(buf, uint64(len(in.JT.Targets)))
-				for _, t := range in.JT.Targets {
+				buf = binary.AppendUvarint(buf, uint64(len(jt.Targets)))
+				for _, t := range jt.Targets {
 					buf = binary.AppendUvarint(buf, uint64(blockPos(fn, t)))
 				}
 			}

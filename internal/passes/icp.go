@@ -42,7 +42,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 		type site struct {
 			b               *core.BasicBlock
 			i               int
-			hot             string
+			hot             *core.BinaryFunction
 			hotCount, total uint64
 		}
 		var sites []site
@@ -76,7 +76,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 				if target == nil || target.Addr >= 1<<31 {
 					continue // must fit a cmp imm32
 				}
-				sites = append(sites, site{b: b, i: i, hot: hot, hotCount: hist[hot], total: total})
+				sites = append(sites, site{b: b, i: i, hot: target, hotCount: hist[hot], total: total})
 			}
 		}
 		// FLAGS liveness: compute per-block live-out once per function.
@@ -90,7 +90,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 				ctx.CountStat("icp-flags-blocked", 1)
 				continue
 			}
-			promote(ctx, fn, st.b, st.i, st.hot, st.hotCount, st.total)
+			promote(fn, st.b, st.i, st.hot, st.hotCount, st.total)
 			ctx.CountStat("icp-promoted", 1)
 		}
 		for i, b := range fn.Blocks {
@@ -156,8 +156,8 @@ func flagsLiveAfterInst(fn *core.BinaryFunction, b *core.BasicBlock, i int, live
 }
 
 // promote performs the CFG surgery for one call site.
-func promote(ctx *core.BinaryContext, fn *core.BinaryFunction, b *core.BasicBlock, i int, hot string, hotCount, total uint64) {
-	call := b.Insts[i]
+func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.BinaryFunction, hotCount, total uint64) {
+	call := &b.Insts[i] // valid until b.Insts is rebuilt at the end
 	reg := call.I.R1
 
 	newBlock := func(label string) *core.BasicBlock {
@@ -173,8 +173,10 @@ func promote(ctx *core.BinaryContext, fn *core.BinaryFunction, b *core.BasicBloc
 	indirect := newBlock(b.Label + ".icp_i")
 	cont := newBlock(b.Label + ".icp_c")
 
-	// Continuation inherits the rest of the original block.
-	cont.Insts = append(cont.Insts, b.Insts[i+1:]...)
+	// The continuation takes the rest of the block and the indirect
+	// fallback the original call, both where they already are: b moves to
+	// a fresh array below, so the old one is theirs alone.
+	cont.Insts = b.Insts[i+1:]
 	cont.Succs = b.Succs
 	cont.LPs = b.LPs
 	for _, e := range cont.Succs {
@@ -182,36 +184,36 @@ func promote(ctx *core.BinaryContext, fn *core.BinaryFunction, b *core.BasicBloc
 	}
 	cont.ExecCount = b.ExecCount
 
-	// Direct path.
-	dc := call
+	// Direct path: the call's annotations on a direct call to the hot
+	// target.
+	direct.Insts = []core.Inst{*call}
+	dc := &direct.Insts[0]
 	dc.I = isa.NewInst(isa.CALL)
 	dc.Addr = 0
-	dc.TargetSym = hot
-	direct.Insts = []core.Inst{dc}
+	dc.TargetSym = hot.Ref()
 	direct.Succs = []core.Edge{{To: cont, Count: hotCount}}
 	direct.ExecCount = hotCount
 	cont.Preds = append(cont.Preds, direct)
 
 	// Indirect fallback keeps the original call.
-	ic := call
-	ic.Addr = 0
-	indirect.Insts = []core.Inst{ic}
+	call.Addr = 0
+	indirect.Insts = b.Insts[i : i+1 : i+1]
 	indirect.Succs = []core.Edge{{To: cont, Count: total - hotCount}}
 	indirect.ExecCount = total - hotCount
 	cont.Preds = append(cont.Preds, indirect)
 
 	// Landing pads propagate to both call copies.
-	if call.LP != nil {
-		direct.LPs = []*core.BasicBlock{call.LP}
-		indirect.LPs = []*core.BasicBlock{call.LP}
+	if lp, _ := fn.LandingPad(call); lp != nil {
+		direct.LPs = []*core.BasicBlock{lp}
+		indirect.LPs = []*core.BasicBlock{lp}
 	}
 
 	// The original block now compares and branches.
-	cmp := core.Inst{CFIIdx: call.CFIIdx, File: call.File, Line: call.Line}
+	cmp := core.Inst{CFIIdx: call.CFIIdx, Src: call.Src}
 	cmp.I = isa.NewInst(isa.CMPri)
 	cmp.I.R1 = reg
 	cmp.I.Imm = 1 << 30 // placeholder; patched via ImmSym at emission
-	cmp.ImmSym = hot
+	cmp.ImmSym = hot.Ref()
 	jcc := core.Inst{CFIIdx: call.CFIIdx}
 	jcc.I = isa.NewInst(isa.JCC)
 	jcc.I.Cc = isa.CondE
@@ -220,7 +222,6 @@ func promote(ctx *core.BinaryContext, fn *core.BinaryFunction, b *core.BasicBloc
 	b.LPs = nil
 	direct.Preds = []*core.BasicBlock{b}
 	indirect.Preds = []*core.BasicBlock{b}
-	_ = ctx
 }
 
 func replacePred(b *core.BasicBlock, old, nw *core.BasicBlock) {

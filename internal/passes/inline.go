@@ -30,11 +30,11 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 		for _, b := range fn.Blocks {
 			for i := 0; i < len(b.Insts); i++ {
 				in := &b.Insts[i]
-				if in.I.Op != isa.CALL || in.TargetSym == "" || in.LP != nil {
+				if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP != 0 {
 					continue
 				}
-				callee := ctx.ByName[in.TargetSym]
-				if callee == nil || callee == fn {
+				callee := ctx.Func(in.TargetSym)
+				if callee == fn {
 					continue
 				}
 				for callee.FoldedInto != nil {
@@ -47,9 +47,12 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				// Splice: replace the call with the body.
 				spliced := make([]core.Inst, 0, len(b.Insts)+len(body)-1)
 				spliced = append(spliced, b.Insts[:i]...)
-				for _, bi := range body {
-					ni := core.Inst{I: bi.I, CFIIdx: in.CFIIdx, File: bi.File, Line: bi.Line, MemTarget: bi.MemTarget}
-					spliced = append(spliced, ni)
+				// Only context-wide facts cross over: the callee's JT and
+				// LP indices mean nothing in the caller (and a qualifying
+				// body has neither).
+				for k := range body {
+					bi := &body[k]
+					spliced = append(spliced, core.Inst{I: bi.I, CFIIdx: in.CFIIdx, Src: bi.Src, MemTarget: bi.MemTarget})
 				}
 				spliced = append(spliced, b.Insts[i+1:]...)
 				b.Insts = spliced

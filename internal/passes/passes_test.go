@@ -257,7 +257,12 @@ func workProgram() *ir.Program {
 
 func buildWork(t *testing.T) (*elfx.File, uint64) {
 	t.Helper()
-	p := workProgram()
+	return linkWork(t, workProgram())
+}
+
+// linkWork compiles and links a workProgram variant and runs it once.
+func linkWork(t *testing.T, p *ir.Program) (*elfx.File, uint64) {
+	t.Helper()
 	objs, err := cc.Compile(p, cc.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)

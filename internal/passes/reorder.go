@@ -160,8 +160,8 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 				}
 				for i := range b.Insts {
 					in := &b.Insts[i]
-					if in.I.Op == isa.CALL && in.TargetSym != "" {
-						g.Edges[[2]string{fn.Name, in.TargetSym}] += b.ExecCount
+					if in.I.Op == isa.CALL && in.TargetSym != core.NoFunc {
+						g.Edges[[2]string{fn.Name, ctx.Func(in.TargetSym).Name}] += b.ExecCount
 					}
 				}
 			}

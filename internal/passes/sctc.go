@@ -22,7 +22,7 @@ func (SCTC) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	changed := false
 	for _, b := range fn.Blocks {
 		last := b.LastInst()
-		if last == nil || last.I.Op != isa.JCC || last.TargetSym != "" || len(b.Succs) != 2 {
+		if last == nil || last.I.Op != isa.JCC || last.TargetSym != core.NoFunc || len(b.Succs) != 2 {
 			continue
 		}
 		stub := b.Succs[0].To // taken edge
@@ -57,13 +57,13 @@ func (SCTC) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 }
 
 // tailCallStub matches a block that only jumps to another function.
-func tailCallStub(b *core.BasicBlock) (string, bool) {
+func tailCallStub(b *core.BasicBlock) (core.FuncRef, bool) {
 	if len(b.Succs) != 0 || len(b.Insts) != 1 {
-		return "", false
+		return core.NoFunc, false
 	}
 	in := &b.Insts[0]
-	if in.I.Op == isa.JMP && in.TargetSym != "" {
+	if in.I.Op == isa.JMP && in.TargetSym != core.NoFunc {
 		return in.TargetSym, true
 	}
-	return "", false
+	return core.NoFunc, false
 }

@@ -37,17 +37,21 @@ func (p Peepholes) Name() string { return "peepholes" }
 // RunOnFunction implements core.FunctionPass.
 func (p Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	for _, b := range fn.Blocks {
-		// Remove mov %r,%r.
-		kept := b.Insts[:0]
+		// Remove mov %r,%r, compacting in place: nothing is copied until
+		// the first removal, and most blocks have none.
+		n := 0
 		for i := range b.Insts {
-			in := b.Insts[i]
+			in := &b.Insts[i]
 			if in.I.Op == isa.MOVrr && in.I.R1 == in.I.R2 {
 				fc.CountStat("peephole-selfmove", 1)
 				continue
 			}
-			kept = append(kept, in)
+			if n != i {
+				b.Insts[n] = *in
+			}
+			n++
 		}
-		b.Insts = kept
+		b.Insts = b.Insts[:n]
 	}
 	// Jump threading: an edge into an empty block whose only content
 	// is an unconditional jump can go straight to its target.
@@ -126,8 +130,8 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 		for _, lp := range b.LPs {
 			push(lp)
 		}
-		if last := b.LastInst(); last != nil && last.JT != nil {
-			for _, t := range last.JT.Targets {
+		if last := b.LastInst(); last != nil && last.JT != 0 {
+			for _, t := range fn.JumpTable(last).Targets {
 				push(t)
 			}
 		}
@@ -214,7 +218,7 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 				continue
 			}
 			// Do not simplify loads feeding jump-table dispatch.
-			if in.JT != nil {
+			if in.JT != 0 {
 				continue
 			}
 			in.I = newInst
@@ -245,7 +249,7 @@ func (PLTPass) Run(ctx *core.BinaryContext) error {
 		for _, b := range fn.Blocks {
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				if in.I.Op != isa.CALL || in.TargetSym != "" {
+				if in.I.Op != isa.CALL || in.TargetSym != core.NoFunc {
 					continue
 				}
 				target, ok := ctx.PLTStubs[in.I.TargetAddr]
@@ -253,7 +257,7 @@ func (PLTPass) Run(ctx *core.BinaryContext) error {
 					continue
 				}
 				if g := ctx.FuncByAddr(target); g != nil {
-					in.TargetSym = g.Name
+					in.TargetSym = g.Ref()
 					ctx.CountStat("plt-calls", 1)
 				}
 			}
