@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gobolt/internal/bench"
-	"gobolt/internal/workload"
 )
 
 // benchScale keeps `go test -bench=.` in the minutes range.
@@ -41,7 +40,7 @@ func BenchmarkFig6HHVMMetrics(b *testing.B) {
 
 func BenchmarkFig7Clang(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := bench.CompilerExperiment(workload.Clang(), true, benchScale)
+		rows, _, err := bench.Fig7(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +59,7 @@ func BenchmarkFig7Clang(b *testing.B) {
 
 func BenchmarkFig8GCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := bench.CompilerExperiment(workload.GCC(), false, benchScale)
+		rows, _, err := bench.Fig8(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

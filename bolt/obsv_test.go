@@ -65,7 +65,7 @@ func TestTraceDeterministicAcrossJobs(t *testing.T) {
 	}
 
 	base := shapes[1]
-	for _, stage := range []string{"load:", "profile:apply", "reorder", "emit:"} {
+	for _, stage := range []string{"profile:load", "load:", "profile:apply", "reorder", "emit:"} {
 		if !slices.ContainsFunc(base.phases, func(name string) bool {
 			return strings.Contains(name, stage)
 		}) {

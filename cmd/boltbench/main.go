@@ -1,31 +1,28 @@
 // Command boltbench regenerates the paper's tables and figures. Each
 // experiment builds the relevant synthetic workload(s), profiles them
 // under the VM, applies gobolt and/or the compiler baselines, and prints
-// the rows/series the paper reports (see DESIGN.md §3 and EXPERIMENTS.md).
+// the rows/series the paper reports. The experiments are the rows of
+// bench.Experiments; optimizer cost is measured by `go run -C benchmark .`
+// (see benchmark/README.md), not here.
 //
 // Usage:
 //
 //	boltbench -experiment fig5 [-scale 0.25]
-//	boltbench -experiment speed -bench-out new.txt   # then: benchstat old.txt new.txt
 //	boltbench -experiment all
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"gobolt/bolt"
 	"gobolt/internal/bench"
-	"gobolt/internal/benchfmt"
 	"gobolt/internal/obsv"
-	"gobolt/internal/workload"
 )
 
 func main() {
@@ -36,16 +33,16 @@ func main() {
 }
 
 func run() error {
+	var names []string
+	byName := make(map[string]bench.Experiment)
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+		byName[e.Name] = e
+	}
 	exp := flag.String("experiment", "all",
-		"experiment(s) to run: fig5, fig6, fig7, fig8, fig9, fig10, fig11, table2, events, icf, fig2, continuous, inference, verify, timing, speed, scaling, obsv (comma separated or 'all')")
+		"experiment(s) to run: "+strings.Join(names, ", ")+" (comma separated or 'all')")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (iterations multiplier)")
-	jobs := flag.Int("jobs", 0, "worker threads for every gobolt run's parallel phases — loader, function passes, emission (0 = GOMAXPROCS, 1 = serial)")
-	timePasses := flag.Bool("time-passes", false, "run the 'timing' experiment (load/pass/emit wall time at jobs=1 vs -jobs) even when not listed")
 	heatOut := flag.String("heat-out", "", "write Figure 9 heat maps (CSV + text) with this path prefix")
-	benchOut := flag.String("bench-out", "", "write the 'speed'/'scaling' experiment's Go benchfmt output to this file (compare runs with benchstat)")
-	benchJSON := flag.String("bench-json", "", "write the 'speed'/'scaling' experiment's results as a BENCH_*.json gate-baseline skeleton to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the 'speed'/'scaling' experiment against this committed BENCH_*.json baseline and fail on regression past its threshold")
-	scalingJobs := flag.String("scaling-jobs", "", "comma-separated jobs values the 'scaling' experiment sweeps (default 1,2,4,8)")
 	validateTrace := flag.String("validate-trace", "", "validate a Chrome trace-event JSON file (gobolt -trace-out) and exit")
 	validateReport := flag.String("validate-report", "", "validate a machine-readable run report (gobolt -report-json) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -104,195 +101,31 @@ func run() error {
 		return nil
 	}
 
-	bench.SetBoltJobs(*jobs)
-	list := strings.Split(*exp, ",")
-	if *exp == "all" {
-		list = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "events", "icf", "fig2", "continuous", "inference"}
+	list := names
+	if *exp != "all" {
+		list = strings.Split(*exp, ",")
 	}
-	if *timePasses && !strings.Contains(*exp, "timing") {
-		list = append(list, "timing")
-	}
-	sc := bench.Scale(*scale)
-	for _, e := range list {
+	for _, name := range list {
+		name = strings.TrimSpace(name)
+		e, ok := byName[name]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
 		start := time.Now()
-		var report string
-		var err error
-		switch strings.TrimSpace(e) {
-		case "fig5":
-			_, report, err = bench.Fig5(sc)
-		case "fig6":
-			_, report, err = bench.Fig6(sc)
-		case "fig7":
-			_, report, err = bench.CompilerExperiment(workload.Clang(), true, sc)
-		case "fig8":
-			_, report, err = bench.CompilerExperiment(workload.GCC(), false, sc)
-		case "fig9":
-			var before, after *bench.Measurement
-			before, after, report, err = bench.Fig9(sc)
-			if err == nil && *heatOut != "" {
-				werr := os.WriteFile(*heatOut+".before.txt", []byte(before.Heat.Render()), 0o644)
-				if werr == nil {
-					werr = os.WriteFile(*heatOut+".after.txt", []byte(after.Heat.Render()), 0o644)
-				}
-				if werr == nil {
-					werr = os.WriteFile(*heatOut+".before.csv", []byte(before.Heat.CSV()), 0o644)
-				}
-				if werr == nil {
-					werr = os.WriteFile(*heatOut+".after.csv", []byte(after.Heat.CSV()), 0o644)
-				}
-				if werr != nil {
-					fmt.Fprintln(os.Stderr, "heat-out:", werr)
+		res, err := e.Run(bench.Scale(*scale))
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if *heatOut != "" {
+			for _, b := range res.Blobs {
+				if err := os.WriteFile(*heatOut+"."+b.Name, []byte(b.Data), 0o644); err != nil {
+					fmt.Fprintln(os.Stderr, "heat-out:", err)
+					break
 				}
 			}
-		case "fig10":
-			report, err = bench.Fig10(sc)
-		case "fig11":
-			_, report, err = bench.Fig11(sc)
-		case "table2":
-			report, err = bench.Table2(sc)
-		case "events":
-			_, report, err = bench.Events(sc)
-		case "icf":
-			_, report, err = bench.ICF(sc)
-		case "fig2":
-			report, err = bench.Fig2Report(sc)
-		case "continuous":
-			_, report, err = bench.Continuous(sc)
-		case "inference":
-			_, report, err = bench.Inference(sc)
-		case "verify":
-			_, report, err = bench.Verify(sc)
-		case "timing":
-			report, err = bench.PipelineScaling(sc, *jobs)
-		case "obsv":
-			report, err = bench.Obsv(sc)
-		case "speed":
-			var results []benchfmt.Result
-			results, report, err = bench.Speed(sc, *jobs)
-			if err == nil {
-				err = handleSpeedOutputs(results, report, sc, *jobs, *benchOut, *benchJSON, *benchBaseline)
-			}
-		case "scaling":
-			var jobsList []int
-			jobsList, err = parseJobsList(*scalingJobs)
-			if err != nil {
-				return err
-			}
-			var results []benchfmt.Result
-			results, report, err = bench.Scaling(sc, jobsList)
-			if err == nil {
-				err = handleScalingOutputs(results, report, sc, jobsList, *benchOut, *benchJSON, *benchBaseline)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", e)
 		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", e, err)
-		}
-		fmt.Println(report)
-		fmt.Printf("[%s done in %v]\n\n", e, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// parseJobsList parses the -scaling-jobs flag ("" = harness default).
-func parseJobsList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		j, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || j <= 0 {
-			return nil, fmt.Errorf("bad -scaling-jobs entry %q (want positive integers)", f)
-		}
-		out = append(out, j)
-	}
-	return out, nil
-}
-
-// handleScalingOutputs post-processes a scaling sweep the same way
-// handleSpeedOutputs treats a speed run: benchfmt round-trip check,
-// optional -bench-out/-bench-json files, and the -bench-baseline
-// serial-fraction regression gate.
-func handleScalingOutputs(results []benchfmt.Result, report string, sc bench.Scale, jobsList []int, outPath, jsonPath, baselinePath string) error {
-	parsed, _, err := benchfmt.Parse(strings.NewReader(report))
-	if err != nil {
-		return fmt.Errorf("scaling output failed benchfmt parse: %w", err)
-	}
-	if len(parsed) != len(results) {
-		return fmt.Errorf("scaling output round-trip lost results: %d written, %d parsed", len(results), len(parsed))
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		bf := bench.NewScalingBenchFile(sc, jobsList, results, time.Now())
-		raw, err := bf.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	if baselinePath != "" {
-		bf, err := bench.LoadBenchFile(baselinePath)
-		if err != nil {
-			return err
-		}
-		table, gateErr := bench.ScalingGate(bf, sc, results)
-		if table != "" {
-			fmt.Print(table)
-		}
-		if gateErr != nil {
-			return errors.New(gateErr.Error())
-		}
-	}
-	return nil
-}
-
-// handleSpeedOutputs post-processes a speed run: round-trips the report
-// through the benchfmt parser (the "output is valid benchfmt" check the
-// CI job relies on), writes the optional -bench-out/-bench-json files,
-// and enforces the -bench-baseline regression gate.
-func handleSpeedOutputs(results []benchfmt.Result, report string, sc bench.Scale, jobs int, outPath, jsonPath, baselinePath string) error {
-	parsed, _, err := benchfmt.Parse(strings.NewReader(report))
-	if err != nil {
-		return fmt.Errorf("speed output failed benchfmt parse: %w", err)
-	}
-	if len(parsed) != len(results) {
-		return fmt.Errorf("speed output round-trip lost results: %d written, %d parsed", len(results), len(parsed))
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		bf := bench.NewBenchFile(sc, jobs, results, time.Now())
-		raw, err := bf.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	if baselinePath != "" {
-		bf, err := bench.LoadBenchFile(baselinePath)
-		if err != nil {
-			return err
-		}
-		table, gateErr := bench.SpeedGate(bf, sc, jobs, results)
-		if table != "" {
-			fmt.Print(table)
-		}
-		if gateErr != nil {
-			return errors.New(gateErr.Error())
-		}
+		fmt.Println(res.Report)
+		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

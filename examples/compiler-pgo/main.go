@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"gobolt/internal/bench"
-	"gobolt/internal/workload"
 )
 
 func main() {
@@ -22,7 +21,7 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("running the Figure 7 matrix on a clang-like workload...")
-	rows, report, err := bench.CompilerExperiment(workload.Clang(), true, bench.Scale(*scale))
+	rows, report, err := bench.Fig7(bench.Scale(*scale))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it wires the whole toolchain
 // into the build→profile→rebuild→bolt→measure pipelines that regenerate
-// every table and figure of the paper's evaluation (§6). See DESIGN.md's
-// per-experiment index for the mapping.
+// every table and figure of the paper's evaluation (§6). Experiments is
+// the index; README "Tools" shows how boltbench runs it.
 package bench
 
 import (
@@ -108,15 +108,8 @@ func Build(spec workload.Spec, cfg BuildConfig, mode perf.Mode) (*elfx.File, *ld
 // shares one entry, which is precisely the accuracy loss of paper
 // Figure 2 (§2.2); perfect per-copy truth cannot be represented.
 func SourceProfile(f *elfx.File, fd *profile.Fdata) (*cc.SourceProfile, error) {
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithJobs(boltJobs))
+	sess, err := analyzeSession(f, fd)
 	if err != nil {
-		return nil, err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return nil, err
-	}
-	if err := sess.Analyze(cx); err != nil {
 		return nil, err
 	}
 	funcs, err := sess.Functions()
@@ -177,19 +170,55 @@ func Bolt(f *elfx.File, mode perf.Mode, opts core.Options) (*elfx.File, *bolt.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return nil, nil, err
-	}
-	rep, err := sess.Optimize(cx)
+	sess, rep, err := optimizeSession(f, fd, bolt.WithOptions(opts))
 	if err != nil {
 		return nil, nil, err
 	}
 	return sess.Output(), rep, nil
+}
+
+// openSession opens an in-memory binary and attaches fd (nil = no
+// profile). A session opened with no options runs core.DefaultOptions,
+// the paper's evaluation configuration, at GOMAXPROCS workers.
+func openSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, error) {
+	sess, err := bolt.OpenELF(f, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if fd != nil {
+		if err := sess.LoadProfile(context.Background(), bolt.Fdata(fd)); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
+}
+
+// analyzeSession stops after load and profile attach: the session
+// answers Functions, Stats, DynoStats and Shapes about the input.
+func analyzeSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, error) {
+	sess, err := openSession(f, fd, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.Analyze(context.Background()); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// optimizeSession drives one full bolt run (open → profile → optimize)
+// and returns the finished session plus its report (the output image is
+// sess.Output()).
+func optimizeSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, *bolt.Report, error) {
+	sess, err := openSession(f, fd, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := sess.Optimize(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	return sess, rep, nil
 }
 
 // Measurement is one simulated run.
@@ -242,6 +271,48 @@ func execSpan(f *elfx.File) (uint64, uint64) {
 		first = false
 	}
 	return lo, hi
+}
+
+// measureSame measures f and fails unless it computes ref's VM checksum.
+// Every binary an experiment derives from another — BOLTed, PGO-rebuilt,
+// re-BOLTed from a translated profile — is measured through here, so no
+// figure is ever reported for a binary that changed the program's result.
+func measureSame(f *elfx.File, ref *Measurement, withHeat bool) (*Measurement, error) {
+	m, err := Measure(f, uarch.DefaultConfig(), withHeat)
+	if err != nil {
+		return nil, err
+	}
+	if m.Checksum != ref.Checksum {
+		return nil, fmt.Errorf("bench: checksum mismatch: got %#x, baseline computes %#x", m.Checksum, ref.Checksum)
+	}
+	return m, nil
+}
+
+// boltMeasured profiles f on the train input under mode, optimizes it
+// with opts and measures the result against ref: the measurement of f
+// itself, or of another build of the same program.
+func boltMeasured(f *elfx.File, ref *Measurement, mode perf.Mode, opts core.Options, withHeat bool) (*Measurement, error) {
+	bolted, _, err := Bolt(f, mode, opts)
+	if err != nil {
+		return nil, fmt.Errorf("bolt: %w", err)
+	}
+	return measureSame(bolted, ref, withHeat)
+}
+
+// buildBoltMeasure is the whole spine for one workload under the
+// default profile mode and options: build → record → optimize → measure
+// the build and its BOLTed form.
+func buildBoltMeasure(spec workload.Spec, cfg BuildConfig, withHeat bool) (before, after *Measurement, err error) {
+	mode := perf.DefaultMode()
+	base, _, err := Build(spec, cfg, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	if before, err = Measure(base, uarch.DefaultConfig(), withHeat); err != nil {
+		return nil, nil, err
+	}
+	after, err = boltMeasured(base, before, mode, core.DefaultOptions(), withHeat)
+	return before, after, err
 }
 
 // SwapInput rebuilds the same program with different input data (same

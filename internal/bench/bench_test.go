@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/cc"
 	"gobolt/internal/core"
+	"gobolt/internal/ld"
 	"gobolt/internal/perf"
 	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
@@ -88,15 +90,45 @@ func TestSetInputChangesBehaviour(t *testing.T) {
 	}
 }
 
+// TestSpineRejectsChecksumMismatch: every figure measures its derived
+// binaries through measureSame, so one that computes a different result
+// than its baseline must fail the experiment rather than be reported.
+func TestSpineRejectsChecksumMismatch(t *testing.T) {
+	mode := perf.DefaultMode()
+	mode.Period = 512
+	f, _, err := Build(workload.Tiny(), CfgBaseline, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := Measure(f, uarch.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boltMeasured(f, before, mode, core.DefaultOptions(), false); err != nil {
+		t.Fatalf("faithful BOLT rejected: %v", err)
+	}
+
+	// The same binary fed other input data stands in for a miscompile.
+	if err := SetInput(f, 999); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := measureSame(f, before, false); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("measureSame accepted a binary with a different result: %v", err)
+	}
+	if _, err := boltMeasured(f, before, mode, core.DefaultOptions(), false); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("boltMeasured accepted a BOLTed binary with a different result: %v", err)
+	}
+}
+
 func TestSourceProfileMergesInlineCopies(t *testing.T) {
 	// The Figure 2 mechanism: foo's branch statistics from bar and baz
 	// call sites collapse into one ~50% entry.
 	prog := workload.GenerateFigure2()
-	objs, err := ccCompileDefault(prog)
+	objs, err := cc.Compile(prog, cc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lres, err := ldLink(objs)
+	lres, err := ld.Link(objs, ld.Options{EmitRelocs: true, ICF: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"gobolt/bolt"
 	"gobolt/internal/bat"
-	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
@@ -50,11 +48,8 @@ func recordWithShapes(f *elfx.File, mode perf.Mode) (*profile.Fdata, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := bolt.OpenELF(f, bolt.WithJobs(boltJobs))
+	sess, err := analyzeSession(f, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := sess.Analyze(context.Background()); err != nil {
 		return nil, err
 	}
 	shapes, err := sess.Shapes()
@@ -67,16 +62,9 @@ func recordWithShapes(f *elfx.File, mode perf.Mode) (*profile.Fdata, error) {
 
 // appliedCounts applies a profile to a fresh analysis of f and returns
 // the branch counts that landed (edges+calls), plus the full stats map.
-func appliedCounts(f *elfx.File, fd *profile.Fdata, opts core.Options) (int64, map[string]int64, error) {
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
+func appliedCounts(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (int64, map[string]int64, error) {
+	sess, err := analyzeSession(f, fd, opts...)
 	if err != nil {
-		return 0, nil, err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return 0, nil, err
-	}
-	if err := sess.Analyze(cx); err != nil {
 		return 0, nil, err
 	}
 	st, err := sess.Stats()
@@ -124,7 +112,7 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		spec.Name, len(fdFresh.Branches), fdFresh.TotalBranchCount(), len(fdFresh.Shapes))
 
 	// Round 1: optimize with the fresh profile; the output carries BAT.
-	sess1, _, err := optimizeSession(base, fdFresh, bolt.WithOptions(boltOptions()))
+	sess1, _, err := optimizeSession(base, fdFresh)
 	if err != nil {
 		return nil, "", fmt.Errorf("round-1 bolt: %w", err)
 	}
@@ -152,11 +140,11 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		100*res.TranslationSurvival, 100*res.VsFresh)
 
 	// How much of each profile ApplyProfile actually attaches to v1.
-	appliedFresh, _, err := appliedCounts(base, fdFresh, boltOptions())
+	appliedFresh, _, err := appliedCounts(base, fdFresh)
 	if err != nil {
 		return nil, "", err
 	}
-	appliedTrans, _, err := appliedCounts(base, fdTrans, boltOptions())
+	appliedTrans, _, err := appliedCounts(base, fdTrans)
 	if err != nil {
 		return nil, "", err
 	}
@@ -165,7 +153,7 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		appliedFresh, appliedTrans, 100*res.AppliedVsFresh)
 
 	// Round 2: re-optimize v1 with the translated profile and compare.
-	sess2, _, err := optimizeSession(base, fdTrans, bolt.WithOptions(boltOptions()))
+	sess2, _, err := optimizeSession(base, fdTrans)
 	if err != nil {
 		return nil, "", fmt.Errorf("round-2 bolt: %w", err)
 	}
@@ -174,16 +162,13 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	m1, err := Measure(opt1, uarch.DefaultConfig(), false)
+	m1, err := measureSame(opt1, mBase, false)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("round 1: %w", err)
 	}
-	m2, err := Measure(opt2, uarch.DefaultConfig(), false)
+	m2, err := measureSame(opt2, mBase, false)
 	if err != nil {
-		return nil, "", err
-	}
-	if mBase.Checksum != m1.Checksum || mBase.Checksum != m2.Checksum {
-		return nil, "", fmt.Errorf("continuous: checksum mismatch after BOLT rounds")
+		return nil, "", fmt.Errorf("round 2: %w", err)
 	}
 	res.SpeedupFresh = uarch.Speedup(mBase.Metrics, m1.Metrics)
 	res.SpeedupTranslated = uarch.Speedup(mBase.Metrics, m2.Metrics)
@@ -198,13 +183,11 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	optsOff := boltOptions()
-	optsOff.StaleMatching = false
-	appliedOff, stOff, err := appliedCounts(v2, fdFresh, optsOff)
+	appliedOff, stOff, err := appliedCounts(v2, fdFresh, bolt.WithStaleMatching(false))
 	if err != nil {
 		return nil, "", err
 	}
-	_, stOn, err := appliedCounts(v2, fdFresh, boltOptions())
+	_, stOn, err := appliedCounts(v2, fdFresh)
 	if err != nil {
 		return nil, "", err
 	}
@@ -221,7 +204,7 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		res.StaleFuncsMatched, res.StaleRecovered, 100*res.StaleRecoveryRate)
 
 	// BOLT the new release with the stale profile.
-	sess3, _, err := optimizeSession(v2, fdFresh, bolt.WithOptions(boltOptions()))
+	sess3, _, err := optimizeSession(v2, fdFresh)
 	if err != nil {
 		return nil, "", fmt.Errorf("stale bolt: %w", err)
 	}
@@ -229,12 +212,9 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	m3, err := Measure(sess3.Output(), uarch.DefaultConfig(), false)
+	m3, err := measureSame(sess3.Output(), mV2, false)
 	if err != nil {
-		return nil, "", err
-	}
-	if mV2.Checksum != m3.Checksum {
-		return nil, "", fmt.Errorf("continuous: checksum mismatch after stale-profile BOLT")
+		return nil, "", fmt.Errorf("stale-profile bolt: %w", err)
 	}
 	res.StaleSpeedup = uarch.Speedup(mV2.Metrics, m3.Metrics)
 	fmt.Fprintf(&sb, "  BOLT v2 with the stale v1 profile: %.2f%% speedup over the v2 baseline\n",

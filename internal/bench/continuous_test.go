@@ -31,15 +31,8 @@ func buildTiny(t *testing.T, pad int) *elfx.File {
 // for stats and function inspection.
 func analyzeProfile(t *testing.T, f *elfx.File, fd *profile.Fdata, stale bool) *bolt.Session {
 	t.Helper()
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithOptions(boltOptions()), bolt.WithStaleMatching(stale))
+	sess, err := analyzeSession(f, fd, bolt.WithStaleMatching(stale))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Analyze(cx); err != nil {
 		t.Fatal(err)
 	}
 	return sess
@@ -71,7 +64,7 @@ func TestContinuousBATRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess1, _, err := optimizeSession(base, fdFresh, bolt.WithOptions(boltOptions()))
+	sess1, _, err := optimizeSession(base, fdFresh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,42 +2,76 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"reflect"
-	"runtime"
 	"strings"
-	"time"
 
 	"gobolt/bolt"
 	"gobolt/internal/cc"
 	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/hfsort"
-	"gobolt/internal/ir"
 	"gobolt/internal/layout"
 	"gobolt/internal/ld"
-	"gobolt/internal/obj"
 	"gobolt/internal/perf"
-	"gobolt/internal/profile"
 	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
 )
 
-// boltJobs is the worker-pool width every experiment's gobolt invocation
-// uses (0 = GOMAXPROCS); set by cmd/boltbench's -jobs flag.
-var boltJobs int
+// Result is what an experiment hands the command line: the report text
+// of its table or figure, plus any artifacts to write next to it (only
+// fig9 has them: its heat maps).
+type Result struct {
+	Report string
+	Blobs  []Blob
+}
 
-// SetBoltJobs configures the pass-manager parallelism for all experiment
-// pipelines.
-func SetBoltJobs(jobs int) { boltJobs = jobs }
+// Blob is one named artifact; Name is the file-name suffix boltbench
+// appends to its -heat-out prefix.
+type Blob struct {
+	Name string
+	Data string
+}
 
-// boltOptions is the paper's evaluation configuration plus the harness's
-// parallelism setting.
-func boltOptions() core.Options {
-	o := core.DefaultOptions()
-	o.Jobs = boltJobs
-	return o
+// Experiment is one row of the paper's evaluation.
+type Experiment struct {
+	Name string
+	Run  func(Scale) (Result, error)
+}
+
+// Experiments is every experiment boltbench can run, in the order "all"
+// runs them. boltbench's flag help, its "all" list and its dispatch are
+// all read from here, so adding an experiment is adding a row.
+var Experiments = []Experiment{
+	{"fig5", rows(Fig5)},
+	{"fig6", rows(Fig6)},
+	{"fig7", rows(Fig7)},
+	{"fig8", rows(Fig8)},
+	{"fig9", fig9WithBlobs},
+	{"fig10", text(Fig10)},
+	{"fig11", rows(Fig11)},
+	{"table2", text(Table2)},
+	{"events", rows(Events)},
+	{"icf", rows(ICF)},
+	{"fig2", text(Fig2Report)},
+	{"continuous", rows(Continuous)},
+	{"inference", rows(Inference)},
+}
+
+// rows adapts an experiment that also returns typed rows (read by the
+// tests and the root benchmarks) to the table's shape.
+func rows[T any](f func(Scale) (T, string, error)) func(Scale) (Result, error) {
+	return func(s Scale) (Result, error) {
+		_, report, err := f(s)
+		return Result{Report: report}, err
+	}
+}
+
+// text adapts an experiment that returns only its report.
+func text(f func(Scale) (string, error)) func(Scale) (Result, error) {
+	return func(s Scale) (Result, error) {
+		report, err := f(s)
+		return Result{Report: report}, err
+	}
 }
 
 // Scale shrinks workload iteration counts for fast runs (1.0 = full).
@@ -82,7 +116,6 @@ func Fig5(scale Scale) ([]Fig5Row, string, error) {
 		workload.HHVM(), workload.TAO(), workload.Proxygen(),
 		workload.Multifeed1(), workload.Multifeed2(),
 	}
-	mode := perf.DefaultMode()
 	var rows []Fig5Row
 	var speeds []float64
 	for _, spec := range specs {
@@ -91,24 +124,9 @@ func Fig5(scale Scale) ([]Fig5Row, string, error) {
 		if spec.Name == "hhvm" {
 			cfg = CfgHFSortLTO // the paper builds HHVM with LTO too
 		}
-		base, _, err := Build(spec, cfg, mode)
+		mb, mo, err := buildBoltMeasure(spec, cfg, false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		bolted, _, err := Bolt(base, mode, boltOptions())
-		if err != nil {
-			return nil, "", fmt.Errorf("%s: bolt: %w", spec.Name, err)
-		}
-		mb, err := Measure(base, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
-		}
-		mo, err := Measure(bolted, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
-		}
-		if mb.Checksum != mo.Checksum {
-			return nil, "", fmt.Errorf("%s: checksum mismatch after BOLT", spec.Name)
 		}
 		sp := uarch.Speedup(mb.Metrics, mo.Metrics)
 		rows = append(rows, Fig5Row{Workload: spec.Name, Speedup: sp})
@@ -132,21 +150,7 @@ type Fig6Row struct {
 
 // Fig6 reports HHVM miss-rate reductions across the hierarchy.
 func Fig6(scale Scale) ([]Fig6Row, string, error) {
-	spec := scale.apply(workload.HHVM())
-	mode := perf.DefaultMode()
-	base, _, err := Build(spec, CfgHFSortLTO, mode)
-	if err != nil {
-		return nil, "", err
-	}
-	bolted, _, err := Bolt(base, mode, boltOptions())
-	if err != nil {
-		return nil, "", err
-	}
-	mb, err := Measure(base, uarch.DefaultConfig(), false)
-	if err != nil {
-		return nil, "", err
-	}
-	mo, err := Measure(bolted, uarch.DefaultConfig(), false)
+	mb, mo, err := buildBoltMeasure(scale.apply(workload.HHVM()), CfgHFSortLTO, false)
 	if err != nil {
 		return nil, "", err
 	}
@@ -176,10 +180,20 @@ type CompilerRow struct {
 	PGOBOLT float64 // PGO(+LTO)+BOLT over baseline
 }
 
-// CompilerExperiment implements Figures 7 (Clang: PGO+LTO) and 8 (GCC:
-// PGO only). Speedups are against the plain -O2 build, measured on four
-// evaluation inputs after training on a separate input.
-func CompilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]CompilerRow, string, error) {
+// Fig7 is the Clang comparison: BOLT against and on top of PGO+LTO.
+func Fig7(scale Scale) ([]CompilerRow, string, error) {
+	return compilerExperiment(workload.Clang(), true, scale)
+}
+
+// Fig8 is the GCC comparison: BOLT against and on top of PGO (no LTO).
+func Fig8(scale Scale) ([]CompilerRow, string, error) {
+	return compilerExperiment(workload.GCC(), false, scale)
+}
+
+// compilerExperiment implements Figures 7 and 8. Speedups are against
+// the plain -O2 build, measured on four evaluation inputs after training
+// on a separate input.
+func compilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]CompilerRow, string, error) {
 	spec = scale.apply(spec)
 	mode := perf.DefaultMode()
 	trainSeed := spec.Seed ^ 0x7EA12345
@@ -203,11 +217,11 @@ func CompilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]Compile
 	if err != nil {
 		return nil, "", err
 	}
-	boltedBase, _, err := Bolt(baseline, mode, boltOptions())
+	boltedBase, _, err := Bolt(baseline, mode, core.DefaultOptions())
 	if err != nil {
 		return nil, "", fmt.Errorf("bolt baseline: %w", err)
 	}
-	boltedPGO, _, err := Bolt(pgo, mode, boltOptions())
+	boltedPGO, _, err := Bolt(pgo, mode, core.DefaultOptions())
 	if err != nil {
 		return nil, "", fmt.Errorf("bolt pgo: %w", err)
 	}
@@ -219,40 +233,29 @@ func CompilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]Compile
 		{"input1", spec.Seed ^ 0x101}, {"input2", spec.Seed ^ 0x202},
 		{"input3", spec.Seed ^ 0x303}, {"build", spec.Seed ^ 0x404},
 	}
+	// All four are the same program, so on every input the plain build's
+	// checksum is the reference for the other three.
+	binaries := []*elfx.File{baseline, boltedBase, pgo, boltedPGO}
 	var rows []CompilerRow
 	for _, in := range inputs {
-		cycles := func(f *elfx.File) (uint64, error) {
+		for _, f := range binaries {
 			if err := SetInput(f, in.seed); err != nil {
-				return 0, err
+				return nil, "", err
 			}
-			m, err := Measure(f, uarch.DefaultConfig(), false)
+		}
+		mb, err := Measure(baseline, uarch.DefaultConfig(), false)
+		if err != nil {
+			return nil, "", err
+		}
+		var speedup [3]float64 // of binaries[1:] over the plain build
+		for i, f := range binaries[1:] {
+			m, err := measureSame(f, mb, false)
 			if err != nil {
-				return 0, err
+				return nil, "", fmt.Errorf("%s: %w", in.name, err)
 			}
-			return m.Metrics.Cycles, nil
+			speedup[i] = float64(mb.Metrics.Cycles)/float64(m.Metrics.Cycles) - 1
 		}
-		cb, err := cycles(baseline)
-		if err != nil {
-			return nil, "", err
-		}
-		cbb, err := cycles(boltedBase)
-		if err != nil {
-			return nil, "", err
-		}
-		cp, err := cycles(pgo)
-		if err != nil {
-			return nil, "", err
-		}
-		cpb, err := cycles(boltedPGO)
-		if err != nil {
-			return nil, "", err
-		}
-		rows = append(rows, CompilerRow{
-			Input:   in.name,
-			BOLT:    float64(cb)/float64(cbb) - 1,
-			PGO:     float64(cb)/float64(cp) - 1,
-			PGOBOLT: float64(cb)/float64(cpb) - 1,
-		})
+		rows = append(rows, CompilerRow{Input: in.name, BOLT: speedup[0], PGO: speedup[1], PGOBOLT: speedup[2]})
 	}
 	pgoName := "PGO"
 	if useLTO {
@@ -283,7 +286,7 @@ func Table2(scale Scale) (string, error) {
 		if err != nil {
 			return core.DynoStats{}, core.DynoStats{}, err
 		}
-		_, rep, err := optimizeSession(f, fd, bolt.WithOptions(boltOptions()), bolt.WithDynoStats(true))
+		_, rep, err := optimizeSession(f, fd, bolt.WithDynoStats(true))
 		if err != nil {
 			return core.DynoStats{}, core.DynoStats{}, err
 		}
@@ -306,21 +309,7 @@ func Table2(scale Scale) (string, error) {
 
 // Fig9 produces before/after heat maps and the hot-span packing numbers.
 func Fig9(scale Scale) (before, after *Measurement, report string, err error) {
-	spec := scale.apply(workload.HHVM())
-	mode := perf.DefaultMode()
-	base, _, err := Build(spec, CfgHFSortLTO, mode)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	bolted, _, err := Bolt(base, mode, boltOptions())
-	if err != nil {
-		return nil, nil, "", err
-	}
-	before, err = Measure(base, uarch.DefaultConfig(), true)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	after, err = Measure(bolted, uarch.DefaultConfig(), true)
+	before, after, err = buildBoltMeasure(scale.apply(workload.HHVM()), CfgHFSortLTO, true)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -329,6 +318,20 @@ func Fig9(scale Scale) (before, after *Measurement, report string, err error) {
 	fmt.Fprintf(&sb, "  without BOLT: %8d bytes of %d\n", before.Heat.HotSpan(0.95), before.Heat.Limit-before.Heat.Base)
 	fmt.Fprintf(&sb, "  with BOLT:    %8d bytes of %d\n", after.Heat.HotSpan(0.95), after.Heat.Limit-after.Heat.Base)
 	return before, after, sb.String(), nil
+}
+
+// fig9WithBlobs is Fig9 with both heat maps rendered as text and CSV.
+func fig9WithBlobs(scale Scale) (Result, error) {
+	before, after, report, err := Fig9(scale)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Report: report, Blobs: []Blob{
+		{"before.txt", before.Heat.Render()},
+		{"after.txt", after.Heat.Render()},
+		{"before.csv", before.Heat.CSV()},
+		{"after.csv", after.Heat.CSV()},
+	}}, nil
 }
 
 // Fig10 runs -report-bad-layout on a PGO+LTO compiler build.
@@ -343,15 +346,8 @@ func Fig10(scale Scale) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithOptions(boltOptions()))
+	sess, err := analyzeSession(f, fd)
 	if err != nil {
-		return "", err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return "", err
-	}
-	if err := sess.Analyze(cx); err != nil {
 		return "", err
 	}
 	return sess.BadLayoutReport(10)
@@ -378,9 +374,13 @@ func Fig11(scale Scale) ([]Fig11Row, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	mb, err := Measure(base, uarch.DefaultConfig(), false)
+	if err != nil {
+		return nil, "", err
+	}
 
 	scenario := func(name string) core.Options {
-		opts := boltOptions()
+		opts := core.DefaultOptions()
 		switch name {
 		case "Functions":
 			opts.ReorderBlocks = layout.AlgoNone
@@ -397,21 +397,13 @@ func Fig11(scale Scale) ([]Fig11Row, string, error) {
 	sb.WriteString("Figure 11: improvement from LBR profiles vs non-LBR (per scenario)\n")
 	for _, sc := range []string{"Functions", "BBs", "Both"} {
 		opts := scenario(sc)
-		withLBR, _, err := Bolt(base, lbrMode, opts)
+		ml, err := boltMeasured(base, mb, lbrMode, opts, false)
 		if err != nil {
-			return nil, "", err
+			return nil, "", fmt.Errorf("%s, LBR: %w", sc, err)
 		}
-		withoutLBR, _, err := Bolt(base, nolbrMode, opts)
+		mn, err := boltMeasured(base, mb, nolbrMode, opts, false)
 		if err != nil {
-			return nil, "", err
-		}
-		ml, err := Measure(withLBR, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
-		}
-		mn, err := Measure(withoutLBR, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
+			return nil, "", fmt.Errorf("%s, no LBR: %w", sc, err)
 		}
 		l, n := ml.Metrics, mn.Metrics
 		add := func(metric string, lv, nv uint64) {
@@ -460,13 +452,9 @@ func Events(scale Scale) ([]EventsRow, string, error) {
 		{"nolbr-cycles", perf.Mode{LBR: false, Event: perf.EventCycles, Period: 512}},
 		{"nolbr-cycles-pebs", perf.Mode{LBR: false, Event: perf.EventCycles, Period: 512, PEBS: 3}},
 	} {
-		bolted, _, err := Bolt(base, cfg.mode, boltOptions())
+		mo, err := boltMeasured(base, mb, cfg.mode, core.DefaultOptions(), false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", cfg.name, err)
-		}
-		mo, err := Measure(bolted, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
 		}
 		sp := uarch.Speedup(mb.Metrics, mo.Metrics)
 		rows = append(rows, EventsRow{Config: cfg.name, Speedup: sp})
@@ -487,20 +475,15 @@ type ICFResult struct {
 func ICF(scale Scale) (*ICFResult, string, error) {
 	spec := scale.apply(workload.HHVM())
 	mode := perf.DefaultMode()
-	prog := workload.Generate(spec)
-	objs, err := ccCompileDefault(prog)
+	f, lres, err := Build(spec, CfgBaseline, mode)
 	if err != nil {
 		return nil, "", err
 	}
-	lres, err := ldLink(objs)
+	fd, _, err := perf.RecordFile(f, mode, 0)
 	if err != nil {
 		return nil, "", err
 	}
-	fd, _, err := perf.RecordFile(lres.File, mode, 0)
-	if err != nil {
-		return nil, "", err
-	}
-	_, rep, err := optimizeSession(lres.File, fd, bolt.WithOptions(boltOptions()))
+	_, rep, err := optimizeSession(f, fd)
 	if err != nil {
 		return nil, "", err
 	}
@@ -515,112 +498,6 @@ func ICF(scale Scale) (*ICFResult, string, error) {
 		res.LinkerFolded, res.BoltFolded, res.BoltBytes,
 		100*float64(res.BoltBytes)/float64(res.TextSize))
 	return res, report, nil
-}
-
-// PipelineScaling measures end-to-end pipeline wall time — loader
-// (discovery, disassembly+CFG), optimization passes, and emission
-// (code generation, layout+patch) — at jobs=1 versus jobs=N on a bundled
-// workload, prints both full -time-passes reports, and verifies the two
-// runs produced identical statistics and byte-identical binaries (the
-// race-instrumented twin of this check lives in the test suite).
-func PipelineScaling(scale Scale, jobs int) (string, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	spec := scale.apply(workload.Clang())
-	mode := perf.DefaultMode()
-	f, _, err := Build(spec, CfgBaseline, mode)
-	if err != nil {
-		return "", err
-	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
-	if err != nil {
-		return "", err
-	}
-
-	run := func(j int) (*bolt.Report, []byte, time.Duration, error) {
-		opts := boltOptions()
-		opts.Jobs = j
-		start := time.Now()
-		sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cx := context.Background()
-		if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-			return nil, nil, 0, err
-		}
-		rep, err := sess.Optimize(cx)
-		d := time.Since(start)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		raw, err := sess.Output().Bytes()
-		return rep, raw, d, err
-	}
-
-	rep1, raw1, d1, err := run(1)
-	if err != nil {
-		return "", err
-	}
-	repN, rawN, dN, err := run(jobs)
-	if err != nil {
-		return "", err
-	}
-	if !reflect.DeepEqual(rep1.Stats, repN.Stats) {
-		return "", fmt.Errorf("bench: stats diverge across worker counts:\n  jobs=1: %v\n  jobs=%d: %v",
-			rep1.Stats, jobs, repN.Stats)
-	}
-	if !bytes.Equal(raw1, rawN) {
-		return "", fmt.Errorf("bench: emitted binaries differ across worker counts (%d vs %d bytes)",
-			len(raw1), len(rawN))
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Pipeline scaling on %s (%d simple functions, GOMAXPROCS=%d)\n",
-		spec.Name, rep1.SimpleFuncs, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&sb, "\n-- jobs=1 --\n")
-	rep1.WriteTimings(&sb)
-	fmt.Fprintf(&sb, "\n-- jobs=%d --\n", jobs)
-	repN.WriteTimings(&sb)
-	speedup := float64(d1) / float64(dN)
-	fmt.Fprintf(&sb, "\npipeline wall time (load+passes+emit): %v (jobs=1) -> %v (jobs=%d), %.2fx; stats identical; binaries byte-identical\n",
-		d1.Round(time.Microsecond), dN.Round(time.Microsecond), jobs, speedup)
-	if runtime.GOMAXPROCS(0) == 1 {
-		sb.WriteString("(single-CPU host: worker-pool speedup cannot materialize; expect ~1.0x)\n")
-	}
-	return sb.String(), nil
-}
-
-// Small indirection helpers (keep experiment code readable).
-
-// optimizeSession drives one full bolt run (open → profile → optimize)
-// over an in-memory binary and returns the finished session plus its
-// report (the output image is sess.Output()).
-func optimizeSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, *bolt.Report, error) {
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fd != nil {
-		if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-			return nil, nil, err
-		}
-	}
-	rep, err := sess.Optimize(cx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, rep, nil
-}
-
-func ccCompileDefault(prog *ir.Program) ([]*obj.Object, error) {
-	return cc.Compile(prog, cc.DefaultOptions())
-}
-
-func ldLink(objs []*obj.Object) (*ld.Result, error) {
-	return ld.Link(objs, ld.Options{EmitRelocs: true, ICF: true})
 }
 
 // Fig2Report demonstrates the paper's Figure 2 motivation end to end:
@@ -667,14 +544,6 @@ func Fig2Report(scale Scale) (string, error) {
 		return res.File, nil
 	}
 
-	measure := func(f *elfx.File) (*uarch.Metrics, error) {
-		m, err := Measure(f, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, err
-		}
-		return m.Metrics, nil
-	}
-
 	base, err := build(false)
 	if err != nil {
 		return "", err
@@ -683,22 +552,19 @@ func Fig2Report(scale Scale) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	boltedPGO, _, err := Bolt(pgo, mode, boltOptions())
+	before, err := Measure(base, uarch.DefaultConfig(), false)
 	if err != nil {
 		return "", err
 	}
-	mb, err := measure(base)
+	withPGO, err := measureSame(pgo, before, false)
 	if err != nil {
 		return "", err
 	}
-	mp, err := measure(pgo)
+	withBolt, err := boltMeasured(pgo, before, mode, core.DefaultOptions(), false)
 	if err != nil {
 		return "", err
 	}
-	mpb, err := measure(boltedPGO)
-	if err != nil {
-		return "", err
-	}
+	mb, mp, mpb := before.Metrics, withPGO.Metrics, withBolt.Metrics
 	var sb strings.Builder
 	sb.WriteString("Figure 2 mechanism: taken conditional branches (lower is better)\n")
 	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d\n", "LTO (no profile)", mb.TakenBranches, mb.Cycles)

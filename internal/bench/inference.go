@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -40,16 +39,9 @@ type InferenceResult struct {
 
 // analyzeDyno applies a profile to a fresh analysis of f and returns the
 // pre-pipeline dyno stats plus the session (for accuracy accessors).
-func analyzeDyno(f *elfx.File, fd *profile.Fdata, opts core.Options) (core.DynoStats, *bolt.Session, error) {
-	cx := context.Background()
-	sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
+func analyzeDyno(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (core.DynoStats, *bolt.Session, error) {
+	sess, err := analyzeSession(f, fd, opts...)
 	if err != nil {
-		return core.DynoStats{}, nil, err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return core.DynoStats{}, nil, err
-	}
-	if err := sess.Analyze(cx); err != nil {
 		return core.DynoStats{}, nil, err
 	}
 	d, err := sess.DynoStats()
@@ -150,7 +142,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	truth, _, err := analyzeDyno(base, fdLBR, boltOptions())
+	truth, _, err := analyzeDyno(base, fdLBR)
 	if err != nil {
 		return nil, "", err
 	}
@@ -158,9 +150,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 		spec.Name, len(fdLBR.Branches), len(fdSamp.Samples))
 
 	// Legacy proportional estimator (InferNever) vs the MCF solver.
-	propOpts := boltOptions()
-	propOpts.InferFlow = core.InferNever
-	dProp, sessProp, err := analyzeDyno(base, fdSamp, propOpts)
+	dProp, sessProp, err := analyzeDyno(base, fdSamp, bolt.WithInferFlow(core.InferNever))
 	if err != nil {
 		return nil, "", err
 	}
@@ -168,7 +158,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	dMCF, sessMCF, err := analyzeDyno(base, fdSamp, boltOptions())
+	dMCF, sessMCF, err := analyzeDyno(base, fdSamp)
 	if err != nil {
 		return nil, "", err
 	}
@@ -206,20 +196,18 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	// Each config is scored against the fresh v2 profile run through the
 	// same pipeline: the question is how much of the fresh-profile input
 	// the optimizer would have seen the stale path reproduces.
-	mcfOpts := boltOptions()
-	mcfOpts.InferFlow = core.InferAlways
 	for _, cfg := range []struct {
-		opts core.Options
+		opts []bolt.Option
 		dst  *float64
 	}{
-		{boltOptions(), &res.StaleAccPlain},
-		{mcfOpts, &res.StaleAccMCF},
+		{nil, &res.StaleAccPlain},
+		{[]bolt.Option{bolt.WithInferFlow(core.InferAlways)}, &res.StaleAccMCF},
 	} {
-		truth2, _, err := analyzeDyno(v2, fdV2, cfg.opts)
+		truth2, _, err := analyzeDyno(v2, fdV2, cfg.opts...)
 		if err != nil {
 			return nil, "", err
 		}
-		dStale, _, err := analyzeDyno(v2, fdLBR, cfg.opts)
+		dStale, _, err := analyzeDyno(v2, fdLBR, cfg.opts...)
 		if err != nil {
 			return nil, "", err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"gobolt/bolt"
@@ -24,7 +25,7 @@ func boltAndSerialize(t *testing.T, spec workload.Spec, cfg BuildConfig, opts ..
 	if err != nil {
 		t.Fatalf("%s: record: %v", spec.Name, err)
 	}
-	sess, rep, err := optimizeSession(f, fd, append([]bolt.Option{bolt.WithOptions(boltOptions())}, opts...)...)
+	sess, rep, err := optimizeSession(f, fd, opts...)
 	if err != nil {
 		t.Fatalf("%s: bolt: %v", spec.Name, err)
 	}
@@ -33,6 +34,35 @@ func boltAndSerialize(t *testing.T, spec workload.Spec, cfg BuildConfig, opts ..
 		t.Fatalf("%s: serialize: %v", spec.Name, err)
 	}
 	return data, rep
+}
+
+// runMutation applies one corruption to a fresh parse of a clean output
+// image and reports whether the checker produced the expected rule. The
+// base bytes are not modified.
+func runMutation(base []byte, m bincheck.Mutation) (bool, error) {
+	f, err := elfx.Read(base)
+	if err != nil {
+		return false, err
+	}
+	if err := m.Apply(f); err != nil {
+		return false, fmt.Errorf("apply: %w", err)
+	}
+	data, err := f.Bytes()
+	if err != nil {
+		return false, fmt.Errorf("serialize: %w", err)
+	}
+	v, err := bincheck.Check(data)
+	if err != nil {
+		// The corruption broke the image beyond parsing; that is also a
+		// detection, but none of the matrix mutations should get here.
+		return false, fmt.Errorf("check: %w", err)
+	}
+	for _, fi := range v.Findings {
+		if fi.Rule == m.Rule {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // TestVerifierCatchesCorruption is the soundness half of the verifier's
@@ -65,7 +95,7 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 	for _, m := range muts {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			caught, err := RunMutation(base, m)
+			caught, err := runMutation(base, m)
 			if err != nil {
 				t.Fatalf("mutation %s: %v", m.Name, err)
 			}
@@ -78,11 +108,40 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 
 // TestVerifyCleanPipeline pins the completeness half: the pipeline's
 // output for every example workload shape verifies with zero findings
-// (not even warnings), at both serial and parallel emission.
+// (not even warnings), at both serial and parallel emission. The four
+// stress shapes are each angled at one rule family of internal/bincheck:
+// exception-dense code (CFI/LSDA rules), PLT-heavy non-LTO code (stub
+// fragments and cross-module calls), aggressive cold splitting (split
+// CFI state and cold BAT ranges), and hostile symbol tables (ICF alias
+// pile-ups).
 func TestVerifyCleanPipeline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and bolts five workloads twice; skipped in -short")
+		t.Skip("builds and bolts nine workloads twice; skipped in -short")
 	}
+	stress := func(name string, seed uint64) workload.Spec {
+		s := workload.Tiny()
+		s.Name = name
+		s.Seed = seed
+		s.Modules = 4
+		s.FuncsPerModule = 60
+		s.SharedFuncs = 8
+		s.Iterations = 500
+		s.InputSize = 1 << 12
+		return s
+	}
+	exc := stress("stress-exceptions", 0xE0C1)
+	exc.ThrowFrac = 0.6
+	exc.ColdProb = 0.05
+	plt := stress("stress-plt-heavy", 0x9717)
+	plt.SharedFuncs = 24
+	plt.IndirectCallFrac = 0.35
+	cold := stress("stress-cold-split", 0xC01D)
+	cold.ColdProb = 0.2
+	cold.ColdOpsMax = 80
+	hostile := stress("stress-hostile-symbols", 0x5105)
+	hostile.DupFamilies = 24
+	hostile.DupSize = 6
+
 	exceptions := workload.Tiny()
 	exceptions.Name = "exceptions"
 	exceptions.ThrowFrac = 0.9
@@ -101,6 +160,10 @@ func TestVerifyCleanPipeline(t *testing.T) {
 		{"continuous", continuous, CfgBaseline},
 		{"compiler-pgo", Scale(0.05).apply(workload.Clang()), CfgPGO},
 		{"datacenter", Scale(0.05).apply(workload.HHVM()), CfgHFSortLTO},
+		{exc.Name, exc, CfgBaseline},
+		{plt.Name, plt, CfgBaseline}, // non-LTO: keep the PLT alive
+		{cold.Name, cold, CfgBaseline},
+		{hostile.Name, hostile, CfgLTO}, // LTO feeds the ICF dedup
 	}
 	for _, sh := range shapes {
 		for _, jobs := range []int{1, 4} {

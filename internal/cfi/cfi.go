@@ -6,9 +6,9 @@
 // callee-saved registers were spilled; functions with exception handlers
 // additionally carry a call-site table mapping call instructions to landing
 // pads. The binary encoding here is our own compact format rather than
-// DWARF byte-exact (see DESIGN.md substitution table), but it is
-// *load-bearing*: the VM's unwinder evaluates these records at runtime, so
-// a rewriter that fails to update them breaks exception tests.
+// DWARF byte-exact, but it is *load-bearing*: the VM's unwinder evaluates
+// these records at runtime, so a rewriter that fails to update them
+// breaks exception tests.
 package cfi
 
 import (

@@ -25,6 +25,7 @@ import (
 	"gobolt/internal/isa"
 	"gobolt/internal/layout"
 	"gobolt/internal/obsv"
+	"gobolt/internal/par"
 )
 
 // Options mirrors the llvm-bolt command line used in the paper (§6.2.1):
@@ -535,6 +536,14 @@ type BinaryContext struct {
 	// flow solver rebalanced. Set by ApplyProfile.
 	FlowAccBefore, FlowAccAfter float64
 	InferredFuncs               int
+}
+
+// forPhase is par.For with span tracing: when Opts.Trace is set each
+// worker records a batch span named after the phase plus one task span
+// per item, named by taskName (typically the function being processed).
+// With tracing off it is exactly par.For.
+func (ctx *BinaryContext) forPhase(cx context.Context, phase string, taskName func(item int) string, n, jobs int, work func(worker, item int) error) (int, error) {
+	return par.ForTraced(cx, ctx.Opts.Trace, phase, taskName, n, jobs, work)
 }
 
 // FuncByAddr returns the function starting at addr.

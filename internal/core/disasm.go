@@ -14,6 +14,7 @@ import (
 	"gobolt/internal/intern"
 	"gobolt/internal/isa"
 	"gobolt/internal/obsv"
+	"gobolt/internal/par"
 )
 
 // NewContext discovers functions, disassembles them, and builds CFGs —
@@ -146,7 +147,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		},
 	}
 	discoverScanNames := []string{"relocs", "linetable", "cfi", "symbols"}
-	discoverJobs := effectiveJobs(opts.Jobs, len(discoverScans))
+	discoverJobs := par.Jobs(opts.Jobs, len(discoverScans))
 	if _, err := ctx.forPhase(cx, "load:discover",
 		func(i int) string { return discoverScanNames[i] },
 		len(discoverScans), discoverJobs, func(_, i int) error {
@@ -167,7 +168,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	// frozen above; from here every worker touches only the function it
 	// was handed.
 	loadStart := time.Now()
-	jobs := effectiveJobs(opts.Jobs, len(ctx.Funcs))
+	jobs := par.Jobs(opts.Jobs, len(ctx.Funcs))
 	scratch := make([]loaderScratch, jobs)
 	if _, err := ctx.forPhase(cx, "load:disasm+cfg",
 		func(i int) string { return ctx.Funcs[i].Name },

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gobolt/internal/isa"
+	"gobolt/internal/par"
 	"gobolt/internal/profile"
 	"gobolt/internal/stale"
 )
@@ -86,7 +87,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		(!lbr && ctx.Opts.InferFlow != InferNever)
 
 	start := time.Now()
-	jobs := effectiveJobs(ctx.Opts.Jobs, len(funcs))
+	jobs := par.Jobs(ctx.Opts.Jobs, len(funcs))
 	// Per-function accuracy terms land in index-addressed slots and fold
 	// serially below, so the aggregate floats are bit-identical for
 	// every worker count.
@@ -321,7 +322,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		calls = append(calls, callRec{fromFn, toFn, br})
 	}
 
-	jobs := effectiveJobs(ctx.Opts.Jobs, len(buckets))
+	jobs := par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]applyCounts, jobs)
 	if _, err := ctx.forPhase(cx, "profile:apply",
 		func(i int) string { return buckets[i].fn.Name },
@@ -506,7 +507,7 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 		b.smps = append(b.smps, s)
 	}
 
-	jobs := effectiveJobs(ctx.Opts.Jobs, len(buckets))
+	jobs := par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]applyCounts, jobs)
 	if _, err := ctx.forPhase(cx, "profile:apply",
 		func(i int) string { return buckets[i].fn.Name },

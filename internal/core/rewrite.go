@@ -14,6 +14,7 @@ import (
 	"gobolt/internal/dbg"
 	"gobolt/internal/elfx"
 	"gobolt/internal/obj"
+	"gobolt/internal/par"
 )
 
 // RewriteResult reports what the rewrite did.
@@ -68,7 +69,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	// therefore the output bytes — are identical for any worker count.
 	emitStart := time.Now()
 	emits := make([]*emitted, len(moved))
-	jobs := effectiveJobs(ctx.Opts.Jobs, len(moved))
+	jobs := par.Jobs(ctx.Opts.Jobs, len(moved))
 	escratch := make([]emitScratch, jobs)
 	if _, err := ctx.forPhase(cx, "emit:functions",
 		func(i int) string { return moved[i].Name },

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"gobolt/internal/obsv"
 )
 
 func TestForRunsEveryItem(t *testing.T) {
@@ -117,5 +119,31 @@ func TestJobs(t *testing.T) {
 	}
 	if got := Jobs(0, 0); got != 1 {
 		t.Errorf("Jobs(0,0) = %d, want 1", got)
+	}
+}
+
+// BenchmarkForTraced measures what recording costs per task span: one
+// worker sweeps 200k trivial items untraced and traced, and the
+// difference between the two ns/task figures is the tracer's on-cost
+// (its off-cost is the untraced figure, and is inside the repository
+// benchmark's optimize_cost_rel). The loop's working set is tiny, so the
+// figure is stable where a percentage of some end-to-end wall is not.
+func BenchmarkForTraced(b *testing.B) {
+	const items = 200000
+	name := func(int) string { return "task" }
+	work := func(worker, item int) error { return nil }
+	for _, traced := range []bool{false, true} {
+		b.Run(fmt.Sprintf("traced=%v", traced), func(b *testing.B) {
+			for b.Loop() {
+				var tr *obsv.Tracer
+				if traced {
+					tr = obsv.New()
+				}
+				if _, err := ForTraced(context.Background(), tr, "bench", name, items, 1, work); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/task")
+		})
 	}
 }

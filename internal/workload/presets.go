@@ -1,7 +1,7 @@
 package workload
 
-// Presets model the paper's evaluation subjects, scaled per DESIGN.md §5
-// (laptop-scale text sizes; hot working sets still far exceed L1I).
+// Presets model the paper's evaluation subjects at laptop scale: text
+// sizes are small, but hot working sets still far exceed L1I.
 //
 // The distinguishing knobs follow the paper's characterization: HHVM is
 // the largest and most front-end bound (§6.1); TAO/Proxygen/Multifeed are
