@@ -452,9 +452,7 @@ func (s *Session) buildReport(dynoBefore, dynoAfter core.DynoStats) *Report {
 		DynoBefore:   dynoBefore,
 		DynoAfter:    dynoAfter,
 		Stats:        make(map[string]int64, len(s.bctx.Stats)),
-		LoadTimings:  append([]core.PassTiming(nil), s.bctx.LoadTimings...),
-		PassTimings:  append([]core.PassTiming(nil), s.bctx.PassTimings...),
-		EmitTimings:  append([]core.PassTiming(nil), s.bctx.EmitTimings...),
+		Timings:      append([]core.PassTiming(nil), s.bctx.Timings...),
 	}
 	for k, v := range s.bctx.Stats {
 		rep.Stats[k] = v

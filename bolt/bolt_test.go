@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,27 +159,30 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 			t.Errorf("jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
 				jobs, serialRep.Stats, jobs, rep.Stats)
 		}
-		if len(rep.PassTimings) == 0 {
-			t.Errorf("jobs=%d: no pass timings recorded", jobs)
+		if n := len(passes.BuildPipeline(rep.Options)); countGroup(rep.Timings, "pass") != n {
+			t.Errorf("jobs=%d: %d pass timings recorded, pipeline has %d", jobs, countGroup(rep.Timings, "pass"), n)
+		}
+		if countGroup(rep.Timings, "load") != 4 || countGroup(rep.Timings, "emit") != 4 {
+			t.Errorf("jobs=%d: want 4 load and 4 emit rows: %+v", jobs, rep.Timings)
 		}
 		// Loader and emitter phases must be instrumented and scheduled
 		// on the pool, as must the profile-application and -inference
 		// stages and the overlapped discovery scans.
-		assertParallelPhase(t, jobs, rep.LoadTimings, "load:discover")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "load:disasm+cfg")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "profile:apply")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "profile:infer")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:functions")
+		assertParallelPhase(t, jobs, rep.Timings, "load:discover")
+		assertParallelPhase(t, jobs, rep.Timings, "load:disasm+cfg")
+		assertParallelPhase(t, jobs, rep.Timings, "profile:apply")
+		assertParallelPhase(t, jobs, rep.Timings, "profile:infer")
+		assertParallelPhase(t, jobs, rep.Timings, "emit:functions")
 		// The emitter's former serial back half is now three phases:
 		// address assignment stays a serial prefix scan, while patching
 		// and metadata rebuild fan out.
-		assertSerialPhase(t, jobs, rep.EmitTimings, "emit:layout")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:patch")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:metadata")
+		assertSerialPhase(t, jobs, rep.Timings, "emit:layout")
+		assertParallelPhase(t, jobs, rep.Timings, "emit:patch")
+		assertParallelPhase(t, jobs, rep.Timings, "emit:metadata")
 		// ICF's hashing runs as a parallel function pass; only the fold
 		// remains a barrier.
-		assertParallelPhase(t, jobs, rep.PassTimings, "icf-1-hash")
-		assertParallelPhase(t, jobs, rep.PassTimings, "icf-2-hash")
+		assertParallelPhase(t, jobs, rep.Timings, "icf-1-hash")
+		assertParallelPhase(t, jobs, rep.Timings, "icf-2-hash")
 	}
 
 	// With minimum-cost-flow inference forced on for the LBR profile,
@@ -201,6 +206,40 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	if mcfRep1.FlowAccAfter != 1.0 {
 		t.Errorf("InferAlways left FlowAccAfter %v, want 1.0", mcfRep1.FlowAccAfter)
 	}
+
+	// A non-LBR profile is inferred by default, and the profile:infer row
+	// carries the stat delta of what it counted, like every other row.
+	mode := perf.DefaultMode()
+	mode.LBR = false
+	samples, _, err := perf.RecordFile(f, mode, 0)
+	if err != nil {
+		t.Fatalf("record non-LBR: %v", err)
+	}
+	_, rep, _ := optimizeViaSession(t, f, samples, 2)
+	var text bytes.Buffer
+	rep.WriteTimings(&text)
+	for _, pt := range rep.Timings {
+		if pt.Name != "profile:infer" {
+			continue
+		}
+		if d := pt.StatDelta["profile-inferred-funcs"]; d == 0 || d != int64(rep.InferredFuncs) {
+			t.Errorf("profile:infer stat delta %v, want profile-inferred-funcs=%d", pt.StatDelta, rep.InferredFuncs)
+		}
+		if want := fmt.Sprintf("profile-inferred-funcs=+%d", rep.InferredFuncs); !strings.Contains(text.String(), want) {
+			t.Errorf("-time-passes report missing %q:\n%s", want, text.String())
+		}
+	}
+}
+
+// countGroup counts the timing rows of one pipeline stage.
+func countGroup(timings []core.PassTiming, group string) int {
+	n := 0
+	for _, pt := range timings {
+		if pt.Group == group {
+			n++
+		}
+	}
+	return n
 }
 
 // assertParallelPhase checks that the named phase was recorded and fanned

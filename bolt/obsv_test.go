@@ -108,7 +108,7 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 	// Occupancy folds repeated phase names (icf, peepholes run twice), so
 	// compare against the summed timing walls per name.
 	wallByName := map[string]int64{}
-	for _, pt := range rep.Timings() {
+	for _, pt := range rep.Timings {
 		wallByName[pt.Name] += pt.Wall.Nanoseconds()
 	}
 	matched := 0

@@ -32,17 +32,6 @@ func WithDynoStats(on bool) Option {
 	return func(o *core.Options) { o.DynoStats = on }
 }
 
-// WithLite skips functions with no profile samples entirely.
-func WithLite(on bool) Option {
-	return func(o *core.Options) { o.Lite = on }
-}
-
-// WithBAT controls emission of the .bolt.bat address-translation section
-// (continuous profiling, §7.3). Default on.
-func WithBAT(on bool) Option {
-	return func(o *core.Options) { o.EnableBAT = on }
-}
-
 // WithStaleMatching controls CFG-shape recovery of stale profile records
 // (arXiv:2401.17168). Default on.
 func WithStaleMatching(on bool) Option {
@@ -67,9 +56,4 @@ func WithInferFlow(mode core.InferMode) Option {
 // hot-path cost.
 func WithTracer(tr *obsv.Tracer) Option {
 	return func(o *core.Options) { o.Trace = tr }
-}
-
-// WithSplitFunctions sets the hot/cold splitting level (0 = off).
-func WithSplitFunctions(level int) Option {
-	return func(o *core.Options) { o.SplitFunctions = level }
 }

@@ -44,10 +44,12 @@ type Report struct {
 	HasDynoStats          bool
 	DynoBefore, DynoAfter core.DynoStats
 
-	// Per-phase wall-clock instrumentation: the loader phases
-	// (discovery, parallel disassembly+CFG), each optimization pass, and
-	// the emission phases (parallel code generation, layout+patch).
-	LoadTimings, PassTimings, EmitTimings []core.PassTiming
+	// Timings is the per-phase wall-clock instrumentation in execution
+	// order; each row's Group says which stage it belongs to — "load"
+	// (discovery, disassembly+CFG, profile), "pass" (one row per
+	// optimization pass) or "emit" (code generation, layout, patching,
+	// metadata).
+	Timings []core.PassTiming
 
 	// Profile provenance: source description and record counts of the
 	// profile that drove the run (zero values when none was loaded).
@@ -96,22 +98,12 @@ func (r *Report) OccupancyStats() []obsv.PhaseStats {
 	return r.Occupancy
 }
 
-// Timings returns all three instrumentation groups concatenated in
-// execution order (load → passes → emit).
-func (r *Report) Timings() []core.PassTiming {
-	out := make([]core.PassTiming, 0, len(r.LoadTimings)+len(r.PassTimings)+len(r.EmitTimings))
-	out = append(out, r.LoadTimings...)
-	out = append(out, r.PassTimings...)
-	out = append(out, r.EmitTimings...)
-	return out
-}
-
 // WriteTimings renders the -time-passes report: per-phase wall time,
 // pipeline share, scheduling mode, and stat deltas for the whole
 // pipeline in one table, followed by the pool-occupancy table when the
 // session traced (WithTracer).
 func (r *Report) WriteTimings(w io.Writer) {
-	core.WriteTimings(w, r.Timings())
+	core.WriteTimings(w, r.Timings)
 	obsv.WriteOccupancy(w, r.OccupancyStats())
 }
 

@@ -150,22 +150,17 @@ func (r *Report) RunReport() *RunReport {
 	// The tracer handle is operational state, not run description; drop
 	// it so the in-memory RunReport round-trips through JSON exactly.
 	rr.Options.Trace = nil
-	appendGroup := func(group string, timings []core.PassTiming) {
-		for _, t := range timings {
-			rr.Phases = append(rr.Phases, RunPhase{
-				Name:     t.Name,
-				Group:    group,
-				WallNS:   t.Wall.Nanoseconds(),
-				Funcs:    t.Funcs,
-				Parallel: t.Parallel,
-				Jobs:     t.Jobs,
-			})
-		}
+	for _, t := range r.Timings {
+		rr.Phases = append(rr.Phases, RunPhase{
+			Name:     t.Name,
+			Group:    t.Group,
+			WallNS:   t.Wall.Nanoseconds(),
+			Funcs:    t.Funcs,
+			Parallel: t.Parallel,
+			Jobs:     t.Jobs,
+		})
 	}
-	appendGroup("load", r.LoadTimings)
-	appendGroup("pass", r.PassTimings)
-	appendGroup("emit", r.EmitTimings)
-	am := core.Amdahl(r.Timings())
+	am := core.Amdahl(r.Timings)
 	rr.Amdahl = RunAmdahl{
 		TotalNS:        am.Total.Nanoseconds(),
 		ParallelWallNS: am.ParallelWall.Nanoseconds(),

@@ -36,7 +36,7 @@ func BenchmarkEmitFunctions(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for _, fn := range simple {
-			if _, err := ctx.emitFunction(fn, &sc); err != nil {
+			if _, _, err := ctx.emitFunction(fn, &sc); err != nil {
 				b.Fatal(err)
 			}
 		}

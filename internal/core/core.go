@@ -10,10 +10,13 @@
 // (indirect tail calls, unbounded jump tables, undecodable bytes) are
 // marked non-simple and left untouched while the rest of the binary is
 // optimized (paper §3.1, §6.4).
+//
+// Every stage — NewContext, ApplyProfile, PassManager.Run, Rewrite —
+// records itself the same way: one row per phase appended to
+// BinaryContext.Timings, tagged with its group ("load", "pass", "emit").
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -25,7 +28,6 @@ import (
 	"gobolt/internal/isa"
 	"gobolt/internal/layout"
 	"gobolt/internal/obsv"
-	"gobolt/internal/par"
 )
 
 // Options mirrors the llvm-bolt command line used in the paper (§6.2.1):
@@ -296,14 +298,6 @@ type BasicBlock struct {
 	IsEntry   bool
 }
 
-// SuccBlock returns the i-th successor block or nil.
-func (b *BasicBlock) SuccBlock(i int) *BasicBlock {
-	if i < len(b.Succs) {
-		return b.Succs[i].To
-	}
-	return nil
-}
-
 // LastInst returns the final instruction or nil.
 func (b *BasicBlock) LastInst() *Inst {
 	if len(b.Insts) == 0 {
@@ -356,10 +350,6 @@ type BinaryFunction struct {
 	// IsSplit marks functions whose cold blocks go to the cold section.
 	IsSplit bool
 
-	// Emission results (set during rewrite).
-	OutAddr, OutSize   uint64
-	ColdAddr, ColdSize uint64
-
 	// ordIdx is this function's index in BinaryContext.Funcs (assigned
 	// once after discovery sorts the list). Emission packs it into
 	// numeric relocation symbols and the rewriter uses it to index
@@ -401,9 +391,6 @@ func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
 	lp := f.lps[in.LP-1]
 	return lp.block, lp.action
 }
-
-// NumBlocks returns the block count.
-func (f *BinaryFunction) NumBlocks() int { return len(f.Blocks) }
 
 // InternState interns a CFI state and returns its index. It is hot under
 // the parallel loader (one call per instruction of every framed
@@ -469,7 +456,6 @@ type BinaryContext struct {
 
 	Funcs  []*BinaryFunction
 	ByName map[string]*BinaryFunction
-	byAddr map[uint64]*BinaryFunction
 
 	// HasRelocs is true when the binary was linked with --emit-relocs,
 	// enabling relocations mode (function reordering; paper §3.2).
@@ -483,9 +469,6 @@ type BinaryContext struct {
 	fdes     []cfi.FDE
 	lsdaData []byte
 	lsdaBase uint64
-
-	// textRelocs maps absolute patch-site address -> relocation.
-	textRelocs map[uint64]elfx.Rela
 
 	// CallTargets histograms indirect-call targets per call-site address
 	// (filled by profile application, consumed by ICP).
@@ -516,18 +499,9 @@ type BinaryContext struct {
 	Stats       map[string]int64
 	metricsOnce sync.Once
 
-	// PassTimings is the instrumentation record of the last PassManager
-	// run (one entry per pass, pipeline order).
-	PassTimings []PassTiming
-
-	// LoadTimings records the loader phases (serial discovery, parallel
-	// disassembly+CFG) set by NewContext, plus the profile:infer stage
-	// appended by ApplyProfile. EmitTimings records the emission phases
-	// (parallel per-function code generation, serial layout+patch), set
-	// by Rewrite. The bolt package's Report.WriteTimings renders all
-	// three timing groups as one report.
-	LoadTimings []PassTiming
-	EmitTimings []PassTiming
+	// Timings is the run's one instrumentation record, in execution order
+	// (see begin/end); the bolt package's Report.WriteTimings renders it.
+	Timings []PassTiming
 
 	// FlowAccBefore/FlowAccAfter are the count-weighted flow-equation
 	// consistency of the profiled CFGs before and after the
@@ -538,16 +512,13 @@ type BinaryContext struct {
 	InferredFuncs               int
 }
 
-// forPhase is par.For with span tracing: when Opts.Trace is set each
-// worker records a batch span named after the phase plus one task span
-// per item, named by taskName (typically the function being processed).
-// With tracing off it is exactly par.For.
-func (ctx *BinaryContext) forPhase(cx context.Context, phase string, taskName func(item int) string, n, jobs int, work func(worker, item int) error) (int, error) {
-	return par.ForTraced(cx, ctx.Opts.Trace, phase, taskName, n, jobs, work)
-}
-
 // FuncByAddr returns the function starting at addr.
-func (ctx *BinaryContext) FuncByAddr(addr uint64) *BinaryFunction { return ctx.byAddr[addr] }
+func (ctx *BinaryContext) FuncByAddr(addr uint64) *BinaryFunction {
+	if f := ctx.FuncContaining(addr); f != nil && f.Addr == addr {
+		return f
+	}
+	return nil
+}
 
 // FuncContaining returns the function covering addr. Funcs is sorted by
 // address at discovery and never reordered, so this is a binary search —
@@ -584,20 +555,6 @@ func (ctx *BinaryContext) CountStat(name string, delta int64) {
 	ctx.metrics().Add(name, delta)
 }
 
-// mergeStats folds a worker shard into the registry's counters (and
-// therefore the aliased Stats map).
-func (ctx *BinaryContext) mergeStats(shard map[string]int64) {
-	if len(shard) == 0 {
-		return
-	}
-	ctx.metrics().Merge(shard)
-}
-
-// statsSnapshot copies the current counters (for per-pass deltas).
-func (ctx *BinaryContext) statsSnapshot() map[string]int64 {
-	return ctx.metrics().SnapshotCounters()
-}
-
 // SimpleFuncs returns the rewritable functions.
 func (ctx *BinaryContext) SimpleFuncs() []*BinaryFunction {
 	var out []*BinaryFunction
@@ -613,11 +570,4 @@ func (ctx *BinaryContext) SimpleFuncs() []*BinaryFunction {
 type Pass interface {
 	Name() string
 	Run(ctx *BinaryContext) error
-}
-
-// RunPasses executes the pipeline in order on a single thread. It is the
-// serial convenience entry point; use a PassManager to schedule function
-// passes over a worker pool.
-func RunPasses(cx context.Context, ctx *BinaryContext, passes []Pass) error {
-	return NewPassManager(1).Run(cx, ctx, passes)
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -39,43 +38,26 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}
-	discoverStart := time.Now()
 	ctx := &BinaryContext{
 		File:        f,
 		Opts:        opts,
 		ByName:      map[string]*BinaryFunction{},
-		byAddr:      map[uint64]*BinaryFunction{},
 		PLTStubs:    map[uint64]uint64{},
-		textRelocs:  map[uint64]elfx.Rela{},
 		CallTargets: map[uint64]map[string]uint64{},
 		Metrics:     obsv.NewRegistry(StatDefs()),
 	}
 	// ctx.Stats aliases the registry's live counter map: the registry is
 	// the source of truth, the map is the compatibility view.
 	ctx.Stats = ctx.Metrics.Counters()
+	ph := ctx.begin("load", "load:discover")
 
-	// Discovery runs as four independent scans overlapped on the worker
-	// pool — each writes a disjoint set of context fields (textRelocs;
-	// LineTable; fdes+LSDA; Funcs/ByName/byAddr/PLTStubs), the input file
-	// is read-only, and results don't depend on scan interleaving, so the
-	// context is identical for any worker count. Only the frame decode
-	// can fail, keeping error reporting schedule-independent.
+	// Discovery runs as three independent scans overlapped on the worker
+	// pool — each writes a disjoint set of context fields (LineTable;
+	// fdes+LSDA; Funcs/ByName/PLTStubs), the input file is read-only, and
+	// results don't depend on scan interleaving, so the context is
+	// identical for any worker count. Only the frame decode can fail,
+	// keeping error reporting schedule-independent.
 	discoverScans := []func() error{
-		func() error {
-			// Relocations (--emit-relocs) enable relocations mode.
-			for sectName, relas := range f.Relas {
-				sec := f.Section(sectName)
-				if sec == nil {
-					continue
-				}
-				if sec.Flags&elfx.SHFExecinstr != 0 {
-					for _, r := range relas {
-						ctx.textRelocs[sec.Addr+r.Off] = r
-					}
-				}
-			}
-			return nil
-		},
 		func() error {
 			// Debug info.
 			if ls := f.Section(dbg.SectionName); ls != nil {
@@ -105,6 +87,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 			// stubs are recognized separately; alias symbols (ICF'd at
 			// link time) attach to the canonical function at the same
 			// address.
+			byAddr := map[uint64]*BinaryFunction{}
 			for _, sym := range f.FuncSymbols() {
 				sec := f.SectionFor(sym.Value)
 				if sec == nil || sym.Size == 0 {
@@ -114,7 +97,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 					ctx.discoverPLTStub(sym)
 					continue
 				}
-				if existing := ctx.byAddr[sym.Value]; existing != nil {
+				if existing := byAddr[sym.Value]; existing != nil {
 					existing.Aliases = append(existing.Aliases, sym.Name)
 					ctx.ByName[sym.Name] = existing
 					continue
@@ -137,7 +120,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 				}
 				ctx.Funcs = append(ctx.Funcs, fn)
 				ctx.ByName[sym.Name] = fn
-				ctx.byAddr[sym.Value] = fn
+				byAddr[sym.Value] = fn
 			}
 			sort.Slice(ctx.Funcs, func(i, j int) bool { return ctx.Funcs[i].Addr < ctx.Funcs[j].Addr })
 			for i, fn := range ctx.Funcs {
@@ -146,31 +129,26 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 			return nil
 		},
 	}
-	discoverScanNames := []string{"relocs", "linetable", "cfi", "symbols"}
+	discoverScanNames := []string{"linetable", "cfi", "symbols"}
 	discoverJobs := par.Jobs(opts.Jobs, len(discoverScans))
-	if _, err := ctx.forPhase(cx, "load:discover",
+	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "load:discover",
 		func(i int) string { return discoverScanNames[i] },
 		len(discoverScans), discoverJobs, func(_, i int) error {
 			return discoverScans[i]()
 		}); err != nil {
 		return nil, err
 	}
+	// Relocations (--emit-relocs) enable relocations mode.
 	ctx.HasRelocs = len(f.Relas) > 0
-	discoverWall := time.Since(discoverStart)
-	ctx.Opts.Trace.Phase("load:discover", discoverStart, discoverWall, discoverJobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "load:discover", Wall: discoverWall,
-		Parallel: discoverJobs > 1, Jobs: discoverJobs,
-	})
+	ph.end(0, discoverJobs)
 
-	// Parallel per-function phase. The shared maps (byAddr, ByName,
-	// PLTStubs, textRelocs) and the address-sorted function list are
-	// frozen above; from here every worker touches only the function it
-	// was handed.
-	loadStart := time.Now()
+	// Parallel per-function phase. The shared maps (ByName, PLTStubs) and
+	// the address-sorted function list are frozen above; from here every
+	// worker touches only the function it was handed.
+	ph = ctx.begin("load", "load:disasm+cfg")
 	jobs := par.Jobs(opts.Jobs, len(ctx.Funcs))
 	scratch := make([]loaderScratch, jobs)
-	if _, err := ctx.forPhase(cx, "load:disasm+cfg",
+	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "load:disasm+cfg",
 		func(i int) string { return ctx.Funcs[i].Name },
 		len(ctx.Funcs), jobs, func(w, i int) error {
 			ctx.loadFunction(ctx.Funcs[i], &scratch[w])
@@ -179,15 +157,9 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		return nil, err
 	}
 	for w := range scratch {
-		ctx.mergeStats(scratch[w].stats)
+		ctx.metrics().Merge(scratch[w].stats)
 	}
-	loadWall := time.Since(loadStart)
-	ctx.Opts.Trace.Phase("load:disasm+cfg", loadStart, loadWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "load:disasm+cfg", Wall: loadWall,
-		Funcs: len(ctx.Funcs), Parallel: jobs > 1, Jobs: jobs,
-		StatDelta: statDelta(nil, ctx.statsSnapshot()),
-	})
+	ph.end(len(ctx.Funcs), jobs)
 	return ctx, nil
 }
 
@@ -431,7 +403,7 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		}
 		// Symbolize external direct targets.
 		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !inside(r.inst.TargetAddr)) {
-			if g := ctx.FuncContaining(r.inst.TargetAddr); g != nil && g.Addr == r.inst.TargetAddr {
+			if g := ctx.FuncByAddr(r.inst.TargetAddr); g != nil {
 				ci.TargetSym = g.Ref()
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"gobolt/internal/asmx"
 	"gobolt/internal/cfi"
+	"gobolt/internal/dbg"
 	"gobolt/internal/isa"
 	"gobolt/internal/obj"
 )
@@ -15,11 +16,8 @@ import (
 // symbolically until the whole-binary layout is fixed: a packed
 // obj.SymID names a function entry (by ordinal, following ICF folds), a
 // basic block (ordinal plus block index), or an absolute address (data,
-// PLT stubs, unmoved code). The packed IDs replace the old
-// "F:<name>"/"B:<name>:<idx>"/"A:<hex>" string symbols, which allocated
-// a string per relocation at emission and re-parsed it per relocation at
-// patch time. Construction and inspection go through the internal/obj
-// helpers only (boltvet's symid analyzer enforces this).
+// PLT stubs, unmoved code). Construction and inspection go through the
+// internal/obj helpers only (boltvet's symid analyzer enforces this).
 
 // relImmAbs32 marks an emission relocation whose 4 patched bytes hold an
 // absolute 32-bit address (ICP immediates) rather than a PC32 value.
@@ -39,16 +37,19 @@ type batAnchor struct {
 	InAddr uint64
 }
 
-// noBlockOff marks "block not in this fragment" in emittedFrag.BlockOffs.
-const noBlockOff = ^uint32(0)
+// fragment is one contiguous run of emitted code — a function's hot part,
+// or its cold part when function splitting moved blocks out — and the
+// unit the layout places: everything downstream of emitFunction (address
+// assignment, patching, BAT, LSDA, FDEs, line entries, symbols) is one
+// loop over the fragments of each function.
+type fragment struct {
+	fn   *BinaryFunction
+	cold bool
+	// addr is the output address, assigned by (*emitter).place.
+	addr uint64
 
-// emittedFrag is one assembled function fragment (hot or cold).
-type emittedFrag struct {
-	Code   []byte
-	Relocs []obj.Reloc
-	// BlockOffs maps block Index -> code offset within the fragment
-	// (noBlockOff for blocks of the other fragment).
-	BlockOffs []uint32
+	Code      []byte
+	Relocs    []obj.Reloc
 	CFI       []cfi.PCInst
 	CallSites []fragCallSite
 	Lines     []obj.LineEntry
@@ -58,20 +59,13 @@ type emittedFrag struct {
 	Anchors []batAnchor
 }
 
-// blockOff returns the fragment-relative offset of block idx.
-func (frag *emittedFrag) blockOff(idx int) (uint32, bool) {
-	if idx < 0 || idx >= len(frag.BlockOffs) || frag.BlockOffs[idx] == noBlockOff {
-		return 0, false
-	}
-	return frag.BlockOffs[idx], true
-}
-
-// emitted bundles both fragments of a function.
-type emitted struct {
-	fn   *BinaryFunction
-	Hot  *emittedFrag
-	Cold *emittedFrag // nil when not split
-}
+// A function's block-offset table maps block Index to the block's offset
+// within its fragment, with the fragment's index (0 hot, 1 cold) in the
+// top bit; noBlockOff marks a block that was not emitted.
+const (
+	noBlockOff   = ^uint32(0)
+	blockOffBits = 31
+)
 
 // Emission mark records: positions noted during assembly and resolved to
 // offsets once Finish fixes the layout.
@@ -93,11 +87,15 @@ type anchorMark struct {
 	inAddr uint64
 }
 
+// srcPos is a (file, line) pair; file is one-based, zero = no source.
+type srcPos struct{ file, line uint32 }
+
 // emitScratch is one emission worker's reusable state: the assembler
-// (items, labels, label-offset scratch), the block label table, and the
-// four mark lists. Everything is reset — not reallocated — between
-// functions, so steady-state emission allocates only what survives in
-// the emitted fragments. A scratch is owned by exactly one worker.
+// (items, labels, label-offset scratch), the block label table, the four
+// mark lists, and the running state of the fragment being assembled.
+// Everything is reset — not reallocated — between fragments, so
+// steady-state emission allocates only what survives in the emitted
+// fragments. A scratch is owned by exactly one worker.
 type emitScratch struct {
 	asm         asmx.Assembler
 	labels      []asmx.Label // block Index -> label; asmx.None = not in fragment
@@ -105,288 +103,274 @@ type emitScratch struct {
 	csMarks     []csMark
 	lineMarks   []lineMark
 	anchorMarks []anchorMark
+
+	fn      *BinaryFunction
+	lines   *dbg.Table
+	running cfi.State // unwind state in effect at the current position
+	lastPos srcPos    // a line mark opens where the (file, line) pair changes
 }
 
-// resetLabels returns a label slice of length n filled with asmx.None,
-// reusing s's backing array when it is big enough.
-func resetLabels(s []asmx.Label, n int) []asmx.Label {
-	if cap(s) < n {
-		s = make([]asmx.Label, n)
+// reset prepares the scratch for one fragment of fn with nBlocks label
+// slots, reusing every backing array that is big enough.
+func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) {
+	sc.asm.Reset()
+	if cap(sc.labels) < nBlocks {
+		sc.labels = make([]asmx.Label, nBlocks)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = asmx.None
+	sc.labels = sc.labels[:nBlocks]
+	for i := range sc.labels {
+		sc.labels[i] = asmx.None
 	}
-	return s
-}
-
-// fragmentBlocks partitions the layout into hot and cold lists.
-func fragmentBlocks(fn *BinaryFunction) (hot, cold []*BasicBlock) {
-	for _, b := range fn.Blocks {
-		if b.IsCold && fn.IsSplit {
-			cold = append(cold, b)
-		} else {
-			hot = append(hot, b)
-		}
-	}
-	return
+	sc.cfiMarks = sc.cfiMarks[:0]
+	sc.csMarks = sc.csMarks[:0]
+	sc.lineMarks = sc.lineMarks[:0]
+	sc.anchorMarks = sc.anchorMarks[:0]
+	sc.fn, sc.lines = fn, lines
+	sc.running = cfi.InitialState()
+	sc.lastPos = srcPos{}
 }
 
 // emitFunction assembles the function's current block layout into machine
-// code: terminators are materialized against the layout (the
-// fixup-branches responsibility), CFI is spliced by state diffing, and
-// exception call sites are collected per fragment. Everything it reads
-// and writes (including the JCC inversion persisted into the CFG) is
-// local to fn or to the worker-owned scratch — shared context state is
-// only read (the line table) — so Rewrite safely calls it
+// code — one fragment, or two when it is split — plus the function's
+// block-offset table: terminators are materialized against the layout
+// (the fixup-branches responsibility), CFI is spliced by state diffing,
+// and exception call sites are collected per fragment. Everything it
+// reads and writes (including the JCC inversion persisted into the CFG)
+// is local to fn or to the worker-owned scratch — shared context state
+// is only read (the line table) — so Rewrite safely calls it
 // concurrently, one worker per function, with all cross-function address
-// resolution deferred to the serial layout step.
-func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, sc *emitScratch) (*emitted, error) {
+// resolution deferred to the emitter.
+func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, sc *emitScratch) (frags []fragment, blockOff []uint32, err error) {
 	if len(fn.Blocks) > obj.MaxFuncBlocks {
-		return nil, fmt.Errorf("core: %s: %d blocks exceeds the %d sym-ID limit", fn.Name, len(fn.Blocks), obj.MaxFuncBlocks)
+		return nil, nil, fmt.Errorf("core: %s: %d blocks exceeds the %d sym-ID limit", fn.Name, len(fn.Blocks), obj.MaxFuncBlocks)
 	}
-	hot, cold := fragmentBlocks(fn)
-	if len(hot) == 0 || !hot[0].IsEntry {
-		return nil, fmt.Errorf("core: %s: entry block must lead the hot fragment", fn.Name)
+	// Partition the layout into the hot and cold block lists.
+	var parts [2][]*BasicBlock
+	maxIdx := 0
+	for _, b := range fn.Blocks {
+		s := 0
+		if b.IsCold && fn.IsSplit {
+			s = 1
+		}
+		parts[s] = append(parts[s], b)
+		maxIdx = max(maxIdx, b.Index)
 	}
-	out := &emitted{fn: fn}
-	var err error
-	out.Hot, err = ctx.emitFragment(fn, hot, sc)
-	if err != nil {
-		return nil, err
+	if len(parts[0]) == 0 || !parts[0][0].IsEntry {
+		return nil, nil, fmt.Errorf("core: %s: entry block must lead the hot fragment", fn.Name)
 	}
-	if len(cold) > 0 {
-		out.Cold, err = ctx.emitFragment(fn, cold, sc)
-		if err != nil {
-			return nil, err
+	blockOff = make([]uint32, maxIdx+1)
+	for i := range blockOff {
+		blockOff[i] = noBlockOff
+	}
+	n := 1
+	if len(parts[1]) > 0 {
+		n = 2
+	}
+	frags = make([]fragment, n)
+	for s := range frags {
+		if frags[s], err = ctx.emitFragment(fn, parts[s], s, blockOff, sc); err != nil {
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return frags, blockOff, nil
 }
 
 // symID packs a referenced function into an emission relocation symbol.
 func (r FuncRef) symID() obj.SymID { return obj.FuncSym(int(r) - 1) }
 
-func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock, sc *emitScratch) (*emittedFrag, error) {
+// emitFragment assembles blocks, in order, into fragment s of fn and
+// enters their offsets into the function's block-offset table.
+func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock, s int, blockOff []uint32, sc *emitScratch) (fragment, error) {
+	sc.reset(fn, ctx.LineTable, len(blockOff))
 	a := &sc.asm
-	a.Reset()
-	ord := fn.ordIdx
-
-	maxIdx := 0
 	for _, b := range blocks {
-		if b.Index > maxIdx {
-			maxIdx = b.Index
-		}
+		sc.labels[b.Index] = a.NewLabel()
 	}
-	sc.labels = resetLabels(sc.labels, maxIdx+1)
-	labels := sc.labels
-	for _, b := range blocks {
-		labels[b.Index] = a.NewLabel()
-	}
-
-	sc.cfiMarks = sc.cfiMarks[:0]
-	sc.csMarks = sc.csMarks[:0]
-	sc.lineMarks = sc.lineMarks[:0]
-	sc.anchorMarks = sc.anchorMarks[:0]
-
-	// anchor marks the current position as the emission site of the
-	// original instruction at inAddr (0 = synthesized, no anchor).
-	anchor := func(inAddr uint64) {
-		if inAddr == 0 {
-			return
-		}
-		l := a.NewLabel()
-		a.Bind(l)
-		sc.anchorMarks = append(sc.anchorMarks, anchorMark{label: l, inAddr: inAddr})
-	}
-
-	running := cfi.InitialState()
-	// A line mark opens where the (file, line) pair changes.
-	type srcPos struct{ file, line uint32 } // file is one-based, zero = no source
-	var lastPos srcPos
-
-	emitCFIDiff := func(target *cfi.State) {
-		if target == nil {
-			return
-		}
-		diff := cfi.StateDiff(&running, target)
-		if len(diff) == 0 {
-			return
-		}
-		l := a.NewLabel()
-		a.Bind(l)
-		for _, d := range diff {
-			sc.cfiMarks = append(sc.cfiMarks, cfiMark{label: l, inst: d})
-		}
-		running = *target
-	}
-
-	// branchTo emits a direct branch instruction to a block, via label
-	// (same fragment, relaxable) or symbolic reloc (cross fragment).
-	branchTo := func(inst isa.Inst, to *BasicBlock) {
-		if to.Index < len(labels) && labels[to.Index] != asmx.None {
-			a.EmitBranch(inst, labels[to.Index])
-			return
-		}
-		a.EmitRelocID(inst, obj.RelPC32, obj.BlockSym(ord, to.Index), -4)
-	}
-
 	for bi, b := range blocks {
-		a.Bind(labels[b.Index])
+		a.Bind(sc.labels[b.Index])
 		var next *BasicBlock
 		if bi+1 < len(blocks) {
 			next = blocks[bi+1]
 		}
-
-		// Determine where the control-flow tail begins: the final
-		// instruction if it is a branch/return; everything before it is
-		// body.
-		nInsts := len(b.Insts)
-		tail := -1
-		if nInsts > 0 && b.Insts[nInsts-1].I.IsBranch() {
-			tail = nInsts - 1
-		} else if nInsts > 0 {
-			op := b.Insts[nInsts-1].I.Op
-			if op == isa.HLT || op == isa.UD2 {
-				tail = nInsts - 1
-			}
+		// The control-flow tail is the final instruction if it is a
+		// branch, return or trap; everything before it is body.
+		body := len(b.Insts)
+		if in := b.LastInst(); in != nil && in.I.IsTerminator() {
+			body--
 		}
-
-		emitOne := func(in *Inst) {
-			emitCFIDiff(fn.StateAt(in.CFIIdx))
-			var pos srcPos
-			if in.Src != 0 {
-				e := &ctx.LineTable.Entries[in.Src-1]
-				pos = srcPos{file: e.File + 1, line: e.Line}
-			}
-			if pos != lastPos {
-				lastPos = pos
-				if in.Src != 0 {
-					l := a.NewLabel()
-					a.Bind(l)
-					sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: in.Src})
-				}
-			}
-			inst := in.I
-			var start, end asmx.Label
-			if in.LP != 0 {
-				start, end = a.NewLabel(), a.NewLabel()
-				a.Bind(start)
-			}
-			if inst.Op != isa.NOP {
-				anchor(in.Addr)
-			}
-			switch {
-			case inst.Op == isa.NOP:
-				// dropped
-			case in.ImmSym != NoFunc:
-				a.EmitRelocID(inst, relImmAbs32, in.ImmSym.symID(), 0)
-			case inst.Op == isa.CALL && in.TargetSym != NoFunc:
-				a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
-			case inst.Op == isa.CALL:
-				a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
-			case inst.HasMem() && inst.M.RIP && in.MemTarget != 0:
-				m := inst
-				m.M.Disp = 0
-				a.EmitRelocID(m, obj.RelPC32, obj.AbsSym(in.MemTarget), -4)
-			default:
-				a.Emit(inst)
-			}
-			if in.LP != 0 {
-				a.Bind(end)
-				lp, action := fn.LandingPad(in)
-				sc.csMarks = append(sc.csMarks, csMark{start: start, end: end, lp: lp, action: action})
-			}
+		for i := 0; i < body; i++ {
+			sc.emitInst(&b.Insts[i])
 		}
-
-		bodyEnd := nInsts
-		if tail >= 0 {
-			bodyEnd = tail
-		}
-		for i := 0; i < bodyEnd; i++ {
-			emitOne(&b.Insts[i])
-		}
-
-		// Control-flow tail, materialized against the layout.
-		if tail < 0 {
-			// Fall-through block: synthesize a jump if the successor is
-			// not next in this fragment.
-			if len(b.Succs) == 1 && b.Succs[0].To != next {
-				branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
+		if body < len(b.Insts) {
+			if err := sc.emitTail(b, &b.Insts[body], next); err != nil {
+				return fragment{}, err
 			}
-			continue
-		}
-		in := &b.Insts[tail]
-		emitCFIDiff(fn.StateAt(in.CFIIdx))
-		inst := in.I
-		switch {
-		case inst.Op == isa.JCC && in.TargetSym != NoFunc:
-			// Conditional tail call (SCTC output).
-			anchor(in.Addr)
-			a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
-			if len(b.Succs) == 1 && b.Succs[0].To != next {
-				branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
-			}
-		case inst.Op == isa.JCC:
-			if len(b.Succs) != 2 {
-				return nil, fmt.Errorf("core: %s block %d: jcc with %d successors", fn.Name, b.Index, len(b.Succs))
-			}
-			taken, fall := b.Succs[0].To, b.Succs[1].To
-			anchor(in.Addr)
-			switch {
-			case fall == next:
-				branchTo(inst, taken)
-			case taken == next:
-				// Invert the condition so the hot target falls through;
-				// persist the inversion in the CFG (edge semantics: the
-				// recorded taken edge becomes the fall-through).
-				in.I.Cc = inst.Cc.Invert()
-				b.Succs[0], b.Succs[1] = b.Succs[1], b.Succs[0]
-				branchTo(in.I, fall)
-			default:
-				branchTo(inst, taken)
-				branchTo(isa.NewInst(isa.JMP), fall)
-			}
-		case inst.Op == isa.JMP && in.TargetSym != NoFunc:
-			// Tail call to another function.
-			anchor(in.Addr)
-			a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
-		case inst.Op == isa.JMP:
-			if len(b.Succs) != 1 {
-				return nil, fmt.Errorf("core: %s block %d: jmp with %d successors", fn.Name, b.Index, len(b.Succs))
-			}
-			if b.Succs[0].To != next {
-				anchor(in.Addr)
-				branchTo(inst, b.Succs[0].To)
-			}
-		case inst.IsIndirectBranch():
-			// Jump-table dispatch: emit verbatim; the table bytes are
-			// rewritten at layout time.
-			emitOne(in)
-		default:
-			// ret / repz ret / hlt / ud2
-			emitOne(in)
+		} else if len(b.Succs) == 1 && b.Succs[0].To != next {
+			// Fall-through block whose successor is not next in this
+			// fragment: synthesize a jump.
+			sc.branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
 		}
 	}
-
 	res, err := a.Finish(0)
 	if err != nil {
-		return nil, fmt.Errorf("core: emitting %s: %w", fn.Name, err)
-	}
-	// Materialize the fragment from the marks, every slice at its exact
-	// final size. res.LabelOffs aliases assembler scratch — it must be
-	// fully consumed here, before the next Reset.
-	frag := &emittedFrag{
-		Code:      res.Code,
-		Relocs:    res.Relocs,
-		BlockOffs: make([]uint32, maxIdx+1),
-	}
-	for i := range frag.BlockOffs {
-		frag.BlockOffs[i] = noBlockOff
+		return fragment{}, fmt.Errorf("core: emitting %s: %w", fn.Name, err)
 	}
 	for _, b := range blocks {
-		frag.BlockOffs[b.Index] = res.LabelOffs[labels[b.Index]]
+		blockOff[b.Index] = res.LabelOffs[sc.labels[b.Index]] | uint32(s)<<blockOffBits
 	}
+	frag := sc.materialize(res)
+	frag.fn, frag.cold = fn, s == 1
+	return frag, nil
+}
+
+// anchor marks the current position as the emission site of the original
+// instruction at inAddr (0 = synthesized, no anchor).
+func (sc *emitScratch) anchor(inAddr uint64) {
+	if inAddr == 0 {
+		return
+	}
+	l := sc.asm.NewLabel()
+	sc.asm.Bind(l)
+	sc.anchorMarks = append(sc.anchorMarks, anchorMark{label: l, inAddr: inAddr})
+}
+
+// cfiDiff emits the CFI instructions that take the running unwind state
+// to target.
+func (sc *emitScratch) cfiDiff(target *cfi.State) {
+	if target == nil {
+		return
+	}
+	diff := cfi.StateDiff(&sc.running, target)
+	if len(diff) == 0 {
+		return
+	}
+	l := sc.asm.NewLabel()
+	sc.asm.Bind(l)
+	for _, d := range diff {
+		sc.cfiMarks = append(sc.cfiMarks, cfiMark{label: l, inst: d})
+	}
+	sc.running = *target
+}
+
+// branchTo emits a direct branch instruction to a block, via label (same
+// fragment, relaxable) or symbolic reloc (cross fragment).
+func (sc *emitScratch) branchTo(inst isa.Inst, to *BasicBlock) {
+	if to.Index < len(sc.labels) && sc.labels[to.Index] != asmx.None {
+		sc.asm.EmitBranch(inst, sc.labels[to.Index])
+		return
+	}
+	sc.asm.EmitRelocID(inst, obj.RelPC32, obj.BlockSym(sc.fn.ordIdx, to.Index), -4)
+}
+
+// emitInst emits one non-branch instruction with its CFI, line, anchor
+// and call-site marks.
+func (sc *emitScratch) emitInst(in *Inst) {
+	a := &sc.asm
+	sc.cfiDiff(sc.fn.StateAt(in.CFIIdx))
+	var pos srcPos
+	if in.Src != 0 {
+		e := &sc.lines.Entries[in.Src-1]
+		pos = srcPos{file: e.File + 1, line: e.Line}
+	}
+	if pos != sc.lastPos {
+		sc.lastPos = pos
+		if in.Src != 0 {
+			l := a.NewLabel()
+			a.Bind(l)
+			sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: in.Src})
+		}
+	}
+	inst := in.I
+	var start, end asmx.Label
+	if in.LP != 0 {
+		start, end = a.NewLabel(), a.NewLabel()
+		a.Bind(start)
+	}
+	if inst.Op != isa.NOP {
+		sc.anchor(in.Addr)
+	}
+	switch {
+	case inst.Op == isa.NOP:
+		// dropped
+	case in.ImmSym != NoFunc:
+		a.EmitRelocID(inst, relImmAbs32, in.ImmSym.symID(), 0)
+	case inst.Op == isa.CALL && in.TargetSym != NoFunc:
+		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
+	case inst.Op == isa.CALL:
+		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
+	case inst.HasMem() && inst.M.RIP && in.MemTarget != 0:
+		m := inst
+		m.M.Disp = 0
+		a.EmitRelocID(m, obj.RelPC32, obj.AbsSym(in.MemTarget), -4)
+	default:
+		a.Emit(inst)
+	}
+	if in.LP != 0 {
+		a.Bind(end)
+		lp, action := sc.fn.LandingPad(in)
+		sc.csMarks = append(sc.csMarks, csMark{start: start, end: end, lp: lp, action: action})
+	}
+}
+
+// emitTail materializes b's final control-flow instruction against the
+// layout: next is the block that follows b in this fragment, nil at the
+// fragment's end.
+func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error {
+	a, fn := &sc.asm, sc.fn
+	inst := in.I
+	if !inst.IsDirectBranch() {
+		// ret / repz ret / hlt / ud2, or a jump-table dispatch, emitted
+		// verbatim: the table bytes are rewritten at layout time.
+		sc.emitInst(in)
+		return nil
+	}
+	sc.cfiDiff(fn.StateAt(in.CFIIdx))
+	switch {
+	case in.TargetSym != NoFunc:
+		// Tail call to another function; a conditional one (SCTC output)
+		// still needs its fall-through.
+		sc.anchor(in.Addr)
+		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
+		if inst.Op == isa.JCC && len(b.Succs) == 1 && b.Succs[0].To != next {
+			sc.branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
+		}
+	case inst.Op == isa.JCC:
+		if len(b.Succs) != 2 {
+			return fmt.Errorf("core: %s block %d: jcc with %d successors", fn.Name, b.Index, len(b.Succs))
+		}
+		taken, fall := b.Succs[0].To, b.Succs[1].To
+		sc.anchor(in.Addr)
+		switch {
+		case fall == next:
+			sc.branchTo(inst, taken)
+		case taken == next:
+			// Invert the condition so the hot target falls through;
+			// persist the inversion in the CFG (edge semantics: the
+			// recorded taken edge becomes the fall-through).
+			in.I.Cc = inst.Cc.Invert()
+			b.Succs[0], b.Succs[1] = b.Succs[1], b.Succs[0]
+			sc.branchTo(in.I, fall)
+		default:
+			sc.branchTo(inst, taken)
+			sc.branchTo(isa.NewInst(isa.JMP), fall)
+		}
+	default: // JMP within the function
+		if len(b.Succs) != 1 {
+			return fmt.Errorf("core: %s block %d: jmp with %d successors", fn.Name, b.Index, len(b.Succs))
+		}
+		if b.Succs[0].To != next {
+			sc.anchor(in.Addr)
+			sc.branchTo(inst, b.Succs[0].To)
+		}
+	}
+	return nil
+}
+
+// materialize builds the fragment from the marks, every slice at its
+// exact final size. res.LabelOffs aliases assembler scratch — it must be
+// fully consumed here, before the next reset.
+func (sc *emitScratch) materialize(res *asmx.Result) fragment {
+	frag := fragment{Code: res.Code, Relocs: res.Relocs}
 	if n := len(sc.cfiMarks); n > 0 {
 		frag.CFI = make([]cfi.PCInst, 0, n)
 		for _, m := range sc.cfiMarks {
@@ -407,7 +391,7 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 	if n := len(sc.lineMarks); n > 0 {
 		frag.Lines = make([]obj.LineEntry, 0, n)
 		for _, m := range sc.lineMarks {
-			file, line := sourceAt(ctx.LineTable, m.src)
+			file, line := sourceAt(sc.lines, m.src)
 			if file == "" {
 				continue
 			}
@@ -427,5 +411,5 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 			frag.Anchors = append(frag.Anchors, batAnchor{Off: off, InAddr: m.inAddr})
 		}
 	}
-	return frag, nil
+	return frag
 }

@@ -140,12 +140,12 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 			t.Errorf("jobs=%d: loader stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
 				jobs, base.Stats, jobs, got.Stats)
 		}
-		if len(got.LoadTimings) != 2 ||
-			got.LoadTimings[0].Name != "load:discover" ||
-			got.LoadTimings[1].Name != "load:disasm+cfg" {
-			t.Fatalf("jobs=%d: bad load timings %+v", jobs, got.LoadTimings)
+		if len(got.Timings) != 2 ||
+			got.Timings[0].Name != "load:discover" || got.Timings[0].Group != "load" ||
+			got.Timings[1].Name != "load:disasm+cfg" || got.Timings[1].Group != "load" {
+			t.Fatalf("jobs=%d: bad load timings %+v", jobs, got.Timings)
 		}
-		if lt := got.LoadTimings[1]; lt.Funcs != len(got.Funcs) || !lt.Parallel || lt.Jobs != jobs {
+		if lt := got.Timings[1]; lt.Funcs != len(got.Funcs) || !lt.Parallel || lt.Jobs != jobs {
 			t.Errorf("jobs=%d: disasm+cfg phase not parallel: %+v", jobs, lt)
 		}
 	}

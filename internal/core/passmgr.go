@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"gobolt/internal/par"
 )
 
 // FunctionPass is a transformation confined to a single function: it may
@@ -39,49 +41,59 @@ type FuncCtx struct {
 // CountStat bumps a named statistic in the worker-private shard.
 func (fc *FuncCtx) CountStat(name string, delta int64) { fc.stats[name] += delta }
 
-func newFuncCtx(ctx *BinaryContext) *FuncCtx {
-	return &FuncCtx{BinaryContext: ctx, stats: map[string]int64{}}
-}
-
-// funcPassAdapter lifts a FunctionPass into the Pass pipeline. Under the
-// legacy RunPasses entry point it simply loops; under a PassManager with
-// Jobs > 1 the manager recognizes the adapter and fans the function list
-// out to its worker pool instead.
+// funcPassAdapter lifts a FunctionPass into the Pass pipeline: the
+// PassManager recognizes the adapter and fans the function list out to
+// its worker pool.
 type funcPassAdapter struct{ fp FunctionPass }
 
 // Name implements Pass.
 func (a funcPassAdapter) Name() string { return a.fp.Name() }
 
-// Run implements Pass by visiting every simple function sequentially.
+// Run implements Pass for a caller holding the bare Pass: the manager's
+// schedule on one worker, not cancellable.
 func (a funcPassAdapter) Run(ctx *BinaryContext) error {
-	return runSerialFunctionPass(ctx, a.fp, ctx.SimpleFuncs())
-}
-
-// runSerialFunctionPass is the single-threaded schedule, shared by the
-// adapter's Run and the manager's jobs<=1 fast path.
-func runSerialFunctionPass(ctx *BinaryContext, fp FunctionPass, funcs []*BinaryFunction) error {
-	fc := newFuncCtx(ctx)
-	defer ctx.mergeStats(fc.stats)
-	for _, fn := range funcs {
-		if err := fp.RunOnFunction(fc, fn); err != nil {
-			return fmt.Errorf("%s: %w", fn.Name, err)
-		}
-	}
-	return nil
+	return NewPassManager(1).Run(nil, ctx, []Pass{a})
 }
 
 // ForEachFunction wraps a FunctionPass for use in a []Pass pipeline.
 func ForEachFunction(fp FunctionPass) Pass { return funcPassAdapter{fp} }
 
-// PassTiming records one pass execution for the -time-passes report.
+// PassTiming records one phase execution for the -time-passes report.
 type PassTiming struct {
 	Name     string
+	Group    string // pipeline stage: "load", "pass" or "emit"
 	Wall     time.Duration
 	Funcs    int  // functions visited (0 for whole-binary passes)
 	Parallel bool // scheduled on the worker pool
 	Jobs     int  // workers actually used
-	// StatDelta holds the counters this pass added to ctx.Stats.
+	// StatDelta holds the counters this phase added to ctx.Stats.
 	StatDelta map[string]int64
+}
+
+// phase is one open row of ctx.Timings: begin notes the clock and the
+// counters, end turns them into the row. It is the only way a stage
+// records itself, so every row carries its own wall, trace span and stat
+// delta. A stage that fails before end leaves no row.
+type phase struct {
+	ctx         *BinaryContext
+	group, name string
+	start       time.Time
+	before      map[string]int64
+}
+
+func (ctx *BinaryContext) begin(group, name string) phase {
+	return phase{ctx: ctx, group: group, name: name, start: time.Now(), before: ctx.metrics().SnapshotCounters()}
+}
+
+// end closes the phase over funcs functions on jobs workers.
+func (p phase) end(funcs, jobs int) {
+	wall := time.Since(p.start)
+	p.ctx.Opts.Trace.Phase(p.name, p.start, wall, jobs)
+	p.ctx.Timings = append(p.ctx.Timings, PassTiming{
+		Name: p.name, Group: p.group, Wall: wall,
+		Funcs: funcs, Parallel: jobs > 1, Jobs: jobs,
+		StatDelta: statDelta(p.before, p.ctx.metrics().SnapshotCounters()),
+	})
 }
 
 // PassManager schedules an optimization pipeline over a BinaryContext.
@@ -93,11 +105,8 @@ type PassTiming struct {
 // emission order is fixed by the context's address-sorted function list
 // (plus FuncOrder), never by completion order.
 type PassManager struct {
-	// Jobs bounds the worker pool for function passes (<= 1 = serial).
+	// Jobs bounds the worker pool for function passes (1 = serial).
 	Jobs int
-	// Timings accumulates per-pass instrumentation (always collected; it
-	// costs one clock read and a small map diff per pass).
-	Timings []PassTiming
 }
 
 // NewPassManager returns a manager with the given parallelism; jobs <= 0
@@ -109,11 +118,11 @@ func NewPassManager(jobs int) *PassManager {
 	return &PassManager{Jobs: jobs}
 }
 
-// Run executes the pipeline in order, recording per-pass wall time and
-// stat deltas. The error (if any) is wrapped with the failing pass name.
-// Cancelling cx stops the pipeline at the next pass boundary — and, for
-// function passes in flight, at the next work-item claim — returning
-// cx.Err() unwrapped.
+// Run executes the pipeline in order, appending one "pass" row per
+// pass to ctx.Timings. The error (if any) is wrapped with the failing
+// pass name. Cancelling cx stops the pipeline at the next pass boundary —
+// and, for function passes in flight, at the next work-item claim —
+// returning cx.Err() unwrapped.
 func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass) error {
 	if cx == nil {
 		cx = context.Background()
@@ -122,21 +131,15 @@ func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass
 		if err := cx.Err(); err != nil {
 			return err
 		}
-		before := ctx.statsSnapshot()
-		start := time.Now()
-		timing := PassTiming{Name: p.Name(), Jobs: 1}
+		ph := ctx.begin("pass", p.Name())
+		funcs, jobs := 0, 1
 		var err error
 		if a, ok := p.(funcPassAdapter); ok {
-			timing.Funcs, timing.Jobs, err = pm.runFunctionPass(cx, ctx, a.fp)
-			timing.Parallel = timing.Jobs > 1
+			funcs, jobs, err = runFunctionPass(cx, ctx, a.fp, pm.Jobs)
 		} else {
 			err = p.Run(ctx)
 		}
-		timing.Wall = time.Since(start)
-		ctx.Opts.Trace.Phase(p.Name(), start, timing.Wall, timing.Jobs)
-		timing.StatDelta = statDelta(before, ctx.statsSnapshot())
-		pm.Timings = append(pm.Timings, timing)
-		ctx.PassTimings = pm.Timings
+		ph.end(funcs, jobs)
 		if err != nil {
 			if cx.Err() != nil && err == cx.Err() {
 				// Cancellation is not the pass's failure; surface it bare
@@ -149,31 +152,25 @@ func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass
 	return nil
 }
 
-// runFunctionPass fans one FunctionPass out over the worker pool via
-// the traced fan-out; each worker owns a private stats shard, merged
+// runFunctionPass fans one FunctionPass out over at most jobs workers
+// via the traced fan-out; each worker owns a private stats shard, merged
 // after the join. jobs <= 1 runs the same schedule inline. On error the
 // failure attributed to the lowest function index is reported, keeping
 // messages stable across schedules.
-func (pm *PassManager) runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass) (int, int, error) {
+func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jobs int) (int, int, error) {
 	funcs := ctx.SimpleFuncs()
-	jobs := pm.Jobs
-	if jobs > len(funcs) {
-		jobs = len(funcs)
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
+	jobs = par.Jobs(jobs, len(funcs))
 	workers := make([]*FuncCtx, jobs)
 	for w := range workers {
-		workers[w] = newFuncCtx(ctx)
+		workers[w] = &FuncCtx{BinaryContext: ctx, stats: map[string]int64{}}
 	}
-	errIdx, err := ctx.forPhase(cx, fp.Name(),
+	errIdx, err := par.ForTraced(cx, ctx.Opts.Trace, fp.Name(),
 		func(i int) string { return funcs[i].Name },
 		len(funcs), jobs, func(w, i int) error {
 			return fp.RunOnFunction(workers[w], funcs[i])
 		})
 	for _, fc := range workers {
-		ctx.mergeStats(fc.stats)
+		ctx.metrics().Merge(fc.stats)
 	}
 	if err != nil {
 		if errIdx < 0 {
@@ -227,6 +224,7 @@ func Amdahl(timings []PassTiming) AmdahlSummary {
 // statDelta returns after-before for every changed counter.
 func statDelta(before, after map[string]int64) map[string]int64 {
 	var out map[string]int64
+	//boltvet:sorted-ok map-to-map: the delta is keyed, its renderers sort the keys
 	for k, v := range after {
 		if d := v - before[k]; d != 0 {
 			if out == nil {
@@ -241,16 +239,13 @@ func statDelta(before, after map[string]int64) map[string]int64 {
 // WriteTimings renders the -time-passes report: per-pass wall time, share
 // of the pipeline, scheduling mode, function count, and stat deltas.
 func WriteTimings(w io.Writer, timings []PassTiming) {
-	var total time.Duration
-	for _, t := range timings {
-		total += t.Wall
-	}
+	s := Amdahl(timings)
 	fmt.Fprintf(w, "===-- Pass execution timing report (pipeline total %v) --===\n",
-		total.Round(time.Microsecond))
+		s.Total.Round(time.Microsecond))
 	for _, t := range timings {
 		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(t.Wall) / float64(total)
+		if s.Total > 0 {
+			pct = 100 * float64(t.Wall) / float64(s.Total)
 		}
 		mode := "barrier"
 		switch {
@@ -278,7 +273,6 @@ func WriteTimings(w io.Writer, timings []PassTiming) {
 		}
 		fmt.Fprintln(w)
 	}
-	s := Amdahl(timings)
 	jobs := "unbounded"
 	if !math.IsInf(s.MaxUsefulJobs, 1) {
 		jobs = fmt.Sprintf("~%.0f", math.Ceil(s.MaxUsefulJobs))

@@ -54,10 +54,10 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 				t.Errorf("jobs=%d: %s visited %d times", jobs, fn.Name, fn.ExecCount)
 			}
 		}
-		if len(pm.Timings) != 1 || pm.Timings[0].Name != "touch" || pm.Timings[0].Funcs != 37 {
-			t.Errorf("jobs=%d: bad timing record %+v", jobs, pm.Timings)
+		if len(ctx.Timings) != 1 || ctx.Timings[0].Name != "touch" || ctx.Timings[0].Group != "pass" || ctx.Timings[0].Funcs != 37 {
+			t.Errorf("jobs=%d: bad timing record %+v", jobs, ctx.Timings)
 		}
-		if d := pm.Timings[0].StatDelta["touched"]; d != 37 {
+		if d := ctx.Timings[0].StatDelta["touched"]; d != 37 {
 			t.Errorf("jobs=%d: stat delta touched=%d, want 37", jobs, d)
 		}
 	}
@@ -124,10 +124,15 @@ func TestWriteTimingsReport(t *testing.T) {
 	if err := pm.Run(context.Background(), ctx, []Pass{ForEachFunction(touchPass{})}); err != nil {
 		t.Fatal(err)
 	}
+	// A stage outside the pass manager records itself the same way, stat
+	// delta included.
+	ph := ctx.begin("load", "profile:infer")
+	ctx.CountStat("profile-inferred-funcs", 3)
+	ph.end(3, 1)
 	var sb strings.Builder
-	WriteTimings(&sb, pm.Timings)
+	WriteTimings(&sb, ctx.Timings)
 	out := sb.String()
-	for _, want := range []string{"Pass execution timing report", "touch", "funcs", "touched=+5"} {
+	for _, want := range []string{"Pass execution timing report", "touch", "funcs", "touched=+5", "profile-inferred-funcs=+3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

@@ -98,7 +98,7 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 
 func (ctx *BinaryContext) symNamer() func(uint64) string {
 	return func(addr uint64) string {
-		if fn := ctx.byAddr[addr]; fn != nil {
+		if fn := ctx.FuncByAddr(addr); fn != nil {
 			return fn.Name
 		}
 		if _, ok := ctx.PLTStubs[addr]; ok {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"gobolt/internal/isa"
 	"gobolt/internal/par"
@@ -48,8 +47,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	if ctx.Opts.StaleMatching && len(fd.Shapes) > 0 {
 		sm = &staleMatcher{ctx: ctx, shapes: fd.Shapes, cache: map[*BinaryFunction]*staleFunc{}}
 	}
-	start := time.Now()
-	before := ctx.statsSnapshot()
+	ph := ctx.begin("load", "profile:apply")
 	var nfuncs, jobs int
 	var err error
 	if fd.LBR {
@@ -57,13 +55,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	} else {
 		nfuncs, jobs, err = ctx.applySamples(cx, fd, sm)
 	}
-	applyWall := time.Since(start)
-	ctx.Opts.Trace.Phase("profile:apply", start, applyWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "profile:apply", Wall: applyWall,
-		Funcs: nfuncs, Parallel: jobs > 1, Jobs: jobs,
-		StatDelta: statDelta(before, ctx.statsSnapshot()),
-	})
+	ph.end(nfuncs, jobs)
 	if err != nil {
 		return err
 	}
@@ -74,7 +66,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 // record application: classic flow repair and/or minimum-cost-flow
 // inference, fanned out over the worker pool (each function's counts
 // are function-local state, so the stage parallelizes like a function
-// pass). Appends the "profile:infer" timing to LoadTimings and fills
+// pass). Records the "profile:infer" phase and fills
 // ctx.FlowAccBefore/FlowAccAfter/InferredFuncs.
 func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	var funcs []*BinaryFunction
@@ -86,7 +78,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	useMCF := ctx.Opts.InferFlow == InferAlways ||
 		(!lbr && ctx.Opts.InferFlow != InferNever)
 
-	start := time.Now()
+	ph := ctx.begin("load", "profile:infer")
 	jobs := par.Jobs(ctx.Opts.Jobs, len(funcs))
 	// Per-function accuracy terms land in index-addressed slots and fold
 	// serially below, so the aggregate floats are bit-identical for
@@ -96,7 +88,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		violAfter, totalAfter   uint64
 	}
 	terms := make([]accTerm, len(funcs))
-	if _, err := ctx.forPhase(cx, "profile:infer",
+	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:infer",
 		func(i int) string { return funcs[i].Name },
 		len(funcs), jobs, func(_, i int) error {
 			fn := funcs[i]
@@ -148,12 +140,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		ctx.InferredFuncs = len(funcs)
 		ctx.CountStat("profile-inferred-funcs", int64(len(funcs)))
 	}
-	inferWall := time.Since(start)
-	ctx.Opts.Trace.Phase("profile:infer", start, inferWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "profile:infer", Wall: inferWall,
-		Funcs: len(funcs), Parallel: jobs > 1, Jobs: jobs,
-	})
+	ph.end(len(funcs), jobs)
 	return nil
 }
 
@@ -184,18 +171,24 @@ func (sm *staleMatcher) lookup(fn *BinaryFunction) *staleFunc {
 		return sf
 	}
 	sf := sm.compute(fn)
+	sm.install(fn, sf)
+	return sf
+}
+
+// install caches fn's stale state, counting each stale function once.
+// Serial callers only (lookup and the applyBuckets join), so the quality
+// histogram is deterministic across worker counts.
+func (sm *staleMatcher) install(fn *BinaryFunction, sf *staleFunc) {
 	sm.cache[fn] = sf
 	if sf != nil {
 		sm.ctx.CountStat("profile-stale-funcs", 1)
 		observeStaleQuality(sm.ctx, fn, sf)
 	}
-	return sf
 }
 
 // observeStaleQuality records the fraction of a stale function's old
 // block shapes that matched the current CFG — the per-function match
-// quality a profile gate can threshold. Serial callers only (lookup and
-// installStale), so the histogram is deterministic across worker counts.
+// quality a profile gate can threshold.
 func observeStaleQuality(ctx *BinaryContext, fn *BinaryFunction, sf *staleFunc) {
 	if len(sf.old.Blocks) == 0 {
 		return
@@ -264,19 +257,48 @@ func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, idx map[*BinaryFunction
 	return (*buckets)[k]
 }
 
-// installStale moves per-bucket stale results into the shared matcher
-// cache at the serial join, counting each stale function once (the same
-// accounting serial lookup performs on first touch).
-func installStale(ctx *BinaryContext, sm *staleMatcher, buckets []*funcRecs) {
-	if sm == nil {
-		return
+// applyBuckets is the parallel middle of both profile modes: each
+// function's records are applied by one worker (stale matching,
+// instruction lookup, edge attach — the expensive part) counting into a
+// per-worker shard. At the serial join the per-bucket stale results move
+// into the shared matcher cache and the shards fold into the returned
+// totals.
+func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (c applyCounts, jobs int, err error) {
+	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
+	shards := make([]applyCounts, jobs)
+	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:apply",
+		func(i int) string { return buckets[i].fn.Name },
+		len(buckets), jobs, func(w, i int) error {
+			b := buckets[i]
+			if sm != nil {
+				b.sf = sm.compute(b.fn)
+			}
+			for _, br := range b.brs {
+				applyIntraBranch(b.fn, b.sf, br, &shards[w])
+			}
+			for _, s := range b.smps {
+				applySample(b.fn, b.sf, s, &shards[w])
+			}
+			return nil
+		}); err != nil {
+		return c, jobs, err
 	}
-	for _, b := range buckets {
-		sm.cache[b.fn] = b.sf
-		if b.sf != nil {
-			ctx.CountStat("profile-stale-funcs", 1)
-			observeStaleQuality(ctx, b.fn, b.sf)
+	if sm != nil {
+		for _, b := range buckets {
+			sm.install(b.fn, b.sf)
 		}
+	}
+	for i := range shards {
+		c.add(shards[i])
+	}
+	return c, jobs, nil
+}
+
+// countProfile bumps a count-weighted profile stat, skipping zeros so
+// absent categories leave no key.
+func (ctx *BinaryContext) countProfile(key string, n uint64) {
+	if n > 0 {
+		ctx.CountStat(key, int64(n))
 	}
 }
 
@@ -322,28 +344,9 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		calls = append(calls, callRec{fromFn, toFn, br})
 	}
 
-	jobs := par.Jobs(ctx.Opts.Jobs, len(buckets))
-	shards := make([]applyCounts, jobs)
-	if _, err := ctx.forPhase(cx, "profile:apply",
-		func(i int) string { return buckets[i].fn.Name },
-		len(buckets), jobs, func(w, i int) error {
-			b := buckets[i]
-			if sm != nil {
-				b.sf = sm.compute(b.fn)
-			}
-			c := &shards[w]
-			for _, br := range b.brs {
-				applyIntraBranch(b.fn, b.sf, br, c)
-			}
-			return nil
-		}); err != nil {
+	c, jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	if err != nil {
 		return len(buckets), jobs, err
-	}
-	installStale(ctx, sm, buckets)
-
-	var c applyCounts
-	for i := range shards {
-		c.add(shards[i])
 	}
 	var callCount uint64
 	for _, cr := range calls {
@@ -376,18 +379,13 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		}
 	}
 
-	count := func(key string, n uint64) {
-		if n > 0 {
-			ctx.CountStat(key, int64(n))
-		}
-	}
-	count("profile-total-count", total)
-	count("profile-edge-count", c.edge)
-	count("profile-call-count", callCount)
-	count("profile-ignored-count", ignored+c.ignored)
-	count("profile-drop-count", drop+c.drop)
-	count("profile-stale-count", c.stale)
-	count("profile-stale-drop-count", c.staleDrop)
+	ctx.countProfile("profile-total-count", total)
+	ctx.countProfile("profile-edge-count", c.edge)
+	ctx.countProfile("profile-call-count", callCount)
+	ctx.countProfile("profile-ignored-count", ignored+c.ignored)
+	ctx.countProfile("profile-drop-count", drop+c.drop)
+	ctx.countProfile("profile-stale-count", c.stale)
+	ctx.countProfile("profile-stale-drop-count", c.staleDrop)
 	return len(buckets), jobs, nil
 }
 
@@ -507,39 +505,15 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 		b.smps = append(b.smps, s)
 	}
 
-	jobs := par.Jobs(ctx.Opts.Jobs, len(buckets))
-	shards := make([]applyCounts, jobs)
-	if _, err := ctx.forPhase(cx, "profile:apply",
-		func(i int) string { return buckets[i].fn.Name },
-		len(buckets), jobs, func(w, i int) error {
-			b := buckets[i]
-			if sm != nil {
-				b.sf = sm.compute(b.fn)
-			}
-			c := &shards[w]
-			for _, s := range b.smps {
-				applySample(b.fn, b.sf, s, c)
-			}
-			return nil
-		}); err != nil {
+	c, jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	if err != nil {
 		return len(buckets), jobs, err
 	}
-	installStale(ctx, sm, buckets)
-
-	var c applyCounts
-	for i := range shards {
-		c.add(shards[i])
-	}
-	count := func(key string, n uint64) {
-		if n > 0 {
-			ctx.CountStat(key, int64(n))
-		}
-	}
-	count("profile-total-count", total)
-	count("profile-sample-count", c.sample)
-	count("profile-drop-count", drop+c.drop)
-	count("profile-stale-count", c.stale)
-	count("profile-stale-drop-count", c.staleDrop)
+	ctx.countProfile("profile-total-count", total)
+	ctx.countProfile("profile-sample-count", c.sample)
+	ctx.countProfile("profile-drop-count", drop+c.drop)
+	ctx.countProfile("profile-stale-count", c.stale)
+	ctx.countProfile("profile-stale-drop-count", c.staleDrop)
 	// Function exec counts are derived after inference (inferStage): the
 	// entry block's own sample count understates hot functions whose
 	// entry is short and rarely sampled, so the entry *in-flow* decides.

@@ -67,15 +67,15 @@ func TestEmitScratchReuse(t *testing.T) {
 	ctx := loadSlabCtx(t, 1)
 	var shared emitScratch
 	for _, fn := range ctx.SimpleFuncs() {
-		reused, err := ctx.emitFunction(fn, &shared)
+		reused, reusedOffs, err := ctx.emitFunction(fn, &shared)
 		if err != nil {
 			t.Fatalf("%s (reused scratch): %v", fn.Name, err)
 		}
-		fresh, err := ctx.emitFunction(fn, &emitScratch{})
+		fresh, freshOffs, err := ctx.emitFunction(fn, &emitScratch{})
 		if err != nil {
 			t.Fatalf("%s (fresh scratch): %v", fn.Name, err)
 		}
-		if !reflect.DeepEqual(reused.Hot, fresh.Hot) || !reflect.DeepEqual(reused.Cold, fresh.Cold) {
+		if !reflect.DeepEqual(reused, fresh) || !reflect.DeepEqual(reusedOffs, freshOffs) {
 			t.Fatalf("%s: reused-scratch emission differs from fresh-scratch emission", fn.Name)
 		}
 	}

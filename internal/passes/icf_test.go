@@ -144,7 +144,7 @@ func TestICFFoldWithoutHashPass(t *testing.T) {
 		if err := ctx.ApplyProfile(cx, fd); err != nil {
 			t.Fatal(err)
 		}
-		if err := core.RunPasses(cx, ctx, passes); err != nil {
+		if err := core.NewPassManager(1).Run(cx, ctx, passes); err != nil {
 			t.Fatal(err)
 		}
 		m := map[string]string{}
@@ -187,7 +187,7 @@ func BenchmarkICFHash(b *testing.B) {
 	pass := []core.Pass{core.ForEachFunction(ICFHash{Round: 1})}
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := core.RunPasses(cx, ctx, pass); err != nil {
+		if err := core.NewPassManager(1).Run(cx, ctx, pass); err != nil {
 			b.Fatal(err)
 		}
 	}

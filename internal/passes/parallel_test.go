@@ -31,12 +31,18 @@ func TestParallelPipelineSemantics(t *testing.T) {
 	}
 	// Every pipeline pass appears in the instrumentation, in order.
 	pipeline := BuildPipeline(opts)
-	if len(ctx.PassTimings) != len(pipeline) {
-		t.Fatalf("timings cover %d passes, pipeline has %d", len(ctx.PassTimings), len(pipeline))
+	var passTimings []core.PassTiming
+	for _, pt := range ctx.Timings {
+		if pt.Group == "pass" {
+			passTimings = append(passTimings, pt)
+		}
+	}
+	if len(passTimings) != len(pipeline) {
+		t.Fatalf("timings cover %d passes, pipeline has %d", len(passTimings), len(pipeline))
 	}
 	for i, p := range pipeline {
-		if ctx.PassTimings[i].Name != p.Name() {
-			t.Errorf("timing %d: got pass %q, want %q", i, ctx.PassTimings[i].Name, p.Name())
+		if passTimings[i].Name != p.Name() {
+			t.Errorf("timing %d: got pass %q, want %q", i, passTimings[i].Name, p.Name())
 		}
 	}
 }

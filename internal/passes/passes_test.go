@@ -365,7 +365,7 @@ func TestDynoStatsImprove(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ctx.CollectDynoStats()
-	if err := core.RunPasses(context.Background(), ctx, BuildPipeline(ctx.Opts)); err != nil {
+	if err := core.NewPassManager(1).Run(context.Background(), ctx, BuildPipeline(ctx.Opts)); err != nil {
 		t.Fatal(err)
 	}
 	after := ctx.CollectDynoStats()

@@ -51,7 +51,7 @@ func TestPrintCFGGolden(t *testing.T) {
 	fn := ctx.ByName["worker"]
 	var got bytes.Buffer
 	ctx.PrintCFG(&got, fn)
-	if err := core.RunPasses(cx, ctx, BuildPipeline(opts)); err != nil {
+	if err := core.NewPassManager(1).Run(cx, ctx, BuildPipeline(opts)); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Stats["icp-promoted"] == 0 {
