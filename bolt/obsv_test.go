@@ -175,7 +175,12 @@ func TestRunReportRoundTrip(t *testing.T) {
 		t.Error("round-tripped report lost the occupancy stats")
 	}
 
-	// Strictness: unknown fields, trailing data, version drift.
+	// Strictness: unknown fields, trailing data, version drift, and a
+	// metric name core.StatDefs does not declare.
+	undeclared := bytes.ReplaceAll(buf.Bytes(), []byte(`"load-simple"`), []byte(`"load-simpel"`))
+	if err := bolt.ValidateRunReport(undeclared); err == nil || !strings.Contains(err.Error(), "load-simpel") {
+		t.Errorf("ValidateRunReport on an undeclared counter name: %v", err)
+	}
 	unknown := bytes.Replace(buf.Bytes(), []byte(`"schema_version"`), []byte(`"bogus_field": 1, "schema_version"`), 1)
 	if _, err := bolt.ParseRunReport(unknown); err == nil {
 		t.Error("ParseRunReport accepted an unknown field")

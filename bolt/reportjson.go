@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"strings"
 
 	"gobolt/internal/bincheck"
 	"gobolt/internal/core"
@@ -250,6 +252,33 @@ func ValidateRunReport(data []byte) error {
 	for _, o := range rr.Occupancy {
 		if o.Utilization < 0 || o.Utilization > 1+1e-9 {
 			return fmt.Errorf("bolt: run report: occupancy %q utilization %v out of range", o.Phase, o.Utilization)
+		}
+	}
+	// A report is the one place stat names arrive as strings from outside
+	// the program: each must be declared, under its kind, in core.StatDefs.
+	if m := rr.Metrics; m != nil {
+		declared := map[string]obsv.MetricKind{}
+		for _, d := range core.StatDefs() {
+			declared[d.Name] = d.Kind
+		}
+		var bad []string
+		note := func(name string, kind obsv.MetricKind) {
+			if k, ok := declared[name]; !ok || k != kind {
+				bad = append(bad, fmt.Sprintf("%s %q", kind, name))
+			}
+		}
+		for name := range m.Counters {
+			note(name, obsv.Counter)
+		}
+		for name := range m.Gauges {
+			note(name, obsv.Gauge)
+		}
+		for _, h := range m.Histograms {
+			note(h.Name, obsv.HistogramKind)
+		}
+		if len(bad) > 0 {
+			sort.Strings(bad)
+			return fmt.Errorf("bolt: run report: metrics not declared in core.StatDefs: %s", strings.Join(bad, ", "))
 		}
 	}
 	if v := rr.Verify; v != nil {

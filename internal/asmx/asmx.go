@@ -26,7 +26,6 @@ const (
 	kindBranch
 	kindReloc
 	kindAlign
-	kindBytes
 )
 
 type item struct {
@@ -40,8 +39,6 @@ type item struct {
 	addend  int64
 	// kindAlign
 	align int
-	// kindBytes
-	raw []byte
 
 	long bool // widened branch (relaxation state)
 	off  uint32
@@ -107,11 +104,6 @@ func (a *Assembler) Align(n int) {
 	a.items = append(a.items, item{kind: kindAlign, align: n})
 }
 
-// EmitBytes appends raw bytes (used for data-in-text padding in tests).
-func (a *Assembler) EmitBytes(b []byte) {
-	a.items = append(a.items, item{kind: kindBytes, raw: b})
-}
-
 // Result is the assembled function body. Code and Relocs are freshly
 // allocated at their exact final size and safe to retain; LabelOffs
 // aliases assembler-owned scratch and is only valid until the next
@@ -157,8 +149,6 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 					}
 				}
 				it.size = pad
-			case kindBytes:
-				it.size = uint32(len(it.raw))
 			}
 			off += it.size
 		}
@@ -245,8 +235,6 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 			}
 		case kindAlign:
 			code = isa.AppendNop(code, int(it.size))
-		case kindBytes:
-			code = append(code, it.raw...)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("asmx: encoding %s at %#x: %w", it.inst.String(), pc, err)

@@ -315,13 +315,6 @@ func buildBoltMeasure(spec workload.Spec, cfg BuildConfig, withHeat bool) (befor
 	return before, after, err
 }
 
-// SwapInput rebuilds the same program with different input data (same
-// structure seed) — the evaluation inputs of §6.2.
-func SwapInput(spec workload.Spec, inputSeed uint64) workload.Spec {
-	spec.InputSeed = inputSeed
-	return spec
-}
-
 // GeoMean of (1+x) values minus 1, for speedup aggregation.
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {

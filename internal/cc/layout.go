@@ -1,10 +1,6 @@
 package cc
 
-import (
-	"sort"
-
-	"gobolt/internal/ir"
-)
+import "gobolt/internal/ir"
 
 // blockSrc returns the source coordinate at the start of a block.
 func blockSrc(f *ir.Func, idx int) SrcKey {
@@ -161,14 +157,4 @@ func layoutBlocks(f *ir.Func, opts Options) []int {
 		}
 	}
 	return append(hot, cold...)
-}
-
-// hotFuncOrder sorts function names by profile entry count, hottest first.
-// Used by tests and by the link-time exec-count ordering baseline.
-func hotFuncOrder(prof *SourceProfile) []string {
-	names := sortedKeys(prof.Func)
-	sort.SliceStable(names, func(i, j int) bool {
-		return prof.Func[names[i]] > prof.Func[names[j]]
-	})
-	return names
 }

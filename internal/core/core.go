@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -490,14 +489,12 @@ type BinaryContext struct {
 	// of truth for counts; Stats below aliases its live counter map.
 	Metrics *obsv.Registry
 
-	// Stats is the compatibility view of Metrics' counters — the same
-	// live map the registry mutates, kept so existing readers and the
-	// worker-shard merge protocol keep working unchanged. During
-	// parallel function passes workers count into private FuncCtx
-	// shards merged at the barrier; direct CountStat calls go through
-	// the registry's lock. Read it only between passes.
-	Stats       map[string]int64
-	metricsOnce sync.Once
+	// Stats is the read-side view of Metrics' counters — the same live
+	// by-name map the registry maintains (a key is present iff its count
+	// is non-zero). Pool workers count into private shards merged at the
+	// barrier; CountStat goes through the registry's lock. Read it only
+	// between passes.
+	Stats map[string]int64
 
 	// Timings is the run's one instrumentation record, in execution order
 	// (see begin/end); the bolt package's Report.WriteTimings renders it.
@@ -536,23 +533,11 @@ func (ctx *BinaryContext) FuncContaining(addr uint64) *BinaryFunction {
 	return nil
 }
 
-// metrics returns the registry, creating it (and the aliased Stats
-// view) on first use so contexts built without NewContext keep working.
-func (ctx *BinaryContext) metrics() *obsv.Registry {
-	ctx.metricsOnce.Do(func() {
-		if ctx.Metrics == nil {
-			ctx.Metrics = obsv.NewRegistry(StatDefs())
-			ctx.Stats = ctx.Metrics.Counters()
-		}
-	})
-	return ctx.Metrics
-}
-
-// CountStat bumps a named statistic through the metrics registry. Safe
-// for concurrent use; inside a FunctionPass prefer the FuncCtx shard,
-// which is contention-free.
-func (ctx *BinaryContext) CountStat(name string, delta int64) {
-	ctx.metrics().Add(name, delta)
+// CountStat bumps a statistic through the metrics registry. Safe for
+// concurrent use; inside a FunctionPass prefer the FuncCtx shard, which
+// is contention-free.
+func (ctx *BinaryContext) CountStat(s Stat, delta int64) {
+	ctx.Metrics.Add(int(s), delta)
 }
 
 // SimpleFuncs returns the rewritable functions.

@@ -212,7 +212,7 @@ func TestAttachCFIRememberWithNothingSaved(t *testing.T) {
 	if off, ok := fn.StateAt(insts[2].CFIIdx).SavedAt(3); !ok || off != -24 {
 		t.Errorf("state at offset 8: r3 saved at %d, %v; want -24, true", off, ok)
 	}
-	if n := sc.stats["load-cfi-bad-reg"]; n != 0 {
+	if n := sc.stats[StatLoadCFIBadReg]; n != 0 {
 		t.Errorf("load-cfi-bad-reg = %d on a well-formed FDE", n)
 	}
 }
@@ -226,7 +226,7 @@ func TestAttachCFIBadRegister(t *testing.T) {
 		cfi.PCInst{PC: 8, Inst: cfi.Inst{Kind: cfi.OpOffset, Reg: cfi.NumRegs - 1, Off: -8}},
 	)
 	ctx.attachCFI(fn, sc)
-	if n := sc.stats["load-cfi-bad-reg"]; n != 2 {
+	if n := sc.stats[StatLoadCFIBadReg]; n != 2 {
 		t.Errorf("load-cfi-bad-reg = %d, want 2", n)
 	}
 	insts := fn.Blocks[0].Insts

@@ -157,7 +157,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		return nil, err
 	}
 	for w := range scratch {
-		ctx.metrics().Merge(scratch[w].stats)
+		ctx.Metrics.Merge(scratch[w].stats[:])
 	}
 	ph.end(len(ctx.Funcs), jobs)
 	return ctx, nil
@@ -176,7 +176,7 @@ type loaderScratch struct {
 	edges   []edgeRef
 	succN   []int32
 	predN   []int32
-	stats   map[string]int64
+	stats   statShard
 }
 
 // edgeRef is one CFG edge held in scratch while buildCFG counts edge
@@ -185,8 +185,7 @@ type edgeRef struct{ from, to *BasicBlock }
 type blockPair struct{ from, to int }
 
 func (sc *loaderScratch) init() {
-	if sc.stats == nil {
-		sc.stats = map[string]int64{}
+	if sc.leaders == nil {
 		sc.leaders = map[uint64]bool{}
 		sc.blockAt = map[uint64]*BasicBlock{}
 		sc.jtSeen = map[*BasicBlock]bool{}
@@ -212,10 +211,10 @@ func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 		ctx.attachLSDA(fn, sc)
 	}
 	if fn.Simple {
-		sc.stats["load-simple"]++
-		sc.stats["load-blocks"] += int64(len(fn.Blocks))
+		sc.stats[StatLoadSimple]++
+		sc.stats[StatLoadBlocks] += int64(len(fn.Blocks))
 	} else {
-		sc.stats["load-non-simple"]++
+		sc.stats[StatLoadNonSimple]++
 	}
 }
 
@@ -672,7 +671,7 @@ func (ctx *BinaryContext) attachCFI(fn *BinaryFunction, sc *loaderScratch) {
 				}
 			}
 			if in.Reg >= cfi.NumRegs && (in.Kind == cfi.OpOffset || in.Kind == cfi.OpRestore) {
-				sc.stats["load-cfi-bad-reg"]++ // Save and Restore skipped it
+				sc.stats[StatLoadCFIBadReg]++ // Save and Restore skipped it
 			}
 			k++
 		}

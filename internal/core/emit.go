@@ -17,7 +17,7 @@ import (
 // obj.SymID names a function entry (by ordinal, following ICF folds), a
 // basic block (ordinal plus block index), or an absolute address (data,
 // PLT stubs, unmoved code). Construction and inspection go through the
-// internal/obj helpers only (boltvet's symid analyzer enforces this).
+// internal/obj helpers only: the type is opaque outside that package.
 
 // relImmAbs32 marks an emission relocation whose 4 patched bytes hold an
 // absolute 32-bit address (ICP immediates) rather than a PC32 value.

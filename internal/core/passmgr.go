@@ -26,20 +26,19 @@ type FunctionPass interface {
 // FuncCtx is the per-worker view handed to a FunctionPass. It embeds the
 // shared BinaryContext for read access (options, file sections, symbol
 // maps) and shadows CountStat with a private shard, so concurrent workers
-// never contend on — or race over — the shared Stats map. Shards are
-// merged back at the pass barrier; int64 addition commutes, so the final
-// Stats are identical for any worker count.
+// never contend on — or race over — the shared registry. Shards are
+// merged back at the pass barrier.
 type FuncCtx struct {
 	*BinaryContext
-	stats map[string]int64
+	stats statShard
 	// Scratch is a byte buffer the worker keeps across the functions it
 	// visits: a pass reslices it to [:0], appends, and stores it back, and
 	// keeps nothing that points into it past RunOnFunction.
 	Scratch []byte
 }
 
-// CountStat bumps a named statistic in the worker-private shard.
-func (fc *FuncCtx) CountStat(name string, delta int64) { fc.stats[name] += delta }
+// CountStat bumps a statistic in the worker-private shard.
+func (fc *FuncCtx) CountStat(s Stat, delta int64) { fc.stats[s] += delta }
 
 // funcPassAdapter lifts a FunctionPass into the Pass pipeline: the
 // PassManager recognizes the adapter and fans the function list out to
@@ -66,7 +65,8 @@ type PassTiming struct {
 	Funcs    int  // functions visited (0 for whole-binary passes)
 	Parallel bool // scheduled on the worker pool
 	Jobs     int  // workers actually used
-	// StatDelta holds the counters this phase added to ctx.Stats.
+	// StatDelta holds the counters this phase changed in ctx.Stats, under
+	// the same rule: a key is present iff its delta is non-zero.
 	StatDelta map[string]int64
 }
 
@@ -78,21 +78,25 @@ type phase struct {
 	ctx         *BinaryContext
 	group, name string
 	start       time.Time
-	before      map[string]int64
+	before      statShard
 }
 
 func (ctx *BinaryContext) begin(group, name string) phase {
-	return phase{ctx: ctx, group: group, name: name, start: time.Now(), before: ctx.metrics().SnapshotCounters()}
+	p := phase{ctx: ctx, group: group, name: name, start: time.Now()}
+	ctx.Metrics.CopyCounts(p.before[:])
+	return p
 }
 
 // end closes the phase over funcs functions on jobs workers.
 func (p phase) end(funcs, jobs int) {
 	wall := time.Since(p.start)
 	p.ctx.Opts.Trace.Phase(p.name, p.start, wall, jobs)
+	var after statShard
+	p.ctx.Metrics.CopyCounts(after[:])
 	p.ctx.Timings = append(p.ctx.Timings, PassTiming{
 		Name: p.name, Group: p.group, Wall: wall,
 		Funcs: funcs, Parallel: jobs > 1, Jobs: jobs,
-		StatDelta: statDelta(p.before, p.ctx.metrics().SnapshotCounters()),
+		StatDelta: statDelta(&p.before, &after),
 	})
 }
 
@@ -162,7 +166,7 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 	jobs = par.Jobs(jobs, len(funcs))
 	workers := make([]*FuncCtx, jobs)
 	for w := range workers {
-		workers[w] = &FuncCtx{BinaryContext: ctx, stats: map[string]int64{}}
+		workers[w] = &FuncCtx{BinaryContext: ctx}
 	}
 	errIdx, err := par.ForTraced(cx, ctx.Opts.Trace, fp.Name(),
 		func(i int) string { return funcs[i].Name },
@@ -170,7 +174,7 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 			return fp.RunOnFunction(workers[w], funcs[i])
 		})
 	for _, fc := range workers {
-		ctx.metrics().Merge(fc.stats)
+		ctx.Metrics.Merge(fc.stats[:])
 	}
 	if err != nil {
 		if errIdx < 0 {
@@ -221,16 +225,16 @@ func Amdahl(timings []PassTiming) AmdahlSummary {
 	return s
 }
 
-// statDelta returns after-before for every changed counter.
-func statDelta(before, after map[string]int64) map[string]int64 {
+// statDelta returns after-before, by name, for every changed counter
+// (the ctx.Stats rule: a key is present iff its value is non-zero).
+func statDelta(before, after *statShard) map[string]int64 {
 	var out map[string]int64
-	//boltvet:sorted-ok map-to-map: the delta is keyed, its renderers sort the keys
-	for k, v := range after {
-		if d := v - before[k]; d != 0 {
+	for s, v := range after {
+		if d := v - before[s]; d != 0 {
 			if out == nil {
 				out = map[string]int64{}
 			}
-			out[k] = d
+			out[Stat(s).String()] = d
 		}
 	}
 	return out

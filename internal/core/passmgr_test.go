@@ -6,11 +6,20 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"gobolt/internal/obsv"
+)
+
+// The test passes borrow declared keys — there is no undeclared Stat.
+const (
+	statTouched = StatICFHashed
+	statBytes   = StatICFBytes
 )
 
 // fakeCtx builds a context with n synthetic simple functions.
 func fakeCtx(n int) *BinaryContext {
-	ctx := &BinaryContext{ByName: map[string]*BinaryFunction{}}
+	ctx := &BinaryContext{ByName: map[string]*BinaryFunction{}, Metrics: obsv.NewRegistry(StatDefs())}
+	ctx.Stats = ctx.Metrics.Counters()
 	for i := 0; i < n; i++ {
 		fn := &BinaryFunction{
 			Name:   fmt.Sprintf("f%03d", i),
@@ -31,8 +40,8 @@ func (touchPass) Name() string { return "touch" }
 
 func (touchPass) RunOnFunction(fc *FuncCtx, fn *BinaryFunction) error {
 	fn.ExecCount++ // worker-private mutation of the handed function
-	fc.CountStat("touched", 1)
-	fc.CountStat("bytes", int64(fn.Size))
+	fc.CountStat(statTouched, 1)
+	fc.CountStat(statBytes, int64(fn.Size))
 	return nil
 }
 
@@ -43,10 +52,10 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 		if err := pm.Run(context.Background(), ctx, []Pass{ForEachFunction(touchPass{})}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		if got := ctx.Stats["touched"]; got != 37 {
+		if got := ctx.Stats[statTouched.String()]; got != 37 {
 			t.Errorf("jobs=%d: touched=%d, want 37", jobs, got)
 		}
-		if got := ctx.Stats["bytes"]; got != 37*16 {
+		if got := ctx.Stats[statBytes.String()]; got != 37*16 {
 			t.Errorf("jobs=%d: bytes=%d, want %d", jobs, got, 37*16)
 		}
 		for _, fn := range ctx.Funcs {
@@ -57,7 +66,7 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 		if len(ctx.Timings) != 1 || ctx.Timings[0].Name != "touch" || ctx.Timings[0].Group != "pass" || ctx.Timings[0].Funcs != 37 {
 			t.Errorf("jobs=%d: bad timing record %+v", jobs, ctx.Timings)
 		}
-		if d := ctx.Timings[0].StatDelta["touched"]; d != 37 {
+		if d := ctx.Timings[0].StatDelta[statTouched.String()]; d != 37 {
 			t.Errorf("jobs=%d: stat delta touched=%d, want 37", jobs, d)
 		}
 	}
@@ -97,13 +106,13 @@ func TestCountStatConcurrencySafe(t *testing.T) {
 	// mutex; hammer it from a parallel pass to prove the fallback path.
 	ctx := fakeCtx(64)
 	direct := passFunc{name: "direct", fn: func(fc *FuncCtx, f *BinaryFunction) error {
-		fc.BinaryContext.CountStat("direct", 1)
+		fc.BinaryContext.CountStat(statTouched, 1)
 		return nil
 	}}
 	if err := NewPassManager(8).Run(context.Background(), ctx, []Pass{ForEachFunction(direct)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Stats["direct"]; got != 64 {
+	if got := ctx.Stats[statTouched.String()]; got != 64 {
 		t.Errorf("direct=%d, want 64", got)
 	}
 }
@@ -127,12 +136,12 @@ func TestWriteTimingsReport(t *testing.T) {
 	// A stage outside the pass manager records itself the same way, stat
 	// delta included.
 	ph := ctx.begin("load", "profile:infer")
-	ctx.CountStat("profile-inferred-funcs", 3)
+	ctx.CountStat(StatProfileInferredFuncs, 3)
 	ph.end(3, 1)
 	var sb strings.Builder
 	WriteTimings(&sb, ctx.Timings)
 	out := sb.String()
-	for _, want := range []string{"Pass execution timing report", "touch", "funcs", "touched=+5", "profile-inferred-funcs=+3"} {
+	for _, want := range []string{"Pass execution timing report", "touch", "funcs", "icf-hashed=+5", "profile-inferred-funcs=+3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -176,7 +185,7 @@ func TestPassManagerCancellationMidPipeline(t *testing.T) {
 		if ranAfter {
 			t.Fatalf("jobs=%d: pass after cancellation still ran", jobs)
 		}
-		if got := ctx.Stats["touched"]; got != 16 {
+		if got := ctx.Stats[statTouched.String()]; got != 16 {
 			t.Errorf("jobs=%d: pre-cancel pass incomplete: touched=%d", jobs, got)
 		}
 	}
@@ -193,7 +202,7 @@ func TestPassManagerCancelledFunctionPass(t *testing.T) {
 		if f.Name == "f005" {
 			cancel()
 		}
-		fc.CountStat("visited", 1)
+		fc.CountStat(statTouched, 1)
 		return nil
 	}}
 	err := NewPassManager(4).Run(cx, ctx, []Pass{ForEachFunction(trigger)})
@@ -203,7 +212,7 @@ func TestPassManagerCancelledFunctionPass(t *testing.T) {
 	if strings.Contains(err.Error(), "f0") {
 		t.Errorf("cancellation error blamed a function: %v", err)
 	}
-	if got := ctx.Stats["visited"]; got == 0 || got >= 512 {
+	if got := ctx.Stats[statTouched.String()]; got == 0 || got >= 512 {
 		t.Errorf("visited=%d, want partial progress (0 < n < 512)", got)
 	}
 }

@@ -124,21 +124,21 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	// histogram are observed in function order, so both are identical
 	// for every worker count.
 	var vb, tb, va, ta uint64
-	reg := ctx.metrics()
+	reg := ctx.Metrics
 	for i, t := range terms {
 		vb += t.violBefore
 		tb += t.totalBefore
 		va += t.violAfter
 		ta += t.totalAfter
-		reg.Observe(MetricFlowAccuracy, funcs[i].Name, funcs[i].ProfileAcc)
+		reg.Observe(int(StatFlowAccuracy), funcs[i].Name, funcs[i].ProfileAcc)
 	}
 	ctx.FlowAccBefore = accFromViolation(vb, tb)
 	ctx.FlowAccAfter = accFromViolation(va, ta)
-	reg.SetGauge(MetricFlowAccBefore, ctx.FlowAccBefore)
-	reg.SetGauge(MetricFlowAccAfter, ctx.FlowAccAfter)
+	reg.SetGauge(int(StatFlowAccBefore), ctx.FlowAccBefore)
+	reg.SetGauge(int(StatFlowAccAfter), ctx.FlowAccAfter)
 	if useMCF {
 		ctx.InferredFuncs = len(funcs)
-		ctx.CountStat("profile-inferred-funcs", int64(len(funcs)))
+		ctx.CountStat(StatProfileInferredFuncs, int64(len(funcs)))
 	}
 	ph.end(len(funcs), jobs)
 	return nil
@@ -181,7 +181,7 @@ func (sm *staleMatcher) lookup(fn *BinaryFunction) *staleFunc {
 func (sm *staleMatcher) install(fn *BinaryFunction, sf *staleFunc) {
 	sm.cache[fn] = sf
 	if sf != nil {
-		sm.ctx.CountStat("profile-stale-funcs", 1)
+		sm.ctx.CountStat(StatProfileStaleFuncs, 1)
 		observeStaleQuality(sm.ctx, fn, sf)
 	}
 }
@@ -194,7 +194,7 @@ func observeStaleQuality(ctx *BinaryContext, fn *BinaryFunction, sf *staleFunc) 
 		return
 	}
 	q := float64(len(sf.blockMap)) / float64(len(sf.old.Blocks))
-	ctx.metrics().Observe(MetricStaleMatchQuality, fn.Name, q)
+	ctx.Metrics.Observe(int(StatStaleMatchQuality), fn.Name, q)
 }
 
 // compute builds fn's stale state without touching the shared cache or
@@ -230,21 +230,8 @@ type funcRecs struct {
 	sf   *staleFunc
 }
 
-// applyCounts is one worker's shard of the count-weighted profile stats;
-// shards merge commutatively at the join, so totals match a serial apply
-// exactly.
-type applyCounts struct {
-	edge, sample, ignored, drop, stale, staleDrop uint64
-}
-
-func (c *applyCounts) add(o applyCounts) {
-	c.edge += o.edge
-	c.sample += o.sample
-	c.ignored += o.ignored
-	c.drop += o.drop
-	c.stale += o.stale
-	c.staleDrop += o.staleDrop
-}
+// add counts a profile record of weight n under s.
+func (c *statShard) add(s Stat, n uint64) { c[s] += int64(n) }
 
 // bucketFor returns the funcRecs shard for fn, creating it on first use.
 func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, idx map[*BinaryFunction]int) *funcRecs {
@@ -261,11 +248,10 @@ func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, idx map[*BinaryFunction
 // function's records are applied by one worker (stale matching,
 // instruction lookup, edge attach — the expensive part) counting into a
 // per-worker shard. At the serial join the per-bucket stale results move
-// into the shared matcher cache and the shards fold into the returned
-// totals.
-func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (c applyCounts, jobs int, err error) {
+// into the shared matcher cache and the shards merge into the registry.
+func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (jobs int, err error) {
 	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
-	shards := make([]applyCounts, jobs)
+	shards := make([]statShard, jobs)
 	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:apply",
 		func(i int) string { return buckets[i].fn.Name },
 		len(buckets), jobs, func(w, i int) error {
@@ -281,7 +267,7 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 			}
 			return nil
 		}); err != nil {
-		return c, jobs, err
+		return jobs, err
 	}
 	if sm != nil {
 		for _, b := range buckets {
@@ -289,17 +275,9 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 		}
 	}
 	for i := range shards {
-		c.add(shards[i])
+		ctx.Metrics.Merge(shards[i][:])
 	}
-	return c, jobs, nil
-}
-
-// countProfile bumps a count-weighted profile stat, skipping zeros so
-// absent categories leave no key.
-func (ctx *BinaryContext) countProfile(key string, n uint64) {
-	if n > 0 {
-		ctx.CountStat(key, int64(n))
-	}
+	return jobs, nil
 }
 
 // applyLBR attaches branch records in three phases: a serial classify
@@ -315,16 +293,16 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		fromFn, toFn *BinaryFunction
 		br           profile.Branch
 	}
-	var total, drop, ignored uint64
+	var c statShard // the serial classify pass and call tail count here
 	var buckets []*funcRecs
 	idx := map[*BinaryFunction]int{}
 	var calls []callRec
 	for _, br := range fd.Branches {
-		total += br.Count
+		c.add(StatProfileTotalCount, br.Count)
 		fromFn := ctx.ByName[br.From.Sym]
 		toFn := ctx.ByName[br.To.Sym]
 		if fromFn == nil || toFn == nil {
-			drop += br.Count
+			c.add(StatProfileDropCount, br.Count)
 			continue
 		}
 		// Same-function records inside a non-simple function carry no
@@ -333,7 +311,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		// ExecCount and invent a self CallEdges entry).
 		if fromFn == toFn && !fromFn.Simple {
 			fromFn.Sampled = true
-			ignored += br.Count
+			c.add(StatProfileIgnoredCount, br.Count)
 			continue
 		}
 		if fromFn == toFn {
@@ -344,23 +322,22 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		calls = append(calls, callRec{fromFn, toFn, br})
 	}
 
-	c, jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	jobs, err := ctx.applyBuckets(cx, sm, buckets)
 	if err != nil {
 		return len(buckets), jobs, err
 	}
-	var callCount uint64
 	for _, cr := range calls {
 		br := cr.br
 		if br.To.Off != 0 {
 			// Returns land mid-function; they carry no CFG information.
-			ignored += br.Count
+			c.add(StatProfileIgnoredCount, br.Count)
 			continue
 		}
 		// Call, tail call, or conditional tail call into toFn's entry.
 		cr.toFn.ExecCount += br.Count
 		cr.toFn.Sampled = true
 		ctx.CallEdges[[2]string{cr.fromFn.Name, cr.toFn.Name}] += br.Count
-		callCount += br.Count
+		c.add(StatProfileCallCount, br.Count)
 		if cr.fromFn.Simple {
 			cr.fromFn.Sampled = true
 			if sf := sm.lookup(cr.fromFn); sf == nil || !sf.stale {
@@ -379,19 +356,13 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		}
 	}
 
-	ctx.countProfile("profile-total-count", total)
-	ctx.countProfile("profile-edge-count", c.edge)
-	ctx.countProfile("profile-call-count", callCount)
-	ctx.countProfile("profile-ignored-count", ignored+c.ignored)
-	ctx.countProfile("profile-drop-count", drop+c.drop)
-	ctx.countProfile("profile-stale-count", c.stale)
-	ctx.countProfile("profile-stale-drop-count", c.staleDrop)
+	ctx.Metrics.Merge(c[:])
 	return len(buckets), jobs, nil
 }
 
 // applyIntraBranch applies one same-function branch record. All state it
 // mutates belongs to fn; counts accumulate into the worker's shard.
-func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *applyCounts) {
+func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *statShard) {
 	// Shape mismatch: this binary is a different build than the profiled
 	// one; route every intra-function record through the block matcher
 	// (raw offsets would at best miss, at worst hit an unrelated
@@ -399,14 +370,14 @@ func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *a
 	if sf != nil && sf.stale {
 		switch applyStaleBranch(fn, sf, br) {
 		case staleApplied:
-			c.stale += br.Count
+			c.add(StatProfileStaleCount, br.Count)
 		case staleIgnored:
 			// Same classification the fresh path would give the record
 			// (returns, non-branch sources): no CFG info, but nothing
 			// recoverable was lost either.
-			c.ignored += br.Count
+			c.add(StatProfileIgnoredCount, br.Count)
 		case staleDropped:
-			c.staleDrop += br.Count
+			c.add(StatProfileStaleDropCount, br.Count)
 		}
 		return
 	}
@@ -414,30 +385,30 @@ func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *a
 	toAddr := fn.Addr + br.To.Off
 	fb, fi := fn.instAt(fromAddr)
 	if fb == nil {
-		c.drop += br.Count
+		c.add(StatProfileDropCount, br.Count)
 		return
 	}
 	fn.Sampled = true
 	// Return-to-self or call-to-self noise: only branch sources
 	// contribute to edges.
 	if !fi.I.IsBranch() {
-		c.ignored += br.Count
+		c.add(StatProfileIgnoredCount, br.Count)
 		return
 	}
 	tb := fn.BlockAt(toAddr)
 	if tb == nil {
-		c.drop += br.Count
+		c.add(StatProfileDropCount, br.Count)
 		return
 	}
 	for k := range fb.Succs {
 		if fb.Succs[k].To == tb {
 			fb.Succs[k].Count += br.Count
 			fb.Succs[k].Mispreds += br.Mispreds
-			c.edge += br.Count
+			c.add(StatProfileEdgeCount, br.Count)
 			return
 		}
 	}
-	c.drop += br.Count
+	c.add(StatProfileDropCount, br.Count)
 }
 
 // staleOutcome classifies one stale record's fate, mirroring the fresh
@@ -491,29 +462,25 @@ func applyStaleBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch) stal
 // touch their own function's blocks, so there is no serial tail beyond
 // stat folding.
 func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm *staleMatcher) (int, int, error) {
-	var total, drop uint64
+	var c statShard // the serial classify pass counts here
 	var buckets []*funcRecs
 	idx := map[*BinaryFunction]int{}
 	for _, s := range fd.Samples {
-		total += s.Count
+		c.add(StatProfileTotalCount, s.Count)
 		fn := ctx.ByName[s.At.Sym]
 		if fn == nil || !fn.Simple {
-			drop += s.Count
+			c.add(StatProfileDropCount, s.Count)
 			continue
 		}
 		b := bucketFor(fn, &buckets, idx)
 		b.smps = append(b.smps, s)
 	}
 
-	c, jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	jobs, err := ctx.applyBuckets(cx, sm, buckets)
 	if err != nil {
 		return len(buckets), jobs, err
 	}
-	ctx.countProfile("profile-total-count", total)
-	ctx.countProfile("profile-sample-count", c.sample)
-	ctx.countProfile("profile-drop-count", drop+c.drop)
-	ctx.countProfile("profile-stale-count", c.stale)
-	ctx.countProfile("profile-stale-drop-count", c.staleDrop)
+	ctx.Metrics.Merge(c[:])
 	// Function exec counts are derived after inference (inferStage): the
 	// entry block's own sample count understates hot functions whose
 	// entry is short and rarely sampled, so the entry *in-flow* decides.
@@ -521,26 +488,26 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 }
 
 // applySample applies one PC sample to fn's blocks (fn-local state only).
-func applySample(fn *BinaryFunction, sf *staleFunc, s profile.Sample, c *applyCounts) {
+func applySample(fn *BinaryFunction, sf *staleFunc, s profile.Sample, c *statShard) {
 	if sf != nil && sf.stale {
 		oldIdx := stale.BlockAtOff(sf.old.Blocks, s.At.Off)
 		if b := sf.blockMap[oldIdx]; oldIdx >= 0 && b != nil {
 			b.ExecCount += s.Count
 			fn.Sampled = true
-			c.stale += s.Count
+			c.add(StatProfileStaleCount, s.Count)
 		} else {
-			c.staleDrop += s.Count
+			c.add(StatProfileStaleDropCount, s.Count)
 		}
 		return
 	}
 	b := fn.blockContaining(fn.Addr + s.At.Off)
 	if b == nil {
-		c.drop += s.Count
+		c.add(StatProfileDropCount, s.Count)
 		return
 	}
 	b.ExecCount += s.Count
 	fn.Sampled = true
-	c.sample += s.Count
+	c.add(StatProfileSampleCount, s.Count)
 }
 
 // isCondTerm reports whether block b ends in a conditional branch with a

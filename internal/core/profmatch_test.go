@@ -261,15 +261,12 @@ func lbrRecords(fn *BinaryFunction, scale uint64) []profile.Branch {
 // statSum asserts the documented invariant straight from the registry
 // definitions: every counter declared with SumTo partitions its parent
 // exactly (for the profile keys, profile-total-count). The key list
-// lives in StatDefs, so a new outcome key added without declaring it
-// fails here — not by drifting out of a hand-written sum.
+// lives in statDefs, and an outcome cannot be counted without a Stat
+// declared there, so none can drift out of a hand-written sum.
 func statSum(t *testing.T, ctx *BinaryContext, label string) {
 	t.Helper()
 	if err := ctx.Metrics.CheckSums(); err != nil {
 		t.Errorf("%s: %v (stats: %v)", label, err, ctx.Stats)
-	}
-	if und := ctx.Metrics.Undeclared(); len(und) > 0 {
-		t.Errorf("%s: undeclared stat keys recorded: %v", label, und)
 	}
 	if ctx.Stats["profile-total-count"] == 0 {
 		t.Errorf("%s: no records counted", label)

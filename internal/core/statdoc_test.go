@@ -30,3 +30,21 @@ func TestReadmeStatKeysInSync(t *testing.T) {
 		t.Errorf("README stat-key table is stale; regenerate from core.StatKeyDoc().\nwant:\n%s", want)
 	}
 }
+
+// TestStatDefsComplete catches the one gap the Stat type leaves open: a
+// constant added without a row in statDefs (an empty Def), or two rows
+// under one name. The names themselves are pinned by the README table.
+func TestStatDefsComplete(t *testing.T) {
+	seen := map[string]Stat{}
+	for s := Stat(0); s < numStats; s++ {
+		d := statDefs[s]
+		if d.Name == "" || d.Help == "" {
+			t.Errorf("Stat %d has no row in statDefs: %+v", s, d)
+			continue
+		}
+		if prev, dup := seen[d.Name]; dup {
+			t.Errorf("Stat %d and %d share the name %q", prev, s, d.Name)
+		}
+		seen[d.Name] = s
+	}
+}

@@ -126,16 +126,6 @@ func (f *File) AddSection(s *Section) *Section {
 	return s
 }
 
-// RemoveSection deletes the named section if present.
-func (f *File) RemoveSection(name string) {
-	for i, s := range f.Sections {
-		if s.Name == name {
-			f.Sections = append(f.Sections[:i], f.Sections[i+1:]...)
-			return
-		}
-	}
-}
-
 // SectionFor returns the allocatable section containing vaddr, or nil.
 func (f *File) SectionFor(vaddr uint64) *Section {
 	for _, s := range f.Sections {

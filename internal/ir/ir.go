@@ -251,16 +251,6 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
-// GlobalByName finds a global.
-func (p *Program) GlobalByName(name string) *Global {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
 // NumFuncs counts all functions.
 func (p *Program) NumFuncs() int {
 	n := 0

@@ -120,9 +120,6 @@ func (i *Inst) IsReturn() bool { return i.Op == RET || i.Op == REPZRET }
 // IsTerminator reports whether the instruction ends a basic block.
 func (i *Inst) IsTerminator() bool { return i.IsBranch() || i.Op == UD2 || i.Op == HLT }
 
-// IsNop reports alignment filler.
-func (i *Inst) IsNop() bool { return i.Op == NOP }
-
 // HasMem reports whether the instruction has a memory operand.
 func (i *Inst) HasMem() bool {
 	switch i.Op {
@@ -131,18 +128,6 @@ func (i *Inst) HasMem() bool {
 	}
 	return false
 }
-
-// IsLoad reports a data-memory read.
-func (i *Inst) IsLoad() bool {
-	switch i.Op {
-	case MOVrm, MOVZXBrm, MOVSXDrm, JMPm, CALLm:
-		return true
-	}
-	return false
-}
-
-// IsStore reports a data-memory write. PUSH also writes the stack.
-func (i *Inst) IsStore() bool { return i.Op == MOVmr || i.Op == PUSH }
 
 // Uses returns the set of registers read by the instruction.
 // Call semantics: argument registers (RDI, RSI, RDX, RCX, R8, R9) are

@@ -120,16 +120,6 @@ func (c Cond) String() string {
 // x86 encodes inversion by flipping the low bit.
 func (c Cond) Invert() Cond { return c ^ 1 }
 
-// CondFromName parses a condition mnemonic suffix ("e", "ne", "l", ...).
-func CondFromName(s string) (Cond, bool) {
-	for i, n := range condNames {
-		if n == s {
-			return Cond(i), true
-		}
-	}
-	return 0, false
-}
-
 // RegSet is a bitset over the 16 general-purpose registers plus the FLAGS
 // pseudo-register (bit 16). It is the currency of the liveness analysis
 // used by the frame-opts and shrink-wrapping passes.
@@ -154,9 +144,6 @@ func (s RegSet) Remove(r Reg) RegSet { return s &^ RegMask(r) }
 
 // Has reports whether r is in s.
 func (s RegSet) Has(r Reg) bool { return s&RegMask(r) != 0 }
-
-// Union returns the set union.
-func (s RegSet) Union(t RegSet) RegSet { return s | t }
 
 // CallerSavedSet is the set of all caller-saved registers.
 func CallerSavedSet() RegSet {

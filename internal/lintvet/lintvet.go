@@ -1,7 +1,9 @@
 // Package lintvet is the in-tree static-analysis suite ("boltvet")
 // that promotes the repo's house invariants — byte-identical output
-// across -jobs, zero-alloc hot phases, declared-stat-key discipline,
-// context plumbing — from runtime tests to compile-time checks. It is
+// across -jobs, zero-alloc hot phases, context plumbing — from runtime
+// tests to compile-time checks. Invariants a type can hold (declared stat
+// keys: core.Stat; the emission-symbol layout: obj.SymID) are left to the
+// compiler and have no analyzer. It is
 // a deliberately small re-implementation of the golang.org/x/tools
 // go/analysis surface on the standard library alone: packages are
 // loaded through `go list -export` (the go command resolves the
@@ -41,10 +43,7 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// A Pass carries one package's typed syntax to an analyzer, plus the
-// run-wide fact store (packages are visited in dependency order, so a
-// fact exported by internal/core is visible when internal/passes or
-// bolt is analyzed).
+// A Pass carries one package's typed syntax to an analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Path     string // import path of the package under analysis
@@ -52,7 +51,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	Facts    *Facts
 
 	report func(Diagnostic)
 }
@@ -77,20 +75,6 @@ type Diagnostic struct {
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
-
-// Facts is the cross-package blackboard shared by one Run: analyzers
-// on early packages deposit values that analyzers on importing
-// packages consume (the statkey analyzer publishes core.StatDefs()'s
-// declared key set this way).
-type Facts struct {
-	m map[string]any
-}
-
-// Set stores a fact under key.
-func (f *Facts) Set(key string, v any) { f.m[key] = v }
-
-// Get returns the fact stored under key, or nil.
-func (f *Facts) Get(key string) any { return f.m[key] }
 
 // DirectivePrefix introduces every boltvet comment directive.
 const DirectivePrefix = "//boltvet:"

@@ -3,6 +3,11 @@ package lintvet
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -42,22 +47,6 @@ func TestHotAlloc(t *testing.T) {
 	checkTestdata(t, []*Analyzer{HotAlloc}, "internal/lintvet/testdata/src/hotalloc")
 }
 
-func TestStatKey(t *testing.T) {
-	// Two packages: defs declares (its StatDefs is harvested first —
-	// dependency order), statkey records against the harvested set.
-	checkTestdata(t, []*Analyzer{StatKey},
-		"internal/lintvet/testdata/src/statkey/defs",
-		"internal/lintvet/testdata/src/statkey")
-}
-
-func TestSymID(t *testing.T) {
-	// Two packages: the /obj stand-in owns the layout (its raw bit
-	// manipulation is legal), symid consumes it and violates.
-	checkTestdata(t, []*Analyzer{SymID},
-		"internal/lintvet/testdata/src/symid/obj",
-		"internal/lintvet/testdata/src/symid")
-}
-
 func TestCtxThread(t *testing.T) {
 	checkTestdata(t, []*Analyzer{CtxThread}, "internal/lintvet/testdata/src/ctxthread")
 }
@@ -77,7 +66,7 @@ func TestDirectiveGrammar(t *testing.T) {
 // README's "Static analysis" section names each one with its
 // directive.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"mapiter", "hotalloc", "statkey", "ctxthread", "floatorder", "symid"}
+	want := []string{"mapiter", "hotalloc", "ctxthread", "floatorder"}
 	all := All()
 	var got []string
 	for _, a := range all {
@@ -111,6 +100,49 @@ func TestAnalyzerRegistry(t *testing.T) {
 		}
 		if !strings.Contains(string(readme), "boltvet:"+a.Directive) {
 			t.Errorf("README.md does not document directive boltvet:%s", a.Directive)
+		}
+	}
+}
+
+// TestTypesHoldInvariants proves that the two invariants boltvet no
+// longer polices — obj.SymID's bit layout belongs to internal/obj, every
+// stat key is declared in core — are compile errors: each snippet is
+// type-checked from outside both packages against their real sources and
+// must be rejected.
+func TestTypesHoldInvariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks internal/core and its imports from source")
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	check := func(body string) error {
+		src := `package probe
+
+import (
+	"gobolt/internal/core"
+	"gobolt/internal/obj"
+)
+
+func _(sym obj.SymID, fc *core.FuncCtx) { ` + body + ` }
+`
+		f, err := parser.ParseFile(fset, "probe.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = (&types.Config{Importer: imp}).Check("probe", fset, []*ast.File{f}, nil)
+		return err
+	}
+	if err := check(`_ = sym.Kind(); fc.CountStat(core.StatICFFolded, 1)`); err != nil {
+		t.Fatalf("control snippet must type-check: %v", err)
+	}
+	for _, tc := range []struct{ body, want string }{
+		{`_ = sym >> 61`, "shift"},
+		{`_ = obj.SymID(7)`, "cannot convert 7"},
+		{`_ = uint64(sym)`, "cannot convert sym"},
+		{`fc.CountStat("icf-foldd", 1)`, `cannot use "icf-foldd"`},
+	} {
+		if err := check(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want a type error containing %q", tc.body, err, tc.want)
 		}
 	}
 }

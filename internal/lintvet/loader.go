@@ -24,7 +24,6 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
-	Imports    []string
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
@@ -33,7 +32,6 @@ type listedPkg struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -45,14 +43,13 @@ type listedPkg struct {
 // -deps` compiles every dependency and hands back export-data paths,
 // which a gc importer consumes, so the loader needs no network, no
 // third-party machinery, and no GOPATH assumptions. Packages come
-// back topologically sorted (dependencies before dependents) so
-// cross-package facts flow forward.
+// back sorted by import path.
 func Load(moduleDir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,GoFiles,Imports,Export,Standard,DepOnly"}, patterns...)
+		"-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleDir
 	var stderr bytes.Buffer
@@ -90,8 +87,9 @@ func Load(moduleDir string, patterns []string) ([]*Package, error) {
 		return os.Open(f)
 	})
 
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 	var pkgs []*Package
-	for _, t := range topoSort(targets) {
+	for _, t := range targets {
 		p, err := typeCheck(fset, imp, t)
 		if err != nil {
 			return nil, err
@@ -99,35 +97,6 @@ func Load(moduleDir string, patterns []string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// topoSort orders targets so that every target is preceded by the
-// targets it imports; ties break on import path so runs are stable.
-func topoSort(targets []*listedPkg) []*listedPkg {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	byPath := make(map[string]*listedPkg, len(targets))
-	for _, t := range targets {
-		byPath[t.ImportPath] = t
-	}
-	seen := make(map[string]bool, len(targets))
-	out := make([]*listedPkg, 0, len(targets))
-	var visit func(*listedPkg)
-	visit = func(t *listedPkg) {
-		if seen[t.ImportPath] {
-			return
-		}
-		seen[t.ImportPath] = true
-		for _, imp := range t.Imports {
-			if dep := byPath[imp]; dep != nil {
-				visit(dep)
-			}
-		}
-		out = append(out, t)
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	return out
 }
 
 // typeCheck parses and type-checks one target from source. Imports —
@@ -162,6 +131,5 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPkg) (*Package,
 		Files:      files,
 		Pkg:        pkg,
 		Info:       info,
-		Imports:    t.Imports,
 	}, nil
 }

@@ -16,17 +16,15 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter,
 		HotAlloc,
-		StatKey,
 		CtxThread,
 		FloatOrder,
-		SymID,
 	}
 }
 
 // Run loads patterns from moduleDir and applies every analyzer,
-// returning the surviving diagnostics sorted by position. Packages
-// are visited in dependency order so facts (like the declared
-// stat-key set) flow from core to its importers; per-file directive
+// returning the surviving diagnostics sorted by position. Every
+// analyzer judges a package on its own, so none depends on the order
+// packages are visited in (Load's import-path order); per-file directive
 // state is shared across analyzers so suppression bookkeeping —
 // including the stale-directive check — sees the whole run.
 func Run(moduleDir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -47,7 +45,6 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 
-	facts := &Facts{m: make(map[string]any)}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := make(map[*ast.File]*fileDirectives, len(pkg.Files))
@@ -62,7 +59,6 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
-				Facts:    facts,
 			}
 			pass.report = func(d Diagnostic) {
 				if fd := dirs[fileOf(pkg, d)]; fd.suppresses(a.Directive, d.Pos.Line) {

@@ -2,7 +2,6 @@ package lintvet
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -35,17 +34,6 @@ func isPkgFunc(f *types.Func, pathSuffix, name string) bool {
 	}
 	p := f.Pkg().Path()
 	return p == pathSuffix || strings.HasSuffix(p, "/"+pathSuffix)
-}
-
-// constString returns the compile-time string value of e, if any.
-// Both plain literals and named constants (core.MetricFlowAccuracy)
-// resolve, because go/types folds them.
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }
 
 // isMapType reports whether e's type is (or aliases) a map.

@@ -1,6 +1,9 @@
 package obj
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestSymIDRoundTrip(t *testing.T) {
 	f := FuncSym(12345)
@@ -27,7 +30,7 @@ func TestSymIDRoundTrip(t *testing.T) {
 
 func TestSymIDDistinct(t *testing.T) {
 	// The kind tag must separate payloads that share raw bits.
-	if FuncSym(1) == SymID(1) || BlockSym(0, 1) == AbsSym(1) {
+	if FuncSym(1) == (SymID{1}) || BlockSym(0, 1) == AbsSym(1) {
 		t.Error("kinds collide on equal payloads")
 	}
 	// Block index and function ordinal occupy disjoint fields.
@@ -35,5 +38,16 @@ func TestSymIDDistinct(t *testing.T) {
 	y := BlockSym(5, 3)
 	if x == y {
 		t.Error("BlockSym(3,5) == BlockSym(5,3)")
+	}
+}
+
+// TestSymIDLayout pins what the emitter's relocation slices rely on: the
+// opaque struct costs nothing over the integer it wraps.
+func TestSymIDLayout(t *testing.T) {
+	if n := unsafe.Sizeof(SymID{}); n != 8 {
+		t.Errorf("SymID is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(Reloc{}); n != 40 {
+		t.Errorf("Reloc is %d bytes, want 40", n)
 	}
 }

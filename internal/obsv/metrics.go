@@ -111,129 +111,97 @@ type Snapshot struct {
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Registry is the typed home for the pipeline's stats. Its counter
-// storage is a plain map[string]int64 exposed via Counters() — the
-// engine aliases that map as ctx.Stats, so every existing reader keeps
-// working while the registry is the source of truth. Unknown counter
-// names are accepted (shard merging must never panic mid-pipeline) but
-// tracked as undeclared so a test can fail on key drift.
+// Registry is the typed home for the pipeline's stats. A metric is
+// addressed by its index in the definitions the registry was built from
+// — the engine's typed keys (core.Stat) are exactly those indices — so no
+// method takes a name and an undeclared metric cannot be recorded.
+// Counters live in vals; counters is the by-name view of the same values,
+// handed out by Counters() and aliased by the engine as ctx.Stats. A
+// counter has a key there iff its value is non-zero.
 type Registry struct {
-	mu         sync.Mutex
-	defs       []Def
-	declared   map[string]Def
-	counters   map[string]int64
-	gauges     map[string]float64
-	hists      map[string]*Histogram
-	histOrder  []string
-	undeclared map[string]bool
+	mu       sync.Mutex
+	defs     []Def
+	vals     []int64 // counter values by definition index
+	counters map[string]int64
+	gauges   map[string]float64
+	hists    []*Histogram // by definition index; nil for non-histograms
 }
 
 // NewRegistry builds a registry from metric definitions. Histogram defs
 // must carry ascending bucket bounds.
 func NewRegistry(defs []Def) *Registry {
 	r := &Registry{
-		declared:   make(map[string]Def, len(defs)),
-		counters:   make(map[string]int64),
-		gauges:     make(map[string]float64),
-		hists:      make(map[string]*Histogram),
-		undeclared: make(map[string]bool),
+		defs:     append([]Def(nil), defs...),
+		vals:     make([]int64, len(defs)),
+		counters: make(map[string]int64),
+		gauges:   make(map[string]float64),
+		hists:    make([]*Histogram, len(defs)),
 	}
-	r.defs = append(r.defs, defs...)
-	for _, d := range defs {
-		r.declared[d.Name] = d
+	for id, d := range defs {
 		if d.Kind == HistogramKind {
-			r.hists[d.Name] = &Histogram{def: d, counts: make([]int64, len(d.Buckets)+1)}
-			r.histOrder = append(r.histOrder, d.Name)
+			r.hists[id] = &Histogram{def: d, counts: make([]int64, len(d.Buckets)+1)}
 		}
 	}
 	return r
 }
 
-// Defs returns the declared definitions in registration order.
-func (r *Registry) Defs() []Def { return append([]Def(nil), r.defs...) }
-
-// Counters returns the live counter map. The engine aliases this as
-// the compatibility ctx.Stats view; readers between phases see current
-// values, and the registry's own mutators go through the same storage.
+// Counters returns the live by-name counter map. The engine aliases this
+// as the compatibility ctx.Stats view; readers between phases see current
+// values.
 func (r *Registry) Counters() map[string]int64 { return r.counters }
 
-// Add bumps a counter by delta.
-func (r *Registry) Add(name string, delta int64) {
+// Add bumps counter id by delta.
+func (r *Registry) Add(id int, delta int64) {
 	r.mu.Lock()
-	r.bump(name, delta)
+	r.bump(id, delta)
 	r.mu.Unlock()
 }
 
-// Merge folds a per-worker shard into the counters; merging is
-// commutative so barrier joins stay deterministic.
-func (r *Registry) Merge(shard map[string]int64) {
-	if len(shard) == 0 {
+// Merge folds a per-worker shard (one slot per definition) into the
+// counters; merging is commutative so barrier joins stay deterministic.
+func (r *Registry) Merge(shard []int64) {
+	r.mu.Lock()
+	for id, v := range shard {
+		r.bump(id, v)
+	}
+	r.mu.Unlock()
+}
+
+func (r *Registry) bump(id int, delta int64) {
+	if delta == 0 {
 		return
 	}
-	r.mu.Lock()
-	for k, v := range shard {
-		r.bump(k, v)
+	r.vals[id] += delta
+	if v := r.vals[id]; v != 0 {
+		r.counters[r.defs[id].Name] = v
+	} else {
+		delete(r.counters, r.defs[id].Name)
 	}
+}
+
+// SetGauge records a point-in-time value for gauge id.
+func (r *Registry) SetGauge(id int, v float64) {
+	r.mu.Lock()
+	r.gauges[r.defs[id].Name] = v
 	r.mu.Unlock()
 }
 
-func (r *Registry) bump(name string, delta int64) {
-	if _, ok := r.declared[name]; !ok {
-		r.undeclared[name] = true
-	}
-	r.counters[name] += delta
-}
-
-// SetGauge records a point-in-time value.
-func (r *Registry) SetGauge(name string, v float64) {
-	r.mu.Lock()
-	if _, ok := r.declared[name]; !ok {
-		r.undeclared[name] = true
-	}
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Observe records a labeled value into a declared histogram. Observing
-// an undeclared histogram is recorded as drift but otherwise dropped —
-// production paths must not panic.
-func (r *Registry) Observe(name, label string, v float64) {
+// Observe records a labeled value into histogram id.
+func (r *Registry) Observe(id int, label string, v float64) {
 	if math.IsNaN(v) {
 		return
 	}
 	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		r.undeclared[name] = true
-	} else {
-		h.observe(label, v)
-	}
+	r.hists[id].observe(label, v)
 	r.mu.Unlock()
 }
 
-// Undeclared returns the sorted names that were used without a
-// definition — the drift a registry-driven test fails on.
-func (r *Registry) Undeclared() []string {
+// CopyCounts copies the counter values, by definition index, into dst
+// (the pass manager's stat-delta bookkeeping).
+func (r *Registry) CopyCounts(dst []int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for k := range r.undeclared {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SnapshotCounters copies the counter map (the pass manager's
-// stat-delta bookkeeping).
-func (r *Registry) SnapshotCounters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
+	copy(dst, r.vals)
+	r.mu.Unlock()
 }
 
 // Snapshot copies the whole registry for a run report. Histograms with
@@ -251,13 +219,12 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Gauges[k] = v
 		}
 	}
-	for _, name := range r.histOrder {
-		h := r.hists[name]
-		if h.count == 0 {
+	for _, h := range r.hists {
+		if h == nil || h.count == 0 {
 			continue
 		}
 		s.Histograms = append(s.Histograms, HistogramSnapshot{
-			Name:    name,
+			Name:    h.def.Name,
 			Count:   h.count,
 			Sum:     h.sum,
 			Min:     h.min,

@@ -5,59 +5,68 @@ import (
 	"testing"
 )
 
+// Metric ids are indices into testDefs.
+const (
+	idTotal = iota
+	idA
+	idB
+	idG
+	idH
+)
+
 func testDefs() []Def {
 	return []Def{
-		{Name: "total", Kind: Counter, Help: "parent"},
-		{Name: "a", Kind: Counter, Help: "part a", SumTo: "total"},
-		{Name: "b", Kind: Counter, Help: "part b", SumTo: "total"},
-		{Name: "g", Kind: Gauge, Help: "a gauge"},
-		{Name: "h", Kind: HistogramKind, Help: "a hist", Buckets: []float64{0.5, 1.0}},
+		idTotal: {Name: "total", Kind: Counter, Help: "parent"},
+		idA:     {Name: "a", Kind: Counter, Help: "part a", SumTo: "total"},
+		idB:     {Name: "b", Kind: Counter, Help: "part b", SumTo: "total"},
+		idG:     {Name: "g", Kind: Gauge, Help: "a gauge"},
+		idH:     {Name: "h", Kind: HistogramKind, Help: "a hist", Buckets: []float64{0.5, 1.0}},
 	}
 }
 
 func TestCountersAliasAndMerge(t *testing.T) {
 	r := NewRegistry(testDefs())
 	stats := r.Counters()
-	r.Add("a", 3)
-	r.Merge(map[string]int64{"b": 4, "total": 7})
-	if stats["a"] != 3 || stats["b"] != 4 || stats["total"] != 7 {
+	r.Add(idA, 3)
+	r.Merge([]int64{idB: 4, idTotal: 7, idH: 0})
+	if !reflect.DeepEqual(stats, map[string]int64{"a": 3, "b": 4, "total": 7}) {
 		t.Fatalf("aliased map = %v", stats)
 	}
 	if err := r.CheckSums(); err != nil {
 		t.Fatal(err)
 	}
-	r.Add("a", 1)
+	r.Add(idA, 1)
 	if err := r.CheckSums(); err == nil {
 		t.Fatal("CheckSums passed with 8 != 7")
 	}
-	if und := r.Undeclared(); und != nil {
-		t.Fatalf("undeclared = %v", und)
-	}
-	r.Add("mystery", 1)
-	if und := r.Undeclared(); !reflect.DeepEqual(und, []string{"mystery"}) {
-		t.Fatalf("undeclared = %v", und)
+	// A counter has a key iff it is non-zero.
+	r.Add(idA, -4)
+	if _, ok := stats["a"]; ok {
+		t.Fatalf("zero counter kept its key: %v", stats)
 	}
 }
 
 func TestSnapshotIsACopy(t *testing.T) {
 	r := NewRegistry(testDefs())
-	r.Add("a", 1)
+	r.Add(idA, 1)
 	s := r.Snapshot()
-	r.Add("a", 1)
+	r.Add(idA, 1)
 	if s.Counters["a"] != 1 {
 		t.Errorf("snapshot mutated: %v", s.Counters)
 	}
-	if got := r.SnapshotCounters()["a"]; got != 2 {
-		t.Errorf("live count = %d", got)
+	var live [idH + 1]int64
+	r.CopyCounts(live[:])
+	if live[idA] != 2 {
+		t.Errorf("live count = %d", live[idA])
 	}
 }
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry(testDefs())
-	r.Observe("h", "x", 0.25)
-	r.Observe("h", "y", 0.75)
-	r.Observe("h", "z", 2.0)
-	r.SetGauge("g", 0.5)
+	r.Observe(idH, "x", 0.25)
+	r.Observe(idH, "y", 0.75)
+	r.Observe(idH, "z", 2.0)
+	r.SetGauge(idG, 0.5)
 	s := r.Snapshot()
 	if len(s.Histograms) != 1 {
 		t.Fatalf("histograms = %+v", s.Histograms)
@@ -76,21 +85,12 @@ func TestHistogram(t *testing.T) {
 	if s.Gauges["g"] != 0.5 {
 		t.Errorf("gauges = %v", s.Gauges)
 	}
-	// Observing an undeclared histogram is drift, not a panic.
-	r.Observe("nope", "x", 1)
-	found := false
-	for _, u := range r.Undeclared() {
-		found = found || u == "nope"
-	}
-	if !found {
-		t.Error("undeclared histogram not tracked")
-	}
 }
 
 func TestHistogramWorstCap(t *testing.T) {
 	r := NewRegistry([]Def{{Name: "h", Kind: HistogramKind, Buckets: []float64{1}}})
 	for i := 0; i < 3*maxWorstObs; i++ {
-		r.Observe("h", "f", float64(i))
+		r.Observe(0, "f", float64(i))
 	}
 	h := r.Snapshot().Histograms[0]
 	if len(h.Worst) != maxWorstObs {

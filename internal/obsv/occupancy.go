@@ -156,27 +156,3 @@ func WriteOccupancy(w io.Writer, stats []PhaseStats) {
 		fmt.Fprintln(w)
 	}
 }
-
-// Summarize renders a compact one-phase-per-line occupancy summary for
-// embedding in error messages (the scaling experiment's divergence
-// diagnostics).
-func Summarize(stats []PhaseStats) string {
-	if len(stats) == 0 {
-		return "  (no pooled phases traced)\n"
-	}
-	var b []byte
-	for _, ps := range stats {
-		line := fmt.Sprintf("  %-20s wall=%-10v busy=%-10v util=%4.1f%% jobs=%d tasks=%d",
-			ps.Phase,
-			time.Duration(ps.WallNS).Round(time.Microsecond),
-			time.Duration(ps.BusyNS).Round(time.Microsecond),
-			100*ps.Utilization, ps.Jobs, ps.Tasks)
-		if len(ps.Stragglers) > 0 {
-			s := ps.Stragglers[0]
-			line += fmt.Sprintf(" slowest=%s(%v)", s.Name, time.Duration(s.DurNS).Round(time.Microsecond))
-		}
-		b = append(b, line...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}

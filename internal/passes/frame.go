@@ -48,7 +48,7 @@ func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 			b.Insts = append(b.Insts[:i:i], b.Insts[i+1:]...)
 			// After removal the pop sits at i+1; delete it too.
 			b.Insts = append(b.Insts[:i+1:i+1], b.Insts[i+2:]...)
-			fc.CountStat("frame-opts-spills", 1)
+			fc.CountStat(core.StatFrameOptsSpills, 1)
 		}
 	}
 	return nil
@@ -212,5 +212,5 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	newInsts = append(newInsts, home.Insts[insertAt:]...)
 	home.Insts = newInsts
 
-	fc.CountStat("shrink-wrapping", 1)
+	fc.CountStat(core.StatShrinkWrapping, 1)
 }

@@ -46,7 +46,7 @@ func (p ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 	if icfEligible(fn) {
 		fc.Scratch = appendICFBody(fc.Scratch[:0], fn)
 		fn.ICFDigest = icfDigest(fc.Scratch) | 1 // 0 means none
-		fc.CountStat("icf-hashed", 1)
+		fc.CountStat(core.StatICFHashed, 1)
 	}
 	return nil
 }
@@ -126,8 +126,8 @@ func (p ICF) Run(ctx *core.BinaryContext) error {
 				tb.Succs[k].Mispreds += b.Succs[k].Mispreds
 			}
 		}
-		ctx.CountStat("icf-folded", 1)
-		ctx.CountStat("icf-bytes", int64(fn.Size))
+		ctx.CountStat(core.StatICFFolded, 1)
+		ctx.CountStat(core.StatICFBytes, int64(fn.Size))
 	}
 	return nil
 }

@@ -87,11 +87,11 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 		for s := len(sites) - 1; s >= 0; s-- {
 			st := sites[s]
 			if flagsLiveAfterInst(fn, st.b, st.i, liveOut) {
-				ctx.CountStat("icp-flags-blocked", 1)
+				ctx.CountStat(core.StatICPFlagsBlocked, 1)
 				continue
 			}
 			promote(fn, st.b, st.i, st.hot, st.hotCount, st.total)
-			ctx.CountStat("icp-promoted", 1)
+			ctx.CountStat(core.StatICPPromoted, 1)
 		}
 		for i, b := range fn.Blocks {
 			b.Index = i

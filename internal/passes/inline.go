@@ -57,7 +57,7 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				spliced = append(spliced, b.Insts[i+1:]...)
 				b.Insts = spliced
 				i += len(body) - 1
-				ctx.CountStat("inline-small", 1)
+				ctx.CountStat(core.StatInlineSmall, 1)
 			}
 		}
 	}

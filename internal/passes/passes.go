@@ -69,7 +69,7 @@ func (LiteFilter) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 	if !fn.Sampled {
 		fn.Simple = false
 		fn.Reason = "lite mode: no profile samples"
-		fc.CountStat("lite-skipped", 1)
+		fc.CountStat(core.StatLiteSkipped, 1)
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 	}
 	if algo := fc.Opts.ReorderBlocks; algo != layout.AlgoNone && algo != "" {
 		reorderOne(fn, algo)
-		fc.CountStat("reorder-bbs-funcs", 1)
+		fc.CountStat(core.StatReorderBBsFuncs, 1)
 	}
 	if fc.Opts.SplitFunctions > 0 {
 		markCold(fc, fn)
@@ -109,11 +109,11 @@ func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 		}
 		b.IsCold = true
 		anyCold = true
-		fc.CountStat("split-cold-blocks", 1)
+		fc.CountStat(core.StatSplitColdBlocks, 1)
 	}
 	if anyCold {
 		fn.IsSplit = true
-		fc.CountStat("split-functions", 1)
+		fc.CountStat(core.StatSplitFunctions, 1)
 	}
 }
 
@@ -171,6 +171,6 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 		}
 	}
 	ctx.FuncOrder = hfsort.Order(g, sizes, algo)
-	ctx.CountStat("reorder-functions", int64(len(ctx.FuncOrder)))
+	ctx.CountStat(core.StatReorderFunctions, int64(len(ctx.FuncOrder)))
 	return nil
 }

@@ -44,8 +44,8 @@ func (SCTC) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 				break
 			}
 		}
-		fc.CountStat("sctc", 1)
-		fc.CountStat("sctc-count", int64(takenCount))
+		fc.CountStat(core.StatSCTC, 1)
+		fc.CountStat(core.StatSCTCCount, int64(takenCount))
 		changed = true
 	}
 	if changed {

@@ -19,7 +19,7 @@ func (StripRepRet) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) erro
 		for i := range b.Insts {
 			if b.Insts[i].I.Op == isa.REPZRET {
 				b.Insts[i].I.Op = isa.RET
-				fc.CountStat("strip-rep-ret", 1)
+				fc.CountStat(core.StatStripRepRet, 1)
 			}
 		}
 	}
@@ -43,7 +43,7 @@ func (p Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) erro
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if in.I.Op == isa.MOVrr && in.I.R1 == in.I.R2 {
-				fc.CountStat("peephole-selfmove", 1)
+				fc.CountStat(core.StatPeepholeSelfmove, 1)
 				continue
 			}
 			if n != i {
@@ -66,7 +66,7 @@ func (p Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) erro
 				removePred(t, b)
 				nt.Preds = append(nt.Preds, b)
 				b.Succs[k].To = nt
-				fc.CountStat("peephole-jump-thread", 1)
+				fc.CountStat(core.StatPeepholeJumpThread, 1)
 				t = nt
 			}
 		}
@@ -144,7 +144,7 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 		if reach[b] {
 			kept = append(kept, b)
 		} else {
-			fc.CountStat("uce-blocks", 1)
+			fc.CountStat(core.StatUCEBlocks, 1)
 			// Unlink from successor pred lists.
 			for _, e := range b.Succs {
 				removePred(e.To, b)
@@ -214,7 +214,7 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 			oldLen := int(in.Size)
 			newLen := isa.InstLen(&newInst, true)
 			if newLen > oldLen {
-				fc.CountStat("simplify-ro-loads-aborted", 1)
+				fc.CountStat(core.StatSimplifyROLoadsAborted, 1)
 				continue
 			}
 			// Do not simplify loads feeding jump-table dispatch.
@@ -223,7 +223,7 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 			}
 			in.I = newInst
 			in.MemTarget = 0
-			fc.CountStat("simplify-ro-loads", 1)
+			fc.CountStat(core.StatSimplifyROLoads, 1)
 		}
 	}
 	return nil
@@ -258,7 +258,7 @@ func (PLTPass) Run(ctx *core.BinaryContext) error {
 				}
 				if g := ctx.FuncByAddr(target); g != nil {
 					in.TargetSym = g.Ref()
-					ctx.CountStat("plt-calls", 1)
+					ctx.CountStat(core.StatPLTCalls, 1)
 				}
 			}
 		}

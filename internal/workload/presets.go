@@ -185,11 +185,3 @@ func Tiny() Spec {
 		Iterations:       4000, InputSize: 1 << 10,
 	}
 }
-
-// Figure2 reproduces the paper's motivating example: `foo` contains a
-// branch whose direction is perfectly predictable per *call site* (bar
-// always takes it, baz never does), but a source-keyed profile merges the
-// two, so compile-time PGO lays out at most one inlined copy well.
-func Figure2() Spec {
-	return Spec{Name: "figure2", Seed: 2}
-}
