@@ -52,6 +52,7 @@ import (
 
 	"gobolt/internal/core"
 	"gobolt/internal/elfx"
+	"gobolt/internal/obsv"
 	"gobolt/internal/passes"
 	"gobolt/internal/profile"
 )
@@ -173,13 +174,6 @@ func newSession(input string, f *elfx.File, image []byte, opts []Option) *Sessio
 	return s
 }
 
-// Input returns the ELF image the session was opened on.
-func (s *Session) Input() *elfx.File { return s.file }
-
-// Options returns the resolved option set (defaults plus the Option
-// values passed at open time).
-func (s *Session) Options() core.Options { return s.opts }
-
 // LoadProfile loads and attaches sample data. It is one-shot and must
 // run before Analyze/Optimize; several sources are merged as shards
 // (profile.Merge semantics). With no sources it is a no-op, so optional
@@ -239,10 +233,9 @@ func (s *Session) Analyze(cx context.Context) error {
 // binary. One-shot: the CFGs are mutated in place, so re-optimizing
 // requires a fresh Session — and a failed or cancelled Optimize leaves
 // the session unusable for the same reason (the pipeline may have
-// partially transformed the CFGs). On success the Report (also available
-// from s.Report) carries the counts, stats, dyno comparison, and
-// per-phase timings; the output is retrieved with WriteFile, WriteTo, or
-// Output.
+// partially transformed the CFGs). On success the Report carries the
+// counts, stats, dyno comparison, and per-phase timings; the output is
+// retrieved with WriteFile, WriteTo, or Output.
 func (s *Session) Optimize(cx context.Context) (*Report, error) {
 	if s.optimized {
 		return nil, fmt.Errorf("bolt: Optimize is one-shot; open a new Session to re-optimize")
@@ -254,18 +247,17 @@ func (s *Session) Optimize(cx context.Context) (*Report, error) {
 		s.broken = true
 		return nil, err
 	}
-	var dynoBefore core.DynoStats
+	var dyno *Dyno
 	if s.opts.DynoStats {
-		dynoBefore = s.bctx.CollectDynoStats()
+		dyno = &Dyno{Before: s.bctx.CollectDynoStats()}
 	}
 	pm := core.NewPassManager(s.opts.Jobs)
 	if err := pm.Run(cx, s.bctx, passes.BuildPipeline(s.opts)); err != nil {
 		s.broken = true
 		return nil, err
 	}
-	var dynoAfter core.DynoStats
-	if s.opts.DynoStats {
-		dynoAfter = s.bctx.CollectDynoStats()
+	if dyno != nil {
+		dyno.After = s.bctx.CollectDynoStats()
 	}
 	res, err := s.bctx.Rewrite(cx)
 	if err != nil {
@@ -273,12 +265,9 @@ func (s *Session) Optimize(cx context.Context) (*Report, error) {
 		return nil, err
 	}
 	s.res, s.optimized = res, true
-	s.rep = s.buildReport(dynoBefore, dynoAfter)
+	s.rep = s.buildReport(dyno)
 	return s.rep, nil
 }
-
-// Report returns the Optimize report, or nil before Optimize succeeded.
-func (s *Session) Report() *Report { return s.rep }
 
 // Output returns the optimized ELF image, or nil before Optimize.
 func (s *Session) Output() *elfx.File {
@@ -336,8 +325,8 @@ func (s *Session) DynoStats() (core.DynoStats, error) {
 }
 
 // Stats exposes the pipeline's counters (profile matching, per-pass
-// work). The map is live — treat it as read-only; Report.Stats is a
-// stable snapshot taken when Optimize finished.
+// work). The map is live — treat it as read-only; Report.Metrics.Counters
+// is the stable snapshot taken when Optimize finished.
 func (s *Session) Stats() (map[string]int64, error) {
 	if err := s.requireAnalyzed("Stats"); err != nil {
 		return nil, err
@@ -434,41 +423,49 @@ func PipelineNames(opts ...Option) []string {
 	return names
 }
 
-func (s *Session) buildReport(dynoBefore, dynoAfter core.DynoStats) *Report {
+// buildReport assembles the run record once, after the last phase row
+// is closed, so nothing here (the occupancy derivation included) counts
+// against a phase wall.
+func (s *Session) buildReport(dyno *Dyno) *Report {
 	rep := &Report{
-		Input:        s.input,
-		InputSHA256:  s.inputSHA,
-		InputSize:    s.inputSize,
-		Options:      s.opts,
-		MovedFuncs:   s.res.MovedFuncs,
-		SkippedFuncs: s.res.SkippedFuncs,
-		FoldedFuncs:  s.res.FoldedFuncs,
-		SplitFuncs:   s.res.SplitFuncs,
-		SimpleFuncs:  len(s.bctx.SimpleFuncs()),
-		HotTextSize:  s.res.HotTextSize,
-		ColdTextSize: s.res.ColdTextSize,
-		OrigTextSize: s.res.OrigTextSize,
-		HasDynoStats: s.opts.DynoStats,
-		DynoBefore:   dynoBefore,
-		DynoAfter:    dynoAfter,
-		Stats:        make(map[string]int64, len(s.bctx.Stats)),
-		Timings:      append([]core.PassTiming(nil), s.bctx.Timings...),
+		SchemaVersion: ReportSchemaVersion,
+		Input:         s.input,
+		InputSHA256:   s.inputSHA,
+		InputSize:     s.inputSize,
+		Options:       s.opts,
+		Functions: Functions{
+			MovedFuncs:   s.res.MovedFuncs,
+			SkippedFuncs: s.res.SkippedFuncs,
+			FoldedFuncs:  s.res.FoldedFuncs,
+			SplitFuncs:   s.res.SplitFuncs,
+			SimpleFuncs:  len(s.bctx.SimpleFuncs()),
+		},
+		Sizes: Sizes{
+			HotTextSize:  s.res.HotTextSize,
+			ColdTextSize: s.res.ColdTextSize,
+			OrigTextSize: s.res.OrigTextSize,
+		},
+		Phases:  s.bctx.Timings,
+		Amdahl:  core.Amdahl(s.bctx.Timings),
+		Metrics: s.bctx.Metrics.Snapshot(),
+		Dyno:    dyno,
 	}
-	for k, v := range s.bctx.Stats {
-		rep.Stats[k] = v
+	// The tracer handle is operational state, not run description: the
+	// report keeps what was derived from it, not the handle.
+	rep.Options.Trace = nil
+	if tr := s.opts.Trace; tr != nil {
+		rep.Occupancy = obsv.Occupancy(tr.Spans())
 	}
 	if s.fd != nil {
-		rep.ProfileSource = s.profileDesc
-		rep.ProfileBranches = len(s.fd.Branches)
-		rep.ProfileSamples = len(s.fd.Samples)
-		rep.ProfileTotalCount = s.fd.TotalBranchCount()
-		rep.FlowAccBefore = s.bctx.FlowAccBefore
-		rep.FlowAccAfter = s.bctx.FlowAccAfter
-		rep.InferredFuncs = s.bctx.InferredFuncs
+		rep.Profile = &Profile{
+			Source:        s.profileDesc,
+			Branches:      len(s.fd.Branches),
+			Samples:       len(s.fd.Samples),
+			TotalCount:    s.fd.TotalBranchCount(),
+			FlowAccBefore: s.bctx.FlowAccBefore,
+			FlowAccAfter:  s.bctx.FlowAccAfter,
+			InferredFuncs: s.bctx.InferredFuncs,
+		}
 	}
-	if reg := s.bctx.Metrics; reg != nil {
-		rep.Metrics = reg.Snapshot()
-	}
-	rep.trace = s.opts.Trace
 	return rep
 }

@@ -61,8 +61,9 @@ func runVM(t *testing.T, f *elfx.File) uint64 {
 	return m.Result()
 }
 
-// optimizeViaSession drives the staged bolt API end to end and returns
-// the serialized output plus the report.
+// optimizeViaSession drives the staged bolt API end to end (without a
+// profile when fd is nil) and returns the serialized output plus the
+// report.
 func optimizeViaSession(t *testing.T, f *elfx.File, fd *profile.Fdata, jobs int, extra ...bolt.Option) ([]byte, *bolt.Report, *bolt.Session) {
 	t.Helper()
 	cx := context.Background()
@@ -70,8 +71,10 @@ func optimizeViaSession(t *testing.T, f *elfx.File, fd *profile.Fdata, jobs int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		t.Fatal(err)
+	if fd != nil {
+		if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err := sess.Optimize(cx)
 	if err != nil {
@@ -124,7 +127,7 @@ func TestSessionMatchesDirectPipeline(t *testing.T) {
 		rep.SplitFuncs != res.SplitFuncs || rep.HotTextSize != res.HotTextSize {
 		t.Errorf("report disagrees with rewrite result: %+v vs %+v", rep, res)
 	}
-	if !reflect.DeepEqual(rep.Stats, ctx.Stats) {
+	if !reflect.DeepEqual(rep.Metrics.Counters, ctx.Stats) {
 		t.Errorf("report stats diverge from direct pipeline stats")
 	}
 
@@ -155,34 +158,34 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 			t.Errorf("jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
 				jobs, len(gotBytes), len(serialBytes))
 		}
-		if !reflect.DeepEqual(serialRep.Stats, rep.Stats) {
+		if !reflect.DeepEqual(serialRep.Metrics.Counters, rep.Metrics.Counters) {
 			t.Errorf("jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
-				jobs, serialRep.Stats, jobs, rep.Stats)
+				jobs, serialRep.Metrics.Counters, jobs, rep.Metrics.Counters)
 		}
-		if n := len(passes.BuildPipeline(rep.Options)); countGroup(rep.Timings, "pass") != n {
-			t.Errorf("jobs=%d: %d pass timings recorded, pipeline has %d", jobs, countGroup(rep.Timings, "pass"), n)
+		if n := len(passes.BuildPipeline(rep.Options)); countGroup(rep.Phases, "pass") != n {
+			t.Errorf("jobs=%d: %d pass timings recorded, pipeline has %d", jobs, countGroup(rep.Phases, "pass"), n)
 		}
-		if countGroup(rep.Timings, "load") != 4 || countGroup(rep.Timings, "emit") != 4 {
-			t.Errorf("jobs=%d: want 4 load and 4 emit rows: %+v", jobs, rep.Timings)
+		if countGroup(rep.Phases, "load") != 4 || countGroup(rep.Phases, "emit") != 4 {
+			t.Errorf("jobs=%d: want 4 load and 4 emit rows: %+v", jobs, rep.Phases)
 		}
 		// Loader and emitter phases must be instrumented and scheduled
 		// on the pool, as must the profile-application and -inference
 		// stages and the overlapped discovery scans.
-		assertParallelPhase(t, jobs, rep.Timings, "load:discover")
-		assertParallelPhase(t, jobs, rep.Timings, "load:disasm+cfg")
-		assertParallelPhase(t, jobs, rep.Timings, "profile:apply")
-		assertParallelPhase(t, jobs, rep.Timings, "profile:infer")
-		assertParallelPhase(t, jobs, rep.Timings, "emit:functions")
+		assertParallelPhase(t, jobs, rep.Phases, "load:discover")
+		assertParallelPhase(t, jobs, rep.Phases, "load:disasm+cfg")
+		assertParallelPhase(t, jobs, rep.Phases, "profile:apply")
+		assertParallelPhase(t, jobs, rep.Phases, "profile:infer")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:functions")
 		// The emitter's former serial back half is now three phases:
 		// address assignment stays a serial prefix scan, while patching
 		// and metadata rebuild fan out.
-		assertSerialPhase(t, jobs, rep.Timings, "emit:layout")
-		assertParallelPhase(t, jobs, rep.Timings, "emit:patch")
-		assertParallelPhase(t, jobs, rep.Timings, "emit:metadata")
+		assertSerialPhase(t, jobs, rep.Phases, "emit:layout")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:patch")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:metadata")
 		// ICF's hashing runs as a parallel function pass; only the fold
 		// remains a barrier.
-		assertParallelPhase(t, jobs, rep.Timings, "icf-1-hash")
-		assertParallelPhase(t, jobs, rep.Timings, "icf-2-hash")
+		assertParallelPhase(t, jobs, rep.Phases, "icf-1-hash")
+		assertParallelPhase(t, jobs, rep.Phases, "icf-2-hash")
 	}
 
 	// With minimum-cost-flow inference forced on for the LBR profile,
@@ -195,16 +198,16 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 			t.Errorf("infer-flow jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
 				jobs, len(mcfN), len(mcf1))
 		}
-		if !reflect.DeepEqual(mcfRep1.Stats, repN.Stats) {
+		if !reflect.DeepEqual(mcfRep1.Metrics.Counters, repN.Metrics.Counters) {
 			t.Errorf("infer-flow jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
-				jobs, mcfRep1.Stats, jobs, repN.Stats)
+				jobs, mcfRep1.Metrics.Counters, jobs, repN.Metrics.Counters)
 		}
 	}
-	if mcfRep1.InferredFuncs == 0 {
+	if mcfRep1.Profile.InferredFuncs == 0 {
 		t.Error("InferAlways reported no inferred functions")
 	}
-	if mcfRep1.FlowAccAfter != 1.0 {
-		t.Errorf("InferAlways left FlowAccAfter %v, want 1.0", mcfRep1.FlowAccAfter)
+	if mcfRep1.Profile.FlowAccAfter != 1.0 {
+		t.Errorf("InferAlways left FlowAccAfter %v, want 1.0", mcfRep1.Profile.FlowAccAfter)
 	}
 
 	// A non-LBR profile is inferred by default, and the profile:infer row
@@ -218,14 +221,14 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	_, rep, _ := optimizeViaSession(t, f, samples, 2)
 	var text bytes.Buffer
 	rep.WriteTimings(&text)
-	for _, pt := range rep.Timings {
+	for _, pt := range rep.Phases {
 		if pt.Name != "profile:infer" {
 			continue
 		}
-		if d := pt.StatDelta["profile-inferred-funcs"]; d == 0 || d != int64(rep.InferredFuncs) {
-			t.Errorf("profile:infer stat delta %v, want profile-inferred-funcs=%d", pt.StatDelta, rep.InferredFuncs)
+		if d := pt.StatDelta["profile-inferred-funcs"]; d == 0 || d != int64(rep.Profile.InferredFuncs) {
+			t.Errorf("profile:infer stat delta %v, want profile-inferred-funcs=%d", pt.StatDelta, rep.Profile.InferredFuncs)
 		}
-		if want := fmt.Sprintf("profile-inferred-funcs=+%d", rep.InferredFuncs); !strings.Contains(text.String(), want) {
+		if want := fmt.Sprintf("profile-inferred-funcs=+%d", rep.Profile.InferredFuncs); !strings.Contains(text.String(), want) {
 			t.Errorf("-time-passes report missing %q:\n%s", want, text.String())
 		}
 	}

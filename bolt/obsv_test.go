@@ -2,6 +2,7 @@ package bolt_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"gobolt/bolt"
 	"gobolt/internal/obsv"
+	"gobolt/internal/profile"
 )
 
 // traceShape reduces a span set to its deterministic structure: the
@@ -100,7 +102,7 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 	tr := obsv.New()
 	_, rep, _ := optimizeViaSession(t, f, fd, 2, bolt.WithTracer(tr))
 
-	occ := rep.OccupancyStats()
+	occ := rep.Occupancy
 	if len(occ) == 0 {
 		t.Fatal("traced run derived no occupancy stats")
 	}
@@ -108,7 +110,7 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 	// Occupancy folds repeated phase names (icf, peepholes run twice), so
 	// compare against the summed timing walls per name.
 	wallByName := map[string]int64{}
-	for _, pt := range rep.Timings {
+	for _, pt := range rep.Phases {
 		wallByName[pt.Name] += pt.Wall.Nanoseconds()
 	}
 	matched := 0
@@ -138,41 +140,94 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 	}
 }
 
+// topLevelKeys returns the keys of a JSON object in document order.
+func topLevelKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("report is not a JSON object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		if err := dec.Decode(new(json.RawMessage)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
 // TestRunReportRoundTrip feeds Report.WriteJSON back through the strict
-// decoder: the document must parse with unknown fields disallowed,
-// validate, and reproduce the in-memory RunReport exactly. It also pins
-// the strictness properties themselves (unknown field, trailing data,
-// and version mismatch all fail).
+// decoder: a live report — from a traced, dyno-stats, verified run and
+// from one with no profile and no dyno — must parse with unknown fields
+// disallowed, validate, come back as the same type and re-encode to the
+// same bytes, with the top-level keys in the schema's pinned order. It
+// also pins the strictness properties themselves (unknown field,
+// trailing data, version mismatch and an implausible Amdahl block all
+// fail).
 func TestRunReportRoundTrip(t *testing.T) {
 	f := buildTiny(t)
-	fd := record(t, f)
-	_, rep, _ := optimizeViaSession(t, f, fd, 2, bolt.WithTracer(obsv.New()), bolt.WithDynoStats(true))
-
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if err := bolt.ValidateRunReport(buf.Bytes()); err != nil {
-		t.Fatalf("ValidateRunReport: %v", err)
-	}
-	got, err := bolt.ParseRunReport(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ParseRunReport: %v", err)
-	}
-	if want := rep.RunReport(); !reflect.DeepEqual(got, want) {
-		t.Errorf("run report did not round-trip:\ngot  %+v\nwant %+v", got, want)
-	}
-	if got.Profile == nil || got.Profile.TotalCount == 0 {
-		t.Error("round-tripped report lost the profile provenance")
-	}
-	if got.Metrics == nil || len(got.Metrics.Counters) == 0 {
-		t.Error("round-tripped report lost the metrics snapshot")
-	}
-	if got.Dyno == nil {
-		t.Error("round-tripped report lost the dyno stats")
-	}
-	if len(got.Occupancy) == 0 {
-		t.Error("round-tripped report lost the occupancy stats")
+	for _, tc := range []struct {
+		name   string
+		fd     *profile.Fdata
+		opts   []bolt.Option
+		verify bool
+		keys   []string
+	}{
+		{"traced+dyno+verify", record(t, f),
+			[]bolt.Option{bolt.WithTracer(obsv.New()), bolt.WithDynoStats(true)}, true,
+			[]string{"schema_version", "input", "input_sha256", "input_size", "options",
+				"functions", "sizes", "phases", "amdahl", "occupancy", "metrics", "profile", "dyno", "verify"}},
+		{"no profile, no dyno", nil, nil, false,
+			[]string{"schema_version", "input", "input_sha256", "input_size", "options",
+				"functions", "sizes", "phases", "amdahl", "metrics"}},
+	} {
+		_, rep, sess := optimizeViaSession(t, f, tc.fd, 2, tc.opts...)
+		if tc.verify {
+			if _, err := sess.VerifyOutput(); err != nil {
+				t.Fatalf("%s: VerifyOutput: %v", tc.name, err)
+			}
+		}
+		var live bytes.Buffer
+		if err := rep.WriteJSON(&live); err != nil {
+			t.Fatalf("%s: WriteJSON: %v", tc.name, err)
+		}
+		if err := bolt.ValidateRunReport(live.Bytes()); err != nil {
+			t.Fatalf("%s: ValidateRunReport: %v", tc.name, err)
+		}
+		var got *bolt.Report // a parsed report is the type Optimize returns
+		got, err := bolt.ParseRunReport(live.Bytes())
+		if err != nil {
+			t.Fatalf("%s: ParseRunReport: %v", tc.name, err)
+		}
+		var again bytes.Buffer
+		if err := got.WriteJSON(&again); err != nil {
+			t.Fatalf("%s: re-encode: %v", tc.name, err)
+		}
+		if !bytes.Equal(live.Bytes(), again.Bytes()) {
+			t.Errorf("%s: encode -> parse -> encode is not a fixpoint:\nlive   %s\nparsed %s", tc.name, live.Bytes(), again.Bytes())
+		}
+		if keys := topLevelKeys(t, live.Bytes()); !slices.Equal(keys, tc.keys) {
+			t.Errorf("%s: top-level keys\n got %v\nwant %v", tc.name, keys, tc.keys)
+		}
+		if got.Functions != rep.Functions || got.Sizes != rep.Sizes || got.HotTextSize == 0 {
+			t.Errorf("%s: accounting did not survive: %+v %+v", tc.name, got.Functions, got.Sizes)
+		}
+		if len(got.Metrics.Counters) == 0 || !reflect.DeepEqual(got.Metrics, rep.Metrics) {
+			t.Errorf("%s: round-tripped report lost the metrics snapshot", tc.name)
+		}
+		if tc.verify {
+			if *got.Profile != *rep.Profile || *got.Dyno != *rep.Dyno || len(got.Occupancy) != len(rep.Occupancy) ||
+				got.Verify.Fragments != rep.Verify.Fragments {
+				t.Errorf("%s: profile, dyno, occupancy or verify block did not survive", tc.name)
+			}
+			buf = live
+		}
 	}
 
 	// Strictness: unknown fields, trailing data, version drift, and a
@@ -196,5 +251,9 @@ func TestRunReportRoundTrip(t *testing.T) {
 	wrongVer := bytes.Replace(buf.Bytes(), []byte(verTag), []byte(`"schema_version": 999`), 1)
 	if _, err := bolt.ParseRunReport(wrongVer); err == nil {
 		t.Error("ParseRunReport accepted a mismatched schema version")
+	}
+	badAmdahl := bytes.Replace(buf.Bytes(), []byte(`"serial_fraction": `), []byte(`"serial_fraction": 1`), 1)
+	if err := bolt.ValidateRunReport(badAmdahl); err == nil || !strings.Contains(err.Error(), "amdahl") {
+		t.Errorf("ValidateRunReport on serial_fraction > 1: %v", err)
 	}
 }

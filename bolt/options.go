@@ -27,7 +27,7 @@ func WithJobs(n int) Option {
 }
 
 // WithDynoStats collects the before/after dynamic instruction statistics
-// into Report.DynoBefore/DynoAfter.
+// into Report.Dyno.
 func WithDynoStats(on bool) Option {
 	return func(o *core.Options) { o.DynoStats = on }
 }

@@ -104,19 +104,19 @@ func checkSchemaDefs(t *testing.T, defs map[string]schemaDef, types map[string]r
 func TestReportSchemaInSync(t *testing.T) {
 	defs := loadSchemaDefs(t, "../docs/report.schema.json")
 	checkSchemaDefs(t, defs, map[string]reflect.Type{
-		"run_report": reflect.TypeOf(bolt.RunReport{}),
+		"run_report": reflect.TypeOf(bolt.Report{}),
 		"options":    reflect.TypeOf(core.Options{}),
-		"functions":  reflect.TypeOf(bolt.RunFunctions{}),
-		"sizes":      reflect.TypeOf(bolt.RunSizes{}),
-		"phase":      reflect.TypeOf(bolt.RunPhase{}),
-		"amdahl":     reflect.TypeOf(bolt.RunAmdahl{}),
+		"functions":  reflect.TypeOf(bolt.Functions{}),
+		"sizes":      reflect.TypeOf(bolt.Sizes{}),
+		"phase":      reflect.TypeOf(core.PassTiming{}),
+		"amdahl":     reflect.TypeOf(core.AmdahlSummary{}),
 		"occupancy":  reflect.TypeOf(obsv.PhaseStats{}),
 		"task_stat":  reflect.TypeOf(obsv.TaskStat{}),
 		"metrics":    reflect.TypeOf(obsv.Snapshot{}),
 		"histogram":  reflect.TypeOf(obsv.HistogramSnapshot{}),
 		"obs":        reflect.TypeOf(obsv.Obs{}),
-		"profile":    reflect.TypeOf(bolt.RunProfile{}),
-		"dyno":       reflect.TypeOf(bolt.RunDyno{}),
+		"profile":    reflect.TypeOf(bolt.Profile{}),
+		"dyno":       reflect.TypeOf(bolt.Dyno{}),
 		"dyno_stats": reflect.TypeOf(core.DynoStats{}),
 		"verify":     reflect.TypeOf(bincheck.Result{}),
 		"finding":    reflect.TypeOf(bincheck.Finding{}),

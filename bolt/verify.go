@@ -10,9 +10,8 @@ import (
 // independent checker in internal/bincheck: the output image is
 // serialized to bytes and re-opened from scratch — re-parsed,
 // re-disassembled, its CFGs rebuilt — so the verification shares none
-// of the emitter's in-memory state. The result is returned, recorded
-// on the session's Report, and embedded in the RunReport (`verify`
-// block, schema v2).
+// of the emitter's in-memory state. The result is returned and recorded
+// on the session's Report (`verify` block, schema v2).
 //
 // Requires a successful Optimize; repeatable (each call re-verifies
 // the serialized bytes). A result with error-severity findings is not
@@ -32,8 +31,6 @@ func (s *Session) VerifyOutput() (*bincheck.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bolt: VerifyOutput: %w", err)
 	}
-	if s.rep != nil {
-		s.rep.Verify = res
-	}
+	s.rep.Verify = res // Optimize set res and rep together
 	return res, nil
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -31,7 +32,8 @@ import (
 )
 
 // errUsage marks a bad invocation; main exits 2 (the flag-package
-// convention) after the usage line was printed, everything else exits 1.
+// convention) after the usage line or the rejected flag value was
+// printed, everything else exits 1.
 var errUsage = errors.New("usage")
 
 func main() {
@@ -42,6 +44,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gobolt:", err)
 		os.Exit(1)
 	}
+}
+
+// badFlag reports a flag value its Parse function rejected (the error
+// names the valid ones) and marks the invocation as a usage error.
+func badFlag(name string, err error) error {
+	fmt.Fprintf(os.Stderr, "gobolt: -%s: %v\n", name, err)
+	return errUsage
 }
 
 func run() error {
@@ -106,8 +115,13 @@ func run() error {
 	}
 
 	opts := core.DefaultOptions()
-	opts.ReorderBlocks = layout.Algorithm(*reorderBlocks)
-	opts.ReorderFunctions = hfsort.Algorithm(*reorderFuncs)
+	var err error
+	if opts.ReorderBlocks, err = layout.ParseAlgorithm(*reorderBlocks); err != nil {
+		return badFlag("reorder-blocks", err)
+	}
+	if opts.ReorderFunctions, err = hfsort.ParseAlgorithm(*reorderFuncs); err != nil {
+		return badFlag("reorder-functions", err)
+	}
 	opts.SplitFunctions = *splitFuncs
 	opts.SplitAllCold = *splitAllCold
 	opts.SplitEH = *splitEH
@@ -122,11 +136,9 @@ func run() error {
 	opts.SCTC = *sctc
 	opts.EnableBAT = *enableBAT
 	opts.StaleMatching = *staleMatch
-	mode, err := core.ParseInferMode(*inferFlow)
-	if err != nil {
-		return err
+	if opts.InferFlow, err = core.ParseInferMode(*inferFlow); err != nil {
+		return badFlag("infer-flow", err)
 	}
-	opts.InferFlow = mode
 	opts.Lite = *lite
 	opts.Jobs = *jobs
 	opts.TimePasses = *timePasses
@@ -218,47 +230,33 @@ func run() error {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
+		if err := writeFile(*traceOut, tracer.WriteChromeTrace); err != nil {
 			return err
 		}
 	}
-	if *reportJSON != "" {
-		if err := writeReportJSON(*reportJSON, rep); err != nil {
-			return err
-		}
+	if *reportJSON == "-" {
+		err = rep.WriteJSON(os.Stdout)
+	} else if *reportJSON != "" {
+		err = writeFile(*reportJSON, rep.WriteJSON)
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "gobolt: %s -> %s\n", input, outPath)
 	fmt.Fprintln(os.Stderr, indent(rep.Summary()))
 	return nil
 }
 
-// writeTrace exports the recorded span timeline as Chrome trace-event
-// JSON (Perfetto-loadable).
-func writeTrace(path string, tr *obsv.Tracer) error {
+// writeFile creates path and fills it through write: the Chrome
+// trace-event timeline (Perfetto-loadable) or the run report.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		return fmt.Errorf("write trace %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// writeReportJSON writes the machine-readable run report to path, or to
-// stdout for "-".
-func writeReportJSON(path string, rep *bolt.Report) error {
-	if path == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write report %s: %w", path, err)
+		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return f.Close()
 }

@@ -34,6 +34,13 @@ func main() {
 	iterations := flag.Int("iterations", 0, "override iteration count")
 	flag.Parse()
 
+	// Unset stays "" (no link-time ordering); anything else must parse.
+	funcOrder, err := hfsort.ParseAlgorithm(*reorderFuncs)
+	if err != nil && *reorderFuncs != "" {
+		fmt.Fprintln(os.Stderr, "minicc: -freorder-functions:", err)
+		os.Exit(2)
+	}
+
 	var prog = func() *workload.Spec {
 		if *wl == "figure2" {
 			return nil
@@ -93,13 +100,13 @@ func main() {
 			fatal(err)
 		}
 		copts.PGO = sp
-		if *reorderFuncs != "" {
+		if funcOrder != "" {
 			g := profile.BuildCallGraph(fd, nil)
 			sizes := map[string]uint64{}
 			for _, s := range plain.File.FuncSymbols() {
 				sizes[s.Name] = s.Size
 			}
-			lopts.FuncOrder = hfsort.Order(g, sizes, hfsort.Algorithm(*reorderFuncs))
+			lopts.FuncOrder = hfsort.Order(g, sizes, funcOrder)
 		}
 	}
 

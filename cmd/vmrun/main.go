@@ -44,6 +44,11 @@ func run() error {
 	maxInstr := flag.Uint64("max-instr", 0, "stop after N instructions (0 = run to halt)")
 	flag.Parse()
 
+	ev, err := perf.ParseEvent(*event)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vmrun: -event:", err)
+		return errUsage
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: vmrun [flags] <binary>")
 		return errUsage
@@ -54,7 +59,7 @@ func run() error {
 	}
 
 	if *record != "" {
-		mode := perf.Mode{LBR: *lbr, Event: perf.Event(*event), Period: *period, PEBS: *pebs}
+		mode := perf.Mode{LBR: *lbr, Event: ev, Period: *period, PEBS: *pebs}
 		fd, m, err := perf.RecordFile(f, mode, *maxInstr)
 		if err != nil {
 			return err

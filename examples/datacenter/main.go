@@ -39,9 +39,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	n := rep.Metrics.Counters
 	fmt.Printf("  passes: reordered %d functions' blocks, split %d, folded %d, ICP %d, PLT %d\n",
-		rep.Stats["reorder-bbs-funcs"], rep.Stats["split-functions"],
-		rep.Stats["icf-folded"], rep.Stats["icp-promoted"], rep.Stats["plt-calls"])
+		n["reorder-bbs-funcs"], n["split-functions"], n["icf-folded"], n["icp-promoted"], n["plt-calls"])
 
 	fmt.Println("measuring under the microarchitecture simulator...")
 	mb, err := bench.Measure(base, uarch.DefaultConfig(), true)

@@ -290,7 +290,7 @@ func Table2(scale Scale) (string, error) {
 		if err != nil {
 			return core.DynoStats{}, core.DynoStats{}, err
 		}
-		return rep.DynoBefore, rep.DynoAfter, nil
+		return rep.Dyno.Before, rep.Dyno.After, nil
 	}
 
 	var buf bytes.Buffer
@@ -489,8 +489,8 @@ func ICF(scale Scale) (*ICFResult, string, error) {
 	}
 	res := &ICFResult{
 		LinkerFolded: lres.ICFFolded,
-		BoltFolded:   int(rep.Stats["icf-folded"]),
-		BoltBytes:    rep.Stats["icf-bytes"],
+		BoltFolded:   int(rep.Metrics.Counters["icf-folded"]),
+		BoltBytes:    rep.Metrics.Counters["icf-bytes"],
 		TextSize:     lres.TextSize,
 	}
 	report := fmt.Sprintf(

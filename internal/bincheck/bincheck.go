@@ -105,7 +105,7 @@ type Result struct {
 func (r *Result) Ok() bool { return r.Errors == 0 }
 
 // WriteJSON writes the result as indented JSON (the standalone
-// cmd/bincheck artifact; the library path embeds Result in RunReport).
+// cmd/bincheck artifact; the library path embeds Result in bolt.Report).
 func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

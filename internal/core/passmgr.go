@@ -57,17 +57,19 @@ func (a funcPassAdapter) Run(ctx *BinaryContext) error {
 // ForEachFunction wraps a FunctionPass for use in a []Pass pipeline.
 func ForEachFunction(fp FunctionPass) Pass { return funcPassAdapter{fp} }
 
-// PassTiming records one phase execution for the -time-passes report.
+// PassTiming records one phase execution for the -time-passes report; the
+// JSON tags make it the run report's `phases` row as it stands.
 type PassTiming struct {
-	Name     string
-	Group    string // pipeline stage: "load", "pass" or "emit"
-	Wall     time.Duration
-	Funcs    int  // functions visited (0 for whole-binary passes)
-	Parallel bool // scheduled on the worker pool
-	Jobs     int  // workers actually used
+	Name     string        `json:"name"`
+	Group    string        `json:"group"` // pipeline stage: "load", "pass" or "emit"
+	Wall     time.Duration `json:"wall_ns"`
+	Funcs    int           `json:"funcs,omitempty"`    // functions visited (0 for whole-binary passes)
+	Parallel bool          `json:"parallel,omitempty"` // scheduled on the worker pool
+	Jobs     int           `json:"jobs,omitempty"`     // workers actually used
 	// StatDelta holds the counters this phase changed in ctx.Stats, under
-	// the same rule: a key is present iff its delta is non-zero.
-	StatDelta map[string]int64
+	// the same rule: a key is present iff its delta is non-zero. Not part
+	// of report schema v2.
+	StatDelta map[string]int64 `json:"-"`
 }
 
 // phase is one open row of ctx.Timings: begin notes the clock and the
@@ -188,17 +190,19 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 
 // AmdahlSummary aggregates a timing list into the quantities Amdahl's
 // law cares about: how much of the pipeline wall ran on the worker pool
-// versus serially, and the speedup ceiling the serial share implies.
+// versus serially, and the speedup ceiling the serial share implies. It
+// is the run report's `amdahl` block as it stands.
 type AmdahlSummary struct {
-	Total        time.Duration
-	ParallelWall time.Duration // phases scheduled on the worker pool
-	SerialWall   time.Duration // barriers and serial phases
+	Total        time.Duration `json:"total_ns"`
+	ParallelWall time.Duration `json:"parallel_wall_ns"` // phases scheduled on the worker pool
+	SerialWall   time.Duration `json:"serial_wall_ns"`   // barriers and serial phases
 	// SerialFraction is SerialWall/Total (0 for an empty timing list).
-	SerialFraction float64
+	SerialFraction float64 `json:"serial_fraction"`
 	// MaxUsefulJobs is 1/SerialFraction — the asymptotic speedup bound,
 	// so also the job count beyond which adding workers cannot help.
-	// +Inf when no serial wall was measured.
-	MaxUsefulJobs float64
+	// 0 (omitted from the report) means unbounded: no serial wall was
+	// measured.
+	MaxUsefulJobs float64 `json:"max_useful_jobs,omitempty"`
 }
 
 // Amdahl folds a timing list into its serial/parallel split. A phase
@@ -219,8 +223,6 @@ func Amdahl(timings []PassTiming) AmdahlSummary {
 	}
 	if s.SerialFraction > 0 {
 		s.MaxUsefulJobs = 1 / s.SerialFraction
-	} else {
-		s.MaxUsefulJobs = math.Inf(1)
 	}
 	return s
 }
@@ -278,7 +280,7 @@ func WriteTimings(w io.Writer, timings []PassTiming) {
 		fmt.Fprintln(w)
 	}
 	jobs := "unbounded"
-	if !math.IsInf(s.MaxUsefulJobs, 1) {
+	if s.MaxUsefulJobs > 0 {
 		jobs = fmt.Sprintf("~%.0f", math.Ceil(s.MaxUsefulJobs))
 	}
 	fmt.Fprintf(w, "  Amdahl: total %v, parallel %v (%.1f%%), serial %v (%.1f%%), max useful jobs %s\n",

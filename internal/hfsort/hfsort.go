@@ -9,6 +9,7 @@
 package hfsort
 
 import (
+	"fmt"
 	"sort"
 
 	"gobolt/internal/profile"
@@ -24,6 +25,15 @@ const (
 	AlgoHFSort Algorithm = "hfsort"  // C3 clustering
 	AlgoPlus   Algorithm = "hfsort+" // density-gain clustering
 )
+
+// ParseAlgorithm converts a -reorder-functions flag value.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch a := Algorithm(s); a {
+	case AlgoNone, AlgoExec, AlgoHFSort, AlgoPlus:
+		return a, nil
+	}
+	return "", fmt.Errorf("invalid function layout %q (want none, exec, hfsort, or hfsort+)", s)
+}
 
 // pageSize is the clustering bound for classic HFSort.
 const pageSize = 4096

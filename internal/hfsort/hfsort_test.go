@@ -1,6 +1,7 @@
 package hfsort
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/profile"
@@ -107,6 +108,30 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic order: %v vs %v", a, b)
+		}
+	}
+}
+
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Algorithm
+		ok   bool
+	}{
+		{"none", AlgoNone, true},
+		{"exec", AlgoExec, true},
+		{"hfsort", AlgoHFSort, true},
+		{"hfsort+", AlgoPlus, true},
+		{"", "", false},
+		{"nonsense", "", false},
+		{"hfsort++", "", false},
+	} {
+		got, err := ParseAlgorithm(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "none, exec, hfsort, or hfsort+") {
+			t.Errorf("ParseAlgorithm(%q) error does not name the valid values: %v", tc.in, err)
 		}
 	}
 }

@@ -5,7 +5,10 @@
 // ablation benchmarks.
 package layout
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Algorithm selects a block-ordering strategy.
 type Algorithm string
@@ -17,6 +20,15 @@ const (
 	AlgoPH      Algorithm = "ph"     // Pettis-Hansen chains
 	AlgoCache   Algorithm = "cache+" // ext-TSP-style
 )
+
+// ParseAlgorithm converts a -reorder-blocks flag value.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch a := Algorithm(s); a {
+	case AlgoNone, AlgoReverse, AlgoPH, AlgoCache:
+		return a, nil
+	}
+	return "", fmt.Errorf("invalid block layout %q (want none, reverse, ph, or cache+)", s)
+}
 
 // Edge is a weighted CFG edge between block indices.
 type Edge struct {

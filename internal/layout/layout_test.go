@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,5 +120,29 @@ func TestReorderProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Algorithm
+		ok   bool
+	}{
+		{"none", AlgoNone, true},
+		{"reverse", AlgoReverse, true},
+		{"ph", AlgoPH, true},
+		{"cache+", AlgoCache, true},
+		{"", "", false},
+		{"bogus", "", false},
+		{"Cache+", "", false},
+	} {
+		got, err := ParseAlgorithm(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "none, reverse, ph, or cache+") {
+			t.Errorf("ParseAlgorithm(%q) error does not name the valid values: %v", tc.in, err)
+		}
 	}
 }

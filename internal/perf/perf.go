@@ -29,6 +29,15 @@ const (
 	EventBranches     Event = "branches"
 )
 
+// ParseEvent converts an -event flag value.
+func ParseEvent(s string) (Event, error) {
+	switch e := Event(s); e {
+	case EventCycles, EventInstructions, EventBranches:
+		return e, nil
+	}
+	return "", fmt.Errorf("invalid sampling event %q (want cycles, instructions, or branches)", s)
+}
+
 // Mode configures sampling.
 type Mode struct {
 	LBR    bool

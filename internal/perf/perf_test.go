@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/cc"
@@ -145,6 +146,29 @@ func TestDeterministicProfiles(t *testing.T) {
 	for i := range fd1.Branches {
 		if fd1.Branches[i] != fd2.Branches[i] {
 			t.Fatalf("record %d differs", i)
+		}
+	}
+}
+
+func TestParseEvent(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Event
+		ok   bool
+	}{
+		{"cycles", EventCycles, true},
+		{"instructions", EventInstructions, true},
+		{"branches", EventBranches, true},
+		{"", "", false},
+		{"bogus", "", false},
+		{"cycle", "", false},
+	} {
+		got, err := ParseEvent(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseEvent(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "cycles, instructions, or branches") {
+			t.Errorf("ParseEvent(%q) error does not name the valid values: %v", tc.in, err)
 		}
 	}
 }
