@@ -186,6 +186,9 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 		// remains a barrier.
 		assertParallelPhase(t, jobs, rep.Phases, "icf-1-hash")
 		assertParallelPhase(t, jobs, rep.Phases, "icf-2-hash")
+		// So do inline-small's caller scan and plt.
+		assertParallelPhase(t, jobs, rep.Phases, "inline-small-scan")
+		assertParallelPhase(t, jobs, rep.Phases, "plt")
 	}
 
 	// With minimum-cost-flow inference forced on for the LBR profile,

@@ -346,6 +346,13 @@ type BinaryFunction struct {
 	// and clears it, so a stale digest never survives into a later round.
 	ICFDigest uint64
 
+	// NoInlineSite is set by the (parallel) inline-small scan on a function
+	// with no direct call to a single-block function: nothing the splice
+	// pass could act on, whatever earlier splices make of the callees. The
+	// sequential splice pass skips a marked function and clears the mark;
+	// an unscanned function is simply visited.
+	NoInlineSite bool
+
 	// IsSplit marks functions whose cold blocks go to the cold section.
 	IsSplit bool
 

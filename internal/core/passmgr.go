@@ -35,6 +35,20 @@ type FuncCtx struct {
 	// visits: a pass reslices it to [:0], appends, and stores it back, and
 	// keeps nothing that points into it past RunOnFunction.
 	Scratch []byte
+	// ints backs Ints.
+	ints []int32
+}
+
+// Ints returns n zeroed int32s from a buffer the worker keeps across the
+// functions it visits, for tables keyed by BasicBlock.Index. The slice is
+// the pass's until RunOnFunction returns or it calls Ints again.
+func (fc *FuncCtx) Ints(n int) []int32 {
+	if cap(fc.ints) < n {
+		fc.ints = make([]int32, n)
+	}
+	s := fc.ints[:n]
+	clear(s)
+	return s
 }
 
 // CountStat bumps a statistic in the worker-private shard.

@@ -437,6 +437,7 @@ func (e *emitter) writeBAT() {
 			r := bat.Range{
 				FuncIdx: bt.AddFunc(fn.Name, fn.Size),
 				Start:   fr.addr, Size: uint32(len(fr.Code)), Cold: fr.cold,
+				Entries: make([]bat.Entry, 0, len(fr.Anchors)),
 			}
 			for _, an := range fr.Anchors {
 				// Instructions spliced in from another function (inlined

@@ -5,9 +5,12 @@
 // ablation benchmarks.
 package layout
 
+//boltvet:hot-path block layout of every profiled function: chain merging rescans the edge list per merge
+
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Algorithm selects a block-ordering strategy.
@@ -67,9 +70,18 @@ func Reorder(g *Graph, algo Algorithm) []int {
 	}
 }
 
-type chain struct {
-	blocks []int
-	size   int
+// node is one block's share of the chain slab. A chain is a list of
+// blocks linked through next and is named by its head block, which a
+// merge never changes; chain is maintained for every block, the other
+// fields for chain heads only, except end.
+type node struct {
+	next   int32  // following block in the chain, -1 at the tail
+	chain  int32  // head block of the chain holding this block
+	tail   int32  // head only: last block of the chain
+	size   int32  // head only: bytes in the chain
+	end    int32  // bytes from the chain's start to this block's end
+	listed bool   // head only: already in the final chain order
+	weight uint64 // head only: execution count of the chain's blocks
 }
 
 // chainLayout builds chains by merging along heavy edges. In PH mode,
@@ -77,41 +89,50 @@ type chain struct {
 // cache+ (ext-TSP-like) mode, merges are chosen by a proximity score that
 // also rewards short forward jumps, iterating until no positive gain.
 func chainLayout(g *Graph, extTSP bool) []int {
-	chainOf := make([]*chain, g.N)
-	for i := 0; i < g.N; i++ {
-		sz := 1
+	nodes := make([]node, g.N)
+	for i := range nodes {
+		nd := node{next: -1, chain: int32(i), tail: int32(i)}
 		if i < len(g.Size) {
-			sz = g.Size[i]
+			nd.size = int32(g.Size[i])
+			nd.end = nd.size
 		}
-		chainOf[i] = &chain{blocks: []int{i}, size: sz}
+		if i < len(g.Weight) {
+			nd.weight = g.Weight[i]
+		}
+		nodes[i] = nd
 	}
-	head := func(c *chain) int { return c.blocks[0] }
-	tail := func(c *chain) int { return c.blocks[len(c.blocks)-1] }
-	merge := func(a, b *chain) *chain {
-		a.blocks = append(a.blocks, b.blocks...)
-		a.size += b.size
-		for _, blk := range b.blocks {
-			chainOf[blk] = a
+	// merge appends chain b to chain a.
+	merge := func(a, b int32) {
+		ca, cb := &nodes[a], &nodes[b]
+		for blk := b; blk >= 0; blk = nodes[blk].next {
+			nodes[blk].chain = a
+			nodes[blk].end += ca.size
 		}
-		return a
+		nodes[ca.tail].next = b
+		ca.tail = cb.tail
+		ca.size += cb.size
+		ca.weight += cb.weight
 	}
 
-	edges := append([]Edge(nil), g.Edges...)
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Weight > edges[j].Weight })
+	// Zero-weight and self edges never merge anything.
+	edges := make([]Edge, 0, len(g.Edges))
+	for _, e := range g.Edges {
+		if e.Weight != 0 && e.From != e.To {
+			edges = append(edges, e)
+		}
+	}
+	slices.SortStableFunc(edges, func(x, y Edge) int { return cmp.Compare(y.Weight, x.Weight) })
 
+	live := g.N // chains left
 	if !extTSP {
 		// Pettis-Hansen: one pass over edges by weight.
 		for _, e := range edges {
-			if e.From == e.To || e.Weight == 0 {
-				continue
-			}
-			a, b := chainOf[e.From], chainOf[e.To]
-			if a == b {
-				continue
-			}
-			// Entry block must remain a chain head.
-			if tail(a) == e.From && head(b) == e.To && head(b) != 0 {
+			a, b := nodes[e.From].chain, nodes[e.To].chain
+			// b == e.To: the target heads its chain. The entry block must
+			// remain a chain head.
+			if a != b && nodes[a].tail == int32(e.From) && b == int32(e.To) && b != 0 {
 				merge(a, b)
+				live--
 			}
 		}
 	} else {
@@ -119,92 +140,65 @@ func chainLayout(g *Graph, extTSP bool) []int {
 		// chain A before chain B is the weight of edges that become
 		// fall-throughs (tail(A)->head(B)) plus a distance-discounted
 		// bonus for edges from anywhere in A to head(B).
-		for {
-			var bestA, bestB *chain
+		for live > 1 {
+			bestA, bestB := int32(-1), int32(-1)
 			var bestGain float64
-			seen := map[*chain]bool{}
-			var chains []*chain
-			for i := 0; i < g.N; i++ {
-				if c := chainOf[i]; !seen[c] {
-					seen[c] = true
-					chains = append(chains, c)
-				}
-			}
-			if len(chains) <= 1 {
-				break
-			}
-			// Index edges by (tailBlock, headBlock) pairs for scoring.
+			// An edge inside one chain, or into a block that no longer
+			// heads a chain or into the entry chain, has scored for the
+			// last time — chains only grow — so each scan drops them,
+			// keeping the others in order.
+			kept := edges[:0]
 			for _, e := range edges {
-				if e.Weight == 0 || e.From == e.To {
+				a, b := nodes[e.From].chain, nodes[e.To].chain
+				if a == b || b != int32(e.To) || b == 0 {
 					continue
 				}
-				a, b := chainOf[e.From], chainOf[e.To]
-				if a == b || head(b) == 0 {
-					continue
-				}
+				kept = append(kept, e)
 				var gain float64
-				if tail(a) == e.From && head(b) == e.To {
+				if nodes[a].tail == int32(e.From) {
 					gain = float64(e.Weight) // perfect fall-through
-				} else if head(b) == e.To {
+				} else if nodes[a].size-nodes[e.From].end < 1024 {
 					// Forward jump from inside A to the start of B:
-					// discounted by how far the source sits from A's end.
-					dist := 0
-					found := false
-					for i := len(a.blocks) - 1; i >= 0; i-- {
-						if a.blocks[i] == e.From {
-							found = true
-							break
-						}
-						if i < len(g.Size) {
-							dist += g.Size[a.blocks[i]]
-						}
-					}
-					if found && dist < 1024 {
-						gain = 0.1 * float64(e.Weight)
-					}
+					// counted while the source sits near A's end.
+					gain = 0.1 * float64(e.Weight)
 				}
 				if gain > bestGain {
 					bestGain, bestA, bestB = gain, a, b
 				}
 			}
-			if bestA == nil || bestGain <= 0 {
+			edges = kept
+			if bestA < 0 {
 				break
 			}
 			merge(bestA, bestB)
+			live--
 		}
 	}
 
-	// Order chains: entry chain first, then by connection-weighted
-	// hotness (total edge weight into placed chains, falling back to
-	// chain execution weight).
-	seen := map[*chain]bool{}
-	var chains []*chain
-	for i := 0; i < g.N; i++ {
-		if c := chainOf[i]; !seen[c] {
-			seen[c] = true
-			chains = append(chains, c)
+	// Order chains: entry chain first, then by hotness (chain execution
+	// weight); equally hot chains stay in order of their lowest block.
+	heads := make([]int32, 0, live)
+	for i := range nodes {
+		if c := nodes[i].chain; !nodes[c].listed {
+			nodes[c].listed = true
+			heads = append(heads, c)
 		}
 	}
-	weightOf := func(c *chain) uint64 {
-		var w uint64
-		for _, b := range c.blocks {
-			if b < len(g.Weight) {
-				w += g.Weight[b]
+	slices.SortStableFunc(heads, func(x, y int32) int {
+		if (x == 0) != (y == 0) {
+			if x == 0 {
+				return -1
 			}
+			return 1
 		}
-		return w
-	}
-	sort.SliceStable(chains, func(i, j int) bool {
-		ci, cj := chains[i], chains[j]
-		if (head(ci) == 0) != (head(cj) == 0) {
-			return head(ci) == 0
-		}
-		return weightOf(ci) > weightOf(cj)
+		return cmp.Compare(nodes[y].weight, nodes[x].weight)
 	})
 
-	var out []int
-	for _, c := range chains {
-		out = append(out, c.blocks...)
+	out := make([]int, 0, g.N)
+	for _, c := range heads {
+		for blk := c; blk >= 0; blk = nodes[blk].next {
+			out = append(out, int(blk))
+		}
 	}
 	return out
 }

@@ -1,8 +1,9 @@
 package passes
 
+//boltvet:hot-path frame-opts and shrink-wrapping sweep every instruction; liveness only at a candidate
+
 import (
 	"gobolt/internal/core"
-	"gobolt/internal/dataflow"
 	"gobolt/internal/isa"
 )
 
@@ -12,7 +13,9 @@ import (
 //	push %rX ; call f ; pop %rX
 //
 // for a caller-saved %rX that is dead after the pop. Liveness analysis
-// (the dataflow framework of §4) proves deadness before deletion.
+// (the dataflow framework of §4) proves deadness before deletion; it is
+// asked for at the function's first such triple, so a function without
+// one costs a scan of its instructions and allocates nothing.
 type FrameOpts struct{}
 
 // Name implements core.FunctionPass.
@@ -20,7 +23,9 @@ func (FrameOpts) Name() string { return "frame-opts" }
 
 // RunOnFunction implements core.FunctionPass.
 func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
-	liveOut := flagsLiveOut(fn) // full register liveness, reused
+	// Live-out sets of the function as it came in: deleting a dead
+	// spill only shrinks them, so they stay a safe over-approximation.
+	var liveOut []isa.RegSet
 	for _, b := range fn.Blocks {
 		for i := 0; i+2 < len(b.Insts); i++ {
 			push := &b.Insts[i]
@@ -33,29 +38,21 @@ func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 			if r != pop.I.R1 || !r.CallerSaved() || !call.IsCall() {
 				continue
 			}
-			// The spilled register must be dead after the pop.
-			uses := make([]isa.RegSet, len(b.Insts))
-			defs := make([]isa.RegSet, len(b.Insts))
-			for k := range b.Insts {
-				uses[k] = b.Insts[k].I.Uses()
-				defs[k] = b.Insts[k].I.Defs()
+			if liveOut == nil {
+				liveOut = flagsLiveOut(fn)
 			}
-			liveAfter := liveAtEach(uses, defs, liveOut[b.Index])
-			if liveAfter[i+2].Has(r) {
+			if liveAfterInst(b, i+2, liveOut[b.Index]).Has(r) {
 				// The value is consumed later: the spill is real.
 				continue
 			}
-			b.Insts = append(b.Insts[:i:i], b.Insts[i+1:]...)
-			// After removal the pop sits at i+1; delete it too.
-			b.Insts = append(b.Insts[:i+1:i+1], b.Insts[i+2:]...)
+			// Close the gaps in place: the call moves down one slot and
+			// the rest of the block two.
+			b.Insts[i] = *call
+			b.Insts = append(b.Insts[:i+1], b.Insts[i+3:]...)
 			fc.CountStat(core.StatFrameOptsSpills, 1)
 		}
 	}
 	return nil
-}
-
-func liveAtEach(uses, defs []isa.RegSet, liveOut isa.RegSet) []isa.RegSet {
-	return dataflow.LiveAtEachInst(uses, defs, liveOut)
 }
 
 // ShrinkWrapping moves a callee-saved register save out of the prologue
@@ -88,7 +85,7 @@ func (s ShrinkWrapping) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction)
 func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	entry := fn.Blocks[0]
 	// Match the prologue and find the last saved callee-saved register.
-	var pushIdx []int
+	nPush, last := 0, -1 // callee-saved pushes of the prologue, and the last one's index
 	sawFrame := false
 	for i := range entry.Insts {
 		in := &entry.Insts[i]
@@ -97,15 +94,14 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 		case in.I.Op == isa.MOVrr && in.I.R1 == isa.RBP && in.I.R2 == isa.RSP:
 			sawFrame = true
 		case in.I.Op == isa.PUSH && in.I.R1.CalleeSaved() && sawFrame:
-			pushIdx = append(pushIdx, i)
+			nPush, last = nPush+1, i
 		case in.I.Op == isa.SUBri && in.I.R1 == isa.RSP:
 			return // locals present: offsets would shift
 		}
 	}
-	if !sawFrame || len(pushIdx) == 0 {
+	if !sawFrame || nPush == 0 {
 		return
 	}
-	last := pushIdx[len(pushIdx)-1]
 	reg := entry.Insts[last].I.R1
 
 	// Find the unique block using reg; reject other uses.
@@ -152,7 +148,7 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	}
 
 	// Compute the old save offset (CFA-relative) for CFI surgery.
-	saveOff := int32(-24 - 8*int32(len(pushIdx)-1))
+	saveOff := int32(-24 - 8*int32(nPush-1))
 
 	// 1. Drop the prologue push.
 	entry.Insts = append(entry.Insts[:last:last], entry.Insts[last+1:]...)

@@ -1,8 +1,6 @@
 package passes
 
 import (
-	"sort"
-
 	"gobolt/internal/core"
 	"gobolt/internal/dataflow"
 	"gobolt/internal/isa"
@@ -25,27 +23,45 @@ import (
 // ICP is a whole-binary pass (a sequential barrier under the
 // PassManager): the CFG surgery is per-function, but promotion decisions
 // read cross-function state (target addresses, the global call-target
-// histogram) that later barriers may reshape.
+// histogram) that later barriers may reshape. It is sparse: only the
+// functions owning a profiled call-site address are looked at.
 type ICP struct{}
 
 // Name implements core.Pass.
 func (ICP) Name() string { return "icp" }
 
+// icpSite is one promotable indirect call: instruction i of block b.
+type icpSite struct {
+	b               *core.BasicBlock
+	i               int
+	hot             *core.BinaryFunction
+	hotCount, total uint64
+}
+
 // Run implements core.Pass.
 func (p ICP) Run(ctx *core.BinaryContext) error {
+	if len(ctx.CallTargets) == 0 {
+		return nil
+	}
 	threshold := ctx.Opts.ICPThreshold
 	if threshold == 0 {
 		threshold = 0.51
 	}
-	for _, fn := range ctx.SimpleFuncs() {
-		// Collect sites first: block surgery invalidates iteration.
-		type site struct {
-			b               *core.BasicBlock
-			i               int
-			hot             *core.BinaryFunction
-			hotCount, total uint64
+	// Marking is order-free; the functions are then visited in address
+	// order, as a scan of all of them would.
+	owns := make([]bool, len(ctx.Funcs)+1)
+	for addr := range ctx.CallTargets {
+		if fn := ctx.FuncContaining(addr); fn != nil {
+			owns[fn.Ref()] = true
 		}
-		var sites []site
+	}
+	var sites []icpSite
+	for _, fn := range ctx.Funcs {
+		if !owns[fn.Ref()] || !fn.Simple || fn.FoldedInto != nil {
+			continue
+		}
+		// Collect sites first: block surgery invalidates iteration.
+		sites = sites[:0]
 		for _, b := range fn.Blocks {
 			for i := range b.Insts {
 				in := &b.Insts[i]
@@ -56,37 +72,33 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 				if len(hist) == 0 {
 					continue
 				}
-				var total uint64
-				names := make([]string, 0, len(hist))
+				// The dominant target; equal counts go to the lesser name.
+				var total, hotCount uint64
+				hot, first := "", true
 				for n, c := range hist {
 					total += c
-					names = append(names, n)
-				}
-				sort.Slice(names, func(x, y int) bool {
-					if hist[names[x]] != hist[names[y]] {
-						return hist[names[x]] > hist[names[y]]
+					if first || c > hotCount || (c == hotCount && n < hot) {
+						hot, hotCount, first = n, c, false
 					}
-					return names[x] < names[y]
-				})
-				hot := names[0]
-				if float64(hist[hot]) < threshold*float64(total) {
+				}
+				if float64(hotCount) < threshold*float64(total) {
 					continue
 				}
 				target := ctx.ByName[hot]
 				if target == nil || target.Addr >= 1<<31 {
 					continue // must fit a cmp imm32
 				}
-				sites = append(sites, site{b: b, i: i, hot: target, hotCount: hist[hot], total: total})
+				sites = append(sites, icpSite{b: b, i: i, hot: target, hotCount: hotCount, total: total})
 			}
 		}
-		// FLAGS liveness: compute per-block live-out once per function.
 		if len(sites) == 0 {
 			continue
 		}
+		// The cmp clobbers FLAGS: liveness, once per function with a site.
 		liveOut := flagsLiveOut(fn)
 		for s := len(sites) - 1; s >= 0; s-- {
 			st := sites[s]
-			if flagsLiveAfterInst(fn, st.b, st.i, liveOut) {
+			if liveAfterInst(st.b, st.i, liveOut[st.b.Index])&isa.FlagsBit != 0 {
 				ctx.CountStat(core.StatICPFlagsBlocked, 1)
 				continue
 			}
@@ -101,58 +113,49 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 }
 
 // flagsLiveOut runs register liveness over the function and returns each
-// block's live-out set (only FLAGS is consulted, but the analysis is the
-// general one from the dataflow framework).
+// block's live-out set. It is the general analysis of the dataflow
+// framework over all registers — ICP consults FLAGS, frame-opts the
+// spilled register — so callers ask for it only once they hold a
+// candidate site. Each block's instructions are folded into use/def
+// once, and the edges (exception edges included) into index arrays, so
+// the fixpoint itself touches no instruction.
 func flagsLiveOut(fn *core.BinaryFunction) []isa.RegSet {
-	n := len(fn.Blocks)
-	// The framework consumes each succs(i) result before the next call,
-	// so one reusable buffer serves the whole fixpoint (this closure is
-	// called O(blocks × iterations) times — a fresh slice per call
-	// dominated the pass's allocations).
-	var succBuf []int
-	succs := func(i int) []int {
-		out := succBuf[:0]
-		for _, e := range fn.Blocks[i].Succs {
-			out = append(out, e.To.Index)
-		}
-		for _, lp := range fn.Blocks[i].LPs {
-			out = append(out, lp.Index)
-		}
-		succBuf = out
-		return out
+	n, edges := len(fn.Blocks), 0
+	for _, b := range fn.Blocks {
+		edges += len(b.Succs) + len(b.LPs)
 	}
-	use := func(i int) isa.RegSet {
-		b := fn.Blocks[i]
+	sets := make([]isa.RegSet, 2*n)
+	use, def := sets[:n], sets[n:]
+	slab := make([]int32, n+1+edges)
+	succOff, succ := slab[:n+1], slab[n+1:n+1]
+	for i, b := range fn.Blocks {
 		var u, d isa.RegSet
 		for k := range b.Insts {
 			u |= b.Insts[k].I.Uses() &^ d
 			d |= b.Insts[k].I.Defs()
 		}
-		return u
-	}
-	def := func(i int) isa.RegSet {
-		b := fn.Blocks[i]
-		var d isa.RegSet
-		for k := range b.Insts {
-			d |= b.Insts[k].I.Defs()
+		use[i], def[i] = u, d
+		for _, e := range b.Succs {
+			succ = append(succ, int32(e.To.Index))
 		}
-		return d
+		for _, lp := range b.LPs {
+			succ = append(succ, int32(lp.Index))
+		}
+		succOff[i+1] = int32(len(succ))
 	}
-	_, liveOut := dataflow.Liveness(n, succs, use, def)
+	g := dataflow.NewGraph(succOff, succ)
+	_, liveOut := dataflow.Liveness(&g, use, def)
 	return liveOut
 }
 
-// flagsLiveAfterInst reports whether FLAGS is live immediately after
-// instruction i of block b.
-func flagsLiveAfterInst(fn *core.BinaryFunction, b *core.BasicBlock, i int, liveOut []isa.RegSet) bool {
-	uses := make([]isa.RegSet, len(b.Insts))
-	defs := make([]isa.RegSet, len(b.Insts))
-	for k := range b.Insts {
-		uses[k] = b.Insts[k].I.Uses()
-		defs[k] = b.Insts[k].I.Defs()
+// liveAfterInst returns the registers live immediately after instruction
+// i of block b, whose live-out set is liveOut.
+func liveAfterInst(b *core.BasicBlock, i int, liveOut isa.RegSet) isa.RegSet {
+	live := liveOut
+	for k := len(b.Insts) - 1; k > i; k-- {
+		live = b.Insts[k].I.Uses() | (live &^ b.Insts[k].I.Defs())
 	}
-	liveAfter := dataflow.LiveAtEachInst(uses, defs, liveOut[b.Index])
-	return liveAfter[i]&isa.FlagsBit != 0
+	return live
 }
 
 // promote performs the CFG surgery for one call site.

@@ -13,9 +13,55 @@ import (
 // register/immediate instructions ending in ret — no stack traffic, no
 // calls, no memory-ordering hazards to reason about.
 //
-// InlineSmall is a whole-binary pass (a sequential barrier under the
-// PassManager): it reads callee bodies while rewriting callers, so
-// running it per-function would race with concurrent callee mutation.
+// Inlining runs in two pipeline steps, like ICF. A qualifying callee has
+// no call, so it is never itself rewritten; what forces a fixed order is
+// chains: splicing B into A = `call B; ret` makes A a qualifying callee
+// for callers visited after it and not for those before. InlineScan, a
+// function pass, therefore only rules callers out — on a property no
+// splice changes — and InlineSmall, a sequential barrier, visits the
+// rest in address order.
+
+// InlineScan marks the functions InlineSmall need not visit: those with
+// no direct call to a single-block function. Splicing never changes a
+// function's block count, so the unmarked functions are a superset of the
+// callers InlineSmall would rewrite, in whatever order it gets to them.
+type InlineScan struct{}
+
+// Name implements core.FunctionPass.
+func (InlineScan) Name() string { return "inline-small-scan" }
+
+// RunOnFunction implements core.FunctionPass.
+func (InlineScan) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
+	for _, b := range fn.Blocks {
+		for i := range b.Insts {
+			if callee := inlineCallee(fc.BinaryContext, fn, &b.Insts[i]); callee != nil && len(callee.Blocks) == 1 {
+				return nil
+			}
+		}
+	}
+	fn.NoInlineSite = true
+	return nil
+}
+
+// inlineCallee returns the function in calls, with ICF folds resolved,
+// when the call is one inlining may replace: direct, outside any try
+// range, and not recursive. Otherwise nil.
+func inlineCallee(ctx *core.BinaryContext, fn *core.BinaryFunction, in *core.Inst) *core.BinaryFunction {
+	if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP != 0 {
+		return nil
+	}
+	callee := ctx.Func(in.TargetSym)
+	if callee == fn {
+		return nil
+	}
+	for callee.FoldedInto != nil {
+		callee = callee.FoldedInto
+	}
+	return callee
+}
+
+// InlineSmall is the splice step: a sequential barrier over the callers
+// InlineScan did not rule out (every caller, when no scan ran).
 type InlineSmall struct{}
 
 // MaxInlineInsts bounds the inlined body size.
@@ -26,19 +72,17 @@ func (InlineSmall) Name() string { return "inline-small" }
 
 // Run implements core.Pass.
 func (InlineSmall) Run(ctx *core.BinaryContext) error {
-	for _, fn := range ctx.SimpleFuncs() {
+	for _, fn := range ctx.Funcs {
+		if fn.NoInlineSite || !fn.Simple || fn.FoldedInto != nil {
+			fn.NoInlineSite = false
+			continue
+		}
 		for _, b := range fn.Blocks {
 			for i := 0; i < len(b.Insts); i++ {
 				in := &b.Insts[i]
-				if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP != 0 {
+				callee := inlineCallee(ctx, fn, in)
+				if callee == nil {
 					continue
-				}
-				callee := ctx.Func(in.TargetSym)
-				if callee == fn {
-					continue
-				}
-				for callee.FoldedInto != nil {
-					callee = callee.FoldedInto
 				}
 				body, ok := inlinableBody(callee)
 				if !ok {

@@ -1,11 +1,14 @@
 // Package passes implements gobolt's optimization pipeline: the sixteen
 // transformations of the paper's Table 1, in order. Per-function
 // transformations are core.FunctionPass (schedulable over the
-// PassManager's worker pool); whole-binary analyses (ICP, inline-small,
-// reorder-functions, plt, and ICF's fold step) are core.Pass and run as
-// sequential barriers between the parallel regions. ICF's expensive
-// half — congruence-key hashing — is a FunctionPass (ICFHash), so only
-// the cheap bucket-and-fold step remains a barrier.
+// PassManager's worker pool); whole-binary steps (ICP, reorder-functions,
+// and the fold of ICF and the splice of inline-small) are core.Pass and
+// run as sequential barriers between the parallel regions. A barrier
+// costs what it acts on: ICF and inline-small leave their scan of every
+// instruction — congruence-key hashing (ICFHash), ruling callers out
+// (InlineScan) — to a FunctionPass, and ICP looks only at the functions
+// owning a profiled call site. Analyses are on demand: liveness is
+// computed for a function once a pass holds a candidate site in it.
 package passes
 
 import (
@@ -39,11 +42,12 @@ func BuildPipeline(opts core.Options) []core.Pass {
 	add(opts.ICF, ICF{Round: 1})
 	add(opts.ICP, ICP{})
 	each(opts.Peepholes, Peepholes{Round: 1})
+	each(opts.InlineSmall, InlineScan{})
 	add(opts.InlineSmall, InlineSmall{})
 	each(opts.SimplifyROLoads, SimplifyROLoads{})
 	each(opts.ICF, ICFHash{Round: 2})
 	add(opts.ICF, ICF{Round: 2})
-	add(opts.PLT, PLTPass{})
+	each(opts.PLT, PLTPass{})
 	each(true, ReorderBBs{})
 	each(opts.Peepholes, Peepholes{Round: 2})
 	each(opts.UCE, UCE{})

@@ -1,5 +1,7 @@
 package passes
 
+//boltvet:hot-path reorder-bbs builds a layout graph per profiled function; reorder-functions one call graph per run
+
 import (
 	"gobolt/internal/core"
 	"gobolt/internal/hfsort"
@@ -23,7 +25,7 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 		return nil
 	}
 	if algo := fc.Opts.ReorderBlocks; algo != layout.AlgoNone && algo != "" {
-		reorderOne(fn, algo)
+		reorderOne(fc, fn, algo)
 		fc.CountStat(core.StatReorderBBsFuncs, 1)
 	}
 	if fc.Opts.SplitFunctions > 0 {
@@ -33,48 +35,56 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 }
 
 // reorderOne partitions hot/cold and lays out the hot subgraph.
-func reorderOne(fn *core.BinaryFunction, algo layout.Algorithm) {
-	var hot, cold []*core.BasicBlock
-	hot = append(hot, fn.Blocks[0])
-	for _, b := range fn.Blocks {
-		if b.IsEntry {
-			continue
-		}
+func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm) {
+	// pos maps BasicBlock.Index to one plus the block's node in the
+	// layout graph, 0 for a cold block. The entry is node 0 whatever its
+	// count, and the only block the loader marks IsEntry.
+	pos := fc.Ints(len(fn.Blocks))
+	nHot := 1
+	pos[0] = 1
+	for _, b := range fn.Blocks[1:] {
 		if b.ExecCount > 0 {
+			nHot++
+			pos[b.Index] = int32(nHot)
+		}
+	}
+	hot := make([]*core.BasicBlock, 0, nHot)
+	newBlocks := make([]*core.BasicBlock, nHot, len(fn.Blocks))
+	nEdges := 0
+	for i, b := range fn.Blocks {
+		if pos[i] != 0 {
 			hot = append(hot, b)
+			nEdges += len(b.Succs)
 		} else {
-			cold = append(cold, b)
+			newBlocks = append(newBlocks, b)
 		}
 	}
-	idx := map[*core.BasicBlock]int{}
+
+	g := &layout.Graph{
+		N:      nHot,
+		Weight: make([]uint64, nHot),
+		Size:   make([]int, nHot),
+		Edges:  make([]layout.Edge, 0, nEdges),
+	}
 	for i, b := range hot {
-		idx[b] = i
-	}
-	g := &layout.Graph{N: len(hot)}
-	for _, b := range hot {
-		g.Weight = append(g.Weight, b.ExecCount)
+		g.Weight[i] = b.ExecCount
 		size := 0
-		for i := range b.Insts {
-			size += int(b.Insts[i].Size)
-			if b.Insts[i].Size == 0 {
-				size += isa.InstLen(&b.Insts[i].I, true)
+		for k := range b.Insts {
+			size += int(b.Insts[k].Size)
+			if b.Insts[k].Size == 0 {
+				size += isa.InstLen(&b.Insts[k].I, true)
 			}
 		}
-		g.Size = append(g.Size, size)
-	}
-	for _, b := range hot {
+		g.Size[i] = size
 		for _, e := range b.Succs {
-			if j, ok := idx[e.To]; ok && e.Count > 0 {
-				g.Edges = append(g.Edges, layout.Edge{From: idx[b], To: j, Weight: e.Count})
+			if j := pos[e.To.Index]; j != 0 && e.Count > 0 {
+				g.Edges = append(g.Edges, layout.Edge{From: i, To: int(j) - 1, Weight: e.Count})
 			}
 		}
 	}
-	order := layout.Reorder(g, algo)
-	newBlocks := make([]*core.BasicBlock, 0, len(fn.Blocks))
-	for _, i := range order {
-		newBlocks = append(newBlocks, hot[i])
+	for i, o := range layout.Reorder(g, algo) {
+		newBlocks[i] = hot[o]
 	}
-	newBlocks = append(newBlocks, cold...)
 	fn.Blocks = newBlocks
 	for i, b := range fn.Blocks {
 		b.Index = i

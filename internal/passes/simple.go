@@ -1,5 +1,7 @@
 package passes
 
+//boltvet:hot-path the per-instruction function passes (strip-rep-ret, peepholes, uce, simplify-ro-loads, plt): one sweep of the IR each
+
 import (
 	"gobolt/internal/core"
 	"gobolt/internal/isa"
@@ -101,7 +103,10 @@ func removePred(b *core.BasicBlock, p *core.BasicBlock) {
 }
 
 // UCE eliminates unreachable basic blocks (Table 1, pass 11): anything
-// not reachable from the entry via control-flow or exception edges.
+// not reachable from the entry via control-flow or exception edges. The
+// marks and the stack are keyed by BasicBlock.Index and live in the
+// worker's scratch, so a function with nothing to remove allocates
+// nothing.
 type UCE struct{}
 
 // Name implements core.FunctionPass.
@@ -109,20 +114,23 @@ func (UCE) Name() string { return "uce" }
 
 // RunOnFunction implements core.FunctionPass.
 func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
-	if len(fn.Blocks) == 0 {
+	n := len(fn.Blocks)
+	if n == 0 {
 		return nil
 	}
-	reach := map[*core.BasicBlock]bool{}
-	var stack []*core.BasicBlock
+	buf := fc.Ints(2 * n)
+	reach, stack := buf[:n], buf[n:n] // a block is pushed once, so n slots do
+	reached := 0
 	push := func(b *core.BasicBlock) {
-		if b != nil && !reach[b] {
-			reach[b] = true
-			stack = append(stack, b)
+		if b != nil && reach[b.Index] == 0 {
+			reach[b.Index] = 1
+			reached++
+			stack = append(stack, int32(b.Index))
 		}
 	}
 	push(fn.Blocks[0])
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		b := fn.Blocks[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
 		for _, e := range b.Succs {
 			push(e.To)
@@ -136,12 +144,12 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 			}
 		}
 	}
-	if len(reach) == len(fn.Blocks) {
+	if reached == n {
 		return nil
 	}
-	var kept []*core.BasicBlock
+	kept := fn.Blocks[:0]
 	for _, b := range fn.Blocks {
-		if reach[b] {
+		if reach[b.Index] != 0 {
 			kept = append(kept, b)
 		} else {
 			fc.CountStat(core.StatUCEBlocks, 1)
@@ -151,6 +159,7 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 			}
 		}
 	}
+	clear(fn.Blocks[len(kept):]) // drop the removed blocks' last references
 	fn.Blocks = kept
 	for i, b := range fn.Blocks {
 		b.Index = i
@@ -231,35 +240,32 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 
 // PLTPass removes the indirection of calls routed through PLT stubs: the
 // GOT binding is known at rewrite time, so `call stub` becomes a direct
-// call to the target (Table 1, pass 8). It stays a whole-binary barrier
-// pass: the early-out on an empty stub map costs nothing, and it anchors
-// the sequence point between the ICF round before it and the parallel
-// reorder region after.
+// call to the target (Table 1, pass 8). It reads only the stub map and
+// the address-sorted function list and rewrites calls of the function in
+// hand, so it is a function pass.
 type PLTPass struct{}
 
-// Name implements core.Pass.
+// Name implements core.FunctionPass.
 func (PLTPass) Name() string { return "plt" }
 
-// Run implements core.Pass.
-func (PLTPass) Run(ctx *core.BinaryContext) error {
-	if len(ctx.PLTStubs) == 0 {
+// RunOnFunction implements core.FunctionPass.
+func (PLTPass) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
+	if len(fc.PLTStubs) == 0 {
 		return nil
 	}
-	for _, fn := range ctx.SimpleFuncs() {
-		for _, b := range fn.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.I.Op != isa.CALL || in.TargetSym != core.NoFunc {
-					continue
-				}
-				target, ok := ctx.PLTStubs[in.I.TargetAddr]
-				if !ok {
-					continue
-				}
-				if g := ctx.FuncByAddr(target); g != nil {
-					in.TargetSym = g.Ref()
-					ctx.CountStat(core.StatPLTCalls, 1)
-				}
+	for _, b := range fn.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			if in.I.Op != isa.CALL || in.TargetSym != core.NoFunc {
+				continue
+			}
+			target, ok := fc.PLTStubs[in.I.TargetAddr]
+			if !ok {
+				continue
+			}
+			if g := fc.FuncByAddr(target); g != nil {
+				in.TargetSym = g.Ref()
+				fc.CountStat(core.StatPLTCalls, 1)
 			}
 		}
 	}
