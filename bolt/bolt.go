@@ -72,6 +72,7 @@ type Session struct {
 
 	bctx *core.BinaryContext
 	res  *core.RewriteResult
+	out  []byte // res.File serialized, see image
 	rep  *Report
 
 	profiled  bool
@@ -277,22 +278,38 @@ func (s *Session) Output() *elfx.File {
 	return s.res.File
 }
 
+// image returns the serialized optimized binary, serializing it on
+// first use: the rewrite result is immutable after Optimize, so
+// WriteFile, WriteTo and VerifyOutput hand out, and check, the same
+// bytes.
+func (s *Session) image(what string) ([]byte, error) {
+	if s.res == nil {
+		return nil, fmt.Errorf("bolt: %s before Optimize", what)
+	}
+	if s.out == nil {
+		data, err := s.res.File.Bytes()
+		if err != nil {
+			return nil, fmt.Errorf("bolt: %s: serialize: %w", what, err)
+		}
+		s.out = data
+	}
+	return s.out, nil
+}
+
 // WriteFile serializes the optimized binary to path. Requires a
 // successful Optimize; repeatable.
 func (s *Session) WriteFile(path string) error {
-	if s.res == nil {
-		return fmt.Errorf("bolt: WriteFile before Optimize")
+	data, err := s.image("WriteFile")
+	if err != nil {
+		return err
 	}
-	return s.res.File.WriteFile(path)
+	return os.WriteFile(path, data, 0o755)
 }
 
 // WriteTo serializes the optimized binary to w. Requires a successful
 // Optimize; repeatable.
 func (s *Session) WriteTo(w io.Writer) (int64, error) {
-	if s.res == nil {
-		return 0, fmt.Errorf("bolt: WriteTo before Optimize")
-	}
-	data, err := s.res.File.Bytes()
+	data, err := s.image("WriteTo")
 	if err != nil {
 		return 0, err
 	}

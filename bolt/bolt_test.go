@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -447,5 +449,38 @@ func TestZeroOptionsNoFootgun(t *testing.T) {
 	}
 	if len(passes.BuildPipeline(core.Options{})) != len(passes.BuildPipeline(core.DefaultOptions())) {
 		t.Fatal("BuildPipeline treats the zero value as all-off")
+	}
+}
+
+// TestVerifyChecksTheBytesWritten: WriteTo, WriteFile and VerifyOutput
+// share one serialization of the rewrite result, so the gate's verdict
+// is about the very bytes that reach the output path. The output image
+// is corrupted after the first write; a gate that re-serialized would
+// see the corruption (sym-entry), a later write would carry it.
+func TestVerifyChecksTheBytesWritten(t *testing.T) {
+	f := buildTiny(t)
+	written, _, sess := optimizeViaSession(t, f, record(t, f), 1)
+	sess.Output().Entry = 1
+
+	res, err := sess.VerifyOutput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fi := range res.Findings {
+		t.Errorf("VerifyOutput judged other bytes than WriteTo wrote: %v", fi)
+	}
+	var again bytes.Buffer
+	if _, err := sess.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), written) {
+		t.Error("a second WriteTo wrote other bytes than the first")
+	}
+	path := filepath.Join(t.TempDir(), "out.bolt")
+	if err := sess.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, written) {
+		t.Errorf("WriteFile wrote other bytes than WriteTo (err %v)", err)
 	}
 }

@@ -20,14 +20,13 @@ func (s *Session) VerifyOutput() (*bincheck.Result, error) {
 	if s.broken {
 		return nil, fmt.Errorf("bolt: VerifyOutput on a broken session")
 	}
-	if s.res == nil {
-		return nil, fmt.Errorf("bolt: VerifyOutput before Optimize")
-	}
-	data, err := s.res.File.Bytes()
+	data, err := s.image("VerifyOutput")
 	if err != nil {
-		return nil, fmt.Errorf("bolt: VerifyOutput: serialize: %w", err)
+		return nil, err
 	}
-	res, err := bincheck.Check(data)
+	// The checker shares none of the emitter's state, only its pool:
+	// WithJobs bounds the check as it bounds the pipeline.
+	res, err := bincheck.CheckJobs(data, s.opts.Jobs)
 	if err != nil {
 		return nil, fmt.Errorf("bolt: VerifyOutput: %w", err)
 	}

@@ -212,9 +212,8 @@ func run() error {
 	if outPath == "" {
 		outPath = input + ".bolt"
 	}
-	if err := sess.WriteFile(outPath); err != nil {
-		return err
-	}
+	// The gate comes before the write: a rejected image never reaches
+	// the output path.
 	if *verify {
 		res, err := sess.VerifyOutput()
 		if err != nil {
@@ -226,8 +225,11 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "gobolt: verify: %s: %d fragments, %d instructions, %d FDEs, %d BAT ranges: %d errors, %d warnings\n",
 			outPath, res.Fragments, res.Instructions, res.FDEs, res.BATRanges, res.Errors, res.Warnings)
 		if !res.Ok() {
-			return fmt.Errorf("verify: %d error-severity findings in %s", res.Errors, outPath)
+			return fmt.Errorf("verify: %d error-severity findings, %s not written", res.Errors, outPath)
 		}
+	}
+	if err := sess.WriteFile(outPath); err != nil {
+		return err
 	}
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, tracer.WriteChromeTrace); err != nil {

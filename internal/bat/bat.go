@@ -14,6 +14,8 @@
 // and clamp to the nearest preceding one.
 package bat
 
+//boltvet:hot-path Parse decodes two varints per emitted instruction of the binary on every verification and every profile translation
+
 import (
 	"encoding/binary"
 	"fmt"
@@ -168,6 +170,7 @@ func (r *reader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
+		//boltvet:alloc-ok sticky error: set once, and the parse is over
 		r.err = fmt.Errorf("bat: truncated uvarint at %d", r.pos)
 		return 0
 	}
@@ -185,6 +188,7 @@ func (r *reader) bytes(n uint64) []byte {
 		return nil
 	}
 	if uint64(r.pos)+n > uint64(len(r.data)) {
+		//boltvet:alloc-ok sticky error: set once, and the parse is over
 		r.err = fmt.Errorf("bat: truncated string at %d", r.pos)
 		return nil
 	}
@@ -193,7 +197,17 @@ func (r *reader) bytes(n uint64) []byte {
 	return b
 }
 
-// Parse decodes a table serialized by Encode.
+// left bounds how many more records of at least size bytes each the
+// section can still hold: no claimed count is believed past it, so a
+// hostile count cannot buy an allocation larger than the bytes that
+// carry it.
+func (r *reader) left(claimed uint64, size int) int {
+	return int(min(claimed, uint64((len(r.data)-r.pos)/size)))
+}
+
+// Parse decodes a table serialized by Encode. Funcs, Ranges and every
+// range's Entries are sized from the decoded counts; the entries of all
+// ranges share one slab.
 func Parse(data []byte) (*Table, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("bat: bad magic")
@@ -207,6 +221,7 @@ func Parse(data []byte) (*Table, error) {
 	if nf > 1<<24 {
 		return nil, fmt.Errorf("bat: implausible function count %d", nf)
 	}
+	t.Funcs = make([]FuncInfo, 0, r.left(nf, 2)) // name length, size
 	for i := uint64(0); i < nf && r.err == nil; i++ {
 		nameLen := r.uvarint()
 		if nameLen > 1<<16 {
@@ -220,6 +235,12 @@ func Parse(data []byte) (*Table, error) {
 	if nr > 1<<24 {
 		return nil, fmt.Errorf("bat: implausible range count %d", nr)
 	}
+	t.Ranges = make([]Range, 0, r.left(nr, 5)) // five varints ahead of the anchors
+	// An anchor is two varints, so half the bytes left bounds the
+	// anchors of every range together: one slab holds them all, and each
+	// range's share is cut with its capacity so that appending to one
+	// range's Entries can never write into the next's.
+	slab := make([]Entry, (len(data)-r.pos)/2)
 	start := uint64(0)
 	for i := uint64(0); i < nr && r.err == nil; i++ {
 		var rg Range
@@ -236,10 +257,15 @@ func Parse(data []byte) (*Table, error) {
 		if ne > 1<<24 {
 			return nil, fmt.Errorf("bat: implausible entry count %d", ne)
 		}
+		n := r.left(ne, 2)
+		rg.Entries, slab = slab[:0:n], slab[n:]
 		outOff, inOff := uint64(0), int64(0)
-		for j := uint64(0); j < ne && r.err == nil; j++ {
+		for j := uint64(0); j < ne; j++ {
 			outOff += r.uvarint()
 			inOff += r.zigzag()
+			if r.err != nil {
+				break
+			}
 			rg.Entries = append(rg.Entries, Entry{OutOff: uint32(outOff), InOff: uint32(inOff)})
 		}
 		t.Ranges = append(t.Ranges, rg)

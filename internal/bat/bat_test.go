@@ -2,7 +2,9 @@ package bat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -97,6 +99,36 @@ func TestParseRejectsCorrupt(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%d bytes) unexpectedly succeeded", len(bad))
+		}
+	}
+}
+
+// TestBATParsePresizeBounded: Parse sizes its slices from the counts the
+// section states, so a count the section has no bytes for must fail the
+// parse without buying memory. Each section below is under 20 bytes and
+// claims 2^24 records (128 MB of anchors if believed).
+func TestBATParsePresizeBounded(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<24)
+	header := append([]byte(magic), version)
+	oneFunc := append(append([]byte{}, header...), 1, 1, 'x', 1) // nf=1: "x", size 1
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"functions", append(append([]byte{}, header...), huge...)},
+		{"ranges", append(append([]byte{}, oneFunc...), huge...)},
+		{"anchors", append(append(append([]byte{}, oneFunc...), 1, 0, 0, 1, 1), huge...)}, // nr=1: func 0, hot, start 1, size 1
+	} {
+		data := tc.data
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Parse(data)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: Parse accepted a %d-byte section claiming 2^24 records", tc.name, len(data))
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 4096 {
+			t.Errorf("%s: Parse allocated %d bytes for a %d-byte section", tc.name, got, len(data))
 		}
 	}
 }

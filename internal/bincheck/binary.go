@@ -1,9 +1,12 @@
 package bincheck
 
+//boltvet:hot-path fragment discovery and re-disassembly: one decode and one boundary bit per instruction of the binary
+
 import (
 	"sort"
 	"strings"
 
+	"gobolt/internal/cfi"
 	"gobolt/internal/elfx"
 	"gobolt/internal/isa"
 )
@@ -19,33 +22,72 @@ type instAt struct {
 	inst isa.Inst
 }
 
+// window is the disassembler's look-back, the last 16 instructions by
+// instruction number: deriveTable reaches the jump, the two instructions
+// of the PIC pattern and eight more for the table-base lea, and nothing
+// else reads instructions, so none outlives the decode loop.
+type window [16]instAt
+
+func (w *window) at(i int) *instAt { return &w[i&(len(w)-1)] }
+
+// site is one direct control transfer (jmp, jcc or call): what the
+// rules that follow control flow read in place of instructions.
+type site struct {
+	off    uint32
+	size   uint8
+	op     isa.Op
+	cc     isa.Cond
+	target uint64
+}
+
+func (s *site) mnemonic() string {
+	in := isa.Inst{Op: s.op, Cc: s.cc}
+	return in.Mnemonic()
+}
+
+// indirect is one computed jump with its table already re-derived (see
+// deriveTable); why says what broke the pattern when ok is false.
+type indirect struct {
+	off uint32
+	jt  jumpTable
+	why string
+	ok  bool
+}
+
 // fragment is one contiguous chunk of function code named by an
 // STT_FUNC symbol: a hot or cold fragment of a rewritten function, an
 // unmoved function in .bolt.org.text, or a PLT stub.
 type fragment struct {
 	name string // defining symbol name (fn or fn.cold.0)
 	fn   string // owning function (ColdSuffix stripped)
-	cold bool
 	// reemitted marks fragments the rewriter laid out itself (.text /
 	// .text.cold); the strictest rules apply only to those.
-	reemitted  bool
+	reemitted bool
+	// split marks a fragment whose function has another fragment.
+	split      bool
 	addr, size uint64
 	sec        *elfx.Section
-	code       []byte
+	code       []byte // nil when the symbol's range leaves its section
 
-	insts  []instAt
-	offIdx map[uint32]int // boundary offset -> index into insts
-	broken bool           // decoding failed; instruction-level rules skip
-	// aliases are other symbols naming the identical range (linker ICF).
-	aliases []string
+	// starts has one bit per code byte, set at instruction starts.
+	starts []uint64
+	sites  []site
+	jumps  []indirect
+	ninst  int  // zero unless the whole fragment decoded
+	broken bool // decoding failed; instruction-level rules skip
+
+	// Set by bindFrames and bindBAT: the first FDE starting here, and
+	// how many FDEs and BAT ranges name the fragment.
+	fde        *cfi.FDE
+	nfde, nbat int
 }
 
 func (fr *fragment) end() uint64 { return fr.addr + fr.size }
 
 // isBoundary reports whether off is an instruction start.
 func (fr *fragment) isBoundary(off uint32) bool {
-	_, ok := fr.offIdx[off]
-	return ok
+	w := int(off >> 6)
+	return w < len(fr.starts) && fr.starts[w]>>(off&63)&1 != 0
 }
 
 // checker carries the rebuilt model of one binary through the rules.
@@ -53,23 +95,35 @@ type checker struct {
 	f     *elfx.File
 	frags []*fragment // sorted by addr
 	// byName maps every defining symbol name (including ICF aliases) to
-	// its fragment; byFunc groups fragments by owning function.
+	// its fragment.
 	byName map[string]*fragment
-	byFunc map[string][]*fragment
 	// objSyms maps data-symbol start addresses to their first symbol
 	// (jump-table bounding, mirroring the loader's lookup order).
 	objSyms map[uint64]elfx.Symbol
 	res     *Result
 }
 
-// discover rebuilds the fragment map from the symbol table and
-// re-disassembles every fragment.
-func (c *checker) discover() {
+// worker is one pool goroutine's private state: its findings, merged
+// after the last rule has run, and the slab (siteSlab sites at a time)
+// its fragments' site lists are cut from.
+type worker struct {
+	*checker
+	findings []Finding
+	sites    []site
+}
+
+const siteSlab = 4096
+
+// index rebuilds the fragment map from the symbol table and carves one
+// boundary bitset per fragment out of a single slab. It is the serial
+// front of a check; disassembly fans out behind it.
+func (c *checker) index() {
 	c.byName = map[string]*fragment{}
-	c.byFunc = map[string][]*fragment{}
 	c.objSyms = map[uint64]elfx.Symbol{}
 	byRange := map[[2]uint64]*fragment{}
+	byFunc := map[string]*fragment{} // first fragment of each function
 
+	words := uint64(0)
 	for _, sym := range c.f.Symbols {
 		if sym.Type == elfx.STTObject {
 			if _, ok := c.objSyms[sym.Value]; !ok {
@@ -86,19 +140,29 @@ func (c *checker) discover() {
 		}
 		if fr, ok := byRange[[2]uint64{sym.Value, sym.Size}]; ok {
 			// Identical range under another name: a linker-ICF alias.
-			fr.aliases = append(fr.aliases, sym.Name)
 			c.byName[sym.Name] = fr
 			continue
 		}
 		fr := &fragment{
 			name: sym.Name, fn: strings.TrimSuffix(sym.Name, ColdSuffix),
-			cold:      strings.HasSuffix(sym.Name, ColdSuffix),
 			reemitted: sec.Name == ".text" || sec.Name == ".text.cold",
 			addr:      sym.Value, size: sym.Size, sec: sec,
 		}
+		// A range that leaves its section has no code to decode;
+		// checkSymbols reports the bounds violation.
+		if off := fr.addr - sec.Addr; fr.addr >= sec.Addr && off <= uint64(len(sec.Data)) && fr.size <= uint64(len(sec.Data))-off {
+			fr.code = sec.Data[off : off+fr.size]
+			words += (fr.size + 63) / 64
+		} else {
+			fr.broken = true
+		}
+		if first, ok := byFunc[fr.fn]; ok {
+			first.split, fr.split = true, true
+		} else {
+			byFunc[fr.fn] = fr
+		}
 		byRange[[2]uint64{sym.Value, sym.Size}] = fr
 		c.byName[sym.Name] = fr
-		c.byFunc[fr.fn] = append(c.byFunc[fr.fn], fr)
 		c.frags = append(c.frags, fr)
 	}
 	sort.Slice(c.frags, func(i, j int) bool {
@@ -110,38 +174,52 @@ func (c *checker) discover() {
 	})
 	c.res.Fragments = len(c.frags)
 
+	slab := make([]uint64, words)
 	for _, fr := range c.frags {
-		c.disassemble(fr)
+		n := (uint64(len(fr.code)) + 63) / 64
+		fr.starts, slab = slab[:n:n], slab[n:]
 	}
 }
 
-// disassemble linearly decodes a fragment, recording every instruction
-// boundary. A decode failure marks the fragment broken: the bytes do
-// not form an instruction stream, which is itself a finding, and the
+// disassemble linearly decodes a fragment, setting a bit at every
+// instruction start and keeping the control-transfer sites. A decode
+// failure marks the fragment broken: the bytes do not form an
+// instruction stream, which is itself a finding, and the
 // instruction-level rules skip the fragment rather than cascade.
-func (c *checker) disassemble(fr *fragment) {
-	secOff := fr.addr - fr.sec.Addr
-	if fr.addr < fr.sec.Addr || secOff+fr.size > uint64(len(fr.sec.Data)) {
-		// checkSymbols reports the bounds violation; nothing to decode.
-		fr.broken = true
-		fr.offIdx = map[uint32]int{}
+func (w *worker) disassemble(fr *fragment) {
+	if fr.code == nil {
 		return
 	}
-	fr.code = fr.sec.Data[secOff : secOff+fr.size]
-	fr.offIdx = make(map[uint32]int, len(fr.code)/4)
-	for off := uint32(0); uint64(off) < fr.size; {
-		inst, n, err := isa.Decode(fr.code[off:], fr.addr+uint64(off))
+	if cap(w.sites)-len(w.sites) < siteSlab/8 {
+		w.sites = make([]site, 0, siteSlab)
+	}
+	first := len(w.sites)
+	var win window
+	n := 0
+	for off := uint32(0); uint64(off) < fr.size; n++ {
+		inst, size, err := isa.Decode(fr.code[off:], fr.addr+uint64(off))
 		if err != nil {
-			c.errorf("disasm", fr.name, fr.addr+uint64(off),
+			w.errorf("disasm", fr.name, fr.addr+uint64(off),
 				"undecodable bytes at offset %#x: %v", off, err)
 			fr.broken = true
+			w.sites = w.sites[:first]
 			return
 		}
-		fr.offIdx[off] = len(fr.insts)
-		fr.insts = append(fr.insts, instAt{off: off, size: uint32(n), inst: inst})
-		off += uint32(n)
+		*win.at(n) = instAt{off: off, size: uint32(size), inst: inst}
+		fr.starts[off>>6] |= 1 << (off & 63)
+		switch in := &inst; {
+		case in.IsDirectBranch() || in.Op == isa.CALL:
+			w.sites = append(w.sites, site{off: off, size: uint8(size), op: in.Op, cc: in.Cc, target: in.TargetAddr})
+		case in.IsIndirectBranch():
+			j := indirect{off: off}
+			j.jt, j.why, j.ok = w.deriveTable(fr, &win, n)
+			// Computed jumps are a handful per binary: no slab for them.
+			fr.jumps = append(fr.jumps, j)
+		}
+		off += uint32(size)
 	}
-	c.res.Instructions += len(fr.insts)
+	fr.ninst = n
+	fr.sites = w.sites[first:len(w.sites):len(w.sites)]
 }
 
 // at locates the fragment containing addr, if any.
@@ -182,30 +260,30 @@ func (c *checker) validTarget(addr uint64) (*fragment, bool) {
 
 // checkSymbols verifies the fragment map itself: fragments inside their
 // sections, no partial overlaps, a valid entry point.
-func (c *checker) checkSymbols() {
-	for i, fr := range c.frags {
-		if fr.addr < fr.sec.Addr || fr.end() > fr.sec.Addr+uint64(len(fr.sec.Data)) {
-			c.errorf("sym-bounds", fr.name, fr.addr,
+func (w *worker) checkSymbols() {
+	for i, fr := range w.frags {
+		if fr.code == nil {
+			w.errorf("sym-bounds", fr.name, fr.addr,
 				"fragment [%#x,%#x) extends past section %s [%#x,%#x)",
 				fr.addr, fr.end(), fr.sec.Name, fr.sec.Addr, fr.sec.Addr+uint64(len(fr.sec.Data)))
 		}
 		if i > 0 {
-			prev := c.frags[i-1]
+			prev := w.frags[i-1]
 			if fr.addr < prev.end() {
-				c.errorf("sym-overlap", fr.name, fr.addr,
+				w.errorf("sym-overlap", fr.name, fr.addr,
 					"fragment [%#x,%#x) overlaps %s [%#x,%#x)",
 					fr.addr, fr.end(), prev.name, prev.addr, prev.end())
 			}
 		}
 	}
-	if c.f.Entry != 0 {
-		if fr, ok := c.validTarget(c.f.Entry); !ok {
+	if w.f.Entry != 0 {
+		if fr, ok := w.validTarget(w.f.Entry); !ok {
 			name := ""
 			if fr != nil {
 				name = fr.name
 			}
-			c.errorf("sym-entry", name, c.f.Entry,
-				"entry point %#x is not an instruction boundary in any fragment", c.f.Entry)
+			w.errorf("sym-entry", name, w.f.Entry,
+				"entry point %#x is not an instruction boundary in any fragment", w.f.Entry)
 		}
 	}
 }
@@ -213,25 +291,25 @@ func (c *checker) checkSymbols() {
 // checkRelocs bounds-checks every surviving relocation against its
 // section's data (outputs usually carry none; inputs opened for
 // inspection do).
-func (c *checker) checkRelocs() {
-	names := make([]string, 0, len(c.f.Relas))
-	for name := range c.f.Relas {
+func (w *worker) checkRelocs() {
+	names := make([]string, 0, len(w.f.Relas))
+	for name := range w.f.Relas {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sec := c.f.Section(name)
+		sec := w.f.Section(name)
 		if sec == nil {
-			c.errorf("reloc-bounds", "", 0, "relocations for missing section %q", name)
+			w.errorf("reloc-bounds", "", 0, "relocations for missing section %q", name)
 			continue
 		}
-		for _, r := range c.f.Relas[name] {
+		for _, r := range w.f.Relas[name] {
 			width := uint64(4)
 			if r.Type == elfx.RX866464 {
 				width = 8
 			}
 			if r.Off+width > uint64(len(sec.Data)) {
-				c.errorf("reloc-bounds", r.Sym, sec.Addr+r.Off,
+				w.errorf("reloc-bounds", r.Sym, sec.Addr+r.Off,
 					"relocation at %s+%#x overruns the section (%d bytes)",
 					name, r.Off, len(sec.Data))
 			}

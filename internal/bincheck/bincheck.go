@@ -8,6 +8,16 @@
 // (Panchenko et al., CGO 2019, §3); this package is the artifact-trust
 // gate that checks the output on its own terms before anything ships.
 //
+// A check is serial where it is cheap and global — the ELF read, the
+// symbol index, the per-fragment FDE and BAT-range tallies with the
+// findings they raise (cfi-bounds, cfi-cover, bat-range, bat-cover), the
+// sym-* and reloc-bounds rules, the final sort — and fans out over the
+// shared pool (internal/par) everywhere else, each worker keeping its
+// own findings: disassembly per fragment, with the frame and BAT section
+// decodes as two more tasks beside it; then the branch, jump-table and
+// split-CFA rules per fragment, the CFI-program and LSDA rules per FDE,
+// and the anchor rules per BAT range.
+//
 // Findings are structured diagnostics: a stable rule ID, a severity,
 // the owning function, and the offending address. Rule IDs:
 //
@@ -40,12 +50,17 @@
 package bincheck
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
+	"gobolt/internal/bat"
+	"gobolt/internal/cfi"
 	"gobolt/internal/elfx"
+	"gobolt/internal/par"
 )
 
 // Severity grades a finding. Errors fail `gobolt -verify`; warnings
@@ -112,60 +127,112 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Check verifies a BOLTed binary from its serialized bytes. It parses
-// the image with elfx, rebuilds the fragment map from the symbol table,
-// re-disassembles every fragment, and runs the full rule suite. The
-// returned error reports only images the checker cannot open at all;
-// everything wrong *inside* a parseable image is a Finding.
-func Check(data []byte) (*Result, error) {
+// Check verifies a BOLTed binary from its serialized bytes on GOMAXPROCS
+// workers. It parses the image with elfx, rebuilds the fragment map from
+// the symbol table, re-disassembles every fragment, and runs the full
+// rule suite. The returned error reports only images the checker cannot
+// open at all; everything wrong *inside* a parseable image is a Finding.
+func Check(data []byte) (*Result, error) { return CheckJobs(data, 0) }
+
+// CheckJobs is Check on at most jobs workers (jobs <= 0 selects
+// GOMAXPROCS). The Result does not depend on jobs.
+func CheckJobs(data []byte, jobs int) (*Result, error) {
 	f, err := elfx.Read(data)
 	if err != nil {
 		return nil, fmt.Errorf("bincheck: %w", err)
 	}
-	c := &checker{f: f, res: &Result{Findings: []Finding{}}}
-	c.discover()
-	c.checkSymbols()
-	c.checkCode()
-	c.checkCFI()
-	c.checkBAT()
-	c.checkRelocs()
-	c.finish()
+	c := &checker{f: f, res: &Result{}}
+	c.index()
+	ws := make([]worker, par.Jobs(jobs, len(c.frags)))
+	for i := range ws {
+		ws[i].checker = c
+	}
+	// fan runs one stage over the pool. Stages never fail and a check is
+	// not cancellable (Check and Session.VerifyOutput take no context),
+	// so the pool's error is always nil.
+	fan := func(n int, work func(w *worker, i int)) {
+		//boltvet:ctx-ok a check is a root operation of a few hundred ms with no caller context to thread
+		par.For(context.Background(), n, len(ws), func(wi, i int) error { work(&ws[wi], i); return nil })
+	}
+
+	// The frame and BAT sections do not depend on the fragments: they
+	// decode as two more tasks beside disassembly.
+	frameSec, batSec := f.Section(cfi.FrameSectionName), f.Section(bat.SectionName)
+	var fdes []cfi.FDE
+	var table *bat.Table
+	var fdeErr, batErr error
+	fan(2+len(c.frags), func(w *worker, i int) {
+		switch {
+		case i >= 2:
+			w.disassemble(c.frags[i-2])
+		case i == 0 && frameSec != nil:
+			fdes, fdeErr = cfi.DecodeFrames(frameSec.Data)
+		case i == 1 && batSec != nil:
+			table, batErr = bat.Parse(batSec.Data)
+		}
+	})
+
+	for _, fr := range c.frags {
+		c.res.Instructions += fr.ninst
+	}
+	serial := &ws[0]
+	serial.checkSymbols()
+	fdeOwners := serial.bindFrames(frameSec, fdes, fdeErr)
+	batOwners := serial.bindBAT(batSec, table, batErr)
+	serial.checkRelocs()
+
+	fan(len(c.frags), func(w *worker, i int) {
+		w.checkCode(c.frags[i])
+		w.checkSplitState(c.frags[i])
+	})
+	fan(len(fdeOwners), func(w *worker, i int) { w.checkFDE(fdeOwners[i], &fdes[i]) })
+	fan(len(batOwners), func(w *worker, i int) { w.checkAnchors(batOwners[i], table, &table.Ranges[i]) })
+
+	for i := range ws {
+		c.res.Findings = append(c.res.Findings, ws[i].findings...)
+	}
+	c.res.finish()
 	return c.res, nil
 }
 
-// reportf records a finding.
-func (c *checker) reportf(rule string, sev Severity, fn string, addr uint64, format string, args ...any) {
-	c.res.Findings = append(c.res.Findings, Finding{
+// reportf records a finding on the worker's private list.
+func (w *worker) reportf(rule string, sev Severity, fn string, addr uint64, format string, args ...any) {
+	w.findings = append(w.findings, Finding{
 		Rule: rule, Severity: sev, Func: fn, Addr: addr,
 		Message: fmt.Sprintf(format, args...),
 	})
 }
 
-func (c *checker) errorf(rule, fn string, addr uint64, format string, args ...any) {
-	c.reportf(rule, SeverityError, fn, addr, format, args...)
+func (w *worker) errorf(rule, fn string, addr uint64, format string, args ...any) {
+	w.reportf(rule, SeverityError, fn, addr, format, args...)
 }
 
-func (c *checker) warnf(rule, fn string, addr uint64, format string, args ...any) {
-	c.reportf(rule, SeverityWarning, fn, addr, format, args...)
+func (w *worker) warnf(rule, fn string, addr uint64, format string, args ...any) {
+	w.reportf(rule, SeverityWarning, fn, addr, format, args...)
 }
 
-// finish sorts findings deterministically and tallies severities.
-func (c *checker) finish() {
-	sort.SliceStable(c.res.Findings, func(i, j int) bool {
-		a, b := c.res.Findings[i], c.res.Findings[j]
-		if a.Addr != b.Addr {
-			return a.Addr < b.Addr
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
+// finish puts the findings in their one total order and tallies
+// severities. Every field takes part, so the order the workers' lists
+// were merged in cannot show; address, rule and message lead, so the
+// order refines the one the serial checker's stable sort gave.
+func (r *Result) finish() {
+	if r.Findings == nil {
+		r.Findings = []Finding{} // "findings": [] in the report, never null
+	}
+	slices.SortFunc(r.Findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Addr, b.Addr),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.Message, b.Message),
+			cmp.Compare(a.Func, b.Func),
+			cmp.Compare(a.Severity, b.Severity),
+		)
 	})
-	for _, f := range c.res.Findings {
+	for _, f := range r.Findings {
 		if f.Severity == SeverityError {
-			c.res.Errors++
+			r.Errors++
 		} else {
-			c.res.Warnings++
+			r.Warnings++
 		}
 	}
 }

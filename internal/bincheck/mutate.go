@@ -51,7 +51,11 @@ func Mutations() []Mutation {
 // at them.
 func rediscover(f *elfx.File) *checker {
 	c := &checker{f: f, res: &Result{}}
-	c.discover()
+	c.index()
+	w := &worker{checker: c}
+	for _, fr := range c.frags {
+		w.disassemble(fr)
+	}
 	return c
 }
 
@@ -65,18 +69,14 @@ func mutateControlDisp(call bool) func(f *elfx.File) error {
 			if !fr.reemitted || fr.broken {
 				continue
 			}
-			for _, ia := range fr.insts {
-				in := &ia.inst
-				if call && in.Op != isa.CALL {
+			for _, s := range fr.sites {
+				if call != (s.op == isa.CALL) {
 					continue
 				}
-				if !call && !in.IsDirectBranch() {
-					continue
-				}
-				if ia.size < 5 {
+				if s.size < 5 {
 					continue // rel8 form; one byte cannot escape far enough
 				}
-				fr.code[ia.off+ia.size-1]++ // fr.code aliases the section data
+				fr.code[s.off+uint32(s.size)-1]++ // fr.code aliases the section data
 				return nil
 			}
 		}
@@ -93,12 +93,8 @@ func mutateJumpTableSlot(f *elfx.File) error {
 		if fr.broken {
 			continue
 		}
-		for i := range fr.insts {
-			if !fr.insts[i].inst.IsIndirectBranch() {
-				continue
-			}
-			jt, _, ok := c.deriveTable(fr, i)
-			if !ok {
+		for _, j := range fr.jumps {
+			if !j.ok {
 				continue
 			}
 			var other *fragment
@@ -111,13 +107,13 @@ func mutateJumpTableSlot(f *elfx.File) error {
 			if other == nil {
 				continue
 			}
-			sec := f.SectionFor(jt.addr)
+			sec := f.SectionFor(j.jt.addr)
 			if sec == nil {
 				continue
 			}
-			slot := sec.Data[jt.addr-sec.Addr:]
-			if jt.pic {
-				binary.LittleEndian.PutUint32(slot, uint32(int32(int64(other.addr)-int64(jt.addr))))
+			slot := sec.Data[j.jt.addr-sec.Addr:]
+			if j.jt.pic {
+				binary.LittleEndian.PutUint32(slot, uint32(int32(int64(other.addr)-int64(j.jt.addr))))
 			} else {
 				binary.LittleEndian.PutUint64(slot, other.addr)
 			}

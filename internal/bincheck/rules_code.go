@@ -1,38 +1,39 @@
 package bincheck
 
+//boltvet:hot-path the control-flow rules: a fragment lookup and a boundary bit per direct branch and per jump-table entry
+
 import (
 	"encoding/binary"
 
 	"gobolt/internal/isa"
 )
 
-// checkCode runs the instruction-level rules over every fragment:
-// direct control transfers must land on instruction boundaries of known
+// checkCode runs the control-flow rules over one fragment: direct
+// control transfers must land on instruction boundaries of known
 // fragments, and every jump-table entry must resolve into the owning
-// function's fragments.
-func (c *checker) checkCode() {
-	for _, fr := range c.frags {
-		if fr.broken {
+// function's fragments. It reads other fragments' boundary bits, so it
+// runs only after every fragment is disassembled.
+func (w *worker) checkCode(fr *fragment) {
+	if fr.broken {
+		return
+	}
+	for i := range fr.sites {
+		s := &fr.sites[i]
+		tf, ok := w.validTarget(s.target)
+		if ok {
 			continue
 		}
-		for i := range fr.insts {
-			ia := &fr.insts[i]
-			in := &ia.inst
-			switch {
-			case in.IsDirectBranch() || in.Op == isa.CALL:
-				addr := fr.addr + uint64(ia.off)
-				if tf, ok := c.validTarget(in.TargetAddr); !ok {
-					where := "outside every known fragment"
-					if tf != nil {
-						where = "inside " + tf.name + " but off the instruction stream"
-					}
-					c.errorf("branch-target", fr.name, addr,
-						"%s at %#x targets %#x, %s", in.Mnemonic(), addr, in.TargetAddr, where)
-				}
-			case in.IsIndirectBranch():
-				c.checkIndirectJump(fr, i)
-			}
+		addr := fr.addr + uint64(s.off)
+		if tf == nil {
+			w.errorf("branch-target", fr.name, addr,
+				"%s at %#x targets %#x, outside every known fragment", s.mnemonic(), addr, s.target)
+		} else {
+			w.errorf("branch-target", fr.name, addr,
+				"%s at %#x targets %#x, inside %s but off the instruction stream", s.mnemonic(), addr, s.target, tf.name)
 		}
+	}
+	for i := range fr.jumps {
+		w.checkIndirectJump(fr, &fr.jumps[i])
 	}
 }
 
@@ -54,19 +55,21 @@ func (jt *jumpTable) target(data []byte, e uint64) uint64 {
 	return binary.LittleEndian.Uint64(data[e*8:])
 }
 
-// deriveTable re-derives the jump table feeding the indirect jump at
-// fr.insts[idx], mirroring the loader's two lowering patterns (absolute
-// and PIC, §3.2). The derivation is independent: it reads only the
-// re-disassembled stream and the symbol table of the serialized output.
-// When no bounded table matches, why says what broke the pattern.
-func (c *checker) deriveTable(fr *fragment, idx int) (jt jumpTable, why string, ok bool) {
-	in := &fr.insts[idx].inst
+// deriveTable re-derives the jump table feeding the indirect jump that
+// is instruction idx of fr (the newest entry of win), mirroring the
+// loader's two lowering patterns (absolute and PIC, §3.2). The
+// derivation is independent: it reads only the re-disassembled stream
+// and the symbol table of the serialized output. When no bounded table
+// matches, why says what broke the pattern.
+func (c *checker) deriveTable(fr *fragment, win *window, idx int) (jt jumpTable, why string, ok bool) {
+	in := &win.at(idx).inst
 
 	findLea := func(reg isa.Reg, from int) (uint64, bool) {
 		for k := from; k >= 0 && k > from-8; k-- {
-			r := &fr.insts[k].inst
+			ia := win.at(k)
+			r := &ia.inst
 			if r.Op == isa.LEA && r.R1 == reg && r.M.RIP {
-				return fr.addr + uint64(fr.insts[k].off) + uint64(fr.insts[k].size) + uint64(int64(r.M.Disp)), true
+				return fr.addr + uint64(ia.off) + uint64(ia.size) + uint64(int64(r.M.Disp)), true
 			}
 			if r.Defs().Has(reg) {
 				return 0, false
@@ -89,8 +92,8 @@ func (c *checker) deriveTable(fr *fragment, idx int) (jt jumpTable, why string, 
 		if idx < 2 {
 			return jt, "indirect jump with no context", false
 		}
-		add := &fr.insts[idx-1].inst
-		mov := &fr.insts[idx-2].inst
+		add := &win.at(idx - 1).inst
+		mov := &win.at(idx - 2).inst
 		if add.Op != isa.ADDrr || add.R1 != in.R1 ||
 			mov.Op != isa.MOVSXDrm || mov.R1 != in.R1 ||
 			mov.M.Base != add.R2 || mov.M.Scale != 4 {
@@ -123,37 +126,35 @@ func (c *checker) deriveTable(fr *fragment, idx int) (jt jumpTable, why string, 
 
 // checkIndirectJump validates every entry of the jump table feeding an
 // indirect jump (see deriveTable).
-func (c *checker) checkIndirectJump(fr *fragment, idx int) {
-	addr := fr.addr + uint64(fr.insts[idx].off)
-
-	jt, why, ok := c.deriveTable(fr, idx)
-	if !ok {
+func (w *worker) checkIndirectJump(fr *fragment, j *indirect) {
+	addr := fr.addr + uint64(j.off)
+	if !j.ok {
 		// unbounded: in code the rewriter emitted itself, every indirect
 		// jump must be a recognizable bounded jump table — anything else
 		// was non-simple and should never have moved.
-		if fr.reemitted && why != "" {
-			c.warnf("jt-unbounded", fr.name, addr, "indirect jump at %#x: %s", addr, why)
+		if fr.reemitted && j.why != "" {
+			w.warnf("jt-unbounded", fr.name, addr, "indirect jump at %#x: %s", addr, j.why)
 		}
 		return
 	}
-	sym := c.objSyms[jt.addr]
-	tableAddr, entrySize, n := jt.addr, jt.entrySize, jt.n
-	data, err := c.f.ReadAt(tableAddr, int(n*entrySize))
+	sym := w.objSyms[j.jt.addr]
+	tableAddr, entrySize, n := j.jt.addr, j.jt.entrySize, j.jt.n
+	data, err := w.f.ReadAt(tableAddr, int(n*entrySize))
 	if err != nil {
-		c.errorf("jt-target", fr.name, addr,
+		w.errorf("jt-target", fr.name, addr,
 			"jump table %s at %#x is unreadable: %v", sym.Name, tableAddr, err)
 		return
 	}
 	for e := uint64(0); e < n; e++ {
-		target := jt.target(data, e)
-		tf, ok := c.validTarget(target)
+		target := j.jt.target(data, e)
+		tf, ok := w.validTarget(target)
 		if !ok {
-			c.errorf("jt-target", fr.name, tableAddr+e*entrySize,
+			w.errorf("jt-target", fr.name, tableAddr+e*entrySize,
 				"jump table %s entry %d targets %#x, not an instruction boundary", sym.Name, e, target)
 			continue
 		}
 		if tf.fn != fr.fn {
-			c.errorf("jt-target", fr.name, tableAddr+e*entrySize,
+			w.errorf("jt-target", fr.name, tableAddr+e*entrySize,
 				"jump table %s entry %d escapes to %s at %#x", sym.Name, e, tf.name, target)
 		}
 	}

@@ -191,29 +191,41 @@ func EncodeFrames(fdes []FDE) []byte {
 	return buf
 }
 
-// DecodeFrames parses a frame section payload.
+// DecodeFrames parses a frame section payload. The FDEs' instruction
+// lists share one slab, each cut with its capacity so that appending to
+// one FDE's Insts can never write into the next's.
 func DecodeFrames(data []byte) ([]FDE, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("cfi: frame section too short")
 	}
 	n := binary.LittleEndian.Uint32(data)
-	p := 4
-	fdes := make([]FDE, 0, n)
-	for i := uint32(0); i < n; i++ {
+	// Walk the headers first: the slices below are sized from counts
+	// the section has been shown to have the bytes for.
+	total := 0
+	for i, p := uint32(0), 4; i < n; i++ {
 		if p+24 > len(data) {
 			return nil, fmt.Errorf("cfi: truncated FDE header")
 		}
-		var f FDE
+		cnt := int(binary.LittleEndian.Uint32(data[p+20:]))
+		p += 24
+		if cnt > (len(data)-p)/fdeInstSize {
+			return nil, fmt.Errorf("cfi: truncated FDE body")
+		}
+		p += cnt * fdeInstSize
+		total += cnt
+	}
+	fdes := make([]FDE, n)
+	slab := make([]PCInst, total)
+	p := 4
+	for i := range fdes {
+		f := &fdes[i]
 		f.Start = binary.LittleEndian.Uint64(data[p:])
 		f.Len = binary.LittleEndian.Uint32(data[p+8:])
 		f.LSDA = binary.LittleEndian.Uint64(data[p+12:])
 		cnt := binary.LittleEndian.Uint32(data[p+20:])
 		p += 24
-		if p+int(cnt)*fdeInstSize > len(data) {
-			return nil, fmt.Errorf("cfi: truncated FDE body")
-		}
-		f.Insts = make([]PCInst, cnt)
-		for j := uint32(0); j < cnt; j++ {
+		f.Insts, slab = slab[:cnt:cnt], slab[cnt:]
+		for j := range f.Insts {
 			f.Insts[j] = PCInst{
 				PC: binary.LittleEndian.Uint32(data[p:]),
 				Inst: Inst{
@@ -224,7 +236,6 @@ func DecodeFrames(data []byte) ([]FDE, error) {
 			}
 			p += fdeInstSize
 		}
-		fdes = append(fdes, f)
 	}
 	return fdes, nil
 }

@@ -119,6 +119,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeFramesSharedSlab: the decoded FDEs' instruction lists are cut
+// from one allocation, and growing one must not overwrite the next.
+func TestDecodeFramesSharedSlab(t *testing.T) {
+	a, b := standardPrologue(), standardPrologue()
+	b.Start += 0x100
+	got, err := DecodeFrames(EncodeFrames([]FDE{a, b}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := got[1].Insts[0]
+	got[0].Insts = append(got[0].Insts, PCInst{PC: 0xdead})
+	if got[1].Insts[0] != want {
+		t.Errorf("append to the first FDE's Insts overwrote the second's: %+v", got[1].Insts[0])
+	}
+}
+
 func TestFindFDE(t *testing.T) {
 	fdes := []FDE{
 		{Start: 0x1000, Len: 0x100},
@@ -180,6 +196,15 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := DecodeFrames([]byte{5, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated FDE accepted")
+	}
+	// Counts the section has no bytes for: refused, not allocated for.
+	if _, err := DecodeFrames([]byte{255, 255, 255, 255}); err == nil {
+		t.Error("frame section claiming 2^32-1 FDEs in four bytes accepted")
+	}
+	huge := append(make([]byte, 4+20), 255, 255, 255, 255)
+	huge[0] = 1
+	if _, err := DecodeFrames(huge); err == nil {
+		t.Error("FDE claiming 2^32-1 instructions accepted")
 	}
 	if _, err := DecodeLSDA([]byte{1}, 0); err == nil {
 		t.Error("truncated LSDA accepted")

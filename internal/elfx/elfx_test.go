@@ -2,6 +2,7 @@ package elfx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,45 @@ func TestGarbageRejected(t *testing.T) {
 	for _, b := range [][]byte{nil, []byte("hello"), bytes.Repeat([]byte{0}, 100)} {
 		if _, err := Read(b); err == nil {
 			t.Errorf("Read(%d bytes of garbage) succeeded", len(b))
+		}
+	}
+}
+
+// TestHostileHeadersRejected: offsets, sizes and links a header states
+// are checked before they index or size anything — an image that lies
+// about them is an error from Read, never a panic or a giant allocation.
+func TestHostileHeadersRejected(t *testing.T) {
+	img, err := sampleFile().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shoff := binary.LittleEndian.Uint64(img[40:])
+	shdr := func(i int) []byte { return img[shoff+uint64(i)*shdrSize:] }
+	symtab := 0
+	for i := 1; i < int(binary.LittleEndian.Uint16(img[60:])); i++ {
+		if binary.LittleEndian.Uint32(shdr(i)[4:]) == SHTSymtab {
+			symtab = i
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func(b []byte)
+	}{
+		{"section table offset wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[40:], ^uint64(0)-100) }},
+		{"section offset wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[shoff+shdrSize+24:], ^uint64(0)-8) }},
+		{"section size wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[shoff+shdrSize+32:], ^uint64(0)) }},
+		{"symbol table links past the section table", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[shoff+uint64(symtab)*shdrSize+40:], 0x7fffffff)
+		}},
+		{"terabyte of zero-fill", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[shoff+shdrSize+4:], SHTNobits)
+			binary.LittleEndian.PutUint64(b[shoff+shdrSize+32:], 1<<40)
+		}},
+	} {
+		b := bytes.Clone(img)
+		tc.patch(b)
+		if _, err := Read(b); err == nil {
+			t.Errorf("%s: Read accepted the image", tc.name)
 		}
 	}
 }

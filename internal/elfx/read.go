@@ -7,6 +7,11 @@ import (
 	"strings"
 )
 
+// maxNobits bounds the zero-fill (SHT_NOBITS) sections Read will
+// materialize: the bytes are allocated, so a section header must not be
+// able to claim more of them than a process can sensibly back.
+const maxNobits = 1 << 28
+
 // Read parses an ELF64 image previously produced by Bytes (or any simple
 // statically linked ELF64 executable using the same subset of features).
 func Read(data []byte) (*File, error) {
@@ -25,7 +30,12 @@ func Read(data []byte) (*File, error) {
 	if shentsize != shdrSize {
 		return nil, fmt.Errorf("elfx: unexpected shentsize %d", shentsize)
 	}
-	if shoff+shnum*shdrSize > uint64(len(data)) {
+	// inFile reports whether [off, off+size) lies inside the image; the
+	// form does not overflow on a hostile offset or size.
+	inFile := func(off, size uint64) bool {
+		return off <= uint64(len(data)) && size <= uint64(len(data))-off
+	}
+	if !inFile(shoff, shnum*shdrSize) {
 		return nil, fmt.Errorf("elfx: section header table out of range")
 	}
 
@@ -74,11 +84,14 @@ func Read(data []byte) (*File, error) {
 		names[i] = strAt(shstr, h.nameOff)
 		var payload []byte
 		if h.typ != SHTNobits {
-			if h.off+h.size > uint64(len(data)) {
+			if !inFile(h.off, h.size) {
 				return nil, fmt.Errorf("elfx: section %s out of range", names[i])
 			}
 			payload = append([]byte(nil), data[h.off:h.off+h.size]...)
 		} else {
+			if h.size > maxNobits {
+				return nil, fmt.Errorf("elfx: section %s: implausible zero-fill size %#x", names[i], h.size)
+			}
 			payload = make([]byte, h.size)
 		}
 		s := &Section{
@@ -101,6 +114,9 @@ func Read(data []byte) (*File, error) {
 	for i := uint64(1); i < shnum; i++ {
 		if hdrs[i].typ != SHTSymtab {
 			continue
+		}
+		if uint64(hdrs[i].link) >= shnum {
+			return nil, fmt.Errorf("elfx: symbol table links to section %d of %d", hdrs[i].link, shnum)
 		}
 		strtab := hdrs[hdrs[i].link]
 		n := hdrs[i].size / symSize
