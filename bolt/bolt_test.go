@@ -41,7 +41,12 @@ func buildTiny(t *testing.T) *elfx.File {
 
 func record(t *testing.T, f *elfx.File) *profile.Fdata {
 	t.Helper()
-	fd, _, err := perf.RecordFile(f, perf.DefaultMode(), 0)
+	return recordMode(t, f, perf.DefaultMode())
+}
+
+func recordMode(t *testing.T, f *elfx.File, mode perf.Mode) *profile.Fdata {
+	t.Helper()
+	fd, _, err := perf.RecordFile(f, mode, 0)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -210,6 +215,27 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	}
 	if mcfRep1.Profile.InferredFuncs == 0 {
 		t.Error("InferAlways reported no inferred functions")
+	}
+
+	// A non-LBR profile goes through sample normalisation and one solver
+	// arena per worker, reused from function to function: which functions
+	// share an arena depends on the schedule, the bytes must not.
+	sfd := recordMode(t, f, sampledMode)
+	smp1, smpRep1, _ := optimizeViaSession(t, f, sfd, 1)
+	for _, jobs := range []int{2, 8} {
+		smpN, repN, _ := optimizeViaSession(t, f, sfd, jobs)
+		if !bytes.Equal(smp1, smpN) {
+			t.Errorf("non-LBR jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
+				jobs, len(smpN), len(smp1))
+		}
+		if !reflect.DeepEqual(smpRep1.Metrics.Counters, repN.Metrics.Counters) {
+			t.Errorf("non-LBR jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
+				jobs, smpRep1.Metrics.Counters, jobs, repN.Metrics.Counters)
+		}
+	}
+	if smpRep1.Profile.InferredFuncs == 0 || smpRep1.Profile.FlowAccAfter != 1 {
+		t.Errorf("non-LBR profile: %d functions inferred, flow accuracy %v",
+			smpRep1.Profile.InferredFuncs, smpRep1.Profile.FlowAccAfter)
 	}
 	if mcfRep1.Profile.FlowAccAfter != 1.0 {
 		t.Errorf("InferAlways left FlowAccAfter %v, want 1.0", mcfRep1.Profile.FlowAccAfter)

@@ -14,6 +14,16 @@ import (
 	"gobolt/internal/workload"
 )
 
+// goldenRow is one pinned output: how its input is built and profiled,
+// and the SHA-256 of what gobolt makes of it.
+type goldenRow struct {
+	name   string
+	spec   func() workload.Spec
+	cfg    bench.BuildConfig
+	stale  int // >0: profile (with shapes) recorded on this spec, applied to EntryPadOps=stale
+	sha256 string
+}
+
 // goldenOutputs pins the SHA-256 of the optimized binary for the five
 // examples/ workload shapes and for the clang and proxygen presets at
 // scale 0.05. The hashes were recorded on the commit before PR 12 (value
@@ -21,13 +31,7 @@ import (
 // byte-identity against that parent and not only across -jobs values. A
 // change that is meant to alter output bytes replaces the hash the
 // failure message prints.
-var goldenOutputs = []struct {
-	name   string
-	spec   func() workload.Spec
-	cfg    bench.BuildConfig
-	stale  int // >0: profile (with shapes) recorded on this spec, applied to EntryPadOps=stale
-	sha256 string
-}{
+var goldenOutputs = []goldenRow{
 	{"quickstart", workload.Tiny, bench.CfgBaseline, 0,
 		"136e3b94508941895026aef9ec7fed70735b1955c89f07ddc8df2e4ca3cc301e"},
 	{"exceptions", func() workload.Spec {
@@ -47,6 +51,20 @@ var goldenOutputs = []struct {
 	{"proxygen", func() workload.Spec { return scaled(workload.Proxygen()) }, bench.CfgBaseline, 0,
 		"ad9332306afec24525a2c3dbda4c15dea8cdfb21e421661472800277f7517664"},
 }
+
+// goldenSampled pins the non-LBR path — sample normalisation,
+// minimum-cost-flow inference, the sample-derived call graph — which no
+// row above reaches: the same row shape, the profile recorded as PC
+// samples every 512 instructions (sampledMode). Hashes recorded at PR 22,
+// which changed what a sample means.
+var goldenSampled = []goldenRow{
+	{"clang-nolbr", func() workload.Spec { return scaled(workload.Clang()) }, bench.CfgBaseline, 0,
+		"5da3e9893b920fe3aa3318942189ad2021c5617c805d27cddfbef8c5054f9507"},
+	{"continuous-nolbr", workload.Tiny, bench.CfgBaseline, 3,
+		"d0634e180190ced0045df31a5007971d339a130e9d24e2428ddade497f8d386f"},
+}
+
+var sampledMode = perf.Mode{Event: perf.EventCycles, Period: 512}
 
 // scaled shrinks a preset to scale 0.05 the way boltbench -scale does.
 func scaled(s workload.Spec) workload.Spec {
@@ -76,14 +94,19 @@ func buildSorted(t *testing.T, spec workload.Spec, cfg bench.BuildConfig) *elfx.
 // TestGoldenOutputs asserts the recorded output hashes at jobs 1 and 4.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and bolts seven workloads twice; skipped in -short")
+		t.Skip("builds and bolts nine workloads twice; skipped in -short")
 	}
+	checkGolden(t, goldenOutputs, perf.DefaultMode())
+	checkGolden(t, goldenSampled, sampledMode)
+}
+
+func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) {
 	cx := context.Background()
-	for _, g := range goldenOutputs {
+	for _, g := range rows {
 		t.Run(g.name, func(t *testing.T) {
 			spec := g.spec()
 			f := buildSorted(t, spec, g.cfg)
-			fd := record(t, f)
+			fd := recordMode(t, f, mode)
 			if g.stale > 0 {
 				shapes, err := bolt.OpenELF(f)
 				if err != nil {

@@ -226,6 +226,32 @@ type Measurement struct {
 	Metrics  *uarch.Metrics
 	Checksum uint64
 	Heat     *heatmap.Map
+	// ColdInsts is how many of Metrics.Instructions were fetched from
+	// .text.cold, and ColdCrossings how often control crossed its
+	// boundary in either direction: what splitting got wrong, from the
+	// binary's side. Both 0 for a binary that is not split.
+	ColdInsts, ColdCrossings uint64
+}
+
+// coldProbe is the simulator plus a count of the instructions fetched
+// inside [lo, hi) and of the crossings of that range's boundary.
+type coldProbe struct {
+	*uarch.Sim
+	lo, hi           uint64
+	inCold           bool
+	insts, crossings uint64
+}
+
+func (p *coldProbe) Inst(addr uint64, size uint8) {
+	cold := addr-p.lo < p.hi-p.lo
+	if cold {
+		p.insts++
+	}
+	if cold != p.inCold {
+		p.inCold = cold
+		p.crossings++
+	}
+	p.Sim.Inst(addr, size)
 }
 
 // Measure runs the binary to completion under the microarchitecture
@@ -236,13 +262,16 @@ func Measure(f *elfx.File, cfg uarch.Config, withHeat bool) (*Measurement, error
 	if err != nil {
 		return nil, err
 	}
-	sim := uarch.New(cfg)
-	var tr vm.Tracer = sim
+	probe := &coldProbe{Sim: uarch.New(cfg)}
+	if cold := f.Section(".text.cold"); cold != nil {
+		probe.lo, probe.hi = cold.Addr, cold.Addr+cold.Size()
+	}
+	var tr vm.Tracer = probe
 	var heat *heatmap.Map
 	if withHeat {
 		lo, hi := execSpan(f)
 		heat = heatmap.New(lo, hi)
-		tr = vm.TeeTracer{sim, heat.Tracer()}
+		tr = vm.TeeTracer{probe, heat.Tracer()}
 	}
 	m.SetTracer(tr)
 	if _, err := m.Run(0); err != nil {
@@ -251,7 +280,8 @@ func Measure(f *elfx.File, cfg uarch.Config, withHeat bool) (*Measurement, error
 	if !m.Halted() {
 		return nil, fmt.Errorf("bench: program did not halt")
 	}
-	return &Measurement{Metrics: sim.Finish(), Checksum: m.Result(), Heat: heat}, nil
+	return &Measurement{Metrics: probe.Finish(), Checksum: m.Result(), Heat: heat,
+		ColdInsts: probe.insts, ColdCrossings: probe.crossings}, nil
 }
 
 // execSpan returns the [lo, hi) address range of executable sections.

@@ -9,6 +9,7 @@ import (
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
+	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
 )
 
@@ -35,6 +36,28 @@ type InferenceResult struct {
 	// InferredFuncs is the function count the solver rebalanced on the
 	// sample-profile run.
 	InferredFuncs int
+	// EdgeOverlapProportional/EdgeOverlapMCF are the share of the LBR
+	// truth's edge-count mass on edges the reconstruction also executes
+	// (see hotEdgeOverlap) — what block layout and splitting consume,
+	// where the dyno mix above is a summary that ignores which blocks
+	// were lost.
+	EdgeOverlapProportional, EdgeOverlapMCF float64
+	// Quad is the fresh / stale × LBR / non-LBR table on the clang
+	// preset, in that order.
+	Quad []QuadRow
+}
+
+// QuadRow is one cell of the profile-kind 2 × 2: the next release BOLTed
+// with one kind of profile, measured against the un-BOLTed release.
+type QuadRow struct {
+	Profile string
+	// CyclesRel is BOLTed cycles ÷ baseline cycles.
+	CyclesRel float64
+	// ColdInstShare is the share of executed instructions fetched from
+	// .text.cold and ColdCrossings the hot↔cold transitions: how often
+	// the split was wrong about what runs.
+	ColdInstShare float64
+	ColdCrossings uint64
 }
 
 // analyzeDyno applies a profile to a fresh analysis of f and returns the
@@ -94,6 +117,102 @@ func dynoSimilarity(truth, got core.DynoStats) float64 {
 	return sum / float64(n)
 }
 
+// hotEdgeOverlap scores a reconstruction of a binary's edge counts
+// against the truth's, both analyses of the same binary: the share of the
+// truth's edge-count mass that lies on edges the reconstruction also
+// counts as executed. That is the part of the real control flow layout
+// gets to work with — reorder-bbs builds its graph from the non-zero
+// edges, and a block none of them reaches is split away as cold — so
+// unlike the dyno mix it moves with the end-to-end result.
+func hotEdgeOverlap(truth, got *bolt.Session) (float64, error) {
+	tf, err := truth.Functions()
+	if err != nil {
+		return 0, err
+	}
+	gf, err := got.Functions()
+	if err != nil {
+		return 0, err
+	}
+	if len(tf) != len(gf) {
+		return 0, fmt.Errorf("bench: edge overlap across different binaries (%d vs %d functions)", len(tf), len(gf))
+	}
+	var total, shared uint64
+	for i, fn := range tf {
+		if !fn.Simple {
+			continue
+		}
+		if len(gf[i].Blocks) != len(fn.Blocks) {
+			return 0, fmt.Errorf("bench: edge overlap across different CFGs of %s", fn.Name)
+		}
+		for bi, b := range fn.Blocks {
+			for k := range b.Succs {
+				total += b.Succs[k].Count
+				if gf[i].Blocks[bi].Succs[k].Count > 0 {
+					shared += b.Succs[k].Count
+				}
+			}
+		}
+	}
+	return ratio(shared, total), nil
+}
+
+// profileQuad splits "a stale non-LBR profile" into its two halves: the
+// next release of the clang preset (three instructions added to every
+// function entry) is BOLTed four times — with a profile recorded on
+// itself or on the previous release, with LBR or with PC samples every
+// 512 instructions — and each output measured against the un-BOLTed
+// release, through measureSame like every figure here.
+func profileQuad(scale Scale) ([]QuadRow, error) {
+	spec := scale.apply(workload.Clang())
+	next := spec
+	next.EntryPadOps = 3
+	lbr := perf.DefaultMode()
+	samples := perf.Mode{Event: perf.EventCycles, Period: 512}
+	v1, _, err := Build(spec, CfgBaseline, lbr)
+	if err != nil {
+		return nil, err
+	}
+	v2, _, err := Build(next, CfgBaseline, lbr)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := Measure(v2, uarch.DefaultConfig(), false)
+	if err != nil {
+		return nil, err
+	}
+	var rows []QuadRow
+	for _, c := range []struct {
+		name string
+		on   *elfx.File
+		mode perf.Mode
+	}{
+		{"fresh LBR", v2, lbr},
+		{"stale LBR", v1, lbr},
+		{"fresh non-LBR", v2, samples},
+		{"stale non-LBR", v1, samples},
+	} {
+		fd, err := recordWithShapes(c.on, c.mode)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		sess, _, err := optimizeSession(v2, fd)
+		if err != nil {
+			return nil, fmt.Errorf("%s: bolt: %w", c.name, err)
+		}
+		m, err := measureSame(sess.Output(), ref, false)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		rows = append(rows, QuadRow{
+			Profile:       c.name,
+			CyclesRel:     float64(m.Metrics.Cycles) / float64(ref.Metrics.Cycles),
+			ColdInstShare: float64(m.ColdInsts) / float64(m.Metrics.Instructions),
+			ColdCrossings: m.ColdCrossings,
+		})
+	}
+	return rows, nil
+}
+
 // checkConsistency verifies every inferred simple function's counts
 // satisfy the flow equations exactly.
 func checkConsistency(sess *bolt.Session) (bool, error) {
@@ -142,7 +261,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	truth, _, err := analyzeDyno(base, fdLBR)
+	truth, sessTruth, err := analyzeDyno(base, fdLBR)
 	if err != nil {
 		return nil, "", err
 	}
@@ -168,6 +287,12 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	if res.EdgeOverlapProportional, err = hotEdgeOverlap(sessTruth, sessProp); err != nil {
+		return nil, "", err
+	}
+	if res.EdgeOverlapMCF, err = hotEdgeOverlap(sessTruth, sessMCF); err != nil {
+		return nil, "", err
+	}
 	res.AllConsistent, err = checkConsistency(sessMCF)
 	if err != nil {
 		return nil, "", err
@@ -177,6 +302,8 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	}
 	fmt.Fprintf(&sb, "  sample-only dyno accuracy vs LBR truth: proportional %.2f%%, min-cost flow %.2f%%\n",
 		100*res.SampleAccProportional, 100*res.SampleAccMCF)
+	fmt.Fprintf(&sb, "  sample-only hot-edge overlap with LBR truth: proportional %.2f%%, min-cost flow %.2f%%\n",
+		100*res.EdgeOverlapProportional, 100*res.EdgeOverlapMCF)
 	fmt.Fprintf(&sb, "  flow-equation consistency: raw samples %.2f%% -> proportional %.2f%% -> MCF %.2f%% (%d funcs inferred, all consistent: %v)\n",
 		100*res.SampleFlowBefore, 100*propAfter, 100*res.SampleFlowAfter,
 		res.InferredFuncs, res.AllConsistent)
@@ -215,5 +342,13 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	}
 	fmt.Fprintf(&sb, "  stale v1 profile on v2 (+%d entry pad ops), dyno recovery vs a fresh v2 profile: matched %.2f%%, matched+MCF repair %.2f%%\n",
 		spec2.EntryPadOps, 100*res.StaleAccPlain, 100*res.StaleAccMCF)
+
+	if res.Quad, err = profileQuad(scale); err != nil {
+		return nil, "", err
+	}
+	sb.WriteString("  clang, next release (+3 entry pad ops) BOLTed per profile kind: cycles vs un-BOLTed, instructions run from .text.cold, hot<->cold transitions\n")
+	for _, q := range res.Quad {
+		fmt.Fprintf(&sb, "    %-14s %6.2f%%  %5.2f%%  %d\n", q.Profile, 100*q.CyclesRel, 100*q.ColdInstShare, q.ColdCrossings)
+	}
 	return res, sb.String(), nil
 }

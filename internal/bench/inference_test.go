@@ -29,8 +29,8 @@ func TestDynoSimilarity(t *testing.T) {
 // asserts the acceptance-level results: minimum-cost-flow inference
 // recovers strictly more dyno-stat accuracy from sample-only profiles
 // than the old proportional estimator, with exactly consistent counts,
-// and the MCF consistency repair does not degrade stale-profile
-// recovery.
+// the MCF consistency repair does not degrade stale-profile recovery,
+// and the fresh / stale × LBR / non-LBR table keeps its shape.
 func TestInferenceExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inference experiment takes seconds; skipped in -short")
@@ -43,6 +43,10 @@ func TestInferenceExperiment(t *testing.T) {
 	if res.SampleAccMCF <= res.SampleAccProportional {
 		t.Errorf("min-cost flow accuracy %.4f not strictly above proportional %.4f",
 			res.SampleAccMCF, res.SampleAccProportional)
+	}
+	if res.EdgeOverlapMCF <= res.EdgeOverlapProportional {
+		t.Errorf("min-cost flow hot-edge overlap %.4f not above proportional %.4f",
+			res.EdgeOverlapMCF, res.EdgeOverlapProportional)
 	}
 	if res.SampleFlowAfter != 1.0 {
 		t.Errorf("sample-profile flow accuracy after MCF = %.6f, want exactly 1.0", res.SampleFlowAfter)
@@ -59,5 +63,28 @@ func TestInferenceExperiment(t *testing.T) {
 	}
 	if res.StaleAccMCF < 0.9 {
 		t.Errorf("stale+MCF recovery %.4f < 0.9", res.StaleAccMCF)
+	}
+	// The 2 × 2: staleness costs next to nothing with either kind of
+	// profile, and PC samples keep most of what LBR wins (before samples
+	// were normalised by block size they kept a sixth of it).
+	if len(res.Quad) != 4 {
+		t.Fatalf("2 x 2 has %d rows", len(res.Quad))
+	}
+	freshLBR, staleLBR, freshSamp, staleSamp := res.Quad[0], res.Quad[1], res.Quad[2], res.Quad[3]
+	for _, q := range res.Quad {
+		if q.CyclesRel >= 1 || q.ColdInstShare <= 0 || q.ColdCrossings == 0 {
+			t.Errorf("%s: cycles %.4f of baseline, %.4f of instructions from .text.cold, %d crossings",
+				q.Profile, q.CyclesRel, q.ColdInstShare, q.ColdCrossings)
+		}
+	}
+	if d := staleLBR.CyclesRel - freshLBR.CyclesRel; d > 0.03 {
+		t.Errorf("stale LBR keeps %.4f of cycles, fresh LBR %.4f", staleLBR.CyclesRel, freshLBR.CyclesRel)
+	}
+	if d := staleSamp.CyclesRel - freshSamp.CyclesRel; d > 0.03 {
+		t.Errorf("stale non-LBR keeps %.4f of cycles, fresh non-LBR %.4f", staleSamp.CyclesRel, freshSamp.CyclesRel)
+	}
+	if lost := (freshSamp.CyclesRel - freshLBR.CyclesRel) / (1 - freshLBR.CyclesRel); lost > 0.5 {
+		t.Errorf("a non-LBR profile loses %.0f%% of the LBR win (cycles %.4f vs %.4f of baseline)",
+			100*lost, freshSamp.CyclesRel, freshLBR.CyclesRel)
 	}
 }

@@ -1,28 +1,58 @@
 package core
 
+//boltvet:hot-path profile:infer visits every sampled function of a non-LBR profile: the problem is rebuilt in per-worker slabs, never per function
+
 import (
+	"slices"
+
 	"gobolt/internal/flow"
 )
 
-// buildFlowProblem converts fn's CFG and current counts into the
-// minimum-cost-flow inference problem. pos maps blocks to their layout
-// index. withEdges seeds the measured edge counts as baselines (the
-// LBR/stale consistency-repair case); without it only block counts
-// constrain the solve (the non-LBR case, where edges must be
-// reconstructed from scratch). Edge costs encode the static layout
+// flowWorker is one profile:infer worker's inference state: the solver
+// and the problem slabs it is handed, all reused from function to
+// function, so the stage allocates while a worker's largest CFG so far
+// is still growing them and not per function.
+type flowWorker struct {
+	solver flow.Solver
+	nodes  []flow.Node
+	succs  []flow.Succ
+}
+
+// normalizeSamples turns fn's per-block PC-sample counts, which measure
+// time spent in a block (executions × instructions ÷ period), into
+// execution-count weights. Everything downstream of the profile stage —
+// the flow equations, fn.ExecCount, the split threshold, call-edge
+// weights — reads block counts as executions.
+func normalizeSamples(fn *BinaryFunction) {
+	for _, b := range fn.Blocks {
+		b.ExecCount = flow.SampleWeight(b.ExecCount, len(b.Insts))
+	}
+}
+
+// problem converts fn's CFG and current counts into the minimum-cost-flow
+// inference problem, cut from w's slabs. withEdges seeds the measured
+// edge counts as baselines (the LBR/stale consistency-repair case);
+// without it the block counts are normalized PC samples, each block
+// carries its size so the solver can weigh its zeros, and the edges are
+// reconstructed from scratch. Edge costs encode the static layout
 // (§5.2): fall-through cheapest, taken forward next, backward dearest.
-func buildFlowProblem(fn *BinaryFunction, pos map[*BasicBlock]int, withEdges bool) []flow.Node {
-	nodes := make([]flow.Node, len(fn.Blocks))
+func (w *flowWorker) problem(fn *BinaryFunction, withEdges bool) []flow.Node {
+	nEdges := 0
+	for _, b := range fn.Blocks {
+		nEdges += len(b.Succs)
+	}
+	w.nodes = slices.Grow(w.nodes[:0], len(fn.Blocks))
+	w.succs = slices.Grow(w.succs[:0], nEdges)
+	nodes, succs := w.nodes[:len(fn.Blocks)], w.succs
 	for i, b := range fn.Blocks {
-		nodes[i].Weight = b.ExecCount
-		nodes[i].IsEntry = b.IsEntry || i == 0
-		if len(b.Succs) == 0 {
-			continue
+		nd := flow.Node{Weight: b.ExecCount, IsEntry: b.IsEntry || i == 0}
+		if !withEdges {
+			nd.Size = len(b.Insts)
 		}
-		nodes[i].Succs = make([]flow.Succ, len(b.Succs))
 		cond := isCondTerm(b)
+		lo := len(succs)
 		for k := range b.Succs {
-			j := pos[b.Succs[k].To]
+			j := b.Succs[k].To.Index
 			cost := int64(flow.CostTaken)
 			switch {
 			case j <= i:
@@ -30,29 +60,25 @@ func buildFlowProblem(fn *BinaryFunction, pos map[*BasicBlock]int, withEdges boo
 			case j == i+1 && ((cond && k == 1) || len(b.Succs) == 1):
 				cost = flow.CostFallThrough
 			}
-			nodes[i].Succs[k] = flow.Succ{To: j, Cost: cost}
+			sc := flow.Succ{To: j, Cost: cost}
 			if withEdges {
-				nodes[i].Succs[k].Weight = b.Succs[k].Count
+				sc.Weight = b.Succs[k].Count
 			}
+			succs = append(succs, sc)
 		}
+		nd.Succs = succs[lo:len(succs):len(succs)]
+		nodes[i] = nd
 	}
 	return nodes
 }
 
-// inferFlowMCF runs minimum-cost-flow inference over fn and writes the
-// conserving counts back onto the CFG. It mutates only fn (blocks and
-// edges), so it is safe as a parallel per-function stage; Mispreds are
+// infer runs minimum-cost-flow inference over fn and writes the
+// conserving counts from the solver's slabs straight onto the CFG. It
+// mutates only fn (blocks and edges) and w, so it is safe as a parallel
+// per-function stage with one flowWorker per worker; Mispreds are
 // preserved — only Counts are rebalanced.
-func inferFlowMCF(fn *BinaryFunction, withEdges bool) {
-	if len(fn.Blocks) == 0 {
-		return
-	}
-	pos := make(map[*BasicBlock]int, len(fn.Blocks))
-	for i, b := range fn.Blocks {
-		pos[b] = i
-	}
-	nodes := buildFlowProblem(fn, pos, withEdges)
-	res := flow.Infer(nodes)
+func (w *flowWorker) infer(fn *BinaryFunction, withEdges bool) {
+	res := w.solver.Infer(w.problem(fn, withEdges))
 	for i, b := range fn.Blocks {
 		b.ExecCount = res.NodeCounts[i]
 		for k := range b.Succs {

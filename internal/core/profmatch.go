@@ -19,12 +19,13 @@ import (
 // become edge counts, call records become function execution counts and
 // indirect-call histograms, and flow repair fills in the fall-through
 // counts LBRs cannot observe (paper §5.2). Non-LBR profiles set block
-// counts from PC samples and reconstruct edges with the minimum-cost
-// flow solver of internal/flow — the production replacement for the
-// "non-ideal algorithm" whose cost Figure 11 quantifies
-// (Opts.InferFlow = InferNever restores the proportional estimator, and
-// InferAlways also repairs LBR/stale/translated profiles after classic
-// flow repair).
+// counts from PC samples — divided by block size, because a sample
+// measures time in a block, not executions of it — and reconstruct edges
+// with the minimum-cost flow solver of internal/flow, the production
+// replacement for the "non-ideal algorithm" whose cost Figure 11
+// quantifies (Opts.InferFlow = InferNever restores the proportional
+// estimator, and InferAlways also repairs LBR/stale/translated profiles
+// after classic flow repair).
 //
 // When the profile carries CFG shapes (format v2) and Opts.StaleMatching
 // is on, records whose offsets no longer resolve against this binary are
@@ -88,20 +89,27 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		violAfter, totalAfter   uint64
 	}
 	terms := make([]accTerm, len(funcs))
+	var workers []flowWorker // one solver arena per worker, reused across its functions
+	if useMCF {
+		workers = make([]flowWorker, jobs)
+	}
 	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:infer",
 		func(i int) string { return funcs[i].Name },
-		len(funcs), jobs, func(_, i int) error {
+		len(funcs), jobs, func(w, i int) error {
 			fn := funcs[i]
+			if !lbr {
+				normalizeSamples(fn)
+			}
 			terms[i].violBefore, terms[i].totalBefore = flowViolation(fn)
 			if lbr {
 				repairFlow(fn)
 				if useMCF {
-					inferFlowMCF(fn, true)
+					workers[w].infer(fn, true)
 				}
 			} else {
 				entrySamples := fn.Blocks[0].ExecCount
 				if useMCF {
-					inferFlowMCF(fn, false)
+					workers[w].infer(fn, false)
 				} else {
 					inferEdgesFromBlockCounts(fn)
 				}

@@ -16,6 +16,11 @@
 //     branch more still,
 //   - discarding measured counts (blocks or edges) is expensive —
 //     samples are evidence,
+//   - so is their absence, in proportion to how many were due: routing
+//     flow through a block that drew no PC samples costs what the
+//     sampling model says that flow should have drawn there, which grows
+//     with the block's length (SampleWeight and coldCost derive the
+//     units and the slope; neither is fitted to a workload),
 //   - pseudo source/sink arcs absorb entry/exit imbalance for free, so
 //     a function whose observed entries and exits disagree still solves.
 //
@@ -25,7 +30,12 @@
 // truncation could never guarantee.
 package flow
 
-import "math"
+//boltvet:hot-path one solve per sampled function of a non-LBR profile, one shortest-path search per augmenting path: network, search state and results live in Solver slabs
+
+import (
+	"math"
+	"slices"
+)
 
 // Jump-weight costs for adding flow to a CFG edge, exported so callers
 // (internal/core) classify edges against the static layout.
@@ -42,10 +52,12 @@ const (
 
 // Internal cost structure of the deviation network.
 const (
-	// costColdBlock guards never-sampled blocks: routing flow through a
-	// block with zero samples pays this on top of its edge costs, so the
-	// solver does not invent counts on cold paths unless conservation
-	// forces it (the old estimator's "+1 smoothing" did exactly that).
+	// costColdBlock guards never-observed blocks: routing a unit of flow
+	// through a block with zero measured weight pays this per sample the
+	// flow should have drawn there and did not (see coldCost), on top of
+	// its edge costs, so the solver does not invent counts on cold paths
+	// unless conservation forces it (the old estimator's "+1 smoothing"
+	// did exactly that).
 	costColdBlock = 2
 	// costCut is the cost per unit of *discarding* a measured count —
 	// an order of magnitude above any routing cost.
@@ -54,6 +66,48 @@ const (
 	// unreachable from any entry); never on a cheapest path otherwise.
 	costEmergency = 10000
 )
+
+// sampleScale is the fixed-point scale of sample-derived weights: one
+// unit of flow is 1/sampleScale samples per instruction (see
+// SampleWeight). The edge and cut costs above are per unit of flow and
+// were calibrated when a unit was one sample, so the scale is the power
+// of two next above the typical block length (about ten instructions in
+// compiled code): through a typical block a unit of flow is still about
+// one sample, and the costs keep their meaning.
+const sampleScale = 16
+
+// SampleWeight converts the PC samples a block of size instructions drew
+// into a flow weight. The sampler fires every Period retired
+// instructions, so a block's sample count measures the time spent in it —
+// executions × size ÷ Period — and a 20-instruction block executed 10
+// times outdraws a 1-instruction block executed 100 times. Dividing by
+// the size gives executions (× sampleScale ÷ Period, the same factor for
+// every block of the profile), which is what the flow equations conserve.
+// Rounds up, so a sampled block never reads as unsampled.
+func SampleWeight(samples uint64, size int) uint64 {
+	if size < 1 {
+		size = 1
+	}
+	return (samples*sampleScale + uint64(size) - 1) / uint64(size)
+}
+
+// coldCost is the cost of routing one unit of flow through a block that
+// drew no samples. Under the sampling model above, a unit of flow through
+// a block of size instructions is size/sampleScale samples that should
+// have been drawn and were not, so the evidence against it grows with
+// the block: nothing for a two-instruction block, which most profiles
+// miss even when it is hot, and several times an edge cost for a
+// forty-instruction one. Each missing sample is charged costColdBlock,
+// the price the unnormalised solver charged per unit when a unit was one
+// sample. Size 0 marks a weight that is an execution count already (LBR
+// repair): there zero is the same evidence whatever the block's length,
+// and the flat costColdBlock applies.
+func coldCost(size int) int64 {
+	if size == 0 {
+		return costColdBlock
+	}
+	return costColdBlock * int64(size) / sampleScale
+}
 
 const inf = int64(math.MaxInt64) / 4
 
@@ -71,9 +125,13 @@ type Succ struct {
 // Node is one basic block of the inference problem. Nodes are indexed by
 // slice position; Succ.To refers to those indices.
 type Node struct {
-	// Weight is the measured execution count (PC samples or LBR-derived
-	// block counts).
-	Weight  uint64
+	// Weight is the measured execution count: SampleWeight of the block's
+	// PC samples, or an LBR-derived block count.
+	Weight uint64
+	// Size is the block's instruction count when Weight came from PC
+	// samples — how much a zero says depends on it (coldCost) — and 0
+	// when Weight is an execution count in its own right.
+	Size    int
 	Succs   []Succ
 	IsEntry bool
 }
@@ -92,27 +150,108 @@ type Result struct {
 	Residual int64
 }
 
+// Infer solves one problem on a fresh Solver. Callers that infer many
+// functions keep a Solver per worker instead.
+func Infer(nodes []Node) Result {
+	var s Solver
+	return s.Infer(nodes)
+}
+
+// arc is one directed residual edge; arcs are stored in pairs so arc
+// id^1 is always the reverse (and arcs[id^1].to is arc id's tail).
+type arc struct {
+	to   int32
+	cap  int64
+	cost int64
+}
+
+// Solver is a reusable inference engine: a successive-shortest-path
+// min-cost max-flow solver (SPFA for the shortest path, so residual
+// negative costs are fine) whose network, search state and result slabs
+// are kept across augmenting paths and across problems, so a worker that
+// infers thousands of functions allocates only while its largest CFG so
+// far is still growing the slabs. The zero value is ready to use; a
+// Solver is not safe for concurrent use.
+type Solver struct {
+	// Residual network: arc pairs in insertion order, and a CSR adjacency
+	// (the arcs leaving v are adj[adjOff[v]:adjOff[v+1]], in insertion
+	// order, which is what makes tied shortest paths resolve the same way
+	// for the same problem whatever was solved before).
+	arcs   []arc
+	adjOff []int32
+	adj    []int32
+
+	// SPFA state, kept across augmenting paths.
+	dist    []int64
+	prevArc []int32
+	inQueue []bool
+	queue   []int32 // ring buffer: a node is queued at most once at a time
+
+	// Problem scratch.
+	net      []int64 // baseline-flow imbalance per network node
+	hasPred  []bool
+	blockInc []int32 // arc ids: raising a block count
+	blockRed []int32 // arc ids: cutting measured block samples, or -1
+	edgeOff  []int32 // node i's edges are [edgeOff[i], edgeOff[i+1]) of the edge slabs
+	edgeInc  []int32
+	edgeRed  []int32
+
+	// Result slabs.
+	nodeCounts []uint64
+	edgeCounts []uint64
+	edgeRows   [][]uint64
+	inflow     []uint64
+}
+
+// grow returns s resized to n elements, reallocating only when the slab
+// is too small. Contents are unspecified: callers overwrite or clear.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// addArc inserts a forward arc and its zero-capacity reverse; the
+// returned id addresses the forward arc (flow() reads it back).
+func (s *Solver) addArc(from, to int, capacity, cost int64) int32 {
+	id := int32(len(s.arcs))
+	s.arcs = append(s.arcs,
+		arc{to: int32(to), cap: capacity, cost: cost},
+		arc{to: int32(from), cap: 0, cost: -cost})
+	return id
+}
+
+// flow reports how much flow was pushed through arc id.
+func (s *Solver) flow(id int32) int64 { return s.arcs[id^1].cap }
+
 // Infer solves minimum-cost maximum-flow over the CFG and returns
 // conserving counts. Deterministic: identical inputs produce identical
-// outputs regardless of caller parallelism.
-func Infer(nodes []Node) Result {
+// outputs regardless of caller parallelism and of what the Solver solved
+// before. The Result's slices are the Solver's own slabs, valid until
+// its next Infer.
+func (s *Solver) Infer(nodes []Node) Result {
 	n := len(nodes)
-	res := Result{
-		NodeCounts: make([]uint64, n),
-		EdgeCounts: make([][]uint64, n),
-	}
+	nEdges := 0
+	s.edgeOff = grow(s.edgeOff, n+1)
 	for i := range nodes {
-		res.EdgeCounts[i] = make([]uint64, len(nodes[i].Succs))
+		s.edgeOff[i] = int32(nEdges)
+		nEdges += len(nodes[i].Succs)
 	}
+	s.edgeOff[n] = int32(nEdges)
+	s.nodeCounts = grow(s.nodeCounts, n)
+	s.edgeCounts = grow(s.edgeCounts, nEdges)
+	s.edgeRows = grow(s.edgeRows, n)
+	for i := range nodes {
+		lo, hi := s.edgeOff[i], s.edgeOff[i+1]
+		s.edgeRows[i] = s.edgeCounts[lo:hi:hi]
+	}
+	res := Result{NodeCounts: s.nodeCounts, EdgeCounts: s.edgeRows}
 	if n == 0 {
 		return res
 	}
 
-	hasPred := make([]bool, n)
+	s.hasPred = grow(s.hasPred, n)
+	clear(s.hasPred)
 	for i := range nodes {
 		for _, e := range nodes[i].Succs {
 			if e.To >= 0 && e.To < n {
-				hasPred[e.To] = true
+				s.hasPred[e.To] = true
 			}
 		}
 	}
@@ -120,64 +259,65 @@ func Infer(nodes []Node) Result {
 	// Node layout: block i splits into in=2i, out=2i+1; then the
 	// function-boundary pseudo nodes S and T, then the supply/demand
 	// terminals SS and TT.
-	in := func(i int) int { return 2 * i }
-	out := func(i int) int { return 2*i + 1 }
 	S, T := 2*n, 2*n+1
 	SS, TT := 2*n+2, 2*n+3
-	s := newSolver(2*n + 4)
+	s.arcs = s.arcs[:0]
 
 	// net accumulates baseline-flow imbalance per node: positive = the
 	// baselines produce surplus here, negative = they consume more than
 	// they deliver.
-	net := make([]int64, 2*n+4)
+	s.net = grow(s.net, 2*n+4)
+	clear(s.net)
+	net := s.net
 
-	blockInc := make([]int, n) // arc ids: raising a block count
-	blockRed := make([]int, n) // arc ids: cutting measured block samples
-	edgeInc := make([][]int, n)
-	edgeRed := make([][]int, n)
+	s.blockInc = grow(s.blockInc, n)
+	s.blockRed = grow(s.blockRed, n)
+	s.edgeInc = grow(s.edgeInc, nEdges)
+	s.edgeRed = grow(s.edgeRed, nEdges)
 
 	for i := range nodes {
+		in, out := 2*i, 2*i+1
 		w := int64(nodes[i].Weight)
 		incCost := int64(0)
 		if w == 0 {
-			incCost = costColdBlock
+			incCost = coldCost(nodes[i].Size)
 		}
-		blockInc[i] = s.addArc(in(i), out(i), inf, incCost)
-		blockRed[i] = -1
+		s.blockInc[i] = s.addArc(in, out, inf, incCost)
+		s.blockRed[i] = -1
 		if w > 0 {
-			blockRed[i] = s.addArc(out(i), in(i), w, costCut)
+			s.blockRed[i] = s.addArc(out, in, w, costCut)
 			// Baseline block flow: consumed at in, produced at out.
-			net[in(i)] -= w
-			net[out(i)] += w
+			net[in] -= w
+			net[out] += w
 		}
 
-		edgeInc[i] = make([]int, len(nodes[i].Succs))
-		edgeRed[i] = make([]int, len(nodes[i].Succs))
+		edgeInc := s.edgeInc[s.edgeOff[i]:s.edgeOff[i+1]]
+		edgeRed := s.edgeRed[s.edgeOff[i]:s.edgeOff[i+1]]
 		for k, e := range nodes[i].Succs {
 			cost := e.Cost
 			if cost < 1 {
 				cost = 1
 			}
-			edgeInc[i][k] = s.addArc(out(i), in(e.To), inf, cost)
-			edgeRed[i][k] = -1
+			edgeInc[k] = s.addArc(out, 2*e.To, inf, cost)
+			edgeRed[k] = -1
 			if ew := int64(e.Weight); ew > 0 {
-				edgeRed[i][k] = s.addArc(in(e.To), out(i), ew, costCut)
-				net[out(i)] -= ew
-				net[in(e.To)] += ew
+				edgeRed[k] = s.addArc(2*e.To, out, ew, costCut)
+				net[out] -= ew
+				net[2*e.To] += ew
 			}
 		}
 
 		// Function-boundary arcs: entries (and predecessor-less blocks,
 		// e.g. landing pads) draw inflow from S; exit blocks drain to T.
-		if nodes[i].IsEntry || !hasPred[i] {
-			s.addArc(S, in(i), inf, 0)
+		if nodes[i].IsEntry || !s.hasPred[i] {
+			s.addArc(S, in, inf, 0)
 		} else {
-			s.addArc(S, in(i), inf, costEmergency)
+			s.addArc(S, in, inf, costEmergency)
 		}
 		if len(nodes[i].Succs) == 0 {
-			s.addArc(out(i), T, inf, 0)
+			s.addArc(out, T, inf, 0)
 		} else {
-			s.addArc(out(i), T, inf, costEmergency)
+			s.addArc(out, T, inf, costEmergency)
 		}
 	}
 	// Entry/exit imbalance circulates for free.
@@ -193,23 +333,25 @@ func Infer(nodes []Node) Result {
 			s.addArc(v, TT, -d, 0)
 		}
 	}
-	routed, _ := s.run(SS, TT)
-	res.Residual = supply - routed
+	s.index(2*n + 4)
+	res.Residual = supply - s.run(SS, TT)
 
 	// Read back: final count = baseline + increase − reduction.
 	for i := range nodes {
-		c := int64(nodes[i].Weight) + s.flow(blockInc[i])
-		if blockRed[i] >= 0 {
-			c -= s.flow(blockRed[i])
+		c := int64(nodes[i].Weight) + s.flow(s.blockInc[i])
+		if s.blockRed[i] >= 0 {
+			c -= s.flow(s.blockRed[i])
 		}
 		if c < 0 {
 			c = 0
 		}
 		res.NodeCounts[i] = uint64(c)
+		edgeInc := s.edgeInc[s.edgeOff[i]:s.edgeOff[i+1]]
+		edgeRed := s.edgeRed[s.edgeOff[i]:s.edgeOff[i+1]]
 		for k, e := range nodes[i].Succs {
-			ec := int64(e.Weight) + s.flow(edgeInc[i][k])
-			if edgeRed[i][k] >= 0 {
-				ec -= s.flow(edgeRed[i][k])
+			ec := int64(e.Weight) + s.flow(edgeInc[k])
+			if edgeRed[k] >= 0 {
+				ec -= s.flow(edgeRed[k])
 			}
 			if ec < 0 {
 				ec = 0
@@ -217,7 +359,7 @@ func Infer(nodes []Node) Result {
 			res.EdgeCounts[i][k] = uint64(ec)
 		}
 	}
-	rebalance(nodes, &res)
+	s.rebalance(nodes, &res)
 	return res
 }
 
@@ -226,8 +368,10 @@ func Infer(nodes []Node) Result {
 // left residual imbalance (unreachable cycles, overflow-clamped counts).
 // On a fully-routed solution this is a no-op — conservation already
 // holds arc-by-arc — so the common path pays one verification sweep.
-func rebalance(nodes []Node, res *Result) {
-	inflow := make([]uint64, len(nodes))
+func (s *Solver) rebalance(nodes []Node, res *Result) {
+	s.inflow = grow(s.inflow, len(nodes))
+	clear(s.inflow)
+	inflow := s.inflow
 	for i := range nodes {
 		for k, e := range nodes[i].Succs {
 			inflow[e.To] += res.EdgeCounts[i][k]
@@ -250,64 +394,57 @@ func rebalance(nodes []Node, res *Result) {
 	}
 }
 
-// arc is one directed residual edge; arcs are stored in pairs so arc
-// id^1 is always the reverse.
-type arc struct {
-	to   int32
-	cap  int64
-	cost int64
+// index builds the CSR adjacency of the v-node network from the arc
+// list (a counting sort by tail, stable in arc id) and sizes the search
+// state.
+func (s *Solver) index(v int) {
+	s.adjOff = grow(s.adjOff, v+1)
+	clear(s.adjOff)
+	for id := range s.arcs {
+		s.adjOff[s.arcs[id^1].to+1]++
+	}
+	for u := 0; u < v; u++ {
+		s.adjOff[u+1] += s.adjOff[u]
+	}
+	s.adj = grow(s.adj, len(s.arcs))
+	// prevArc doubles as the per-node fill cursor; run resets it.
+	s.prevArc = grow(s.prevArc, v)
+	copy(s.prevArc, s.adjOff[:v])
+	for id := range s.arcs {
+		u := s.arcs[id^1].to
+		s.adj[s.prevArc[u]] = int32(id)
+		s.prevArc[u]++
+	}
+	s.dist = grow(s.dist, v)
+	s.inQueue = grow(s.inQueue, v)
+	clear(s.inQueue)
+	s.queue = grow(s.queue, v)
 }
-
-// solver is a successive-shortest-path min-cost max-flow engine (SPFA
-// for the shortest path, so residual negative costs are fine). Sized for
-// per-function CFGs: tens to a few hundred blocks.
-type solver struct {
-	arcs []arc
-	adj  [][]int32
-}
-
-func newSolver(n int) *solver { return &solver{adj: make([][]int32, n)} }
-
-// addArc inserts a forward arc and its zero-capacity reverse; the
-// returned id addresses the forward arc (flow() reads it back).
-func (s *solver) addArc(from, to int, capacity, cost int64) int {
-	id := len(s.arcs)
-	s.arcs = append(s.arcs,
-		arc{to: int32(to), cap: capacity, cost: cost},
-		arc{to: int32(from), cap: 0, cost: -cost})
-	s.adj[from] = append(s.adj[from], int32(id))
-	s.adj[to] = append(s.adj[to], int32(id+1))
-	return id
-}
-
-// flow reports how much flow was pushed through arc id.
-func (s *solver) flow(id int) int64 { return s.arcs[id^1].cap }
 
 // run pushes flow from src to dst along successive cheapest residual
-// paths until none remains; returns (flow, cost). Deterministic: the
-// adjacency order is insertion order and SPFA relaxes strictly, so tied
-// shortest paths always resolve the same way.
-func (s *solver) run(src, dst int) (int64, int64) {
-	n := len(s.adj)
-	dist := make([]int64, n)
-	inQueue := make([]bool, n)
-	prevArc := make([]int32, n)
-	var totalFlow, totalCost int64
+// paths until none remains and returns the flow routed. Deterministic:
+// the adjacency order is insertion order and SPFA relaxes strictly, so
+// tied shortest paths always resolve the same way.
+func (s *Solver) run(src, dst int) int64 {
+	dist, prevArc, inQueue, queue := s.dist, s.prevArc, s.inQueue, s.queue
+	n := len(dist)
+	var totalFlow int64
 	for {
 		for i := range dist {
 			dist[i] = inf
 			prevArc[i] = -1
 		}
 		dist[src] = 0
-		queue := make([]int32, 0, n)
-		queue = append(queue, int32(src))
+		queue[0] = int32(src)
 		inQueue[src] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head, tail, queued := 0, 1, 1; queued > 0; queued-- {
+			u := queue[head]
+			if head++; head == n {
+				head = 0
+			}
 			inQueue[u] = false
 			du := dist[u]
-			for _, id := range s.adj[u] {
+			for _, id := range s.adj[s.adjOff[u]:s.adjOff[u+1]] {
 				a := &s.arcs[id]
 				if a.cap <= 0 {
 					continue
@@ -317,13 +454,18 @@ func (s *solver) run(src, dst int) (int64, int64) {
 					prevArc[a.to] = id
 					if !inQueue[a.to] {
 						inQueue[a.to] = true
-						queue = append(queue, a.to)
+						if tail == n {
+							tail = 0
+						}
+						queue[tail] = a.to
+						tail++
+						queued++
 					}
 				}
 			}
 		}
 		if prevArc[dst] < 0 {
-			return totalFlow, totalCost
+			return totalFlow
 		}
 		push := inf
 		for v := int32(dst); v != int32(src); {
@@ -340,6 +482,5 @@ func (s *solver) run(src, dst int) (int64, int64) {
 			v = s.arcs[id^1].to
 		}
 		totalFlow += push
-		totalCost += push * dist[dst]
 	}
 }

@@ -221,3 +221,48 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsampledDiamondTakesShortArm: when neither arm of a diamond drew a
+// sample, the flow goes through the arm whose silence says least — the
+// two-instruction one, not the forty-instruction one — even against the
+// fall-through preference.
+func TestUnsampledDiamondTakesShortArm(t *testing.T) {
+	nodes := []Node{
+		{Weight: 100, Size: 4, IsEntry: true, Succs: []Succ{{To: 1, Cost: CostTaken}, {To: 2, Cost: CostFallThrough}}},
+		{Size: 2, Succs: []Succ{{To: 3, Cost: CostTaken}}},
+		{Size: 40, Succs: []Succ{{To: 3, Cost: CostFallThrough}}},
+		{Weight: 100, Size: 4},
+	}
+	res := Infer(nodes)
+	checkConserved(t, nodes, res)
+	if res.NodeCounts[1] != 100 || res.NodeCounts[2] != 0 {
+		t.Errorf("arm counts short=%d long=%d, want 100 and 0", res.NodeCounts[1], res.NodeCounts[2])
+	}
+	// Without sizes (execution counts, the LBR repair) a zero is a zero
+	// and the fall-through arm wins, as TestSurplusPrefersFallThrough pins.
+	for i := range nodes {
+		nodes[i].Size = 0
+	}
+	if res = Infer(nodes); res.NodeCounts[2] != 100 {
+		t.Errorf("unsized diamond: fall-through arm got %d, want 100", res.NodeCounts[2])
+	}
+}
+
+// TestSampleWeight: equal executions give equal weights whatever the
+// block length, and no sampled block rounds to zero.
+func TestSampleWeight(t *testing.T) {
+	const execs, period = 4096, 512
+	short := SampleWeight(execs*1/period, 1)
+	long := SampleWeight(execs*16/period, 16)
+	if short != long {
+		t.Errorf("1- and 16-instruction blocks run %d times weigh %d and %d", execs, short, long)
+	}
+	for _, size := range []int{1, 40, 100000} {
+		if SampleWeight(1, size) == 0 {
+			t.Errorf("one sample in a %d-instruction block weighs 0", size)
+		}
+	}
+	if SampleWeight(0, 8) != 0 {
+		t.Error("an unsampled block has weight")
+	}
+}

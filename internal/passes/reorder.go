@@ -129,7 +129,7 @@ func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 
 // ReorderFunctions applies HFSort to the dynamic call graph (Table 1,
 // pass 13; §5.3). With LBR profiles the graph comes from branch records
-// into function entries; without LBR it is approximated from samples in
+// into function entries; without LBR it is approximated from the counts of
 // blocks containing direct calls — indirect calls are invisible, exactly
 // the limitation the paper describes.
 type ReorderFunctions struct{}
@@ -156,15 +156,18 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 			g.Edges[e] += w
 		}
 	} else {
-		// Non-LBR approximation: attribute a block's samples to the
-		// direct calls it contains.
+		// Non-LBR approximation: every direct call in a block ran as often
+		// as the block did. The node weight is the time spent in the
+		// function — block count × instructions, what the samples measured
+		// before they were normalised — because hfsort's density is time
+		// per byte.
 		for _, fn := range ctx.Funcs {
 			if !fn.Simple {
 				continue
 			}
 			total := uint64(0)
 			for _, b := range fn.Blocks {
-				total += b.ExecCount
+				total += b.ExecCount * uint64(len(b.Insts))
 				if b.ExecCount == 0 {
 					continue
 				}

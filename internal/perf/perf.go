@@ -9,6 +9,13 @@
 // instructions, with "cycles" worst and PEBS reducing it), while LBR
 // records are exact regardless of where the sample lands — which is why
 // the paper finds LBR profiles robust across sampling events.
+//
+// Whatever the event is called, the sampling period counts *retired
+// instructions*: Mode.Event only selects how far the recorded PC skids
+// past the interrupt. A non-LBR sample is therefore evidence of time —
+// a block of s instructions executed c times draws about c·s/Period
+// samples — and consumers that want executions divide by the block's
+// size (internal/flow.SampleWeight, applied by core.ApplyProfile).
 package perf
 
 import (
@@ -40,9 +47,13 @@ func ParseEvent(s string) (Event, error) {
 
 // Mode configures sampling.
 type Mode struct {
-	LBR    bool
-	Event  Event
-	Period uint64 // instructions between samples
+	LBR bool
+	// Event names the hardware event and selects the skid model only;
+	// it does not change what Period counts.
+	Event Event
+	// Period is the number of retired instructions between samples,
+	// under every Event (0 = 4096).
+	Period uint64
 	// PEBS is the precise-event level 0..3; higher levels shrink skid.
 	PEBS int
 }

@@ -434,6 +434,7 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 	var curShape *FuncShape
 	var curName string
 	var curBlocks int
+	var succSlab []int // successor indices of this chunk's shapes
 	for off := 0; off < len(body); {
 		lineNo++
 		line := body[off:]
@@ -489,11 +490,9 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			if b.Hash, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			succs, err := parseSuccs(string(fields[3]))
-			if err != nil {
+			if b.Succs, err = parseSuccs(fields[3], &succSlab); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			b.Succs = succs
 			curShape.Blocks = append(curShape.Blocks, b)
 			if len(curShape.Blocks) == curBlocks {
 				out.shapes = append(out.shapes, namedShape{curName, *curShape})
@@ -590,20 +589,51 @@ func appendSuccs(dst []byte, succs []int) []byte {
 	return dst
 }
 
-func parseSuccs(s string) ([]int, error) {
-	if s == "-" {
+// succSlabLen is how many successor indices one slab holds: shape
+// parsing allocates one slab per this many indices instead of a split
+// and a slice per block.
+const succSlabLen = 4096
+
+// parseSuccs parses a block's successor list ("0,2,5", "-" when none),
+// scanning the commas in place, and cuts the indices from *slab with a
+// three-index slice so blocks sharing a slab cannot grow into each
+// other; a full slab is replaced, never regrown, so earlier cuts stay
+// valid.
+func parseSuccs(s []byte, slab *[]int) ([]int, error) {
+	if len(s) == 1 && s[0] == '-' {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad successor list %q", s)
+	if n := bytes.Count(s, []byte{','}) + 1; cap(*slab)-len(*slab) < n {
+		*slab = make([]int, 0, max(n, succSlabLen))
+	}
+	out := (*slab)[len(*slab):len(*slab)]
+	for rest := s; rest != nil; {
+		tok := rest
+		if i := bytes.IndexByte(rest, ','); i >= 0 {
+			tok, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		v, plain := 0, len(tok) > 0 && len(tok) <= 9
+		for _, c := range tok {
+			if c < '0' || c > '9' {
+				plain = false
+				break
+			}
+			v = v*10 + int(c-'0')
+		}
+		if !plain {
+			// Signs, overflow, empty fields: strconv decides, as it did
+			// when every field went through it.
+			var err error
+			if v, err = strconv.Atoi(string(tok)); err != nil || v < 0 {
+				return nil, fmt.Errorf("bad successor list %q", s)
+			}
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	*slab = (*slab)[:len(*slab)+len(out)]
+	return out[:len(out):len(out)], nil
 }
 
 // appendEscaped appends a symbol made safe for the whitespace-separated

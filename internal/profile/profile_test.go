@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -286,5 +287,48 @@ func TestRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseSuccs pins the in-place successor-list scanner: same values
+// and same rejections as the strings.Split + strconv.Atoi it replaced,
+// and lists cut from one slab that cannot grow into each other.
+func TestParseSuccs(t *testing.T) {
+	var slab []int
+	for _, tc := range []struct {
+		in   string
+		want []int
+		bad  bool
+	}{
+		{in: "-"},
+		{in: "0", want: []int{0}},
+		{in: "0,2,5", want: []int{0, 2, 5}},
+		{in: "+7,0012", want: []int{7, 12}},
+		{in: "00000000000000000003", want: []int{3}},
+		{in: "", bad: true},
+		{in: "1,", bad: true},
+		{in: ",1", bad: true},
+		{in: "1,,2", bad: true},
+		{in: "-1", bad: true},
+		{in: "1,x", bad: true},
+		{in: "99999999999999999999", bad: true},
+	} {
+		got, err := parseSuccs([]byte(tc.in), &slab)
+		if tc.bad != (err != nil) {
+			t.Errorf("%q: err = %v, want error %v", tc.in, err, tc.bad)
+			continue
+		}
+		if !slices.Equal(got, tc.want) || (tc.want == nil) != (got == nil) {
+			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	a, _ := parseSuccs([]byte("1,2"), &slab)
+	b, _ := parseSuccs([]byte("3"), &slab)
+	if a = append(a, 9); b[0] != 3 {
+		t.Errorf("appending to one list overwrote its slab neighbour: %v", b)
+	}
+	big := strings.Repeat("7,", succSlabLen) + "7"
+	if c, err := parseSuccs([]byte(big), &slab); err != nil || len(c) != succSlabLen+1 || a[0] != 1 {
+		t.Errorf("list longer than a slab: len %d err %v, earlier cut %v", len(c), err, a)
 	}
 }
