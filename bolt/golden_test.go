@@ -24,9 +24,10 @@ type goldenRow struct {
 	sha256 string
 }
 
-// goldenOutputs pins the SHA-256 of the optimized binary for the five
-// examples/ workload shapes and for the clang and proxygen presets at
-// scale 0.05. The hashes were recorded on the commit before PR 12 (value
+// goldenOutputs pins the SHA-256 of the optimized binary for the three
+// examples/ workload shapes, a PGO clang and an HFSort+LTO hhvm (the
+// builds of the two examples deleted in PR 23), and for the clang and
+// proxygen presets at scale 0.05. The hashes were recorded on the commit before PR 12 (value
 // CFI states, digest-keyed ICF, lazy address index), so the table proves
 // byte-identity against that parent and not only across -jobs values. A
 // change that is meant to alter output bytes replaces the hash the

@@ -3,12 +3,17 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"gobolt/bolt"
 	"gobolt/internal/bat"
 	"gobolt/internal/elfx"
+	"gobolt/internal/obsv"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
 	"gobolt/internal/workload"
@@ -267,5 +272,69 @@ func TestContinuousExperiment(t *testing.T) {
 	}
 	if res.StaleSpeedup <= 0 {
 		t.Errorf("stale-profile BOLT gave no speedup: %.4f", res.StaleSpeedup)
+	}
+}
+
+// TestStaleMetricsPinned holds the stale path to the numbers it produced
+// before stale.Match returned a slice: release v1 of the Tiny workload is
+// profiled (with shapes), release v2 has three instructions added to
+// every entry, and every profile-* counter plus the stale-match-quality
+// and flow-accuracy histograms of the v2 run must equal
+// testdata/stale_metrics.json, recorded at ebf34c9 — for an LBR profile
+// and for PC samples.
+func TestStaleMetricsPinned(t *testing.T) {
+	data, err := os.ReadFile("testdata/stale_metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pinned struct {
+		Counters   map[string]int64
+		Histograms []obsv.HistogramSnapshot
+	}
+	var golden map[string]pinned
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	// ld emits ICF-alias symbols in map order; shapes are keyed by name.
+	sorted := func(f *elfx.File) *elfx.File {
+		sort.Slice(f.Symbols, func(i, j int) bool {
+			a, b := f.Symbols[i], f.Symbols[j]
+			if a.Value != b.Value {
+				return a.Value < b.Value
+			}
+			return a.Name < b.Name
+		})
+		return f
+	}
+	for name, mode := range map[string]perf.Mode{
+		"lbr":   perf.DefaultMode(),
+		"nolbr": {Event: perf.EventCycles, Period: 512},
+	} {
+		fd, err := recordWithShapes(sorted(buildTiny(t, 0)), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := optimizeSession(sorted(buildTiny(t, 3)), fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pinned{Counters: map[string]int64{}}
+		for k, v := range rep.Metrics.Counters {
+			if strings.HasPrefix(k, "profile-") {
+				got.Counters[k] = v
+			}
+		}
+		for _, h := range rep.Metrics.Histograms {
+			if h.Name == "stale-match-quality" || h.Name == "flow-accuracy" {
+				got.Histograms = append(got.Histograms, h)
+			}
+		}
+		if got.Counters["profile-stale-funcs"] == 0 || len(got.Histograms) != 2 {
+			t.Fatalf("%s: the stale path did not run: %+v", name, got)
+		}
+		if !reflect.DeepEqual(got, golden[name]) {
+			out, _ := json.MarshalIndent(got, "", " ")
+			t.Errorf("%s: profile metrics differ from the recorded ones; got\n%s", name, out)
+		}
 	}
 }

@@ -362,9 +362,6 @@ type BinaryFunction struct {
 	// per-function side tables without map lookups.
 	ordIdx int
 
-	// jtRaw holds each jump table's raw target addresses, parallel to JTs,
-	// from disassembly until buildCFG resolves them to blocks.
-	jtRaw [][]uint64
 	// lines is the context's line table, which Inst.Src indexes.
 	lines *dbg.Table
 	// lps holds the distinct (landing pad, action) pairs of the LSDA;
@@ -420,7 +417,13 @@ func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
 	return &f.cfiStates[idx]
 }
 
-// BlockAt finds the block starting at the given original address.
+// contains reports whether addr lies inside the function's input bytes.
+func (f *BinaryFunction) contains(addr uint64) bool { return addr-f.Addr < f.Size }
+
+// BlockAt finds the block starting at the given original address by a
+// linear scan, so it stays correct after passes reorder the blocks (the
+// emitter's old-address mapping); while the blocks are still in address
+// order, blockStarting answers the same question by binary search.
 func (f *BinaryFunction) BlockAt(addr uint64) *BasicBlock {
 	for _, b := range f.Blocks {
 		if b.Addr == addr {
@@ -431,15 +434,25 @@ func (f *BinaryFunction) BlockAt(addr uint64) *BasicBlock {
 }
 
 // blockContaining finds the block whose original instruction range covers
-// addr: the last block starting at or before it. Like instAt it binary
-// searches the loader's address order, so both serve profile matching
-// only and are not offered to passes, which reorder and renumber blocks.
+// addr: the last block starting at or before it. Like blockStarting and
+// instAt it binary searches the loader's address order, so all three
+// serve the loader and profile matching only and are not offered to
+// passes, which reorder and renumber blocks.
 func (f *BinaryFunction) blockContaining(addr uint64) *BasicBlock {
 	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Addr > addr })
 	if i == 0 {
 		return nil
 	}
 	return f.Blocks[i-1]
+}
+
+// blockStarting returns the block that starts exactly at addr, nil when
+// addr is mid-block or outside the function.
+func (f *BinaryFunction) blockStarting(addr uint64) *BasicBlock {
+	if b := f.blockContaining(addr); b != nil && b.Addr == addr {
+		return b
+	}
+	return nil
 }
 
 // instAt returns the block and instruction at an original address.
@@ -534,7 +547,7 @@ func (ctx *BinaryContext) FuncContaining(addr uint64) *BinaryFunction {
 	if i == 0 {
 		return nil
 	}
-	if f := ctx.Funcs[i-1]; addr < f.Addr+f.Size {
+	if f := ctx.Funcs[i-1]; f.contains(addr) {
 		return f
 	}
 	return nil

@@ -180,18 +180,15 @@ func TestStateInterning(t *testing.T) {
 }
 
 // cfiFixture is a one-block function with instructions at offsets 0, 4
-// and 8, covered by an FDE carrying the given program.
-func cfiFixture(insts ...cfi.PCInst) (*BinaryContext, *BinaryFunction, *loaderScratch) {
+// and 8, and the FDE covering it that carries the given program.
+func cfiFixture(insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch) {
 	const addr = 0x1000
 	b := &BasicBlock{Addr: addr, IsEntry: true}
 	for off := uint64(0); off < 12; off += 4 {
 		b.Insts = append(b.Insts, Inst{I: isa.NewInst(isa.NOP), Size: 4, Addr: addr + off, CFIIdx: -1})
 	}
 	fn := &BinaryFunction{Name: "f", Addr: addr, Size: 12, Simple: true, Blocks: []*BasicBlock{b}}
-	ctx := &BinaryContext{fdes: []cfi.FDE{{Start: addr, Len: 12, Insts: insts}}}
-	sc := &loaderScratch{}
-	sc.init()
-	return ctx, fn, sc
+	return &cfi.FDE{Start: addr, Len: 12, Insts: insts}, fn, &loaderScratch{}
 }
 
 // TestAttachCFIRememberWithNothingSaved: remember_state with no register
@@ -199,12 +196,12 @@ func cfiFixture(insts ...cfi.PCInst) (*BinaryContext, *BinaryFunction, *loaderSc
 // remembered copy carried a nil map and the save panicked ("assignment to
 // entry in nil map"); a value State cannot.
 func TestAttachCFIRememberWithNothingSaved(t *testing.T) {
-	ctx, fn, sc := cfiFixture(
+	fde, fn, sc := cfiFixture(
 		cfi.PCInst{PC: 0, Inst: cfi.Inst{Kind: cfi.OpRememberState}},
 		cfi.PCInst{PC: 4, Inst: cfi.Inst{Kind: cfi.OpRestoreState}},
 		cfi.PCInst{PC: 8, Inst: cfi.Inst{Kind: cfi.OpOffset, Reg: 3, Off: -24}},
 	)
-	ctx.attachCFI(fn, sc)
+	attachCFI(fn, fde, sc)
 	insts := fn.Blocks[0].Insts
 	if insts[0].CFIIdx != insts[1].CFIIdx || *fn.StateAt(insts[1].CFIIdx) != cfi.InitialState() {
 		t.Errorf("states at offsets 0 and 4 should both be the entry state")
@@ -220,12 +217,12 @@ func TestAttachCFIRememberWithNothingSaved(t *testing.T) {
 // TestAttachCFIBadRegister: rules naming a register number the state
 // cannot track are skipped and counted, never indexed with.
 func TestAttachCFIBadRegister(t *testing.T) {
-	ctx, fn, sc := cfiFixture(
+	fde, fn, sc := cfiFixture(
 		cfi.PCInst{PC: 0, Inst: cfi.Inst{Kind: cfi.OpOffset, Reg: cfi.NumRegs, Off: -16}},
 		cfi.PCInst{PC: 4, Inst: cfi.Inst{Kind: cfi.OpRestore, Reg: 255}},
 		cfi.PCInst{PC: 8, Inst: cfi.Inst{Kind: cfi.OpOffset, Reg: cfi.NumRegs - 1, Off: -8}},
 	)
-	ctx.attachCFI(fn, sc)
+	attachCFI(fn, fde, sc)
 	if n := sc.stats[StatLoadCFIBadReg]; n != 2 {
 		t.Errorf("load-cfi-bad-reg = %d, want 2", n)
 	}
@@ -255,6 +252,9 @@ func TestAddressLookupBySearch(t *testing.T) {
 				}
 				if gb := fn.blockContaining(in.Addr); gb != blk {
 					t.Errorf("%s: blockContaining(%#x) = %v, want block %d", fn.Name, in.Addr, gb, blk.Index)
+				}
+				if gb := fn.blockStarting(in.Addr); (gb == blk) != (in.Addr == blk.Addr) || (gb != nil && gb != blk) {
+					t.Errorf("%s: blockStarting(%#x) = %v in block %d starting at %#x", fn.Name, in.Addr, gb, blk.Index, blk.Addr)
 				}
 				if in.Size > 1 {
 					if gb, gi := fn.instAt(in.Addr + 1); gb != nil || gi != nil {

@@ -164,34 +164,29 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 }
 
 // loaderScratch is one worker's reusable state for the parallel loader.
-// Everything in it is cleared — not reallocated — between functions, so
-// steady-state loading only allocates the per-function slabs that
-// survive in the context. A scratch is owned by exactly one worker.
+// Everything in it is truncated or zeroed — not reallocated — between
+// functions, and every table is addressed by position (instruction order,
+// BasicBlock.Index), so steady-state loading only allocates the
+// per-function slabs that survive in the context. A scratch is owned by
+// exactly one worker.
 type loaderScratch struct {
-	raw     []rawInst
-	leaders map[uint64]bool
-	blockAt map[uint64]*BasicBlock
-	jtSeen  map[*BasicBlock]bool
-	lpSeen  map[blockPair]bool
+	raw     []rawInst   // the function's instructions, in address order
+	jts     []pendingJT // its jump tables, in instruction order
+	targets []uint64    // their raw target addresses, back to back
 	edges   []edgeRef
 	succN   []int32
 	predN   []int32
-	stats   statShard
+	// seen[b.Index] == stamp marks block b as already listed by the
+	// de-duplication under way (one jump table's targets, one block's
+	// landing pads); bumping stamp starts the next one without a clear.
+	seen  []int32
+	stamp int32
+	stats statShard
 }
 
 // edgeRef is one CFG edge held in scratch while buildCFG counts edge
-// storage; blockPair keys the landing-pad dedup set.
+// storage.
 type edgeRef struct{ from, to *BasicBlock }
-type blockPair struct{ from, to int }
-
-func (sc *loaderScratch) init() {
-	if sc.leaders == nil {
-		sc.leaders = map[uint64]bool{}
-		sc.blockAt = map[uint64]*BasicBlock{}
-		sc.jtSeen = map[*BasicBlock]bool{}
-		sc.lpSeen = map[blockPair]bool{}
-	}
-}
 
 // loadFunction is the per-function half of the loader: linear
 // disassembly, CFG construction, and CFI/LSDA attachment. Failures mark
@@ -199,16 +194,25 @@ func (sc *loaderScratch) init() {
 // undecidable in general (§3.3). It writes only fn-local state and the
 // caller's private scratch.
 func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
-	sc.init()
 	fn.lines = ctx.LineTable
-	if err := ctx.disassemble(fn, sc); err != nil {
+	fde, _ := cfi.FindFDE(ctx.fdes, fn.Addr)
+	var lsda *cfi.LSDA
+	err := ctx.disassemble(fn, sc)
+	if err == nil {
+		lsda, err = ctx.landingPads(fn, fde, sc.raw)
+	}
+	if err != nil {
 		fn.Simple = false
 		fn.Reason = err.Error()
-	}
-	if fn.Simple {
-		ctx.buildCFG(fn, sc)
-		ctx.attachCFI(fn, sc)
-		ctx.attachLSDA(fn, sc)
+	} else {
+		ctx.formBlocks(fn, sc)
+		buildCFG(fn, sc)
+		if fde != nil {
+			attachCFI(fn, fde, sc)
+		}
+		if lsda != nil {
+			attachLSDA(fn, lsda, sc)
+		}
 	}
 	if fn.Simple {
 		sc.stats[StatLoadSimple]++
@@ -241,19 +245,39 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 	ctx.PLTStubs[sym.Value] = target
 }
 
-// rawInst is a decoded instruction before block formation.
+// rawInst is a decoded instruction before block formation; leader marks
+// the ones that start a basic block.
 type rawInst struct {
-	inst isa.Inst
-	addr uint64
-	size uint8
+	inst   isa.Inst
+	addr   uint64
+	size   uint8
+	leader bool
 }
 
-// disassemble linearly decodes the function and performs target analysis:
-// internal branch targets become leaders; indirect jumps must match a
-// jump-table pattern or the function is non-simple. The decoded
-// instruction list and the leader set live in the worker's scratch;
-// block and instruction storage is slab-allocated exactly once from the
-// counts the scratch makes available.
+// instIndex returns the position in raw (address order) of the
+// instruction starting at addr, or -1 when no instruction starts there —
+// the loader's one answer to "what is at this address".
+func instIndex(raw []rawInst, addr uint64) int {
+	lo, hi := 0, len(raw)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if raw[mid].addr < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(raw) && raw[lo].addr == addr {
+		return lo
+	}
+	return -1
+}
+
+// disassemble linearly decodes the function into the worker's scratch and
+// performs target analysis: internal branch targets become leaders;
+// indirect jumps must match a jump-table pattern, and every direct branch
+// must land on an instruction of this function or on another function's
+// entry, or the function is non-simple.
 func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) error {
 	raw := sc.raw[:0]
 	off := uint64(0)
@@ -267,81 +291,92 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		off += uint64(n)
 	}
 	sc.raw = raw
+	sc.jts, sc.targets = sc.jts[:0], sc.targets[:0]
 
-	inside := func(a uint64) bool { return a >= fn.Addr && a < fn.Addr+fn.Size }
-
-	leaders := sc.leaders
-	clear(leaders)
-	leaders[fn.Addr] = true
-	var jts map[int]*pendingJT // raw index of indirect jump -> table (lazy: most functions have none)
-
+	raw[0].leader = true
 	for i := range raw {
 		in := &raw[i].inst
+		if !in.IsTerminator() {
+			continue
+		}
 		switch {
 		case in.IsDirectBranch():
-			if inside(in.TargetAddr) {
-				leaders[in.TargetAddr] = true
-				if i+1 < len(raw) {
-					leaders[raw[i+1].addr] = true
+			if fn.contains(in.TargetAddr) {
+				k := instIndex(raw, in.TargetAddr)
+				if k < 0 {
+					return fmt.Errorf("branch at +%#x targets +%#x, not an instruction start",
+						raw[i].addr-fn.Addr, in.TargetAddr-fn.Addr)
 				}
-			} else if i+1 < len(raw) {
-				leaders[raw[i+1].addr] = true
-			}
-		case in.IsReturn() || in.Op == isa.HLT || in.Op == isa.UD2:
-			if i+1 < len(raw) {
-				leaders[raw[i+1].addr] = true
+				raw[k].leader = true
+			} else if ctx.FuncByAddr(in.TargetAddr) == nil {
+				return fmt.Errorf("branch at +%#x targets %#x, not a function entry",
+					raw[i].addr-fn.Addr, in.TargetAddr)
 			}
 		case in.IsIndirectBranch():
-			jt, err := ctx.matchJumpTable(fn, raw, i)
-			if err != nil {
+			if err := ctx.matchJumpTable(sc, i); err != nil {
 				return fmt.Errorf("indirect tail call or unbounded jump table at +%#x: %w",
 					raw[i].addr-fn.Addr, err)
 			}
-			if jts == nil {
-				jts = map[int]*pendingJT{}
-			}
-			jts[i] = jt
-			for _, taddr := range jt.rawTargets {
-				if !inside(taddr) {
+			for _, taddr := range sc.jts[len(sc.jts)-1].targets {
+				if !fn.contains(taddr) {
 					return fmt.Errorf("jump table entry %#x escapes function", taddr)
 				}
-				leaders[taddr] = true
-			}
-			if i+1 < len(raw) {
-				leaders[raw[i+1].addr] = true
-			}
-		}
-	}
-
-	if len(jts) > maxInstTable {
-		return fmt.Errorf("%d jump tables exceed the %d an instruction can index", len(jts), maxInstTable)
-	}
-
-	// LSDA landing pads are leaders too.
-	if fde, ok := cfi.FindFDE(ctx.fdes, fn.Addr); ok && fde.LSDA != 0 {
-		lsda, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
-		if err != nil {
-			return fmt.Errorf("bad LSDA: %w", err)
-		}
-		for _, cs := range lsda.CallSites {
-			if cs.LandingPad != 0 {
-				if !inside(cs.LandingPad) {
-					return fmt.Errorf("landing pad %#x outside function", cs.LandingPad)
+				k := instIndex(raw, taddr)
+				if k < 0 {
+					return fmt.Errorf("jump table entry %#x is not an instruction start", taddr)
 				}
-				leaders[cs.LandingPad] = true
+				raw[k].leader = true
 			}
 		}
-		fn.HasLSDA = true
+		// Whatever follows a control transfer starts a block.
+		if i+1 < len(raw) {
+			raw[i+1].leader = true
+		}
 	}
+	if len(sc.jts) > maxInstTable {
+		return fmt.Errorf("%d jump tables exceed the %d an instruction can index", len(sc.jts), maxInstTable)
+	}
+	return nil
+}
 
-	// Form blocks (dropping NOPs per the paper's I-cache policy, §4).
-	// Block and instruction counts are known from the leader set, so both
-	// are slab-allocated exactly once: one backing array of BasicBlocks
-	// and one of Insts per function, instead of an incremental append per
-	// block and per instruction.
+// landingPads decodes the function's LSDA, when its FDE names one, and
+// makes every landing pad a leader. A pad that is not an instruction
+// start is left for attachLSDA to report, if a call is actually covered
+// by it.
+func (ctx *BinaryContext) landingPads(fn *BinaryFunction, fde *cfi.FDE, raw []rawInst) (*cfi.LSDA, error) {
+	if fde == nil || fde.LSDA == 0 {
+		return nil, nil
+	}
+	lsda, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
+	if err != nil {
+		return nil, fmt.Errorf("bad LSDA: %w", err)
+	}
+	for _, cs := range lsda.CallSites {
+		if cs.LandingPad == 0 {
+			continue
+		}
+		if !fn.contains(cs.LandingPad) {
+			return nil, fmt.Errorf("landing pad %#x outside function", cs.LandingPad)
+		}
+		if k := instIndex(raw, cs.LandingPad); k >= 0 {
+			raw[k].leader = true
+		}
+	}
+	fn.HasLSDA = true
+	return lsda, nil
+}
+
+// formBlocks cuts the decoded instructions into basic blocks at the
+// leaders, dropping NOPs per the paper's I-cache policy (§4). Block and
+// instruction counts are known from the leader flags, so both are
+// slab-allocated exactly once: one backing array of BasicBlocks and one
+// of Insts per function, instead of an incremental append per block and
+// per instruction.
+func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
+	raw := sc.raw
 	nBlocks, nInsts := 0, 0
 	for i := range raw {
-		if i == 0 || leaders[raw[i].addr] {
+		if raw[i].leader {
 			nBlocks++
 		}
 		if raw[i].inst.Op != isa.NOP {
@@ -351,6 +386,9 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 	blockSlab := make([]BasicBlock, nBlocks)
 	instSlab := make([]Inst, 0, nInsts)
 	fn.Blocks = make([]*BasicBlock, 0, nBlocks)
+	if len(sc.jts) > 0 {
+		fn.JTs = make([]*JumpTable, 0, len(sc.jts))
+	}
 	var cur *BasicBlock
 	curStart := 0
 	// seal fixes the finished block's window into the instruction slab.
@@ -362,21 +400,17 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 			cur.Insts = instSlab[curStart:len(instSlab):len(instSlab)]
 		}
 	}
-	newBlock := func(addr uint64) *BasicBlock {
-		seal()
-		b := &blockSlab[len(fn.Blocks)]
-		b.Index = len(fn.Blocks)
-		b.Addr = addr
-		b.CFIIn = -1
-		b.Label = intern.Label(b.Index)
-		fn.Blocks = append(fn.Blocks, b)
-		curStart = len(instSlab)
-		return b
-	}
 	for i := range raw {
 		r := &raw[i]
-		if leaders[r.addr] || cur == nil {
-			cur = newBlock(r.addr)
+		if r.leader {
+			seal()
+			cur = &blockSlab[len(fn.Blocks)]
+			cur.Index = len(fn.Blocks)
+			cur.Addr = r.addr
+			cur.CFIIn = -1
+			cur.Label = intern.Label(cur.Index)
+			fn.Blocks = append(fn.Blocks, cur)
+			curStart = len(instSlab)
 		}
 		if r.inst.Op == isa.NOP {
 			continue // stripped
@@ -391,34 +425,36 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 				ci.Src = int32(e + 1)
 			}
 		}
-		if jt, ok := jts[i]; ok {
-			fn.JTs = append(fn.JTs, jt.JumpTable)
-			fn.jtRaw = append(fn.jtRaw, jt.rawTargets)
-			ci.JT = uint16(len(fn.JTs))
+		if k := len(fn.JTs); k < len(sc.jts) && sc.jts[k].at == i {
+			fn.JTs = append(fn.JTs, sc.jts[k].table)
+			ci.JT = uint16(k + 1)
 		}
 		// Resolve RIP memory operands via decode (absolute target).
 		if r.inst.HasMem() && r.inst.M.RIP {
 			ci.MemTarget = r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp))
 		}
 		// Symbolize external direct targets.
-		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !inside(r.inst.TargetAddr)) {
+		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr)) {
 			if g := ctx.FuncByAddr(r.inst.TargetAddr); g != nil {
 				ci.TargetSym = g.Ref()
 			}
 		}
 	}
 	seal()
-	return nil
 }
 
 // maxInstTable bounds the per-function tables Inst.JT and Inst.LP index
 // (one-based uint16); a function past it is left untouched as non-simple.
 const maxInstTable = 1<<16 - 1
 
-// pendingJT carries raw target addresses until blocks exist.
+// pendingJT is a recovered jump table until blocks exist: the raw index
+// of its indirect jump and its entries' addresses, a window of
+// loaderScratch.targets (which stays readable if a later table's append
+// moves the slab: the array it was cut from keeps its contents).
 type pendingJT struct {
-	*JumpTable
-	rawTargets []uint64
+	table   *JumpTable
+	at      int
+	targets []uint64
 }
 
 // matchJumpTable recognizes the two lowering patterns for switches:
@@ -426,10 +462,12 @@ type pendingJT struct {
 //	absolute: lea B,[rip+T] ... jmp [B + idx*8]
 //	PIC:      lea B,[rip+T] ... movslq R,[B+idx*4]; add R,B; jmp R
 //
-// Table extent comes from the rodata symbol covering T; entries are
-// validated against the function bounds. Anything else is an indirect
-// tail call -> non-simple (paper §6.4).
-func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i int) (*pendingJT, error) {
+// Table extent comes from the rodata symbol covering T; the caller
+// validates the entries against the function. Anything else is an
+// indirect tail call -> non-simple (paper §6.4). A match is appended to
+// sc.jts.
+func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
+	raw := sc.raw
 	in := &raw[i].inst
 
 	findLea := func(reg isa.Reg, from int) (uint64, bool) {
@@ -450,33 +488,33 @@ func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i in
 	switch in.Op {
 	case isa.JMPm:
 		if in.M.Base == isa.NoReg || in.M.Scale != 8 {
-			return nil, fmt.Errorf("unrecognized memory jump form")
+			return fmt.Errorf("unrecognized memory jump form")
 		}
 		t, ok := findLea(in.M.Base, i-1)
 		if !ok {
-			return nil, fmt.Errorf("no table base lea found")
+			return fmt.Errorf("no table base lea found")
 		}
 		tableAddr = t
 	case isa.JMPr:
 		// Expect: movslq R,[B+idx*4]; add R,B; jmp R
 		if i < 2 {
-			return nil, fmt.Errorf("indirect jump with no context")
+			return fmt.Errorf("indirect jump with no context")
 		}
 		add := &raw[i-1].inst
 		mov := &raw[i-2].inst
 		if add.Op != isa.ADDrr || add.R1 != in.R1 ||
 			mov.Op != isa.MOVSXDrm || mov.R1 != in.R1 ||
 			mov.M.Base != add.R2 || mov.M.Scale != 4 {
-			return nil, fmt.Errorf("not a PIC jump-table pattern")
+			return fmt.Errorf("not a PIC jump-table pattern")
 		}
 		t, ok := findLea(add.R2, i-3)
 		if !ok {
-			return nil, fmt.Errorf("no PIC table base lea found")
+			return fmt.Errorf("no PIC table base lea found")
 		}
 		tableAddr = t
 		pic = true
 	default:
-		return nil, fmt.Errorf("unhandled indirect branch")
+		return fmt.Errorf("unhandled indirect branch")
 	}
 
 	// Bound the table via its data symbol.
@@ -489,7 +527,7 @@ func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i in
 		}
 	}
 	if symSize == 0 {
-		return nil, fmt.Errorf("no symbol bounds table at %#x", tableAddr)
+		return fmt.Errorf("no symbol bounds table at %#x", tableAddr)
 	}
 	entrySize := 8
 	if pic {
@@ -497,13 +535,13 @@ func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i in
 	}
 	n := int(symSize) / entrySize
 	if n == 0 || n > 4096 {
-		return nil, fmt.Errorf("implausible table size %d", n)
+		return fmt.Errorf("implausible table size %d", n)
 	}
 	data, err := ctx.File.ReadAt(tableAddr, n*entrySize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	jt := &pendingJT{JumpTable: &JumpTable{Addr: tableAddr, EntrySize: entrySize, PIC: pic, SymName: symName}}
+	lo := len(sc.targets)
 	for e := 0; e < n; e++ {
 		var target uint64
 		if pic {
@@ -517,9 +555,13 @@ func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i in
 				target = target<<8 | uint64(data[e*8+k])
 			}
 		}
-		jt.rawTargets = append(jt.rawTargets, target)
+		sc.targets = append(sc.targets, target)
 	}
-	return jt, nil
+	sc.jts = append(sc.jts, pendingJT{
+		table: &JumpTable{Addr: tableAddr, EntrySize: entrySize, PIC: pic, SymName: symName},
+		at:    i, targets: sc.targets[lo:],
+	})
+	return nil
 }
 
 // buildCFG wires successor/predecessor edges and jump-table targets.
@@ -527,18 +569,15 @@ func (ctx *BinaryContext) matchJumpTable(fn *BinaryFunction, raw []rawInst, i in
 // Succs/Preds storage can be carved out of two exactly-sized slabs (one
 // edge array, one predecessor array per function) instead of growing
 // each block's slices by append.
-func (ctx *BinaryContext) buildCFG(fn *BinaryFunction, sc *loaderScratch) {
+func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 	if len(fn.Blocks) == 0 {
 		fn.Simple = false
 		fn.Reason = "empty function"
 		return
 	}
 	fn.Blocks[0].IsEntry = true
-	byAddr := sc.blockAt
-	clear(byAddr)
-	for _, b := range fn.Blocks {
-		byAddr[b.Addr] = b
-	}
+	sc.seen = resetCounts(sc.seen, len(fn.Blocks))
+	sc.stamp = 0
 	// A conditional tail call (present in gobolt's own SCTC output, which
 	// the continuous-profiling loop re-disassembles) has no block
 	// successor for its taken side; it simply contributes no edge.
@@ -560,12 +599,12 @@ func (ctx *BinaryContext) buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		}
 		switch {
 		case last.I.Op == isa.JMP:
-			if to := byAddr[last.I.TargetAddr]; to != nil {
+			if to := fn.blockStarting(last.I.TargetAddr); to != nil {
 				addEdge(b, to)
 			}
 			// else: external tail call, no successor
 		case last.I.Op == isa.JCC:
-			if to := byAddr[last.I.TargetAddr]; to != nil {
+			if to := fn.blockStarting(last.I.TargetAddr); to != nil {
 				addEdge(b, to) // Succs[0] = taken
 			}
 			if next != nil {
@@ -573,17 +612,19 @@ func (ctx *BinaryContext) buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 			}
 		case last.JT != 0:
 			// One edge per unique target; the table keeps one slot per
-			// entry (duplicates allowed).
-			seen := sc.jtSeen
-			clear(seen)
+			// entry (duplicates allowed). disassemble made every entry a
+			// leader, so each resolves to a block.
+			sc.stamp++
 			jt := fn.JumpTable(last)
-			for _, taddr := range fn.jtRaw[last.JT-1] {
-				to := byAddr[taddr]
-				if to != nil && !seen[to] {
-					seen[to] = true
+			raw := sc.jts[last.JT-1].targets
+			jt.Targets = make([]*BasicBlock, len(raw))
+			for k, taddr := range raw {
+				to := fn.blockStarting(taddr)
+				if sc.seen[to.Index] != sc.stamp {
+					sc.seen[to.Index] = sc.stamp
 					addEdge(b, to)
 				}
-				jt.Targets = append(jt.Targets, to)
+				jt.Targets[k] = to
 			}
 		case last.I.IsReturn() || last.I.Op == isa.HLT || last.I.Op == isa.UD2:
 			// no successors
@@ -639,11 +680,7 @@ func resetCounts(s []int32, n int) []int32 {
 // attachCFI replays the FDE over the original instruction order and
 // interns per-instruction unwind states. Save and restore rules naming a
 // register the state cannot track are skipped and counted.
-func (ctx *BinaryContext) attachCFI(fn *BinaryFunction, sc *loaderScratch) {
-	fde, ok := cfi.FindFDE(ctx.fdes, fn.Addr)
-	if !ok {
-		return
-	}
+func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 	st := cfi.InitialState()
 	var stack []cfi.State
 	k := 0
@@ -714,31 +751,12 @@ func (f *BinaryFunction) internLandingPad(lpb *BasicBlock, action int32) uint16 
 }
 
 // attachLSDA connects calls to their landing pads and marks LP blocks.
-// The per-block LPs lists are deduplicated through a scratch set keyed
-// by (block, landing pad) index pair — the old linear scan per insert
-// made attachment O(n²) for functions with many landing-pad preds.
-func (ctx *BinaryContext) attachLSDA(fn *BinaryFunction, sc *loaderScratch) {
-	if !fn.HasLSDA {
-		return
-	}
-	fde, ok := cfi.FindFDE(ctx.fdes, fn.Addr)
-	if !ok || fde.LSDA == 0 {
-		return
-	}
-	lsda, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
-	if err != nil {
-		fn.Simple = false
-		fn.Reason = "bad LSDA"
-		return
-	}
-	byAddr := sc.blockAt
-	clear(byAddr)
+// Each block lists a landing pad once: sc.seen, restamped per block,
+// de-duplicates them — a linear scan per insert made attachment O(n²)
+// for functions with many landing-pad preds.
+func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 	for _, b := range fn.Blocks {
-		byAddr[b.Addr] = b
-	}
-	lpSeen := sc.lpSeen
-	clear(lpSeen)
-	for _, b := range fn.Blocks {
+		sc.stamp++
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if !in.IsCall() {
@@ -746,7 +764,7 @@ func (ctx *BinaryContext) attachLSDA(fn *BinaryFunction, sc *loaderScratch) {
 			}
 			off := uint32(in.Addr - fn.Addr)
 			if lp, action, ok := lsda.Lookup(off); ok {
-				lpb := byAddr[lp]
+				lpb := fn.blockStarting(lp)
 				if lpb == nil {
 					fn.Simple = false
 					fn.Reason = "landing pad not at block boundary"
@@ -758,8 +776,8 @@ func (ctx *BinaryContext) attachLSDA(fn *BinaryFunction, sc *loaderScratch) {
 					return
 				}
 				lpb.IsLP = true
-				if key := (blockPair{from: b.Index, to: lpb.Index}); !lpSeen[key] {
-					lpSeen[key] = true
+				if sc.seen[lpb.Index] != sc.stamp {
+					sc.seen[lpb.Index] = sc.stamp
 					b.LPs = append(b.LPs, lpb)
 				}
 				lpb.Preds = append(lpb.Preds, b)

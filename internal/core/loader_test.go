@@ -2,8 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"gobolt/internal/cc"
@@ -11,6 +17,7 @@ import (
 	"gobolt/internal/ir"
 	"gobolt/internal/isa"
 	"gobolt/internal/ld"
+	"gobolt/internal/workload"
 )
 
 // buildLoaderFile links a program with enough functions (plain leaves, a
@@ -78,36 +85,77 @@ func buildLoaderFile(t testing.TB, workers int) *elfx.File {
 	return res.File
 }
 
-// funcShape flattens everything the loader derives for one function into
-// a comparable value.
-type funcShape struct {
-	Name      string
-	Addr      uint64
-	Simple    bool
-	Reason    string
-	Blocks    int
-	Insts     int
-	JTs       int
-	CFIStates int
-	HasLSDA   bool
-	Succs     []int
-}
-
-func loaderShapes(ctx *BinaryContext) []funcShape {
-	var out []funcShape
+// loaderShapes renders everything the loader derives into one canonical
+// text record per function: simple / Reason, then per block its start
+// offset, entry CFI state, successor, predecessor and landing-pad index
+// lists, per instruction its offset, size, opcode and every side-table
+// index (CFI state, jump table, landing pad with action, symbolized
+// target, resolved memory operand, source line), then each jump table's
+// target blocks. Two contexts loaded the same way render identically;
+// anything the loader decides differently shows as a differing record.
+func loaderShapes(ctx *BinaryContext) []string {
+	idx := func(bs []*BasicBlock) []int {
+		out := make([]int, len(bs))
+		for i, b := range bs {
+			out[i] = -1
+			if b != nil {
+				out[i] = b.Index
+			}
+		}
+		return out
+	}
+	out := make([]string, 0, len(ctx.Funcs))
+	var buf []byte
 	for _, fn := range ctx.Funcs {
-		s := funcShape{
-			Name: fn.Name, Addr: fn.Addr, Simple: fn.Simple, Reason: fn.Reason,
-			Blocks: len(fn.Blocks), JTs: len(fn.JTs),
-			CFIStates: len(fn.cfiStates), HasLSDA: fn.HasLSDA,
-		}
+		buf = fmt.Appendf(buf[:0], "func %s @%#x size=%d simple=%t reason=%q lsda=%t cfi-states=%d\n",
+			fn.Name, fn.Addr, fn.Size, fn.Simple, fn.Reason, fn.HasLSDA, len(fn.cfiStates))
 		for _, b := range fn.Blocks {
-			s.Insts += len(b.Insts)
-			s.Succs = append(s.Succs, len(b.Succs))
+			succs := make([]int, len(b.Succs))
+			for k, e := range b.Succs {
+				succs[k] = e.To.Index
+			}
+			buf = fmt.Appendf(buf, " b%d +%#x cfi=%d entry=%t lp=%t succs=%v preds=%v lps=%v\n",
+				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, idx(b.Preds), idx(b.LPs))
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", in.Addr-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)
+				if in.JT != 0 {
+					buf = fmt.Appendf(buf, " jt=%d", in.JT)
+				}
+				if lpb, action := fn.LandingPad(in); lpb != nil {
+					buf = fmt.Appendf(buf, " lp=b%d/%d", lpb.Index, action)
+				}
+				if in.TargetSym != NoFunc {
+					buf = fmt.Appendf(buf, " sym=%d", in.TargetSym)
+				}
+				if in.MemTarget != 0 {
+					buf = fmt.Appendf(buf, " mem=%#x", in.MemTarget)
+				}
+				buf = append(buf, '\n')
+			}
 		}
-		out = append(out, s)
+		for k, jt := range fn.JTs {
+			buf = fmt.Appendf(buf, " jt%d @%#x entry=%d pic=%t targets=%v\n",
+				k+1, jt.Addr, jt.EntrySize, jt.PIC, idx(jt.Targets))
+		}
+		out = append(out, string(buf))
 	}
 	return out
+}
+
+// diffShapes reports the first function whose record differs.
+func diffShapes(t *testing.T, label string, want, got []string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s: %d functions, want %d", label, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("%s: loader output differs, first at function %d:\n--- want\n%s--- got\n%s", label, i, want[i], got[i])
+			return
+		}
+	}
 }
 
 // TestNewContextDeterministicAcrossJobs is the parallel loader's
@@ -132,10 +180,7 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		if !reflect.DeepEqual(baseShapes, loaderShapes(got)) {
-			t.Errorf("jobs=%d: loader output differs from jobs=1:\n  jobs=1: %+v\n  jobs=%d: %+v",
-				jobs, baseShapes, jobs, loaderShapes(got))
-		}
+		diffShapes(t, fmt.Sprintf("jobs=%d vs jobs=1", jobs), baseShapes, loaderShapes(got))
 		if !reflect.DeepEqual(base.Stats, got.Stats) {
 			t.Errorf("jobs=%d: loader stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
 				jobs, base.Stats, jobs, got.Stats)
@@ -152,5 +197,76 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 	// Loader stat shards must have merged exactly.
 	if got := base.Stats["load-simple"] + base.Stats["load-non-simple"]; got != int64(len(base.Funcs)) {
 		t.Errorf("loader stats cover %d functions, want %d (stats: %v)", got, len(base.Funcs), base.Stats)
+	}
+}
+
+// presetFile compiles and links a workload preset the way cmd/minicc does
+// by default, with the symbol table put in address order: ld emits
+// ICF-alias symbols in map order, and which alias names a function is the
+// one thing about the loader's result that would follow it.
+func presetFile(t *testing.T, spec workload.Spec) *elfx.File {
+	t.Helper()
+	objs, err := cc.Compile(workload.Generate(spec), cc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ld.Link(objs, ld.Options{EmitRelocs: true, ICF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := res.File.Symbols
+	sort.Slice(syms, func(i, j int) bool {
+		if syms[i].Value != syms[j].Value {
+			return syms[i].Value < syms[j].Value
+		}
+		return syms[i].Name < syms[j].Name
+	})
+	return res.File
+}
+
+// TestLoaderDigestGolden pins the loader at CFG level: the SHA-256 of
+// every function's loaderShapes record, per minicc preset, at jobs 1 and
+// 8, against testdata/loader_digests.txt. The digests were recorded at
+// ebf34c9, the last commit whose loader answered address questions from
+// hashed maps, so they hold any later loader to that one's CFGs and not
+// only to its own output across worker counts. -short keeps the two
+// smallest presets.
+func TestLoaderDigestGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/loader_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			golden[name] = sum
+		}
+	}
+	for _, name := range []string{"tiny", "proxygen", "multifeed2", "multifeed1", "tao", "gcc", "clang", "hhvm"} {
+		if testing.Short() && name != "tiny" && name != "proxygen" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			spec, ok := workload.ByName(name)
+			if !ok {
+				spec = workload.Tiny()
+			}
+			f := presetFile(t, spec)
+			for _, jobs := range []int{1, 8} {
+				opts := DefaultOptions()
+				opts.Jobs = jobs
+				ctx, err := NewContext(context.Background(), f, opts)
+				if err != nil {
+					t.Fatalf("jobs=%d: %v", jobs, err)
+				}
+				h := sha256.New()
+				for _, rec := range loaderShapes(ctx) {
+					io.WriteString(h, rec)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != golden[name] {
+					t.Errorf("jobs=%d: loader digest %s, golden %q", jobs, got, golden[name])
+				}
+			}
+		})
 	}
 }

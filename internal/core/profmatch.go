@@ -46,7 +46,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	}
 	var sm *staleMatcher
 	if ctx.Opts.StaleMatching && len(fd.Shapes) > 0 {
-		sm = &staleMatcher{ctx: ctx, shapes: fd.Shapes, cache: map[*BinaryFunction]*staleFunc{}}
+		sm = &staleMatcher{shapes: fd.Shapes, funcs: make([]*staleFunc, len(ctx.Funcs))}
 	}
 	ph := ctx.begin("load", "profile:apply")
 	var nfuncs, jobs int
@@ -122,8 +122,8 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 				}
 				fn.ExecCount = max(entrySamples, fn.Blocks[0].ExecCount, entryOut)
 			}
-			fn.ProfileAcc = flowAccuracy(fn)
 			terms[i].violAfter, terms[i].totalAfter = flowViolation(fn)
+			fn.ProfileAcc = accFromViolation(terms[i].violAfter, terms[i].totalAfter)
 			return nil
 		}); err != nil {
 		return err
@@ -152,62 +152,60 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	return nil
 }
 
-// staleMatcher lazily diagnoses per function whether the profile's shape
-// still describes this binary's CFG, and if not, builds the old-block ->
-// current-block map.
+// staleMatcher holds the profile's CFG shapes and, per function the
+// profile touches, whether that shape still describes this binary's CFG.
+// funcs is indexed by BinaryFunction.ordIdx and filled by applyBuckets:
+// nil = the shape is current, or none was carried, or the function is not
+// simple — resolve offsets directly.
 type staleMatcher struct {
-	ctx    *BinaryContext
 	shapes map[string]profile.FuncShape
-	cache  map[*BinaryFunction]*staleFunc
+	funcs  []*staleFunc
 }
 
+// staleFunc is a function whose profiled shape differs from its current
+// CFG: the old shape, and for each of its blocks the index in fn.Blocks
+// of the block it matched (stale.Match; -1 = none).
 type staleFunc struct {
-	stale    bool
-	old      profile.FuncShape
-	blockMap map[int]*BasicBlock // old shape block index -> current block
+	old   profile.FuncShape
+	match []int32
 }
 
-// lookup returns the stale state for fn (nil = no shape carried, treat as
-// current), computing and caching it on first use. Serial callers only:
-// the parallel apply stage uses compute into per-bucket slots and installs
-// them into the cache at the join.
-func (sm *staleMatcher) lookup(fn *BinaryFunction) *staleFunc {
+// of returns fn's stale state, nil when its offsets resolve directly.
+func (sm *staleMatcher) of(fn *BinaryFunction) *staleFunc {
 	if sm == nil {
 		return nil
 	}
-	if sf, ok := sm.cache[fn]; ok {
-		return sf
-	}
-	sf := sm.compute(fn)
-	sm.install(fn, sf)
-	return sf
+	return sm.funcs[fn.ordIdx]
 }
 
-// install caches fn's stale state, counting each stale function once.
-// Serial callers only (lookup and the applyBuckets join), so the quality
-// histogram is deterministic across worker counts.
-func (sm *staleMatcher) install(fn *BinaryFunction, sf *staleFunc) {
-	sm.cache[fn] = sf
-	if sf != nil {
-		sm.ctx.CountStat(StatProfileStaleFuncs, 1)
-		observeStaleQuality(sm.ctx, fn, sf)
+// block returns the current block that old shape block i matched, nil
+// when i is -1 (stale.BlockAtOff found no old block) or it matched
+// nothing in fn.
+func (sf *staleFunc) block(fn *BinaryFunction, i int) *BasicBlock {
+	if i < 0 {
+		return nil
 	}
+	if j := int(sf.match[i]); j >= 0 && j < len(fn.Blocks) {
+		return fn.Blocks[j]
+	}
+	return nil
 }
 
-// observeStaleQuality records the fraction of a stale function's old
-// block shapes that matched the current CFG — the per-function match
-// quality a profile gate can threshold.
-func observeStaleQuality(ctx *BinaryContext, fn *BinaryFunction, sf *staleFunc) {
-	if len(sf.old.Blocks) == 0 {
-		return
+// quality is the fraction of the old block shapes that matched a block of
+// fn — the per-function match quality a profile gate can threshold.
+func (sf *staleFunc) quality(fn *BinaryFunction) float64 {
+	matched := 0
+	for i := range sf.match {
+		if sf.block(fn, i) != nil {
+			matched++
+		}
 	}
-	q := float64(len(sf.blockMap)) / float64(len(sf.old.Blocks))
-	ctx.Metrics.Observe(int(StatStaleMatchQuality), fn.Name, q)
+	return float64(matched) / float64(len(sf.old.Blocks))
 }
 
-// compute builds fn's stale state without touching the shared cache or
-// stats — read-only on shared state, so it is safe to call concurrently
-// for distinct functions.
+// compute diagnoses fn against its profiled shape and, when they differ,
+// matches the old blocks to the current ones. It reads shared state only,
+// so it is safe to call concurrently for distinct functions.
 func (sm *staleMatcher) compute(fn *BinaryFunction) *staleFunc {
 	sh, ok := sm.shapes[fn.Name]
 	if !ok || !fn.Simple || len(fn.Blocks) == 0 {
@@ -217,46 +215,38 @@ func (sm *staleMatcher) compute(fn *BinaryFunction) *staleFunc {
 	if stale.ShapesEqual(sh, cur) {
 		return nil
 	}
-	sf := &staleFunc{stale: true, old: sh, blockMap: map[int]*BasicBlock{}}
-	for oldIdx, newIdx := range stale.Match(sh.Blocks, cur.Blocks) {
-		if newIdx >= 0 && newIdx < len(fn.Blocks) {
-			sf.blockMap[oldIdx] = fn.Blocks[newIdx]
-		}
-	}
-	return sf
+	return &staleFunc{old: sh, match: stale.Match(sh.Blocks, cur.Blocks)}
 }
 
 // funcRecs is one function's shard of profile records, applied by a
 // single worker: every CFG mutation it performs (edge counts, block
 // counts, fn.Sampled) is local to fn, so distinct buckets never race.
-// The stale state is computed into sf by the owning worker and installed
-// into the shared matcher cache at the serial join.
 type funcRecs struct {
 	fn   *BinaryFunction
 	brs  []profile.Branch
 	smps []profile.Sample
-	sf   *staleFunc
 }
 
 // add counts a profile record of weight n under s.
 func (c *statShard) add(s Stat, n uint64) { c[s] += int64(n) }
 
-// bucketFor returns the funcRecs shard for fn, creating it on first use.
-func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, idx map[*BinaryFunction]int) *funcRecs {
-	k, ok := idx[fn]
-	if !ok {
-		k = len(*buckets)
-		idx[fn] = k
+// bucketFor returns the funcRecs shard for fn, creating it on first use;
+// at[fn.ordIdx] is one plus its index in buckets, 0 while fn has none.
+func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, at []int32) *funcRecs {
+	if at[fn.ordIdx] == 0 {
 		*buckets = append(*buckets, &funcRecs{fn: fn})
+		at[fn.ordIdx] = int32(len(*buckets))
 	}
-	return (*buckets)[k]
+	return (*buckets)[at[fn.ordIdx]-1]
 }
 
 // applyBuckets is the parallel middle of both profile modes: each
 // function's records are applied by one worker (stale matching,
 // instruction lookup, edge attach — the expensive part) counting into a
-// per-worker shard. At the serial join the per-bucket stale results move
-// into the shared matcher cache and the shards merge into the registry.
+// per-worker shard; a function is in one bucket, so its slot of sm.funcs
+// has one writer. The serial join counts the stale functions and observes
+// their match quality in bucket order — the same for every worker count —
+// and merges the shards into the registry.
 func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (jobs int, err error) {
 	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]statShard, jobs)
@@ -264,14 +254,16 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 		func(i int) string { return buckets[i].fn.Name },
 		len(buckets), jobs, func(w, i int) error {
 			b := buckets[i]
+			var sf *staleFunc
 			if sm != nil {
-				b.sf = sm.compute(b.fn)
+				sf = sm.compute(b.fn)
+				sm.funcs[b.fn.ordIdx] = sf
 			}
 			for _, br := range b.brs {
-				applyIntraBranch(b.fn, b.sf, br, &shards[w])
+				applyIntraBranch(b.fn, sf, br, &shards[w])
 			}
 			for _, s := range b.smps {
-				applySample(b.fn, b.sf, s, &shards[w])
+				applySample(b.fn, sf, s, &shards[w])
 			}
 			return nil
 		}); err != nil {
@@ -279,7 +271,12 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 	}
 	if sm != nil {
 		for _, b := range buckets {
-			sm.install(b.fn, b.sf)
+			if sf := sm.funcs[b.fn.ordIdx]; sf != nil {
+				ctx.CountStat(StatProfileStaleFuncs, 1)
+				if len(sf.old.Blocks) > 0 {
+					ctx.Metrics.Observe(int(StatStaleMatchQuality), b.fn.Name, sf.quality(b.fn))
+				}
+			}
 		}
 	}
 	for i := range shards {
@@ -303,7 +300,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	}
 	var c statShard // the serial classify pass and call tail count here
 	var buckets []*funcRecs
-	idx := map[*BinaryFunction]int{}
+	at := make([]int32, len(ctx.Funcs))
 	var calls []callRec
 	for _, br := range fd.Branches {
 		c.add(StatProfileTotalCount, br.Count)
@@ -323,24 +320,36 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 			continue
 		}
 		if fromFn == toFn {
-			b := bucketFor(fromFn, &buckets, idx)
+			b := bucketFor(fromFn, &buckets, at)
 			b.brs = append(b.brs, br)
 			continue
 		}
-		calls = append(calls, callRec{fromFn, toFn, br})
-	}
-
-	jobs, err := ctx.applyBuckets(cx, sm, buckets)
-	if err != nil {
-		return len(buckets), jobs, err
-	}
-	for _, cr := range calls {
-		br := cr.br
 		if br.To.Off != 0 {
 			// Returns land mid-function; they carry no CFG information.
 			c.add(StatProfileIgnoredCount, br.Count)
 			continue
 		}
+		calls = append(calls, callRec{fromFn, toFn, br})
+	}
+	// The call tail below trusts a call site's offset only in a caller
+	// whose shape is current, so a caller with no record of its own joins
+	// the fan-out with an empty shard — behind every other, where the
+	// serial tail used to diagnose it.
+	nfuncs := len(buckets)
+	if sm != nil {
+		for _, cr := range calls {
+			if cr.fromFn.Simple {
+				bucketFor(cr.fromFn, &buckets, at)
+			}
+		}
+	}
+
+	jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	if err != nil {
+		return nfuncs, jobs, err
+	}
+	for _, cr := range calls {
+		br := cr.br
 		// Call, tail call, or conditional tail call into toFn's entry.
 		cr.toFn.ExecCount += br.Count
 		cr.toFn.Sampled = true
@@ -348,7 +357,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		c.add(StatProfileCallCount, br.Count)
 		if cr.fromFn.Simple {
 			cr.fromFn.Sampled = true
-			if sf := sm.lookup(cr.fromFn); sf == nil || !sf.stale {
+			if sm.of(cr.fromFn) == nil {
 				fromAddr := cr.fromFn.Addr + br.From.Off
 				if _, fi := cr.fromFn.instAt(fromAddr); fi != nil {
 					if fi.I.Op == isa.CALLr || fi.I.Op == isa.CALLm {
@@ -365,7 +374,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	}
 
 	ctx.Metrics.Merge(c[:])
-	return len(buckets), jobs, nil
+	return nfuncs, jobs, nil
 }
 
 // applyIntraBranch applies one same-function branch record. All state it
@@ -375,7 +384,7 @@ func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *s
 	// one; route every intra-function record through the block matcher
 	// (raw offsets would at best miss, at worst hit an unrelated
 	// instruction).
-	if sf != nil && sf.stale {
+	if sf != nil {
 		switch applyStaleBranch(fn, sf, br) {
 		case staleApplied:
 			c.add(StatProfileStaleCount, br.Count)
@@ -403,7 +412,7 @@ func applyIntraBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch, c *s
 		c.add(StatProfileIgnoredCount, br.Count)
 		return
 	}
-	tb := fn.BlockAt(toAddr)
+	tb := fn.blockStarting(toAddr)
 	if tb == nil {
 		c.add(StatProfileDropCount, br.Count)
 		return
@@ -450,7 +459,7 @@ func applyStaleBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch) stal
 	if !stale.HasSucc(blocks, oldFrom, oldTo) {
 		return staleIgnored // no such old edge: non-branch source
 	}
-	nf, nt := sf.blockMap[oldFrom], sf.blockMap[oldTo]
+	nf, nt := sf.block(fn, oldFrom), sf.block(fn, oldTo)
 	if nf == nil || nt == nil {
 		return staleDropped
 	}
@@ -472,7 +481,7 @@ func applyStaleBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch) stal
 func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm *staleMatcher) (int, int, error) {
 	var c statShard // the serial classify pass counts here
 	var buckets []*funcRecs
-	idx := map[*BinaryFunction]int{}
+	at := make([]int32, len(ctx.Funcs))
 	for _, s := range fd.Samples {
 		c.add(StatProfileTotalCount, s.Count)
 		fn := ctx.ByName[s.At.Sym]
@@ -480,7 +489,7 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 			c.add(StatProfileDropCount, s.Count)
 			continue
 		}
-		b := bucketFor(fn, &buckets, idx)
+		b := bucketFor(fn, &buckets, at)
 		b.smps = append(b.smps, s)
 	}
 
@@ -497,9 +506,8 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 
 // applySample applies one PC sample to fn's blocks (fn-local state only).
 func applySample(fn *BinaryFunction, sf *staleFunc, s profile.Sample, c *statShard) {
-	if sf != nil && sf.stale {
-		oldIdx := stale.BlockAtOff(sf.old.Blocks, s.At.Off)
-		if b := sf.blockMap[oldIdx]; oldIdx >= 0 && b != nil {
+	if sf != nil {
+		if b := sf.block(fn, stale.BlockAtOff(sf.old.Blocks, s.At.Off)); b != nil {
 			b.ExecCount += s.Count
 			fn.Sampled = true
 			c.add(StatProfileStaleCount, s.Count)
@@ -598,8 +606,8 @@ func inferEdgesFromBlockCounts(fn *BinaryFunction) {
 
 // flowViolation sums, over every executed block with successors, the
 // block count and the absolute gap between it and its out-flow — the
-// integer terms behind flowAccuracy, kept exact so parallel aggregation
-// stays deterministic.
+// integer terms behind accFromViolation, kept exact so parallel
+// aggregation stays deterministic.
 func flowViolation(fn *BinaryFunction) (violation, total uint64) {
 	for _, b := range fn.Blocks {
 		if len(b.Succs) == 0 || b.ExecCount == 0 {
@@ -619,8 +627,9 @@ func flowViolation(fn *BinaryFunction) (violation, total uint64) {
 	return violation, total
 }
 
-// accFromViolation converts violation terms to the [0,1] accuracy scale
-// (empty = vacuously consistent).
+// accFromViolation converts violation terms to the [0,1] accuracy scale:
+// how consistently the counts satisfy the flow equations (1.0 = every
+// block's count equals its outflow; empty = vacuously consistent).
 func accFromViolation(violation, total uint64) float64 {
 	if total == 0 {
 		return 1
@@ -630,11 +639,4 @@ func accFromViolation(violation, total uint64) float64 {
 		return 0
 	}
 	return acc
-}
-
-// flowAccuracy measures how consistently the final counts satisfy the
-// flow equations (1.0 = every block's inflow equals its outflow).
-func flowAccuracy(fn *BinaryFunction) float64 {
-	v, t := flowViolation(fn)
-	return accFromViolation(v, t)
 }

@@ -193,7 +193,7 @@ func sampleEverything(ctx *BinaryContext, rng *rand.Rand) *profile.Fdata {
 // TestSampleInferenceConservesFlow is the satellite property test: with
 // minimum-cost-flow inference (the default for non-LBR profiles), every
 // inferred simple function satisfies the flow equations exactly —
-// inflow == outflow == block count, flowAccuracy 1.0 — unlike the old
+// inflow == outflow == block count, ProfileAcc 1.0 — unlike the old
 // proportional estimator, which lost flow to per-successor truncation.
 func TestSampleInferenceConservesFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -335,5 +335,33 @@ func TestLBRInferAlwaysRepairs(t *testing.T) {
 	}
 	if ctx.InferredFuncs == 0 {
 		t.Error("InferredFuncs not counted")
+	}
+}
+
+// TestStaleMatchIndexBounds: a staleFunc's match entries are indices into
+// fn.Blocks taken on trust from the matcher. One past the end, like an
+// unmatched -1, drops the record instead of indexing with it, and
+// neither counts towards quality.
+func TestStaleMatchIndexBounds(t *testing.T) {
+	ctx := buildProfBinary(t, 0)
+	hot := ctx.ByName["hot"]
+	old, _ := computeFuncShape(hot, nil)
+	if len(old.Blocks) != 4 {
+		t.Fatalf("hot has %d blocks, want the diamond's 4", len(old.Blocks))
+	}
+	sf := &staleFunc{old: old, match: []int32{int32(len(hot.Blocks)), -1, 2, -1}}
+	var c statShard
+	for i, b := range old.Blocks {
+		applySample(hot, sf, profile.Sample{At: profile.Loc{Sym: "hot", Off: b.Off}, Count: 1 << i}, &c)
+	}
+	if c[StatProfileStaleCount] != 1<<2 || c[StatProfileStaleDropCount] != 1<<0+1<<1+1<<3 {
+		t.Errorf("stale-count %d, stale-drop-count %d; want 4 and 11",
+			c[StatProfileStaleCount], c[StatProfileStaleDropCount])
+	}
+	if got := hot.Blocks[2].ExecCount; got != 1<<2 {
+		t.Errorf("matched block counted %d, want 4", got)
+	}
+	if q := sf.quality(hot); q != 0.25 {
+		t.Errorf("quality %v, want 0.25", q)
 	}
 }

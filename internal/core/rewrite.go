@@ -443,7 +443,7 @@ func (e *emitter) writeBAT() {
 				// Instructions spliced in from another function (inlined
 				// bodies keep their origin addresses) are not part of this
 				// function's input coordinate space; skip them.
-				if an.InAddr < fn.Addr || an.InAddr >= fn.Addr+fn.Size {
+				if !fn.contains(an.InAddr) {
 					continue
 				}
 				r.Entries = append(r.Entries, bat.Entry{

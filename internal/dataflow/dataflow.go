@@ -80,13 +80,3 @@ func Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
 	}
 	return liveIn, liveOut
 }
-
-// UseDefOfInsts folds an instruction sequence into block-level use/def
-// sets (use = read before written; def = written anywhere).
-func UseDefOfInsts(uses, defs []isa.RegSet) (use, def isa.RegSet) {
-	for i := range uses {
-		use |= uses[i] &^ def
-		def |= defs[i]
-	}
-	return use, def
-}

@@ -151,20 +151,3 @@ func TestLivenessLoop(t *testing.T) {
 		t.Errorf("RBX must be dead in the exit block")
 	}
 }
-
-func TestUseDefOfInsts(t *testing.T) {
-	mov := isa.NewInst(isa.MOVrr) // rax = rbx
-	mov.R1, mov.R2 = isa.RAX, isa.RBX
-	add := isa.NewInst(isa.ADDrr) // rax += rax (uses rax after def: not upward-exposed)
-	add.R1, add.R2 = isa.RAX, isa.RAX
-	use, def := UseDefOfInsts(
-		[]isa.RegSet{mov.Uses(), add.Uses()},
-		[]isa.RegSet{mov.Defs(), add.Defs()},
-	)
-	if !use.Has(isa.RBX) || use.Has(isa.RAX) {
-		t.Errorf("use set wrong: %v", use)
-	}
-	if !def.Has(isa.RAX) {
-		t.Errorf("def set wrong: %v", def)
-	}
-}

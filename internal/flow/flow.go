@@ -25,7 +25,7 @@
 //     a function whose observed entries and exits disagree still solves.
 //
 // The result conserves flow exactly: for every block with successors,
-// the block count equals the sum of its out-edge counts (flowAccuracy
+// the block count equals the sum of its out-edge counts (flow accuracy
 // 1.0), something the old proportional estimator's per-successor
 // truncation could never guarantee.
 package flow

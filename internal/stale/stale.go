@@ -60,11 +60,14 @@ func neighborHash(blocks []profile.BlockShape, i int) uint64 {
 	return h
 }
 
-// Match maps old block indices to current block indices. Unmatched old
-// blocks are absent from the result. Both slices are in layout order
-// (profile.FuncShape convention).
-func Match(old, cur []profile.BlockShape) map[int]int {
-	out := make(map[int]int, len(old))
+// Match maps old block indices to current block indices: out[i] is the
+// index in cur that old block i matched, -1 when it matched none. Both
+// slices are in layout order (profile.FuncShape convention).
+func Match(old, cur []profile.BlockShape) []int32 {
+	out := make([]int32, len(old))
+	for i := range out {
+		out[i] = -1
+	}
 	oldTaken := make([]bool, len(old))
 	curTaken := make([]bool, len(cur))
 
@@ -100,7 +103,7 @@ func Match(old, cur []profile.BlockShape) map[int]int {
 				continue
 			}
 			if j, ok := curByKey[k]; ok {
-				out[i] = j
+				out[i] = int32(j)
 				oldTaken[i] = true
 				curTaken[j] = true
 			}
@@ -127,7 +130,7 @@ func Match(old, cur []profile.BlockShape) map[int]int {
 			if curTaken[k] || len(old[i].Succs) != len(cur[k].Succs) {
 				continue
 			}
-			out[i] = k
+			out[i] = int32(k)
 			oldTaken[i] = true
 			curTaken[k] = true
 			j = k + 1

@@ -16,7 +16,7 @@ func TestMatchExactHashes(t *testing.T) {
 	cur := []profile.BlockShape{bs(0, 100, 1, 2), bs(0x18, 200, 2), bs(0x28, 300)}
 	m := Match(old, cur)
 	for i := 0; i < 3; i++ {
-		if m[i] != i {
+		if m[i] != int32(i) {
 			t.Fatalf("block %d matched to %d: %v", i, m[i], m)
 		}
 	}
@@ -66,8 +66,25 @@ func TestMatchRefusesIncompatiblePositional(t *testing.T) {
 	old := []profile.BlockShape{bs(0, 111, 1, 2), bs(0x10, 200)}
 	cur := []profile.BlockShape{bs(0, 999), bs(0x14, 200)}
 	m := Match(old, cur)
-	if got, ok := m[0]; ok {
+	if len(m) != len(old) {
+		t.Fatalf("result has %d entries for %d old blocks", len(m), len(old))
+	}
+	if got := m[0]; got != -1 {
 		t.Fatalf("incompatible blocks matched: 0 -> %d", got)
+	}
+	if m[1] != 1 {
+		t.Fatalf("the unmatched block hid its neighbour's match: %v", m)
+	}
+}
+
+func TestMatchFewerCurrentBlocks(t *testing.T) {
+	// The new release lost a block: every old block still has an entry,
+	// the one with no counterpart reads -1, and no entry points past cur.
+	old := []profile.BlockShape{bs(0, 100, 1), bs(0x10, 200, 2), bs(0x20, 300)}
+	cur := []profile.BlockShape{bs(0, 100, 1), bs(0x10, 300)}
+	m := Match(old, cur)
+	if len(m) != 3 || m[0] != 0 || m[1] != -1 || m[2] != 1 {
+		t.Fatalf("match = %v, want [0 -1 1]", m)
 	}
 }
 
