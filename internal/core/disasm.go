@@ -391,6 +391,10 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 	}
 	var cur *BasicBlock
 	curStart := 0
+	// lt.Entries[lineNext] is the first line entry past lineAddr (what
+	// dbg.Table.LookupEntry searches for); 0 = not yet searched.
+	lt := ctx.LineTable
+	lineNext, lineAddr := 0, uint64(0)
 	// seal fixes the finished block's window into the instruction slab.
 	// The three-index slice caps it at its own length: a pass appending
 	// to b.Insts reallocates onto a fresh array instead of clobbering
@@ -420,9 +424,19 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		instSlab = instSlab[:len(instSlab)+1]
 		ci := &instSlab[len(instSlab)-1]
 		ci.I, ci.Size, ci.Addr, ci.CFIIdx = r.inst, r.size, r.addr, -1
-		if ctx.LineTable != nil {
-			if e, ok := ctx.LineTable.LookupEntry(r.addr); ok {
-				ci.Src = int32(e + 1)
+		if lt != nil {
+			// Instructions arrive in address order, so the entry covering
+			// this one is at or just past the one that covered the last:
+			// step the cursor, and search only on a backwards step.
+			if lineNext == 0 || r.addr < lineAddr {
+				lineNext = sort.Search(len(lt.Entries), func(i int) bool { return lt.Entries[i].Addr > r.addr })
+			}
+			for lineNext < len(lt.Entries) && lt.Entries[lineNext].Addr <= r.addr {
+				lineNext++
+			}
+			lineAddr = r.addr
+			if lineNext > 0 && int(lt.Entries[lineNext-1].File) < len(lt.Files) {
+				ci.Src = int32(lineNext)
 			}
 		}
 		if k := len(fn.JTs); k < len(sc.jts) && sc.jts[k].at == i {
@@ -684,7 +698,10 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 	st := cfi.InitialState()
 	var stack []cfi.State
 	k := 0
-	apply := func(upto uint32) {
+	// apply advances the replay to offset upto and reports whether it
+	// consumed a CFI instruction.
+	apply := func(upto uint32) bool {
+		k0 := k
 		for k < len(fde.Insts) && fde.Insts[k].PC <= upto {
 			in := &fde.Insts[k].Inst
 			switch in.Kind {
@@ -712,24 +729,27 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 			}
 			k++
 		}
+		return k > k0
+	}
+	// The state is interned once per change, not per instruction: idx
+	// stays valid until apply consumes another CFI instruction.
+	idx := int32(-1)
+	at := func(off uint32) int32 {
+		if apply(off) || idx < 0 {
+			idx = fn.InternState(st)
+		}
+		return idx
 	}
 	for _, b := range fn.Blocks {
-		first := true
-		for i := range b.Insts {
-			off := uint32(b.Insts[i].Addr - fn.Addr)
-			apply(off)
-			idx := fn.InternState(st)
-			b.Insts[i].CFIIdx = idx
-			if first {
-				b.CFIIn = idx
-				first = false
-			}
-		}
-		if first {
+		if len(b.Insts) == 0 {
 			// Empty block (all NOPs): state at its address.
-			apply(uint32(b.Addr - fn.Addr))
-			b.CFIIn = fn.InternState(st)
+			b.CFIIn = at(uint32(b.Addr - fn.Addr))
+			continue
 		}
+		for i := range b.Insts {
+			b.Insts[i].CFIIdx = at(uint32(b.Insts[i].Addr - fn.Addr))
+		}
+		b.CFIIn = b.Insts[0].CFIIdx
 	}
 }
 

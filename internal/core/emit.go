@@ -107,7 +107,10 @@ type emitScratch struct {
 	fn      *BinaryFunction
 	lines   *dbg.Table
 	running cfi.State // unwind state in effect at the current position
-	lastPos srcPos    // a line mark opens where the (file, line) pair changes
+	// runningIdx is the interned state running was last set from, -1
+	// while it is still the initial state.
+	runningIdx int32
+	lastPos    srcPos // a line mark opens where the (file, line) pair changes
 }
 
 // reset prepares the scratch for one fragment of fn with nBlocks label
@@ -126,7 +129,7 @@ func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) 
 	sc.lineMarks = sc.lineMarks[:0]
 	sc.anchorMarks = sc.anchorMarks[:0]
 	sc.fn, sc.lines = fn, lines
-	sc.running = cfi.InitialState()
+	sc.running, sc.runningIdx = cfi.InitialState(), -1
 	sc.lastPos = srcPos{}
 }
 
@@ -235,11 +238,17 @@ func (sc *emitScratch) anchor(inAddr uint64) {
 }
 
 // cfiDiff emits the CFI instructions that take the running unwind state
-// to target.
-func (sc *emitScratch) cfiDiff(target *cfi.State) {
+// to the function's interned state idx. Consecutive instructions mostly
+// share a state, so the diff is paid per change of index.
+func (sc *emitScratch) cfiDiff(idx int32) {
+	if idx == sc.runningIdx {
+		return
+	}
+	target := sc.fn.StateAt(idx)
 	if target == nil {
 		return
 	}
+	sc.runningIdx = idx
 	diff := cfi.StateDiff(&sc.running, target)
 	if len(diff) == 0 {
 		return
@@ -266,7 +275,7 @@ func (sc *emitScratch) branchTo(inst isa.Inst, to *BasicBlock) {
 // and call-site marks.
 func (sc *emitScratch) emitInst(in *Inst) {
 	a := &sc.asm
-	sc.cfiDiff(sc.fn.StateAt(in.CFIIdx))
+	sc.cfiDiff(in.CFIIdx)
 	var pos srcPos
 	if in.Src != 0 {
 		e := &sc.lines.Entries[in.Src-1]
@@ -324,7 +333,7 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 		sc.emitInst(in)
 		return nil
 	}
-	sc.cfiDiff(fn.StateAt(in.CFIIdx))
+	sc.cfiDiff(in.CFIIdx)
 	switch {
 	case in.TargetSym != NoFunc:
 		// Tail call to another function; a conditional one (SCTC output)
