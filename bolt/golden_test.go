@@ -27,42 +27,43 @@ type goldenRow struct {
 // goldenOutputs pins the SHA-256 of the optimized binary for the three
 // examples/ workload shapes, a PGO clang and an HFSort+LTO hhvm (the
 // builds of the two examples deleted in PR 23), and for the clang and
-// proxygen presets at scale 0.05. The hashes were recorded on the commit before PR 12 (value
-// CFI states, digest-keyed ICF, lazy address index), so the table proves
-// byte-identity against that parent and not only across -jobs values. A
-// change that is meant to alter output bytes replaces the hash the
-// failure message prints.
+// proxygen presets at scale 0.05. The hashes were recorded at PR 24,
+// whose line-aware fragment placement moved every output (the set before
+// it dated from PR 12 and PR 22), so the table proves byte-identity
+// against that commit and not only across -jobs values. A change that is
+// meant to alter output bytes replaces the hash the failure message
+// prints.
 var goldenOutputs = []goldenRow{
 	{"quickstart", workload.Tiny, bench.CfgBaseline, 0,
-		"136e3b94508941895026aef9ec7fed70735b1955c89f07ddc8df2e4ca3cc301e"},
+		"ba0a07f089799e7bba1bd23cd3cfc505e9080578c4753516fff6a188d37fdbea"},
 	{"exceptions", func() workload.Spec {
 		s := workload.Tiny()
 		s.ThrowFrac, s.ColdProb = 0.9, 0.1
 		return s
 	}, bench.CfgBaseline, 0,
-		"0b473fa7be0661dabc16b1c3f0fd370987108b753369881870133c60cb3387af"},
+		"f1f68e7cc6be935f65a5724fbdc54289dbde2769c134fa92d38991706357a486"},
 	{"continuous", workload.Tiny, bench.CfgBaseline, 3,
-		"971fc8cb968016aaba22b430af3bd025ff3fbc950929638b61522895bde177b7"},
+		"701a6b2f815b2d65ee4b08cae4c32e59876886173faf21077628e53a8be3ea8d"},
 	{"compiler-pgo", func() workload.Spec { return scaled(workload.Clang()) }, bench.CfgPGO, 0,
-		"99305e86902792f7be7371a1282d365c05dd72cc25571027bbd12c26f4f0a800"},
+		"edfd567f152b74f147e47fda063e14de49d63037d6c6acb85bbeb429c8dc8fa6"},
 	{"datacenter", func() workload.Spec { return scaled(workload.HHVM()) }, bench.CfgHFSortLTO, 0,
-		"378fc233fae43fbba05c53eff37ccbfc16fdccac87f5607c80269a47dd8c3c00"},
+		"4c1c227efb736ed775c99edf5d5bcf338b125f669bedaeeb0ed5ea9fbbd351ef"},
 	{"clang", func() workload.Spec { return scaled(workload.Clang()) }, bench.CfgBaseline, 0,
-		"b172187516a0fd81e739f765e9a7c1fe4ffdb40cfea6466c383c4a262c0444ca"},
+		"e2cd9328c8e7fed8099be0861de2f1c5876134387cff0edc12afd998d2e4aa66"},
 	{"proxygen", func() workload.Spec { return scaled(workload.Proxygen()) }, bench.CfgBaseline, 0,
-		"ad9332306afec24525a2c3dbda4c15dea8cdfb21e421661472800277f7517664"},
+		"1cd3927afae4165e8b504bb764b00a27cab1af020201dbee7856673bca778af8"},
 }
 
 // goldenSampled pins the non-LBR path — sample normalisation,
 // minimum-cost-flow inference, the sample-derived call graph — which no
 // row above reaches: the same row shape, the profile recorded as PC
 // samples every 512 instructions (sampledMode). Hashes recorded at PR 22,
-// which changed what a sample means.
+// which changed what a sample means, and again at PR 24 with the rest.
 var goldenSampled = []goldenRow{
 	{"clang-nolbr", func() workload.Spec { return scaled(workload.Clang()) }, bench.CfgBaseline, 0,
-		"5da3e9893b920fe3aa3318942189ad2021c5617c805d27cddfbef8c5054f9507"},
+		"b01fb9b82f5d2e8c8f0279820108aa8960b72d1b0bd0a80d117427aa9aa38ca8"},
 	{"continuous-nolbr", workload.Tiny, bench.CfgBaseline, 3,
-		"d0634e180190ced0045df31a5007971d339a130e9d24e2428ddade497f8d386f"},
+		"6d0512ff782b6b33985321d707804929e8a617bec04e4dbb51cf024cc102bdef"},
 }
 
 var sampledMode = perf.Mode{Event: perf.EventCycles, Period: 512}

@@ -50,7 +50,6 @@ type Options struct {
 	SCTC             bool
 	UCE              bool
 
-	AlignFunctions      int
 	DynoStats           bool
 	UpdateDebugSections bool
 	// Lite skips functions with no profile samples entirely.
@@ -186,7 +185,6 @@ func DefaultOptions() Options {
 		ShrinkWrapping:      true,
 		SCTC:                true,
 		UCE:                 true,
-		AlignFunctions:      16,
 		UpdateDebugSections: true,
 		ICPThreshold:        0.51,
 		EnableBAT:           true,

@@ -32,9 +32,6 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		cx = context.Background()
 	}
 	opts = opts.Normalized()
-	if opts.AlignFunctions == 0 {
-		opts.AlignFunctions = 16
-	}
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}

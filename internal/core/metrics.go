@@ -53,6 +53,8 @@ const (
 	StatFrameOptsSpills
 	StatShrinkWrapping
 
+	StatEmitPadBytes
+
 	// The per-function histograms exist for the re-optimization
 	// service's quality gate: thresholding them rejects individual bad
 	// functions instead of whole profiles.
@@ -149,6 +151,9 @@ var statDefs = [numStats]obsv.Def{
 	StatSCTCCount:              counter("sctc-count", "conditional tail calls simplified"),
 	StatFrameOptsSpills:        counter("frame-opts-spills", "callee-saved spills removed by frame optimization"),
 	StatShrinkWrapping:         counter("shrink-wrapping", "functions with saves sunk by shrink wrapping"),
+
+	// Emission (Rewrite).
+	StatEmitPadBytes: counter("emit-pad-bytes", "padding bytes the layout put before fragments of profiled functions to save a cache line, both text sections"),
 
 	// Per-function quality distributions + binary-level gauges.
 	StatFlowAccuracy: {Name: "flow-accuracy", Kind: obsv.HistogramKind, Buckets: qualityBuckets,

@@ -206,10 +206,28 @@ func (e *emitter) assemble(cx context.Context) error {
 	return err
 }
 
+// cacheLine is the instruction-cache line size the text layout is planned
+// around (internal/uarch's L1I and the x86 parts the paper measures on).
+const cacheLine = 64
+
+// placeFragment returns where a fragment of size bytes goes when addr is
+// the first free address of its section. A fragment of a function with
+// profile is padded only when the padding saves a cache line: it stays at
+// addr if it spans the minimum ⌈size/cacheLine⌉ lines from there, and
+// starts the next line otherwise. Without a profile there is no evidence
+// that any alignment buys anything, so such a fragment is packed.
+func placeFragment(addr, size uint64, sampled bool) uint64 {
+	if !sampled || size == 0 || addr%cacheLine+(size-1)%cacheLine < cacheLine {
+		return addr
+	}
+	return alignUp(addr, cacheLine)
+}
+
 // place (emit:layout) assigns every fragment its output address: a
 // prefix-sum over the fragment sizes, all hot fragments after the last
-// allocated input section, then all cold ones. Inherently sequential
-// (each address depends on every predecessor's aligned size) but linear.
+// allocated input section, then all cold ones, each at placeFragment's
+// choice. Inherently sequential (each address depends on every
+// predecessor's padded size) but linear.
 func (e *emitter) place(context.Context) error {
 	ctx := e.ctx
 	addr := uint64(0)
@@ -218,20 +236,23 @@ func (e *emitter) place(context.Context) error {
 			addr = max(addr, s.Addr+s.Size())
 		}
 	}
-	fa := uint64(ctx.Opts.AlignFunctions)
-	for s, lay := range []struct{ sectAlign, fragAlign uint64 }{{0x1000, fa}, {64, 16}} {
+	pad := uint64(0)
+	for s, sectAlign := range []uint64{0x1000, cacheLine} {
 		sec := &e.text[s]
-		addr = alignUp(addr, lay.sectAlign)
+		addr = alignUp(addr, sectAlign)
 		sec.base = addr
 		for i := range e.funcs {
 			if frags := e.funcs[i].frags; s < len(frags) {
-				addr = alignUp(addr, lay.fragAlign)
-				frags[s].addr = addr
-				addr += uint64(len(frags[s].Code))
+				size := uint64(len(frags[s].Code))
+				at := placeFragment(addr, size, e.funcs[i].fn.Sampled)
+				pad += at - addr
+				frags[s].addr = at
+				addr = at + size
 			}
 		}
 		sec.end = addr
 	}
+	ctx.CountStat(StatEmitPadBytes, int64(pad))
 	e.byOrd = make([]*emittedFn, len(ctx.Funcs))
 	for i := range e.funcs {
 		ef := &e.funcs[i]
@@ -292,7 +313,7 @@ func (e *emitter) patch(cx context.Context) error {
 			e.out.AddSection(&elfx.Section{
 				Name: sec.name, Type: elfx.SHTProgbits,
 				Flags: elfx.SHFAlloc | elfx.SHFExecinstr,
-				Addr:  sec.base, Data: sec.data, Addralign: 16,
+				Addr:  sec.base, Data: sec.data, Addralign: cacheLine,
 			})
 		}
 	}
