@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gobolt/bolt"
+	"gobolt/internal/bench"
 	"gobolt/internal/cc"
 	"gobolt/internal/core"
 	"gobolt/internal/elfx"
@@ -149,26 +150,51 @@ func TestSessionMatchesDirectPipeline(t *testing.T) {
 	}
 }
 
+// acrossJobs optimizes f with fd at jobs 1, 2 and 8 and fails unless the
+// output bytes and the whole metrics snapshot equal jobs=1's, bit for
+// bit: counters, gauges and histograms, float sums and worst observations
+// included, so a float total accumulated in schedule order shows here
+// even where every counter agrees. It returns the jobs=1 report.
+func acrossJobs(t *testing.T, what string, f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) *bolt.Report {
+	t.Helper()
+	serial, serialRep, _ := optimizeViaSession(t, f, fd, 1, opts...)
+	for _, jobs := range []int{2, 8} {
+		out, rep, _ := optimizeViaSession(t, f, fd, jobs, opts...)
+		if !bytes.Equal(serial, out) {
+			t.Errorf("%s jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
+				what, jobs, len(out), len(serial))
+		}
+		if !reflect.DeepEqual(serialRep.Metrics, rep.Metrics) {
+			t.Errorf("%s jobs=%d: metrics diverge from jobs=1:\n  jobs=1: %+v\n  jobs=%d: %+v",
+				what, jobs, *serialRep.Metrics, jobs, *rep.Metrics)
+		}
+	}
+	return serialRep
+}
+
+// observed counts the observations of the named histogram in a report.
+func observed(rep *bolt.Report, name string) int64 {
+	for _, h := range rep.Metrics.Histograms {
+		if h.Name == name {
+			return h.Count
+		}
+	}
+	return 0
+}
+
 // TestPipelineDeterministicAcrossJobs is the parallel pipeline's
 // end-to-end contract, now proven through the public entry points: the
-// emitted binary is byte-identical and the stat counters exactly equal
+// emitted binary is byte-identical and the metrics snapshot exactly equal
 // for any worker count, across all three stages — the staged loader
 // (parallel disassembly+CFG), the function passes, and the concurrent
-// emitter. Run under -race this also exercises every fan-out phase.
+// emitter — and for LBR, non-LBR and stale profiles. Run under -race
+// this also exercises every fan-out phase.
 func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	f := buildTiny(t)
 	fd := record(t, f)
-	serialBytes, serialRep, _ := optimizeViaSession(t, f, fd, 1)
+	acrossJobs(t, "LBR", f, fd)
 	for _, jobs := range []int{2, 8} {
-		gotBytes, rep, _ := optimizeViaSession(t, f, fd, jobs)
-		if !bytes.Equal(serialBytes, gotBytes) {
-			t.Errorf("jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
-				jobs, len(gotBytes), len(serialBytes))
-		}
-		if !reflect.DeepEqual(serialRep.Metrics.Counters, rep.Metrics.Counters) {
-			t.Errorf("jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
-				jobs, serialRep.Metrics.Counters, jobs, rep.Metrics.Counters)
-		}
+		_, rep, _ := optimizeViaSession(t, f, fd, jobs)
 		if n := len(passes.BuildPipeline(rep.Options)); countGroup(rep.Phases, "pass") != n {
 			t.Errorf("jobs=%d: %d pass timings recorded, pipeline has %d", jobs, countGroup(rep.Phases, "pass"), n)
 		}
@@ -201,44 +227,30 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	// With minimum-cost-flow inference forced on for the LBR profile,
 	// the output must stay byte-identical across worker counts too, and
 	// the inferred counts must be exactly consistent.
-	mcf1, mcfRep1, _ := optimizeViaSession(t, f, fd, 1, bolt.WithInferFlow(core.InferAlways))
-	for _, jobs := range []int{2, 8} {
-		mcfN, repN, _ := optimizeViaSession(t, f, fd, jobs, bolt.WithInferFlow(core.InferAlways))
-		if !bytes.Equal(mcf1, mcfN) {
-			t.Errorf("infer-flow jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
-				jobs, len(mcfN), len(mcf1))
-		}
-		if !reflect.DeepEqual(mcfRep1.Metrics.Counters, repN.Metrics.Counters) {
-			t.Errorf("infer-flow jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
-				jobs, mcfRep1.Metrics.Counters, jobs, repN.Metrics.Counters)
-		}
-	}
-	if mcfRep1.Profile.InferredFuncs == 0 {
-		t.Error("InferAlways reported no inferred functions")
+	mcfRep := acrossJobs(t, "infer-flow", f, fd, bolt.WithInferFlow(core.InferAlways))
+	if mcfRep.Profile.InferredFuncs == 0 || mcfRep.Profile.FlowAccAfter != 1 {
+		t.Errorf("InferAlways: %d functions inferred, flow accuracy %v",
+			mcfRep.Profile.InferredFuncs, mcfRep.Profile.FlowAccAfter)
 	}
 
 	// A non-LBR profile goes through sample normalisation and one solver
 	// arena per worker, reused from function to function: which functions
 	// share an arena depends on the schedule, the bytes must not.
-	sfd := recordMode(t, f, sampledMode)
-	smp1, smpRep1, _ := optimizeViaSession(t, f, sfd, 1)
-	for _, jobs := range []int{2, 8} {
-		smpN, repN, _ := optimizeViaSession(t, f, sfd, jobs)
-		if !bytes.Equal(smp1, smpN) {
-			t.Errorf("non-LBR jobs=%d: emitted binary differs from jobs=1 (%d vs %d bytes)",
-				jobs, len(smpN), len(smp1))
-		}
-		if !reflect.DeepEqual(smpRep1.Metrics.Counters, repN.Metrics.Counters) {
-			t.Errorf("non-LBR jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
-				jobs, smpRep1.Metrics.Counters, jobs, repN.Metrics.Counters)
-		}
-	}
-	if smpRep1.Profile.InferredFuncs == 0 || smpRep1.Profile.FlowAccAfter != 1 {
+	smpRep := acrossJobs(t, "non-LBR", f, recordMode(t, f, sampledMode))
+	if smpRep.Profile.InferredFuncs == 0 || smpRep.Profile.FlowAccAfter != 1 {
 		t.Errorf("non-LBR profile: %d functions inferred, flow accuracy %v",
-			smpRep1.Profile.InferredFuncs, smpRep1.Profile.FlowAccAfter)
+			smpRep.Profile.InferredFuncs, smpRep.Profile.FlowAccAfter)
 	}
-	if mcfRep1.Profile.FlowAccAfter != 1.0 {
-		t.Errorf("InferAlways left FlowAccAfter %v, want 1.0", mcfRep1.Profile.FlowAccAfter)
+	if observed(smpRep, "flow-accuracy") == 0 {
+		t.Error("non-LBR profile: no flow-accuracy observations to compare")
+	}
+
+	// A profile recorded with CFG shapes on v1 and applied to a v2 whose
+	// function entries moved goes through stale matching, whose
+	// per-function match quality is a float histogram of its own.
+	vf, vfd := staleInput(t, workload.Tiny(), bench.CfgBaseline, perf.DefaultMode(), 3)
+	if observed(acrossJobs(t, "stale", vf, vfd), "stale-match-quality") == 0 {
+		t.Error("stale profile: no stale-match-quality observations to compare")
 	}
 
 	// A non-LBR profile is inferred by default, and the profile:infer row
@@ -449,7 +461,7 @@ func TestZeroOptionsNoFootgun(t *testing.T) {
 	if got := (core.Options{}).Normalized(); !reflect.DeepEqual(got, core.DefaultOptions()) {
 		t.Fatalf("Options{}.Normalized() = %+v, want DefaultOptions", got)
 	}
-	// The operational knobs (Jobs, TimePasses, DynoStats) don't count as
+	// The operational knobs (Jobs, DynoStats) don't count as
 	// configuration: Options{Jobs: n} means "defaults at n workers" for
 	// every n, with the knobs preserved — no discontinuity at n=0.
 	for _, jobs := range []int{0, 1, 4} {

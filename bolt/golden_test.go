@@ -11,6 +11,7 @@ import (
 	"gobolt/internal/bench"
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
+	"gobolt/internal/profile"
 	"gobolt/internal/workload"
 )
 
@@ -102,26 +103,37 @@ func TestGoldenOutputs(t *testing.T) {
 	checkGolden(t, goldenSampled, sampledMode)
 }
 
+// staleInput builds spec, records a profile that carries its CFG shapes,
+// and rebuilds spec with pad extra ops at every function entry: a v2
+// binary and the v1 profile that is stale against it.
+func staleInput(t *testing.T, spec workload.Spec, cfg bench.BuildConfig, mode perf.Mode, pad int) (*elfx.File, *profile.Fdata) {
+	t.Helper()
+	f := buildSorted(t, spec, cfg)
+	fd := recordMode(t, f, mode)
+	shapes, err := bolt.OpenELF(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shapes.Analyze(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if fd.Shapes, err = shapes.Shapes(); err != nil {
+		t.Fatal(err)
+	}
+	spec.EntryPadOps = pad
+	return buildSorted(t, spec, cfg), fd
+}
+
 func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) {
-	cx := context.Background()
 	for _, g := range rows {
 		t.Run(g.name, func(t *testing.T) {
-			spec := g.spec()
-			f := buildSorted(t, spec, g.cfg)
-			fd := recordMode(t, f, mode)
+			var f *elfx.File
+			var fd *profile.Fdata
 			if g.stale > 0 {
-				shapes, err := bolt.OpenELF(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := shapes.Analyze(cx); err != nil {
-					t.Fatal(err)
-				}
-				if fd.Shapes, err = shapes.Shapes(); err != nil {
-					t.Fatal(err)
-				}
-				spec.EntryPadOps = g.stale
-				f = buildSorted(t, spec, g.cfg)
+				f, fd = staleInput(t, g.spec(), g.cfg, mode, g.stale)
+			} else {
+				f = buildSorted(t, g.spec(), g.cfg)
+				fd = recordMode(t, f, mode)
 			}
 			for _, jobs := range []int{1, 4} {
 				out, _, _ := optimizeViaSession(t, f, fd, jobs)

@@ -17,8 +17,10 @@ import (
 // increments whenever a field is removed, changes meaning, or is added:
 // ParseRunReport is strict (unknown fields are errors), so even
 // additive changes are visible to consumers. v2 added the `verify`
-// block (independent output verification, internal/bincheck).
-const ReportSchemaVersion = 2
+// block (independent output verification, internal/bincheck); v3
+// removed `options.AlignFunctions`, `options.ICPThreshold` and
+// `options.TimePasses`.
+const ReportSchemaVersion = 3
 
 // Report is the structured result of Session.Optimize and, as it
 // stands, the versioned JSON document behind `gobolt -report-json`:

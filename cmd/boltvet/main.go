@@ -1,6 +1,6 @@
 // Boltvet runs the repo's house static-analysis suite (package
-// internal/lintvet): determinism, hot-path allocation, stat-key,
-// context-plumbing, and float-reduction invariants, go-vet style.
+// internal/lintvet): the output-determinism and context-plumbing
+// invariants, go-vet style.
 //
 // Usage:
 //

@@ -141,7 +141,6 @@ func run() error {
 	}
 	opts.Lite = *lite
 	opts.Jobs = *jobs
-	opts.TimePasses = *timePasses
 	opts.DynoStats = *dynoStats
 	opts.UpdateDebugSections = *updateDebug
 	var tracer *obsv.Tracer

@@ -14,8 +14,6 @@
 // and clamp to the nearest preceding one.
 package bat
 
-//boltvet:hot-path Parse decodes two varints per emitted instruction of the binary on every verification and every profile translation
-
 import (
 	"encoding/binary"
 	"fmt"
@@ -170,7 +168,6 @@ func (r *reader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
-		//boltvet:alloc-ok sticky error: set once, and the parse is over
 		r.err = fmt.Errorf("bat: truncated uvarint at %d", r.pos)
 		return 0
 	}
@@ -188,7 +185,6 @@ func (r *reader) bytes(n uint64) []byte {
 		return nil
 	}
 	if uint64(r.pos)+n > uint64(len(r.data)) {
-		//boltvet:alloc-ok sticky error: set once, and the parse is over
 		r.err = fmt.Errorf("bat: truncated string at %d", r.pos)
 		return nil
 	}

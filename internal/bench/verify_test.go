@@ -7,6 +7,7 @@ import (
 	"gobolt/bolt"
 	"gobolt/internal/bat"
 	"gobolt/internal/bincheck"
+	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
 	"gobolt/internal/workload"
@@ -113,10 +114,10 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 // exception-dense code (CFI/LSDA rules), PLT-heavy non-LTO code (stub
 // fragments and cross-module calls), aggressive cold splitting (split
 // CFI state and cold BAT ranges), and hostile symbol tables (ICF alias
-// pile-ups).
+// pile-ups); a -lite run checks the input's own frame descriptions.
 func TestVerifyCleanPipeline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and bolts nine workloads twice; skipped in -short")
+		t.Skip("builds and bolts ten workloads twice; skipped in -short")
 	}
 	stress := func(name string, seed uint64) workload.Spec {
 		s := workload.Tiny()
@@ -150,24 +151,31 @@ func TestVerifyCleanPipeline(t *testing.T) {
 	continuous.Name = "continuous"
 	continuous.EntryPadOps = 3 // the example's version-skew variant
 
+	// -lite leaves every unsampled function, and the FDE internal/cc gave
+	// it, where the input had them: the input's CFI is checked as-is.
+	lite := core.DefaultOptions()
+	lite.Lite = true
+
 	shapes := []struct {
 		name string
 		spec workload.Spec
 		cfg  BuildConfig
+		opts []bolt.Option
 	}{
-		{"quickstart", workload.Tiny(), CfgBaseline},
-		{"exceptions", exceptions, CfgBaseline},
-		{"continuous", continuous, CfgBaseline},
-		{"compiler-pgo", Scale(0.05).apply(workload.Clang()), CfgPGO},
-		{"datacenter", Scale(0.05).apply(workload.HHVM()), CfgHFSortLTO},
-		{exc.Name, exc, CfgBaseline},
-		{plt.Name, plt, CfgBaseline}, // non-LTO: keep the PLT alive
-		{cold.Name, cold, CfgBaseline},
-		{hostile.Name, hostile, CfgLTO}, // LTO feeds the ICF dedup
+		{"quickstart", workload.Tiny(), CfgBaseline, nil},
+		{"exceptions", exceptions, CfgBaseline, nil},
+		{"continuous", continuous, CfgBaseline, nil},
+		{"compiler-pgo", Scale(0.05).apply(workload.Clang()), CfgPGO, nil},
+		{"datacenter", Scale(0.05).apply(workload.HHVM()), CfgHFSortLTO, nil},
+		{exc.Name, exc, CfgBaseline, nil},
+		{plt.Name, plt, CfgBaseline, nil}, // non-LTO: keep the PLT alive
+		{cold.Name, cold, CfgBaseline, nil},
+		{hostile.Name, hostile, CfgLTO, nil}, // LTO feeds the ICF dedup
+		{"lite", workload.Tiny(), CfgBaseline, []bolt.Option{bolt.WithOptions(lite)}},
 	}
 	for _, sh := range shapes {
 		for _, jobs := range []int{1, 4} {
-			data, _ := boltAndSerialize(t, sh.spec, sh.cfg, bolt.WithJobs(jobs))
+			data, _ := boltAndSerialize(t, sh.spec, sh.cfg, append(sh.opts, bolt.WithJobs(jobs))...)
 			res, err := bincheck.Check(data)
 			if err != nil {
 				t.Fatalf("%s jobs=%d: %v", sh.name, jobs, err)

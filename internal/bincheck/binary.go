@@ -1,7 +1,5 @@
 package bincheck
 
-//boltvet:hot-path fragment discovery and re-disassembly: one decode and one boundary bit per instruction of the binary
-
 import (
 	"sort"
 	"strings"

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"slices"
+	"strings"
 	"testing"
 
+	"gobolt/internal/cfi"
 	"gobolt/internal/elfx"
 )
 
@@ -164,6 +166,45 @@ func TestBoundaryBitset(t *testing.T) {
 	}
 	if len(w.findings) != 1 || w.findings[0].Rule != "disasm" || w.findings[0].Func != "undecodable" {
 		t.Errorf("findings = %v, want one disasm finding on the undecodable fragment", w.findings)
+	}
+}
+
+// TestCFIRowAtFDEEnd: a rule bound at exactly the FDE's length covers no
+// address and passes (internal/cc emits one after every function's last
+// ret); one byte further, or between instruction starts, is still an
+// error.
+func TestCFIRowAtFDEEnd(t *testing.T) {
+	const base = 0x1000
+	code := []byte{0x90, 0x90, 0x90, 0xE9, 0, 0, 0, 0} // three nops, jmp rel32
+	c := &checker{f: &elfx.File{
+		Sections: []*elfx.Section{{Name: ".text", Flags: elfx.SHFExecinstr, Addr: base, Data: code}},
+		Symbols:  []elfx.Symbol{{Name: "f", Value: base, Size: 8, Type: elfx.STTFunc, Section: ".text"}},
+	}, res: &Result{}}
+	c.index()
+	w := &worker{checker: c}
+	fr := c.byName["f"]
+	w.disassemble(fr)
+
+	row := func(pc uint32) cfi.PCInst {
+		return cfi.PCInst{PC: pc, Inst: cfi.Inst{Kind: cfi.OpDefCfaOffset, Off: 16}}
+	}
+	for _, tc := range []struct {
+		pc   uint32
+		want string // message fragment of the one finding, "" for none
+	}{
+		{8, ""},
+		{9, "beyond FDE length"},
+		{5, "mid-instruction"},
+	} {
+		w.findings = nil
+		w.checkFDE(fr, &cfi.FDE{Start: base, Len: 8, Insts: []cfi.PCInst{row(0), row(tc.pc)}})
+		switch {
+		case tc.want == "" && len(w.findings) != 0:
+			t.Errorf("row at %d: %v, want no finding", tc.pc, w.findings)
+		case tc.want != "" && (len(w.findings) != 1 || w.findings[0].Rule != "cfi-decode" ||
+			!strings.Contains(w.findings[0].Message, tc.want)):
+			t.Errorf("row at %d: %v, want one cfi-decode finding %q", tc.pc, w.findings, tc.want)
+		}
 	}
 }
 

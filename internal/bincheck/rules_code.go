@@ -1,7 +1,5 @@
 package bincheck
 
-//boltvet:hot-path the control-flow rules: a fragment lookup and a boundary bit per direct branch and per jump-table entry
-
 import (
 	"encoding/binary"
 

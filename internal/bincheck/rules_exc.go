@@ -74,13 +74,18 @@ func (w *worker) bindFrames(sec *elfx.Section, fdes []cfi.FDE, err error) (owner
 // checkFDE runs the per-FDE rules on an FDE of fragment fr: every
 // unwind rule binds at an instruction boundary inside the FDE, the full
 // replay succeeds (no restore_state without a matching remember_state),
-// and the exception table hanging off it holds up.
+// and the exception table hanging off it holds up. A rule bound at
+// exactly the FDE's end covers no address and is inert: internal/cc
+// re-asserts the frame state after every ret, the last one included.
 func (w *worker) checkFDE(fr *fragment, fde *cfi.FDE) {
 	if fr == nil {
 		return
 	}
 	for _, pi := range fde.Insts {
-		if pi.PC >= fde.Len && !(pi.PC == 0 && fde.Len == 0) {
+		if pi.PC == fde.Len {
+			continue
+		}
+		if pi.PC > fde.Len {
 			w.errorf("cfi-decode", fr.name, fde.Start+uint64(pi.PC),
 				"CFI %s bound at offset %#x beyond FDE length %#x", pi.Inst.Kind, pi.PC, fde.Len)
 			continue

@@ -63,9 +63,6 @@ type Options struct {
 	// carried in a v2 profile (arXiv:2401.17168); off = drop them, the
 	// classic perf2bolt behaviour.
 	StaleMatching bool
-	// ICPThreshold is the minimum fraction of calls going to the dominant
-	// target for indirect-call promotion (e.g. 0.51).
-	ICPThreshold float64
 	// InferFlow selects the minimum-cost-flow profile-inference stage
 	// (internal/flow), the production replacement for the §5.1 "non-ideal
 	// algorithm": InferAuto (default) solves MCF for non-LBR sample
@@ -80,10 +77,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = fully serial). Output is bit-identical for
 	// every value.
 	Jobs int
-	// TimePasses asks the driver to render the per-phase timing report
-	// after the pipeline (the bolt package exposes it as
-	// Report.WriteTimings; the timings themselves are always collected).
-	TimePasses bool
 	// Trace, when non-nil, records a span for every pipeline phase and
 	// every worker-pool task into the obsv tracer (exported as Chrome
 	// trace-event JSON by `gobolt -trace-out`). nil disables tracing;
@@ -144,15 +137,14 @@ func ParseInferMode(s string) (InferMode, error) {
 // paper's defaults".
 //
 // "Unconfigured" ignores the operational knobs that do not select
-// passes — Jobs, TimePasses, DynoStats, Trace — so `Options{Jobs: n}`
-// means "defaults at n workers" for every n, not "all passes off unless
-// n is 0". Turning every optimization off deliberately still works:
-// start from DefaultOptions() and clear fields, or set any
-// pass-selection field.
+// passes — Jobs, DynoStats, Trace — so `Options{Jobs: n}` means
+// "defaults at n workers" for every n, not "all passes off unless n is
+// 0". Turning every optimization off deliberately still works: start
+// from DefaultOptions() and clear fields, or set any pass-selection
+// field.
 func (o Options) Normalized() Options {
 	probe := o
 	probe.Jobs = 0
-	probe.TimePasses = false
 	probe.DynoStats = false
 	probe.Trace = nil
 	if probe != (Options{}) {
@@ -160,7 +152,6 @@ func (o Options) Normalized() Options {
 	}
 	d := DefaultOptions()
 	d.Jobs = o.Jobs
-	d.TimePasses = o.TimePasses
 	d.DynoStats = o.DynoStats
 	d.Trace = o.Trace
 	return d
@@ -186,7 +177,6 @@ func DefaultOptions() Options {
 		SCTC:                true,
 		UCE:                 true,
 		UpdateDebugSections: true,
-		ICPThreshold:        0.51,
 		EnableBAT:           true,
 		StaleMatching:       true,
 	}

@@ -1,7 +1,5 @@
 package core
 
-//boltvet:hot-path loader disassembly+CFG construction, slab-allocated in PR 6
-
 import (
 	"context"
 	"fmt"
@@ -713,7 +711,6 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 			case cfi.OpRestore:
 				st.Restore(in.Reg)
 			case cfi.OpRememberState:
-				//boltvet:alloc-ok remember/restore nesting is rare (depth 0 for almost every function); lazy append beats an unconditional prealloc
 				stack = append(stack, st)
 			case cfi.OpRestoreState:
 				if len(stack) > 0 {

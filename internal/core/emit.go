@@ -1,7 +1,5 @@
 package core
 
-//boltvet:hot-path per-function code emission, scrubbed to zero allocations per function in PR 6
-
 import (
 	"fmt"
 

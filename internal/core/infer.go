@@ -1,7 +1,5 @@
 package core
 
-//boltvet:hot-path profile:infer visits every sampled function of a non-LBR profile: the problem is rebuilt in per-worker slabs, never per function
-
 import (
 	"slices"
 

@@ -1,7 +1,5 @@
 package core
 
-//boltvet:hot-path emission back half (layout/patch/metadata), allocation-scrubbed in PRs 6-7
-
 import (
 	"context"
 	"encoding/binary"
@@ -623,7 +621,6 @@ func (e *emitter) writeSymbols() {
 		for s := range e.funcs[i].frags {
 			if fr := &e.funcs[i].frags[s]; fr.cold {
 				e.out.Symbols = append(e.out.Symbols, elfx.Symbol{
-					//boltvet:alloc-ok one symbol-name string per split function; elfx.Symbol.Name is a string, so the allocation is inherent
 					Name: fr.fn.Name + ".cold.0", Value: fr.addr, Size: uint64(len(fr.Code)),
 					Type: elfx.STTFunc, Bind: elfx.STBLocal, Section: e.text[s].name,
 				})

@@ -4,8 +4,6 @@
 // generic over block graphs described by dense index arrays.
 package dataflow
 
-//boltvet:hot-path the liveness fixpoint: every worklist visit of every function an analysis is asked for
-
 import "gobolt/internal/isa"
 
 // Graph is a block graph in compressed-sparse-row form: the successors

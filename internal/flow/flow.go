@@ -30,8 +30,6 @@
 // truncation could never guarantee.
 package flow
 
-//boltvet:hot-path one solve per sampled function of a non-LBR profile, one shortest-path search per augmenting path: network, search state and results live in Solver slabs
-
 import (
 	"math"
 	"slices"

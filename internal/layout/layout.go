@@ -5,8 +5,6 @@
 // ablation benchmarks.
 package layout
 
-//boltvet:hot-path block layout of every profiled function: chain merging rescans the edge list per merge
-
 import (
 	"cmp"
 	"fmt"

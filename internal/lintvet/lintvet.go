@@ -1,9 +1,11 @@
 // Package lintvet is the in-tree static-analysis suite ("boltvet")
-// that promotes the repo's house invariants — byte-identical output
-// across -jobs, zero-alloc hot phases, context plumbing — from runtime
-// tests to compile-time checks. Invariants a type can hold (declared stat
-// keys: core.Stat; the emission-symbol layout: obj.SymID) are left to the
-// compiler and have no analyzer. It is
+// that promotes two of the repo's house invariants — byte-identical
+// output across -jobs, context plumbing — from runtime tests to
+// compile-time checks. Invariants a type can hold (declared stat keys:
+// core.Stat; the emission-symbol layout: obj.SymID) are left to the
+// compiler, and invariants a measurement holds (allocations per op:
+// the benchmark's 1 % bound; schedule-independent float totals:
+// bolt's cross-jobs metrics test) have no analyzer either. It is
 // a deliberately small re-implementation of the golang.org/x/tools
 // go/analysis surface on the standard library alone: packages are
 // loaded through `go list -export` (the go command resolves the
@@ -78,12 +80,6 @@ func (d Diagnostic) String() string {
 
 // DirectivePrefix introduces every boltvet comment directive.
 const DirectivePrefix = "//boltvet:"
-
-// HotPathDirective marks a whole file as a scrubbed hot path for the
-// hotalloc analyzer. Unlike the per-analyzer "-ok" suppressions it
-// widens coverage rather than narrowing it, but it shares the
-// grammar: a reason is required and the audit test tracks it.
-const HotPathDirective = "hot-path"
 
 // directive is one parsed //boltvet: comment.
 type directive struct {
@@ -161,17 +157,6 @@ func (fd *fileDirectives) suppresses(name string, line int) bool {
 	return false
 }
 
-// hotFile reports whether the file carries a hot-path marker, using it.
-func (fd *fileDirectives) hotFile() bool {
-	for _, d := range fd.all {
-		if d.name == HotPathDirective && d.reason != "" {
-			d.used = true
-			return true
-		}
-	}
-	return false
-}
-
 // checkDirectives validates one file's directives after every
 // analyzer ran: unknown names, missing reasons, and suppressions that
 // no longer suppress anything are all diagnostics, so the directive
@@ -191,7 +176,7 @@ func checkDirectives(fset *token.FileSet, fd *fileDirectives, known map[string]b
 		case d.reason == "":
 			report(Diagnostic{Pos: pos, Analyzer: "directive",
 				Message: fmt.Sprintf("boltvet:%s needs a reason: //boltvet:%s <why this site is exempt>", d.name, d.name)})
-		case !d.used && d.name != HotPathDirective:
+		case !d.used:
 			report(Diagnostic{Pos: pos, Analyzer: "directive",
 				Message: fmt.Sprintf("boltvet:%s suppresses nothing here — remove the stale directive", d.name)})
 		}

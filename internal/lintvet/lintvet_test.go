@@ -43,16 +43,8 @@ func TestMapIter(t *testing.T) {
 	checkTestdata(t, []*Analyzer{MapIter}, "internal/lintvet/testdata/src/mapiter")
 }
 
-func TestHotAlloc(t *testing.T) {
-	checkTestdata(t, []*Analyzer{HotAlloc}, "internal/lintvet/testdata/src/hotalloc")
-}
-
 func TestCtxThread(t *testing.T) {
 	checkTestdata(t, []*Analyzer{CtxThread}, "internal/lintvet/testdata/src/ctxthread")
-}
-
-func TestFloatOrder(t *testing.T) {
-	checkTestdata(t, []*Analyzer{FloatOrder}, "internal/lintvet/testdata/src/floatorder")
 }
 
 func TestDirectiveGrammar(t *testing.T) {
@@ -66,7 +58,7 @@ func TestDirectiveGrammar(t *testing.T) {
 // README's "Static analysis" section names each one with its
 // directive.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"mapiter", "hotalloc", "ctxthread", "floatorder"}
+	want := []string{"mapiter", "ctxthread"}
 	all := All()
 	var got []string
 	for _, a := range all {
@@ -204,9 +196,6 @@ func WriteStats(w io.Writer, m map[string]int) {
 	}
 }
 
-// directiveRE matches a directive comment at the start of a line —
-// prose mentions of the grammar inside doc comments (indented or
-// backticked mid-comment) stay out of the audit.
 // TestToolVersionsPinned keeps the CI workflow's third-party analyzer
 // installs in lockstep with the pinned versions in toolversions.go,
 // and rejects floating pins.
@@ -228,6 +217,9 @@ func TestToolVersionsPinned(t *testing.T) {
 	}
 }
 
+// directiveRE matches a directive comment at the start of a line —
+// prose mentions of the grammar inside doc comments (indented or
+// backticked mid-comment) stay out of the audit.
 var directiveRE = regexp.MustCompile(`(?m)^[ \t]*//boltvet:([A-Za-z0-9-]+)`)
 
 // TestSuppressionAudit walks the tree for //boltvet: directives

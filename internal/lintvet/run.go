@@ -15,9 +15,7 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter,
-		HotAlloc,
 		CtxThread,
-		FloatOrder,
 	}
 }
 
@@ -38,7 +36,7 @@ func Run(moduleDir string, patterns []string, analyzers []*Analyzer) ([]Diagnost
 // RunPackages applies analyzers to already-loaded packages (the
 // analysistest harness path).
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	known := map[string]bool{HotPathDirective: true}
+	known := map[string]bool{}
 	for _, a := range analyzers {
 		if a.Directive != "" {
 			known[a.Directive] = true

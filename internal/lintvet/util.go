@@ -46,40 +46,6 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 	return ok
 }
 
-// isFloat reports whether t's underlying type is float32 or float64.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// isString reports whether t's underlying type is a string.
-func isString(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// rootIdent peels selectors, indexes, stars, and parens off an
-// expression and returns the identifier at its base (x for
-// x.f[i].g), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
 // funcDecls yields every function and method declaration in the pass.
 func funcDecls(files []*ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl

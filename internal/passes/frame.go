@@ -1,7 +1,5 @@
 package passes
 
-//boltvet:hot-path frame-opts and shrink-wrapping sweep every instruction; liveness only at a candidate
-
 import (
 	"gobolt/internal/core"
 	"gobolt/internal/isa"

@@ -1,7 +1,5 @@
 package passes
 
-//boltvet:hot-path ICF canonical-body encoding and digest: one pass over every instruction, twice per run
-
 import (
 	"bytes"
 	"encoding/binary"

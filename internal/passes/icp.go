@@ -30,6 +30,11 @@ type ICP struct{}
 // Name implements core.Pass.
 func (ICP) Name() string { return "icp" }
 
+// icpThreshold is the minimum share of a site's calls its dominant target
+// must take to be promoted. A variable only so TestPrintCFGGolden can
+// promote a site whose two targets alternate.
+var icpThreshold = 0.51
+
 // icpSite is one promotable indirect call: instruction i of block b.
 type icpSite struct {
 	b               *core.BasicBlock
@@ -42,10 +47,6 @@ type icpSite struct {
 func (p ICP) Run(ctx *core.BinaryContext) error {
 	if len(ctx.CallTargets) == 0 {
 		return nil
-	}
-	threshold := ctx.Opts.ICPThreshold
-	if threshold == 0 {
-		threshold = 0.51
 	}
 	// Marking is order-free; the functions are then visited in address
 	// order, as a scan of all of them would.
@@ -81,7 +82,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 						hot, hotCount, first = n, c, false
 					}
 				}
-				if float64(hotCount) < threshold*float64(total) {
+				if float64(hotCount) < icpThreshold*float64(total) {
 					continue
 				}
 				target := ctx.ByName[hot]

@@ -39,8 +39,9 @@ func TestPrintCFGGolden(t *testing.T) {
 	fd := record(t, f, true)
 
 	cx := context.Background()
+	defer func(t float64) { icpThreshold = t }(icpThreshold)
+	icpThreshold = 0.4 // the two indirect targets alternate
 	opts := core.DefaultOptions()
-	opts.ICPThreshold = 0.4 // the two indirect targets alternate
 	ctx, err := core.NewContext(cx, f, opts)
 	if err != nil {
 		t.Fatal(err)

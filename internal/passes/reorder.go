@@ -1,7 +1,5 @@
 package passes
 
-//boltvet:hot-path reorder-bbs builds a layout graph per profiled function; reorder-functions one call graph per run
-
 import (
 	"gobolt/internal/core"
 	"gobolt/internal/hfsort"

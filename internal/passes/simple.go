@@ -1,7 +1,5 @@
 package passes
 
-//boltvet:hot-path the per-instruction function passes (strip-rep-ret, peepholes, uce, simplify-ro-loads, plt): one sweep of the IR each
-
 import (
 	"gobolt/internal/core"
 	"gobolt/internal/isa"

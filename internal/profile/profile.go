@@ -7,8 +7,6 @@
 // variant holding plain PC sample counts (paper §5).
 package profile
 
-//boltvet:hot-path fdata parse/write, Sscanf- and Sprintf-free since PR 7
-
 import (
 	"bufio"
 	"bytes"
