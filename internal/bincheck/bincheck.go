@@ -151,7 +151,6 @@ func CheckJobs(data []byte, jobs int) (*Result, error) {
 	// not cancellable (Check and Session.VerifyOutput take no context),
 	// so the pool's error is always nil.
 	fan := func(n int, work func(w *worker, i int)) {
-		//boltvet:ctx-ok a check is a root operation of a few hundred ms with no caller context to thread
 		par.For(context.Background(), n, len(ws), func(wi, i int) error { work(&ws[wi], i); return nil })
 	}
 

@@ -162,6 +162,19 @@ func TestWriteTimingsReport(t *testing.T) {
 	if !strings.Contains(sb.String(), "serial 0s (0.0%), max useful jobs unbounded") {
 		t.Errorf("all-parallel report lost the unbounded line:\n%s", sb.String())
 	}
+
+	// Stat deltas print in key order, whatever the map's iteration order:
+	// every rendering of one row is the same line.
+	sorted := []PassTiming{{Name: "reorder-bbs", Group: "pass", Wall: time.Millisecond,
+		StatDelta: map[string]int64{"split-functions": 8, "reorder-bbs-funcs": 64, "split-cold-blocks": 2, "uce-blocks": -3, "frame-opts-spills": 32}}}
+	const deltas = "  frame-opts-spills=+32 reorder-bbs-funcs=+64 split-cold-blocks=+2 split-functions=+8 uce-blocks=-3\n"
+	for i := 0; i < 20; i++ {
+		sb.Reset()
+		WriteTimings(&sb, sorted)
+		if !strings.Contains(sb.String(), deltas) {
+			t.Fatalf("render %d: stat deltas not in key order, want %q:\n%s", i, deltas, sb.String())
+		}
+	}
 }
 
 // barrierFunc adapts a closure to a whole-binary Pass for tests.

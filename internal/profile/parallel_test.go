@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -178,6 +179,27 @@ func TestParallelParseErrorLineNumbers(t *testing.T) {
 				t.Fatalf("%s jobs %d: error %q differs from serial %q", tc.name, jobs, err, serialMsg)
 			}
 		}
+	}
+}
+
+// TestParseCancelled checks that the caller's context reaches the chunk
+// pool: an already-cancelled context fails the parse with
+// context.Canceled at every jobs value, through both entry points.
+func TestParseCancelled(t *testing.T) {
+	in := []byte(genFdata(3, 20, 400))
+	body := in[bytes.IndexByte(in, '\n')+1:]
+	if n := len(splitChunks(body, 4)); n < 2 {
+		t.Fatalf("input splits into %d chunks at jobs 4, want more than one", n)
+	}
+	cx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, jobs := range []int{1, 4} {
+		if _, err := ParseData(cx, in, jobs); !errors.Is(err, context.Canceled) {
+			t.Errorf("ParseData jobs %d: got %v, want context.Canceled", jobs, err)
+		}
+	}
+	if _, err := Parse(cx, bytes.NewReader(in)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Parse: got %v, want context.Canceled", err)
 	}
 }
 
