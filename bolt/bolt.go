@@ -342,8 +342,8 @@ func (s *Session) DynoStats() (core.DynoStats, error) {
 }
 
 // Stats exposes the pipeline's counters (profile matching, per-pass
-// work). The map is live — treat it as read-only; Report.Metrics.Counters
-// is the stable snapshot taken when Optimize finished.
+// work). The map is live — treat it as read-only; Report.Metrics is the
+// stable snapshot taken when Optimize finished.
 func (s *Session) Stats() (map[string]int64, error) {
 	if err := s.requireAnalyzed("Stats"); err != nil {
 		return nil, err
@@ -455,7 +455,6 @@ func (s *Session) buildReport(dyno *Dyno) *Report {
 			SkippedFuncs: s.res.SkippedFuncs,
 			FoldedFuncs:  s.res.FoldedFuncs,
 			SplitFuncs:   s.res.SplitFuncs,
-			SimpleFuncs:  len(s.bctx.SimpleFuncs()),
 		},
 		Sizes: Sizes{
 			HotTextSize:  s.res.HotTextSize,
@@ -463,7 +462,6 @@ func (s *Session) buildReport(dyno *Dyno) *Report {
 			OrigTextSize: s.res.OrigTextSize,
 		},
 		Phases:  s.bctx.Timings,
-		Amdahl:  core.Amdahl(s.bctx.Timings),
 		Metrics: s.bctx.Metrics.Snapshot(),
 		Dyno:    dyno,
 	}
@@ -478,10 +476,8 @@ func (s *Session) buildReport(dyno *Dyno) *Report {
 			Source:        s.profileDesc,
 			Branches:      len(s.fd.Branches),
 			Samples:       len(s.fd.Samples),
-			TotalCount:    s.fd.TotalBranchCount(),
 			FlowAccBefore: s.bctx.FlowAccBefore,
 			FlowAccAfter:  s.bctx.FlowAccAfter,
-			InferredFuncs: s.bctx.InferredFuncs,
 		}
 	}
 	return rep

@@ -135,7 +135,7 @@ func TestSessionMatchesDirectPipeline(t *testing.T) {
 		rep.SplitFuncs != res.SplitFuncs || rep.HotTextSize != res.HotTextSize {
 		t.Errorf("report disagrees with rewrite result: %+v vs %+v", rep, res)
 	}
-	if !reflect.DeepEqual(rep.Metrics.Counters, ctx.Stats) {
+	if !reflect.DeepEqual(rep.Metrics, ctx.Stats) {
 		t.Errorf("report stats diverge from direct pipeline stats")
 	}
 
@@ -151,10 +151,11 @@ func TestSessionMatchesDirectPipeline(t *testing.T) {
 }
 
 // acrossJobs optimizes f with fd at jobs 1, 2 and 8 and fails unless the
-// output bytes and the whole metrics snapshot equal jobs=1's, bit for
-// bit: counters, gauges and histograms, float sums and worst observations
-// included, so a float total accumulated in schedule order shows here
-// even where every counter agrees. It returns the jobs=1 report.
+// output bytes, every counter and the profile block equal jobs=1's, bit
+// for bit: the profile block carries the run's float totals (flow
+// accuracy before and after inference), so a float accumulated in
+// schedule order shows here even where every counter agrees. It returns
+// the jobs=1 report.
 func acrossJobs(t *testing.T, what string, f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) *bolt.Report {
 	t.Helper()
 	serial, serialRep, _ := optimizeViaSession(t, f, fd, 1, opts...)
@@ -165,21 +166,15 @@ func acrossJobs(t *testing.T, what string, f *elfx.File, fd *profile.Fdata, opts
 				what, jobs, len(out), len(serial))
 		}
 		if !reflect.DeepEqual(serialRep.Metrics, rep.Metrics) {
-			t.Errorf("%s jobs=%d: metrics diverge from jobs=1:\n  jobs=1: %+v\n  jobs=%d: %+v",
-				what, jobs, *serialRep.Metrics, jobs, *rep.Metrics)
+			t.Errorf("%s jobs=%d: metrics diverge from jobs=1:\n  jobs=1: %v\n  jobs=%d: %v",
+				what, jobs, serialRep.Metrics, jobs, rep.Metrics)
+		}
+		if !reflect.DeepEqual(serialRep.Profile, rep.Profile) {
+			t.Errorf("%s jobs=%d: profile block diverges from jobs=1:\n  jobs=1: %+v\n  jobs=%d: %+v",
+				what, jobs, serialRep.Profile, jobs, rep.Profile)
 		}
 	}
 	return serialRep
-}
-
-// observed counts the observations of the named histogram in a report.
-func observed(rep *bolt.Report, name string) int64 {
-	for _, h := range rep.Metrics.Histograms {
-		if h.Name == name {
-			return h.Count
-		}
-	}
-	return 0
 }
 
 // TestPipelineDeterministicAcrossJobs is the parallel pipeline's
@@ -228,29 +223,28 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 	// the output must stay byte-identical across worker counts too, and
 	// the inferred counts must be exactly consistent.
 	mcfRep := acrossJobs(t, "infer-flow", f, fd, bolt.WithInferFlow(core.InferAlways))
-	if mcfRep.Profile.InferredFuncs == 0 || mcfRep.Profile.FlowAccAfter != 1 {
+	if mcfRep.Metrics["profile-inferred-funcs"] == 0 || mcfRep.Profile.FlowAccAfter != 1 {
 		t.Errorf("InferAlways: %d functions inferred, flow accuracy %v",
-			mcfRep.Profile.InferredFuncs, mcfRep.Profile.FlowAccAfter)
+			mcfRep.Metrics["profile-inferred-funcs"], mcfRep.Profile.FlowAccAfter)
 	}
 
 	// A non-LBR profile goes through sample normalisation and one solver
 	// arena per worker, reused from function to function: which functions
 	// share an arena depends on the schedule, the bytes must not.
 	smpRep := acrossJobs(t, "non-LBR", f, recordMode(t, f, sampledMode))
-	if smpRep.Profile.InferredFuncs == 0 || smpRep.Profile.FlowAccAfter != 1 {
+	if smpRep.Metrics["profile-inferred-funcs"] == 0 || smpRep.Profile.FlowAccAfter != 1 {
 		t.Errorf("non-LBR profile: %d functions inferred, flow accuracy %v",
-			smpRep.Profile.InferredFuncs, smpRep.Profile.FlowAccAfter)
+			smpRep.Metrics["profile-inferred-funcs"], smpRep.Profile.FlowAccAfter)
 	}
-	if observed(smpRep, "flow-accuracy") == 0 {
-		t.Error("non-LBR profile: no flow-accuracy observations to compare")
+	if smpRep.Profile.FlowAccBefore == 1 {
+		t.Error("non-LBR profile: flow accuracy before inference is already 1, no float total to compare")
 	}
 
 	// A profile recorded with CFG shapes on v1 and applied to a v2 whose
-	// function entries moved goes through stale matching, whose
-	// per-function match quality is a float histogram of its own.
+	// function entries moved goes through stale matching.
 	vf, vfd := staleInput(t, workload.Tiny(), bench.CfgBaseline, perf.DefaultMode(), 3)
-	if observed(acrossJobs(t, "stale", vf, vfd), "stale-match-quality") == 0 {
-		t.Error("stale profile: no stale-match-quality observations to compare")
+	if acrossJobs(t, "stale", vf, vfd).Metrics["profile-stale-funcs"] == 0 {
+		t.Error("stale profile: no function went through the stale matcher")
 	}
 
 	// A non-LBR profile is inferred by default, and the profile:infer row
@@ -268,10 +262,11 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 		if pt.Name != "profile:infer" {
 			continue
 		}
-		if d := pt.StatDelta["profile-inferred-funcs"]; d == 0 || d != int64(rep.Profile.InferredFuncs) {
-			t.Errorf("profile:infer stat delta %v, want profile-inferred-funcs=%d", pt.StatDelta, rep.Profile.InferredFuncs)
+		inferred := rep.Metrics["profile-inferred-funcs"]
+		if d := pt.StatDelta["profile-inferred-funcs"]; d == 0 || d != inferred {
+			t.Errorf("profile:infer stat delta %v, want profile-inferred-funcs=%d", pt.StatDelta, inferred)
 		}
-		if want := fmt.Sprintf("profile-inferred-funcs=+%d", rep.Profile.InferredFuncs); !strings.Contains(text.String(), want) {
+		if want := fmt.Sprintf("profile-inferred-funcs=+%d", inferred); !strings.Contains(text.String(), want) {
 			t.Errorf("-time-passes report missing %q:\n%s", want, text.String())
 		}
 	}
@@ -296,7 +291,7 @@ func assertParallelPhase(t *testing.T, jobs int, timings []core.PassTiming, name
 		if pt.Name != name {
 			continue
 		}
-		if !pt.Parallel || pt.Jobs < 2 {
+		if pt.Jobs < 2 {
 			t.Errorf("jobs=%d: phase %s not parallel: %+v", jobs, name, pt)
 		}
 		return
@@ -312,7 +307,7 @@ func assertSerialPhase(t *testing.T, jobs int, timings []core.PassTiming, name s
 		if pt.Name != name {
 			continue
 		}
-		if pt.Parallel || pt.Jobs != 1 {
+		if pt.Jobs != 1 {
 			t.Errorf("jobs=%d: phase %s not serial: %+v", jobs, name, pt)
 		}
 		return

@@ -159,7 +159,7 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 						fn.Name, fn.Simple, fn.Reason, where)
 				}
 			}
-			if got := rep.Metrics.Counters["load-non-simple"]; got != nonSimple+1 {
+			if got := rep.Metrics["load-non-simple"]; got != nonSimple+1 {
 				t.Errorf("load-non-simple = %d, want %d", got, nonSimple+1)
 			}
 		})

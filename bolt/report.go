@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gobolt/internal/bincheck"
@@ -19,8 +20,10 @@ import (
 // additive changes are visible to consumers. v2 added the `verify`
 // block (independent output verification, internal/bincheck); v3
 // removed `options.AlignFunctions`, `options.ICPThreshold` and
-// `options.TimePasses`.
-const ReportSchemaVersion = 3
+// `options.TimePasses`; v4 removed `amdahl`, `functions.simple`,
+// `phases[].parallel`, `profile.total_count`, `profile.inferred_funcs`
+// and the gauges and histograms (each restated a number kept elsewhere).
+const ReportSchemaVersion = 4
 
 // Report is the structured result of Session.Optimize and, as it
 // stands, the versioned JSON document behind `gobolt -report-json`:
@@ -53,20 +56,18 @@ type Report struct {
 	// order; each row's Group says which stage it belongs to — "load"
 	// (discovery, disassembly+CFG, profile), "pass" (one row per
 	// optimization pass) or "emit" (code generation, layout, patching,
-	// metadata). Amdahl is the serial/parallel fold of the same list.
-	Phases []core.PassTiming  `json:"phases"`
-	Amdahl core.AmdahlSummary `json:"amdahl"`
+	// metadata).
+	Phases []core.PassTiming `json:"phases"`
 
 	// Occupancy holds the per-phase worker-pool statistics (utilization,
 	// task-duration quantiles, stragglers) derived from the span trace;
 	// present only when the session ran WithTracer.
 	Occupancy []obsv.PhaseStats `json:"occupancy,omitempty"`
 
-	// Metrics is the registry snapshot taken when Optimize finished:
-	// every pipeline counter (profile matching, per-pass work), the
-	// flow-accuracy gauges, and the per-function quality histograms
-	// (flow accuracy, stale-match quality).
-	Metrics *obsv.Snapshot `json:"metrics,omitempty"`
+	// Metrics is the counter snapshot taken when Optimize finished, by
+	// the names core.StatDefs declares (profile matching, per-pass work).
+	// A counter has a key iff it is non-zero.
+	Metrics map[string]int64 `json:"metrics,omitempty"`
 
 	// Profile describes the sample data that drove the run; nil for
 	// profile-less runs.
@@ -84,14 +85,13 @@ type Report struct {
 }
 
 // Functions is the rewrite's function accounting: moved into the new
-// layout, skipped as non-simple, folded by ICF, split hot/cold.
-// SimpleFuncs is the final rewritable-function count.
+// layout (every final rewritable function), skipped as non-simple,
+// folded by ICF, split hot/cold.
 type Functions struct {
 	MovedFuncs   int `json:"moved"`
 	SkippedFuncs int `json:"skipped"`
 	FoldedFuncs  int `json:"folded"`
 	SplitFuncs   int `json:"split"`
-	SimpleFuncs  int `json:"simple"`
 }
 
 // Sizes holds the emitted section sizes versus the original .text.
@@ -105,16 +105,13 @@ type Sizes struct {
 // counts — plus the flow-inference result: FlowAccBefore/FlowAccAfter
 // are the count-weighted flow-equation consistency of the profiled CFGs
 // around the profile:infer stage (1.0 = every block's count equals its
-// out-flow), InferredFuncs the functions rebalanced by the
-// minimum-cost-flow solver (0 when inference did not run).
+// out-flow); record totals are the profile-* counters in Metrics.
 type Profile struct {
 	Source        string  `json:"source"`
 	Branches      int     `json:"branches"`
 	Samples       int     `json:"samples"`
-	TotalCount    uint64  `json:"total_count"`
 	FlowAccBefore float64 `json:"flow_acc_before"`
 	FlowAccAfter  float64 `json:"flow_acc_after"`
-	InferredFuncs int     `json:"inferred_funcs"`
 }
 
 // Dyno pairs the before/after dynamic instruction statistics.
@@ -180,7 +177,7 @@ func ParseRunReport(data []byte) (*Report, error) {
 // ValidateRunReport checks that data is a well-formed run report:
 // strictly parseable, current schema version, and structurally sane
 // (non-empty input, at least one phase, non-negative walls, occupancy
-// utilization within [0,1]).
+// utilization within [0,1], declared counter names).
 func ValidateRunReport(data []byte) error {
 	r, err := ParseRunReport(data)
 	if err != nil {
@@ -205,40 +202,26 @@ func ValidateRunReport(data []byte) error {
 			return fmt.Errorf("bolt: run report: phase %q has unknown group %q", p.Name, p.Group)
 		}
 	}
-	if r.Amdahl.Total < 0 || r.Amdahl.SerialFraction < 0 || r.Amdahl.SerialFraction > 1 {
-		return fmt.Errorf("bolt: run report: implausible amdahl summary %+v", r.Amdahl)
-	}
 	for _, o := range r.Occupancy {
 		if o.Utilization < 0 || o.Utilization > 1+1e-9 {
 			return fmt.Errorf("bolt: run report: occupancy %q utilization %v out of range", o.Phase, o.Utilization)
 		}
 	}
 	// A report is the one place stat names arrive as strings from outside
-	// the program: each must be declared, under its kind, in core.StatDefs.
-	if m := r.Metrics; m != nil {
-		declared := map[string]obsv.MetricKind{}
-		for _, d := range core.StatDefs() {
-			declared[d.Name] = d.Kind
+	// the program: each must be declared in core.StatDefs.
+	declared := map[string]bool{}
+	for _, d := range core.StatDefs() {
+		declared[d.Name] = true
+	}
+	var bad []string
+	for name := range r.Metrics {
+		if !declared[name] {
+			bad = append(bad, strconv.Quote(name))
 		}
-		var bad []string
-		note := func(name string, kind obsv.MetricKind) {
-			if k, ok := declared[name]; !ok || k != kind {
-				bad = append(bad, fmt.Sprintf("%s %q", kind, name))
-			}
-		}
-		for name := range m.Counters {
-			note(name, obsv.Counter)
-		}
-		for name := range m.Gauges {
-			note(name, obsv.Gauge)
-		}
-		for _, h := range m.Histograms {
-			note(h.Name, obsv.HistogramKind)
-		}
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			return fmt.Errorf("bolt: run report: metrics not declared in core.StatDefs: %s", strings.Join(bad, ", "))
-		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return fmt.Errorf("bolt: run report: counters not declared in core.StatDefs: %s", strings.Join(bad, ", "))
 	}
 	if v := r.Verify; v != nil {
 		errs, warns := 0, 0

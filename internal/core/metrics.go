@@ -55,24 +55,6 @@ const (
 
 	StatEmitPadBytes
 
-	// The per-function histograms exist for the re-optimization
-	// service's quality gate: thresholding them rejects individual bad
-	// functions instead of whole profiles.
-	//
-	// StatFlowAccuracy is the per-function flow-equation consistency
-	// after profile application and inference (1.0 = every block's
-	// count equals its out-flow), observed once per profiled simple
-	// function with the function name as label.
-	StatFlowAccuracy
-	// StatStaleMatchQuality is the fraction of a stale function's
-	// recorded block shapes that matched the current CFG, observed once
-	// per stale-matched function with the function name as label.
-	StatStaleMatchQuality
-	// StatFlowAccBefore/After mirror ctx.FlowAccBefore/After as
-	// registry gauges.
-	StatFlowAccBefore
-	StatFlowAccAfter
-
 	numStats
 )
 
@@ -88,17 +70,12 @@ type statShard [numStats]int64
 // statTotal is the parent every count-weighted profile stat sums into.
 const statTotal = "profile-total-count"
 
-// qualityBuckets are the histogram bounds shared by the two
-// per-function quality metrics — both are fractions in [0,1], and the
-// gate cares about resolution near 1.0.
-var qualityBuckets = []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0}
-
 func counter(name, help string) obsv.Def {
-	return obsv.Def{Name: name, Kind: obsv.Counter, Help: help}
+	return obsv.Def{Name: name, Help: help}
 }
 
 func weighted(name, help string) obsv.Def {
-	return obsv.Def{Name: name, Kind: obsv.Counter, Help: help, SumTo: statTotal}
+	return obsv.Def{Name: name, Help: help, SumTo: statTotal}
 }
 
 // statDefs declares every statistic the pipeline records, keyed by its
@@ -154,14 +131,6 @@ var statDefs = [numStats]obsv.Def{
 
 	// Emission (Rewrite).
 	StatEmitPadBytes: counter("emit-pad-bytes", "padding bytes the layout put before fragments of profiled functions to save a cache line, both text sections"),
-
-	// Per-function quality distributions + binary-level gauges.
-	StatFlowAccuracy: {Name: "flow-accuracy", Kind: obsv.HistogramKind, Buckets: qualityBuckets,
-		Help: "per-function count-weighted flow-equation consistency after inference"},
-	StatStaleMatchQuality: {Name: "stale-match-quality", Kind: obsv.HistogramKind, Buckets: qualityBuckets,
-		Help: "per-function fraction of stale block shapes matched to the current CFG"},
-	StatFlowAccBefore: {Name: "flow-accuracy-before", Kind: obsv.Gauge, Help: "binary-level flow accuracy before profile inference"},
-	StatFlowAccAfter:  {Name: "flow-accuracy-after", Kind: obsv.Gauge, Help: "binary-level flow accuracy after profile inference"},
 }
 
 // StatDefs returns the declared statistics in Stat order; callers must
@@ -173,13 +142,13 @@ func StatDefs() []obsv.Def { return statDefs[:] }
 // sync so the documentation is generated, not hand-maintained.
 func StatKeyDoc() string {
 	var b strings.Builder
-	b.WriteString("| key | kind | meaning |\n|---|---|---|\n")
+	b.WriteString("| key | meaning |\n|---|---|\n")
 	for _, d := range StatDefs() {
 		help := d.Help
 		if d.SumTo != "" {
 			help += fmt.Sprintf(" (sums into `%s`)", d.SumTo)
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", d.Name, d.Kind, help)
+		fmt.Fprintf(&b, "| `%s` | %s |\n", d.Name, help)
 	}
 	return b.String()
 }

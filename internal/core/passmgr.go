@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -74,15 +73,14 @@ func ForEachFunction(fp FunctionPass) Pass { return funcPassAdapter{fp} }
 // PassTiming records one phase execution for the -time-passes report; the
 // JSON tags make it the run report's `phases` row as it stands.
 type PassTiming struct {
-	Name     string        `json:"name"`
-	Group    string        `json:"group"` // pipeline stage: "load", "pass" or "emit"
-	Wall     time.Duration `json:"wall_ns"`
-	Funcs    int           `json:"funcs,omitempty"`    // functions visited (0 for whole-binary passes)
-	Parallel bool          `json:"parallel,omitempty"` // scheduled on the worker pool
-	Jobs     int           `json:"jobs,omitempty"`     // workers actually used
+	Name  string        `json:"name"`
+	Group string        `json:"group"` // pipeline stage: "load", "pass" or "emit"
+	Wall  time.Duration `json:"wall_ns"`
+	Funcs int           `json:"funcs,omitempty"` // functions visited (0 for whole-binary passes)
+	Jobs  int           `json:"jobs,omitempty"`  // workers actually used; more than 1 = ran on the pool
 	// StatDelta holds the counters this phase changed in ctx.Stats, under
-	// the same rule: a key is present iff its delta is non-zero. Not part
-	// of report schema v2.
+	// the same rule: a key is present iff its delta is non-zero. Rendered
+	// by WriteTimings, not part of the run report.
 	StatDelta map[string]int64 `json:"-"`
 }
 
@@ -111,7 +109,7 @@ func (p phase) end(funcs, jobs int) {
 	p.ctx.Metrics.CopyCounts(after[:])
 	p.ctx.Timings = append(p.ctx.Timings, PassTiming{
 		Name: p.name, Group: p.group, Wall: wall,
-		Funcs: funcs, Parallel: jobs > 1, Jobs: jobs,
+		Funcs: funcs, Jobs: jobs,
 		StatDelta: statDelta(&p.before, &after),
 	})
 }
@@ -202,45 +200,6 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 	return len(funcs), jobs, nil
 }
 
-// AmdahlSummary aggregates a timing list into the quantities Amdahl's
-// law cares about: how much of the pipeline wall ran on the worker pool
-// versus serially, and the speedup ceiling the serial share implies. It
-// is the run report's `amdahl` block as it stands.
-type AmdahlSummary struct {
-	Total        time.Duration `json:"total_ns"`
-	ParallelWall time.Duration `json:"parallel_wall_ns"` // phases scheduled on the worker pool
-	SerialWall   time.Duration `json:"serial_wall_ns"`   // barriers and serial phases
-	// SerialFraction is SerialWall/Total (0 for an empty timing list).
-	SerialFraction float64 `json:"serial_fraction"`
-	// MaxUsefulJobs is 1/SerialFraction — the asymptotic speedup bound,
-	// so also the job count beyond which adding workers cannot help.
-	// 0 (omitted from the report) means unbounded: no serial wall was
-	// measured.
-	MaxUsefulJobs float64 `json:"max_useful_jobs,omitempty"`
-}
-
-// Amdahl folds a timing list into its serial/parallel split. A phase
-// counts as parallel only if it actually ran on the pool (Jobs > 1), so
-// the summary reflects the measured schedule, not the theoretical one.
-func Amdahl(timings []PassTiming) AmdahlSummary {
-	var s AmdahlSummary
-	for _, t := range timings {
-		s.Total += t.Wall
-		if t.Parallel {
-			s.ParallelWall += t.Wall
-		} else {
-			s.SerialWall += t.Wall
-		}
-	}
-	if s.Total > 0 {
-		s.SerialFraction = float64(s.SerialWall) / float64(s.Total)
-	}
-	if s.SerialFraction > 0 {
-		s.MaxUsefulJobs = 1 / s.SerialFraction
-	}
-	return s
-}
-
 // statDelta returns after-before, by name, for every changed counter
 // (the ctx.Stats rule: a key is present iff its value is non-zero).
 func statDelta(before, after *statShard) map[string]int64 {
@@ -259,17 +218,20 @@ func statDelta(before, after *statShard) map[string]int64 {
 // WriteTimings renders the -time-passes report: per-pass wall time, share
 // of the pipeline, scheduling mode, function count, and stat deltas.
 func WriteTimings(w io.Writer, timings []PassTiming) {
-	s := Amdahl(timings)
+	var total time.Duration
+	for _, t := range timings {
+		total += t.Wall
+	}
 	fmt.Fprintf(w, "===-- Pass execution timing report (pipeline total %v) --===\n",
-		s.Total.Round(time.Microsecond))
+		total.Round(time.Microsecond))
 	for _, t := range timings {
 		pct := 0.0
-		if s.Total > 0 {
-			pct = 100 * float64(t.Wall) / float64(s.Total)
+		if total > 0 {
+			pct = 100 * float64(t.Wall) / float64(total)
 		}
 		mode := "barrier"
 		switch {
-		case t.Parallel:
+		case t.Jobs > 1:
 			mode = fmt.Sprintf("%d jobs", t.Jobs)
 		case t.Funcs > 0:
 			mode = "serial"
@@ -293,12 +255,4 @@ func WriteTimings(w io.Writer, timings []PassTiming) {
 		}
 		fmt.Fprintln(w)
 	}
-	jobs := "unbounded"
-	if s.MaxUsefulJobs > 0 {
-		jobs = fmt.Sprintf("~%.0f", math.Ceil(s.MaxUsefulJobs))
-	}
-	fmt.Fprintf(w, "  Amdahl: total %v, parallel %v (%.1f%%), serial %v (%.1f%%), max useful jobs %s\n",
-		s.Total.Round(time.Microsecond),
-		s.ParallelWall.Round(time.Microsecond), 100*(1-s.SerialFraction),
-		s.SerialWall.Round(time.Microsecond), 100*s.SerialFraction, jobs)
 }

@@ -147,21 +147,6 @@ func TestWriteTimingsReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.Contains(out, "max useful jobs ~") {
-		t.Errorf("a serial row must bound max useful jobs:\n%s", out)
-	}
-
-	// All-parallel: no serial wall, so MaxUsefulJobs is the 0 sentinel
-	// (omitted from the JSON report) and the text still says unbounded.
-	allPar := []PassTiming{{Name: "touch", Group: "pass", Wall: time.Millisecond, Funcs: 5, Parallel: true, Jobs: 4}}
-	if s := Amdahl(allPar); s.MaxUsefulJobs != 0 || s.SerialFraction != 0 {
-		t.Errorf("all-parallel summary %+v, want MaxUsefulJobs 0", s)
-	}
-	sb.Reset()
-	WriteTimings(&sb, allPar)
-	if !strings.Contains(sb.String(), "serial 0s (0.0%), max useful jobs unbounded") {
-		t.Errorf("all-parallel report lost the unbounded line:\n%s", sb.String())
-	}
 
 	// Stat deltas print in key order, whatever the map's iteration order:
 	// every rendering of one row is the same line.

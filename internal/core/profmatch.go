@@ -68,7 +68,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 // inference, fanned out over the worker pool (each function's counts
 // are function-local state, so the stage parallelizes like a function
 // pass). Records the "profile:infer" phase and fills
-// ctx.FlowAccBefore/FlowAccAfter/InferredFuncs.
+// ctx.FlowAccBefore/FlowAccAfter and each function's ProfileAcc.
 func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	var funcs []*BinaryFunction
 	for _, fn := range ctx.Funcs {
@@ -128,24 +128,18 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		}); err != nil {
 		return err
 	}
-	// Serial fold: aggregate floats and the per-function flow-accuracy
-	// histogram are observed in function order, so both are identical
+	// Serial fold in function order: the aggregate floats are identical
 	// for every worker count.
 	var vb, tb, va, ta uint64
-	reg := ctx.Metrics
-	for i, t := range terms {
+	for _, t := range terms {
 		vb += t.violBefore
 		tb += t.totalBefore
 		va += t.violAfter
 		ta += t.totalAfter
-		reg.Observe(int(StatFlowAccuracy), funcs[i].Name, funcs[i].ProfileAcc)
 	}
 	ctx.FlowAccBefore = accFromViolation(vb, tb)
 	ctx.FlowAccAfter = accFromViolation(va, ta)
-	reg.SetGauge(int(StatFlowAccBefore), ctx.FlowAccBefore)
-	reg.SetGauge(int(StatFlowAccAfter), ctx.FlowAccAfter)
 	if useMCF {
-		ctx.InferredFuncs = len(funcs)
 		ctx.CountStat(StatProfileInferredFuncs, int64(len(funcs)))
 	}
 	ph.end(len(funcs), jobs)
@@ -191,18 +185,6 @@ func (sf *staleFunc) block(fn *BinaryFunction, i int) *BasicBlock {
 	return nil
 }
 
-// quality is the fraction of the old block shapes that matched a block of
-// fn — the per-function match quality a profile gate can threshold.
-func (sf *staleFunc) quality(fn *BinaryFunction) float64 {
-	matched := 0
-	for i := range sf.match {
-		if sf.block(fn, i) != nil {
-			matched++
-		}
-	}
-	return float64(matched) / float64(len(sf.old.Blocks))
-}
-
 // compute diagnoses fn against its profiled shape and, when they differ,
 // matches the old blocks to the current ones. It reads shared state only,
 // so it is safe to call concurrently for distinct functions.
@@ -244,9 +226,8 @@ func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, at []int32) *funcRecs {
 // function's records are applied by one worker (stale matching,
 // instruction lookup, edge attach — the expensive part) counting into a
 // per-worker shard; a function is in one bucket, so its slot of sm.funcs
-// has one writer. The serial join counts the stale functions and observes
-// their match quality in bucket order — the same for every worker count —
-// and merges the shards into the registry.
+// has one writer. The serial join counts the stale functions and merges
+// the shards into the registry.
 func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (jobs int, err error) {
 	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]statShard, jobs)
@@ -271,11 +252,8 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 	}
 	if sm != nil {
 		for _, b := range buckets {
-			if sf := sm.funcs[b.fn.ordIdx]; sf != nil {
+			if sm.funcs[b.fn.ordIdx] != nil {
 				ctx.CountStat(StatProfileStaleFuncs, 1)
-				if len(sf.old.Blocks) > 0 {
-					ctx.Metrics.Observe(int(StatStaleMatchQuality), b.fn.Name, sf.quality(b.fn))
-				}
 			}
 		}
 	}

@@ -333,15 +333,14 @@ func TestLBRInferAlwaysRepairs(t *testing.T) {
 	if ctx.FlowAccAfter != 1.0 {
 		t.Errorf("FlowAccAfter %v, want 1.0", ctx.FlowAccAfter)
 	}
-	if ctx.InferredFuncs == 0 {
-		t.Error("InferredFuncs not counted")
+	if ctx.Stats[StatProfileInferredFuncs.String()] == 0 {
+		t.Error("profile-inferred-funcs not counted")
 	}
 }
 
 // TestStaleMatchIndexBounds: a staleFunc's match entries are indices into
 // fn.Blocks taken on trust from the matcher. One past the end, like an
-// unmatched -1, drops the record instead of indexing with it, and
-// neither counts towards quality.
+// unmatched -1, drops the record instead of indexing with it.
 func TestStaleMatchIndexBounds(t *testing.T) {
 	ctx := buildProfBinary(t, 0)
 	hot := ctx.ByName["hot"]
@@ -361,7 +360,9 @@ func TestStaleMatchIndexBounds(t *testing.T) {
 	if got := hot.Blocks[2].ExecCount; got != 1<<2 {
 		t.Errorf("matched block counted %d, want 4", got)
 	}
-	if q := sf.quality(hot); q != 0.25 {
-		t.Errorf("quality %v, want 0.25", q)
+	for i := range old.Blocks {
+		if b := sf.block(hot, i); (b != nil) != (i == 2) {
+			t.Errorf("block(%d) = %v, want a block only for the in-range match", i, b)
+		}
 	}
 }

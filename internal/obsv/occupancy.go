@@ -133,7 +133,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 }
 
 // WriteOccupancy renders the occupancy table appended to -time-passes
-// reports next to the Amdahl summary.
+// reports after the phase table.
 func WriteOccupancy(w io.Writer, stats []PhaseStats) {
 	if len(stats) == 0 {
 		return
