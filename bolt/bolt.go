@@ -90,7 +90,7 @@ func Open(path string, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bolt: open %s: %w", path, err)
 	}
-	f, err := elfx.Read(data)
+	f, err := elfx.ReadInPlace(data)
 	if err != nil {
 		return nil, fmt.Errorf("bolt: open %s: %w", path, err)
 	}
@@ -104,7 +104,7 @@ func OpenReader(r io.Reader, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bolt: read input: %w", err)
 	}
-	f, err := elfx.Read(data)
+	f, err := elfx.ReadInPlace(data)
 	if err != nil {
 		return nil, fmt.Errorf("bolt: parse input: %w", err)
 	}

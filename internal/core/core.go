@@ -183,17 +183,16 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3). It is a pointer-free value of at
-// most 80 bytes (TestInstLayout): every phase streams the instruction
-// slabs and the collector never scans them, so the rare facts — source
-// file, symbolic target, jump table, landing pad — are small indices into
-// tables owned by the function or the context, 0 meaning none.
+// annotation mechanism from paper §3.3). It is a pointer-free value of
+// one 64-byte cache line (TestInstLayout): every phase streams the
+// instruction slabs and the collector never scans them, so the rare facts
+// — source file, symbolic target, jump table, landing pad — are small
+// indices into tables owned by the function or the context, 0 meaning
+// none. The loader resolves a RIP-relative memory operand to its absolute
+// address in I.TargetAddr (see MemAddr).
 type Inst struct {
 	I    isa.Inst
 	Addr uint64 // original address; 0 for synthesized instructions
-	// MemTarget is the resolved absolute address of a RIP-relative memory
-	// operand (0 = none/unresolved).
-	MemTarget uint64
 
 	// Src is one plus the index of the .debug_line entry covering the
 	// instruction's origin (see BinaryFunction.SourceLine; the table is
@@ -216,6 +215,15 @@ type Inst struct {
 	JT   uint16
 	LP   uint16
 	Size uint8
+}
+
+// MemAddr returns the absolute address of the instruction's RIP-relative
+// memory operand, 0 when it has none or the loader did not resolve it.
+func (in *Inst) MemAddr() uint64 {
+	if in.I.M.RIP && in.I.HasMem() {
+		return in.I.TargetAddr
+	}
+	return 0
 }
 
 // FuncRef names a function of the context: its ordinal in
@@ -547,9 +555,16 @@ func (ctx *BinaryContext) CountStat(s Stat, delta int64) {
 
 // SimpleFuncs returns the rewritable functions.
 func (ctx *BinaryContext) SimpleFuncs() []*BinaryFunction {
-	var out []*BinaryFunction
+	simple := func(f *BinaryFunction) bool { return f.Simple && f.FoldedInto == nil }
+	n := 0
 	for _, f := range ctx.Funcs {
-		if f.Simple && f.FoldedInto == nil {
+		if simple(f) {
+			n++
+		}
+	}
+	out := make([]*BinaryFunction, 0, n)
+	for _, f := range ctx.Funcs {
+		if simple(f) {
 			out = append(out, f)
 		}
 	}

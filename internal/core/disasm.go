@@ -438,9 +438,10 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 			fn.JTs = append(fn.JTs, sc.jts[k].table)
 			ci.JT = uint16(k + 1)
 		}
-		// Resolve RIP memory operands via decode (absolute target).
+		// Resolve RIP memory operands to their absolute address (see
+		// Inst.MemAddr).
 		if r.inst.HasMem() && r.inst.M.RIP {
-			ci.MemTarget = r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp))
+			ci.I.TargetAddr = r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp))
 		}
 		// Symbolize external direct targets.
 		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr)) {

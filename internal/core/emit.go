@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gobolt/internal/asmx"
+	"gobolt/internal/bat"
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
 	"gobolt/internal/isa"
@@ -28,13 +29,6 @@ type fragCallSite struct {
 	Action     int32
 }
 
-// batAnchor maps one emitted instruction's output offset back to its
-// original input address (the raw material of the BAT table).
-type batAnchor struct {
-	Off    uint32
-	InAddr uint64
-}
-
 // fragment is one contiguous run of emitted code — a function's hot part,
 // or its cold part when function splitting moved blocks out — and the
 // unit the layout places: everything downstream of emitFunction (address
@@ -51,10 +45,11 @@ type fragment struct {
 	CFI       []cfi.PCInst
 	CallSites []fragCallSite
 	Lines     []obj.LineEntry
-	// Anchors records, for every emitted instruction that originated in
-	// the input binary, (output offset within the fragment, original
-	// address). Sorted by Off; synthesized instructions have no anchor.
-	Anchors []batAnchor
+	// Anchors are the fragment's BAT entries: for every emitted
+	// instruction that originated in this function of the input binary,
+	// its output offset within the fragment and its input offset within
+	// the function. Sorted by OutOff; synthesized instructions have none.
+	Anchors []bat.Entry
 }
 
 // A function's block-offset table maps block Index to the block's offset
@@ -305,10 +300,10 @@ func (sc *emitScratch) emitInst(in *Inst) {
 		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 	case inst.Op == isa.CALL:
 		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
-	case inst.HasMem() && inst.M.RIP && in.MemTarget != 0:
+	case in.MemAddr() != 0:
 		m := inst
 		m.M.Disp = 0
-		a.EmitRelocID(m, obj.RelPC32, obj.AbsSym(in.MemTarget), -4)
+		a.EmitRelocID(m, obj.RelPC32, obj.AbsSym(in.MemAddr()), -4)
 	default:
 		a.Emit(inst)
 	}
@@ -406,16 +401,23 @@ func (sc *emitScratch) materialize(res *asmx.Result) fragment {
 		}
 	}
 	// Anchors bind in emission order, which is layout order, so offsets
-	// are already ascending; keep the first anchor at any offset (a
-	// zero-size emission collapses onto its successor).
+	// are already ascending. The first anchor at an offset decides it (a
+	// zero-size emission collapses onto its successor), and gets an entry
+	// only if it is native: instructions spliced in from another function
+	// keep their origin addresses, outside this function's input
+	// coordinates.
 	if n := len(sc.anchorMarks); n > 0 {
-		frag.Anchors = make([]batAnchor, 0, n)
-		for _, m := range sc.anchorMarks {
+		frag.Anchors = make([]bat.Entry, 0, n)
+		fn, last := sc.fn, uint32(0)
+		for i, m := range sc.anchorMarks {
 			off := res.LabelOffs[m.label]
-			if n := len(frag.Anchors); n > 0 && frag.Anchors[n-1].Off == off {
+			if i > 0 && off == last {
 				continue
 			}
-			frag.Anchors = append(frag.Anchors, batAnchor{Off: off, InAddr: m.inAddr})
+			last = off
+			if fn.contains(m.inAddr) {
+				frag.Anchors = append(frag.Anchors, bat.Entry{OutOff: off, InOff: uint32(m.inAddr - fn.Addr)})
+			}
 		}
 	}
 	return frag

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"gobolt/internal/bat"
 	"gobolt/internal/cc"
 	"gobolt/internal/elfx"
+	"gobolt/internal/isa"
 	"gobolt/internal/ld"
 	"gobolt/internal/obj"
 	"gobolt/internal/workload"
@@ -161,5 +164,39 @@ func TestEmitterAddressResolution(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBATAnchorRule pins how a fragment's BAT entries are chosen. The
+// first anchor at an output offset decides the offset: if it is foreign
+// (an instruction spliced in from another function keeps its origin
+// address), no entry is written there, even when a native anchor follows
+// at the same offset. A foreign anchor on its own is dropped, and a
+// native one maps to its offset within the function.
+func TestBATAnchorRule(t *testing.T) {
+	fn := &BinaryFunction{Name: "f", Addr: 0x1000, Size: 0x100}
+	const foreign = 0x5000
+	var sc emitScratch
+	sc.reset(fn, nil, 0)
+	ret := isa.NewInst(isa.RET) // one byte: each Emit advances the offset by 1
+	for _, step := range [][]uint64{
+		{0x1000},          // offset 0: native
+		{foreign, 0x1004}, // offset 1: foreign first, native behind it
+		{foreign},         // offset 2: foreign alone
+		{0x1008, 0x100c},  // offset 3: native first, a second native behind it
+	} {
+		for _, addr := range step {
+			sc.anchor(addr)
+		}
+		sc.asm.Emit(ret)
+	}
+	res, err := sc.asm.Finish(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sc.materialize(res).Anchors
+	want := []bat.Entry{{OutOff: 0, InOff: 0}, {OutOff: 3, InOff: 8}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("anchors %v, want %v", got, want)
 	}
 }

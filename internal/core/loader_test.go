@@ -128,8 +128,8 @@ func loaderShapes(ctx *BinaryContext) []string {
 				if in.TargetSym != NoFunc {
 					buf = fmt.Appendf(buf, " sym=%d", in.TargetSym)
 				}
-				if in.MemTarget != 0 {
-					buf = fmt.Appendf(buf, " mem=%#x", in.MemTarget)
+				if mem := in.MemAddr(); mem != 0 {
+					buf = fmt.Appendf(buf, " mem=%#x", mem)
 				}
 				buf = append(buf, '\n')
 			}

@@ -453,23 +453,11 @@ func (e *emitter) writeBAT() {
 		fn := e.funcs[i].fn
 		for s := range e.funcs[i].frags {
 			fr := &e.funcs[i].frags[s]
-			r := bat.Range{
+			bt.AddRange(bat.Range{
 				FuncIdx: bt.AddFunc(fn.Name, fn.Size),
 				Start:   fr.addr, Size: uint32(len(fr.Code)), Cold: fr.cold,
-				Entries: make([]bat.Entry, 0, len(fr.Anchors)),
-			}
-			for _, an := range fr.Anchors {
-				// Instructions spliced in from another function (inlined
-				// bodies keep their origin addresses) are not part of this
-				// function's input coordinate space; skip them.
-				if !fn.contains(an.InAddr) {
-					continue
-				}
-				r.Entries = append(r.Entries, bat.Entry{
-					OutOff: an.Off, InOff: uint32(an.InAddr - fn.Addr),
-				})
-			}
-			bt.AddRange(r)
+				Entries: fr.Anchors,
+			})
 		}
 	}
 	e.out.AddSection(&elfx.Section{

@@ -65,6 +65,52 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadOwnsItsCopy: Read copies what it keeps, so the caller may reuse
+// the buffer — overwriting it leaves the File as parsed.
+func TestReadOwnsItsCopy(t *testing.T) {
+	data, err := sampleFile().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xFF
+	}
+	if got, err := f.Bytes(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("File changed with the buffer Read parsed (err %v)", err)
+	}
+}
+
+// TestReadInPlaceAliases: ReadInPlace keeps the sections as windows of the
+// buffer, and an append to one section reallocates rather than writing
+// over the next section's bytes.
+func TestReadInPlaceAliases(t *testing.T) {
+	data, err := sampleFile().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadInPlace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := f.Section(".text")
+	if &text.Data[0] != &data[bytes.Index(data, []byte{0xC3, 0x90, 0x90, 0xF4})] {
+		t.Error(".text was copied, want a window of the input")
+	}
+	before := bytes.Clone(data)
+	text.Data = append(text.Data, 0xCC, 0xCC, 0xCC, 0xCC)
+	if !bytes.Equal(data, before) {
+		t.Error("appending to .text wrote into the input buffer")
+	}
+}
+
 func TestRelocRoundTrip(t *testing.T) {
 	f := sampleFile()
 	f.EmitRelocs = true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -14,7 +15,18 @@ const maxNobits = 1 << 28
 
 // Read parses an ELF64 image previously produced by Bytes (or any simple
 // statically linked ELF64 executable using the same subset of features).
-func Read(data []byte) (*File, error) {
+// The File owns copies of the section bytes, so data stays the caller's.
+func Read(data []byte) (*File, error) { return parse(data, true) }
+
+// ReadInPlace is Read without the copies: every section's Data is a
+// window of data, which the caller hands over and must not write to
+// afterwards. Each window is capped at its own length, so an append to
+// one section reallocates instead of running into the next.
+func ReadInPlace(data []byte) (*File, error) { return parse(data, false) }
+
+// parse is Read, copying the section payloads out of data when copies is
+// set and aliasing them otherwise.
+func parse(data []byte, copies bool) (*File, error) {
 	if len(data) < ehdrSize {
 		return nil, fmt.Errorf("elfx: file too short")
 	}
@@ -87,7 +99,10 @@ func Read(data []byte) (*File, error) {
 			if !inFile(h.off, h.size) {
 				return nil, fmt.Errorf("elfx: section %s out of range", names[i])
 			}
-			payload = append([]byte(nil), data[h.off:h.off+h.size]...)
+			payload = data[h.off : h.off+h.size : h.off+h.size]
+			if copies {
+				payload = append([]byte(nil), payload...)
+			}
 		} else {
 			if h.size > maxNobits {
 				return nil, fmt.Errorf("elfx: section %s: implausible zero-fill size %#x", names[i], h.size)
@@ -121,6 +136,7 @@ func Read(data []byte) (*File, error) {
 		strtab := hdrs[hdrs[i].link]
 		n := hdrs[i].size / symSize
 		symNames = make([]string, n)
+		f.Symbols = slices.Grow(f.Symbols, int(max(n, 1)-1))
 		for j := uint64(1); j < n; j++ {
 			e := data[hdrs[i].off+j*symSize:]
 			nameOff := binary.LittleEndian.Uint32(e[0:])
@@ -157,6 +173,7 @@ func Read(data []byte) (*File, error) {
 			continue
 		}
 		n := hdrs[i].size / relaSize
+		f.Relas[targetName] = slices.Grow(f.Relas[targetName], int(n))
 		for j := uint64(0); j < n; j++ {
 			e := data[hdrs[i].off+j*relaSize:]
 			off := binary.LittleEndian.Uint64(e[0:])
@@ -182,7 +199,7 @@ func ReadFile(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Read(data)
+	return ReadInPlace(data)
 }
 
 // WriteFile serializes f and writes it to path with execute permission.

@@ -70,18 +70,15 @@ type Mem struct {
 	RIP   bool // RIP-relative; Base and Index must be NoReg
 }
 
-// NoTarget marks an Inst with no symbolic branch target.
-const NoTarget = -1
-
-// Inst is one machine instruction. Direct branches carry their destination
-// two ways: TargetAddr (absolute address, filled by the decoder and used by
-// the encoder) and Target (a symbolic label index used by assemblers before
-// layout is final). Fields run widest first so the struct packs to 40
-// bytes with no interior padding; every IR instruction embeds one.
+// Inst is one machine instruction. Direct branches carry their absolute
+// destination in TargetAddr, filled by the decoder and read by the
+// encoder; the encoder ignores it on every other form, so the rewriter
+// keeps a RIP-relative operand's absolute address there. Fields run
+// widest first so the struct packs to 32 bytes with no interior padding;
+// every IR instruction embeds one.
 type Inst struct {
 	Imm        int64  // immediate, or NOP length
 	TargetAddr uint64 // absolute branch target (decode output / encode input)
-	Target     int    // symbolic label id, or NoTarget
 	M          Mem
 
 	Op Op
@@ -90,9 +87,9 @@ type Inst struct {
 	Cc Cond
 }
 
-// NewInst returns a non-branch instruction with Target cleared.
+// NewInst returns an instruction of op with no register operands.
 func NewInst(op Op) Inst {
-	return Inst{Op: op, R1: NoReg, R2: NoReg, Target: NoTarget, M: Mem{Base: NoReg, Index: NoReg}}
+	return Inst{Op: op, R1: NoReg, R2: NoReg, M: Mem{Base: NoReg, Index: NoReg}}
 }
 
 // IsBranch reports whether the instruction redirects control flow

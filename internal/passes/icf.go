@@ -150,7 +150,7 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			kind, mem := byte('M'), in.MemTarget // 'M' with 0: no memory operand
+			kind, mem := byte('M'), in.MemAddr() // 'M' with 0: no memory operand
 			switch {
 			case mem != 0 && slices.ContainsFunc(fn.JTs, func(jt *core.JumpTable) bool { return jt.Addr == mem }):
 				// The function's own jump tables are position-dependent
@@ -163,8 +163,8 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 				kind = 'm'
 				mem = uint64(m.Base) | uint64(m.Index)<<8 | uint64(m.Scale)<<16 | uint64(uint32(m.Disp))<<32
 			}
-			// Branch targets (TargetAddr, Target) stay out: the successor
-			// lists carry them as block indices.
+			// Branch targets stay out: the successor lists carry them as
+			// block indices.
 			buf = append(buf, 'I', byte(in.I.Op), byte(in.I.R1), byte(in.I.R2), byte(in.I.Cc), kind)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(in.I.Imm))
 			buf = binary.LittleEndian.AppendUint64(buf, mem)

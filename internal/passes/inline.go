@@ -96,7 +96,7 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				// body has neither).
 				for k := range body {
 					bi := &body[k]
-					spliced = append(spliced, core.Inst{I: bi.I, CFIIdx: in.CFIIdx, Src: bi.Src, MemTarget: bi.MemTarget})
+					spliced = append(spliced, core.Inst{I: bi.I, CFIIdx: in.CFIIdx, Src: bi.Src})
 				}
 				spliced = append(spliced, b.Insts[i+1:]...)
 				b.Insts = spliced

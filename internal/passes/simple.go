@@ -183,7 +183,8 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			if in.MemTarget == 0 || !rodata.Contains(in.MemTarget) {
+			addr := in.MemAddr()
+			if addr == 0 || !rodata.Contains(addr) {
 				continue
 			}
 			var width int
@@ -197,7 +198,7 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 			default:
 				continue
 			}
-			raw, err := fc.File.ReadAt(in.MemTarget, width)
+			raw, err := fc.File.ReadAt(addr, width)
 			if err != nil {
 				continue
 			}
@@ -229,7 +230,6 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 				continue
 			}
 			in.I = newInst
-			in.MemTarget = 0
 			fc.CountStat(core.StatSimplifyROLoads, 1)
 		}
 	}
