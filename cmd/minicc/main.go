@@ -101,12 +101,7 @@ func main() {
 		}
 		copts.PGO = sp
 		if funcOrder != "" {
-			g := profile.BuildCallGraph(fd, nil)
-			sizes := map[string]uint64{}
-			for _, s := range plain.File.FuncSymbols() {
-				sizes[s.Name] = s.Size
-			}
-			lopts.FuncOrder = hfsort.Order(g, sizes, funcOrder)
+			lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain.File, funcOrder)
 		}
 	}
 

@@ -88,12 +88,7 @@ func Build(spec workload.Spec, cfg BuildConfig, mode perf.Mode) (*elfx.File, *ld
 		}
 	}
 	if cfg.HFSortLink {
-		g := profile.BuildCallGraph(fd, nil)
-		sizes := map[string]uint64{}
-		for _, s := range res.File.FuncSymbols() {
-			sizes[s.Name] = s.Size
-		}
-		lopts.FuncOrder = hfsort.Order(g, sizes, hfsort.AlgoHFSort)
+		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), res.File, hfsort.AlgoHFSort)
 	}
 	res, err = ld.Link(objs, lopts)
 	if err != nil {

@@ -233,6 +233,19 @@ type FuncRef int32
 // NoFunc is the FuncRef of an instruction with no symbolic target.
 const NoFunc FuncRef = 0
 
+// CallEdge is one caller -> callee arc of the dynamic call graph.
+type CallEdge struct {
+	Caller, Callee FuncRef
+	Count          uint64
+}
+
+// CallTarget counts the calls one indirect call site made to one callee.
+type CallTarget struct {
+	Site   uint64
+	Callee FuncRef
+	Count  uint64
+}
+
 // Ref returns the reference instructions use to name f.
 func (f *BinaryFunction) Ref() FuncRef { return FuncRef(f.ordIdx + 1) }
 
@@ -485,19 +498,22 @@ type BinaryContext struct {
 	lsdaData []byte
 	lsdaBase uint64
 
-	// CallTargets histograms indirect-call targets per call-site address
-	// (filled by profile application, consumed by ICP).
-	CallTargets map[uint64]map[string]uint64
+	// CallTargets histograms indirect-call targets: one entry per
+	// (call-site address, callee), sorted by both. Profile application
+	// fills it; ICP reads it.
+	CallTargets []CallTarget
 
-	// CallEdges is the weighted dynamic call graph (caller -> callee)
-	// observed in the profile; reorder-functions feeds it to HFSort.
-	CallEdges map[[2]string]uint64
+	// CallEdges is the weighted dynamic call graph observed in an LBR
+	// profile: one entry per (caller, callee), sorted by both.
+	// reorder-functions feeds it to HFSort.
+	CallEdges []CallEdge
 
 	// ProfileLBR records which §5 profile mode produced the attached data.
 	ProfileLBR bool
 
-	// FuncOrder is the new function layout (set by reorder-functions).
-	FuncOrder []string
+	// FuncOrder is the new function layout, set by reorder-functions:
+	// these functions first, the rest in address order.
+	FuncOrder []FuncRef
 
 	// Metrics is the typed registry behind the pipeline's counters (see
 	// StatDefs). It is the source of truth for counts; Stats below

@@ -34,12 +34,11 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		return nil, err
 	}
 	ctx := &BinaryContext{
-		File:        f,
-		Opts:        opts,
-		ByName:      map[string]*BinaryFunction{},
-		PLTStubs:    map[uint64]uint64{},
-		CallTargets: map[uint64]map[string]uint64{},
-		Metrics:     obsv.NewRegistry(StatDefs()),
+		File:     f,
+		Opts:     opts,
+		ByName:   map[string]*BinaryFunction{},
+		PLTStubs: map[uint64]uint64{},
+		Metrics:  obsv.NewRegistry(StatDefs()),
 	}
 	// ctx.Stats aliases the registry's live counter map: the registry is
 	// the source of truth, the map is the compatibility view.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"gobolt/internal/isa"
 	"gobolt/internal/par"
@@ -41,9 +43,6 @@ import (
 // both promptly; the only possible error is cx.Err().
 func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) error {
 	ctx.ProfileLBR = fd.LBR
-	if ctx.CallEdges == nil {
-		ctx.CallEdges = map[[2]string]uint64{}
-	}
 	var sm *staleMatcher
 	if ctx.Opts.StaleMatching && len(fd.Shapes) > 0 {
 		sm = &staleMatcher{shapes: fd.Shapes, funcs: make([]*staleFunc, len(ctx.Funcs))}
@@ -326,12 +325,13 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	if err != nil {
 		return nfuncs, jobs, err
 	}
+	ctx.CallEdges = slices.Grow(ctx.CallEdges, len(calls))
 	for _, cr := range calls {
 		br := cr.br
 		// Call, tail call, or conditional tail call into toFn's entry.
 		cr.toFn.ExecCount += br.Count
 		cr.toFn.Sampled = true
-		ctx.CallEdges[[2]string{cr.fromFn.Name, cr.toFn.Name}] += br.Count
+		ctx.CallEdges = append(ctx.CallEdges, CallEdge{cr.fromFn.Ref(), cr.toFn.Ref(), br.Count})
 		c.add(StatProfileCallCount, br.Count)
 		if cr.fromFn.Simple {
 			cr.fromFn.Sampled = true
@@ -339,20 +339,36 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 				fromAddr := cr.fromFn.Addr + br.From.Off
 				if _, fi := cr.fromFn.instAt(fromAddr); fi != nil {
 					if fi.I.Op == isa.CALLr || fi.I.Op == isa.CALLm {
-						m := ctx.CallTargets[fromAddr]
-						if m == nil {
-							m = map[string]uint64{}
-							ctx.CallTargets[fromAddr] = m
-						}
-						m[cr.toFn.Name] += br.Count
+						ctx.CallTargets = append(ctx.CallTargets, CallTarget{fromAddr, cr.toFn.Ref(), br.Count})
 					}
 				}
 			}
 		}
 	}
+	ctx.CallEdges = sumCounts(ctx.CallEdges, func(a, b CallEdge) int {
+		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
+	}, func(e *CallEdge) *uint64 { return &e.Count })
+	ctx.CallTargets = sumCounts(ctx.CallTargets, func(a, b CallTarget) int {
+		return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Callee, b.Callee))
+	}, func(t *CallTarget) *uint64 { return &t.Count })
 
 	ctx.Metrics.Merge(c[:])
 	return nfuncs, jobs, nil
+}
+
+// sumCounts sorts s by key and folds each run of equal keys into one
+// element carrying the sum of the run's counts, in place.
+func sumCounts[T any](s []T, key func(a, b T) int, count func(*T) *uint64) []T {
+	slices.SortFunc(s, key)
+	out := s[:0]
+	for _, e := range s {
+		if n := len(out); n > 0 && key(out[n-1], e) == 0 {
+			*count(&out[n-1]) += *count(&e)
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // applyIntraBranch applies one same-function branch record. All state it

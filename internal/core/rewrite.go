@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gobolt/internal/bat"
@@ -621,23 +622,12 @@ func (e *emitter) writeSymbols() {
 // (FuncOrder from reorder-functions first, the rest in original order).
 func (ctx *BinaryContext) orderedSimpleFuncs() []*BinaryFunction {
 	simple := ctx.SimpleFuncs()
-	if len(ctx.FuncOrder) == 0 {
-		return simple
+	// rank is negative for FuncOrder's functions, in its order, and 0 for
+	// the rest, which the stable sort keeps in address order.
+	rank := make([]int, len(ctx.Funcs)+1) // by FuncRef
+	for k, r := range ctx.FuncOrder {
+		rank[r] = k - len(ctx.FuncOrder)
 	}
-	placed := make(map[*BinaryFunction]bool, len(simple))
-	out := make([]*BinaryFunction, 0, len(simple))
-	for _, name := range ctx.FuncOrder {
-		fn := ctx.ByName[name]
-		if fn == nil || !fn.Simple || fn.FoldedInto != nil || placed[fn] {
-			continue
-		}
-		placed[fn] = true
-		out = append(out, fn)
-	}
-	for _, fn := range simple {
-		if !placed[fn] {
-			out = append(out, fn)
-		}
-	}
-	return out
+	slices.SortStableFunc(simple, func(a, b *BinaryFunction) int { return rank[a.Ref()] - rank[b.Ref()] })
+	return simple
 }

@@ -9,10 +9,12 @@
 package hfsort
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
-	"gobolt/internal/profile"
+	"gobolt/internal/elfx"
 )
 
 // Algorithm selects the ordering strategy.
@@ -38,142 +40,156 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // pageSize is the clustering bound for classic HFSort.
 const pageSize = 4096
 
-type cluster struct {
-	funcs   []string
-	size    uint64
-	samples uint64
+// Edge is a weighted caller -> callee arc.
+type Edge struct {
+	From, To int
+	Weight   uint64
 }
 
-func (c *cluster) density() float64 {
-	if c.size == 0 {
-		return 0
-	}
-	return float64(c.samples) / float64(c.size)
+// Graph is the weighted dynamic call graph (§5.3): nodes 0..N-1 are the
+// functions to lay out, with their sample weight and byte size. Names
+// holds each node's name, read only to break ties. An edge's callee is a
+// node; its caller may lie past them (N <= From < len(Names)): a function
+// with no samples of its own still competes to be a callee's heaviest
+// caller, but takes no callee into its cluster. Edges may repeat a pair;
+// their weights add up.
+type Graph struct {
+	N      int
+	Weight []uint64
+	Size   []uint64
+	Edges  []Edge
+	Names  []string
 }
 
-// Order returns the function layout order, hottest first. Functions
-// absent from the graph keep their natural order after the profiled ones
-// (the caller appends them). sizes provides function byte sizes.
-func Order(g *profile.CallGraph, sizes map[string]uint64, algo Algorithm) []string {
+// Order returns the function layout order, hottest first, as a
+// permutation of the graph's nodes; nil for AlgoNone. Functions absent
+// from the graph keep their natural order after the profiled ones (the
+// caller appends them).
+func Order(g *Graph, algo Algorithm) []int {
 	switch algo {
 	case AlgoNone:
 		return nil
 	case AlgoExec:
 		return execOrder(g)
 	case AlgoPlus:
-		return clusterOrder(g, sizes, true)
+		return clusterOrder(g, true)
 	default:
-		return clusterOrder(g, sizes, false)
+		return clusterOrder(g, false)
 	}
 }
 
-func execOrder(g *profile.CallGraph) []string {
-	names := make([]string, 0, len(g.Nodes))
-	for n := range g.Nodes {
-		names = append(names, n)
+// LinkOrder is the link-time HFSort baseline: it sizes g's nodes from the
+// symbols of f, the binary the profile was recorded on, orders them, and
+// returns their names, which is how the linker takes a function order
+// (ld.Options.FuncOrder).
+func LinkOrder(g *Graph, f *elfx.File, algo Algorithm) []string {
+	sizes := map[string]uint64{}
+	for _, s := range f.FuncSymbols() {
+		sizes[s.Name] = s.Size
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if g.Nodes[names[i]] != g.Nodes[names[j]] {
-			return g.Nodes[names[i]] > g.Nodes[names[j]]
-		}
-		return names[i] < names[j]
-	})
+	g.Size = make([]uint64, g.N)
+	for i := range g.Size {
+		g.Size[i] = sizes[g.Names[i]]
+	}
+	var names []string
+	for _, n := range Order(g, algo) {
+		names = append(names, g.Names[n])
+	}
 	return names
 }
 
+// execOrder sorts the nodes by weight, heaviest first, then by name.
+func execOrder(g *Graph) []int {
+	order := make([]int, g.N)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(g.Weight[b], g.Weight[a]), strings.Compare(g.Names[a], g.Names[b]), a-b)
+	})
+	return order
+}
+
 // clusterOrder is the C3 algorithm: process functions hottest-first, and
-// append each to the cluster of its heaviest predecessor when profitable.
-func clusterOrder(g *profile.CallGraph, sizes map[string]uint64, plus bool) []string {
-	names := execOrder(g)
-	if len(names) == 0 {
-		return nil
-	}
+// append each to the cluster of its heaviest caller when profitable.
+func clusterOrder(g *Graph, plus bool) []int {
+	order := execOrder(g)
 
-	// Heaviest caller per callee.
-	type arc struct {
-		caller string
-		weight uint64
+	// Heaviest caller per callee: repeated arcs add up, and equal weights
+	// go to the lesser caller name.
+	pred, predWeight := make([]int, g.N), make([]uint64, g.N)
+	for i := range pred {
+		pred[i] = -1
 	}
-	heaviest := map[string]arc{}
-	for e, w := range g.Edges {
-		caller, callee := e[0], e[1]
-		if caller == callee {
+	edges := slices.Clone(g.Edges)
+	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Or(a.To-b.To, a.From-b.From) })
+	for i, e := range edges {
+		if i+1 < len(edges) && edges[i+1].From == e.From && edges[i+1].To == e.To {
+			edges[i+1].Weight += e.Weight
 			continue
 		}
-		if a, ok := heaviest[callee]; !ok || w > a.weight || (w == a.weight && caller < a.caller) {
-			heaviest[callee] = arc{caller: caller, weight: w}
+		if p := pred[e.To]; e.From != e.To && (p < 0 || e.Weight > predWeight[e.To] ||
+			(e.Weight == predWeight[e.To] && g.Names[e.From] < g.Names[p])) {
+			pred[e.To], predWeight[e.To] = e.From, e.Weight
 		}
 	}
 
-	clusterOf := map[string]*cluster{}
-	mk := func(fn string) *cluster {
-		c := &cluster{funcs: []string{fn}, size: sizes[fn], samples: g.Nodes[fn]}
-		if c.size == 0 {
-			c.size = 1
-		}
-		clusterOf[fn] = c
-		return c
+	// Each cluster is a chain of nodes threaded through next and named by
+	// its first node, which holds the chain's tail, size and samples.
+	clusterOf, next, tail := make([]int, g.N), make([]int, g.N), make([]int, g.N)
+	size, samples := make([]uint64, g.N), slices.Clone(g.Weight)
+	for i := range next {
+		clusterOf[i], next[i], tail[i], size[i] = i, -1, i, max(g.Size[i], 1)
 	}
-	for _, fn := range names {
-		mk(fn)
-	}
+	density := func(c int) float64 { return float64(samples[c]) / float64(size[c]) }
 
-	for _, fn := range names {
-		a, ok := heaviest[fn]
-		if !ok || a.weight == 0 {
-			continue
-		}
-		src := clusterOf[fn]
-		dst := clusterOf[a.caller]
-		if src == nil || dst == nil || src == dst {
-			// The caller may be absent from the node set (e.g. it never
-			// produced entry samples of its own).
+	for _, fn := range order {
+		caller := pred[fn]
+		if caller < 0 || caller >= g.N || predWeight[fn] == 0 {
 			continue
 		}
 		// The callee must currently lead its cluster (C3 merges chains).
-		if src.funcs[0] != fn {
+		src, dst := clusterOf[fn], clusterOf[caller]
+		if src != fn || src == dst {
 			continue
 		}
 		if plus {
 			// hfsort+: merge while the combined density does not collapse
 			// (avoids gluing a hot cluster onto a cold giant).
-			combined := float64(dst.samples+src.samples) / float64(dst.size+src.size)
-			if combined < dst.density()/8 {
+			combined := float64(samples[dst]+samples[src]) / float64(size[dst]+size[src])
+			if combined < density(dst)/8 || size[dst]+size[src] > 8*pageSize {
 				continue
 			}
-			if dst.size+src.size > 8*pageSize {
-				continue
-			}
-		} else {
+		} else if size[dst]+size[src] > pageSize {
 			// Classic HFSort: keep clusters within a page.
-			if dst.size+src.size > pageSize {
-				continue
-			}
+			continue
 		}
-		dst.funcs = append(dst.funcs, src.funcs...)
-		dst.size += src.size
-		dst.samples += src.samples
-		for _, f := range src.funcs {
+		next[tail[dst]] = src
+		tail[dst] = tail[src]
+		size[dst] += size[src]
+		samples[dst] += samples[src]
+		for f := src; f >= 0; f = next[f] {
 			clusterOf[f] = dst
 		}
 	}
 
-	// Emit clusters by density, dedup preserving first placement.
-	seen := map[*cluster]bool{}
-	var clusters []*cluster
-	for _, fn := range names {
-		c := clusterOf[fn]
-		if !seen[c] {
+	// Emit clusters by density, in order of first placement on ties.
+	seen := make([]bool, g.N)
+	var heads []int
+	for _, fn := range order {
+		if c := clusterOf[fn]; !seen[c] {
 			seen[c] = true
-			clusters = append(clusters, c)
+			heads = append(heads, c)
 		}
 	}
-	sort.SliceStable(clusters, func(i, j int) bool {
-		return clusters[i].density() > clusters[j].density()
+	slices.SortStableFunc(heads, func(a, b int) int {
+		return cmp.Compare(density(b), density(a))
 	})
-	var out []string
-	for _, c := range clusters {
-		out = append(out, c.funcs...)
+	out := order[:0]
+	for _, c := range heads {
+		for f := c; f >= 0; f = next[f] {
+			out = append(out, f)
+		}
 	}
 	return out
 }

@@ -1,114 +1,106 @@
 package hfsort
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"gobolt/internal/profile"
 )
 
-func graph() (*profile.CallGraph, map[string]uint64) {
-	g := &profile.CallGraph{
-		Nodes: map[string]uint64{
-			"hot1": 1000, "hot2": 900, "callee": 800, "warm": 100, "cold": 1,
-		},
-		Edges: map[[2]string]uint64{
-			{"hot1", "callee"}: 800,
-			{"warm", "callee"}: 50,
-			{"hot2", "warm"}:   90,
+func graph() *Graph {
+	return &Graph{
+		N:      5,
+		Names:  []string{"hot1", "hot2", "callee", "warm", "cold"},
+		Weight: []uint64{1000, 900, 800, 100, 1},
+		Size:   []uint64{512, 256, 128, 2048, 64},
+		Edges: []Edge{
+			{From: 0, To: 2, Weight: 800}, // hot1 -> callee
+			{From: 3, To: 2, Weight: 50},  // warm -> callee
+			{From: 1, To: 3, Weight: 90},  // hot2 -> warm
 		},
 	}
-	sizes := map[string]uint64{"hot1": 512, "hot2": 256, "callee": 128, "warm": 2048, "cold": 64}
-	return g, sizes
 }
 
-func indexOf(order []string, name string) int {
-	for i, n := range order {
-		if n == name {
-			return i
-		}
+// pair is two functions, a (weight 100) calling b (weight 90), both
+// bigger than half a page.
+func pair() *Graph {
+	return &Graph{
+		N:      2,
+		Names:  []string{"a", "b"},
+		Weight: []uint64{100, 90},
+		Size:   []uint64{4000, 5000},
+		Edges:  []Edge{{From: 0, To: 1, Weight: 90}},
 	}
-	return -1
+}
+
+// names maps an order of g's nodes back to function names.
+func names(g *Graph, order []int) []string {
+	out := make([]string, len(order))
+	for i, n := range order {
+		out[i] = g.Names[n]
+	}
+	return out
 }
 
 func TestExecOrder(t *testing.T) {
-	g, sizes := graph()
-	order := Order(g, sizes, AlgoExec)
+	g := graph()
+	order := names(g, Order(g, AlgoExec))
 	if order[0] != "hot1" || order[1] != "hot2" {
 		t.Fatalf("exec order wrong: %v", order)
 	}
 }
 
 func TestHFSortClustersCalleeWithCaller(t *testing.T) {
-	g, sizes := graph()
-	order := Order(g, sizes, AlgoHFSort)
-	hi := indexOf(order, "hot1")
-	ci := indexOf(order, "callee")
+	g := graph()
+	order := names(g, Order(g, AlgoHFSort))
+	hi := slices.Index(order, "hot1")
+	ci := slices.Index(order, "callee")
 	if hi < 0 || ci < 0 {
 		t.Fatalf("missing functions in %v", order)
 	}
 	if ci != hi+1 {
 		t.Errorf("callee should directly follow its heaviest caller: %v", order)
 	}
-	if indexOf(order, "cold") < indexOf(order, "hot2") {
+	if slices.Index(order, "cold") < slices.Index(order, "hot2") {
 		t.Errorf("cold function placed before hot: %v", order)
 	}
 }
 
 func TestHFSortRespectsPageBound(t *testing.T) {
-	g := &profile.CallGraph{
-		Nodes: map[string]uint64{"a": 100, "b": 90},
-		Edges: map[[2]string]uint64{{"a", "b"}: 90},
-	}
 	// b is bigger than a page: the classic algorithm must not merge.
-	sizes := map[string]uint64{"a": 4000, "b": 5000}
-	order := Order(g, sizes, AlgoHFSort)
-	if len(order) != 2 {
-		t.Fatalf("bad order %v", order)
-	}
+	g := pair()
+	order := names(g, Order(g, AlgoHFSort))
 	// Both present, order by density; no crash is the main property.
-	if indexOf(order, "a") < 0 || indexOf(order, "b") < 0 {
-		t.Fatalf("missing funcs: %v", order)
+	if len(order) != 2 || slices.Index(order, "a") < 0 || slices.Index(order, "b") < 0 {
+		t.Fatalf("bad order %v", order)
 	}
 }
 
 func TestHFSortPlusMergesBigger(t *testing.T) {
-	g := &profile.CallGraph{
-		Nodes: map[string]uint64{"a": 100, "b": 90},
-		Edges: map[[2]string]uint64{{"a", "b"}: 90},
-	}
-	sizes := map[string]uint64{"a": 4000, "b": 5000}
-	order := Order(g, sizes, AlgoPlus)
-	if indexOf(order, "b") != indexOf(order, "a")+1 {
+	g := pair()
+	order := names(g, Order(g, AlgoPlus))
+	if slices.Index(order, "b") != slices.Index(order, "a")+1 {
 		t.Errorf("hfsort+ should merge beyond one page: %v", order)
 	}
 }
 
 func TestNoneReturnsNil(t *testing.T) {
-	g, sizes := graph()
-	if Order(g, sizes, AlgoNone) != nil {
+	if Order(graph(), AlgoNone) != nil {
 		t.Fatal("none must return nil (keep original order)")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := &profile.CallGraph{Nodes: map[string]uint64{}, Edges: map[[2]string]uint64{}}
-	if out := Order(g, nil, AlgoHFSort); len(out) != 0 {
+	if out := Order(&Graph{}, AlgoHFSort); len(out) != 0 {
 		t.Fatalf("expected empty order, got %v", out)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	g, sizes := graph()
-	a := Order(g, sizes, AlgoPlus)
-	b := Order(g, sizes, AlgoPlus)
-	if len(a) != len(b) {
-		t.Fatal("length mismatch")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic order: %v vs %v", a, b)
-		}
+	g := graph()
+	a := Order(g, AlgoPlus)
+	b := Order(g, AlgoPlus)
+	if !slices.Equal(a, b) {
+		t.Fatalf("non-deterministic order: %v vs %v", a, b)
 	}
 }
 

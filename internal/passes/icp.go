@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sort"
+
 	"gobolt/internal/core"
 	"gobolt/internal/dataflow"
 	"gobolt/internal/isa"
@@ -35,31 +37,50 @@ func (ICP) Name() string { return "icp" }
 // promote a site whose two targets alternate.
 var icpThreshold = 0.51
 
-// icpSite is one promotable indirect call: instruction i of block b.
+// icpSite is one promotable indirect call: the call at address site,
+// instruction i of block b, and its dominant callee.
 type icpSite struct {
+	site            uint64
 	b               *core.BasicBlock
 	i               int
 	hot             *core.BinaryFunction
 	hotCount, total uint64
 }
 
+// hotSites walks the call-target histogram, sorted by site, and returns
+// the sites whose dominant callee takes at least icpThreshold of the calls
+// and fits a cmp imm32, in site order. Equal counts go to the lesser name.
+func hotSites(ctx *core.BinaryContext) []icpSite {
+	var out []icpSite
+	ts := ctx.CallTargets
+	for i := 0; i < len(ts); {
+		st := icpSite{site: ts[i].Site}
+		for ; i < len(ts) && ts[i].Site == st.site; i++ {
+			fn, c := ctx.Func(ts[i].Callee), ts[i].Count
+			st.total += c
+			if st.hot == nil || c > st.hotCount || (c == st.hotCount && fn.Name < st.hot.Name) {
+				st.hot, st.hotCount = fn, c
+			}
+		}
+		if float64(st.hotCount) >= icpThreshold*float64(st.total) && st.hot.Addr < 1<<31 {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
 // Run implements core.Pass.
 func (p ICP) Run(ctx *core.BinaryContext) error {
-	if len(ctx.CallTargets) == 0 {
-		return nil
-	}
-	// Marking is order-free; the functions are then visited in address
-	// order, as a scan of all of them would.
-	owns := make([]bool, len(ctx.Funcs)+1)
-	for addr := range ctx.CallTargets {
-		if fn := ctx.FuncContaining(addr); fn != nil {
-			owns[fn.Ref()] = true
-		}
+	hot := hotSites(ctx)
+	// at is the index of the first site at or after addr.
+	at := func(addr uint64) int {
+		return sort.Search(len(hot), func(k int) bool { return hot[k].site >= addr })
 	}
 	var sites []icpSite
 	for _, fn := range ctx.Funcs {
-		if !owns[fn.Ref()] || !fn.Simple || fn.FoldedInto != nil {
-			continue
+		k := at(fn.Addr)
+		if k == len(hot) || hot[k].site >= fn.Addr+fn.Size || !fn.Simple || fn.FoldedInto != nil {
+			continue // no site in fn, or fn stays as it is
 		}
 		// Collect sites first: block surgery invalidates iteration.
 		sites = sites[:0]
@@ -69,27 +90,11 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 				if in.I.Op != isa.CALLr {
 					continue
 				}
-				hist := ctx.CallTargets[in.Addr]
-				if len(hist) == 0 {
-					continue
+				if k := at(in.Addr); k < len(hot) && hot[k].site == in.Addr {
+					st := hot[k]
+					st.b, st.i = b, i
+					sites = append(sites, st)
 				}
-				// The dominant target; equal counts go to the lesser name.
-				var total, hotCount uint64
-				hot, first := "", true
-				for n, c := range hist {
-					total += c
-					if first || c > hotCount || (c == hotCount && n < hot) {
-						hot, hotCount, first = n, c, false
-					}
-				}
-				if float64(hotCount) < icpThreshold*float64(total) {
-					continue
-				}
-				target := ctx.ByName[hot]
-				if target == nil || target.Addr >= 1<<31 {
-					continue // must fit a cmp imm32
-				}
-				sites = append(sites, icpSite{b: b, i: i, hot: target, hotCount: hotCount, total: total})
 			}
 		}
 		if len(sites) == 0 {

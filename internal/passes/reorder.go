@@ -5,7 +5,6 @@ import (
 	"gobolt/internal/hfsort"
 	"gobolt/internal/isa"
 	"gobolt/internal/layout"
-	"gobolt/internal/profile"
 )
 
 // ReorderBBs is the layout workhorse (Table 1, pass 9): it reorders each
@@ -141,28 +140,19 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 	if algo == hfsort.AlgoNone || algo == "" {
 		return nil
 	}
-	g := &profile.CallGraph{Nodes: map[string]uint64{}, Edges: map[[2]string]uint64{}}
-	sizes := map[string]uint64{}
+	// The functions with weight are the graph's nodes, in address order.
+	var g hfsort.Graph
+	var refs []core.FuncRef               // graph node -> function
+	node := make([]int, len(ctx.Funcs)+1) // FuncRef -> one plus its graph node
+	calls := ctx.CallEdges                // empty without LBR
 	for _, fn := range ctx.Funcs {
-		sizes[fn.Name] = fn.Size
-		if fn.ExecCount > 0 {
-			g.Nodes[fn.Name] = fn.ExecCount
-		}
-	}
-	if ctx.ProfileLBR {
-		for e, w := range ctx.CallEdges {
-			g.Edges[e] += w
-		}
-	} else {
-		// Non-LBR approximation: every direct call in a block ran as often
-		// as the block did. The node weight is the time spent in the
-		// function — block count × instructions, what the samples measured
-		// before they were normalised — because hfsort's density is time
-		// per byte.
-		for _, fn := range ctx.Funcs {
-			if !fn.Simple {
-				continue
-			}
+		weight := fn.ExecCount
+		if !ctx.ProfileLBR && fn.Simple {
+			// Non-LBR approximation: every direct call in a block ran as
+			// often as the block did. The node weight is the time spent in
+			// the function — block count × instructions, what the samples
+			// measured before they were normalised — because hfsort's
+			// density is time per byte.
 			total := uint64(0)
 			for _, b := range fn.Blocks {
 				total += b.ExecCount * uint64(len(b.Insts))
@@ -172,16 +162,40 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 				for i := range b.Insts {
 					in := &b.Insts[i]
 					if in.I.Op == isa.CALL && in.TargetSym != core.NoFunc {
-						g.Edges[[2]string{fn.Name, ctx.Func(in.TargetSym).Name}] += b.ExecCount
+						calls = append(calls, core.CallEdge{Caller: fn.Ref(), Callee: in.TargetSym, Count: b.ExecCount})
 					}
 				}
 			}
 			if total > 0 {
-				g.Nodes[fn.Name] = total
+				weight = total
 			}
 		}
+		if weight > 0 {
+			refs = append(refs, fn.Ref())
+			node[fn.Ref()] = len(refs)
+			g.Weight = append(g.Weight, weight)
+			g.Size = append(g.Size, fn.Size)
+			g.Names = append(g.Names, fn.Name)
+		}
 	}
-	ctx.FuncOrder = hfsort.Order(g, sizes, algo)
+	g.N = len(refs)
+	// A caller without weight is numbered after the nodes, for its name.
+	for _, e := range calls {
+		from, to := node[e.Caller]-1, node[e.Callee]-1
+		if to < 0 || to >= g.N {
+			continue
+		}
+		if from < 0 {
+			g.Names = append(g.Names, ctx.Func(e.Caller).Name)
+			from, node[e.Caller] = len(g.Names)-1, len(g.Names)
+		}
+		g.Edges = append(g.Edges, hfsort.Edge{From: from, To: to, Weight: e.Count})
+	}
+	order := hfsort.Order(&g, algo)
+	ctx.FuncOrder = make([]core.FuncRef, len(order))
+	for k, n := range order {
+		ctx.FuncOrder[k] = refs[n]
+	}
 	ctx.CountStat(core.StatReorderFunctions, int64(len(ctx.FuncOrder)))
 	return nil
 }

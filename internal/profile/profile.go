@@ -20,6 +20,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"gobolt/internal/hfsort"
 	"gobolt/internal/par"
 )
 
@@ -783,43 +784,39 @@ func shapesCompatible(a, b FuncShape) bool {
 	return true
 }
 
-// CallEdge is a weighted caller->callee pair.
-type CallEdge struct {
-	Caller, Callee string
-	Weight         uint64
-}
-
-// CallGraph is the weighted dynamic call graph used by HFSort (§5.3).
-type CallGraph struct {
-	Nodes map[string]uint64 // function -> sample weight (entries or samples)
-	Edges map[[2]string]uint64
-}
-
-// BuildCallGraph extracts a call graph from the profile. In LBR mode,
-// branch records landing at function entry (offset 0) from a *different*
-// function are calls. In non-LBR mode, the graph is built from sample
-// counts in blocks containing direct calls — the caller supplies that
-// mapping via callSites (sample location -> callee); indirect calls are
-// invisible, as the paper notes.
-func BuildCallGraph(f *Fdata, callSites func(Loc) (string, bool)) *CallGraph {
-	g := &CallGraph{Nodes: map[string]uint64{}, Edges: map[[2]string]uint64{}}
+// BuildCallGraph extracts the weighted call graph HFSort orders at link
+// time (§5.3); Size is left to the caller. In LBR mode, branch records
+// landing at function entry (offset 0) from a *different* function are
+// calls, and every function a record leaves is a node. In non-LBR mode,
+// every sampled function is a node weighted by its samples, and there are
+// no edges: a sample does not say where its function was called from.
+func BuildCallGraph(f *Fdata) *hfsort.Graph {
+	g := &hfsort.Graph{}
+	index := map[string]int{}
+	node := func(name string) int {
+		i, ok := index[name]
+		if !ok {
+			i = g.N
+			index[name] = i
+			g.N++
+			g.Weight = append(g.Weight, 0)
+			g.Names = append(g.Names, name)
+		}
+		return i
+	}
 	if f.LBR {
 		for _, b := range f.Branches {
-			g.Nodes[b.From.Sym] += 0 // ensure presence
+			from := node(b.From.Sym)
 			if b.To.Off == 0 && b.From.Sym != b.To.Sym && b.To.Sym != "" {
-				g.Edges[[2]string{b.From.Sym, b.To.Sym}] += b.Count
-				g.Nodes[b.To.Sym] += b.Count
+				to := node(b.To.Sym)
+				g.Edges = append(g.Edges, hfsort.Edge{From: from, To: to, Weight: b.Count})
+				g.Weight[to] += b.Count
 			}
 		}
 		return g
 	}
 	for _, s := range f.Samples {
-		g.Nodes[s.At.Sym] += s.Count
-		if callSites != nil {
-			if callee, ok := callSites(s.At); ok {
-				g.Edges[[2]string{s.At.Sym, callee}] += s.Count
-			}
-		}
+		g.Weight[node(s.At.Sym)] += s.Count
 	}
 	return g
 }

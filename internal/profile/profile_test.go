@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gobolt/internal/hfsort"
 )
 
 func TestWriteParseRoundTrip(t *testing.T) {
@@ -226,21 +228,38 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// weights reads a call graph back by name: node weights and summed edges.
+func weights(g *hfsort.Graph) (map[string]uint64, map[[2]string]uint64) {
+	nodes, edges := map[string]uint64{}, map[[2]string]uint64{}
+	for i := 0; i < g.N; i++ {
+		nodes[g.Names[i]] = g.Weight[i]
+	}
+	for _, e := range g.Edges {
+		edges[[2]string{g.Names[e.From], g.Names[e.To]}] += e.Weight
+	}
+	return nodes, edges
+}
+
 func TestBuildCallGraphLBR(t *testing.T) {
 	fd := &Fdata{LBR: true, Branches: []Branch{
 		{From: Loc{"a", 0x10}, To: Loc{"b", 0}, Count: 50},   // call
 		{From: Loc{"a", 0x20}, To: Loc{"a", 0x5}, Count: 99}, // intra
 		{From: Loc{"b", 0x8}, To: Loc{"a", 0x14}, Count: 50}, // return
 		{From: Loc{"c", 0x4}, To: Loc{"b", 0}, Count: 10},    // call
+		{From: Loc{"a", 0x30}, To: Loc{"b", 0}, Count: 5},    // call, second site
 	}}
-	g := BuildCallGraph(fd, nil)
-	if g.Edges[[2]string{"a", "b"}] != 50 || g.Edges[[2]string{"c", "b"}] != 10 {
-		t.Fatalf("edges wrong: %v", g.Edges)
+	nodes, edges := weights(BuildCallGraph(fd))
+	if edges[[2]string{"a", "b"}] != 55 || edges[[2]string{"c", "b"}] != 10 {
+		t.Fatalf("edges wrong: %v", edges)
 	}
-	if g.Nodes["b"] != 60 {
-		t.Fatalf("callee weight wrong: %v", g.Nodes)
+	if nodes["b"] != 65 {
+		t.Fatalf("callee weight wrong: %v", nodes)
 	}
-	if _, ok := g.Edges[[2]string{"b", "a"}]; ok {
+	// A function that only made calls is a node of weight 0.
+	if w, ok := nodes["c"]; !ok || w != 0 {
+		t.Fatalf("caller node wrong: %v", nodes)
+	}
+	if _, ok := edges[[2]string{"b", "a"}]; ok {
 		t.Fatal("return treated as call")
 	}
 }
@@ -250,17 +269,9 @@ func TestBuildCallGraphNonLBR(t *testing.T) {
 		{At: Loc{"a", 0x10}, Count: 30},
 		{At: Loc{"a", 0x50}, Count: 5},
 	}}
-	g := BuildCallGraph(fd, func(l Loc) (string, bool) {
-		if l.Off == 0x10 {
-			return "b", true // block at 0x10 contains a direct call to b
-		}
-		return "", false
-	})
-	if g.Edges[[2]string{"a", "b"}] != 30 {
-		t.Fatalf("non-LBR call edge wrong: %v", g.Edges)
-	}
-	if g.Nodes["a"] != 35 {
-		t.Fatalf("node weight wrong: %v", g.Nodes)
+	nodes, _ := weights(BuildCallGraph(fd))
+	if nodes["a"] != 35 {
+		t.Fatalf("node weight wrong: %v", nodes)
 	}
 }
 
