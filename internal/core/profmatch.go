@@ -356,13 +356,13 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	return nfuncs, jobs, nil
 }
 
-// sumCounts sorts s by key and folds each run of equal keys into one
-// element carrying the sum of the run's counts, in place.
-func sumCounts[T any](s []T, key func(a, b T) int, count func(*T) *uint64) []T {
-	slices.SortFunc(s, key)
+// sumCounts sorts s by compare and folds each run of elements that
+// compare equal into one carrying the sum of the run's counts, in place.
+func sumCounts[T any](s []T, compare func(a, b T) int, count func(*T) *uint64) []T {
+	slices.SortFunc(s, compare)
 	out := s[:0]
 	for _, e := range s {
-		if n := len(out); n > 0 && key(out[n-1], e) == 0 {
+		if n := len(out); n > 0 && compare(out[n-1], e) == 0 {
 			*count(&out[n-1]) += *count(&e)
 			continue
 		}
