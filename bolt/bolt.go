@@ -72,7 +72,6 @@ type Session struct {
 
 	bctx *core.BinaryContext
 	res  *core.RewriteResult
-	out  []byte // res.File serialized, see image
 	rep  *Report
 
 	profiled  bool
@@ -270,7 +269,9 @@ func (s *Session) Optimize(cx context.Context) (*Report, error) {
 	return s.rep, nil
 }
 
-// Output returns the optimized ELF image, or nil before Optimize.
+// Output returns the optimized ELF image, or nil before Optimize. Its
+// sections are windows of the bytes WriteFile and WriteTo write, so treat
+// them as read-only.
 func (s *Session) Output() *elfx.File {
 	if s.res == nil {
 		return nil
@@ -278,22 +279,14 @@ func (s *Session) Output() *elfx.File {
 	return s.res.File
 }
 
-// image returns the serialized optimized binary, serializing it on
-// first use: the rewrite result is immutable after Optimize, so
+// image returns the serialized optimized binary, which the rewrite wrote:
 // WriteFile, WriteTo and VerifyOutput hand out, and check, the same
 // bytes.
 func (s *Session) image(what string) ([]byte, error) {
 	if s.res == nil {
 		return nil, fmt.Errorf("bolt: %s before Optimize", what)
 	}
-	if s.out == nil {
-		data, err := s.res.File.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("bolt: %s: serialize: %w", what, err)
-		}
-		s.out = data
-	}
-	return s.out, nil
+	return s.res.Image, nil
 }
 
 // WriteFile serializes the optimized binary to path. Requires a

@@ -17,6 +17,8 @@ package bat
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"math/bits"
 	"sort"
 )
 
@@ -108,49 +110,97 @@ func (t *Table) ensureSorted() {
 
 // Encode serializes the table deterministically: header, function table,
 // then ranges sorted by output start address with delta-compressed
-// anchors.
+// anchors. It is Write over the table's own functions and ranges.
 func (t *Table) Encode() []byte {
 	t.ensureSorted()
-	// Sized up front: an anchor takes two bytes (one per delta) except
-	// where the layout jumps, 2.1 on average on the clang and hhvm
-	// presets; growing by append instead copied the table ten times over.
-	size := len(magic) + 2*binary.MaxVarintLen64
-	for _, f := range t.Funcs {
-		size += len(f.Name) + 2*binary.MaxVarintLen32
+	return Write(t.Funcs, func(yield func(RangeHead, *Anchors) bool) {
+		var a Anchors // one buffer, re-encoded per range on each of Write's walks
+		for _, r := range t.Ranges {
+			a.Reset()
+			for _, e := range r.Entries {
+				a.Add(e)
+			}
+			if !yield(RangeHead{FuncIdx: r.FuncIdx, Start: r.Start, Size: r.Size, Cold: r.Cold}, &a) {
+				return
+			}
+		}
+	})
+}
+
+// Anchors is one range's entries in wire form, the body that follows the
+// range's header in the section: per entry, the uvarint distance from the
+// previous entry's output offset, then the zigzag distance from its input
+// offset (the first entry's from zero).
+type Anchors struct {
+	Wire []byte
+	N    int // entries in Wire
+	last Entry
+}
+
+// Add appends e, which must not lie before the last entry added.
+func (a *Anchors) Add(e Entry) {
+	a.Wire = binary.AppendUvarint(a.Wire, uint64(e.OutOff)-uint64(a.last.OutOff))
+	a.Wire = appendZigzag(a.Wire, int64(e.InOff)-int64(a.last.InOff))
+	a.N++
+	a.last = e
+}
+
+// Reset empties a, keeping Wire's buffer.
+func (a *Anchors) Reset() { *a = Anchors{Wire: a.Wire[:0]} }
+
+// RangeHead is a range without its entries.
+type RangeHead struct {
+	FuncIdx int
+	Start   uint64
+	Size    uint32
+	Cold    bool
+}
+
+// Write serializes a table from its functions and its ranges, which must
+// come in ascending start order with their entries already in wire form.
+// It walks the ranges twice, once to size the section and once to fill
+// it, so the section is one allocation of its exact size.
+func Write(funcs []FuncInfo, ranges iter.Seq2[RangeHead, *Anchors]) []byte {
+	size, nr := len(magic)+uvarintLen(version)+uvarintLen(uint64(len(funcs))), 0
+	for _, f := range funcs {
+		size += uvarintLen(uint64(len(f.Name))) + len(f.Name) + uvarintLen(f.InSize)
 	}
-	for _, r := range t.Ranges {
-		size += 5*binary.MaxVarintLen32 + 5*len(r.Entries)/2
+	prevStart := uint64(0)
+	for h, a := range ranges {
+		size += uvarintLen(uint64(h.FuncIdx)) + 1 + uvarintLen(h.Start-prevStart) +
+			uvarintLen(uint64(h.Size)) + uvarintLen(uint64(a.N)) + len(a.Wire)
+		prevStart = h.Start
+		nr++
 	}
+	size += uvarintLen(uint64(nr))
 	out := append(make([]byte, 0, size), magic...)
 	out = binary.AppendUvarint(out, version)
-	out = binary.AppendUvarint(out, uint64(len(t.Funcs)))
-	for _, f := range t.Funcs {
+	out = binary.AppendUvarint(out, uint64(len(funcs)))
+	for _, f := range funcs {
 		out = binary.AppendUvarint(out, uint64(len(f.Name)))
 		out = append(out, f.Name...)
 		out = binary.AppendUvarint(out, f.InSize)
 	}
-	out = binary.AppendUvarint(out, uint64(len(t.Ranges)))
-	prevStart := uint64(0)
-	for _, r := range t.Ranges {
-		out = binary.AppendUvarint(out, uint64(r.FuncIdx))
-		flags := uint64(0)
-		if r.Cold {
+	out = binary.AppendUvarint(out, uint64(nr))
+	prevStart = 0
+	for h, a := range ranges {
+		out = binary.AppendUvarint(out, uint64(h.FuncIdx))
+		flags := byte(0)
+		if h.Cold {
 			flags = 1
 		}
-		out = binary.AppendUvarint(out, flags)
-		out = binary.AppendUvarint(out, r.Start-prevStart) // ascending
-		prevStart = r.Start
-		out = binary.AppendUvarint(out, uint64(r.Size))
-		out = binary.AppendUvarint(out, uint64(len(r.Entries)))
-		prevOut, prevIn := uint64(0), uint64(0)
-		for _, e := range r.Entries {
-			out = binary.AppendUvarint(out, uint64(e.OutOff)-prevOut)
-			out = appendZigzag(out, int64(uint64(e.InOff))-int64(prevIn))
-			prevOut, prevIn = uint64(e.OutOff), uint64(e.InOff)
-		}
+		out = append(out, flags) // a one-byte uvarint
+		out = binary.AppendUvarint(out, h.Start-prevStart)
+		prevStart = h.Start
+		out = binary.AppendUvarint(out, uint64(h.Size))
+		out = binary.AppendUvarint(out, uint64(a.N))
+		out = append(out, a.Wire...)
 	}
 	return out
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func appendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))

@@ -171,12 +171,18 @@ func (f *FDE) Evaluate(pc uint32) (State, error) {
 
 const fdeInstSize = 12 // pc u32, kind u8, reg u8, pad u16, off i32
 
-// EncodeFrames serializes FDEs to a frame section payload.
+// EncodeFrames serializes FDEs to a frame section payload: a 4-byte
+// count, then per FDE a 24-byte header and its instructions, so the
+// payload is sized before it is written.
 func EncodeFrames(fdes []FDE) []byte {
 	sorted := make([]FDE, len(fdes))
 	copy(sorted, fdes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(sorted)))
+	size := 4
+	for _, f := range sorted {
+		size += 24 + fdeInstSize*len(f.Insts)
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(sorted)))
 	for _, f := range sorted {
 		buf = binary.LittleEndian.AppendUint64(buf, f.Start)
 		buf = binary.LittleEndian.AppendUint32(buf, f.Len)

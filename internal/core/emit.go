@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"gobolt/internal/asmx"
@@ -45,11 +46,12 @@ type fragment struct {
 	CFI       []cfi.PCInst
 	CallSites []fragCallSite
 	Lines     []obj.LineEntry
-	// Anchors are the fragment's BAT entries: for every emitted
-	// instruction that originated in this function of the input binary,
-	// its output offset within the fragment and its input offset within
-	// the function. Sorted by OutOff; synthesized instructions have none.
-	Anchors []bat.Entry
+	// BAT holds the fragment's BAT entries in wire form: for every
+	// emitted instruction that originated in this function of the input
+	// binary, its output offset within the fragment and its input offset
+	// within the function. Sorted by OutOff; synthesized instructions
+	// have none.
+	BAT bat.Anchors
 }
 
 // A function's block-offset table maps block Index to the block's offset
@@ -85,7 +87,8 @@ type srcPos struct{ file, line uint32 }
 
 // emitScratch is one emission worker's reusable state: the assembler
 // (items, labels, label-offset scratch), the block label table, the four
-// mark lists, and the running state of the fragment being assembled.
+// mark lists, the BAT entry buffer, and the running state of the
+// fragment being assembled.
 // Everything is reset — not reallocated — between fragments, so
 // steady-state emission allocates only what survives in the emitted
 // fragments. A scratch is owned by exactly one worker.
@@ -96,6 +99,7 @@ type emitScratch struct {
 	csMarks     []csMark
 	lineMarks   []lineMark
 	anchorMarks []anchorMark
+	bat         bat.Anchors
 
 	fn      *BinaryFunction
 	lines   *dbg.Table
@@ -405,9 +409,11 @@ func (sc *emitScratch) materialize(res *asmx.Result) fragment {
 	// zero-size emission collapses onto its successor), and gets an entry
 	// only if it is native: instructions spliced in from another function
 	// keep their origin addresses, outside this function's input
-	// coordinates.
-	if n := len(sc.anchorMarks); n > 0 {
-		frag.Anchors = make([]bat.Entry, 0, n)
+	// coordinates. The entries are encoded into the worker's buffer, and
+	// the fragment keeps an exactly-sized copy.
+	if len(sc.anchorMarks) > 0 {
+		a := &sc.bat
+		a.Reset()
 		fn, last := sc.fn, uint32(0)
 		for i, m := range sc.anchorMarks {
 			off := res.LabelOffs[m.label]
@@ -416,9 +422,11 @@ func (sc *emitScratch) materialize(res *asmx.Result) fragment {
 			}
 			last = off
 			if fn.contains(m.inAddr) {
-				frag.Anchors = append(frag.Anchors, bat.Entry{OutOff: off, InOff: uint32(m.inAddr - fn.Addr)})
+				a.Add(bat.Entry{OutOff: off, InOff: uint32(m.inAddr - fn.Addr)})
 			}
 		}
+		frag.BAT = *a
+		frag.BAT.Wire = bytes.Clone(a.Wire)
 	}
 	return frag
 }

@@ -194,9 +194,22 @@ func TestBATAnchorRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sc.materialize(res).Anchors
+	got := decodeAnchors(t, sc.materialize(res).BAT)
 	want := []bat.Entry{{OutOff: 0, InOff: 0}, {OutOff: 3, InOff: 8}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("anchors %v, want %v", got, want)
 	}
+}
+
+// decodeAnchors reads a fragment's BAT entries back from their wire form,
+// through a one-range section.
+func decodeAnchors(t *testing.T, a bat.Anchors) []bat.Entry {
+	t.Helper()
+	sec := bat.Write([]bat.FuncInfo{{Name: "f"}},
+		func(yield func(bat.RangeHead, *bat.Anchors) bool) { yield(bat.RangeHead{}, &a) })
+	tab, err := bat.Parse(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.Ranges[0].Entries
 }

@@ -17,7 +17,8 @@ import (
 
 // RewriteResult reports what the rewrite did.
 type RewriteResult struct {
-	File *elfx.File
+	File  *elfx.File
+	Image []byte // File serialized; File's sections are windows of it
 
 	MovedFuncs   int
 	SkippedFuncs int
@@ -35,7 +36,7 @@ type RewriteResult struct {
 // the renamed ".bolt.org.text" section with their outgoing calls patched
 // in place (paper §3.2 relocations mode). It is Figure 3's last two
 // boxes as four stages over one emitter — assemble fragments, place
-// them, patch references, regenerate metadata — each appending its
+// them, regenerate metadata, write the image — each appending its
 // "emit" row to ctx.Timings. Cancelling cx aborts the parallel stages
 // promptly and returns cx.Err().
 func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
@@ -56,8 +57,8 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	}{
 		{"emit:functions", false, e.assemble},
 		{"emit:layout", true, e.place},
-		{"emit:patch", false, e.patch},
 		{"emit:metadata", false, e.metadata},
+		{"emit:patch", false, e.patch},
 	} {
 		ph := ctx.begin("emit", stage.name)
 		if err := stage.run(cx); err != nil {
@@ -98,7 +99,6 @@ type emittedFn struct {
 type textSection struct {
 	name      string
 	base, end uint64
-	data      []byte
 }
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
@@ -271,20 +271,58 @@ func (e *emitter) place(context.Context) error {
 	return nil
 }
 
-// patch (emit:patch) resolves every reference now that addresses are
-// fixed. Each function's relocations target only its own fragment
-// buffers, and the layout gives every fragment a disjoint range of the
-// output sections, so patching and the section copy fan out over the
-// worker pool; only the input-section rela patching and jump table
-// rewrite (shared section data) stay serial.
+// patch (emit:patch) writes the image. The metadata sections are built
+// by now and the code sections are declared by their size, so the file is
+// laid out and its image allocated once, with the metadata and the kept
+// input sections copied in; then the fragments are copied straight into
+// their windows, and the stale references in all of them are patched
+// there. Each function's relocations
+// target only its own fragment buffers, and the layout gives every
+// fragment a disjoint window, so resolving and copying fragments fans out
+// over the worker pool; only the input-section rela patching and jump
+// table rewrite (shared section data) stay serial.
 func (e *emitter) patch(cx context.Context) error {
+	in := e.ctx.File.Sections
+	secs := make([]*elfx.Section, 0, len(in)+len(e.text)+len(e.out.Sections))
+	for _, s := range in {
+		// A kept section starts as the input's bytes, which Image copies
+		// into the image and then replaces with its window there.
+		ns := &elfx.Section{
+			Name: s.Name, Type: s.Type, Flags: s.Flags, Addr: s.Addr,
+			Data: s.Data, Link: s.Link, Info: s.Info,
+			Addralign: s.Addralign, Entsize: s.Entsize,
+		}
+		switch s.Name {
+		case ".text":
+			// Kept under a new name for the functions that stay in place.
+			ns.Name = ".bolt.org.text"
+			e.res.OrigTextSize = s.Size()
+		case cfi.FrameSectionName, cfi.LSDASectionName, dbg.SectionName:
+			continue // regenerated by the metadata stage
+		}
+		secs = append(secs, ns)
+	}
+	var text [2]*elfx.Section
 	for s := range e.text {
-		e.text[s].data = make([]byte, e.text[s].end-e.text[s].base)
+		if sec := &e.text[s]; s == 0 || sec.end > sec.base {
+			text[s] = &elfx.Section{
+				Name: sec.name, Type: elfx.SHTProgbits,
+				Flags: elfx.SHFAlloc | elfx.SHFExecinstr,
+				Addr:  sec.base, Len: sec.end - sec.base, Addralign: cacheLine,
+			}
+			secs = append(secs, text[s])
+		}
+	}
+	// The metadata sections, added by emit:metadata, go last.
+	e.out.Sections = append(secs, e.out.Sections...)
+	img, err := e.out.Image()
+	if err != nil {
+		return err
 	}
 	if _, err := par.ForTraced(cx, e.ctx.Opts.Trace, "emit:patch", e.taskName,
 		len(e.funcs), e.jobs, func(_, i int) error {
 			for s := range e.funcs[i].frags {
-				fr, sec := &e.funcs[i].frags[s], &e.text[s]
+				fr := &e.funcs[i].frags[s]
 				for _, r := range fr.Relocs {
 					v, err := e.symAddr(r.SymID)
 					if err != nil {
@@ -296,47 +334,18 @@ func (e *emitter) patch(cx context.Context) error {
 					}
 					binary.LittleEndian.PutUint32(fr.Code[r.Off:], uint32(v))
 				}
-				copy(sec.data[fr.addr-sec.base:], fr.Code)
+				copy(text[s].Data[fr.addr-text[s].Addr:], fr.Code)
 			}
 			return nil
 		}); err != nil {
 		return err
 	}
-	e.copyInputSections()
 	e.patchInputRelocs()
 	if err := e.rewriteJumpTables(); err != nil {
 		return err
 	}
-	for s := range e.text {
-		if sec := &e.text[s]; s == 0 || len(sec.data) > 0 {
-			e.out.AddSection(&elfx.Section{
-				Name: sec.name, Type: elfx.SHTProgbits,
-				Flags: elfx.SHFAlloc | elfx.SHFExecinstr,
-				Addr:  sec.base, Data: sec.data, Addralign: cacheLine,
-			})
-		}
-	}
+	e.res.Image = img
 	return nil
-}
-
-// copyInputSections starts the output file from the input's sections;
-// .text is kept under a new name for the functions that stay in place.
-func (e *emitter) copyInputSections() {
-	for _, s := range e.ctx.File.Sections {
-		ns := &elfx.Section{
-			Name: s.Name, Type: s.Type, Flags: s.Flags, Addr: s.Addr,
-			Data: append([]byte(nil), s.Data...), Link: s.Link, Info: s.Info,
-			Addralign: s.Addralign, Entsize: s.Entsize,
-		}
-		switch s.Name {
-		case ".text":
-			ns.Name = ".bolt.org.text"
-			e.res.OrigTextSize = s.Size()
-		case cfi.FrameSectionName, cfi.LSDASectionName, dbg.SectionName:
-			continue // regenerated by the metadata stage
-		}
-		e.out.AddSection(ns)
-	}
 }
 
 // patchInputRelocs patches stale references inside kept sections. The
@@ -447,23 +456,44 @@ func (e *emitter) metadata(cx context.Context) error {
 
 // writeBAT emits the BOLT Address Translation table (§7.3 continuous
 // profiling): one range per emitted fragment, anchoring every surviving
-// instruction's output offset to its input-function offset.
+// instruction's output offset to its input-function offset. The ranges
+// are the hot fragments, then the cold ones, in layout order, which is
+// address order; their entries are already in wire form.
 func (e *emitter) writeBAT() {
-	bt := &bat.Table{}
+	// The table lists each function name once, where it first appears in
+	// layout order. Every function of a name shares ByName's function for
+	// it, whose ordinal keys the name's index (plus one; 0 = not listed).
+	byKey := make([]int32, len(e.ctx.Funcs))
+	funcs := make([]bat.FuncInfo, 0, len(e.funcs))
+	idx := make([]int32, len(e.funcs)) // e.funcs[i]'s name's index
 	for i := range e.funcs {
 		fn := e.funcs[i].fn
-		for s := range e.funcs[i].frags {
-			fr := &e.funcs[i].frags[s]
-			bt.AddRange(bat.Range{
-				FuncIdx: bt.AddFunc(fn.Name, fn.Size),
-				Start:   fr.addr, Size: uint32(len(fr.Code)), Cold: fr.cold,
-				Entries: fr.Anchors,
-			})
+		key := fn
+		if c := e.ctx.ByName[fn.Name]; c != nil {
+			key = c
+		}
+		if byKey[key.ordIdx] == 0 {
+			funcs = append(funcs, bat.FuncInfo{Name: fn.Name, InSize: fn.Size})
+			byKey[key.ordIdx] = int32(len(funcs))
+		}
+		idx[i] = byKey[key.ordIdx] - 1
+	}
+	ranges := func(yield func(bat.RangeHead, *bat.Anchors) bool) {
+		for s := range e.text {
+			for i := range e.funcs {
+				if frags := e.funcs[i].frags; s < len(frags) {
+					fr := &frags[s]
+					h := bat.RangeHead{FuncIdx: int(idx[i]), Start: fr.addr, Size: uint32(len(fr.Code)), Cold: fr.cold}
+					if !yield(h, &fr.BAT) {
+						return
+					}
+				}
+			}
 		}
 	}
 	e.out.AddSection(&elfx.Section{
 		Name: bat.SectionName, Type: elfx.SHTProgbits,
-		Data: bt.Encode(), Addralign: 1,
+		Data: bat.Write(funcs, ranges), Addralign: 1,
 	})
 }
 

@@ -65,10 +65,19 @@ type Section struct {
 	Info      uint32
 	Addralign uint64
 	Entsize   uint64
+	// Len declares the size of a section whose bytes are written after
+	// layout: while Data is nil the section is Len bytes long, and
+	// Image gives it a zeroed window of the image to fill.
+	Len uint64
 }
 
 // Size returns the section's size in bytes.
-func (s *Section) Size() uint64 { return uint64(len(s.Data)) }
+func (s *Section) Size() uint64 {
+	if s.Data == nil {
+		return s.Len
+	}
+	return uint64(len(s.Data))
+}
 
 // Contains reports whether vaddr falls inside the section.
 func (s *Section) Contains(vaddr uint64) bool {

@@ -21,8 +21,11 @@ type stringTable struct {
 	off  map[string]uint32
 }
 
-func newStringTable() *stringTable {
-	return &stringTable{data: []byte{0}, off: map[string]uint32{"": 0}}
+// newStringTable returns a table sized for n strings of size bytes in all.
+func newStringTable(n, size int) *stringTable {
+	t := &stringTable{data: make([]byte, 1, 1+size+n), off: make(map[string]uint32, n+1)}
+	t.off[""] = 0
+	return t
 }
 
 func (t *stringTable) add(s string) uint32 {
@@ -41,13 +44,58 @@ type segment struct {
 	flags            uint32
 }
 
-// Bytes serializes the image to a complete ELF64 executable.
-//
-// Layout: ehdr, phdrs, then each allocatable section placed at a file
+// Bytes serializes the image to a complete ELF64 executable in one
+// buffer of its final size: layout places every section, then write fills
+// the buffer. A section declared by size (Data nil, Len set) is placed by
+// Len and left zero. Bytes leaves f's sections as they are.
+func (f *File) Bytes() ([]byte, error) {
+	l, err := f.layout()
+	if err != nil {
+		return nil, err
+	}
+	return l.write(), nil
+}
+
+// Image serializes f as Bytes does and then makes the image f's storage:
+// every section's Data becomes its window of the image, capped so that an
+// append cannot run into the next section. A section declared by size
+// gets a zeroed window, for the caller to fill after Image returns.
+func (f *File) Image() ([]byte, error) {
+	l, err := f.layout()
+	if err != nil {
+		return nil, err
+	}
+	img := l.write()
+	for i, s := range l.order {
+		if s.Type != SHTNobits {
+			s.Data = img[l.off[i] : l.off[i]+s.Size() : l.off[i]+s.Size()]
+		}
+	}
+	return img, nil
+}
+
+// fileLayout is where everything of a File goes in its image. order is
+// the section header table's order: allocatable sections by address, the
+// other sections, then the synthesized .symtab, .strtab, .rela.* and
+// .shstrtab. off[i] is order[i]'s file offset.
+type fileLayout struct {
+	f        *File
+	order    []*Section
+	off      []uint64
+	segs     []segment
+	shoff    uint64
+	shstr    *stringTable
+	strtab   uint32 // section index of .strtab
+	shstrndx uint32
+	numLocal uint32 // .symtab entries up to the last local, null symbol included
+}
+
+// layout places ehdr, phdrs, then each allocatable section at a file
 // offset congruent to its vaddr modulo the page size (so PT_LOAD entries
 // are loader-correct), then non-alloc sections, symtab/strtab, optional
-// .rela.* sections, .shstrtab, and the section header table.
-func (f *File) Bytes() ([]byte, error) {
+// .rela.* sections, .shstrtab, and the section header table. It builds
+// the synthesized sections' data; no other section's data is read.
+func (f *File) layout() (*fileLayout, error) {
 	// Order allocatable sections by address.
 	var alloc, other []*Section
 	for _, s := range f.Sections {
@@ -64,69 +112,63 @@ func (f *File) Bytes() ([]byte, error) {
 			return nil, fmt.Errorf("elfx: sections %s and %s overlap", p.Name, q.Name)
 		}
 	}
-
-	shstr := newStringTable()
-	symstr := newStringTable()
-
-	// Symbol table: local symbols must precede globals.
-	syms := make([]Symbol, len(f.Symbols))
-	copy(syms, f.Symbols)
-	sort.SliceStable(syms, func(i, j int) bool { return syms[i].Bind < syms[j].Bind })
-	numLocal := 1 // null symbol
-	for _, s := range syms {
-		if s.Bind == STBLocal {
-			numLocal++
-		}
-	}
-
-	// Assemble the section list in file order. Index 0 is the null section.
-	type outSect struct {
-		sec   *Section
-		hdr   [shdrSize]byte
-		data  []byte
-		align uint64
-	}
-	var order []*Section
-	order = append(order, alloc...)
-	order = append(order, other...)
-
-	sectIndex := map[string]uint32{"": 0}
-	for i, s := range order {
+	l := &fileLayout{f: f, shstr: newStringTable(0, 0)}
+	l.order = append(append(l.order, alloc...), other...)
+	sectIndex := map[string]uint32{"": 0} // index 0 is the null section
+	for i, s := range l.order {
 		sectIndex[s.Name] = uint32(i + 1)
 	}
 
-	// Build symtab data after section indices are known.
-	symIndexOf := make(map[string]uint32)
-	symData := make([]byte, symSize) // null symbol
-	for i, s := range syms {
-		var e [symSize]byte
-		binary.LittleEndian.PutUint32(e[0:], symstr.add(s.Name))
-		e[4] = s.Bind<<4 | s.Type&0xF
-		e[5] = 0
-		var shndx uint16
-		switch s.Section {
-		case "":
-			shndx = 0
-		case "*ABS*":
-			shndx = 0xFFF1
-		default:
-			idx, ok := sectIndex[s.Section]
-			if !ok {
-				return nil, fmt.Errorf("elfx: symbol %s references unknown section %s", s.Name, s.Section)
+	// Symbol table: local symbols precede globals, each in input order.
+	namesLen := 0
+	for _, s := range f.Symbols {
+		namesLen += len(s.Name)
+	}
+	symstr := newStringTable(len(f.Symbols), namesLen)
+	var symIndexOf map[string]uint32 // only relocation sections look symbols up
+	if f.EmitRelocs {
+		symIndexOf = make(map[string]uint32, len(f.Symbols))
+	}
+	symData := make([]byte, symSize*(len(f.Symbols)+1)) // null symbol first
+	n := uint32(1)
+	for _, local := range []bool{true, false} {
+		for _, s := range f.Symbols {
+			if (s.Bind == STBLocal) != local {
+				continue
 			}
-			shndx = uint16(idx)
+			var shndx uint16
+			switch s.Section {
+			case "":
+				shndx = 0
+			case "*ABS*":
+				shndx = 0xFFF1
+			default:
+				idx, ok := sectIndex[s.Section]
+				if !ok {
+					return nil, fmt.Errorf("elfx: symbol %s references unknown section %s", s.Name, s.Section)
+				}
+				shndx = uint16(idx)
+			}
+			e := symData[n*symSize:]
+			binary.LittleEndian.PutUint32(e[0:], symstr.add(s.Name))
+			e[4] = s.Bind<<4 | s.Type&0xF
+			binary.LittleEndian.PutUint16(e[6:], shndx)
+			binary.LittleEndian.PutUint64(e[8:], s.Value)
+			binary.LittleEndian.PutUint64(e[16:], s.Size)
+			if symIndexOf != nil {
+				symIndexOf[s.Name] = n
+			}
+			n++
 		}
-		binary.LittleEndian.PutUint16(e[6:], shndx)
-		binary.LittleEndian.PutUint64(e[8:], s.Value)
-		binary.LittleEndian.PutUint64(e[16:], s.Size)
-		symData = append(symData, e[:]...)
-		symIndexOf[s.Name] = uint32(i + 1)
+		if local {
+			l.numLocal = n
+		}
 	}
 
 	// Synthesize metadata sections.
 	meta := []*Section{
 		{Name: ".symtab", Type: SHTSymtab, Data: symData, Entsize: symSize, Addralign: 8},
-		{Name: ".strtab", Type: SHTStrtab, Data: nil, Addralign: 1}, // data filled below
+		{Name: ".strtab", Type: SHTStrtab, Data: symstr.data, Addralign: 1},
 	}
 	var relaSects []*Section
 	if f.EmitRelocs {
@@ -159,28 +201,30 @@ func (f *File) Bytes() ([]byte, error) {
 			relaSects = append(relaSects, &Section{
 				Name: ".rela" + name, Type: SHTRela, Data: data,
 				Entsize: relaSize, Addralign: 8,
-				Link: 0, // fixed up below (symtab index)
-				Info: sectIndex[name],
+				Info: sectIndex[name], // Link is set below, to .symtab's index
 			})
 		}
 	}
 	meta = append(meta, relaSects...)
 	shstrtab := &Section{Name: ".shstrtab", Type: SHTStrtab, Addralign: 1}
 	meta = append(meta, shstrtab)
-	order = append(order, meta...)
-	for i, s := range order {
+	l.order = append(l.order, meta...)
+	for i, s := range l.order {
 		sectIndex[s.Name] = uint32(i + 1)
 	}
-	symtabIdx := sectIndex[".symtab"]
 	for _, rs := range relaSects {
-		rs.Link = symtabIdx
+		rs.Link = sectIndex[".symtab"]
 	}
-	// .symtab links to .strtab.
-	// (indices known now)
+	l.strtab, l.shstrndx = sectIndex[".strtab"], sectIndex[".shstrtab"]
+	for _, s := range l.order {
+		l.shstr.add(s.Name)
+	}
+	shstrtab.Data = l.shstr.data
 
 	// Program headers: merge adjacent alloc sections with equal flags.
-	var segs []segment
-	for _, s := range alloc {
+	// Each segment's file offset is that of its first section.
+	first := make([]int, 0, len(alloc)) // index in alloc of each segment's first section
+	for i, s := range alloc {
 		fl := uint32(4) // R
 		if s.Flags&SHFWrite != 0 {
 			fl |= 2
@@ -188,60 +232,40 @@ func (f *File) Bytes() ([]byte, error) {
 		if s.Flags&SHFExecinstr != 0 {
 			fl |= 1
 		}
-		if n := len(segs); n > 0 && segs[n-1].flags == fl &&
-			s.Addr >= segs[n-1].vaddr && s.Addr-segs[n-1].vaddr < 1<<30 {
+		if n := len(l.segs); n > 0 && l.segs[n-1].flags == fl &&
+			s.Addr >= l.segs[n-1].vaddr && s.Addr-l.segs[n-1].vaddr < 1<<30 {
 			end := s.Addr + s.Size()
-			if end > segs[n-1].vaddr+segs[n-1].size {
-				segs[n-1].size = end - segs[n-1].vaddr
+			if end > l.segs[n-1].vaddr+l.segs[n-1].size {
+				l.segs[n-1].size = end - l.segs[n-1].vaddr
 			}
 			continue
 		}
-		segs = append(segs, segment{vaddr: s.Addr, size: s.Size(), flags: fl})
+		l.segs = append(l.segs, segment{vaddr: s.Addr, size: s.Size(), flags: fl})
+		first = append(first, i)
 	}
 
 	// Lay out the file.
-	pos := uint64(ehdrSize + phdrSize*len(segs))
-	offsets := make(map[string]uint64)
-	for _, s := range alloc {
+	l.off = make([]uint64, len(l.order))
+	pos := uint64(ehdrSize + phdrSize*len(l.segs))
+	for i, s := range alloc {
 		// Congruence: off % page == vaddr % page.
 		want := s.Addr % pageAlign
 		if pos%pageAlign != want {
 			pos += (pageAlign + want - pos%pageAlign) % pageAlign
 		}
-		offsets[s.Name] = pos
+		l.off[i] = pos
 		pos += s.Size()
 	}
-	// Fill segment file offsets from their first section.
-	for i := range segs {
-		for _, s := range alloc {
-			if s.Addr == segs[i].vaddr {
-				segs[i].off = offsets[s.Name]
-				break
-			}
-		}
+	for i, fi := range first {
+		l.segs[i].off = l.off[fi]
 	}
-	// Late-bound metadata payloads.
-	for _, s := range order {
-		if s.Name == ".strtab" {
-			s.Data = symstr.data
-		}
-	}
-	for _, s := range order {
-		shstr.add(s.Name)
-	}
-	shstrtab.Data = shstr.data
-	for _, s := range order {
-		if s.Flags&SHFAlloc != 0 {
-			continue
-		}
-		align := s.Addralign
-		if align == 0 {
-			align = 1
-		}
+	for i := len(alloc); i < len(l.order); i++ {
+		s := l.order[i]
+		align := max(s.Addralign, 1)
 		if pos%align != 0 {
 			pos += align - pos%align
 		}
-		offsets[s.Name] = pos
+		l.off[i] = pos
 		if s.Type != SHTNobits {
 			pos += s.Size()
 		}
@@ -249,9 +273,15 @@ func (f *File) Bytes() ([]byte, error) {
 	if pos%8 != 0 {
 		pos += 8 - pos%8
 	}
-	shoff := pos
+	l.shoff = pos
+	return l, nil
+}
 
-	out := make([]byte, shoff+uint64(shdrSize*(len(order)+1)))
+// write allocates the image and writes the headers and every section's
+// data into it.
+func (l *fileLayout) write() []byte {
+	f, order := l.f, l.order
+	out := make([]byte, l.shoff+uint64(shdrSize*(len(order)+1)))
 
 	// ELF header.
 	copy(out, []byte{0x7F, 'E', 'L', 'F', 2, 1, 1, 0})
@@ -260,16 +290,16 @@ func (f *File) Bytes() ([]byte, error) {
 	binary.LittleEndian.PutUint32(out[20:], 1)
 	binary.LittleEndian.PutUint64(out[24:], f.Entry)
 	binary.LittleEndian.PutUint64(out[32:], ehdrSize) // phoff
-	binary.LittleEndian.PutUint64(out[40:], shoff)
+	binary.LittleEndian.PutUint64(out[40:], l.shoff)
 	binary.LittleEndian.PutUint16(out[52:], ehdrSize)
 	binary.LittleEndian.PutUint16(out[54:], phdrSize)
-	binary.LittleEndian.PutUint16(out[56:], uint16(len(segs)))
+	binary.LittleEndian.PutUint16(out[56:], uint16(len(l.segs)))
 	binary.LittleEndian.PutUint16(out[58:], shdrSize)
 	binary.LittleEndian.PutUint16(out[60:], uint16(len(order)+1))
-	binary.LittleEndian.PutUint16(out[62:], uint16(sectIndex[".shstrtab"]))
+	binary.LittleEndian.PutUint16(out[62:], uint16(l.shstrndx))
 
 	// Program headers.
-	for i, sg := range segs {
+	for i, sg := range l.segs {
 		p := out[ehdrSize+i*phdrSize:]
 		binary.LittleEndian.PutUint32(p[0:], 1) // PT_LOAD
 		binary.LittleEndian.PutUint32(p[4:], sg.flags)
@@ -281,37 +311,28 @@ func (f *File) Bytes() ([]byte, error) {
 		binary.LittleEndian.PutUint64(p[48:], pageAlign)
 	}
 
-	// Section payloads.
-	for _, s := range order {
-		if s.Type == SHTNobits {
-			continue
-		}
-		copy(out[offsets[s.Name]:], s.Data)
-	}
-
-	// Section headers (index 0 stays zero).
+	// Section headers (index 0 stays zero), then the payloads.
 	for i, s := range order {
-		h := out[shoff+uint64((i+1)*shdrSize):]
-		binary.LittleEndian.PutUint32(h[0:], shstr.add(s.Name))
+		h := out[l.shoff+uint64((i+1)*shdrSize):]
+		binary.LittleEndian.PutUint32(h[0:], l.shstr.add(s.Name))
 		binary.LittleEndian.PutUint32(h[4:], s.Type)
 		binary.LittleEndian.PutUint64(h[8:], s.Flags)
 		binary.LittleEndian.PutUint64(h[16:], s.Addr)
-		binary.LittleEndian.PutUint64(h[24:], offsets[s.Name])
+		binary.LittleEndian.PutUint64(h[24:], l.off[i])
 		binary.LittleEndian.PutUint64(h[32:], s.Size())
-		link := s.Link
-		info := s.Info
+		link, info := s.Link, s.Info
 		if s.Name == ".symtab" {
-			link = sectIndex[".strtab"]
-			info = uint32(numLocal)
+			link, info = l.strtab, l.numLocal
 		}
 		binary.LittleEndian.PutUint32(h[40:], link)
 		binary.LittleEndian.PutUint32(h[44:], info)
-		align := s.Addralign
-		if align == 0 {
-			align = 1
-		}
-		binary.LittleEndian.PutUint64(h[48:], align)
+		binary.LittleEndian.PutUint64(h[48:], max(s.Addralign, 1))
 		binary.LittleEndian.PutUint64(h[56:], s.Entsize)
 	}
-	return out, nil
+	for i, s := range order {
+		if s.Type != SHTNobits {
+			copy(out[l.off[i]:], s.Data)
+		}
+	}
+	return out
 }
