@@ -16,14 +16,17 @@ import (
 
 // NewContext discovers functions, disassembles them, and builds CFGs —
 // the front half of the Figure 3 pipeline. It runs in two stages: a
-// serial discovery phase (symbols, relocations, CFI/LSDA, PLT stubs)
-// that finalizes the function list and every shared map, then a parallel
-// per-function phase (disassembly, CFG construction, CFI/LSDA
+// serial discovery phase that decodes the line table, the frames and
+// LSDA, and the symbols (functions, aliases, PLT stubs) one after
+// another, finalizing the function list and every shared map; then a
+// parallel per-function phase (disassembly, CFG construction, CFI/LSDA
 // attachment) fanned out over opts.Jobs workers — safe because after
 // discovery a worker only writes state local to the function it was
-// handed, plus a private stats shard merged at the join. The resulting
-// context is identical for every worker count. Cancelling cx aborts the
-// parallel phase promptly and returns cx.Err(). The zero Options value is
+// handed, plus a private stats shard merged at the join. Discovery is
+// serial because it is mostly the symbol scan: the two other decodes are
+// too short to pay for overlapping them with it. The resulting context is
+// identical for every worker count. Cancelling cx aborts the parallel
+// phase promptly and returns cx.Err(). The zero Options value is
 // upgraded to DefaultOptions (see Options.Normalized).
 func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext, error) {
 	if cx == nil {
@@ -45,96 +48,68 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	ctx.Stats = ctx.Metrics.Counters()
 	ph := ctx.begin("load", "load:discover")
 
-	// Discovery runs as three independent scans overlapped on the worker
-	// pool — each writes a disjoint set of context fields (LineTable;
-	// fdes+LSDA; Funcs/ByName/PLTStubs), the input file is read-only, and
-	// results don't depend on scan interleaving, so the context is
-	// identical for any worker count. Only the frame decode can fail,
-	// keeping error reporting schedule-independent.
-	discoverScans := []func() error{
-		func() error {
-			// Debug info.
-			if ls := f.Section(dbg.SectionName); ls != nil {
-				if t, err := dbg.Decode(ls.Data); err == nil {
-					ctx.LineTable = t
-				}
-			}
-			return nil
-		},
-		func() error {
-			// Frame info.
-			if fs := f.Section(cfi.FrameSectionName); fs != nil {
-				fdes, err := cfi.DecodeFrames(fs.Data)
-				if err != nil {
-					return fmt.Errorf("core: %w", err)
-				}
-				ctx.fdes = fdes
-			}
-			if ls := f.Section(cfi.LSDASectionName); ls != nil {
-				ctx.lsdaData = ls.Data
-				ctx.lsdaBase = ls.Addr
-			}
-			return nil
-		},
-		func() error {
-			// Function discovery: symbol-table driven (paper §3.3). PLT
-			// stubs are recognized separately; alias symbols (ICF'd at
-			// link time) attach to the canonical function at the same
-			// address.
-			byAddr := map[uint64]*BinaryFunction{}
-			for _, sym := range f.FuncSymbols() {
-				sec := f.SectionFor(sym.Value)
-				if sec == nil || sym.Size == 0 {
-					continue
-				}
-				if sec.Name == ".plt" {
-					ctx.discoverPLTStub(sym)
-					continue
-				}
-				if existing := byAddr[sym.Value]; existing != nil {
-					existing.Aliases = append(existing.Aliases, sym.Name)
-					ctx.ByName[sym.Name] = existing
-					continue
-				}
-				bytes, err := f.ReadAt(sym.Value, int(sym.Size))
-				if err != nil {
-					continue
-				}
-				fn := &BinaryFunction{
-					Name:    sym.Name,
-					Addr:    sym.Value,
-					Size:    sym.Size,
-					Section: sec.Name,
-					// Bytes aliases the mapped section data. Safe:
-					// disassembly only reads it, and rewriting emits into
-					// fresh output buffers — nothing writes a function
-					// body in place.
-					Bytes:  bytes,
-					Simple: true,
-				}
-				ctx.Funcs = append(ctx.Funcs, fn)
-				ctx.ByName[sym.Name] = fn
-				byAddr[sym.Value] = fn
-			}
-			sort.Slice(ctx.Funcs, func(i, j int) bool { return ctx.Funcs[i].Addr < ctx.Funcs[j].Addr })
-			for i, fn := range ctx.Funcs {
-				fn.ordIdx = i
-			}
-			return nil
-		},
+	// Debug info.
+	if ls := f.Section(dbg.SectionName); ls != nil {
+		if t, err := dbg.Decode(ls.Data); err == nil {
+			ctx.LineTable = t
+		}
 	}
-	discoverScanNames := []string{"linetable", "cfi", "symbols"}
-	discoverJobs := par.Jobs(opts.Jobs, len(discoverScans))
-	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "load:discover",
-		func(i int) string { return discoverScanNames[i] },
-		len(discoverScans), discoverJobs, func(_, i int) error {
-			return discoverScans[i]()
-		}); err != nil {
-		return nil, err
+	// Frame info.
+	if fs := f.Section(cfi.FrameSectionName); fs != nil {
+		fdes, err := cfi.DecodeFrames(fs.Data)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		ctx.fdes = fdes
+	}
+	if ls := f.Section(cfi.LSDASectionName); ls != nil {
+		ctx.lsdaData = ls.Data
+		ctx.lsdaBase = ls.Addr
+	}
+	// Function discovery: symbol-table driven (paper §3.3). PLT stubs are
+	// recognized separately; alias symbols (ICF'd at link time) attach to
+	// the canonical function at the same address.
+	byAddr := map[uint64]*BinaryFunction{}
+	for _, sym := range f.FuncSymbols() {
+		sec := f.SectionFor(sym.Value)
+		if sec == nil || sym.Size == 0 {
+			continue
+		}
+		if sec.Name == ".plt" {
+			ctx.discoverPLTStub(sym)
+			continue
+		}
+		if existing := byAddr[sym.Value]; existing != nil {
+			existing.Aliases = append(existing.Aliases, sym.Name)
+			ctx.ByName[sym.Name] = existing
+			continue
+		}
+		bytes, err := f.ReadAt(sym.Value, int(sym.Size))
+		if err != nil {
+			continue
+		}
+		fn := &BinaryFunction{
+			Name:    sym.Name,
+			Addr:    sym.Value,
+			Size:    sym.Size,
+			Section: sec.Name,
+			// Bytes aliases the mapped section data. Safe: disassembly
+			// only reads it, and rewriting emits into fresh output
+			// buffers — nothing writes a function body in place.
+			Bytes:  bytes,
+			Simple: true,
+		}
+		ctx.Funcs = append(ctx.Funcs, fn)
+		ctx.ByName[sym.Name] = fn
+		byAddr[sym.Value] = fn
+	}
+	sort.Slice(ctx.Funcs, func(i, j int) bool { return ctx.Funcs[i].Addr < ctx.Funcs[j].Addr })
+	for i, fn := range ctx.Funcs {
+		fn.ordIdx = i
 	}
 	// Relocations (--emit-relocs) enable relocations mode.
 	ctx.HasRelocs = len(f.Relas) > 0
-	ph.end(0, discoverJobs)
+	ph.end(0, 1)
 
 	// Parallel per-function phase. The shared maps (ByName, PLTStubs) and
 	// the address-sorted function list are frozen above; from here every

@@ -160,8 +160,9 @@ func diffShapes(t *testing.T, label string, want, got []string) {
 
 // TestNewContextDeterministicAcrossJobs is the parallel loader's
 // contract: NewContext yields identical function lists, block/edge
-// structure, CFI interning, and Stats for any worker count. Under -race
-// it also exercises the fan-out phase for data races.
+// structure, CFI interning, and Stats for any worker count, with
+// discovery serial and disassembly+CFG on the pool. Under -race it also
+// exercises the fan-out phase for data races.
 func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 	f := buildLoaderFile(t, 24)
 	opts := DefaultOptions()
@@ -192,6 +193,10 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 		}
 		if lt := got.Timings[1]; lt.Funcs != len(got.Funcs) || lt.Jobs != jobs {
 			t.Errorf("jobs=%d: disasm+cfg phase not parallel: %+v", jobs, lt)
+		}
+		// Discovery is serial at any worker count.
+		if dt := got.Timings[0]; dt.Jobs != 1 {
+			t.Errorf("jobs=%d: discover phase not serial: %+v", jobs, dt)
 		}
 	}
 	// Loader stat shards must have merged exactly.

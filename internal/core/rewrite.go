@@ -37,8 +37,11 @@ type RewriteResult struct {
 // in place (paper §3.2 relocations mode). It is Figure 3's last two
 // boxes as four stages over one emitter — assemble fragments, place
 // them, regenerate metadata, write the image — each appending its
-// "emit" row to ctx.Timings. Cancelling cx aborts the parallel stages
-// promptly and returns cx.Err().
+// "emit" row to ctx.Timings. Only the first stage fans out over the
+// worker pool: layout is a prefix sum, and metadata and patching are
+// serial loops because each is a small fraction of the rewrite and a
+// pool over it stays mostly idle. Cancelling cx aborts the parallel
+// stage promptly and returns cx.Err().
 func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	if cx == nil {
 		cx = context.Background()
@@ -57,8 +60,8 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	}{
 		{"emit:functions", false, e.assemble},
 		{"emit:layout", true, e.place},
-		{"emit:metadata", false, e.metadata},
-		{"emit:patch", false, e.patch},
+		{"emit:metadata", true, e.metadata},
+		{"emit:patch", true, e.patch},
 	} {
 		ph := ctx.begin("emit", stage.name)
 		if err := stage.run(cx); err != nil {
@@ -79,7 +82,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 // the only spelling of where input code ends up.
 type emitter struct {
 	ctx  *BinaryContext
-	jobs int // workers of the parallel stages
+	jobs int // workers of emit:functions
 	out  *elfx.File
 	res  RewriteResult
 
@@ -102,8 +105,6 @@ type textSection struct {
 }
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
-
-func (e *emitter) taskName(i int) string { return e.funcs[i].fn.Name }
 
 // final follows ICF folds from fn to the function whose body survives
 // and returns it with its emitted form, nil when it stays in place.
@@ -274,14 +275,11 @@ func (e *emitter) place(context.Context) error {
 // patch (emit:patch) writes the image. The metadata sections are built
 // by now and the code sections are declared by their size, so the file is
 // laid out and its image allocated once, with the metadata and the kept
-// input sections copied in; then the fragments are copied straight into
-// their windows, and the stale references in all of them are patched
-// there. Each function's relocations
-// target only its own fragment buffers, and the layout gives every
-// fragment a disjoint window, so resolving and copying fragments fans out
-// over the worker pool; only the input-section rela patching and jump
-// table rewrite (shared section data) stay serial.
-func (e *emitter) patch(cx context.Context) error {
+// input sections copied in. Then one loop, in layout order, resolves each
+// fragment's relocations and copies it into its window, and the stale
+// references in the kept input sections and jump tables are patched in
+// place.
+func (e *emitter) patch(context.Context) error {
 	in := e.ctx.File.Sections
 	secs := make([]*elfx.Section, 0, len(in)+len(e.text)+len(e.out.Sections))
 	for _, s := range in {
@@ -319,26 +317,22 @@ func (e *emitter) patch(cx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if _, err := par.ForTraced(cx, e.ctx.Opts.Trace, "emit:patch", e.taskName,
-		len(e.funcs), e.jobs, func(_, i int) error {
-			for s := range e.funcs[i].frags {
-				fr := &e.funcs[i].frags[s]
-				for _, r := range fr.Relocs {
-					v, err := e.symAddr(r.SymID)
-					if err != nil {
-						return err
-					}
-					v += uint64(r.Addend)
-					if r.Type != relImmAbs32 { // PC-relative
-						v -= fr.addr + uint64(r.Off)
-					}
-					binary.LittleEndian.PutUint32(fr.Code[r.Off:], uint32(v))
+	for i := range e.funcs {
+		for s := range e.funcs[i].frags {
+			fr := &e.funcs[i].frags[s]
+			for _, r := range fr.Relocs {
+				v, err := e.symAddr(r.SymID)
+				if err != nil {
+					return err
 				}
-				copy(text[s].Data[fr.addr-text[s].Addr:], fr.Code)
+				v += uint64(r.Addend)
+				if r.Type != relImmAbs32 { // PC-relative
+					v -= fr.addr + uint64(r.Off)
+				}
+				binary.LittleEndian.PutUint32(fr.Code[r.Off:], uint32(v))
 			}
-			return nil
-		}); err != nil {
-		return err
+			copy(text[s].Data[fr.addr-text[s].Addr:], fr.Code)
+		}
 	}
 	e.patchInputRelocs()
 	if err := e.rewriteJumpTables(); err != nil {
@@ -434,13 +428,12 @@ func (e *emitter) rewriteJumpTables() error {
 
 // metadata (emit:metadata) regenerates BAT, exception tables, the line
 // table and symbols. Everything is built from e.funcs in layout order,
-// hot then cold fragment per function, so section bytes are identical
-// for any worker count.
-func (e *emitter) metadata(cx context.Context) error {
+// hot then cold fragment per function.
+func (e *emitter) metadata(context.Context) error {
 	if e.ctx.Opts.EnableBAT {
 		e.writeBAT()
 	}
-	if err := e.writeFrames(cx); err != nil {
+	if err := e.writeFrames(); err != nil {
 		return err
 	}
 	if e.ctx.Opts.UpdateDebugSections {
@@ -498,42 +491,33 @@ func (e *emitter) writeBAT() {
 }
 
 // writeFrames regenerates the LSDA section and all FDEs. Each fragment's
-// call-site table is encoded into a private blob by the worker pool
-// (cfi.EncodeLSDA is a pure append, so blobs concatenate byte-identically
-// to sequential encoding); the serial join assigns the blob base offsets
-// in layout order.
-func (e *emitter) writeFrames(cx context.Context) error {
+// call-site table, with its landing pads resolved, is appended straight
+// into the LSDA section in layout order, and then the kept input LSDAs
+// are re-encoded after them.
+func (e *emitter) writeFrames() error {
 	ctx := e.ctx
 	lsdaBase := alignUp(e.text[1].end, 8)
-	blobs := make([][2][]byte, len(e.funcs))
-	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "emit:metadata", e.taskName,
-		len(e.funcs), e.jobs, func(_, i int) (err error) {
-			for s := range e.funcs[i].frags {
-				if blobs[i][s], err = e.encodeLSDA(&e.funcs[i].frags[s]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return err
-	}
-	// Upper bound on FDE count is one per emitted fragment plus every kept
-	// input FDE; the LSDA section is presized to the summed blobs so the
-	// concat loop (almost) never regrows it — only kept input LSDAs
-	// re-encoded below can push past the hint.
-	lsdaSize := 0
-	for i := range blobs {
-		lsdaSize += len(blobs[i][0]) + len(blobs[i][1])
-	}
-	lsdaData := make([]byte, 0, lsdaSize)
+	var lsdaData []byte
+	var lsda cfi.LSDA // one fragment's table, reused
 	fdes := make([]cfi.FDE, 0, len(e.funcs)+e.res.SplitFuncs+len(ctx.fdes))
 	for i := range e.funcs {
 		for s := range e.funcs[i].frags {
 			fr := &e.funcs[i].frags[s]
 			fde := cfi.FDE{Start: fr.addr, Len: uint32(len(fr.Code)), Insts: fr.CFI}
-			if blob := blobs[i][s]; blob != nil {
-				fde.LSDA = lsdaBase + uint64(len(lsdaData))
-				lsdaData = append(lsdaData, blob...)
+			if len(fr.CallSites) > 0 {
+				lsda.CallSites = lsda.CallSites[:0]
+				for _, cs := range fr.CallSites {
+					lp, err := e.blockAddr(fr.fn, cs.LP.Index)
+					if err != nil {
+						return fmt.Errorf("core: landing pad block %d of %s not emitted", cs.LP.Index, fr.fn.Name)
+					}
+					lsda.CallSites = append(lsda.CallSites, cfi.CallSite{
+						Start: cs.Start, Len: cs.Len, LandingPad: lp, Action: cs.Action,
+					})
+				}
+				var off uint32
+				lsdaData, off = cfi.EncodeLSDA(lsdaData, &lsda)
+				fde.LSDA = lsdaBase + uint64(off)
 			}
 			fdes = append(fdes, fde)
 		}
@@ -565,26 +549,6 @@ func (e *emitter) writeFrames(cx context.Context) error {
 		Data: cfi.EncodeFrames(fdes), Addralign: 8,
 	})
 	return nil
-}
-
-// encodeLSDA encodes the fragment's call-site table with its landing
-// pads resolved, nil when it has no call sites.
-func (e *emitter) encodeLSDA(fr *fragment) ([]byte, error) {
-	if len(fr.CallSites) == 0 {
-		return nil, nil
-	}
-	l := &cfi.LSDA{CallSites: make([]cfi.CallSite, 0, len(fr.CallSites))}
-	for _, cs := range fr.CallSites {
-		lp, err := e.blockAddr(fr.fn, cs.LP.Index)
-		if err != nil {
-			return nil, fmt.Errorf("core: landing pad block %d of %s not emitted", cs.LP.Index, fr.fn.Name)
-		}
-		l.CallSites = append(l.CallSites, cfi.CallSite{
-			Start: cs.Start, Len: cs.Len, LandingPad: lp, Action: cs.Action,
-		})
-	}
-	blob, _ := cfi.EncodeLSDA(nil, l)
-	return blob, nil
 }
 
 // writeLines rebuilds the debug line table (-update-debug-sections):

@@ -37,7 +37,8 @@ func Jobs(jobs, n int) int {
 // give each worker a private shard) and the item index. On failure the
 // pool drains and the error attributed to the lowest item index is
 // returned along with that index, keeping error messages stable across
-// schedules. jobs <= 1 degenerates to a plain loop.
+// schedules. jobs <= 1 runs the same worker body on the caller's
+// goroutine.
 //
 // Cancelling cx stops the pool promptly: no new item is claimed once the
 // context is done (items already claimed run to completion), and For
@@ -50,126 +51,121 @@ func For(cx context.Context, n, jobs int, work func(worker, item int) error) (in
 
 // ForTraced is For with span recording: when tr is non-nil each worker
 // records one batch span named after the phase covering its whole
-// participation in the pool, plus one task span per item (named by
-// taskName when provided, else by the phase). A nil tr makes ForTraced
-// identical to For — the hot loop takes no time stamps and performs no
-// allocations, preserving the zero-alloc emission path.
+// participation in the pool, plus one task span per completed item
+// (named by taskName when provided, else by the phase). Every worker,
+// including the lone one at jobs <= 1, runs pool.worker. A nil tr makes
+// ForTraced identical to For, and then the jobs <= 1 path allocates
+// nothing: its pool and claims live on the caller's stack, and only the
+// fan-out copies them to the heap for its goroutines.
 func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(item int) string, n, jobs int, work func(worker, item int) error) (int, error) {
 	if cx == nil {
 		cx = context.Background()
 	}
-	// Task timestamps are chained: each span starts where the previous
-	// one on the same worker ended, so an item costs one clock read, not
-	// two. The sliver of claim overhead between items is attributed to
-	// the task, which is negligible next to any real work item. Spans
-	// are recorded for completed items only — a failing item ends its
-	// worker's batch without a task span. The closures are built only
-	// when tracing: with tr == nil this function allocates nothing.
-	var task func(w, i int, last time.Time) time.Time
-	if tr != nil {
-		if jobs < 1 {
-			tr.EnsureWorkers(1)
-		} else {
-			tr.EnsureWorkers(jobs)
-		}
-		task = func(w, i int, last time.Time) time.Time {
-			now := time.Now()
-			name := phase
-			if taskName != nil {
-				name = taskName(i)
-			}
-			tr.Task(w, phase, name, last, now.Sub(last))
-			return now
-		}
+	jobs = max(jobs, 1)
+	tr.EnsureWorkers(jobs)
+	p := pool{cx: cx, tr: tr, phase: phase, taskName: taskName, n: n, work: work}
+	var errIdx int
+	var err error
+	if jobs == 1 {
+		var c claims
+		errIdx, err = p.worker(&c, 0)
+	} else {
+		errIdx, err = p.fanOut(jobs)
 	}
-	if jobs <= 1 {
-		if tr == nil {
-			for i := 0; i < n; i++ {
-				if err := cx.Err(); err != nil {
-					return -1, err
-				}
-				if err := work(0, i); err != nil {
-					return i, err
-				}
-			}
-			return -1, nil
-		}
-		t0 := time.Now()
-		last := t0
-		items := 0
-		batch := func() { tr.Batch(0, phase, t0, time.Since(t0), items) }
-		for i := 0; i < n; i++ {
-			if err := cx.Err(); err != nil {
-				batch()
-				return -1, err
-			}
-			if err := work(0, i); err != nil {
-				batch()
-				return i, err
-			}
-			last = task(0, i, last)
-			items++
-		}
-		batch()
-		return -1, nil
+	if err == nil {
+		err = cx.Err()
 	}
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		errMu  sync.Mutex
-	)
-	errIdx, firstErr := -1, error(nil)
-	for w := 0; w < jobs; w++ {
+	return errIdx, err
+}
+
+// pool is what every worker of one ForTraced call reads.
+type pool struct {
+	cx       context.Context
+	tr       *obsv.Tracer
+	phase    string
+	taskName func(item int) string
+	n        int
+	work     func(worker, item int) error
+}
+
+// claims is the state the workers of one call share: the next item to
+// hand out, and whether any item has failed.
+type claims struct {
+	next   atomic.Int64
+	failed atomic.Bool
+}
+
+// fanOut runs the worker body on jobs goroutines and returns the
+// lowest-index error any of them met, (-1, nil) when none did. Each
+// worker stops at its first error, and the cursor hands out indices in
+// order, so every item below the lowest failing one has run: the result
+// is the failure a single worker would stop at.
+func (p pool) fanOut(jobs int) (int, error) {
+	var c claims
+	type result struct {
+		idx int
+		err error
+	}
+	res := make([]result, jobs)
+	var wg sync.WaitGroup
+	for w := range jobs {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			run := work // worker-local: the traced wrapper must not race across workers
-			if tr != nil {
-				t0 := time.Now()
-				last := t0
-				items := 0
-				defer func() { tr.Batch(w, phase, t0, time.Since(t0), items) }()
-				run = func(w, i int) error {
-					err := work(w, i)
-					if err == nil {
-						last = task(w, i, last)
-						items++
-					}
-					return err
-				}
-			}
-			for {
-				// Check for drain BEFORE claiming: a claimed item always
-				// runs. The cursor hands out indices in order, so every
-				// item below a recorded error index has run, and the
-				// lowest-index error is reported exactly — the same
-				// failure jobs=1 would stop at.
-				if failed.Load() || cx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := run(w, i); err != nil {
-					errMu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
+			res[w].idx, res[w].err = p.worker(&c, w)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return errIdx, firstErr
+	first := result{idx: -1}
+	for _, r := range res {
+		if r.err != nil && (first.err == nil || r.idx < first.idx) {
+			first = r
+		}
 	}
-	if err := cx.Err(); err != nil {
-		return -1, err
+	return first.idx, first.err
+}
+
+// worker is the pool's one worker body: it claims items until they run
+// out, an item fails or cx is done, and returns the item that failed with
+// its error, (-1, nil) otherwise. Drain is checked BEFORE claiming, so a
+// claimed item always runs.
+//
+// Traced, task timestamps are chained: each span starts where the
+// previous one on the same worker ended, so an item costs one clock read,
+// not two. The sliver of claim overhead between items is attributed to
+// the task, which is negligible next to any real work item. A failing
+// item ends the worker's batch without a task span.
+func (p *pool) worker(c *claims, w int) (int, error) {
+	var t0, last time.Time
+	if p.tr != nil {
+		t0 = time.Now()
+		last = t0
 	}
-	return -1, nil
+	errIdx, items := -1, 0
+	var err error
+	for !c.failed.Load() && p.cx.Err() == nil {
+		i := int(c.next.Add(1)) - 1
+		if i >= p.n {
+			break
+		}
+		if err = p.work(w, i); err != nil {
+			c.failed.Store(true)
+			errIdx = i
+			break
+		}
+		if p.tr != nil {
+			now := time.Now()
+			name := p.phase
+			if p.taskName != nil {
+				name = p.taskName(i)
+			}
+			p.tr.Task(w, p.phase, name, last, now.Sub(last))
+			last = now
+			items++
+		}
+	}
+	if p.tr != nil {
+		p.tr.Batch(w, p.phase, t0, time.Since(t0), items)
+	}
+	return errIdx, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"testing"
 
@@ -95,18 +96,74 @@ func TestForCancelledBeforeStart(t *testing.T) {
 // TestForErrorBeatsCancel: when a work item fails and the context is then
 // cancelled, the item error is reported, not the cancellation.
 func TestForErrorBeatsCancel(t *testing.T) {
-	cx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	boom := errors.New("boom")
-	idx, err := For(cx, 20, 4, func(_, i int) error {
-		if i == 3 {
-			cancel()
-			return boom
+	for _, jobs := range []int{1, 4} {
+		cx, cancel := context.WithCancel(context.Background())
+		idx, err := For(cx, 20, jobs, func(_, i int) error {
+			if i == 3 {
+				cancel()
+				return boom
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, boom) || idx != 3 {
+			t.Fatalf("jobs=%d: got (%d, %v), want (3, boom)", jobs, idx, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) || idx != 3 {
-		t.Fatalf("got (%d, %v), want (3, boom)", idx, err)
+	}
+}
+
+// TestForTracedSpans: a traced pool records one task span per item, named
+// by taskName, and one batch span per worker, whose item counts add up to
+// n; the task names are the same multiset at any worker count.
+func TestForTracedSpans(t *testing.T) {
+	const n = 100
+	name := func(i int) string { return fmt.Sprintf("item%d", i%7) }
+	var names [2]map[string]int
+	for k, jobs := range []int{1, 4} {
+		tr := obsv.New()
+		if _, err := ForTraced(context.Background(), tr, "ph", name, n, jobs, func(_, i int) error { return nil }); err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		names[k] = map[string]int{}
+		batches, items := map[int]int{}, 0
+		for _, sp := range tr.Spans() {
+			if sp.Phase != "ph" {
+				t.Errorf("jobs=%d: span of phase %q", jobs, sp.Phase)
+			}
+			switch sp.Kind {
+			case obsv.KindTask:
+				names[k][sp.Name]++
+			case obsv.KindBatch:
+				batches[sp.Worker]++
+				items += sp.N
+			}
+		}
+		if got := len(tr.Spans()) - len(batches); got != n {
+			t.Errorf("jobs=%d: %d task spans, want %d", jobs, got, n)
+		}
+		if len(batches) != jobs || items != n {
+			t.Errorf("jobs=%d: batch spans per worker %v covering %d items, want one for each of %d workers covering %d", jobs, batches, items, jobs, n)
+		}
+		for w, c := range batches {
+			if c != 1 {
+				t.Errorf("jobs=%d: worker %d recorded %d batch spans", jobs, w, c)
+			}
+		}
+	}
+	if !maps.Equal(names[0], names[1]) {
+		t.Errorf("task names differ between jobs 1 and 4:\n  %v\n  %v", names[0], names[1])
+	}
+}
+
+// TestForSerialAllocs: the untraced jobs-1 pool runs on the caller's
+// stack, so it allocates nothing per call.
+func TestForSerialAllocs(t *testing.T) {
+	sum := 0
+	work := func(_, i int) error { sum += i; return nil }
+	cx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() { For(cx, 1000, 1, work) }); allocs != 0 {
+		t.Errorf("untraced jobs=1 For allocates %v times per call, want 0", allocs)
 	}
 }
 
