@@ -55,8 +55,7 @@ func For(cx context.Context, n, jobs int, work func(worker, item int) error) (in
 // (named by taskName when provided, else by the phase). Every worker,
 // including the lone one at jobs <= 1, runs pool.worker. A nil tr makes
 // ForTraced identical to For, and then the jobs <= 1 path allocates
-// nothing: its pool and claims live on the caller's stack, and only the
-// fan-out copies them to the heap for its goroutines.
+// nothing: its pool and claims live on the caller's stack.
 func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(item int) string, n, jobs int, work func(worker, item int) error) (int, error) {
 	if cx == nil {
 		cx = context.Background()
@@ -99,7 +98,9 @@ type claims struct {
 // lowest-index error any of them met, (-1, nil) when none did. Each
 // worker stops at its first error, and the cursor hands out indices in
 // order, so every item below the lowest failing one has run: the result
-// is the failure a single worker would stop at.
+// is the failure a single worker would stop at. The value receiver is
+// what keeps ForTraced's pool on its stack: only this copy escapes to
+// the goroutines.
 func (p pool) fanOut(jobs int) (int, error) {
 	var c claims
 	type result struct {
