@@ -47,6 +47,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"time"
 
@@ -455,7 +456,7 @@ func (s *Session) buildReport(dyno *Dyno) *Report {
 			OrigTextSize: s.res.OrigTextSize,
 		},
 		Phases:  s.bctx.Timings,
-		Metrics: s.bctx.Metrics.Snapshot(),
+		Metrics: maps.Clone(s.bctx.Stats),
 		Dyno:    dyno,
 	}
 	// The tracer handle is operational state, not run description: the

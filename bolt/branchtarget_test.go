@@ -1,6 +1,7 @@
 package bolt_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -163,5 +164,59 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 				t.Errorf("load-non-simple = %d, want %d", got, nonSimple+1)
 			}
 		})
+	}
+}
+
+// TestWrappedSymbolSizeSkipped: a function symbol whose st_size is
+// 2^64-8 reaches the loader's read as a negative length. The image still
+// analyzes: that symbol is skipped, as any unreadable one is, and every
+// other function loads as before.
+func TestWrappedSymbolSizeSkipped(t *testing.T) {
+	f := buildTiny(t)
+	pristine := analyzed(t, f)
+	// The last function symbol that is alone at its address: it lies far
+	// enough into .text for an unchecked offset+length sum to wrap round
+	// into the section.
+	at := map[uint64]int{}
+	for _, s := range f.Symbols {
+		if s.Type == elfx.STTFunc {
+			at[s.Value]++
+		}
+	}
+	victim := -1
+	for i, s := range f.Symbols {
+		if s.Type == elfx.STTFunc && s.Section == ".text" && at[s.Value] == 1 &&
+			(victim < 0 || s.Value > f.Symbols[victim].Value) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no function symbol to patch in the Tiny workload")
+	}
+	name := f.Symbols[victim].Name
+	f.Symbols[victim].Size = ^uint64(0) - 7
+	img, err := f.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := bolt.OpenReader(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Analyze(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	funcs, err := sess.Functions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := map[string]bool{}
+	for _, fn := range funcs {
+		loaded[fn.Name] = true
+	}
+	for _, fn := range pristine {
+		if loaded[fn.Name] != (fn.Name != name) {
+			t.Errorf("%s: loaded=%t, want only %s skipped", fn.Name, loaded[fn.Name], name)
+		}
 	}
 }

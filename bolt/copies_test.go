@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 
 	"gobolt/internal/bincheck"
 	"gobolt/internal/cc"
+	"gobolt/internal/core"
 	"gobolt/internal/ld"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
@@ -104,6 +106,21 @@ func TestInputSectionsUnchanged(t *testing.T) {
 				t.Fatal("Optimize + WriteTo changed the session's input section bytes")
 			}
 		})
+	}
+}
+
+// TestReportMetricsIsACopy: Report.Metrics is the counters as Optimize
+// left them; a count the session's store takes later does not reach it.
+func TestReportMetricsIsACopy(t *testing.T) {
+	elf, fdata := serializedInput(t, workload.Tiny())
+	sess := optimizedSession(t, elf, fdata)
+	want := maps.Clone(sess.rep.Metrics)
+	sess.bctx.CountStat(core.StatICFFolded, 1)
+	if !maps.Equal(sess.rep.Metrics, want) {
+		t.Errorf("report metrics changed after Optimize: %v, want %v", sess.rep.Metrics, want)
+	}
+	if got := sess.bctx.Stats["icf-folded"]; got != want["icf-folded"]+1 {
+		t.Errorf("live icf-folded = %d, want %d", got, want["icf-folded"]+1)
 	}
 }
 

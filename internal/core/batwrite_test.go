@@ -9,7 +9,6 @@ import (
 
 	"gobolt/internal/bat"
 	"gobolt/internal/elfx"
-	"gobolt/internal/obsv"
 )
 
 // TestWriteBATMatchesTableEncode: writeBAT builds .bolt.bat from the
@@ -32,7 +31,7 @@ func TestWriteBATMatchesTableEncode(t *testing.T) {
 			Name: ".data", Flags: elfx.SHFAlloc, Addr: 0x400000 + uint64(rng.Intn(3))<<36,
 			Data: make([]byte, 1+rng.Intn(64)),
 		})
-		ctx := &BinaryContext{File: in, ByName: map[string]*BinaryFunction{}, Metrics: obsv.NewRegistry(StatDefs())}
+		ctx := &BinaryContext{File: in, ByName: map[string]*BinaryFunction{}, Stats: map[string]int64{}}
 		nFuncs := 1 + rng.Intn(40)
 		names := 1 + rng.Intn(nFuncs)
 		for i := 0; i < nFuncs; i++ {

@@ -515,16 +515,11 @@ type BinaryContext struct {
 	// these functions first, the rest in address order.
 	FuncOrder []FuncRef
 
-	// Metrics is the typed registry behind the pipeline's counters (see
-	// StatDefs). It is the source of truth for counts; Stats below
-	// aliases its live counter map.
-	Metrics *obsv.Registry
-
-	// Stats is the read-side view of Metrics' counters — the same live
-	// by-name map the registry maintains (a key is present iff its count
-	// is non-zero). Pool workers count into private shards merged at the
-	// barrier; CountStat goes through the registry's lock. Read it only
-	// between passes.
+	// Stats holds every counter the pipeline records, by the names
+	// StatDefs declares; a key is present iff its count is non-zero.
+	// Serial code writes it through CountStat; pool workers count into
+	// private shards that mergeStats folds in at the join. Read it only
+	// between phases.
 	Stats map[string]int64
 
 	// Timings is the run's one instrumentation record, in execution order
@@ -562,11 +557,16 @@ func (ctx *BinaryContext) FuncContaining(addr uint64) *BinaryFunction {
 	return nil
 }
 
-// CountStat bumps a statistic through the metrics registry. Safe for
-// concurrent use; inside a FunctionPass prefer the FuncCtx shard, which
-// is contention-free.
+// CountStat adds delta to statistic s in ctx.Stats, dropping the key
+// when the count returns to zero. It is for serial code only: inside a
+// FunctionPass, FuncCtx.CountStat counts into the worker's shard.
 func (ctx *BinaryContext) CountStat(s Stat, delta int64) {
-	ctx.Metrics.Add(int(s), delta)
+	name := s.String()
+	if v := ctx.Stats[name] + delta; v != 0 {
+		ctx.Stats[name] = v
+	} else {
+		delete(ctx.Stats, name)
+	}
 }
 
 // SimpleFuncs returns the rewritable functions.

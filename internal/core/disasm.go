@@ -10,7 +10,6 @@ import (
 	"gobolt/internal/elfx"
 	"gobolt/internal/intern"
 	"gobolt/internal/isa"
-	"gobolt/internal/obsv"
 	"gobolt/internal/par"
 )
 
@@ -41,11 +40,8 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		Opts:     opts,
 		ByName:   map[string]*BinaryFunction{},
 		PLTStubs: map[uint64]uint64{},
-		Metrics:  obsv.NewRegistry(StatDefs()),
+		Stats:    map[string]int64{},
 	}
-	// ctx.Stats aliases the registry's live counter map: the registry is
-	// the source of truth, the map is the compatibility view.
-	ctx.Stats = ctx.Metrics.Counters()
 	ph := ctx.begin("load", "load:discover")
 
 	// Debug info.
@@ -126,7 +122,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		return nil, err
 	}
 	for w := range scratch {
-		ctx.Metrics.Merge(scratch[w].stats[:])
+		ctx.mergeStats(&scratch[w].stats)
 	}
 	ph.end(len(ctx.Funcs), jobs)
 	return ctx, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -209,7 +210,7 @@ func TestNewContextDeterministicAcrossJobs(t *testing.T) {
 // by default, with the symbol table put in address order: ld emits
 // ICF-alias symbols in map order, and which alias names a function is the
 // one thing about the loader's result that would follow it.
-func presetFile(t *testing.T, spec workload.Spec) *elfx.File {
+func presetFile(t testing.TB, spec workload.Spec) *elfx.File {
 	t.Helper()
 	objs, err := cc.Compile(workload.Generate(spec), cc.DefaultOptions())
 	if err != nil {
@@ -227,6 +228,28 @@ func presetFile(t *testing.T, spec workload.Spec) *elfx.File {
 		return syms[i].Name < syms[j].Name
 	})
 	return res.File
+}
+
+// FuzzNewContext: any bytes either fail to parse or load into a context
+// at jobs 1 without a panic, and the loader leaves the buffer the image
+// was parsed in place from as it found it.
+func FuzzNewContext(f *testing.F) {
+	img, err := presetFile(f, workload.Tiny()).Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data)
+		file, err := elfx.ReadInPlace(data)
+		if err != nil {
+			return
+		}
+		NewContext(context.Background(), file, Options{Jobs: 1})
+		if !bytes.Equal(data, in) {
+			t.Fatal("loading the image changed the input buffer")
+		}
+	})
 }
 
 // TestLoaderDigestGolden pins the loader at CFG level: the SHA-256 of

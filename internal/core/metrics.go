@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"gobolt/internal/obsv"
 )
 
-// Stat is the typed key of one declared statistic: CountStat, the
-// per-worker shards and the registry all address a metric by it, so a
-// key that statDefs does not declare cannot be written down. The order
-// is the order of the README table.
+// Stat is the typed key of one declared statistic: CountStat and the
+// per-worker shards address a counter by it, so a key that statDefs does
+// not declare cannot be written down. The order is the order of the
+// README table.
 type Stat uint8
 
 const (
@@ -62,28 +60,52 @@ const (
 // in ctx.Stats and the run report.
 func (s Stat) String() string { return statDefs[s].Name }
 
-// statShard is one pool worker's private counts, merged into the registry
-// at the barrier; int64 addition commutes, so the totals are identical
-// for any worker count.
+// statShard holds counts by Stat: one pool worker's private counts,
+// folded into ctx.Stats by mergeStats at the join (int64 addition
+// commutes, so the totals are identical for any worker count), or a
+// phase's reading of ctx.Stats for its stat delta.
 type statShard [numStats]int64
+
+// mergeStats folds a worker's shard into ctx.Stats.
+func (ctx *BinaryContext) mergeStats(c *statShard) {
+	for s, v := range c {
+		ctx.CountStat(Stat(s), v)
+	}
+}
+
+// statCounts reads ctx.Stats back into shard form.
+func (ctx *BinaryContext) statCounts() (c statShard) {
+	for s := range c {
+		c[s] = ctx.Stats[Stat(s).String()]
+	}
+	return c
+}
+
+// StatDef declares one statistic: its name, its help text and, for a
+// count-weighted profile stat, the parent counter it sums into exactly.
+type StatDef struct {
+	Name  string
+	Help  string
+	SumTo string
+}
 
 // statTotal is the parent every count-weighted profile stat sums into.
 const statTotal = "profile-total-count"
 
-func counter(name, help string) obsv.Def {
-	return obsv.Def{Name: name, Help: help}
+func counter(name, help string) StatDef {
+	return StatDef{Name: name, Help: help}
 }
 
-func weighted(name, help string) obsv.Def {
-	return obsv.Def{Name: name, Help: help, SumTo: statTotal}
+func weighted(name, help string) StatDef {
+	return StatDef{Name: name, Help: help, SumTo: statTotal}
 }
 
 // statDefs declares every statistic the pipeline records, keyed by its
 // Stat: it is the single source of truth behind ctx.Stats, the README's
 // documented stat-key list (StatKeyDoc), and the sum-to-total invariant
 // test. A row cannot be written without its key; a key without a row is
-// an empty Def, which TestStatDefsComplete rejects.
-var statDefs = [numStats]obsv.Def{
+// an empty StatDef, which TestStatDefsComplete rejects.
+var statDefs = [numStats]StatDef{
 	// Loader (NewContext): every discovered function lands in
 	// exactly one of simple/non-simple.
 	StatLoadSimple:    counter("load-simple", "functions disassembled into a complete CFG"),
@@ -135,7 +157,7 @@ var statDefs = [numStats]obsv.Def{
 
 // StatDefs returns the declared statistics in Stat order; callers must
 // not modify the result.
-func StatDefs() []obsv.Def { return statDefs[:] }
+func StatDefs() []StatDef { return statDefs[:] }
 
 // StatKeyDoc renders the declared stats as the markdown table embedded
 // in the README between the stat-keys markers; a test keeps the two in

@@ -25,8 +25,8 @@ type FunctionPass interface {
 // FuncCtx is the per-worker view handed to a FunctionPass. It embeds the
 // shared BinaryContext for read access (options, file sections, symbol
 // maps) and shadows CountStat with a private shard, so concurrent workers
-// never contend on — or race over — the shared registry. Shards are
-// merged back at the pass barrier.
+// never write ctx.Stats; mergeStats folds the shards in at the pass
+// barrier.
 type FuncCtx struct {
 	*BinaryContext
 	stats statShard
@@ -96,17 +96,14 @@ type phase struct {
 }
 
 func (ctx *BinaryContext) begin(group, name string) phase {
-	p := phase{ctx: ctx, group: group, name: name, start: time.Now()}
-	ctx.Metrics.CopyCounts(p.before[:])
-	return p
+	return phase{ctx: ctx, group: group, name: name, start: time.Now(), before: ctx.statCounts()}
 }
 
 // end closes the phase over funcs functions on jobs workers.
 func (p phase) end(funcs, jobs int) {
 	wall := time.Since(p.start)
 	p.ctx.Opts.Trace.Phase(p.name, p.start, wall, jobs)
-	var after statShard
-	p.ctx.Metrics.CopyCounts(after[:])
+	after := p.ctx.statCounts()
 	p.ctx.Timings = append(p.ctx.Timings, PassTiming{
 		Name: p.name, Group: p.group, Wall: wall,
 		Funcs: funcs, Jobs: jobs,
@@ -188,7 +185,7 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 			return fp.RunOnFunction(workers[w], funcs[i])
 		})
 	for _, fc := range workers {
-		ctx.Metrics.Merge(fc.stats[:])
+		ctx.mergeStats(&fc.stats)
 	}
 	if err != nil {
 		if errIdx < 0 {

@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
-
-	"gobolt/internal/obsv"
 )
 
 // The test passes borrow declared keys — there is no undeclared Stat.
@@ -19,8 +18,7 @@ const (
 
 // fakeCtx builds a context with n synthetic simple functions.
 func fakeCtx(n int) *BinaryContext {
-	ctx := &BinaryContext{ByName: map[string]*BinaryFunction{}, Metrics: obsv.NewRegistry(StatDefs())}
-	ctx.Stats = ctx.Metrics.Counters()
+	ctx := &BinaryContext{ByName: map[string]*BinaryFunction{}, Stats: map[string]int64{}}
 	for i := 0; i < n; i++ {
 		fn := &BinaryFunction{
 			Name:   fmt.Sprintf("f%03d", i),
@@ -47,11 +45,21 @@ func (touchPass) RunOnFunction(fc *FuncCtx, fn *BinaryFunction) error {
 }
 
 func TestPassManagerShardsMergeIdentically(t *testing.T) {
+	// The merged shards must write what the same counts, made one by one
+	// through CountStat, write.
+	serial := fakeCtx(37)
+	for _, fn := range serial.Funcs {
+		serial.CountStat(statTouched, 1)
+		serial.CountStat(statBytes, int64(fn.Size))
+	}
 	for _, jobs := range []int{1, 3, 8, 64} {
 		ctx := fakeCtx(37)
 		pm := NewPassManager(jobs)
 		if err := pm.Run(context.Background(), ctx, []Pass{ForEachFunction(touchPass{})}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if !maps.Equal(ctx.Stats, serial.Stats) {
+			t.Errorf("jobs=%d: merged stats %v, serial CountStat calls give %v", jobs, ctx.Stats, serial.Stats)
 		}
 		if got := ctx.Stats[statTouched.String()]; got != 37 {
 			t.Errorf("jobs=%d: touched=%d, want 37", jobs, got)
@@ -102,19 +110,20 @@ func TestPassManagerErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestCountStatConcurrencySafe(t *testing.T) {
-	// Direct CountStat calls (outside FuncCtx shards) take the stats
-	// mutex; hammer it from a parallel pass to prove the fallback path.
-	ctx := fakeCtx(64)
-	direct := passFunc{name: "direct", fn: func(fc *FuncCtx, f *BinaryFunction) error {
-		fc.BinaryContext.CountStat(statTouched, 1)
-		return nil
-	}}
-	if err := NewPassManager(8).Run(context.Background(), ctx, []Pass{ForEachFunction(direct)}); err != nil {
-		t.Fatal(err)
+// TestCountStatDropsZeroKeys: ctx.Stats has a key iff its count is
+// non-zero, so a counter brought back to zero loses its key.
+func TestCountStatDropsZeroKeys(t *testing.T) {
+	ctx := fakeCtx(0)
+	ctx.CountStat(statTouched, 3)
+	ctx.CountStat(statBytes, 0)
+	if want := map[string]int64{statTouched.String(): 3}; !maps.Equal(ctx.Stats, want) {
+		t.Fatalf("stats = %v, want %v", ctx.Stats, want)
 	}
-	if got := ctx.Stats[statTouched.String()]; got != 64 {
-		t.Errorf("direct=%d, want 64", got)
+	var shard statShard
+	shard[statTouched] = -3
+	ctx.mergeStats(&shard)
+	if len(ctx.Stats) != 0 {
+		t.Fatalf("a counter merged back to zero kept its key: %v", ctx.Stats)
 	}
 }
 

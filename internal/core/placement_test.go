@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gobolt/internal/elfx"
-	"gobolt/internal/obsv"
 )
 
 // linesSpanned is how many cache lines the bytes [addr, addr+size) touch.
@@ -65,7 +64,7 @@ func TestPlaceInvariants(t *testing.T) {
 			Name: ".data", Flags: elfx.SHFAlloc, Addr: 0x400000,
 			Data: make([]byte, 1+rng.Intn(5000)),
 		})
-		ctx := &BinaryContext{File: in, Metrics: obsv.NewRegistry(StatDefs())}
+		ctx := &BinaryContext{File: in, Stats: map[string]int64{}}
 		e := &emitter{ctx: ctx, funcs: make([]emittedFn, 1+rng.Intn(40))}
 		// Sizes cluster around the line size, where the rule decides.
 		size := func() int {
@@ -120,7 +119,7 @@ func TestPlaceInvariants(t *testing.T) {
 				t.Fatalf("seq %d: section %d ends at %#x, last fragment at %#x", seq, s, sec.end, free)
 			}
 		}
-		if got := ctx.Metrics.Counters()[StatEmitPadBytes.String()]; got != int64(pad) {
+		if got := ctx.Stats[StatEmitPadBytes.String()]; got != int64(pad) {
 			t.Fatalf("seq %d: emit-pad-bytes %d, fragments are padded by %d", seq, got, pad)
 		}
 	}

@@ -225,8 +225,8 @@ func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, at []int32) *funcRecs {
 // function's records are applied by one worker (stale matching,
 // instruction lookup, edge attach — the expensive part) counting into a
 // per-worker shard; a function is in one bucket, so its slot of sm.funcs
-// has one writer. The serial join counts the stale functions and merges
-// the shards into the registry.
+// has one writer. The serial join counts the stale functions and folds
+// the shards into ctx.Stats.
 func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (jobs int, err error) {
 	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]statShard, jobs)
@@ -257,7 +257,7 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 		}
 	}
 	for i := range shards {
-		ctx.Metrics.Merge(shards[i][:])
+		ctx.mergeStats(&shards[i])
 	}
 	return jobs, nil
 }
@@ -352,7 +352,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Callee, b.Callee))
 	}, func(t *CallTarget) *uint64 { return &t.Count })
 
-	ctx.Metrics.Merge(c[:])
+	ctx.mergeStats(&c)
 	return nfuncs, jobs, nil
 }
 
@@ -491,7 +491,7 @@ func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm
 	if err != nil {
 		return len(buckets), jobs, err
 	}
-	ctx.Metrics.Merge(c[:])
+	ctx.mergeStats(&c)
 	// Function exec counts are derived after inference (inferStage): the
 	// entry block's own sample count understates hot functions whose
 	// entry is short and rarely sampled, so the entry *in-flow* decides.

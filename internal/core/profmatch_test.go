@@ -260,15 +260,23 @@ func lbrRecords(fn *BinaryFunction, scale uint64) []profile.Branch {
 	return out
 }
 
-// statSum asserts the documented invariant straight from the registry
+// statSum asserts the documented invariant straight from the stat
 // definitions: every counter declared with SumTo partitions its parent
 // exactly (for the profile keys, profile-total-count). The key list
 // lives in statDefs, and an outcome cannot be counted without a Stat
 // declared there, so none can drift out of a hand-written sum.
 func statSum(t *testing.T, ctx *BinaryContext, label string) {
 	t.Helper()
-	if err := ctx.Metrics.CheckSums(); err != nil {
-		t.Errorf("%s: %v (stats: %v)", label, err, ctx.Stats)
+	sums := map[string]int64{}
+	for _, d := range StatDefs() {
+		if d.SumTo != "" {
+			sums[d.SumTo] += ctx.Stats[d.Name]
+		}
+	}
+	for parent, sum := range sums {
+		if want := ctx.Stats[parent]; sum != want {
+			t.Errorf("%s: counters declared to sum into %q total %d, want %d (stats: %v)", label, parent, sum, want, ctx.Stats)
+		}
 	}
 	if ctx.Stats["profile-total-count"] == 0 {
 		t.Errorf("%s: no records counted", label)

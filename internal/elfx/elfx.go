@@ -152,8 +152,8 @@ func (f *File) ReadAt(vaddr uint64, n int) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("elfx: address %#x not mapped", vaddr)
 	}
-	off := vaddr - s.Addr
-	if off+uint64(n) > s.Size() {
+	off := vaddr - s.Addr // below s.Size(): s holds vaddr
+	if n < 0 || uint64(n) > s.Size()-off {
 		return nil, fmt.Errorf("elfx: read of %d bytes at %#x crosses end of %s", n, vaddr, s.Name)
 	}
 	return s.Data[off : off+uint64(n)], nil

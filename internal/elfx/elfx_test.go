@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +162,12 @@ func TestReadAt(t *testing.T) {
 	if _, err := f.ReadAt(0x999999, 1); err == nil {
 		t.Errorf("unmapped read must fail")
 	}
+	// A symbol size of 2^64-8 reaches ReadAt as n = -8; the length check
+	// must not wrap round and let it through to the slice expression.
+	size := ^uint64(0) - 7
+	if _, err := f.ReadAt(0x403010, int(size)); err == nil {
+		t.Errorf("negative-length read must fail")
+	}
 }
 
 func TestOverlapRejected(t *testing.T) {
@@ -216,6 +223,37 @@ func TestHostileHeadersRejected(t *testing.T) {
 		if _, err := Read(b); err == nil {
 			t.Errorf("%s: Read accepted the image", tc.name)
 		}
+	}
+}
+
+// TestZeroFillBoundedInTotal: each zero-fill section of this 896-byte
+// image is within maxNobits, but the twelve together claim 3 GB. Read
+// rejects it before allocating any of them.
+func TestZeroFillBoundedInTotal(t *testing.T) {
+	const n = 12
+	img := make([]byte, ehdrSize+(n+1)*shdrSize)
+	copy(img, "\x7fELF\x02\x01")
+	binary.LittleEndian.PutUint64(img[40:], ehdrSize)
+	binary.LittleEndian.PutUint16(img[58:], shdrSize)
+	binary.LittleEndian.PutUint16(img[60:], n+1)
+	for i := 1; i <= n; i++ {
+		h := img[ehdrSize+i*shdrSize:]
+		binary.LittleEndian.PutUint32(h[4:], SHTNobits)
+		binary.LittleEndian.PutUint64(h[8:], SHFAlloc|SHFWrite)
+		binary.LittleEndian.PutUint64(h[32:], maxNobits)
+	}
+	if len(img) != 896 {
+		t.Fatalf("image is %d bytes", len(img))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadInPlace(img)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("ReadInPlace accepted 3 GB of zero-fill")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxNobits {
+		t.Errorf("ReadInPlace allocated %d bytes, more than maxNobits", got)
 	}
 }
 

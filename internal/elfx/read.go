@@ -8,9 +8,10 @@ import (
 	"strings"
 )
 
-// maxNobits bounds the zero-fill (SHT_NOBITS) sections Read will
-// materialize: the bytes are allocated, so a section header must not be
-// able to claim more of them than a process can sensibly back.
+// maxNobits bounds the zero-fill (SHT_NOBITS) bytes Read will
+// materialize, summed over the image's sections: the bytes are allocated,
+// so a section table must not be able to claim more of them than a
+// process can sensibly back.
 const maxNobits = 1 << 28
 
 // Read parses an ELF64 image previously produced by Bytes (or any simple
@@ -76,6 +77,15 @@ func parse(data []byte, copies bool) (*File, error) {
 	if shstrndx >= shnum {
 		return nil, fmt.Errorf("elfx: bad shstrndx")
 	}
+	var zeroFill uint64 // bytes the SHT_NOBITS sections claim so far
+	for _, h := range hdrs[1:] {
+		if h.typ == SHTNobits {
+			if h.size > maxNobits-zeroFill {
+				return nil, fmt.Errorf("elfx: implausible zero-fill: sections claim more than %#x bytes", maxNobits)
+			}
+			zeroFill += h.size
+		}
+	}
 	shstr := hdrs[shstrndx]
 	strAt := func(tab rawShdr, off uint32) string {
 		start := tab.off + uint64(off)
@@ -104,9 +114,6 @@ func parse(data []byte, copies bool) (*File, error) {
 				payload = append([]byte(nil), payload...)
 			}
 		} else {
-			if h.size > maxNobits {
-				return nil, fmt.Errorf("elfx: section %s: implausible zero-fill size %#x", names[i], h.size)
-			}
 			payload = make([]byte, h.size)
 		}
 		s := &Section{

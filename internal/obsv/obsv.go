@@ -1,10 +1,8 @@
-// Package obsv is the pipeline's zero-dependency observability
-// subsystem: a low-overhead span tracer (per-worker append-only buffers,
-// no locks on the hot path), a Chrome trace-event exporter, derived
-// per-phase occupancy statistics, and a metrics registry that owns the
-// engine's stat counters, gauges and histograms — addressed by index into
-// its definition table (the engine's typed core.Stat keys), never by
-// name, so only declared metrics can be recorded.
+// Package obsv is the pipeline's zero-dependency tracing subsystem: a
+// low-overhead span tracer (per-worker append-only buffers, no locks on
+// the hot path), a Chrome trace-event exporter, and derived per-phase
+// occupancy statistics. The engine's counters are not kept here: they
+// live in core.BinaryContext.Stats.
 //
 // A nil *Tracer is the disabled state: every instrumentation site
 // nil-checks before recording, so tracing off costs a pointer compare

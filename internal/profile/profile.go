@@ -274,7 +274,7 @@ const parallelParseMin = 1 << 16
 // always the one serial parsing would hit first (chunks cover disjoint
 // line ranges in order, and the pool returns the lowest-chunk error).
 // Cancelling cx stops the pool at the next chunk claim; a nil cx
-// parses without a cancellation point, matching the old signature.
+// parses without a cancellation point.
 func ParseData(cx context.Context, data []byte, jobs int) (*Fdata, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("profile: empty input")
