@@ -8,6 +8,7 @@ package asmx
 
 import (
 	"fmt"
+	"slices"
 
 	"gobolt/internal/isa"
 	"gobolt/internal/obj"
@@ -49,7 +50,9 @@ type item struct {
 type Assembler struct {
 	items     []item
 	labels    []int    // label -> item index (position *before* that item)
-	labelOffs []uint32 // Finish's reusable label-offset scratch
+	labelOffs []uint32 // Layout's reusable label-offset scratch
+	base      uint64   // the address Layout laid the stream out at
+	size      Size     // what Layout found the encoding needs
 }
 
 // New returns an empty assembler.
@@ -57,8 +60,8 @@ func New() *Assembler { return &Assembler{} }
 
 // Reset clears the assembler for reuse, keeping its backing storage.
 // Hot callers (gobolt's emitter) hold one assembler per worker and Reset
-// it between functions, so steady-state assembly allocates only the
-// returned code and relocation slices.
+// it between functions, and hand Finish buffers with the room Layout
+// reported, so steady-state assembly allocates nothing.
 func (a *Assembler) Reset() {
 	a.items = a.items[:0]
 	a.labels = a.labels[:0]
@@ -104,28 +107,36 @@ func (a *Assembler) Align(n int) {
 	a.items = append(a.items, item{kind: kindAlign, align: n})
 }
 
-// Result is the assembled function body. Code and Relocs are freshly
-// allocated at their exact final size and safe to retain; LabelOffs
-// aliases assembler-owned scratch and is only valid until the next
-// Finish or Reset on the same assembler.
+// Size is the encoded size of a laid-out stream: its code bytes and its
+// relocations.
+type Size struct {
+	Code, Relocs int
+}
+
+// Result is the assembled function body. Code and Relocs are the buffers
+// the caller handed Finish, extended by the body; LabelOffs aliases
+// assembler-owned scratch and is only valid until the next Layout or
+// Reset on the same assembler.
 type Result struct {
 	Code      []byte
-	LabelOffs []uint32 // label -> byte offset within Code
+	LabelOffs []uint32 // label -> byte offset within the body
 	Relocs    []obj.Reloc
 }
 
-// Finish lays out the stream at the given base address and returns the
-// encoded bytes. Relaxation: every branch starts in its rel8 form; any
-// branch whose displacement does not fit is widened to rel32 and layout is
-// recomputed, until a fixpoint (widening is monotone, so this terminates).
-func (a *Assembler) Finish(base uint64) (*Result, error) {
+// Layout lays out the stream at the given base address and returns its
+// encoded size, so a caller can find the room for it before Finish.
+// Relaxation: every branch starts in its rel8 form; any branch whose
+// displacement does not fit is widened to rel32 and layout is recomputed,
+// until a fixpoint (widening is monotone, so this terminates).
+func (a *Assembler) Layout(base uint64) (Size, error) {
+	a.base, a.size = base, Size{}
 	if cap(a.labelOffs) < len(a.labels) {
 		a.labelOffs = make([]uint32, len(a.labels))
 	}
 	labelOffs := a.labelOffs[:len(a.labels)]
 	clear(labelOffs)
 	if len(a.items) == 0 {
-		return &Result{LabelOffs: labelOffs}, nil
+		return Size{}, nil
 	}
 
 	computeLayout := func() {
@@ -170,7 +181,7 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 	// Relaxation loop.
 	for iter := 0; ; iter++ {
 		if iter > len(a.items)+8 {
-			return nil, fmt.Errorf("asmx: relaxation did not converge")
+			return Size{}, fmt.Errorf("asmx: relaxation did not converge")
 		}
 		computeLayout()
 		widened := false
@@ -180,7 +191,7 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 				continue
 			}
 			if a.labels[it.target] < 0 {
-				return nil, fmt.Errorf("asmx: branch to unbound label %d", it.target)
+				return Size{}, fmt.Errorf("asmx: branch to unbound label %d", it.target)
 			}
 			targetOff := int64(labelOffs[it.target])
 			rel := targetOff - int64(it.off) - int64(it.size)
@@ -193,25 +204,34 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 			break
 		}
 	}
-
-	// Encode into exactly-sized buffers: total code length is fixed by
-	// the converged layout, and the relocation count by the item stream.
-	res := &Result{LabelOffs: labelOffs}
 	last := &a.items[len(a.items)-1]
-	code := make([]byte, 0, last.off+last.size)
-	nRel := 0
+	a.size.Code = int(last.off + last.size)
 	for idx := range a.items {
 		if a.items[idx].kind == kindReloc {
-			nRel++
+			a.size.Relocs++
 		}
 	}
-	if nRel > 0 {
-		res.Relocs = make([]obj.Reloc, 0, nRel)
+	return a.size, nil
+}
+
+// Finish encodes the stream as the last Layout laid it out, appending the
+// bytes to code and the relocations to relocs; each grows at most once,
+// to exactly the room Layout reported, when it lacks that room. A caller
+// that hands buffers with the room allocates nothing here.
+func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
+	res := Result{LabelOffs: a.labelOffs[:len(a.labels)]}
+	if len(a.items) == 0 {
+		res.Code, res.Relocs = code, relocs
+		return res, nil
 	}
+	base, labelOffs := a.base, res.LabelOffs
+	code = slices.Grow(code, a.size.Code)
+	start := len(code)
+	relocs = slices.Grow(relocs, a.size.Relocs)
 	for idx := range a.items {
 		it := &a.items[idx]
-		if uint32(len(code)) != it.off {
-			return nil, fmt.Errorf("asmx: layout drift at item %d: %d != %d", idx, len(code), it.off)
+		if uint32(len(code)-start) != it.off {
+			return Result{}, fmt.Errorf("asmx: layout drift at item %d: %d != %d", idx, len(code)-start, it.off)
 		}
 		pc := base + uint64(it.off)
 		var err error
@@ -225,8 +245,8 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 		case kindReloc:
 			code, err = isa.AppendInst(code, &it.inst, pc, true)
 			if err == nil {
-				res.Relocs = append(res.Relocs, obj.Reloc{
-					Off:    uint32(len(code) - 4),
+				relocs = append(relocs, obj.Reloc{
+					Off:    uint32(len(code) - start - 4),
 					Type:   it.relType,
 					Sym:    it.sym,
 					SymID:  it.symID,
@@ -237,9 +257,9 @@ func (a *Assembler) Finish(base uint64) (*Result, error) {
 			code = isa.AppendNop(code, int(it.size))
 		}
 		if err != nil {
-			return nil, fmt.Errorf("asmx: encoding %s at %#x: %w", it.inst.String(), pc, err)
+			return Result{}, fmt.Errorf("asmx: encoding %s at %#x: %w", it.inst.String(), pc, err)
 		}
 	}
-	res.Code = code
+	res.Code, res.Relocs = code, relocs
 	return res, nil
 }

@@ -7,6 +7,14 @@ import (
 	"gobolt/internal/obj"
 )
 
+// finish lays the stream out at base and encodes it into fresh buffers.
+func finish(a *Assembler, base uint64) (Result, error) {
+	if _, err := a.Layout(base); err != nil {
+		return Result{}, err
+	}
+	return a.Finish(nil, nil)
+}
+
 func TestShortBranch(t *testing.T) {
 	a := New()
 	top := a.NewLabel()
@@ -16,7 +24,7 @@ func TestShortBranch(t *testing.T) {
 	jcc.Cc = isa.CondNE
 	a.EmitBranch(jcc, top)
 	a.Emit(isa.NewInst(isa.RET))
-	res, err := a.Finish(0x400000)
+	res, err := finish(a, 0x400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +49,7 @@ func TestRelaxationWidens(t *testing.T) {
 	}
 	a.Bind(end)
 	a.Emit(isa.NewInst(isa.RET))
-	res, err := a.Finish(0x400000)
+	res, err := finish(a, 0x400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func TestChainOfBranchesConverges(t *testing.T) {
 		a.Bind(labels[i])
 	}
 	a.Emit(isa.NewInst(isa.RET))
-	if _, err := a.Finish(0x400000); err != nil {
+	if _, err := finish(a, 0x400000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +95,7 @@ func TestAlign(t *testing.T) {
 	l := a.NewLabel()
 	a.Bind(l)
 	a.Emit(isa.NewInst(isa.RET))
-	res, err := a.Finish(0x400000)
+	res, err := finish(a, 0x400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +121,7 @@ func TestRelocPlacement(t *testing.T) {
 	lea.R1 = isa.RAX
 	lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
 	a.EmitReloc(lea, obj.RelPC32, "table", -4)
-	res, err := a.Finish(0x400000)
+	res, err := finish(a, 0x400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +141,41 @@ func TestUnboundLabel(t *testing.T) {
 	a := New()
 	l := a.NewLabel()
 	a.EmitBranch(isa.NewInst(isa.JMP), l)
-	if _, err := a.Finish(0); err == nil {
+	if _, err := finish(a, 0); err == nil {
 		t.Fatal("unbound label must error")
+	}
+}
+
+// TestFinishAppendsIntoRoom: with the room Layout reported, Finish writes
+// the body after what the buffers already hold, allocates nothing, and
+// counts relocation offsets from the body's start.
+func TestFinishAppendsIntoRoom(t *testing.T) {
+	a := New()
+	a.Emit(isa.NewInst(isa.RET))
+	a.EmitReloc(isa.NewInst(isa.CALL), obj.RelPC32, "callee", -4)
+	sz, err := a.Layout(0x400000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz != (Size{Code: 6, Relocs: 1}) {
+		t.Fatalf("Layout size %+v, want 6 code bytes and 1 relocation", sz)
+	}
+	code := append(make([]byte, 0, 2+sz.Code), 0xAA, 0xBB)
+	relocs := make([]obj.Reloc, 0, sz.Relocs)
+	var res Result
+	allocs := testing.AllocsPerRun(10, func() {
+		res, err = a.Finish(code, relocs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Finish into buffers with room allocated %v times", allocs)
+	}
+	if len(res.Code) != 2+sz.Code || res.Code[0] != 0xAA || &res.Code[0] != &code[0] {
+		t.Fatalf("code % x not appended in place after the existing bytes", res.Code)
+	}
+	if len(res.Relocs) != 1 || res.Relocs[0].Off != 2 {
+		t.Fatalf("relocs %+v, want one at body offset 2", res.Relocs)
 	}
 }

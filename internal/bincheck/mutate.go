@@ -183,8 +183,8 @@ func mutateLandingPad(f *elfx.File) error {
 			continue
 		}
 		off := fdes[i].LSDA - lsdaSec.Addr
-		l, err := cfi.DecodeLSDA(lsdaSec.Data, uint32(off))
-		if err != nil {
+		var l cfi.LSDA
+		if err := l.Decode(lsdaSec.Data, uint32(off)); err != nil {
 			continue
 		}
 		for cs := range l.CallSites {

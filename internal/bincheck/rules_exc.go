@@ -111,8 +111,8 @@ func (w *worker) checkLSDA(fr *fragment, fde *cfi.FDE) {
 			"FDE points at LSDA %#x outside %s", fde.LSDA, cfi.LSDASectionName)
 		return
 	}
-	l, err := cfi.DecodeLSDA(sec.Data, uint32(fde.LSDA-sec.Addr))
-	if err != nil {
+	var l cfi.LSDA
+	if err := l.Decode(sec.Data, uint32(fde.LSDA-sec.Addr)); err != nil {
 		w.errorf("lsda-bounds", fr.name, fde.Start, "LSDA at %#x does not decode: %v", fde.LSDA, err)
 		return
 	}

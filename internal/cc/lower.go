@@ -138,7 +138,10 @@ func lowerFunc(sharedFuncs map[string]bool, f *ir.Func, order []int, opts Option
 	}
 	st.a.Bind(st.endLabel)
 
-	res, err := st.a.Finish(0)
+	if _, err := st.a.Layout(0); err != nil {
+		return nil, nil, err
+	}
+	res, err := st.a.Finish(nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

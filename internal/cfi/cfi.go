@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -301,18 +302,21 @@ func EncodeLSDA(buf []byte, l *LSDA) ([]byte, uint32) {
 	return buf, off
 }
 
-// DecodeLSDA parses the record at offset off in the section payload.
-func DecodeLSDA(data []byte, off uint32) (*LSDA, error) {
+// Decode parses the record at offset off in the section payload into l,
+// reusing l's call-site array when it is big enough, so a caller that
+// decodes record after record into one value allocates only for the
+// largest.
+func (l *LSDA) Decode(data []byte, off uint32) error {
 	if int(off)+4 > len(data) {
-		return nil, fmt.Errorf("cfi: LSDA offset %#x out of range", off)
+		return fmt.Errorf("cfi: LSDA offset %#x out of range", off)
 	}
 	n := binary.LittleEndian.Uint32(data[off:])
 	p := int(off) + 4
 	if p+int(n)*callSiteSize > len(data) {
-		return nil, fmt.Errorf("cfi: truncated LSDA")
+		return fmt.Errorf("cfi: truncated LSDA")
 	}
-	l := &LSDA{CallSites: make([]CallSite, n)}
-	for i := uint32(0); i < n; i++ {
+	l.CallSites = slices.Grow(l.CallSites[:0], int(n))[:n]
+	for i := range l.CallSites {
 		l.CallSites[i] = CallSite{
 			Start:      binary.LittleEndian.Uint32(data[p:]),
 			Len:        binary.LittleEndian.Uint32(data[p+4:]),
@@ -321,7 +325,7 @@ func DecodeLSDA(data []byte, off uint32) (*LSDA, error) {
 		}
 		p += callSiteSize
 	}
-	return l, nil
+	return nil
 }
 
 // Lookup returns the landing pad for a return address at code offset pc
@@ -341,26 +345,27 @@ const (
 	LSDASectionName  = ".gcc_except_table"
 )
 
-// StateDiff returns the CFI instructions that transform state `from` into
-// state `to`. Code emitters use it to splice correct unwind info between
-// arbitrarily reordered blocks instead of replaying prologue history.
-func StateDiff(from, to *State) []Inst {
+// AppendStateDiff appends to dst the CFI instructions that transform
+// state `from` into state `to`, and returns the extended slice. Code
+// emitters use it to splice correct unwind info between arbitrarily
+// reordered blocks instead of replaying prologue history; appending into
+// a list the caller reuses keeps the diff allocation-free.
+func AppendStateDiff(dst []Inst, from, to *State) []Inst {
 	if *from == *to {
-		return nil
+		return dst
 	}
-	var out []Inst
 	if from.CfaReg != to.CfaReg || from.CfaOff != to.CfaOff {
-		out = append(out, Inst{Kind: OpDefCfa, Reg: to.CfaReg, Off: to.CfaOff})
+		dst = append(dst, Inst{Kind: OpDefCfa, Reg: to.CfaReg, Off: to.CfaOff})
 	}
 	// Deterministic order: restores then offsets, by register number.
 	for m := from.saved &^ to.saved; m != 0; m &= m - 1 {
-		out = append(out, Inst{Kind: OpRestore, Reg: uint8(bits.TrailingZeros32(m))})
+		dst = append(dst, Inst{Kind: OpRestore, Reg: uint8(bits.TrailingZeros32(m))})
 	}
 	for m := to.saved; m != 0; m &= m - 1 {
 		r := uint8(bits.TrailingZeros32(m))
 		if from.saved&(1<<r) == 0 || from.offs[r] != to.offs[r] {
-			out = append(out, Inst{Kind: OpOffset, Reg: r, Off: to.offs[r]})
+			dst = append(dst, Inst{Kind: OpOffset, Reg: r, Off: to.offs[r]})
 		}
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package cfi
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -174,8 +175,8 @@ func TestLSDARoundTrip(t *testing.T) {
 	}}
 	buf := []byte{0xEE} // existing content: offsets must be respected
 	buf, off := EncodeLSDA(buf, l)
-	got, err := DecodeLSDA(buf, off)
-	if err != nil {
+	var got LSDA
+	if err := got.Decode(buf, off); err != nil {
 		t.Fatal(err)
 	}
 	lp, action, ok := got.Lookup(0x12)
@@ -206,10 +207,11 @@ func TestDecodeGarbage(t *testing.T) {
 	if _, err := DecodeFrames(huge); err == nil {
 		t.Error("FDE claiming 2^32-1 instructions accepted")
 	}
-	if _, err := DecodeLSDA([]byte{1}, 0); err == nil {
+	var l LSDA
+	if err := l.Decode([]byte{1}, 0); err == nil {
 		t.Error("truncated LSDA accepted")
 	}
-	if _, err := DecodeLSDA([]byte{255, 0, 0, 0}, 0); err == nil {
+	if err := l.Decode([]byte{255, 0, 0, 0}, 0); err == nil {
 		t.Error("oversized LSDA accepted")
 	}
 }
@@ -303,9 +305,11 @@ func TestStateDiffMatchesMapReference(t *testing.T) {
 		if i%10 == 0 {
 			to, refTo = from, refFrom // the early-out path
 		}
-		got, want := StateDiff(&from, &to), refStateDiff(&refFrom, &refTo)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pair %d: StateDiff(%+v, %+v)\n got %v\nwant %v", i, refFrom, refTo, got, want)
+		// The diff lands after what dst already holds, which it leaves alone.
+		dst := AppendStateDiff([]Inst{{Kind: OpRememberState}}, &from, &to)
+		got, want := dst[1:], refStateDiff(&refFrom, &refTo)
+		if dst[0].Kind != OpRememberState || !slices.Equal(got, want) {
+			t.Fatalf("pair %d: AppendStateDiff(%+v, %+v)\n got %v\nwant %v", i, refFrom, refTo, got, want)
 		}
 		// Applying the diff to `from` must reach `to`.
 		for _, in := range got {
@@ -334,11 +338,14 @@ func BenchmarkStateDiff(b *testing.B) {
 			pairs[i][1] = pairs[i][0] // the emitter's common case: state unchanged
 		}
 	}
+	// One destination, truncated and reused, as the emitter's mark list
+	// is: a state diff costs no allocation.
+	var dst []Inst
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
 		p := &pairs[i%len(pairs)]
-		StateDiff(&p[0], &p[1])
+		dst = AppendStateDiff(dst[:0], &p[0], &p[1])
 		i++
 	}
 }

@@ -28,15 +28,17 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 // BenchmarkEmitFunctions measures pure code generation: every simple
-// function assembled through one worker scratch, no layout or patching.
+// function assembled through one worker scratch into the emitter's
+// tables, no layout or patching.
 func BenchmarkEmitFunctions(b *testing.B) {
 	ctx := loadSlabCtx(b, 1)
-	simple := ctx.SimpleFuncs()
+	e := &emitter{ctx: ctx}
+	e.prepare(ctx.SimpleFuncs())
 	var sc emitScratch
 	b.ReportAllocs()
 	for b.Loop() {
-		for _, fn := range simple {
-			if _, _, err := ctx.emitFunction(fn, &sc); err != nil {
+		for i := range e.funcs {
+			if err := e.emit(&sc, i); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -404,18 +404,26 @@ func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
 	return lp.block, lp.action
 }
 
-// InternState interns a CFI state and returns its index. It is hot under
-// the parallel loader (one call per instruction of every framed
-// function); a function has a handful of distinct states, and consecutive
-// instructions mostly share one, so a backwards scan beats a map.
+// InternState interns a CFI state and returns its index. The loader
+// interns a function's states in its worker's scratch with internState
+// (one call per change of state) and copies the table in once; a
+// function has a handful of distinct states, and consecutive instructions
+// mostly share one, so a backwards scan beats a map.
 func (f *BinaryFunction) InternState(st cfi.State) int32 {
-	for i := len(f.cfiStates) - 1; i >= 0; i-- {
-		if f.cfiStates[i] == st {
-			return int32(i)
+	var idx int32
+	f.cfiStates, idx = internState(f.cfiStates, st)
+	return idx
+}
+
+// internState returns states with st in it and st's index there,
+// appending st when it is new.
+func internState(states []cfi.State, st cfi.State) ([]cfi.State, int32) {
+	for i := len(states) - 1; i >= 0; i-- {
+		if states[i] == st {
+			return states, int32(i)
 		}
 	}
-	f.cfiStates = append(f.cfiStates, st)
-	return int32(len(f.cfiStates) - 1)
+	return append(states, st), int32(len(states))
 }
 
 // StateAt returns the interned CFI state by index.
@@ -497,6 +505,8 @@ type BinaryContext struct {
 	fdes     []cfi.FDE
 	lsdaData []byte
 	lsdaBase uint64
+	// objects are the STT_OBJECT symbols in address order (indexObjects).
+	objects []elfx.Symbol
 
 	// CallTargets histograms indirect-call targets: one entry per
 	// (call-site address, callee), sorted by both. Profile application

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gobolt/internal/cfi"
@@ -64,9 +66,14 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	}
 	// Function discovery: symbol-table driven (paper §3.3). PLT stubs are
 	// recognized separately; alias symbols (ICF'd at link time) attach to
-	// the canonical function at the same address.
+	// the canonical function at the same address. The functions are
+	// values of one slab sized by the function-symbol count, which
+	// bounds their number, so no append moves them.
 	byAddr := map[uint64]*BinaryFunction{}
-	for _, sym := range f.FuncSymbols() {
+	syms := f.FuncSymbols()
+	fnSlab := make([]BinaryFunction, 0, len(syms))
+	ctx.Funcs = make([]*BinaryFunction, 0, len(syms))
+	for _, sym := range syms {
 		sec := f.SectionFor(sym.Value)
 		if sec == nil || sym.Size == 0 {
 			continue
@@ -84,7 +91,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		if err != nil {
 			continue
 		}
-		fn := &BinaryFunction{
+		fnSlab = append(fnSlab, BinaryFunction{
 			Name:    sym.Name,
 			Addr:    sym.Value,
 			Size:    sym.Size,
@@ -94,7 +101,8 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 			// buffers — nothing writes a function body in place.
 			Bytes:  bytes,
 			Simple: true,
-		}
+		})
+		fn := &fnSlab[len(fnSlab)-1]
 		ctx.Funcs = append(ctx.Funcs, fn)
 		ctx.ByName[sym.Name] = fn
 		byAddr[sym.Value] = fn
@@ -103,20 +111,32 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	for i, fn := range ctx.Funcs {
 		fn.ordIdx = i
 	}
+	ctx.indexObjects()
 	// Relocations (--emit-relocs) enable relocations mode.
 	ctx.HasRelocs = len(f.Relas) > 0
 	ph.end(0, 1)
 
 	// Parallel per-function phase. The shared maps (ByName, PLTStubs) and
 	// the address-sorted function list are frozen above; from here every
-	// worker touches only the function it was handed.
+	// worker touches only the function it was handed. A function weighs
+	// its input bytes in the workers' slab pacing: rest[i] is the weight
+	// of Funcs[i:].
 	ph = ctx.begin("load", "load:disasm+cfg")
 	jobs := par.Jobs(opts.Jobs, len(ctx.Funcs))
+	rest := make([]int64, len(ctx.Funcs)+1)
+	for i := len(ctx.Funcs) - 1; i >= 0; i-- {
+		rest[i] = rest[i+1] + int64(ctx.Funcs[i].Size)
+	}
 	scratch := make([]loaderScratch, jobs)
+	for w := range scratch {
+		scratch[w].pace.jobs = jobs
+	}
 	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "load:disasm+cfg",
 		func(i int) string { return ctx.Funcs[i].Name },
 		len(ctx.Funcs), jobs, func(w, i int) error {
-			ctx.loadFunction(ctx.Funcs[i], &scratch[w])
+			sc := &scratch[w]
+			sc.pace.next(rest, i)
+			ctx.loadFunction(ctx.Funcs[i], sc)
 			return nil
 		}); err != nil {
 		return nil, err
@@ -129,29 +149,46 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 }
 
 // loaderScratch is one worker's reusable state for the parallel loader.
-// Everything in it is truncated or zeroed — not reallocated — between
-// functions, and every table is addressed by position (instruction order,
-// BasicBlock.Index), so steady-state loading only allocates the
-// per-function slabs that survive in the context. A scratch is owned by
-// exactly one worker.
+// Everything in it but the slabs is truncated or zeroed — not
+// reallocated — between functions, and every table is addressed by
+// position (instruction order, BasicBlock.Index), so steady-state loading
+// only allocates the function's block and instruction slabs and, when
+// one fills, a worker slab. A scratch is owned by exactly one worker.
 type loaderScratch struct {
 	raw     []rawInst   // the function's instructions, in address order
 	jts     []pendingJT // its jump tables, in instruction order
 	targets []uint64    // their raw target addresses, back to back
-	edges   []edgeRef
+	edges   []edgeRef   // CFG edges, in buildCFG's order
+	lpEdges []edgeRef   // call-to-landing-pad edges, in attachLSDA's order
 	succN   []int32
 	predN   []int32
+	lpN     []int32
 	// seen[b.Index] == stamp marks block b as already listed by the
 	// de-duplication under way (one jump table's targets, one block's
 	// landing pads); bumping stamp starts the next one without a clear.
-	seen  []int32
-	stamp int32
-	stats statShard
+	seen   []int32
+	stamp  int32
+	states []cfi.State  // attachCFI's interned states
+	lps    []landingPad // attachLSDA's interned landing pads
+	lsda   cfi.LSDA     // the function's decoded LSDA
+	stats  statShard
+
+	// The worker's slabs: Succs from edgeSlab, Preds and LPs from
+	// blockSlab, the CFI state and landing-pad tables from the last two.
+	pace      pace
+	edgeSlab  slab[Edge]
+	blockSlab slab[*BasicBlock]
+	stateSlab slab[cfi.State]
+	padSlab   slab[landingPad]
 }
 
-// edgeRef is one CFG edge held in scratch while buildCFG counts edge
-// storage.
-type edgeRef struct{ from, to *BasicBlock }
+// edgeRef is one CFG edge held in scratch until the blocks' edge lists
+// are carved. listed marks a landing-pad edge that also enters the
+// calling block's LPs.
+type edgeRef struct {
+	from, to *BasicBlock
+	listed   bool
+}
 
 // loadFunction is the per-function half of the loader: linear
 // disassembly, CFG construction, and CFI/LSDA attachment. Failures mark
@@ -164,7 +201,7 @@ func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 	var lsda *cfi.LSDA
 	err := ctx.disassemble(fn, sc)
 	if err == nil {
-		lsda, err = ctx.landingPads(fn, fde, sc.raw)
+		lsda, err = ctx.landingPads(fn, fde, sc)
 	}
 	if err != nil {
 		fn.Simple = false
@@ -177,7 +214,9 @@ func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 		}
 		if lsda != nil {
 			attachLSDA(fn, lsda, sc)
+			fn.lps = sc.padSlab.clone(sc.lps, &sc.pace)
 		}
+		carveEdges(fn, sc)
 	}
 	if fn.Simple {
 		sc.stats[StatLoadSimple]++
@@ -304,16 +343,16 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 	return nil
 }
 
-// landingPads decodes the function's LSDA, when its FDE names one, and
-// makes every landing pad a leader. A pad that is not an instruction
-// start is left for attachLSDA to report, if a call is actually covered
-// by it.
-func (ctx *BinaryContext) landingPads(fn *BinaryFunction, fde *cfi.FDE, raw []rawInst) (*cfi.LSDA, error) {
+// landingPads decodes the function's LSDA, when its FDE names one, into
+// the worker's scratch and makes every landing pad a leader. A pad that
+// is not an instruction start is left for attachLSDA to report, if a call
+// is actually covered by it.
+func (ctx *BinaryContext) landingPads(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) (*cfi.LSDA, error) {
 	if fde == nil || fde.LSDA == 0 {
 		return nil, nil
 	}
-	lsda, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
-	if err != nil {
+	lsda, raw := &sc.lsda, sc.raw
+	if err := lsda.Decode(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase)); err != nil {
 		return nil, fmt.Errorf("bad LSDA: %w", err)
 	}
 	for _, cs := range lsda.CallSites {
@@ -500,11 +539,8 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 	// Bound the table via its data symbol.
 	var symName string
 	var symSize uint64
-	for _, s := range ctx.File.Symbols {
-		if s.Type == elfx.STTObject && s.Value == tableAddr {
-			symName, symSize = s.Name, s.Size
-			break
-		}
+	if s := ctx.objectAt(tableAddr); s != nil {
+		symName, symSize = s.Name, s.Size
 	}
 	if symSize == 0 {
 		return fmt.Errorf("no symbol bounds table at %#x", tableAddr)
@@ -544,11 +580,41 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 	return nil
 }
 
-// buildCFG wires successor/predecessor edges and jump-table targets.
-// Edges are collected into the worker's scratch first so the per-block
-// Succs/Preds storage can be carved out of two exactly-sized slabs (one
-// edge array, one predecessor array per function) instead of growing
-// each block's slices by append.
+// indexObjects lists the data symbols by address for matchJumpTable,
+// which bounds a table by the STT_OBJECT symbol at its address. The sort
+// is stable, so at a shared address the first symbol in table order
+// leads, as a walk of the symbol table would find it.
+func (ctx *BinaryContext) indexObjects() {
+	n := 0
+	for i := range ctx.File.Symbols {
+		if ctx.File.Symbols[i].Type == elfx.STTObject {
+			n++
+		}
+	}
+	ctx.objects = make([]elfx.Symbol, 0, n)
+	for _, s := range ctx.File.Symbols {
+		if s.Type == elfx.STTObject {
+			ctx.objects = append(ctx.objects, s)
+		}
+	}
+	slices.SortStableFunc(ctx.objects, func(a, b elfx.Symbol) int { return cmp.Compare(a.Value, b.Value) })
+}
+
+// objectAt returns the first data symbol at addr in symbol-table order,
+// nil when there is none, by binary search of ctx.objects.
+func (ctx *BinaryContext) objectAt(addr uint64) *elfx.Symbol {
+	k, ok := slices.BinarySearchFunc(ctx.objects, addr, func(s elfx.Symbol, addr uint64) int {
+		return cmp.Compare(s.Value, addr)
+	})
+	if !ok {
+		return nil
+	}
+	return &ctx.objects[k]
+}
+
+// buildCFG collects the successor edges, in order, into the worker's
+// scratch and wires jump-table targets; carveEdges turns the edges into
+// the blocks' Succs and Preds.
 func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 	if len(fn.Blocks) == 0 {
 		fn.Simple = false
@@ -617,33 +683,43 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		}
 	}
 	sc.edges = edges
+}
 
-	// Carve Succs/Preds out of two exact-size slabs. Three-index caps
-	// mean a pass appending an edge later reallocates that block's slice
-	// instead of overwriting a neighbour's slab storage.
+// carveEdges gives every block its Succs, Preds and LPs as windows of
+// the worker's slabs, sized by counting the edges buildCFG and attachLSDA
+// collected: a block's Preds list its CFG predecessors, then one entry
+// per call of a block that lands on it, in attachLSDA's order. It leaves
+// both edge lists empty for the next function.
+func carveEdges(fn *BinaryFunction, sc *loaderScratch) {
 	sc.succN = resetCounts(sc.succN, len(fn.Blocks))
 	sc.predN = resetCounts(sc.predN, len(fn.Blocks))
-	for _, e := range edges {
+	sc.lpN = resetCounts(sc.lpN, len(fn.Blocks))
+	for _, e := range sc.edges {
 		sc.succN[e.from.Index]++
 		sc.predN[e.to.Index]++
 	}
-	edgeSlab := make([]Edge, len(edges))
-	predSlab := make([]*BasicBlock, len(edges))
-	so, po := 0, 0
-	for _, b := range fn.Blocks {
-		if n := int(sc.succN[b.Index]); n > 0 {
-			b.Succs = edgeSlab[so : so : so+n]
-			so += n
-		}
-		if n := int(sc.predN[b.Index]); n > 0 {
-			b.Preds = predSlab[po : po : po+n]
-			po += n
+	for _, e := range sc.lpEdges {
+		sc.predN[e.to.Index]++
+		if e.listed {
+			sc.lpN[e.from.Index]++
 		}
 	}
-	for _, e := range edges {
+	for _, b := range fn.Blocks {
+		b.Succs = sc.edgeSlab.take(int(sc.succN[b.Index]), &sc.pace)[:0]
+		b.Preds = sc.blockSlab.take(int(sc.predN[b.Index]), &sc.pace)[:0]
+		b.LPs = sc.blockSlab.take(int(sc.lpN[b.Index]), &sc.pace)[:0]
+	}
+	for _, e := range sc.edges {
 		e.from.Succs = append(e.from.Succs, Edge{To: e.to})
 		e.to.Preds = append(e.to.Preds, e.from)
 	}
+	for _, e := range sc.lpEdges {
+		e.to.Preds = append(e.to.Preds, e.from)
+		if e.listed {
+			e.from.LPs = append(e.from.LPs, e.to)
+		}
+	}
+	sc.edges, sc.lpEdges = sc.edges[:0], sc.lpEdges[:0]
 }
 
 // resetCounts returns a zeroed int32 slice of length n, reusing s's
@@ -658,8 +734,9 @@ func resetCounts(s []int32, n int) []int32 {
 }
 
 // attachCFI replays the FDE over the original instruction order and
-// interns per-instruction unwind states. Save and restore rules naming a
-// register the state cannot track are skipped and counted.
+// interns per-instruction unwind states, in the worker's scratch, into a
+// table it then copies into the function once. Save and restore rules
+// naming a register the state cannot track are skipped and counted.
 func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 	st := cfi.InitialState()
 	var stack []cfi.State
@@ -699,9 +776,10 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 	// The state is interned once per change, not per instruction: idx
 	// stays valid until apply consumes another CFI instruction.
 	idx := int32(-1)
+	sc.states = sc.states[:0]
 	at := func(off uint32) int32 {
 		if apply(off) || idx < 0 {
-			idx = fn.InternState(st)
+			sc.states, idx = internState(sc.states, st)
 		}
 		return idx
 	}
@@ -716,30 +794,35 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 		}
 		b.CFIIn = b.Insts[0].CFIIdx
 	}
+	fn.cfiStates = sc.stateSlab.clone(sc.states, &sc.pace)
 }
 
 // internLandingPad returns the one-based index of (lpb, action) in the
-// function's landing-pad table, adding it if new; 0 when the table is
-// full. Consecutive calls mostly share a pad and a function has few, so a
-// backwards scan beats a map (as in InternState).
-func (f *BinaryFunction) internLandingPad(lpb *BasicBlock, action int32) uint16 {
-	for i := len(f.lps) - 1; i >= 0; i-- {
-		if f.lps[i].block == lpb && f.lps[i].action == action {
+// function's landing-pad table under construction in sc.lps, adding it if
+// new; 0 when the table is full. Consecutive calls mostly share a pad and
+// a function has few, so a backwards scan beats a map (as in
+// internState).
+func (sc *loaderScratch) internLandingPad(lpb *BasicBlock, action int32) uint16 {
+	for i := len(sc.lps) - 1; i >= 0; i-- {
+		if sc.lps[i].block == lpb && sc.lps[i].action == action {
 			return uint16(i + 1)
 		}
 	}
-	if len(f.lps) == maxInstTable {
+	if len(sc.lps) == maxInstTable {
 		return 0
 	}
-	f.lps = append(f.lps, landingPad{block: lpb, action: action})
-	return uint16(len(f.lps))
+	sc.lps = append(sc.lps, landingPad{block: lpb, action: action})
+	return uint16(len(sc.lps))
 }
 
-// attachLSDA connects calls to their landing pads and marks LP blocks.
-// Each block lists a landing pad once: sc.seen, restamped per block,
-// de-duplicates them — a linear scan per insert made attachment O(n²)
-// for functions with many landing-pad preds.
+// attachLSDA connects calls to their landing pads and marks LP blocks,
+// collecting the landing-pad edges for carveEdges and the landing-pad
+// table in the worker's scratch. Each block lists a landing pad once:
+// sc.seen, restamped per block, de-duplicates them — a linear scan per
+// insert made attachment O(n²) for functions with many landing-pad
+// preds.
 func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
+	sc.lps = sc.lps[:0]
 	for _, b := range fn.Blocks {
 		sc.stamp++
 		for i := range b.Insts {
@@ -755,17 +838,15 @@ func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 					fn.Reason = "landing pad not at block boundary"
 					return
 				}
-				if in.LP = fn.internLandingPad(lpb, action); in.LP == 0 {
+				if in.LP = sc.internLandingPad(lpb, action); in.LP == 0 {
 					fn.Simple = false
 					fn.Reason = "too many landing pads"
 					return
 				}
 				lpb.IsLP = true
-				if sc.seen[lpb.Index] != sc.stamp {
-					sc.seen[lpb.Index] = sc.stamp
-					b.LPs = append(b.LPs, lpb)
-				}
-				lpb.Preds = append(lpb.Preds, b)
+				listed := sc.seen[lpb.Index] != sc.stamp
+				sc.seen[lpb.Index] = sc.stamp
+				sc.lpEdges = append(sc.lpEdges, edgeRef{from: b, to: lpb, listed: listed})
 			}
 		}
 	}

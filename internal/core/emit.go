@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"gobolt/internal/asmx"
@@ -63,10 +62,11 @@ const (
 )
 
 // Emission mark records: positions noted during assembly and resolved to
-// offsets once Finish fixes the layout.
+// offsets once Layout fixes them. A CFI mark is one state change: the
+// instructions cfiInsts[previous mark's end:end] take effect at label.
 type cfiMark struct {
 	label asmx.Label
-	inst  cfi.Inst
+	end   int
 }
 type csMark struct {
 	start, end asmx.Label
@@ -86,20 +86,32 @@ type anchorMark struct {
 type srcPos struct{ file, line uint32 }
 
 // emitScratch is one emission worker's reusable state: the assembler
-// (items, labels, label-offset scratch), the block label table, the four
-// mark lists, the BAT entry buffer, and the running state of the
-// fragment being assembled.
-// Everything is reset — not reallocated — between fragments, so
-// steady-state emission allocates only what survives in the emitted
-// fragments. A scratch is owned by exactly one worker.
+// (items, labels, label-offset scratch), the hot/cold block partition,
+// the block label table, the mark lists, the BAT entry buffer, the
+// running state of the fragment being assembled, and the worker's slabs.
+// Everything but the slabs is reset — not reallocated — between
+// fragments, and what survives in a fragment is carved from the slabs,
+// so steady-state emission allocates only when a slab fills. A scratch is
+// owned by exactly one worker.
 type emitScratch struct {
 	asm         asmx.Assembler
-	labels      []asmx.Label // block Index -> label; asmx.None = not in fragment
+	parts       [2][]*BasicBlock // the function's hot and cold blocks, in layout order
+	labels      []asmx.Label     // block Index -> label; asmx.None = not in fragment
 	cfiMarks    []cfiMark
+	cfiInsts    []cfi.Inst
 	csMarks     []csMark
 	lineMarks   []lineMark
 	anchorMarks []anchorMark
 	bat         bat.Anchors
+
+	// The worker's slabs: a fragment's code and BAT wire from byteSlab,
+	// and one slab for each of its other lists.
+	pace      pace
+	byteSlab  slab[byte]
+	relocSlab slab[obj.Reloc]
+	cfiSlab   slab[cfi.PCInst]
+	callSlab  slab[fragCallSite]
+	lineSlab  slab[obj.LineEntry]
 
 	fn      *BinaryFunction
 	lines   *dbg.Table
@@ -121,7 +133,7 @@ func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) 
 	for i := range sc.labels {
 		sc.labels[i] = asmx.None
 	}
-	sc.cfiMarks = sc.cfiMarks[:0]
+	sc.cfiMarks, sc.cfiInsts = sc.cfiMarks[:0], sc.cfiInsts[:0]
 	sc.csMarks = sc.csMarks[:0]
 	sc.lineMarks = sc.lineMarks[:0]
 	sc.anchorMarks = sc.anchorMarks[:0]
@@ -130,49 +142,61 @@ func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) 
 	sc.lastPos = srcPos{}
 }
 
+// emitShape returns what emitting fn fills — its fragment count (two
+// when it is split and has a cold block) and the length of its
+// block-offset table — and its instruction count. The emitter sizes its
+// tables from it before emission starts, so every function's share is a
+// window of them.
+func emitShape(fn *BinaryFunction) (frags, offs, insts int) {
+	frags = 1
+	for _, b := range fn.Blocks {
+		if b.IsCold && fn.IsSplit {
+			frags = 2
+		}
+		offs = max(offs, b.Index+1)
+		insts += len(b.Insts)
+	}
+	return frags, offs, insts
+}
+
 // emitFunction assembles the function's current block layout into machine
-// code — one fragment, or two when it is split — plus the function's
-// block-offset table: terminators are materialized against the layout
-// (the fixup-branches responsibility), CFI is spliced by state diffing,
-// and exception call sites are collected per fragment. Everything it
-// reads and writes (including the JCC inversion persisted into the CFG)
-// is local to fn or to the worker-owned scratch — shared context state
-// is only read (the line table) — so Rewrite safely calls it
-// concurrently, one worker per function, with all cross-function address
-// resolution deferred to the emitter.
-func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, sc *emitScratch) (frags []fragment, blockOff []uint32, err error) {
+// code — frags, one fragment or two when it is split — and fills its
+// block-offset table blockOff, both sized by emitShape: terminators are
+// materialized against the layout (the fixup-branches responsibility),
+// CFI is spliced by state diffing, and exception call sites are collected
+// per fragment. Everything it reads and writes (including the JCC
+// inversion persisted into the CFG) is local to fn, to its windows, or to
+// the worker-owned scratch — shared context state is only read (the line
+// table) — so Rewrite safely calls it concurrently, one worker per
+// function, with all cross-function address resolution deferred to the
+// emitter.
+func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, frags []fragment, blockOff []uint32, sc *emitScratch) error {
 	if len(fn.Blocks) > obj.MaxFuncBlocks {
-		return nil, nil, fmt.Errorf("core: %s: %d blocks exceeds the %d sym-ID limit", fn.Name, len(fn.Blocks), obj.MaxFuncBlocks)
+		return fmt.Errorf("core: %s: %d blocks exceeds the %d sym-ID limit", fn.Name, len(fn.Blocks), obj.MaxFuncBlocks)
 	}
 	// Partition the layout into the hot and cold block lists.
-	var parts [2][]*BasicBlock
-	maxIdx := 0
+	parts := &sc.parts
+	parts[0], parts[1] = parts[0][:0], parts[1][:0]
 	for _, b := range fn.Blocks {
 		s := 0
 		if b.IsCold && fn.IsSplit {
 			s = 1
 		}
 		parts[s] = append(parts[s], b)
-		maxIdx = max(maxIdx, b.Index)
 	}
 	if len(parts[0]) == 0 || !parts[0][0].IsEntry {
-		return nil, nil, fmt.Errorf("core: %s: entry block must lead the hot fragment", fn.Name)
+		return fmt.Errorf("core: %s: entry block must lead the hot fragment", fn.Name)
 	}
-	blockOff = make([]uint32, maxIdx+1)
 	for i := range blockOff {
 		blockOff[i] = noBlockOff
 	}
-	n := 1
-	if len(parts[1]) > 0 {
-		n = 2
-	}
-	frags = make([]fragment, n)
 	for s := range frags {
+		var err error
 		if frags[s], err = ctx.emitFragment(fn, parts[s], s, blockOff, sc); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return frags, blockOff, nil
+	return nil
 }
 
 // symID packs a referenced function into an emission relocation symbol.
@@ -211,7 +235,11 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 			sc.branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
 		}
 	}
-	res, err := a.Finish(0)
+	size, err := a.Layout(0)
+	if err != nil {
+		return fragment{}, fmt.Errorf("core: emitting %s: %w", fn.Name, err)
+	}
+	res, err := a.Finish(sc.byteSlab.take(size.Code, &sc.pace)[:0], sc.relocSlab.take(size.Relocs, &sc.pace)[:0])
 	if err != nil {
 		return fragment{}, fmt.Errorf("core: emitting %s: %w", fn.Name, err)
 	}
@@ -246,15 +274,13 @@ func (sc *emitScratch) cfiDiff(idx int32) {
 		return
 	}
 	sc.runningIdx = idx
-	diff := cfi.StateDiff(&sc.running, target)
-	if len(diff) == 0 {
+	n := len(sc.cfiInsts)
+	if sc.cfiInsts = cfi.AppendStateDiff(sc.cfiInsts, &sc.running, target); len(sc.cfiInsts) == n {
 		return
 	}
 	l := sc.asm.NewLabel()
 	sc.asm.Bind(l)
-	for _, d := range diff {
-		sc.cfiMarks = append(sc.cfiMarks, cfiMark{label: l, inst: d})
-	}
+	sc.cfiMarks = append(sc.cfiMarks, cfiMark{label: l, end: len(sc.cfiInsts)})
 	sc.running = *target
 }
 
@@ -280,7 +306,8 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	}
 	if pos != sc.lastPos {
 		sc.lastPos = pos
-		if in.Src != 0 {
+		// A source file with no name makes no line entry.
+		if in.Src != 0 && sc.lines.Files[pos.file-1] != "" {
 			l := a.NewLabel()
 			a.Bind(l)
 			sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: in.Src})
@@ -372,37 +399,32 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 	return nil
 }
 
-// materialize builds the fragment from the marks, every slice at its
-// exact final size. res.LabelOffs aliases assembler scratch — it must be
-// fully consumed here, before the next reset.
-func (sc *emitScratch) materialize(res *asmx.Result) fragment {
+// materialize builds the fragment from the marks, every slice a window
+// of the worker's slabs at its exact final size. res.LabelOffs aliases
+// assembler scratch — it must be fully consumed here, before the next
+// reset.
+func (sc *emitScratch) materialize(res asmx.Result) fragment {
 	frag := fragment{Code: res.Code, Relocs: res.Relocs}
-	if n := len(sc.cfiMarks); n > 0 {
-		frag.CFI = make([]cfi.PCInst, 0, n)
-		for _, m := range sc.cfiMarks {
-			frag.CFI = append(frag.CFI, cfi.PCInst{PC: res.LabelOffs[m.label], Inst: m.inst})
+	frag.CFI = sc.cfiSlab.take(len(sc.cfiInsts), &sc.pace)
+	k := 0
+	for _, m := range sc.cfiMarks {
+		for pc := res.LabelOffs[m.label]; k < m.end; k++ {
+			frag.CFI[k] = cfi.PCInst{PC: pc, Inst: sc.cfiInsts[k]}
 		}
 	}
-	if n := len(sc.csMarks); n > 0 {
-		frag.CallSites = make([]fragCallSite, 0, n)
-		for _, m := range sc.csMarks {
-			frag.CallSites = append(frag.CallSites, fragCallSite{
-				Start:  res.LabelOffs[m.start],
-				Len:    res.LabelOffs[m.end] - res.LabelOffs[m.start],
-				LP:     m.lp,
-				Action: m.action,
-			})
+	frag.CallSites = sc.callSlab.take(len(sc.csMarks), &sc.pace)
+	for i, m := range sc.csMarks {
+		frag.CallSites[i] = fragCallSite{
+			Start:  res.LabelOffs[m.start],
+			Len:    res.LabelOffs[m.end] - res.LabelOffs[m.start],
+			LP:     m.lp,
+			Action: m.action,
 		}
 	}
-	if n := len(sc.lineMarks); n > 0 {
-		frag.Lines = make([]obj.LineEntry, 0, n)
-		for _, m := range sc.lineMarks {
-			file, line := sourceAt(sc.lines, m.src)
-			if file == "" {
-				continue
-			}
-			frag.Lines = append(frag.Lines, obj.LineEntry{Off: res.LabelOffs[m.label], File: file, Line: line})
-		}
+	frag.Lines = sc.lineSlab.take(len(sc.lineMarks), &sc.pace)
+	for i, m := range sc.lineMarks {
+		file, line := sourceAt(sc.lines, m.src)
+		frag.Lines[i] = obj.LineEntry{Off: res.LabelOffs[m.label], File: file, Line: line}
 	}
 	// Anchors bind in emission order, which is layout order, so offsets
 	// are already ascending. The first anchor at an offset decides it (a
@@ -410,7 +432,7 @@ func (sc *emitScratch) materialize(res *asmx.Result) fragment {
 	// only if it is native: instructions spliced in from another function
 	// keep their origin addresses, outside this function's input
 	// coordinates. The entries are encoded into the worker's buffer, and
-	// the fragment keeps an exactly-sized copy.
+	// the fragment keeps a copy in the worker's byte slab.
 	if len(sc.anchorMarks) > 0 {
 		a := &sc.bat
 		a.Reset()
@@ -426,7 +448,7 @@ func (sc *emitScratch) materialize(res *asmx.Result) fragment {
 			}
 		}
 		frag.BAT = *a
-		frag.BAT.Wire = bytes.Clone(a.Wire)
+		frag.BAT.Wire = sc.byteSlab.clone(a.Wire, &sc.pace)
 	}
 	return frag
 }

@@ -190,7 +190,10 @@ func TestBATAnchorRule(t *testing.T) {
 		}
 		sc.asm.Emit(ret)
 	}
-	res, err := sc.asm.Finish(0)
+	if _, err := sc.asm.Layout(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.asm.Finish(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

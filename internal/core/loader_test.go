@@ -298,3 +298,30 @@ func TestLoaderDigestGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestObjectAtFirstInTableOrder: jump tables are bounded by the data
+// symbol at their address, and where several share it the first in
+// symbol-table order decides, even when it is unsized (a table no symbol
+// bounds stays unrecovered).
+func TestObjectAtFirstInTableOrder(t *testing.T) {
+	ctx := &BinaryContext{File: &elfx.File{Symbols: []elfx.Symbol{
+		{Name: "late", Value: 0x30, Size: 8, Type: elfx.STTObject},
+		{Name: "fn", Value: 0x10, Size: 64, Type: elfx.STTFunc},
+		{Name: "unsized", Value: 0x10, Type: elfx.STTObject},
+		{Name: "sized", Value: 0x10, Size: 16, Type: elfx.STTObject},
+		{Name: "early", Value: 0x08, Size: 8, Type: elfx.STTObject},
+	}}}
+	ctx.indexObjects()
+	for _, tc := range []struct {
+		addr uint64
+		want string
+	}{{0x08, "early"}, {0x10, "unsized"}, {0x30, "late"}, {0x18, ""}, {0x40, ""}, {0, ""}} {
+		got := ""
+		if s := ctx.objectAt(tc.addr); s != nil {
+			got = s.Name
+		}
+		if got != tc.want {
+			t.Errorf("objectAt(%#x) = %q, want %q", tc.addr, got, tc.want)
+		}
+	}
+}

@@ -89,9 +89,13 @@ type emitter struct {
 	funcs []emittedFn    // layout order
 	byOrd []*emittedFn   // BinaryFunction.ordIdx -> entry of funcs; nil = not re-emitted
 	text  [2]textSection // text[s] holds frags[s] of every function
+	// rest[i] is the instruction count of funcs[i:], the weight that
+	// paces the emission workers' slabs.
+	rest []int64
 }
 
-// emittedFn is the emitted form of one function.
+// emittedFn is the emitted form of one function. Its fragments and
+// block offsets are windows of two emitter-wide tables.
 type emittedFn struct {
 	fn       *BinaryFunction
 	frags    []fragment // the entry (hot) fragment, then the cold one when split
@@ -185,25 +189,54 @@ func (e *emitter) symAddr(sym obj.SymID) (uint64, error) {
 
 // assemble (emit:functions) emits every movable function concurrently
 // into per-function fragments. Each emitFunction call reads and writes
-// only its own function plus its worker's scratch (reused across the
-// worker's whole share of functions), and results land at a fixed slice
-// index, so the layout — and therefore the output bytes — are identical
-// for any worker count.
+// only its own function, its windows of the emitter's tables, and its
+// worker's scratch (reused across the worker's whole share of
+// functions), and results land at a fixed slice index, so the layout —
+// and therefore the output bytes — are identical for any worker count.
 func (e *emitter) assemble(cx context.Context) error {
-	ctx := e.ctx
-	moved := ctx.orderedSimpleFuncs()
-	e.funcs = make([]emittedFn, len(moved))
-	e.jobs = par.Jobs(ctx.Opts.Jobs, len(moved))
+	e.prepare(e.ctx.orderedSimpleFuncs())
 	scratch := make([]emitScratch, e.jobs)
-	_, err := par.ForTraced(cx, ctx.Opts.Trace, "emit:functions",
-		func(i int) string { return moved[i].Name },
-		len(moved), e.jobs, func(w, i int) (err error) {
-			ef := &e.funcs[i]
-			ef.fn = moved[i]
-			ef.frags, ef.blockOff, err = ctx.emitFunction(moved[i], &scratch[w])
-			return err
+	for w := range scratch {
+		scratch[w].pace.jobs = e.jobs
+	}
+	_, err := par.ForTraced(cx, e.ctx.Opts.Trace, "emit:functions",
+		func(i int) string { return e.funcs[i].fn.Name },
+		len(e.funcs), e.jobs, func(w, i int) error {
+			return e.emit(&scratch[w], i)
 		})
 	return err
+}
+
+// prepare lists the functions to emit, in layout order, and gives each
+// its windows of one fragment table and one block-offset table, both
+// sized by emitShape before emission starts.
+func (e *emitter) prepare(moved []*BinaryFunction) {
+	e.funcs = make([]emittedFn, len(moved))
+	e.jobs = par.Jobs(e.ctx.Opts.Jobs, len(moved))
+	e.rest = make([]int64, len(moved)+1)
+	nFrags, nOffs := 0, 0
+	for i, fn := range moved {
+		frags, offs, insts := emitShape(fn)
+		nFrags += frags
+		nOffs += offs
+		e.rest[i] = int64(insts)
+	}
+	for i := len(moved) - 1; i >= 0; i-- {
+		e.rest[i] += e.rest[i+1]
+	}
+	fragTab, offTab := make([]fragment, nFrags), make([]uint32, nOffs)
+	for i, fn := range moved {
+		frags, offs, _ := emitShape(fn)
+		e.funcs[i] = emittedFn{fn: fn, frags: fragTab[:frags:frags], blockOff: offTab[:offs:offs]}
+		fragTab, offTab = fragTab[frags:], offTab[offs:]
+	}
+}
+
+// emit assembles e.funcs[i] with the worker's scratch sc.
+func (e *emitter) emit(sc *emitScratch, i int) error {
+	ef := &e.funcs[i]
+	sc.pace.next(e.rest, i)
+	return e.ctx.emitFunction(ef.fn, ef.frags, ef.blockOff, sc)
 }
 
 // cacheLine is the instruction-cache line size the text layout is planned
@@ -498,7 +531,7 @@ func (e *emitter) writeFrames() error {
 	ctx := e.ctx
 	lsdaBase := alignUp(e.text[1].end, 8)
 	var lsdaData []byte
-	var lsda cfi.LSDA // one fragment's table, reused
+	var lsda cfi.LSDA // one fragment's or one kept function's table, reused
 	fdes := make([]cfi.FDE, 0, len(e.funcs)+e.res.SplitFuncs+len(ctx.fdes))
 	for i := range e.funcs {
 		for s := range e.funcs[i].frags {
@@ -528,12 +561,11 @@ func (e *emitter) writeFrames() error {
 			continue
 		}
 		if fde.LSDA != 0 {
-			old, err := cfi.DecodeLSDA(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase))
-			if err != nil {
+			if err := lsda.Decode(ctx.lsdaData, uint32(fde.LSDA-ctx.lsdaBase)); err != nil {
 				return err
 			}
 			var off uint32
-			lsdaData, off = cfi.EncodeLSDA(lsdaData, old)
+			lsdaData, off = cfi.EncodeLSDA(lsdaData, &lsda)
 			fde.LSDA = lsdaBase + uint64(off)
 		}
 		fdes = append(fdes, fde)

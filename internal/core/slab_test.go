@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +58,14 @@ func TestSlabInstsSurviveAppend(t *testing.T) {
 	}
 }
 
+// emitOne emits fn alone, into fresh windows sized as the emitter sizes
+// them.
+func emitOne(ctx *BinaryContext, fn *BinaryFunction, sc *emitScratch) ([]fragment, []uint32, error) {
+	frags, offs, _ := emitShape(fn)
+	fr, off := make([]fragment, frags), make([]uint32, offs)
+	return fr, off, ctx.emitFunction(fn, fr, off, sc)
+}
+
 // TestEmitScratchReuse proves the emitter's worker scratch is fully
 // reset between functions: emitting a stream of functions through one
 // reused scratch must produce the same fragments as a fresh scratch per
@@ -67,16 +76,108 @@ func TestEmitScratchReuse(t *testing.T) {
 	ctx := loadSlabCtx(t, 1)
 	var shared emitScratch
 	for _, fn := range ctx.SimpleFuncs() {
-		reused, reusedOffs, err := ctx.emitFunction(fn, &shared)
+		reused, reusedOffs, err := emitOne(ctx, fn, &shared)
 		if err != nil {
 			t.Fatalf("%s (reused scratch): %v", fn.Name, err)
 		}
-		fresh, freshOffs, err := ctx.emitFunction(fn, &emitScratch{})
+		fresh, freshOffs, err := emitOne(ctx, fn, &emitScratch{})
 		if err != nil {
 			t.Fatalf("%s (fresh scratch): %v", fn.Name, err)
 		}
 		if !reflect.DeepEqual(reused, fresh) || !reflect.DeepEqual(reusedOffs, freshOffs) {
 			t.Fatalf("%s: reused-scratch emission differs from fresh-scratch emission", fn.Name)
 		}
+	}
+}
+
+// emitSlabs is the number of slab types an emission worker refills:
+// code and BAT wire bytes, relocations, CFI, call sites and lines.
+const emitSlabs = 5
+
+// TestEmitAllocsDoNotScale is the worker-slab rule for emission: a
+// warmed worker emitting every simple function of the fixture refills
+// each of its slabs at most once — the allocation count does not grow
+// with the function count. The stage lists the fixture's functions once
+// per pass, so it is as long as a binary with that many times the
+// functions; after a first pass has warmed the worker's scratch lists,
+// each further pass is measured. With one allocation per function and
+// list it took 155 allocations for the fixture's 11 simple functions.
+func TestEmitAllocsDoNotScale(t *testing.T) {
+	const passes = 12
+	ctx := loadSlabCtx(t, 1)
+	simple := ctx.SimpleFuncs()
+	if len(simple) < 8 {
+		t.Fatalf("fixture has %d simple functions; the rule needs several", len(simple))
+	}
+	e := &emitter{ctx: ctx}
+	e.prepare(slices.Repeat(simple, passes))
+	var sc emitScratch
+	sc.pace.jobs = 1
+	next := 0
+	pass := func() {
+		for range simple {
+			if err := e.emit(&sc, next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	pass() // warm the worker: its scratch lists reach their sizes
+	got := testing.AllocsPerRun(passes-2, pass)
+	if got > emitSlabs {
+		t.Errorf("emitting %d functions allocated %v times per pass, want at most one refill per slab (%d)",
+			len(simple), got, emitSlabs)
+	}
+	t.Logf("%v allocations per pass of %d functions", got, len(simple))
+}
+
+// TestSlabWindowsCapped extends TestSlabInstsSurviveAppend's rule to
+// every window the loader and the emitter carve: cap == len, so an
+// append to one reallocates it instead of writing into the next.
+func TestSlabWindowsCapped(t *testing.T) {
+	ctx := loadSlabCtx(t, 2)
+	capped := func(what string, l, c int) {
+		t.Helper()
+		if c != l {
+			t.Fatalf("%s: window cap %d != len %d", what, c, l)
+		}
+	}
+	windows := 0
+	for _, fn := range ctx.Funcs {
+		if !fn.Simple {
+			continue
+		}
+		capped(fn.Name+" CFI states", len(fn.cfiStates), cap(fn.cfiStates))
+		capped(fn.Name+" landing pads", len(fn.lps), cap(fn.lps))
+		for _, b := range fn.Blocks {
+			capped(fn.Name+" Insts", len(b.Insts), cap(b.Insts))
+			capped(fn.Name+" Succs", len(b.Succs), cap(b.Succs))
+			capped(fn.Name+" Preds", len(b.Preds), cap(b.Preds))
+			capped(fn.Name+" LPs", len(b.LPs), cap(b.LPs))
+			windows += len(b.Succs) + len(b.Preds) + len(b.LPs)
+		}
+	}
+	e := &emitter{ctx: ctx}
+	e.prepare(ctx.SimpleFuncs())
+	var sc emitScratch
+	sc.pace.jobs = 1
+	for i := range e.funcs {
+		if err := e.emit(&sc, i); err != nil {
+			t.Fatal(err)
+		}
+		for s := range e.funcs[i].frags {
+			fr := &e.funcs[i].frags[s]
+			name := e.funcs[i].fn.Name
+			capped(name+" code", len(fr.Code), cap(fr.Code))
+			capped(name+" relocations", len(fr.Relocs), cap(fr.Relocs))
+			capped(name+" CFI", len(fr.CFI), cap(fr.CFI))
+			capped(name+" call sites", len(fr.CallSites), cap(fr.CallSites))
+			capped(name+" lines", len(fr.Lines), cap(fr.Lines))
+			capped(name+" BAT wire", len(fr.BAT.Wire), cap(fr.BAT.Wire))
+			windows += len(fr.Relocs) + len(fr.CFI) + len(fr.Lines)
+		}
+	}
+	if windows == 0 {
+		t.Fatal("fixture carved no edge, relocation, CFI or line windows")
 	}
 }

@@ -37,8 +37,8 @@ func (m *Machine) unwind(retAddr uint64) (uint64, error) {
 
 		// Does this frame handle the exception?
 		if fde.LSDA != 0 {
-			lsda, err := cfi.DecodeLSDA(m.lsdaData, uint32(fde.LSDA-m.lsdaBase))
-			if err != nil {
+			var lsda cfi.LSDA
+			if err := lsda.Decode(m.lsdaData, uint32(fde.LSDA-m.lsdaBase)); err != nil {
 				return 0, fmt.Errorf("vm: unwind: %w", err)
 			}
 			if lp, _, ok := lsda.Lookup(off); ok {
