@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"gobolt/internal/elfx"
+	"gobolt/internal/workload"
 )
 
 // loadSlabCtx loads the shared loader fixture with enough functions that
@@ -133,51 +136,60 @@ func TestEmitAllocsDoNotScale(t *testing.T) {
 
 // TestSlabWindowsCapped extends TestSlabInstsSurviveAppend's rule to
 // every window the loader and the emitter carve: cap == len, so an
-// append to one reallocates it instead of writing into the next.
+// append to one reallocates it instead of writing into the next. The
+// loader fixture has jump tables and the tiny preset, made to throw
+// often, has landing pads, so every kind of window occurs.
 func TestSlabWindowsCapped(t *testing.T) {
-	ctx := loadSlabCtx(t, 2)
-	capped := func(what string, l, c int) {
+	throwing := workload.Tiny()
+	throwing.ThrowFrac = 0.9
+	seen := map[string]int{}
+	capped := func(fn *BinaryFunction, what string, l, c int) {
 		t.Helper()
 		if c != l {
-			t.Fatalf("%s: window cap %d != len %d", what, c, l)
+			t.Fatalf("%s %s: window cap %d != len %d", fn.Name, what, c, l)
 		}
+		seen[what] += l
 	}
-	windows := 0
-	for _, fn := range ctx.Funcs {
-		if !fn.Simple {
-			continue
-		}
-		capped(fn.Name+" CFI states", len(fn.cfiStates), cap(fn.cfiStates))
-		capped(fn.Name+" landing pads", len(fn.lps), cap(fn.lps))
-		for _, b := range fn.Blocks {
-			capped(fn.Name+" Insts", len(b.Insts), cap(b.Insts))
-			capped(fn.Name+" Succs", len(b.Succs), cap(b.Succs))
-			capped(fn.Name+" Preds", len(b.Preds), cap(b.Preds))
-			capped(fn.Name+" LPs", len(b.LPs), cap(b.LPs))
-			windows += len(b.Succs) + len(b.Preds) + len(b.LPs)
-		}
-	}
-	e := &emitter{ctx: ctx}
-	e.prepare(ctx.SimpleFuncs())
-	var sc emitScratch
-	sc.pace.jobs = 1
-	for i := range e.funcs {
-		if err := e.emit(&sc, i); err != nil {
+	for _, f := range []*elfx.File{buildLoaderFile(t, 8), presetFile(t, throwing)} {
+		opts := DefaultOptions()
+		opts.Jobs = 2
+		ctx, err := NewContext(context.Background(), f, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for s := range e.funcs[i].frags {
-			fr := &e.funcs[i].frags[s]
-			name := e.funcs[i].fn.Name
-			capped(name+" code", len(fr.Code), cap(fr.Code))
-			capped(name+" relocations", len(fr.Relocs), cap(fr.Relocs))
-			capped(name+" CFI", len(fr.CFI), cap(fr.CFI))
-			capped(name+" call sites", len(fr.CallSites), cap(fr.CallSites))
-			capped(name+" lines", len(fr.Lines), cap(fr.Lines))
-			capped(name+" BAT wire", len(fr.BAT.Wire), cap(fr.BAT.Wire))
-			windows += len(fr.Relocs) + len(fr.CFI) + len(fr.Lines)
+		for _, fn := range ctx.SimpleFuncs() {
+			capped(fn, "CFI states", len(fn.cfiStates), cap(fn.cfiStates))
+			capped(fn, "landing pads", len(fn.lps), cap(fn.lps))
+			for _, b := range fn.Blocks {
+				capped(fn, "Insts", len(b.Insts), cap(b.Insts))
+				capped(fn, "Succs", len(b.Succs), cap(b.Succs))
+				capped(fn, "Preds", len(b.Preds), cap(b.Preds))
+				capped(fn, "LPs", len(b.LPs), cap(b.LPs))
+			}
+		}
+		e := &emitter{ctx: ctx}
+		e.prepare(ctx.SimpleFuncs())
+		var sc emitScratch
+		sc.pace.jobs = 1
+		for i := range e.funcs {
+			if err := e.emit(&sc, i); err != nil {
+				t.Fatal(err)
+			}
+			fn := e.funcs[i].fn
+			for s := range e.funcs[i].frags {
+				fr := &e.funcs[i].frags[s]
+				capped(fn, "code", len(fr.Code), cap(fr.Code))
+				capped(fn, "relocations", len(fr.Relocs), cap(fr.Relocs))
+				capped(fn, "CFI", len(fr.CFI), cap(fr.CFI))
+				capped(fn, "call sites", len(fr.CallSites), cap(fr.CallSites))
+				capped(fn, "lines", len(fr.Lines), cap(fr.Lines))
+				capped(fn, "BAT wire", len(fr.BAT.Wire), cap(fr.BAT.Wire))
+			}
 		}
 	}
-	if windows == 0 {
-		t.Fatal("fixture carved no edge, relocation, CFI or line windows")
+	for what, n := range seen {
+		if n == 0 {
+			t.Errorf("the fixtures carved no %s window, so the rule went unchecked for them", what)
+		}
 	}
 }
