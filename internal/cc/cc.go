@@ -9,12 +9,15 @@
 package cc
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"gobolt/internal/asmx"
 	"gobolt/internal/ir"
 	"gobolt/internal/isa"
 	"gobolt/internal/obj"
+	"gobolt/internal/par"
 )
 
 // SrcKey identifies a source location; the PGO profile is keyed by it.
@@ -127,19 +130,42 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 		}
 	}
 
+	// Lower every function over the pool. Each worker reuses one
+	// lowerState, so its assembler and mark buffers stop growing after
+	// the first few functions; results land in module and function order.
+	var funcs []*ir.Func
+	for _, m := range work.Modules {
+		funcs = append(funcs, m.Funcs...)
+	}
+	type lowered struct {
+		f       *obj.Func
+		globals []*obj.Global
+	}
+	out := make([]lowered, len(funcs))
+	states := make([]*lowerState, par.Jobs(0, len(funcs)))
+	if _, err := par.For(context.TODO(), len(funcs), len(states), func(w, i int) error {
+		if states[w] == nil {
+			states[w] = &lowerState{opts: opts, a: asmx.New(), sharedFuncs: sharedFuncs}
+		}
+		f := funcs[i]
+		of, globals, err := states[w].lower(f, layoutBlocks(f, opts))
+		if err != nil {
+			return fmt.Errorf("cc: %s: %w", f.Name, err)
+		}
+		of.Shared = f.Module().Shared
+		out[i] = lowered{of, globals}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	var objs []*obj.Object
 	for _, m := range work.Modules {
-		o := &obj.Object{Name: m.Name}
-		for _, f := range m.Funcs {
-			order := layoutBlocks(f, opts)
-			of, globals, err := lowerFunc(sharedFuncs, f, order, opts)
-			if err != nil {
-				return nil, fmt.Errorf("cc: %s: %w", f.Name, err)
-			}
-			of.Shared = m.Shared
-			o.Funcs = append(o.Funcs, of)
-			o.Globals = append(o.Globals, globals...)
+		o := &obj.Object{Name: m.Name, Funcs: make([]*obj.Func, len(m.Funcs))}
+		for j := range m.Funcs {
+			o.Funcs[j] = out[j].f
+			o.Globals = append(o.Globals, out[j].globals...)
 		}
+		out = out[len(m.Funcs):]
 		objs = append(objs, o)
 	}
 

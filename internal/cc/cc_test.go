@@ -1,11 +1,15 @@
 package cc
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"gobolt/internal/ir"
 	"gobolt/internal/isa"
+	"gobolt/internal/ld"
 	"gobolt/internal/obj"
+	"gobolt/internal/workload"
 )
 
 // branchy builds: entry -> {then(line 3) | else(line 5)} -> ret.
@@ -162,5 +166,33 @@ func TestCompileEmitsCFIAndLines(t *testing.T) {
 	}
 	if len(start.Relocs) == 0 {
 		t.Error("call reloc missing")
+	}
+}
+
+// Functions are lowered in parallel: a preset compiled at GOMAXPROCS 1
+// and at 4 links to the same bytes.
+func TestCompileDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	build := func(procs int) []byte {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		objs, err := Compile(workload.Generate(workload.Tiny()), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ld.Link(objs, ld.Options{EmitRelocs: true, ICF: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := res.File.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	serial := build(1)
+	for i := range 3 {
+		if !bytes.Equal(build(4), serial) {
+			t.Fatalf("compile %d at GOMAXPROCS 4 links to other bytes than at 1", i)
+		}
 	}
 }

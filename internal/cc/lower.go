@@ -18,12 +18,15 @@ const (
 	scratchB = isa.R11
 )
 
-// lowerState carries per-function assembly state.
+// lowerState carries assembly state. One lowerState lowers many
+// functions in turn; lower resets the per-function parts, keeping their
+// storage.
 type lowerState struct {
-	f           *ir.Func
-	opts        Options
-	a           *asmx.Assembler
-	order       []int
+	f    *ir.Func
+	opts Options
+	a    *asmx.Assembler
+	// sharedFuncs names the functions living in shared modules (their
+	// calls use PLT32).
 	sharedFuncs map[string]bool
 
 	blockLabels []asmx.Label
@@ -59,18 +62,20 @@ type jtFix struct {
 	targets []int
 }
 
-// lowerFunc compiles one function in the given block order. sharedFuncs
-// names the functions living in shared modules (their calls use PLT32).
-func lowerFunc(sharedFuncs map[string]bool, f *ir.Func, order []int, opts Options) (*obj.Func, []*obj.Global, error) {
+// lower compiles one function in the given block order.
+func (st *lowerState) lower(f *ir.Func, order []int) (*obj.Func, []*obj.Global, error) {
 	if len(order) == 0 || order[0] != 0 {
 		return nil, nil, fmt.Errorf("layout must start with the entry block")
 	}
-	st := &lowerState{f: f, opts: opts, a: asmx.New(), order: order, sharedFuncs: sharedFuncs}
-	st.blockLabels = make([]asmx.Label, len(f.Blocks))
-	for i := range f.Blocks {
-		st.blockLabels[i] = st.a.NewLabel()
+	st.f, st.nextJT = f, 0
+	st.a.Reset()
+	st.cfiMarks, st.csMarks, st.lineMark, st.jtFixes = st.cfiMarks[:0], st.csMarks[:0], st.lineMark[:0], st.jtFixes[:0]
+	st.blockLabels = st.blockLabels[:0]
+	for range f.Blocks {
+		st.blockLabels = append(st.blockLabels, st.a.NewLabel())
 	}
 	st.endLabel = st.a.NewLabel()
+	opts := st.opts
 
 	hasFrame := st.needsFrame()
 	pos := make([]int, len(f.Blocks)) // block -> position in order
@@ -153,19 +158,28 @@ func lowerFunc(sharedFuncs map[string]bool, f *ir.Func, order []int, opts Option
 		Relocs: res.Relocs,
 		Global: f.Global,
 	}
-	for _, m := range st.cfiMarks {
-		of.CFI = append(of.CFI, cfi.PCInst{PC: res.LabelOffs[m.label], Inst: m.inst})
+	if len(st.cfiMarks) > 0 {
+		of.CFI = make([]cfi.PCInst, len(st.cfiMarks))
+		for i, m := range st.cfiMarks {
+			of.CFI[i] = cfi.PCInst{PC: res.LabelOffs[m.label], Inst: m.inst}
+		}
 	}
-	for _, m := range st.csMarks {
-		start := res.LabelOffs[m.start]
-		end := res.LabelOffs[m.end]
-		of.CallSites = append(of.CallSites, obj.CallSite{
-			Start: start, Len: end - start,
-			LPOff: res.LabelOffs[st.blockLabels[m.lp]], Action: 1,
-		})
+	if len(st.csMarks) > 0 {
+		of.CallSites = make([]obj.CallSite, len(st.csMarks))
+		for i, m := range st.csMarks {
+			start := res.LabelOffs[m.start]
+			end := res.LabelOffs[m.end]
+			of.CallSites[i] = obj.CallSite{
+				Start: start, Len: end - start,
+				LPOff: res.LabelOffs[st.blockLabels[m.lp]], Action: 1,
+			}
+		}
 	}
-	for _, m := range st.lineMark {
-		of.Lines = append(of.Lines, obj.LineEntry{Off: res.LabelOffs[m.label], File: m.file, Line: m.line})
+	if len(st.lineMark) > 0 {
+		of.Lines = make([]obj.LineEntry, len(st.lineMark))
+		for i, m := range st.lineMark {
+			of.Lines[i] = obj.LineEntry{Off: res.LabelOffs[m.label], File: m.file, Line: m.line}
+		}
 	}
 
 	// Jump tables become globals whose entries point back into the function.

@@ -221,9 +221,17 @@ func TestPassManagerCancelledFunctionPass(t *testing.T) {
 	cx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := fakeCtx(512)
+	// Items after f005 wait for the cancel, so the other workers cannot
+	// claim every item while f005's worker is descheduled. The pool
+	// claims in order, so whoever holds a later item, f005 is claimed.
+	cancelled := make(chan struct{})
 	trigger := passFunc{name: "trigger", fn: func(fc *FuncCtx, f *BinaryFunction) error {
-		if f.Name == "f005" {
+		switch {
+		case f.Name == "f005":
 			cancel()
+			close(cancelled)
+		case f.Name > "f005":
+			<-cancelled
 		}
 		fc.CountStat(statTouched, 1)
 		return nil

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"gobolt/internal/elfx"
 )
 
 // PrintCFG dumps a function in the style of the paper's Figure 4: header
@@ -32,6 +34,7 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 		fmt.Fprintf(w, "  (non-simple: %s)\n\n", fn.Reason)
 		return
 	}
+	name := ctx.symNamer()
 	for _, b := range fn.Blocks {
 		fmt.Fprintf(w, "%s (%d instructions, align : 1)\n", b.Label, len(b.Insts))
 		if b.IsEntry {
@@ -62,7 +65,7 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 				fmt.Fprintf(w, "    %08x: !CFI state %d\n", in.Addr-fn.Addr, in.CFIIdx)
 			}
 			lastCFI = in.CFIIdx
-			line := fmt.Sprintf("    %08x: %s", in.Addr-fn.Addr, in.I.Format(ctx.symNamer()))
+			line := fmt.Sprintf("    %08x: %s", in.Addr-fn.Addr, in.I.Format(name))
 			var notes []string
 			if lp, action := fn.LandingPad(in); lp != nil {
 				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))
@@ -97,12 +100,16 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 }
 
 func (ctx *BinaryContext) symNamer() func(uint64) string {
+	var syms *elfx.SymbolIndex // built on the first PLT stub named
 	return func(addr uint64) string {
 		if fn := ctx.FuncByAddr(addr); fn != nil {
 			return fn.Name
 		}
 		if _, ok := ctx.PLTStubs[addr]; ok {
-			if sym, found := ctx.File.SymbolAt(addr); found {
+			if syms == nil {
+				syms = elfx.NewSymbolIndex(ctx.File.Symbols)
+			}
+			if sym, found := syms.At(addr); found {
 				return sym.Name
 			}
 		}

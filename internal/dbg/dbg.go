@@ -21,17 +21,29 @@ type Entry struct {
 type Table struct {
 	Files   []string
 	Entries []Entry // sorted by Addr
+
+	// fileIdx maps a name to its first index in Files[:indexed];
+	// FileIndex catches it up with names appended since.
+	fileIdx map[string]uint32
+	indexed int
 }
 
 // SectionName is where the table lives in linked binaries.
 const SectionName = ".debug_line"
 
-// FileIndex interns a file name and returns its index.
+// FileIndex interns a file name and returns the first index it has in
+// Files.
 func (t *Table) FileIndex(name string) uint32 {
-	for i, f := range t.Files {
-		if f == name {
-			return uint32(i)
+	if t.fileIdx == nil {
+		t.fileIdx = make(map[string]uint32, len(t.Files))
+	}
+	for ; t.indexed < len(t.Files); t.indexed++ {
+		if _, ok := t.fileIdx[t.Files[t.indexed]]; !ok {
+			t.fileIdx[t.Files[t.indexed]] = uint32(t.indexed)
 		}
+	}
+	if i, ok := t.fileIdx[name]; ok {
+		return i
 	}
 	t.Files = append(t.Files, name)
 	return uint32(len(t.Files) - 1)

@@ -42,3 +42,25 @@ func TestDecodeGarbage(t *testing.T) {
 		}
 	}
 }
+
+// FileIndex returns a name's first index, also in a decoded table that
+// repeats names, and sees names appended to Files directly.
+func TestFileIndexFirstOccurrence(t *testing.T) {
+	enc := (&Table{Files: []string{"a", "b", "a", "c", "b"}}).Encode()
+	tab, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint32{"a": 0, "b": 1, "c": 3} {
+		if got := tab.FileIndex(name); got != want {
+			t.Errorf("FileIndex(%q) = %d, want %d", name, got, want)
+		}
+	}
+	if got := tab.FileIndex("d"); got != 5 || len(tab.Files) != 6 {
+		t.Errorf("FileIndex(new) = %d with %d files, want 5 with 6", got, len(tab.Files))
+	}
+	tab.Files = append(tab.Files, "e", "e")
+	if got := tab.FileIndex("e"); got != 6 {
+		t.Errorf("FileIndex after a direct append = %d, want 6", got)
+	}
+}

@@ -10,7 +10,10 @@
 package elfx
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -186,21 +189,90 @@ func (f *File) SymbolByName(name string) (Symbol, bool) {
 	return Symbol{}, false
 }
 
-// SymbolAt returns the function symbol whose [Value, Value+Size) covers
-// vaddr, preferring the tightest match.
-func (f *File) SymbolAt(vaddr uint64) (Symbol, bool) {
-	best := Symbol{}
-	found := false
-	for _, s := range f.Symbols {
-		if s.Type != STTFunc {
-			continue
-		}
-		if vaddr >= s.Value && vaddr < s.Value+s.Size {
-			if !found || s.Size < best.Size {
-				best = s
-				found = true
-			}
+// SymbolIndex answers which function symbol covers an address in
+// O(log n). It is a snapshot of the symbol table it was built from: a
+// later edit to that table is not seen, so build one per use.
+type SymbolIndex struct {
+	segs []symSegment // sorted, non-overlapping
+}
+
+// symSegment is an address range with one winning symbol.
+type symSegment struct {
+	lo, hi uint64 // [lo, hi)
+	sym    Symbol
+}
+
+// NewSymbolIndex indexes the STT_FUNC symbols of syms. An address maps to
+// the tightest function symbol whose [Value, Value+Size) covers it; of
+// equally tight ones the first in table order wins, and a zero-size
+// symbol (or one whose end wraps past 2^64) covers nothing.
+func NewSymbolIndex(syms []Symbol) *SymbolIndex {
+	var cands []int // indices into syms, sorted by Value then table order
+	var bounds []uint64
+	for i, s := range syms {
+		if s.Type == STTFunc && s.Value+s.Size > s.Value {
+			cands = append(cands, i)
+			bounds = append(bounds, s.Value, s.Value+s.Size)
 		}
 	}
-	return best, found
+	slices.SortStableFunc(cands, func(a, b int) int { return cmp.Compare(syms[a].Value, syms[b].Value) })
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+
+	// Sweep the boundaries; active holds every candidate that started at
+	// or before the current one, tightest (then first) on top. Ended
+	// candidates leave lazily, when they reach the top.
+	x := &SymbolIndex{}
+	active := &tightest{syms: syms}
+	next := 0
+	for bi, b := range bounds[:max(len(bounds)-1, 0)] {
+		for ; next < len(cands) && syms[cands[next]].Value == b; next++ {
+			heap.Push(active, cands[next])
+		}
+		for active.Len() > 0 && syms[active.top()].Value+syms[active.top()].Size <= b {
+			heap.Pop(active)
+		}
+		if active.Len() == 0 {
+			continue
+		}
+		x.segs = append(x.segs, symSegment{lo: b, hi: bounds[bi+1], sym: syms[active.top()]})
+	}
+	return x
 }
+
+// At returns the function symbol covering vaddr.
+func (x *SymbolIndex) At(vaddr uint64) (Symbol, bool) {
+	i, _ := slices.BinarySearchFunc(x.segs, vaddr, func(s symSegment, v uint64) int {
+		if s.hi <= v {
+			return -1
+		}
+		return 0
+	})
+	if i == len(x.segs) || vaddr < x.segs[i].lo {
+		return Symbol{}, false
+	}
+	return x.segs[i].sym, true
+}
+
+// tightest is a heap of symbol indices ordered by size, then table order.
+type tightest struct {
+	syms []Symbol
+	idx  []int
+}
+
+func (h *tightest) Len() int { return len(h.idx) }
+func (h *tightest) Less(i, j int) bool {
+	a, b := h.idx[i], h.idx[j]
+	if h.syms[a].Size != h.syms[b].Size {
+		return h.syms[a].Size < h.syms[b].Size
+	}
+	return a < b
+}
+func (h *tightest) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *tightest) Push(v any)    { h.idx = append(h.idx, v.(int)) }
+func (h *tightest) Pop() any {
+	v := h.idx[len(h.idx)-1]
+	h.idx = h.idx[:len(h.idx)-1]
+	return v
+}
+func (h *tightest) top() int { return h.idx[0] }

@@ -3,6 +3,8 @@ package elfx
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -140,13 +142,97 @@ func TestRelocRoundTrip(t *testing.T) {
 }
 
 func TestSymbolAt(t *testing.T) {
-	f := sampleFile()
-	s, ok := f.SymbolAt(0x401002)
+	x := NewSymbolIndex(sampleFile().Symbols)
+	s, ok := x.At(0x401002)
 	if !ok || s.Name != "pad" {
-		t.Errorf("SymbolAt(0x401002) = %v, %v; want pad", s.Name, ok)
+		t.Errorf("At(0x401002) = %v, %v; want pad", s.Name, ok)
 	}
-	if _, ok := f.SymbolAt(0x500000); ok {
-		t.Errorf("SymbolAt out of range must fail")
+	if _, ok := x.At(0x500000); ok {
+		t.Errorf("At out of range must fail")
+	}
+}
+
+// symbolAtLinear is the linear scan SymbolIndex replaced, kept as the
+// reference: the tightest covering function symbol, the first in table
+// order on a tie.
+func symbolAtLinear(syms []Symbol, vaddr uint64) (Symbol, bool) {
+	best := Symbol{}
+	found := false
+	for _, s := range syms {
+		if s.Type != STTFunc {
+			continue
+		}
+		if vaddr >= s.Value && vaddr < s.Value+s.Size {
+			if !found || s.Size < best.Size {
+				best = s
+				found = true
+			}
+		}
+	}
+	return best, found
+}
+
+// randomSymbols builds a table with nested, aliased (equal Value and
+// Size), zero-size, overlapping and adjacent function symbols, plus
+// object symbols and one whose end wraps past 2^64.
+func randomSymbols(r *rand.Rand) []Symbol {
+	var syms []Symbol
+	add := func(v, size uint64, typ byte) {
+		syms = append(syms, Symbol{Name: fmt.Sprintf("s%d", len(syms)), Value: v, Size: size, Type: typ})
+	}
+	for range 1 + r.Intn(40) {
+		v, size := 0x1000+uint64(r.Intn(400)), uint64(r.Intn(64))
+		switch n := len(syms); {
+		case n > 0 && r.Intn(6) == 0: // alias
+			p := syms[r.Intn(n)]
+			add(p.Value, p.Size, p.Type)
+		case n > 0 && r.Intn(6) == 0: // nested inside a previous one
+			p := syms[r.Intn(n)]
+			if p.Size > 1 {
+				off := uint64(r.Int63n(int64(p.Size)))
+				add(p.Value+off, 1+uint64(r.Int63n(int64(p.Size-off))), STTFunc)
+				continue
+			}
+			add(v, size, STTFunc)
+		case n > 0 && r.Intn(6) == 0: // adjacent to a previous one
+			p := syms[r.Intn(n)]
+			add(p.Value+p.Size, size, STTFunc)
+		case r.Intn(8) == 0:
+			add(v, 0, STTFunc)
+		case r.Intn(8) == 0:
+			add(v, size, STTObject)
+		default: // free placement overlaps at random
+			add(v, size, STTFunc)
+		}
+	}
+	if r.Intn(4) == 0 {
+		add(math.MaxUint64-uint64(r.Intn(8)), 16, STTFunc)
+	}
+	r.Shuffle(len(syms), func(i, j int) { syms[i], syms[j] = syms[j], syms[i] })
+	return syms
+}
+
+// The index must agree with the linear scan at every symbol boundary, at
+// each boundary ±1 and out of range.
+func TestSymbolIndexMatchesLinear(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	for table := range 500 {
+		syms := randomSymbols(r)
+		x := NewSymbolIndex(syms)
+		probes := []uint64{0, 1, 0xfff, 0x10000, math.MaxUint64}
+		for _, s := range syms {
+			for _, b := range []uint64{s.Value, s.Value + s.Size} {
+				probes = append(probes, b-1, b, b+1)
+			}
+		}
+		for _, a := range probes {
+			want, wantOK := symbolAtLinear(syms, a)
+			got, gotOK := x.At(a)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("table %d, address %#x: index gives %+v, %v; linear scan %+v, %v\ntable: %+v",
+					table, a, got, gotOK, want, wantOK, syms)
+			}
+		}
 	}
 }
 

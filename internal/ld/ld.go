@@ -330,8 +330,12 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 
 	// Exception tables and CFI.
 	var lsdaData []byte
-	var fdes []cfi.FDE
-	lineTab := &dbg.Table{}
+	fdes := make([]cfi.FDE, 0, len(ordered))
+	nLines := 0
+	for _, f := range ordered {
+		nLines += len(f.Lines)
+	}
+	lineTab := &dbg.Table{Entries: make([]dbg.Entry, 0, nLines)}
 	for _, f := range ordered {
 		base := funcAddr[f.Name]
 		fde := cfi.FDE{Start: base, Len: uint32(len(f.Bytes)), Insts: f.CFI}

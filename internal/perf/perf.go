@@ -162,8 +162,9 @@ func Record(m *vm.Machine, mode Mode, maxInstr uint64) (*Raw, error) {
 // padding, PLT-less stubs) are dropped, as perf2bolt drops them.
 func Convert(raw *Raw, f *elfx.File) *profile.Fdata {
 	b := profile.NewBuilder(raw.LBR, string(raw.Event))
+	syms := elfx.NewSymbolIndex(f.Symbols)
 	locate := func(addr uint64) (profile.Loc, bool) {
-		sym, ok := f.SymbolAt(addr)
+		sym, ok := syms.At(addr)
 		if !ok {
 			return profile.Loc{}, false
 		}

@@ -93,6 +93,16 @@ type Metrics struct {
 
 	Branches, BranchMiss uint64
 	TakenBranches        uint64
+
+	// The cycle stack: where Cycles went, by hardware structure. The
+	// parts sum exactly to Cycles.
+	BaseCycles    uint64 // issue at IssueWidth instructions per cycle
+	IMissCycles   uint64 // L1I misses charged to L2, LLC or memory
+	DMissCycles   uint64 // L1D misses charged to L2, LLC or memory
+	ITLBCycles    uint64 // iTLB miss walks
+	DTLBCycles    uint64 // dTLB miss walks
+	MispredCycles uint64 // mispredicted branches
+	TakenCycles   uint64 // fetch redirects on taken branches
 }
 
 // IPC returns instructions per cycle.
@@ -269,11 +279,11 @@ func (s *Sim) Inst(addr uint64, size uint8) {
 		s.M.ITLBAccess++
 		if !s.itlb.access(la) {
 			s.M.ITLBMiss++
-			s.M.Cycles += s.cfg.TLBMissPenalty
+			s.charge(&s.M.ITLBCycles, s.cfg.TLBMissPenalty)
 		}
 		if !s.l1i.access(la) {
 			s.M.L1IMiss++
-			s.M.Cycles += s.missPath(la)
+			s.charge(&s.M.IMissCycles, s.missPath(la))
 		}
 	}
 }
@@ -284,11 +294,11 @@ func (s *Sim) Mem(addr uint64, size uint8, write bool) {
 	s.M.DTLBAccess++
 	if !s.dtlb.access(addr) {
 		s.M.DTLBMiss++
-		s.M.Cycles += s.cfg.TLBMissPenalty
+		s.charge(&s.M.DTLBCycles, s.cfg.TLBMissPenalty)
 	}
 	if !s.l1d.access(addr) {
 		s.M.L1DMiss++
-		s.M.Cycles += s.missPath(addr)
+		s.charge(&s.M.DMissCycles, s.missPath(addr))
 	}
 }
 
@@ -318,16 +328,16 @@ func (s *Sim) Branch(from, to uint64, taken bool, kind vm.BranchKind) {
 				*slot = to
 			}
 			s.M.TakenBranches++
-			s.M.Cycles += s.cfg.TakenPenalty
+			s.charge(&s.M.TakenCycles, s.cfg.TakenPenalty)
 			s.lastLine = ^uint64(0) // fetch redirect
 		}
 		if miss {
 			s.M.BranchMiss++
-			s.M.Cycles += s.cfg.MispredPenalty
+			s.charge(&s.M.MispredCycles, s.cfg.MispredPenalty)
 		}
 	case vm.BrUncond:
 		s.M.TakenBranches++
-		s.M.Cycles += s.cfg.TakenPenalty
+		s.charge(&s.M.TakenCycles, s.cfg.TakenPenalty)
 		s.lastLine = ^uint64(0)
 	case vm.BrIndirect, vm.BrIndCall:
 		s.M.Branches++
@@ -335,17 +345,17 @@ func (s *Sim) Branch(from, to uint64, taken bool, kind vm.BranchKind) {
 		slot := &s.btb[(from>>1)&s.btbMask]
 		if *slot != to {
 			s.M.BranchMiss++
-			s.M.Cycles += s.cfg.MispredPenalty
+			s.charge(&s.M.MispredCycles, s.cfg.MispredPenalty)
 			*slot = to
 		}
-		s.M.Cycles += s.cfg.TakenPenalty
+		s.charge(&s.M.TakenCycles, s.cfg.TakenPenalty)
 		s.lastLine = ^uint64(0)
 		if kind == vm.BrIndCall {
 			s.pushRAS(from)
 		}
 	case vm.BrCall:
 		s.M.TakenBranches++
-		s.M.Cycles += s.cfg.TakenPenalty
+		s.charge(&s.M.TakenCycles, s.cfg.TakenPenalty)
 		s.lastLine = ^uint64(0)
 		s.pushRAS(from)
 	case vm.BrRet:
@@ -356,9 +366,9 @@ func (s *Sim) Branch(from, to uint64, taken bool, kind vm.BranchKind) {
 		// requiring the return to land within 16 bytes after the call.
 		if want == 0 || to < want || to > want+16 {
 			s.M.BranchMiss++
-			s.M.Cycles += s.cfg.MispredPenalty
+			s.charge(&s.M.MispredCycles, s.cfg.MispredPenalty)
 		}
-		s.M.Cycles += s.cfg.TakenPenalty
+		s.charge(&s.M.TakenCycles, s.cfg.TakenPenalty)
 		s.lastLine = ^uint64(0)
 	}
 }
@@ -376,10 +386,16 @@ func (s *Sim) popRAS() uint64 {
 	return s.ras[s.rasTop%len(s.ras)]
 }
 
+// charge adds c cycles to Cycles and to one part of the cycle stack.
+func (s *Sim) charge(part *uint64, c uint64) {
+	*part += c
+	s.M.Cycles += c
+}
+
 // Finish folds the base pipeline cost into the cycle count; call once
 // after the run.
 func (s *Sim) Finish() *Metrics {
-	s.M.Cycles += s.M.Instructions / uint64(s.cfg.IssueWidth)
+	s.charge(&s.M.BaseCycles, s.M.Instructions/uint64(s.cfg.IssueWidth))
 	return &s.M
 }
 
@@ -395,6 +411,16 @@ func (m *Metrics) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%16d instructions\n", m.Instructions)
 	fmt.Fprintf(&sb, "%16d cycles               # %.2f IPC\n", m.Cycles, m.IPC())
+	for _, part := range []struct {
+		name   string
+		cycles uint64
+	}{
+		{"base", m.BaseCycles}, {"i-miss", m.IMissCycles}, {"d-miss", m.DMissCycles},
+		{"itlb", m.ITLBCycles}, {"dtlb", m.DTLBCycles},
+		{"mispredict", m.MispredCycles}, {"taken", m.TakenCycles},
+	} {
+		fmt.Fprintf(&sb, "%16d   %-18s # %5.2f%% of cycles\n", part.cycles, part.name, 100*MissRate(part.cycles, m.Cycles))
+	}
 	fmt.Fprintf(&sb, "%16d branches\n", m.Branches)
 	fmt.Fprintf(&sb, "%16d branch-misses        # %5.2f%%\n", m.BranchMiss, 100*MissRate(m.BranchMiss, m.Branches))
 	fmt.Fprintf(&sb, "%16d L1-icache-misses     # %5.2f%% of %d\n", m.L1IMiss, 100*MissRate(m.L1IMiss, m.L1IAccess), m.L1IAccess)

@@ -1,9 +1,13 @@
 package uarch
 
 import (
+	"strings"
 	"testing"
 
+	"gobolt/internal/cc"
+	"gobolt/internal/ld"
 	"gobolt/internal/vm"
+	"gobolt/internal/workload"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -121,5 +125,46 @@ func TestHelpers(t *testing.T) {
 	}
 	if (&Metrics{}).Format() == "" {
 		t.Error("Format must render")
+	}
+}
+
+// The cycle stack of a whole preset run sums exactly to Cycles, and
+// Format prints every part.
+func TestCycleStackSumsToCycles(t *testing.T) {
+	spec := workload.Tiny()
+	spec.Iterations = 500
+	objs, err := cc.Compile(workload.Generate(spec), cc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ld.Link(objs, ld.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(res.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := New(DefaultConfig())
+	m.SetTracer(sim)
+	if _, err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	got := sim.Finish()
+	parts := got.BaseCycles + got.IMissCycles + got.DMissCycles + got.ITLBCycles +
+		got.DTLBCycles + got.MispredCycles + got.TakenCycles
+	if parts != got.Cycles {
+		t.Fatalf("cycle stack sums to %d, Cycles = %d: %+v", parts, got.Cycles, got)
+	}
+	for name, v := range map[string]uint64{
+		"base": got.BaseCycles, "i-miss": got.IMissCycles, "itlb": got.ITLBCycles,
+		"mispredict": got.MispredCycles, "taken": got.TakenCycles,
+	} {
+		if v == 0 {
+			t.Errorf("%s cycles = 0 on a whole program run", name)
+		}
+		if !strings.Contains(got.Format(), " "+name+" ") {
+			t.Errorf("Format does not print %s cycles", name)
+		}
 	}
 }

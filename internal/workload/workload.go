@@ -546,7 +546,7 @@ func (g *generator) padCold(b *ir.Block) {
 	if s.ColdOpsMax > s.ColdOpsMin {
 		n += g.r.intn(s.ColdOpsMax - s.ColdOpsMin)
 	}
-	filler := make([]ir.Op, 0, n)
+	filler := make([]ir.Op, 0, n+len(b.Ops))
 	for i := 0; i < n; i++ {
 		switch i % 4 {
 		case 0:
