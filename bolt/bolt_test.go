@@ -213,8 +213,7 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 		assertSerialPhase(t, jobs, rep.Phases, "emit:patch")
 		// ICF's hashing runs as a parallel function pass; only the fold
 		// remains a barrier.
-		assertParallelPhase(t, jobs, rep.Phases, "icf-1-hash")
-		assertParallelPhase(t, jobs, rep.Phases, "icf-2-hash")
+		assertParallelPhase(t, jobs, rep.Phases, "icf-hash")
 		// So do inline-small's caller scan and plt.
 		assertParallelPhase(t, jobs, rep.Phases, "inline-small-scan")
 		assertParallelPhase(t, jobs, rep.Phases, "plt")
@@ -516,5 +515,33 @@ func TestVerifyChecksTheBytesWritten(t *testing.T) {
 	}
 	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, written) {
 		t.Errorf("WriteFile wrote other bytes than WriteTo (err %v)", err)
+	}
+}
+
+// TestReadmePipelineInSync keeps the README's default pipeline list, the
+// block between the pipeline markers, equal to what -print-pipeline
+// prints. Regenerate by pasting the failure's "want" output between the
+// markers.
+func TestReadmePipelineInSync(t *testing.T) {
+	data, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatalf("read README: %v", err)
+	}
+	const begin = "<!-- pipeline:begin -->"
+	const end = "<!-- pipeline:end -->"
+	readme := string(data)
+	i := strings.Index(readme, begin)
+	j := strings.Index(readme, end)
+	if i < 0 || j < 0 || j < i {
+		t.Fatalf("README is missing the %s / %s markers", begin, end)
+	}
+	var want strings.Builder
+	want.WriteString("```\n")
+	for k, name := range bolt.PipelineNames() {
+		fmt.Fprintf(&want, "%2d. %s\n", k+1, name)
+	}
+	want.WriteString("```")
+	if got := strings.TrimSpace(readme[i+len(begin) : j]); got != want.String() {
+		t.Errorf("README pipeline list is stale; regenerate from bolt.PipelineNames().\nwant:\n%s", want.String())
 	}
 }

@@ -4,12 +4,17 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"gobolt/bolt"
 	"gobolt/internal/bench"
+	"gobolt/internal/core"
 	"gobolt/internal/elfx"
+	"gobolt/internal/passes"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
 	"gobolt/internal/workload"
@@ -94,13 +99,114 @@ func buildSorted(t *testing.T, spec workload.Spec, cfg bench.BuildConfig) *elfx.
 	return f
 }
 
-// TestGoldenOutputs asserts the recorded output hashes at jobs 1 and 4.
+// TestGoldenOutputs asserts the recorded output hashes at jobs 1 and 4,
+// and over the same runs that each pass is one row and earns its place.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and bolts nine workloads twice; skipped in -short")
 	}
-	checkGolden(t, goldenOutputs, perf.DefaultMode())
-	checkGolden(t, goldenSampled, sampledMode)
+	reps := checkGolden(t, goldenOutputs, perf.DefaultMode())
+	reps = append(reps, checkGolden(t, goldenSampled, sampledMode)...)
+	t.Run("passes-once-and-act", func(t *testing.T) { checkPassesActOnce(t, reps) })
+}
+
+// idlePasses are the default pass rows allowed to change no counter on
+// any golden row: inline-small-scan has no counter of its own, and no
+// preset yet carries a .rodata scalar load or a conditional tail call.
+var idlePasses = map[string]bool{"inline-small-scan": true, "simplify-ro-loads": true, "sctc": true}
+
+// checkPassesActOnce holds that no phase name repeats within a run (a
+// pass scheduled twice would show as one), and that every default pass
+// row outside idlePasses changes at least one counter on some golden
+// row — a pass that never acts is deleted or given work, not kept.
+func checkPassesActOnce(t *testing.T, reps []*bolt.Report) {
+	acted, twice := map[string]bool{}, map[string]bool{}
+	for _, rep := range reps {
+		seen := map[string]bool{}
+		for _, pt := range rep.Phases {
+			if seen[pt.Name] {
+				twice[pt.Name] = true
+			}
+			seen[pt.Name] = true
+			if pt.Group == "pass" && len(pt.StatDelta) > 0 {
+				acted[pt.Name] = true
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(twice)) {
+		t.Errorf("phase %q recorded twice in one run", name)
+	}
+	for _, name := range bolt.PipelineNames() {
+		switch {
+		case idlePasses[name] && acted[name]:
+			t.Errorf("%s changed a counter; drop it from idlePasses", name)
+		case !idlePasses[name] && !acted[name]:
+			t.Errorf("%s changed no counter on any golden row", name)
+		}
+	}
+}
+
+// TestSecondRoundsIdle guards the deletion of Table 1's second ICF round
+// (pass 7) and second peephole run (pass 10). On the datacenter input,
+// where inline-small splices over a thousand call sites, the default
+// pipeline is split where the two stood: ICF rerun after
+// simplify-ro-loads folds nothing, and peepholes rerun after reorder-bbs
+// rewrites nothing. The one shape a second peephole run could still
+// catch — a ret-only callee spliced into a `call; jmp` block, leaving a
+// jump-only block — is built by no preset.
+func TestSecondRoundsIdle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and bolts the hhvm preset")
+	}
+	i := slices.IndexFunc(goldenOutputs, func(g goldenRow) bool { return g.name == "datacenter" })
+	g := goldenOutputs[i]
+	f := buildSorted(t, g.spec(), g.cfg)
+	cx := context.Background()
+	opts := core.DefaultOptions()
+	ctx, err := core.NewContext(cx, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.ApplyProfile(cx, record(t, f)); err != nil {
+		t.Fatal(err)
+	}
+	pm := core.NewPassManager(opts.Jobs)
+	run := func(ps ...core.Pass) {
+		t.Helper()
+		if err := pm.Run(cx, ctx, ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// rerun runs ps and returns the counters with the given prefix that
+	// moved.
+	rerun := func(prefix string, ps ...core.Pass) map[string]int64 {
+		t.Helper()
+		before := maps.Clone(ctx.Stats)
+		run(ps...)
+		moved := map[string]int64{}
+		for k, v := range ctx.Stats {
+			if strings.HasPrefix(k, prefix) && v != before[k] {
+				moved[k] = v - before[k]
+			}
+		}
+		return moved
+	}
+	for _, p := range passes.BuildPipeline(opts) {
+		run(p)
+		switch p.Name() {
+		case "simplify-ro-loads":
+			if ctx.Stats["inline-small"] < 1000 {
+				t.Errorf("inline-small spliced %d sites, want over 1000: the guard lost its input", ctx.Stats["inline-small"])
+			}
+			if moved := rerun("icf-folded", core.ForEachFunction(passes.ICFHash{}), passes.ICF{}); len(moved) > 0 {
+				t.Errorf("a second ICF round after %s acted: %v", p.Name(), moved)
+			}
+		case "reorder-bbs":
+			if moved := rerun("peephole-", core.ForEachFunction(passes.Peepholes{})); len(moved) > 0 {
+				t.Errorf("a second peephole run after %s acted: %v", p.Name(), moved)
+			}
+		}
+	}
 }
 
 // staleInput builds spec, records a profile that carries its CFG shapes,
@@ -124,7 +230,10 @@ func staleInput(t *testing.T, spec workload.Spec, cfg bench.BuildConfig, mode pe
 	return buildSorted(t, spec, cfg), fd
 }
 
-func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) {
+// checkGolden optimizes each row at jobs 1 and 4, checks the output
+// hash, and returns the runs' reports.
+func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) []*bolt.Report {
+	var reps []*bolt.Report
 	for _, g := range rows {
 		t.Run(g.name, func(t *testing.T) {
 			var f *elfx.File
@@ -136,7 +245,8 @@ func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) {
 				fd = recordMode(t, f, mode)
 			}
 			for _, jobs := range []int{1, 4} {
-				out, _, _ := optimizeViaSession(t, f, fd, jobs)
+				out, rep, _ := optimizeViaSession(t, f, fd, jobs)
+				reps = append(reps, rep)
 				sum := sha256.Sum256(out)
 				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
 					t.Errorf("jobs=%d: output sha256 %s, golden %s", jobs, got, g.sha256)
@@ -144,4 +254,5 @@ func checkGolden(t *testing.T, rows []goldenRow, mode perf.Mode) {
 			}
 		})
 	}
+	return reps
 }

@@ -107,11 +107,11 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 		t.Fatal("traced run derived no occupancy stats")
 	}
 
-	// Occupancy folds repeated phase names (icf, peepholes run twice), so
-	// compare against the summed timing walls per name.
+	// Every phase name appears once in a run (TestGoldenOutputs'
+	// passes-once-and-act), so each occupancy row has one timing row.
 	wallByName := map[string]int64{}
 	for _, pt := range rep.Phases {
-		wallByName[pt.Name] += pt.Wall.Nanoseconds()
+		wallByName[pt.Name] = pt.Wall.Nanoseconds()
 	}
 	matched := 0
 	for _, ps := range occ {

@@ -352,7 +352,7 @@ type BinaryFunction struct {
 
 	// ICFDigest caches the digest of the canonical body computed by the
 	// (parallel) ICF hash pass, 0 = none; the sequential fold pass consumes
-	// and clears it, so a stale digest never survives into a later round.
+	// and clears it, so a stale digest never survives into a later ICF run.
 	ICFDigest uint64
 
 	// NoInlineSite is set by the (parallel) inline-small scan on a function

@@ -38,9 +38,9 @@ const maxStragglers = 5
 // Occupancy derives per-phase pool-occupancy statistics from the
 // recorded spans. Only phases that recorded task spans appear (barrier
 // passes and serial stages have no pool to be occupied). A phase name
-// recorded more than once (e.g. a pass that runs twice) is folded into
-// one row: walls and busy times sum, so utilization stays consistent.
-// Rows come back in first-recorded order.
+// recorded more than once (by a tracer several runs share) is folded
+// into one row: walls and busy times sum, so utilization stays
+// consistent. Rows come back in first-recorded order.
 func Occupancy(spans []Span) []PhaseStats {
 	type acc struct {
 		wall  time.Duration

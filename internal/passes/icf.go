@@ -9,7 +9,7 @@ import (
 	"gobolt/internal/core"
 )
 
-// ICF folds functions with identical semantics (Table 1, passes 2 and 7).
+// ICF folds functions with identical semantics (Table 1, pass 2).
 // Unlike linker ICF, it operates on the *reconstructed CFG*, so it can
 // fold functions containing jump tables and functions that were not
 // compiled with -ffunction-sections: bodies are compared structurally
@@ -27,20 +27,14 @@ import (
 // digest collision costs a comparison, never a wrong fold.
 
 // ICFHash computes each candidate function's body digest ahead of the
-// fold. Schedule it (via ForEachFunction) immediately before the
-// matching ICF round.
-type ICFHash struct{ Round int }
+// fold. Schedule it (via ForEachFunction) immediately before ICF.
+type ICFHash struct{}
 
 // Name implements core.FunctionPass.
-func (p ICFHash) Name() string {
-	if p.Round == 2 {
-		return "icf-2-hash"
-	}
-	return "icf-1-hash"
-}
+func (ICFHash) Name() string { return "icf-hash" }
 
 // RunOnFunction implements core.FunctionPass.
-func (p ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
+func (ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	if icfEligible(fn) {
 		fc.Scratch = appendICFBody(fc.Scratch[:0], fn)
 		fn.ICFDigest = icfDigest(fc.Scratch) | 1 // 0 means none
@@ -60,21 +54,16 @@ func icfEligible(fn *core.BinaryFunction) bool {
 
 // ICF is the fold step: a sequential barrier that buckets the
 // precomputed digests and folds congruent functions.
-type ICF struct{ Round int }
+type ICF struct{}
 
 // Name implements core.Pass.
-func (p ICF) Name() string {
-	if p.Round == 2 {
-		return "icf-2"
-	}
-	return "icf-1"
-}
+func (ICF) Name() string { return "icf" }
 
 // Run implements core.Pass. Functions are visited in the context's
 // address-sorted order, so the kept (canonical) member of every
 // congruence class is the first in address order however the digests
 // were computed.
-func (p ICF) Run(ctx *core.BinaryContext) error {
+func (ICF) Run(ctx *core.BinaryContext) error {
 	// kept holds one function per distinct body seen so far, keyed by
 	// digest; a body whose digest slot is taken by a different body
 	// probes the following keys, so colliding bodies chain without a
@@ -85,9 +74,9 @@ func (p ICF) Run(ctx *core.BinaryContext) error {
 		if !icfEligible(fn) {
 			continue
 		}
-		// Consume the cached digest: bodies may change before the next
-		// round recomputes it. Compute on demand when ICF runs without
-		// a preceding ICFHash pass.
+		// Consume the cached digest: bodies may change before a later
+		// ICF run recomputes it. Compute on demand when ICF runs
+		// without a preceding ICFHash pass.
 		d := fn.ICFDigest
 		fn.ICFDigest, body = 0, body[:0]
 		if d == 0 {

@@ -155,8 +155,8 @@ func TestICFFoldWithoutHashPass(t *testing.T) {
 		}
 		return m
 	}
-	want := folds(core.ForEachFunction(ICFHash{Round: 1}), ICF{Round: 1})
-	got := folds(ICF{Round: 1})
+	want := folds(core.ForEachFunction(ICFHash{}), ICF{})
+	got := folds(ICF{})
 	if len(want) == 0 {
 		t.Fatal("nothing folds; the test exercises nothing")
 	}
@@ -184,7 +184,7 @@ func BenchmarkICFHash(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pass := []core.Pass{core.ForEachFunction(ICFHash{Round: 1})}
+	pass := []core.Pass{core.ForEachFunction(ICFHash{})}
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := core.NewPassManager(1).Run(cx, ctx, pass); err != nil {

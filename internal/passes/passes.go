@@ -1,6 +1,6 @@
-// Package passes implements gobolt's optimization pipeline: the sixteen
-// transformations of the paper's Table 1, in order. Per-function
-// transformations are core.FunctionPass (schedulable over the
+// Package passes implements gobolt's optimization pipeline: the
+// transformations of the paper's Table 1, in order, each run once.
+// Per-function transformations are core.FunctionPass (schedulable over the
 // PassManager's worker pool); whole-binary steps (ICP, reorder-functions,
 // and the fold of ICF and the splice of inline-small) are core.Pass and
 // run as sequential barriers between the parallel regions. A barrier
@@ -17,14 +17,17 @@ import (
 
 // BuildPipeline returns the Table 1 sequence, honoring the options.
 //
-//  1. strip-rep-ret      9. reorder-bbs (+ splitting)
-//  2. icf (hash ∥, fold) 10. peepholes (second run)
-//  3. icp               11. uce
-//  4. peepholes         12. fixup-branches (folded into emission)
-//  5. inline-small      13. reorder-functions (HFSort)
-//  6. simplify-ro-loads 14. sctc
-//  7. icf (second run)  15. frame-opts
-//  8. plt               16. shrink-wrapping
+//  1. strip-rep-ret        9. reorder-bbs (+ splitting)
+//  2. icf (hash ∥, fold)  11. uce
+//  3. icp                 12. fixup-branches (folded into emission)
+//  4. peepholes           13. reorder-functions (HFSort)
+//  5. inline-small        14. sctc
+//  6. simplify-ro-loads   15. frame-opts
+//  8. plt                 16. shrink-wrapping
+//
+// Table 1's second ICF round (7) and second peephole run (10) are not
+// run: on no generated preset, LBR or non-LBR profile, LTO build or not,
+// does anything between the rounds give them a fold or rewrite to make.
 func BuildPipeline(opts core.Options) []core.Pass {
 	opts = opts.Normalized()
 	var p []core.Pass
@@ -38,18 +41,15 @@ func BuildPipeline(opts core.Options) []core.Pass {
 	}
 	each(opts.Lite, LiteFilter{})
 	each(opts.StripRepRet, StripRepRet{})
-	each(opts.ICF, ICFHash{Round: 1})
-	add(opts.ICF, ICF{Round: 1})
+	each(opts.ICF, ICFHash{})
+	add(opts.ICF, ICF{})
 	add(opts.ICP, ICP{})
-	each(opts.Peepholes, Peepholes{Round: 1})
+	each(opts.Peepholes, Peepholes{})
 	each(opts.InlineSmall, InlineScan{})
 	add(opts.InlineSmall, InlineSmall{})
 	each(opts.SimplifyROLoads, SimplifyROLoads{})
-	each(opts.ICF, ICFHash{Round: 2})
-	add(opts.ICF, ICF{Round: 2})
 	each(opts.PLT, PLTPass{})
 	each(true, ReorderBBs{})
-	each(opts.Peepholes, Peepholes{Round: 2})
 	each(opts.UCE, UCE{})
 	// fixup-branches: terminator materialization happens during code
 	// emission (core/emit.go), exactly once per final layout, and is

@@ -26,16 +26,16 @@ func (StripRepRet) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) erro
 	return nil
 }
 
-// Peepholes performs the simple local rewrites of Table 1 pass 4/10:
+// Peepholes performs the simple local rewrites of Table 1 pass 4:
 // self-move elimination and double-jump threading (a jump to a block that
 // only jumps again is retargeted).
-type Peepholes struct{ Round int }
+type Peepholes struct{}
 
 // Name implements core.FunctionPass.
-func (p Peepholes) Name() string { return "peepholes" }
+func (Peepholes) Name() string { return "peepholes" }
 
 // RunOnFunction implements core.FunctionPass.
-func (p Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
+func (Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	for _, b := range fn.Blocks {
 		// Remove mov %r,%r, compacting in place: nothing is copied until
 		// the first removal, and most blocks have none.
