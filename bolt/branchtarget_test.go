@@ -106,8 +106,8 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 						if width != tc.rel {
 							continue
 						}
-						end := in.Addr + uint64(in.Size)
-						target := in.I.TargetAddr + uint64(tc.delta)
+						end := fn.InstAddr(in) + uint64(in.Size)
+						target := in.I.TargetAddr() + uint64(tc.delta)
 						if tc.delta == 0 {
 							target = pristine[i+1].Addr + 1
 						} else if target < fn.Addr || target >= fn.Addr+fn.Size || st[target] {
@@ -122,7 +122,7 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 				t.Fatalf("no %s branch to patch in the Tiny workload", tc.name)
 			}
 
-			at := branch.Addr - victim.Addr + uint64(branch.Size) - uint64(tc.rel)
+			at := victim.InstAddr(branch) - victim.Addr + uint64(branch.Size) - uint64(tc.rel)
 			field := victim.Bytes[at : at+uint64(tc.rel)]
 			saved := append([]byte(nil), field...)
 			defer copy(field, saved)
@@ -154,7 +154,7 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 					}
 					continue
 				}
-				where := fmt.Sprintf("+%#x", branch.Addr-victim.Addr)
+				where := fmt.Sprintf("+%#x", branch.Off-1)
 				if fn.Simple || !strings.Contains(fn.Reason, where) {
 					t.Errorf("%s: Simple=%t Reason=%q, want non-simple with a Reason naming the branch at %s",
 						fn.Name, fn.Simple, fn.Reason, where)

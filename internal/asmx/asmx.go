@@ -240,7 +240,7 @@ func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
 			code, err = isa.AppendInst(code, &it.inst, pc, true)
 		case kindBranch:
 			inst := it.inst
-			inst.TargetAddr = base + uint64(labelOffs[it.target])
+			inst.SetTargetAddr(base + uint64(labelOffs[it.target]))
 			code, err = isa.AppendInst(code, &inst, pc, it.long)
 		case kindReloc:
 			code, err = isa.AppendInst(code, &it.inst, pc, true)

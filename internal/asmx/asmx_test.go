@@ -19,7 +19,7 @@ func TestShortBranch(t *testing.T) {
 	a := New()
 	top := a.NewLabel()
 	a.Bind(top)
-	a.Emit(func() isa.Inst { i := isa.NewInst(isa.ADDri); i.R1 = isa.RAX; i.Imm = 1; return i }())
+	a.Emit(func() isa.Inst { i := isa.NewInst(isa.ADDri); i.R1 = isa.RAX; i.SetImm(1); return i }())
 	jcc := isa.NewInst(isa.JCC)
 	jcc.Cc = isa.CondNE
 	a.EmitBranch(jcc, top)
@@ -33,8 +33,8 @@ func TestShortBranch(t *testing.T) {
 		t.Fatalf("expected short form, got %d bytes: % x", len(res.Code), res.Code)
 	}
 	dec, _, err := isa.Decode(res.Code[4:], 0x400004)
-	if err != nil || dec.Op != isa.JCC || dec.TargetAddr != 0x400000 {
-		t.Fatalf("branch decode: %v %v target %#x", dec.Op, err, dec.TargetAddr)
+	if err != nil || dec.Op != isa.JCC || dec.TargetAddr() != 0x400000 {
+		t.Fatalf("branch decode: %v %v target %#x", dec.Op, err, dec.TargetAddr())
 	}
 }
 
@@ -45,7 +45,7 @@ func TestRelaxationWidens(t *testing.T) {
 	a.EmitBranch(jmp, end)
 	// 200 bytes of filler forces the jump to rel32.
 	for i := 0; i < 50; i++ {
-		a.Emit(func() isa.Inst { i := isa.NewInst(isa.ADDri); i.R1 = isa.RBX; i.Imm = 1; return i }())
+		a.Emit(func() isa.Inst { i := isa.NewInst(isa.ADDri); i.R1 = isa.RBX; i.SetImm(1); return i }())
 	}
 	a.Bind(end)
 	a.Emit(isa.NewInst(isa.RET))
@@ -61,8 +61,8 @@ func TestRelaxationWidens(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := uint64(0x400000 + n + 50*4)
-	if dec.TargetAddr != want {
-		t.Fatalf("jmp target %#x, want %#x", dec.TargetAddr, want)
+	if dec.TargetAddr() != want {
+		t.Fatalf("jmp target %#x, want %#x", dec.TargetAddr(), want)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestChainOfBranchesConverges(t *testing.T) {
 		jmp := isa.NewInst(isa.JMP)
 		a.EmitBranch(jmp, labels[9-i])
 		for j := 0; j < 12; j++ {
-			a.Emit(func() isa.Inst { k := isa.NewInst(isa.ADDri); k.R1 = isa.RAX; k.Imm = 100; return k }())
+			a.Emit(func() isa.Inst { k := isa.NewInst(isa.ADDri); k.R1 = isa.RAX; k.SetImm(100); return k }())
 		}
 		a.Bind(labels[i])
 	}

@@ -207,7 +207,7 @@ func (w *worker) disassemble(fr *fragment) {
 		fr.starts[off>>6] |= 1 << (off & 63)
 		switch in := &inst; {
 		case in.IsDirectBranch() || in.Op == isa.CALL:
-			w.sites = append(w.sites, site{off: off, size: uint8(size), op: in.Op, cc: in.Cc, target: in.TargetAddr})
+			w.sites = append(w.sites, site{off: off, size: uint8(size), op: in.Op, cc: in.Cc, target: in.TargetAddr()})
 		case in.IsIndirectBranch():
 			j := indirect{off: off}
 			j.jt, j.why, j.ok = w.deriveTable(fr, &win, n)

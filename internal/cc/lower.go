@@ -247,7 +247,8 @@ func reg2(op isa.Op, dst, src isa.Reg) isa.Inst {
 
 func regImm(op isa.Op, dst isa.Reg, imm int64) isa.Inst {
 	i := isa.NewInst(op)
-	i.R1, i.Imm = dst, imm
+	i.R1 = dst
+	i.SetImm(imm)
 	return i
 }
 

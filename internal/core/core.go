@@ -183,16 +183,20 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3). It is a pointer-free value of
-// one 64-byte cache line (TestInstLayout): every phase streams the
-// instruction slabs and the collector never scans them, so the rare facts
-// — source file, symbolic target, jump table, landing pad — are small
-// indices into tables owned by the function or the context, 0 meaning
-// none. The loader resolves a RIP-relative memory operand to its absolute
-// address in I.TargetAddr (see MemAddr).
+// annotation mechanism from paper §3.3). It is a pointer-free value of 48
+// bytes (TestInstLayout): every phase streams the instruction slabs and
+// the collector never scans them, so the rare facts — source file,
+// symbolic target, jump table, landing pad — are small indices into
+// tables owned by the function or the context, 0 meaning none. The loader
+// resolves a RIP-relative memory operand to its absolute address in
+// I.TargetAddr (see MemAddr).
 type Inst struct {
-	I    isa.Inst
-	Addr uint64 // original address; 0 for synthesized instructions
+	I isa.Inst
+	// Off is one plus the instruction's offset from its function's
+	// original address (see BinaryFunction.InstAddr); 0 for synthesized
+	// instructions. It is relative to the owning function, so an Inst
+	// copied into another function must clear it.
+	Off uint32
 
 	// Src is one plus the index of the .debug_line entry covering the
 	// instruction's origin (see BinaryFunction.SourceLine; the table is
@@ -202,11 +206,10 @@ type Inst struct {
 	// state in effect AT this instruction. -1 = unknown/na.
 	CFIIdx int32
 
-	// TargetSym names an external direct-call/branch target.
+	// TargetSym names an external direct-call/branch target or, on a
+	// CMPri, the function whose absolute address is the 32-bit immediate
+	// (ICP's `cmp $target, %reg`).
 	TargetSym FuncRef
-	// ImmSym, when set, makes the instruction's 32-bit immediate the
-	// absolute address of the function (ICP's `cmp $target, %reg`).
-	ImmSym FuncRef
 
 	// JT selects the jump table driving this indirect jump and LP the
 	// landing pad covering this call, both in the owning function's tables
@@ -221,7 +224,7 @@ type Inst struct {
 // memory operand, 0 when it has none or the loader did not resolve it.
 func (in *Inst) MemAddr() uint64 {
 	if in.I.M.RIP && in.I.HasMem() {
-		return in.I.TargetAddr
+		return in.I.TargetAddr()
 	}
 	return 0
 }
@@ -434,6 +437,15 @@ func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
 	return &f.cfiStates[idx]
 }
 
+// InstAddr returns in's original address, 0 for a synthesized
+// instruction.
+func (f *BinaryFunction) InstAddr(in *Inst) uint64 {
+	if in.Off == 0 {
+		return 0
+	}
+	return f.Addr + uint64(in.Off-1)
+}
+
 // contains reports whether addr lies inside the function's input bytes.
 func (f *BinaryFunction) contains(addr uint64) bool { return addr-f.Addr < f.Size }
 
@@ -475,11 +487,12 @@ func (f *BinaryFunction) blockStarting(addr uint64) *BasicBlock {
 // instAt returns the block and instruction at an original address.
 func (f *BinaryFunction) instAt(addr uint64) (*BasicBlock, *Inst) {
 	b := f.blockContaining(addr)
-	if b == nil {
+	if b == nil || !f.contains(addr) {
 		return nil, nil
 	}
-	i := sort.Search(len(b.Insts), func(i int) bool { return b.Insts[i].Addr >= addr })
-	if i == len(b.Insts) || b.Insts[i].Addr != addr {
+	off := uint32(addr-f.Addr) + 1
+	i := sort.Search(len(b.Insts), func(i int) bool { return b.Insts[i].Off >= off })
+	if i == len(b.Insts) || b.Insts[i].Off != off {
 		return nil, nil
 	}
 	return b, &b.Insts[i]

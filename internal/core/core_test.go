@@ -185,7 +185,7 @@ func cfiFixture(insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch)
 	const addr = 0x1000
 	b := &BasicBlock{Addr: addr, IsEntry: true}
 	for off := uint64(0); off < 12; off += 4 {
-		b.Insts = append(b.Insts, Inst{I: isa.NewInst(isa.NOP), Size: 4, Addr: addr + off, CFIIdx: -1})
+		b.Insts = append(b.Insts, Inst{I: isa.NewInst(isa.NOP), Size: 4, Off: uint32(off) + 1, CFIIdx: -1})
 	}
 	fn := &BinaryFunction{Name: "f", Addr: addr, Size: 12, Simple: true, Blocks: []*BasicBlock{b}}
 	return &cfi.FDE{Start: addr, Len: 12, Insts: insts}, fn, &loaderScratch{}
@@ -246,22 +246,23 @@ func TestAddressLookupBySearch(t *testing.T) {
 		for _, blk := range fn.Blocks {
 			for i := range blk.Insts {
 				in := &blk.Insts[i]
-				if gb, gi := fn.instAt(in.Addr); gb != blk || gi != in {
+				addr := fn.InstAddr(in)
+				if gb, gi := fn.instAt(addr); gb != blk || gi != in {
 					t.Errorf("%s: instAt(%#x) = block %v inst %p, want block %d inst %p",
-						fn.Name, in.Addr, gb, gi, blk.Index, in)
+						fn.Name, addr, gb, gi, blk.Index, in)
 				}
-				if gb := fn.blockContaining(in.Addr); gb != blk {
-					t.Errorf("%s: blockContaining(%#x) = %v, want block %d", fn.Name, in.Addr, gb, blk.Index)
+				if gb := fn.blockContaining(addr); gb != blk {
+					t.Errorf("%s: blockContaining(%#x) = %v, want block %d", fn.Name, addr, gb, blk.Index)
 				}
-				if gb := fn.blockStarting(in.Addr); (gb == blk) != (in.Addr == blk.Addr) || (gb != nil && gb != blk) {
-					t.Errorf("%s: blockStarting(%#x) = %v in block %d starting at %#x", fn.Name, in.Addr, gb, blk.Index, blk.Addr)
+				if gb := fn.blockStarting(addr); (gb == blk) != (addr == blk.Addr) || (gb != nil && gb != blk) {
+					t.Errorf("%s: blockStarting(%#x) = %v in block %d starting at %#x", fn.Name, addr, gb, blk.Index, blk.Addr)
 				}
 				if in.Size > 1 {
-					if gb, gi := fn.instAt(in.Addr + 1); gb != nil || gi != nil {
-						t.Errorf("%s: instAt(%#x) resolved a mid-instruction address", fn.Name, in.Addr+1)
+					if gb, gi := fn.instAt(addr + 1); gb != nil || gi != nil {
+						t.Errorf("%s: instAt(%#x) resolved a mid-instruction address", fn.Name, addr+1)
 					}
-					if gb := fn.blockContaining(in.Addr + 1); gb != blk {
-						t.Errorf("%s: blockContaining(mid-instruction %#x) = %v, want block %d", fn.Name, in.Addr+1, gb, blk.Index)
+					if gb := fn.blockContaining(addr + 1); gb != blk {
+						t.Errorf("%s: blockContaining(mid-instruction %#x) = %v, want block %d", fn.Name, addr+1, gb, blk.Index)
 					}
 				}
 			}
@@ -277,11 +278,11 @@ func TestAddressLookupBySearch(t *testing.T) {
 	// One record inside switchy and a call record out of _start, so both
 	// the parallel apply and the serial call-edge tail do lookups.
 	fn, start := ctx.ByName["switchy"], ctx.ByName["_start"]
-	off := fn.Blocks[1].Insts[0].Addr - fn.Addr
+	off := uint64(fn.Blocks[1].Insts[0].Off - 1)
 	var callOff uint64
 	for i := range start.Blocks[0].Insts {
 		if in := &start.Blocks[0].Insts[i]; in.IsCall() {
-			callOff = in.Addr - start.Addr
+			callOff = uint64(in.Off - 1)
 		}
 	}
 	fd := &profile.Fdata{LBR: true, Branches: []profile.Branch{

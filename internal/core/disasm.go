@@ -283,6 +283,9 @@ func instIndex(raw []rawInst, addr uint64) int {
 // must land on an instruction of this function or on another function's
 // entry, or the function is non-simple.
 func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) error {
+	if fn.Size > maxFuncSize {
+		return fmt.Errorf("%d bytes exceed the %d an instruction offset can address", fn.Size, uint64(maxFuncSize))
+	}
 	raw := sc.raw[:0]
 	off := uint64(0)
 	for off < fn.Size {
@@ -305,16 +308,16 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 		}
 		switch {
 		case in.IsDirectBranch():
-			if fn.contains(in.TargetAddr) {
-				k := instIndex(raw, in.TargetAddr)
+			if fn.contains(in.TargetAddr()) {
+				k := instIndex(raw, in.TargetAddr())
 				if k < 0 {
 					return fmt.Errorf("branch at +%#x targets +%#x, not an instruction start",
-						raw[i].addr-fn.Addr, in.TargetAddr-fn.Addr)
+						raw[i].addr-fn.Addr, in.TargetAddr()-fn.Addr)
 				}
 				raw[k].leader = true
-			} else if ctx.FuncByAddr(in.TargetAddr) == nil {
+			} else if ctx.FuncByAddr(in.TargetAddr()) == nil {
 				return fmt.Errorf("branch at +%#x targets %#x, not a function entry",
-					raw[i].addr-fn.Addr, in.TargetAddr)
+					raw[i].addr-fn.Addr, in.TargetAddr())
 			}
 		case in.IsIndirectBranch():
 			if err := ctx.matchJumpTable(sc, i); err != nil {
@@ -427,7 +430,7 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		// to build on the stack and copy in.
 		instSlab = instSlab[:len(instSlab)+1]
 		ci := &instSlab[len(instSlab)-1]
-		ci.I, ci.Size, ci.Addr, ci.CFIIdx = r.inst, r.size, r.addr, -1
+		ci.I, ci.Size, ci.Off, ci.CFIIdx = r.inst, r.size, uint32(r.addr-fn.Addr)+1, -1
 		if lt != nil {
 			// Instructions arrive in address order, so the entry covering
 			// this one is at or just past the one that covered the last:
@@ -450,11 +453,11 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		// Resolve RIP memory operands to their absolute address (see
 		// Inst.MemAddr).
 		if r.inst.HasMem() && r.inst.M.RIP {
-			ci.I.TargetAddr = r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp))
+			ci.I.SetTargetAddr(r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp)))
 		}
 		// Symbolize external direct targets.
-		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr)) {
-			if g := ctx.FuncByAddr(r.inst.TargetAddr); g != nil {
+		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr())) {
+			if g := ctx.FuncByAddr(r.inst.TargetAddr()); g != nil {
 				ci.TargetSym = g.Ref()
 			}
 		}
@@ -465,6 +468,11 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 // maxInstTable bounds the per-function tables Inst.JT and Inst.LP index
 // (one-based uint16); a function past it is left untouched as non-simple.
 const maxInstTable = 1<<16 - 1
+
+// maxFuncSize bounds a function's input bytes so that Inst.Off, one plus
+// a uint32 offset, reaches every instruction; a larger function is left
+// untouched as non-simple.
+const maxFuncSize = 1<<32 - 1
 
 // pendingJT is a recovered jump table until blocks exist: the raw index
 // of its indirect jump and its entries' addresses, a window of
@@ -645,12 +653,12 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		}
 		switch {
 		case last.I.Op == isa.JMP:
-			if to := fn.blockStarting(last.I.TargetAddr); to != nil {
+			if to := fn.blockStarting(last.I.TargetAddr()); to != nil {
 				addEdge(b, to)
 			}
 			// else: external tail call, no successor
 		case last.I.Op == isa.JCC:
-			if to := fn.blockStarting(last.I.TargetAddr); to != nil {
+			if to := fn.blockStarting(last.I.TargetAddr()); to != nil {
 				addEdge(b, to) // Succs[0] = taken
 			}
 			if next != nil {
@@ -790,7 +798,7 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 			continue
 		}
 		for i := range b.Insts {
-			b.Insts[i].CFIIdx = at(uint32(b.Insts[i].Addr - fn.Addr))
+			b.Insts[i].CFIIdx = at(b.Insts[i].Off - 1)
 		}
 		b.CFIIn = b.Insts[0].CFIIdx
 	}
@@ -830,7 +838,7 @@ func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 			if !in.IsCall() {
 				continue
 			}
-			off := uint32(in.Addr - fn.Addr)
+			off := in.Off - 1
 			if lp, action, ok := lsda.Lookup(off); ok {
 				lpb := fn.blockStarting(lp)
 				if lpb == nil {

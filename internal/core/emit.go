@@ -320,17 +320,17 @@ func (sc *emitScratch) emitInst(in *Inst) {
 		a.Bind(start)
 	}
 	if inst.Op != isa.NOP {
-		sc.anchor(in.Addr)
+		sc.anchor(sc.fn.InstAddr(in))
 	}
 	switch {
 	case inst.Op == isa.NOP:
 		// dropped
-	case in.ImmSym != NoFunc:
-		a.EmitRelocID(inst, relImmAbs32, in.ImmSym.symID(), 0)
+	case inst.Op == isa.CMPri && in.TargetSym != NoFunc:
+		a.EmitRelocID(inst, relImmAbs32, in.TargetSym.symID(), 0)
 	case inst.Op == isa.CALL && in.TargetSym != NoFunc:
 		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 	case inst.Op == isa.CALL:
-		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr), -4)
+		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr()), -4)
 	case in.MemAddr() != 0:
 		m := inst
 		m.M.Disp = 0
@@ -362,7 +362,7 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 	case in.TargetSym != NoFunc:
 		// Tail call to another function; a conditional one (SCTC output)
 		// still needs its fall-through.
-		sc.anchor(in.Addr)
+		sc.anchor(sc.fn.InstAddr(in))
 		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 		if inst.Op == isa.JCC && len(b.Succs) == 1 && b.Succs[0].To != next {
 			sc.branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
@@ -372,7 +372,7 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 			return fmt.Errorf("core: %s block %d: jcc with %d successors", fn.Name, b.Index, len(b.Succs))
 		}
 		taken, fall := b.Succs[0].To, b.Succs[1].To
-		sc.anchor(in.Addr)
+		sc.anchor(sc.fn.InstAddr(in))
 		switch {
 		case fall == next:
 			sc.branchTo(inst, taken)
@@ -392,7 +392,7 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 			return fmt.Errorf("core: %s block %d: jmp with %d successors", fn.Name, b.Index, len(b.Succs))
 		}
 		if b.Succs[0].To != next {
-			sc.anchor(in.Addr)
+			sc.anchor(sc.fn.InstAddr(in))
 			sc.branchTo(inst, b.Succs[0].To)
 		}
 	}

@@ -68,7 +68,7 @@ func sampleUniformly(fn *BinaryFunction, b *BasicBlock, execs, period uint64) []
 	var out []profile.Sample
 	for i := range b.Insts {
 		out = append(out, profile.Sample{
-			At:    profile.Loc{Sym: fn.Name, Off: b.Insts[i].Addr - fn.Addr},
+			At:    profile.Loc{Sym: fn.Name, Off: uint64(b.Insts[i].Off - 1)},
 			Count: execs / period,
 		})
 	}

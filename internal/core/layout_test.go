@@ -10,14 +10,15 @@ import (
 
 // TestInstLayout holds the instruction IR to its budget: the slabs of
 // Inst are the largest allocation of a run and every phase walks them, so
-// Inst stays within one 64-byte cache line and free of anything the
-// collector would have to scan.
+// Inst stays within 48 bytes (isa.Inst within 24: one word for the
+// immediate or target, the memory operand, four one-byte fields) and free
+// of anything the collector would have to scan.
 func TestInstLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Inst{}); n > 64 {
-		t.Errorf("sizeof(core.Inst) = %d, want <= 64", n)
+	if n := unsafe.Sizeof(Inst{}); n > 48 {
+		t.Errorf("sizeof(core.Inst) = %d, want <= 48", n)
 	}
-	if n := unsafe.Sizeof(isa.Inst{}); n > 32 {
-		t.Errorf("sizeof(isa.Inst) = %d, want <= 32", n)
+	if n := unsafe.Sizeof(isa.Inst{}); n > 24 {
+		t.Errorf("sizeof(isa.Inst) = %d, want <= 24", n)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {

@@ -119,7 +119,7 @@ func loaderShapes(ctx *BinaryContext) []string {
 				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, idx(b.Preds), idx(b.LPs))
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", in.Addr-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)
+				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)
 				if in.JT != 0 {
 					buf = fmt.Appendf(buf, " jt=%d", in.JT)
 				}
@@ -323,5 +323,19 @@ func TestObjectAtFirstInTableOrder(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("objectAt(%#x) = %q, want %q", tc.addr, got, tc.want)
 		}
+	}
+}
+
+// TestOversizedFunctionNonSimple: Inst.Off reaches at most maxFuncSize
+// bytes of a function, so a longer one is left non-simple with a Reason
+// naming the bound, never loaded with wrapped offsets. The body is one
+// ret: past the guard the loader would read it and then fail to decode.
+func TestOversizedFunctionNonSimple(t *testing.T) {
+	ctx := &BinaryContext{}
+	fn := &BinaryFunction{Name: "huge", Addr: 0x1000, Size: maxFuncSize + 1, Bytes: []byte{0xC3}, Simple: true}
+	ctx.loadFunction(fn, &loaderScratch{})
+	if fn.Simple || !strings.Contains(fn.Reason, "instruction offset") || len(fn.Blocks) != 0 {
+		t.Errorf("Simple=%t Reason=%q blocks=%d, want non-simple past the offset bound with no blocks",
+			fn.Simple, fn.Reason, len(fn.Blocks))
 	}
 }

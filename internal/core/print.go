@@ -62,10 +62,10 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if in.CFIIdx >= 0 && in.CFIIdx != lastCFI && lastCFI >= 0 {
-				fmt.Fprintf(w, "    %08x: !CFI state %d\n", in.Addr-fn.Addr, in.CFIIdx)
+				fmt.Fprintf(w, "    %08x: !CFI state %d\n", fn.InstAddr(in)-fn.Addr, in.CFIIdx)
 			}
 			lastCFI = in.CFIIdx
-			line := fmt.Sprintf("    %08x: %s", in.Addr-fn.Addr, in.I.Format(name))
+			line := fmt.Sprintf("    %08x: %s", fn.InstAddr(in)-fn.Addr, in.I.Format(name))
 			var notes []string
 			if lp, action := fn.LandingPad(in); lp != nil {
 				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))

@@ -250,7 +250,7 @@ func lbrRecords(fn *BinaryFunction, scale uint64) []profile.Branch {
 		if last == nil || last.I.Op != isa.JCC || len(b.Succs) != 2 {
 			continue
 		}
-		lastOff := last.Addr - fn.Addr
+		lastOff := uint64(last.Off - 1)
 		out = append(out, profile.Branch{
 			From:  profile.Loc{Sym: fn.Name, Off: lastOff},
 			To:    profile.Loc{Sym: fn.Name, Off: blockOff(fn, b.Succs[0].To)},

@@ -163,6 +163,17 @@ type arc struct {
 	cost int64
 }
 
+// csrArc is one arc of the search copy of the network, which lays the
+// arcs out by tail so a relaxation reads them contiguously. Costs
+// saturate at ±MaxInt32, which none reaches: edge costs are a few units,
+// costEmergency is 10 000, and coldCost would need a block of 2^34
+// instructions.
+type csrArc struct {
+	to   int32
+	cost int32
+	cap  int64
+}
+
 // Solver is a reusable inference engine: a successive-shortest-path
 // min-cost max-flow solver (SPFA for the shortest path, so residual
 // negative costs are fine) whose network, search state and result slabs
@@ -171,13 +182,17 @@ type arc struct {
 // far is still growing the slabs. The zero value is ready to use; a
 // Solver is not safe for concurrent use.
 type Solver struct {
-	// Residual network: arc pairs in insertion order, and a CSR adjacency
-	// (the arcs leaving v are adj[adjOff[v]:adjOff[v+1]], in insertion
-	// order, which is what makes tied shortest paths resolve the same way
-	// for the same problem whatever was solved before).
+	// Residual network: arc pairs in insertion order, and the copy the
+	// search runs on (the arcs leaving v are csr[adjOff[v]:adjOff[v+1]],
+	// in insertion order, which is what makes tied shortest paths resolve
+	// the same way for the same problem whatever was solved before).
+	// rev[p] is the position of csr[p]'s reverse arc and pos[id] the
+	// position of arc id.
 	arcs   []arc
 	adjOff []int32
-	adj    []int32
+	csr    []csrArc
+	rev    []int32
+	pos    []int32
 
 	// SPFA state, kept across augmenting paths.
 	dist    []int64
@@ -215,8 +230,8 @@ func (s *Solver) addArc(from, to int, capacity, cost int64) int32 {
 	return id
 }
 
-// flow reports how much flow was pushed through arc id.
-func (s *Solver) flow(id int32) int64 { return s.arcs[id^1].cap }
+// flow reports how much flow run pushed through arc id.
+func (s *Solver) flow(id int32) int64 { return s.csr[s.pos[id^1]].cap }
 
 // Infer solves minimum-cost maximum-flow over the CFG and returns
 // conserving counts. Deterministic: identical inputs produce identical
@@ -392,9 +407,8 @@ func (s *Solver) rebalance(nodes []Node, res *Result) {
 	}
 }
 
-// index builds the CSR adjacency of the v-node network from the arc
-// list (a counting sort by tail, stable in arc id) and sizes the search
-// state.
+// index lays the v-node network out by tail from the arc list (a
+// counting sort, stable in arc id) and sizes the search state.
 func (s *Solver) index(v int) {
 	s.adjOff = grow(s.adjOff, v+1)
 	clear(s.adjOff)
@@ -404,14 +418,21 @@ func (s *Solver) index(v int) {
 	for u := 0; u < v; u++ {
 		s.adjOff[u+1] += s.adjOff[u]
 	}
-	s.adj = grow(s.adj, len(s.arcs))
+	s.csr = grow(s.csr, len(s.arcs))
+	s.rev = grow(s.rev, len(s.arcs))
+	s.pos = grow(s.pos, len(s.arcs))
 	// prevArc doubles as the per-node fill cursor; run resets it.
 	s.prevArc = grow(s.prevArc, v)
 	copy(s.prevArc, s.adjOff[:v])
-	for id := range s.arcs {
+	for id, a := range s.arcs {
 		u := s.arcs[id^1].to
-		s.adj[s.prevArc[u]] = int32(id)
+		p := s.prevArc[u]
 		s.prevArc[u]++
+		s.csr[p] = csrArc{to: a.to, cost: int32(max(-math.MaxInt32, min(a.cost, math.MaxInt32))), cap: a.cap}
+		s.pos[id] = p
+	}
+	for id := range s.arcs {
+		s.rev[s.pos[id]] = s.pos[id^1]
 	}
 	s.dist = grow(s.dist, v)
 	s.inQueue = grow(s.inQueue, v)
@@ -422,9 +443,11 @@ func (s *Solver) index(v int) {
 // run pushes flow from src to dst along successive cheapest residual
 // paths until none remains and returns the flow routed. Deterministic:
 // the adjacency order is insertion order and SPFA relaxes strictly, so
-// tied shortest paths always resolve the same way.
+// tied shortest paths always resolve the same way. prevArc holds csr
+// positions.
 func (s *Solver) run(src, dst int) int64 {
 	dist, prevArc, inQueue, queue := s.dist, s.prevArc, s.inQueue, s.queue
+	csr, rev := s.csr, s.rev
 	n := len(dist)
 	var totalFlow int64
 	for {
@@ -442,14 +465,14 @@ func (s *Solver) run(src, dst int) int64 {
 			}
 			inQueue[u] = false
 			du := dist[u]
-			for _, id := range s.adj[s.adjOff[u]:s.adjOff[u+1]] {
-				a := &s.arcs[id]
+			for p := s.adjOff[u]; p < s.adjOff[u+1]; p++ {
+				a := &csr[p]
 				if a.cap <= 0 {
 					continue
 				}
-				if nd := du + a.cost; nd < dist[a.to] {
+				if nd := du + int64(a.cost); nd < dist[a.to] {
 					dist[a.to] = nd
-					prevArc[a.to] = id
+					prevArc[a.to] = p
 					if !inQueue[a.to] {
 						inQueue[a.to] = true
 						if tail == n {
@@ -467,17 +490,17 @@ func (s *Solver) run(src, dst int) int64 {
 		}
 		push := inf
 		for v := int32(dst); v != int32(src); {
-			id := prevArc[v]
-			if c := s.arcs[id].cap; c < push {
+			p := prevArc[v]
+			if c := csr[p].cap; c < push {
 				push = c
 			}
-			v = s.arcs[id^1].to
+			v = csr[rev[p]].to
 		}
 		for v := int32(dst); v != int32(src); {
-			id := prevArc[v]
-			s.arcs[id].cap -= push
-			s.arcs[id^1].cap += push
-			v = s.arcs[id^1].to
+			p := prevArc[v]
+			csr[p].cap -= push
+			csr[rev[p]].cap += push
+			v = csr[rev[p]].to
 		}
 		totalFlow += push
 	}

@@ -344,3 +344,19 @@ func TestSolverReuse(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSolverInfer solves a fixed set of seeded random problems on
+// one reused Solver, one problem per iteration: the steady state of an
+// inference worker, whose slabs have stopped growing.
+func BenchmarkSolverInfer(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	problems := make([][]Node, 256)
+	for i := range problems {
+		problems[i] = randomProblem(rng)
+	}
+	var s Solver
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		s.Infer(problems[i%len(problems)])
+	}
+}

@@ -18,6 +18,9 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("isa: cannot decode at %#x (byte %#02x): %s", e.PC, e.Byte, e.Msg)
 }
 
+// MaxInstLen is the architectural limit on an instruction's length.
+const MaxInstLen = 15
+
 // Decode decodes a single instruction from code at address pc. It returns
 // the instruction and its encoded length. Direct branch targets are
 // resolved to absolute addresses in TargetAddr.
@@ -26,6 +29,9 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 	if len(code) == 0 {
 		return inst, 0, &DecodeError{PC: pc, Msg: "empty"}
 	}
+	// An instruction running past MaxInstLen bytes (a long prefix run)
+	// reads as truncated, as the hardware faults on it.
+	code = code[:min(len(code), MaxInstLen)]
 	fail := func(msg string) (Inst, int, error) {
 		return inst, 0, &DecodeError{PC: pc, Byte: code[0], Msg: msg}
 	}
@@ -193,7 +199,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		}
 		inst.Op = MOVri
 		inst.R1 = rm
-		inst.Imm = v
+		inst.SetImm(v)
 		return inst, p, nil
 	case op >= 0xB8 && op <= 0xBF && rexW == 1:
 		if !need(8) {
@@ -201,7 +207,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		}
 		inst.Op = MOVabs
 		inst.R1 = Reg(op - 0xB8 | rexBb<<3)
-		inst.Imm = int64(binary.LittleEndian.Uint64(code[p:]))
+		inst.SetImm(int64(binary.LittleEndian.Uint64(code[p:])))
 		p += 8
 		return inst, p, nil
 	case op == 0x8D:
@@ -264,7 +270,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		}
 		inst.Op = o
 		inst.R1 = rm
-		inst.Imm = v
+		inst.SetImm(v)
 		return inst, p, nil
 	case op == 0xC1:
 		reg, isReg, rm, _, ok := parseModRM()
@@ -286,7 +292,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		}
 		inst.Op = o
 		inst.R1 = rm
-		inst.Imm = v & 63
+		inst.SetImm(v & 63)
 		return inst, p, nil
 	case op == 0xEB:
 		v, ok := imm8()
@@ -294,7 +300,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 			return fail("truncated rel8")
 		}
 		inst.Op = JMP
-		inst.TargetAddr = relTarget(v)
+		inst.SetTargetAddr(relTarget(v))
 		return inst, p, nil
 	case op == 0xE9:
 		v, ok := imm32()
@@ -302,7 +308,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 			return fail("truncated rel32")
 		}
 		inst.Op = JMP
-		inst.TargetAddr = relTarget(v)
+		inst.SetTargetAddr(relTarget(v))
 		return inst, p, nil
 	case op >= 0x70 && op <= 0x7F:
 		v, ok := imm8()
@@ -311,7 +317,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		}
 		inst.Op = JCC
 		inst.Cc = Cond(op - 0x70)
-		inst.TargetAddr = relTarget(v)
+		inst.SetTargetAddr(relTarget(v))
 		return inst, p, nil
 	case op == 0xE8:
 		v, ok := imm32()
@@ -319,7 +325,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 			return fail("truncated rel32")
 		}
 		inst.Op = CALL
-		inst.TargetAddr = relTarget(v)
+		inst.SetTargetAddr(relTarget(v))
 		return inst, p, nil
 	case op == 0xFF:
 		reg, isReg, rm, m, ok := parseModRM()
@@ -364,7 +370,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		return inst, p, nil
 	case op == 0x90 && !hasRex:
 		inst.Op = NOP
-		inst.Imm = int64(p) // prefixes (e.g. 0x66) already counted
+		inst.SetImm(int64(p)) // prefixes (e.g. 0x66) already counted
 		return inst, p, nil
 	case op == 0xF4:
 		inst.Op = HLT
@@ -398,7 +404,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 			}
 			inst.Op = JCC
 			inst.Cc = Cond(op2 - 0x80)
-			inst.TargetAddr = relTarget(v)
+			inst.SetTargetAddr(relTarget(v))
 			return inst, p, nil
 		case op2 == 0x0B:
 			inst.Op = UD2
@@ -410,7 +416,7 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 				return fail("bad long nop")
 			}
 			inst.Op = NOP
-			inst.Imm = int64(p)
+			inst.SetImm(int64(p))
 			return inst, p, nil
 		}
 		return fail("unknown 0F opcode")

@@ -129,7 +129,7 @@ func InstLen(i *Inst, long bool) int {
 	case MOVZXBrm:
 		return 3 + modRMLen(i.M)
 	case ADDri, SUBri, ANDri, CMPri:
-		if imm8OK(i.Imm) {
+		if imm8OK(i.Imm()) {
 			return 4
 		}
 		return 7
@@ -169,7 +169,7 @@ func InstLen(i *Inst, long bool) int {
 		}
 		return 1
 	case NOP:
-		return int(i.Imm)
+		return int(i.Imm())
 	case UD2:
 		return 2
 	case HLT:
@@ -205,7 +205,7 @@ func AppendNop(buf []byte, n int) []byte {
 }
 
 // AppendInst encodes i at address pc and appends the bytes to buf.
-// Direct branches read i.TargetAddr; `long` forces the rel32 form and an
+// Direct branches read i.TargetAddr(); `long` forces the rel32 form and an
 // errBranchRange is returned if a rel8 form is requested but the target is
 // out of range (the caller should widen and retry).
 func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
@@ -223,14 +223,14 @@ func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
 	case MOVrr:
 		return rr(0x89, i.R2, i.R1), nil
 	case MOVri:
-		if !imm32OK(i.Imm) {
-			return buf, fmt.Errorf("isa: mov imm %d does not fit imm32", i.Imm)
+		if !imm32OK(i.Imm()) {
+			return buf, fmt.Errorf("isa: mov imm %d does not fit imm32", i.Imm())
 		}
 		b := append(buf, rex(1, 0, 0, i.R1.hi()), 0xC7, 0xC0|i.R1.lo3())
-		return binary.LittleEndian.AppendUint32(b, uint32(i.Imm)), nil
+		return binary.LittleEndian.AppendUint32(b, uint32(i.Imm())), nil
 	case MOVabs:
 		b := append(buf, rex(1, 0, 0, i.R1.hi()), 0xB8+i.R1.lo3())
-		return binary.LittleEndian.AppendUint64(b, uint64(i.Imm)), nil
+		return binary.LittleEndian.AppendUint64(b, uint64(i.Imm())), nil
 	case MOVrm:
 		return mem(1, []byte{0x8B}, i.R1.lo3(), i.R1.hi()), nil
 	case MOVmr:
@@ -266,52 +266,52 @@ func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
 		case CMPri:
 			ext = 7
 		}
-		if imm8OK(i.Imm) {
+		if imm8OK(i.Imm()) {
 			b := append(buf, rex(1, 0, 0, i.R1.hi()), 0x83, 0xC0|ext<<3|i.R1.lo3())
-			return append(b, byte(int8(i.Imm))), nil
+			return append(b, byte(int8(i.Imm()))), nil
 		}
-		if !imm32OK(i.Imm) {
-			return buf, fmt.Errorf("isa: %s imm %d does not fit imm32", i.Mnemonic(), i.Imm)
+		if !imm32OK(i.Imm()) {
+			return buf, fmt.Errorf("isa: %s imm %d does not fit imm32", i.Mnemonic(), i.Imm())
 		}
 		b := append(buf, rex(1, 0, 0, i.R1.hi()), 0x81, 0xC0|ext<<3|i.R1.lo3())
-		return binary.LittleEndian.AppendUint32(b, uint32(i.Imm)), nil
+		return binary.LittleEndian.AppendUint32(b, uint32(i.Imm())), nil
 	case SHLri, SHRri:
 		ext := byte(4)
 		if i.Op == SHRri {
 			ext = 5
 		}
 		b := append(buf, rex(1, 0, 0, i.R1.hi()), 0xC1, 0xC0|ext<<3|i.R1.lo3())
-		return append(b, byte(i.Imm)), nil
+		return append(b, byte(i.Imm())), nil
 	case JMP:
 		if long {
-			rel := int64(i.TargetAddr) - int64(pc) - 5
+			rel := int64(i.TargetAddr()) - int64(pc) - 5
 			if !imm32OK(rel) {
 				return buf, fmt.Errorf("isa: jmp rel32 out of range")
 			}
 			b := append(buf, 0xE9)
 			return binary.LittleEndian.AppendUint32(b, uint32(rel)), nil
 		}
-		rel := int64(i.TargetAddr) - int64(pc) - 2
+		rel := int64(i.TargetAddr()) - int64(pc) - 2
 		if !imm8OK(rel) {
 			return buf, errBranchRange
 		}
 		return append(buf, 0xEB, byte(int8(rel))), nil
 	case JCC:
 		if long {
-			rel := int64(i.TargetAddr) - int64(pc) - 6
+			rel := int64(i.TargetAddr()) - int64(pc) - 6
 			if !imm32OK(rel) {
 				return buf, fmt.Errorf("isa: jcc rel32 out of range")
 			}
 			b := append(buf, 0x0F, 0x80+byte(i.Cc))
 			return binary.LittleEndian.AppendUint32(b, uint32(rel)), nil
 		}
-		rel := int64(i.TargetAddr) - int64(pc) - 2
+		rel := int64(i.TargetAddr()) - int64(pc) - 2
 		if !imm8OK(rel) {
 			return buf, errBranchRange
 		}
 		return append(buf, 0x70+byte(i.Cc), byte(int8(rel))), nil
 	case CALL:
-		rel := int64(i.TargetAddr) - int64(pc) - 5
+		rel := int64(i.TargetAddr()) - int64(pc) - 5
 		if !imm32OK(rel) {
 			return buf, fmt.Errorf("isa: call rel32 out of range")
 		}
@@ -353,7 +353,7 @@ func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
 		}
 		return append(buf, 0x58+i.R1.lo3()), nil
 	case NOP:
-		return AppendNop(buf, int(i.Imm)), nil
+		return AppendNop(buf, int(i.Imm())), nil
 	case UD2:
 		return append(buf, 0x0F, 0x0B), nil
 	case HLT:

@@ -70,16 +70,17 @@ type Mem struct {
 	RIP   bool // RIP-relative; Base and Index must be NoReg
 }
 
-// Inst is one machine instruction. Direct branches carry their absolute
-// destination in TargetAddr, filled by the decoder and read by the
-// encoder; the encoder ignores it on every other form, so the rewriter
-// keeps a RIP-relative operand's absolute address there. Fields run
-// widest first so the struct packs to 32 bytes with no interior padding;
-// every IR instruction embeds one.
+// Inst is one machine instruction. Its one wide operand lives in a
+// single word, reached through Imm and TargetAddr: the immediate (or NOP
+// length) of an immediate form, or the absolute destination of a direct
+// branch or call, filled by the decoder and read by the encoder. No form
+// carries both. The encoder ignores the word on memory forms, so the
+// rewriter keeps a RIP-relative operand's absolute address there. Fields
+// run widest first so the struct packs to 24 bytes with no interior
+// padding; every IR instruction embeds one.
 type Inst struct {
-	Imm        int64  // immediate, or NOP length
-	TargetAddr uint64 // absolute branch target (decode output / encode input)
-	M          Mem
+	arg uint64
+	M   Mem
 
 	Op Op
 	R1 Reg // destination / primary operand
@@ -90,6 +91,28 @@ type Inst struct {
 // NewInst returns an instruction of op with no register operands.
 func NewInst(op Op) Inst {
 	return Inst{Op: op, R1: NoReg, R2: NoReg, M: Mem{Base: NoReg, Index: NoReg}}
+}
+
+// Imm returns the immediate, or a NOP's byte length.
+func (i *Inst) Imm() int64 { return int64(i.arg) }
+
+// SetImm sets the immediate, or a NOP's byte length.
+func (i *Inst) SetImm(v int64) { i.arg = uint64(v) }
+
+// TargetAddr returns the absolute destination of a direct branch or call.
+func (i *Inst) TargetAddr() uint64 { return i.arg }
+
+// SetTargetAddr sets the absolute destination of a direct branch or call.
+func (i *Inst) SetTargetAddr(a uint64) { i.arg = a }
+
+// HasImm reports whether the instruction's word is an immediate (or a
+// NOP length) rather than an address.
+func (i *Inst) HasImm() bool {
+	switch i.Op {
+	case MOVri, MOVabs, ADDri, SUBri, ANDri, SHLri, SHRri, CMPri, NOP:
+		return true
+	}
+	return false
 }
 
 // IsBranch reports whether the instruction redirects control flow

@@ -21,9 +21,9 @@ func TestEncodeDecodeFixed(t *testing.T) {
 	cases := []Inst{
 		func() Inst { i := mk(MOVrr); i.R1 = RAX; i.R2 = RBX; return i }(),
 		func() Inst { i := mk(MOVrr); i.R1 = R15; i.R2 = R8; return i }(),
-		func() Inst { i := mk(MOVri); i.R1 = RDI; i.Imm = 42; return i }(),
-		func() Inst { i := mk(MOVri); i.R1 = R12; i.Imm = -7; return i }(),
-		func() Inst { i := mk(MOVabs); i.R1 = RSI; i.Imm = 0x1234567890; return i }(),
+		func() Inst { i := mk(MOVri); i.R1 = RDI; i.SetImm(42); return i }(),
+		func() Inst { i := mk(MOVri); i.R1 = R12; i.SetImm(-7); return i }(),
+		func() Inst { i := mk(MOVabs); i.R1 = RSI; i.SetImm(0x1234567890); return i }(),
 		func() Inst {
 			i := mk(MOVrm)
 			i.R1 = RAX
@@ -61,17 +61,17 @@ func TestEncodeDecodeFixed(t *testing.T) {
 			return i
 		}(),
 		func() Inst { i := mk(ADDrr); i.R1 = RAX; i.R2 = RDX; return i }(),
-		func() Inst { i := mk(ADDri); i.R1 = RSP; i.Imm = 8; return i }(),
-		func() Inst { i := mk(ADDri); i.R1 = RSP; i.Imm = 1024; return i }(),
-		func() Inst { i := mk(SUBri); i.R1 = RSP; i.Imm = 0x10; return i }(),
+		func() Inst { i := mk(ADDri); i.R1 = RSP; i.SetImm(8); return i }(),
+		func() Inst { i := mk(ADDri); i.R1 = RSP; i.SetImm(1024); return i }(),
+		func() Inst { i := mk(SUBri); i.R1 = RSP; i.SetImm(0x10); return i }(),
 		func() Inst { i := mk(IMULrr); i.R1 = RAX; i.R2 = R9; return i }(),
 		func() Inst { i := mk(XORrr); i.R1 = RAX; i.R2 = RAX; return i }(),
-		func() Inst { i := mk(ANDri); i.R1 = RBX; i.Imm = -8; return i }(),
-		func() Inst { i := mk(SHLri); i.R1 = RCX; i.Imm = 3; return i }(),
-		func() Inst { i := mk(SHRri); i.R1 = RCX; i.Imm = 9; return i }(),
+		func() Inst { i := mk(ANDri); i.R1 = RBX; i.SetImm(-8); return i }(),
+		func() Inst { i := mk(SHLri); i.R1 = RCX; i.SetImm(3); return i }(),
+		func() Inst { i := mk(SHRri); i.R1 = RCX; i.SetImm(9); return i }(),
 		func() Inst { i := mk(CMPrr); i.R1 = RDI; i.R2 = RSI; return i }(),
-		func() Inst { i := mk(CMPri); i.R1 = RDI; i.Imm = 100; return i }(),
-		func() Inst { i := mk(CMPri); i.R1 = R13; i.Imm = 100000; return i }(),
+		func() Inst { i := mk(CMPri); i.R1 = RDI; i.SetImm(100); return i }(),
+		func() Inst { i := mk(CMPri); i.R1 = R13; i.SetImm(100000); return i }(),
 		func() Inst { i := mk(TESTrr); i.R1 = RAX; i.R2 = RAX; return i }(),
 		func() Inst { i := mk(JMPr); i.R1 = RAX; return i }(),
 		func() Inst { i := mk(JMPr); i.R1 = R11; return i }(),
@@ -136,7 +136,7 @@ func TestBranchEncoding(t *testing.T) {
 	} {
 		i := NewInst(tc.op)
 		i.Cc = tc.cc
-		i.TargetAddr = tc.target
+		i.SetTargetAddr(tc.target)
 		buf := encodeOne(t, i, pc, tc.long)
 		if len(buf) != tc.length {
 			t.Fatalf("%s to %#x: got %d bytes, want %d", i.Mnemonic(), tc.target, len(buf), tc.length)
@@ -145,9 +145,9 @@ func TestBranchEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if dec.Op != tc.op || dec.TargetAddr != tc.target {
+		if dec.Op != tc.op || dec.TargetAddr() != tc.target {
 			t.Errorf("%s: decoded op=%v target=%#x, want op=%v target=%#x",
-				i.Mnemonic(), dec.Op, dec.TargetAddr, tc.op, tc.target)
+				i.Mnemonic(), dec.Op, dec.TargetAddr(), tc.op, tc.target)
 		}
 		if tc.op == JCC && dec.Cc != tc.cc {
 			t.Errorf("cond mismatch: got %v want %v", dec.Cc, tc.cc)
@@ -157,7 +157,7 @@ func TestBranchEncoding(t *testing.T) {
 
 func TestBranchRangeError(t *testing.T) {
 	i := NewInst(JMP)
-	i.TargetAddr = 0x400000 + 1000
+	i.SetTargetAddr(0x400000 + 1000)
 	_, err := AppendInst(nil, &i, 0x400000, false)
 	if !IsBranchRangeError(err) {
 		t.Fatalf("expected branch range error, got %v", err)
@@ -263,13 +263,13 @@ func randInst(r *rand.Rand) Inst {
 		i.R1, i.R2 = anyReg(), anyReg()
 	case MOVri, ADDri, SUBri, ANDri, CMPri:
 		i.R1 = anyReg()
-		i.Imm = int64(int32(r.Uint32()))
+		i.SetImm(int64(int32(r.Uint32())))
 	case MOVabs:
 		i.R1 = anyReg()
-		i.Imm = int64(r.Uint64())
+		i.SetImm(int64(r.Uint64()))
 	case SHLri, SHRri:
 		i.R1 = anyReg()
-		i.Imm = int64(r.Intn(64))
+		i.SetImm(int64(r.Intn(64)))
 	case MOVrm, MOVZXBrm, MOVSXDrm, LEA:
 		i.R1 = anyReg()
 		i.M = randMem()

@@ -34,18 +34,18 @@ func FormatMem(m Mem) string {
 func (i *Inst) Format(symName func(uint64) string) string {
 	target := func() string {
 		if symName != nil {
-			if n := symName(i.TargetAddr); n != "" {
+			if n := symName(i.TargetAddr()); n != "" {
 				return n
 			}
 		}
-		return fmt.Sprintf("%#x", i.TargetAddr)
+		return fmt.Sprintf("%#x", i.TargetAddr())
 	}
 	m := i.Mnemonic()
 	switch i.Op {
 	case MOVrr, ADDrr, SUBrr, XORrr, CMPrr, TESTrr, IMULrr:
 		return fmt.Sprintf("%s %s, %s", m, i.R2.ATT(), i.R1.ATT())
 	case MOVri, MOVabs, ADDri, SUBri, ANDri, SHLri, SHRri, CMPri:
-		return fmt.Sprintf("%s $%#x, %s", m, i.Imm, i.R1.ATT())
+		return fmt.Sprintf("%s $%#x, %s", m, i.Imm(), i.R1.ATT())
 	case MOVrm, MOVZXBrm, MOVSXDrm, LEA:
 		return fmt.Sprintf("%s %s, %s", m, FormatMem(i.M), i.R1.ATT())
 	case MOVmr:
@@ -59,8 +59,8 @@ func (i *Inst) Format(symName func(uint64) string) string {
 	case PUSH, POP:
 		return fmt.Sprintf("%s %s", m, i.R1.ATT())
 	case NOP:
-		if i.Imm > 1 {
-			return fmt.Sprintf("nop(%d)", i.Imm)
+		if i.Imm() > 1 {
+			return fmt.Sprintf("nop(%d)", i.Imm())
 		}
 		return "nop"
 	default:

@@ -154,8 +154,12 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 			}
 			// Branch targets stay out: the successor lists carry them as
 			// block indices.
+			var imm int64
+			if in.I.HasImm() {
+				imm = in.I.Imm()
+			}
 			buf = append(buf, 'I', byte(in.I.Op), byte(in.I.R1), byte(in.I.R2), byte(in.I.Cc), kind)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(in.I.Imm))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(imm))
 			buf = binary.LittleEndian.AppendUint64(buf, mem)
 			buf = binary.AppendUvarint(buf, uint64(in.TargetSym))
 			if jt := fn.JumpTable(in); jt != nil {

@@ -90,7 +90,8 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 				if in.I.Op != isa.CALLr {
 					continue
 				}
-				if k := at(in.Addr); k < len(hot) && hot[k].site == in.Addr {
+				addr := fn.InstAddr(in)
+				if k := at(addr); k < len(hot) && hot[k].site == addr {
 					st := hot[k]
 					st.b, st.i = b, i
 					sites = append(sites, st)
@@ -198,14 +199,14 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	direct.Insts = []core.Inst{*call}
 	dc := &direct.Insts[0]
 	dc.I = isa.NewInst(isa.CALL)
-	dc.Addr = 0
+	dc.Off = 0
 	dc.TargetSym = hot.Ref()
 	direct.Succs = []core.Edge{{To: cont, Count: hotCount}}
 	direct.ExecCount = hotCount
 	cont.Preds = append(cont.Preds, direct)
 
 	// Indirect fallback keeps the original call.
-	call.Addr = 0
+	call.Off = 0
 	indirect.Insts = b.Insts[i : i+1 : i+1]
 	indirect.Succs = []core.Edge{{To: cont, Count: total - hotCount}}
 	indirect.ExecCount = total - hotCount
@@ -221,8 +222,8 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	cmp := core.Inst{CFIIdx: call.CFIIdx, Src: call.Src}
 	cmp.I = isa.NewInst(isa.CMPri)
 	cmp.I.R1 = reg
-	cmp.I.Imm = 1 << 30 // placeholder; patched via ImmSym at emission
-	cmp.ImmSym = hot.Ref()
+	cmp.I.SetImm(1 << 30) // placeholder; patched via TargetSym at emission
+	cmp.TargetSym = hot.Ref()
 	jcc := core.Inst{CFIIdx: call.CFIIdx}
 	jcc.I = isa.NewInst(isa.JCC)
 	jcc.I.Cc = isa.CondE

@@ -34,7 +34,7 @@ func TestICPTieGoesToLesserName(t *testing.T) {
 		for _, b := range worker.Blocks {
 			for _, in := range b.Insts {
 				if in.I.Op == isa.CALLr {
-					site = in.Addr
+					site = worker.InstAddr(&in)
 				}
 			}
 		}

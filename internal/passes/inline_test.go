@@ -89,7 +89,7 @@ func TestInlineSmallKeepsTablesApart(t *testing.T) {
 	spliced := 0
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		if in.Addr != 0 {
+		if in.Off != 0 {
 			continue
 		}
 		spliced++

@@ -218,7 +218,7 @@ func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) 
 				newInst = isa.NewInst(isa.MOVabs)
 			}
 			newInst.R1 = in.I.R1
-			newInst.Imm = imm
+			newInst.SetImm(imm)
 			oldLen := int(in.Size)
 			newLen := isa.InstLen(&newInst, true)
 			if newLen > oldLen {
@@ -257,7 +257,7 @@ func (PLTPass) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 			if in.I.Op != isa.CALL || in.TargetSym != core.NoFunc {
 				continue
 			}
-			target, ok := fc.PLTStubs[in.I.TargetAddr]
+			target, ok := fc.PLTStubs[in.I.TargetAddr()]
 			if !ok {
 				continue
 			}

@@ -116,7 +116,7 @@ func TestSimplifyROLoadsFolds(t *testing.T) {
 		for i := range b.Insts {
 			switch in := &b.Insts[i]; {
 			case in.I.Op == isa.MOVri:
-				imms = append(imms, in.I.Imm)
+				imms = append(imms, in.I.Imm())
 			case in.I.HasMem():
 				loadsLeft++
 			}

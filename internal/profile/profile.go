@@ -556,15 +556,14 @@ func splitFieldsBytes(line []byte, dst [][]byte) [][]byte {
 	dst = dst[:0]
 	i := 0
 	for i < len(line) {
-		r, size := utf8.DecodeRune(line[i:])
-		if unicode.IsSpace(r) {
+		if sp, size := spaceAt(line, i); sp {
 			i += size
 			continue
 		}
 		start := i
 		for i < len(line) {
-			r, size := utf8.DecodeRune(line[i:])
-			if unicode.IsSpace(r) {
+			sp, size := spaceAt(line, i)
+			if sp {
 				break
 			}
 			i += size
@@ -572,6 +571,20 @@ func splitFieldsBytes(line []byte, dst [][]byte) [][]byte {
 		dst = append(dst, line[start:i])
 	}
 	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// spaceAt reports whether line[i:] opens with Unicode whitespace, and the
+// width of the rune there. ASCII is looked up; only a byte past it costs
+// a rune decode (U+0085 and U+00A0 are the non-ASCII spaces names meet).
+func spaceAt(line []byte, i int) (bool, int) {
+	if c := line[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
+	}
+	r, size := utf8.DecodeRune(line[i:])
+	return unicode.IsSpace(r), size
 }
 
 // appendSuccs renders successor indices as "0,2,5" ("-" when none).

@@ -343,3 +343,30 @@ func TestParseSuccs(t *testing.T) {
 		t.Errorf("list longer than a slab: len %d err %v, earlier cut %v", len(c), err, a)
 	}
 }
+
+// TestSplitFieldsBytesMatchesStringsFields: the byte splitter answers
+// ASCII from a table and decodes only bytes past it, so it must still cut
+// exactly where strings.Fields does — at U+0085 and U+00A0 inside a name,
+// and not at a lone 0x85 or 0xA0 byte, which is invalid UTF-8.
+func TestSplitFieldsBytesMatchesStringsFields(t *testing.T) {
+	for _, line := range []string{
+		"",
+		"   \t ",
+		"1 main 0 1 foo 1c 0 7",
+		"\tf\vg\fh\ri\n",
+		"1 na\u0085me 0",
+		"1 na\u00a0me  0",
+		" lead trail\u0085",
+		"1 na\x85me na\xa0me \xc2",
+		"1 \u65e5\u3000\u8a9e 0",
+		"x y\u200bz",
+	} {
+		var got []string
+		for _, f := range splitFieldsBytes([]byte(line), nil) {
+			got = append(got, string(f))
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("splitFieldsBytes(%q) = %q, want %q", line, got, want)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		case isa.MOVrr:
 			m.Regs[in.R1] = m.Regs[in.R2]
 		case isa.MOVri, isa.MOVabs:
-			m.Regs[in.R1] = uint64(in.Imm)
+			m.Regs[in.R1] = uint64(in.Imm())
 		case isa.MOVrm, isa.MOVZXBrm, isa.MOVSXDrm:
 			addr := m.effAddr(&in.M, pc, d.size)
 			size := 8
@@ -143,7 +143,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			m.Regs[in.R1] = r
 			m.setFlagsAdd(a, b, r)
 		case isa.ADDri:
-			a, b := m.Regs[in.R1], uint64(in.Imm)
+			a, b := m.Regs[in.R1], uint64(in.Imm())
 			r := a + b
 			m.Regs[in.R1] = r
 			m.setFlagsAdd(a, b, r)
@@ -153,7 +153,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			m.Regs[in.R1] = r
 			m.setFlagsSub(a, b, r)
 		case isa.SUBri:
-			a, b := m.Regs[in.R1], uint64(in.Imm)
+			a, b := m.Regs[in.R1], uint64(in.Imm())
 			r := a - b
 			m.Regs[in.R1] = r
 			m.setFlagsSub(a, b, r)
@@ -166,28 +166,28 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			m.Regs[in.R1] = r
 			m.setFlagsLogic(r)
 		case isa.ANDri:
-			r := m.Regs[in.R1] & uint64(in.Imm)
+			r := m.Regs[in.R1] & uint64(in.Imm())
 			m.Regs[in.R1] = r
 			m.setFlagsLogic(r)
 		case isa.SHLri:
-			r := m.Regs[in.R1] << uint(in.Imm)
+			r := m.Regs[in.R1] << uint(in.Imm())
 			m.Regs[in.R1] = r
 			m.setFlagsLogic(r)
 		case isa.SHRri:
-			r := m.Regs[in.R1] >> uint(in.Imm)
+			r := m.Regs[in.R1] >> uint(in.Imm())
 			m.Regs[in.R1] = r
 			m.setFlagsLogic(r)
 		case isa.CMPrr:
 			a, b := m.Regs[in.R1], m.Regs[in.R2]
 			m.setFlagsSub(a, b, a-b)
 		case isa.CMPri:
-			a, b := m.Regs[in.R1], uint64(in.Imm)
+			a, b := m.Regs[in.R1], uint64(in.Imm())
 			m.setFlagsSub(a, b, a-b)
 		case isa.TESTrr:
 			m.setFlagsLogic(m.Regs[in.R1] & m.Regs[in.R2])
 		case isa.JMP:
-			m.recordBranch(pc, in.TargetAddr, BrUncond, false)
-			m.rip = in.TargetAddr
+			m.recordBranch(pc, in.TargetAddr(), BrUncond, false)
+			m.rip = in.TargetAddr()
 			continue
 		case isa.JCC:
 			taken, err := m.cond(in.Cc)
@@ -198,8 +198,8 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			mispred := m.predict(pc, taken)
 			if taken {
 				m.C.TakenBranch++
-				m.recordBranch(pc, in.TargetAddr, BrCond, mispred)
-				m.rip = in.TargetAddr
+				m.recordBranch(pc, in.TargetAddr(), BrCond, mispred)
+				m.rip = in.TargetAddr()
 				continue
 			}
 			if m.tracer != nil {
@@ -227,7 +227,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			kind := BrCall
 			switch in.Op {
 			case isa.CALL:
-				target = in.TargetAddr
+				target = in.TargetAddr()
 			case isa.CALLr:
 				target = m.Regs[in.R1]
 				kind = BrIndCall
