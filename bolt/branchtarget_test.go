@@ -53,8 +53,9 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 	// start addresses.
 	starts := func(fn *core.BinaryFunction) map[uint64]bool {
 		out := map[uint64]bool{}
+		var in isa.Inst
 		for off := uint64(0); off < fn.Size; {
-			_, n, err := isa.Decode(fn.Bytes[off:], fn.Addr+off)
+			n, err := isa.Decode(&in, fn.Bytes[off:], fn.Addr+off)
 			if err != nil {
 				t.Fatalf("%s: %v", fn.Name, err)
 			}

@@ -7,6 +7,14 @@ import (
 	"gobolt/internal/obj"
 )
 
+// decode is isa.Decode returning the instruction by value, as the
+// tests read it.
+func decode(code []byte, pc uint64) (isa.Inst, int, error) {
+	var in isa.Inst
+	n, err := isa.Decode(&in, code, pc)
+	return in, n, err
+}
+
 // finish lays the stream out at base and encodes it into fresh buffers.
 func finish(a *Assembler, base uint64) (Result, error) {
 	if _, err := a.Layout(base); err != nil {
@@ -32,7 +40,7 @@ func TestShortBranch(t *testing.T) {
 	if len(res.Code) != 7 {
 		t.Fatalf("expected short form, got %d bytes: % x", len(res.Code), res.Code)
 	}
-	dec, _, err := isa.Decode(res.Code[4:], 0x400004)
+	dec, _, err := decode(res.Code[4:], 0x400004)
 	if err != nil || dec.Op != isa.JCC || dec.TargetAddr() != 0x400000 {
 		t.Fatalf("branch decode: %v %v target %#x", dec.Op, err, dec.TargetAddr())
 	}
@@ -56,7 +64,7 @@ func TestRelaxationWidens(t *testing.T) {
 	if res.Code[0] != 0xE9 {
 		t.Fatalf("expected rel32 jmp, first byte %#x", res.Code[0])
 	}
-	dec, n, err := isa.Decode(res.Code, 0x400000)
+	dec, n, err := decode(res.Code, 0x400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +113,7 @@ func TestAlign(t *testing.T) {
 	// Padding must be decodable NOPs.
 	off := uint64(1)
 	for off < 16 {
-		dec, n, err := isa.Decode(res.Code[off:], 0x400000+off)
+		dec, n, err := decode(res.Code[off:], 0x400000+off)
 		if err != nil || dec.Op != isa.NOP {
 			t.Fatalf("pad at %d not nop: %v %v", off, dec.Op, err)
 		}

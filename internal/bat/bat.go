@@ -212,9 +212,16 @@ type reader struct {
 	err  error
 }
 
+// uvarint reads one uvarint as binary.Uvarint does. Most of a table's
+// varints (anchor deltas, flags, function indices) fit in one byte, which
+// is read without the call.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if r.pos < len(r.data) && r.data[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.data[r.pos-1])
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {

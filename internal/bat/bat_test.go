@@ -150,3 +150,69 @@ func TestFuncSize(t *testing.T) {
 		t.Fatal("FuncSize(gamma) unexpectedly resolved")
 	}
 }
+
+// TestReaderVarintMatchesBinary holds the reader's uvarint, one-byte
+// fast path included, and the zigzag read on it to encoding/binary:
+// the same value, the same position after the read, and an error
+// exactly where binary.Uvarint reports a truncated (n == 0) or
+// overflowing (n < 0) encoding. Each encoding is read at the start of
+// the section, after other bytes, and followed by trailing bytes.
+func TestReaderVarintMatchesBinary(t *testing.T) {
+	var encs [][]byte
+	for l := 1; l <= 10; l++ {
+		lo := uint64(1) << (7 * (l - 1))
+		if l == 1 {
+			lo = 0
+		}
+		hi := uint64(1)<<(7*l) - 1
+		if l == 10 {
+			hi = ^uint64(0)
+		}
+		for _, v := range []uint64{lo, lo + 1, lo + (hi-lo)/2, hi - 1, hi} {
+			enc := binary.AppendUvarint(nil, v)
+			if len(enc) != l {
+				t.Fatalf("%d encodes in %d bytes, want %d", v, len(enc), l)
+			}
+			encs = append(encs, enc,
+				enc[:l-1],                            // truncated: the last byte still has its high bit clear
+				append(enc[:l-1:l-1], enc[l-1]|0x80)) // truncated: continues past the end
+		}
+	}
+	encs = append(encs,
+		[]byte{0x80, 0x00},                           // zero in two bytes
+		[]byte{0xFF, 0x7F},                           // the largest two-byte value
+		bytes.Repeat([]byte{0x80}, 10),               // ten continuations: truncated
+		append(bytes.Repeat([]byte{0x80}, 10), 0x00), // eleven bytes: overflow
+		append(bytes.Repeat([]byte{0xFF}, 9), 0x01),  // 2^64 - 1
+		append(bytes.Repeat([]byte{0xFF}, 9), 0x02),  // 2^64: overflow
+		append(bytes.Repeat([]byte{0x80}, 9), 0x7F),  // tenth byte too large: overflow
+	)
+	for _, enc := range encs {
+		for _, lead := range [][]byte{nil, {0x05, 0x80, 0x01}} {
+			for _, tail := range [][]byte{nil, {0x03}, {0x81, 0x02}} {
+				data := append(append(append([]byte(nil), lead...), enc...), tail...)
+				want, n := binary.Uvarint(data[len(lead):])
+				wantPos := len(lead) + max(n, 0)
+
+				r := &reader{data: data, pos: len(lead)}
+				got := r.uvarint()
+				if got != want || r.pos != wantPos || (r.err != nil) != (n <= 0) {
+					t.Fatalf("uvarint % x after % x: got %d at %d (err %v), binary.Uvarint %d, n=%d",
+						enc, lead, got, r.pos, r.err, want, n)
+				}
+				z := &reader{data: data, pos: len(lead)}
+				wantZ := int64(want>>1) ^ -int64(want&1)
+				if gotZ := z.zigzag(); gotZ != wantZ || z.pos != wantPos || (z.err != nil) != (n <= 0) {
+					t.Fatalf("zigzag % x after % x: got %d at %d (err %v), want %d at %d",
+						enc, lead, gotZ, z.pos, z.err, wantZ, wantPos)
+				}
+				// An error sticks: the next read returns zero and stays put.
+				if r.err != nil {
+					if v := r.uvarint(); v != 0 || r.pos != wantPos {
+						t.Fatalf("read after an error gave %d at %d", v, r.pos)
+					}
+				}
+			}
+		}
+	}
+}

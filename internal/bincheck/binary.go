@@ -195,7 +195,8 @@ func (w *worker) disassemble(fr *fragment) {
 	var win window
 	n := 0
 	for off := uint32(0); uint64(off) < fr.size; n++ {
-		inst, size, err := isa.Decode(fr.code[off:], fr.addr+uint64(off))
+		at := win.at(n)
+		size, err := isa.Decode(&at.inst, fr.code[off:], fr.addr+uint64(off))
 		if err != nil {
 			w.errorf("disasm", fr.name, fr.addr+uint64(off),
 				"undecodable bytes at offset %#x: %v", off, err)
@@ -203,9 +204,9 @@ func (w *worker) disassemble(fr *fragment) {
 			w.sites = w.sites[:first]
 			return
 		}
-		*win.at(n) = instAt{off: off, size: uint32(size), inst: inst}
+		at.off, at.size = off, uint32(size)
 		fr.starts[off>>6] |= 1 << (off & 63)
-		switch in := &inst; {
+		switch in := &at.inst; {
 		case in.IsDirectBranch() || in.Op == isa.CALL:
 			w.sites = append(w.sites, site{off: off, size: uint8(size), op: in.Op, cc: in.Cc, target: in.TargetAddr()})
 		case in.IsIndirectBranch():

@@ -135,9 +135,11 @@ func (r *Result) WriteJSON(w io.Writer) error {
 func Check(data []byte) (*Result, error) { return CheckJobs(data, 0) }
 
 // CheckJobs is Check on at most jobs workers (jobs <= 0 selects
-// GOMAXPROCS). The Result does not depend on jobs.
+// GOMAXPROCS). The Result does not depend on jobs. The image is read in
+// place: no section is copied or written, and nothing the Result holds
+// points into data.
 func CheckJobs(data []byte, jobs int) (*Result, error) {
-	f, err := elfx.Read(data)
+	f, err := elfx.ReadInPlace(data)
 	if err != nil {
 		return nil, fmt.Errorf("bincheck: %w", err)
 	}

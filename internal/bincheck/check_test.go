@@ -24,6 +24,12 @@ var mutationBase = sync.OnceValues(func() ([]byte, error) {
 	spec.Name = "mutation-base"
 	spec.ThrowFrac = 0.9
 	spec.ColdProb = 0.1
+	return boltImage(spec)
+})
+
+// boltImage builds spec, profiles it under the VM, optimizes it with the
+// default options and returns the serialized output image.
+func boltImage(spec workload.Spec) ([]byte, error) {
 	mode := perf.DefaultMode()
 	f, _, err := bench.Build(spec, bench.CfgBaseline, mode)
 	if err != nil {
@@ -47,7 +53,7 @@ var mutationBase = sync.OnceValues(func() ([]byte, error) {
 	var buf bytes.Buffer
 	_, err = sess.WriteTo(&buf)
 	return buf.Bytes(), err
-})
+}
 
 // corruptCase is one image of the findings matrix: the clean base, the
 // base with one mutation, or the base with every composable mutation
@@ -172,6 +178,39 @@ func TestCheckDeterministicAcrossJobs(t *testing.T) {
 			if got, _ := resultJSON(c.image, jobs); !bytes.Equal(got, serial) {
 				t.Errorf("%s: jobs=%d result differs from jobs=1:\n%s\nvs\n%s", c.Name, jobs, got, serial)
 			}
+		}
+	}
+}
+
+// TestCheckLeavesInputUnchanged: Check reads the image in place, so it
+// must write none of it, at one worker or at two, clean or corrupted.
+func TestCheckLeavesInputUnchanged(t *testing.T) {
+	cases := corruptCases(t)
+	for _, c := range []corruptCase{cases[0], cases[len(cases)-1]} {
+		want := bytes.Clone(c.image)
+		for _, jobs := range []int{1, 2} {
+			if _, err := bincheck.CheckJobs(c.image, jobs); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			if !bytes.Equal(c.image, want) {
+				t.Fatalf("%s: jobs=%d: Check wrote to its input", c.Name, jobs)
+			}
+		}
+	}
+}
+
+// BenchmarkCheck measures one check of a BOLTed proxygen output at
+// GOMAXPROCS workers (what bincheck and gobolt -verify run).
+func BenchmarkCheck(b *testing.B) {
+	image, err := boltImage(workload.Proxygen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(image)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := bincheck.Check(image); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -233,7 +233,8 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 	if err != nil {
 		return
 	}
-	inst, n, err := isa.Decode(data, sym.Value)
+	var inst isa.Inst
+	n, err := isa.Decode(&inst, data, sym.Value)
 	if err != nil || inst.Op != isa.JMPm || !inst.M.RIP {
 		return
 	}
@@ -289,12 +290,14 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 	raw := sc.raw[:0]
 	off := uint64(0)
 	for off < fn.Size {
-		inst, n, err := isa.Decode(fn.Bytes[off:], fn.Addr+off)
+		raw = append(raw, rawInst{addr: fn.Addr + off})
+		r := &raw[len(raw)-1]
+		n, err := isa.Decode(&r.inst, fn.Bytes[off:], r.addr)
 		if err != nil {
-			sc.raw = raw
+			sc.raw = raw[:len(raw)-1]
 			return fmt.Errorf("undecodable at +%#x: %w", off, err)
 		}
-		raw = append(raw, rawInst{inst: inst, addr: fn.Addr + off, size: uint8(n)})
+		r.size = uint8(n)
 		off += uint64(n)
 	}
 	sc.raw = raw

@@ -21,211 +21,101 @@ func (e *DecodeError) Error() string {
 // MaxInstLen is the architectural limit on an instruction's length.
 const MaxInstLen = 15
 
-// Decode decodes a single instruction from code at address pc. It returns
-// the instruction and its encoded length. Direct branch targets are
-// resolved to absolute addresses in TargetAddr.
-func Decode(code []byte, pc uint64) (Inst, int, error) {
-	inst := NewInst(INVALID)
+// Decode decodes the instruction at the start of code, at address pc,
+// into *dst and returns its encoded length. Direct branch targets are
+// resolved to absolute addresses in TargetAddr. On error *dst is
+// NewInst(INVALID) and the length 0; only an error allocates.
+func Decode(dst *Inst, code []byte, pc uint64) (int, error) {
+	*dst = NewInst(INVALID)
 	if len(code) == 0 {
-		return inst, 0, &DecodeError{PC: pc, Msg: "empty"}
+		return 0, &DecodeError{PC: pc, Msg: "empty"}
 	}
 	// An instruction running past MaxInstLen bytes (a long prefix run)
 	// reads as truncated, as the hardware faults on it.
 	code = code[:min(len(code), MaxInstLen)]
-	fail := func(msg string) (Inst, int, error) {
-		return inst, 0, &DecodeError{PC: pc, Byte: code[0], Msg: msg}
-	}
 
 	p := 0
 	repz := false
-	var rexB byte
+	var rex byte
 	hasRex := false
 	// Prefixes. The 0x66 data-size prefix appears only in multi-byte NOPs.
-	for p < len(code) {
-		switch code[p] {
-		case 0xF3:
+prefixes:
+	for ; p < len(code); p++ {
+		switch b := code[p]; {
+		case b == 0xF3:
 			repz = true
-			p++
-			continue
-		case 0x66:
-			p++
-			continue
-		}
-		if code[p]&0xF0 == 0x40 {
-			rexB = code[p]
+		case b == 0x66:
+		case b&0xF0 == 0x40:
+			rex = b
 			hasRex = true
-			p++
-			continue
+		default:
+			break prefixes
 		}
-		break
 	}
 	if p >= len(code) {
-		return fail("truncated prefixes")
+		return fail(code, pc, "truncated prefixes")
 	}
-	rexW := rexB >> 3 & 1
-	rexR := rexB >> 2 & 1
-	rexX := rexB >> 1 & 1
-	rexBb := rexB & 1
-
-	need := func(n int) bool { return p+n <= len(code) }
-
-	// parseModRM decodes ModRM (+SIB+disp) starting at code[p]; it returns
-	// the reg field and either a register (mod=11) or memory operand.
-	parseModRM := func() (reg byte, isReg bool, rm Reg, m Mem, ok bool) {
-		if !need(1) {
-			return 0, false, 0, Mem{}, false
-		}
-		modrm := code[p]
-		p++
-		mod := modrm >> 6
-		reg = modrm >> 3 & 7
-		rmBits := modrm & 7
-		m = Mem{Base: NoReg, Index: NoReg, Scale: 1}
-		if mod == 3 {
-			return reg, true, Reg(rmBits | rexBb<<3), m, true
-		}
-		if mod == 0 && rmBits == 5 {
-			// RIP-relative.
-			if !need(4) {
-				return 0, false, 0, Mem{}, false
-			}
-			m.RIP = true
-			m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
-			p += 4
-			return reg, false, 0, m, true
-		}
-		if rmBits == 4 {
-			if !need(1) {
-				return 0, false, 0, Mem{}, false
-			}
-			sib := code[p]
-			p++
-			scale := sib >> 6
-			idx := sib >> 3 & 7
-			base := sib & 7
-			if idx != 4 || rexX == 1 {
-				m.Index = Reg(idx | rexX<<3)
-				m.Scale = 1 << scale
-			}
-			m.Base = Reg(base | rexBb<<3)
-			if mod == 0 && base == 5 {
-				// disp32 with no base; we never emit this form.
-				return 0, false, 0, Mem{}, false
-			}
-		} else {
-			m.Base = Reg(rmBits | rexBb<<3)
-		}
-		switch mod {
-		case 1:
-			if !need(1) {
-				return 0, false, 0, Mem{}, false
-			}
-			m.Disp = int32(int8(code[p]))
-			p++
-		case 2:
-			if !need(4) {
-				return 0, false, 0, Mem{}, false
-			}
-			m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
-			p += 4
-		}
-		return reg, false, 0, m, true
-	}
-
-	imm8 := func() (int64, bool) {
-		if !need(1) {
-			return 0, false
-		}
-		v := int64(int8(code[p]))
-		p++
-		return v, true
-	}
-	imm32 := func() (int64, bool) {
-		if !need(4) {
-			return 0, false
-		}
-		v := int64(int32(binary.LittleEndian.Uint32(code[p:])))
-		p += 4
-		return v, true
-	}
+	rexW := rex >> 3 & 1
+	rexR := Reg(rex>>2&1) << 3
+	rexB := Reg(rex&1) << 3
 
 	op := code[p]
 	p++
-
-	// rel targets are relative to the end of the instruction.
-	relTarget := func(rel int64) uint64 { return uint64(int64(pc) + int64(p) + rel) }
-
-	rrInst := func(o Op, reg byte, rm Reg) (Inst, int, error) {
-		inst.Op = o
-		inst.R1 = rm
-		inst.R2 = Reg(reg | rexR<<3)
-		return inst, p, nil
-	}
-	memInst := func(o Op, reg byte, m Mem) (Inst, int, error) {
-		inst.Op = o
-		inst.R1 = Reg(reg | rexR<<3)
-		inst.M = m
-		return inst, p, nil
-	}
-
 	switch {
 	case op == 0x89 || op == 0x8B: // mov rr / rm / mr
-		reg, isReg, rm, m, ok := parseModRM()
-		if !ok {
-			return fail("bad modrm")
+		reg, rm, m, q := modRM(code, p, rex)
+		if q < 0 {
+			return fail(code, pc, "bad modrm")
 		}
-		if isReg {
-			if op == 0x89 {
-				return rrInst(MOVrr, reg, rm)
+		switch {
+		case rm == NoReg:
+			dst.Op = MOVmr
+			if op == 0x8B {
+				dst.Op = MOVrm
 			}
+			dst.R1, dst.M = reg|rexR, m
+		case op == 0x89:
+			dst.Op, dst.R1, dst.R2 = MOVrr, rm, reg|rexR
+		default:
 			// 8B with mod=11: mov reg<-rm; normalize to MOVrr with swapped roles.
-			inst.Op = MOVrr
-			inst.R1 = Reg(reg | rexR<<3)
-			inst.R2 = rm
-			return inst, p, nil
+			dst.Op, dst.R1, dst.R2 = MOVrr, reg|rexR, rm
 		}
-		if op == 0x8B {
-			return memInst(MOVrm, reg, m)
-		}
-		return memInst(MOVmr, reg, m)
+		return q, nil
 	case op == 0xC7:
-		reg, isReg, rm, _, ok := parseModRM()
-		if !ok || !isReg || reg != 0 {
-			return fail("bad C7 form")
+		reg, rm, _, q := modRM(code, p, rex)
+		if q < 0 || rm == NoReg || reg != 0 {
+			return fail(code, pc, "bad C7 form")
 		}
-		v, ok := imm32()
-		if !ok {
-			return fail("truncated imm32")
+		if q+4 > len(code) {
+			return fail(code, pc, "truncated imm32")
 		}
-		inst.Op = MOVri
-		inst.R1 = rm
-		inst.SetImm(v)
-		return inst, p, nil
+		dst.Op, dst.R1 = MOVri, rm
+		dst.SetImm(int64(int32(binary.LittleEndian.Uint32(code[q:]))))
+		return q + 4, nil
 	case op >= 0xB8 && op <= 0xBF && rexW == 1:
-		if !need(8) {
-			return fail("truncated imm64")
+		if p+8 > len(code) {
+			return fail(code, pc, "truncated imm64")
 		}
-		inst.Op = MOVabs
-		inst.R1 = Reg(op - 0xB8 | rexBb<<3)
-		inst.SetImm(int64(binary.LittleEndian.Uint64(code[p:])))
-		p += 8
-		return inst, p, nil
-	case op == 0x8D:
-		reg, isReg, _, m, ok := parseModRM()
-		if !ok || isReg {
-			return fail("bad lea")
+		dst.Op, dst.R1 = MOVabs, Reg(op-0xB8)|rexB
+		dst.SetImm(int64(binary.LittleEndian.Uint64(code[p:])))
+		return p + 8, nil
+	case op == 0x8D || op == 0x63: // lea / movslq
+		reg, rm, m, q := modRM(code, p, rex)
+		if q < 0 || rm != NoReg {
+			if op == 0x8D {
+				return fail(code, pc, "bad lea")
+			}
+			return fail(code, pc, "bad movslq")
 		}
-		return memInst(LEA, reg, m)
-	case op == 0x63:
-		reg, isReg, _, m, ok := parseModRM()
-		if !ok || isReg {
-			return fail("bad movslq")
+		dst.Op, dst.R1, dst.M = MOVSXDrm, reg|rexR, m
+		if op == 0x8D {
+			dst.Op = LEA
 		}
-		return memInst(MOVSXDrm, reg, m)
+		return q, nil
 	case op == 0x01 || op == 0x29 || op == 0x31 || op == 0x39 || op == 0x85:
-		reg, isReg, rm, _, ok := parseModRM()
-		if !ok || !isReg {
-			return fail("unsupported mem form")
+		reg, rm, _, q := modRM(code, p, rex)
+		if q < 0 || rm == NoReg {
+			return fail(code, pc, "unsupported mem form")
 		}
 		var o Op
 		switch op {
@@ -240,42 +130,38 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		case 0x85:
 			o = TESTrr
 		}
-		return rrInst(o, reg, rm)
+		dst.Op, dst.R1, dst.R2 = o, rm, reg|rexR
+		return q, nil
 	case op == 0x83 || op == 0x81:
-		reg, isReg, rm, _, ok := parseModRM()
-		if !ok || !isReg {
-			return fail("unsupported mem form")
+		reg, rm, _, q := modRM(code, p, rex)
+		if q < 0 || rm == NoReg {
+			return fail(code, pc, "unsupported mem form")
 		}
-		var o Op
-		switch reg {
-		case 0:
-			o = ADDri
-		case 4:
-			o = ANDri
-		case 5:
-			o = SUBri
-		case 7:
-			o = CMPri
-		default:
-			return fail("unsupported group-1 ext")
+		o := group1[reg]
+		if o == INVALID {
+			return fail(code, pc, "unsupported group-1 ext")
 		}
 		var v int64
 		if op == 0x83 {
-			v, ok = imm8()
+			if q+1 > len(code) {
+				return fail(code, pc, "truncated imm")
+			}
+			v = int64(int8(code[q]))
+			q++
 		} else {
-			v, ok = imm32()
+			if q+4 > len(code) {
+				return fail(code, pc, "truncated imm")
+			}
+			v = int64(int32(binary.LittleEndian.Uint32(code[q:])))
+			q += 4
 		}
-		if !ok {
-			return fail("truncated imm")
-		}
-		inst.Op = o
-		inst.R1 = rm
-		inst.SetImm(v)
-		return inst, p, nil
+		dst.Op, dst.R1 = o, rm
+		dst.SetImm(v)
+		return q, nil
 	case op == 0xC1:
-		reg, isReg, rm, _, ok := parseModRM()
-		if !ok || !isReg {
-			return fail("bad shift")
+		reg, rm, _, q := modRM(code, p, rex)
+		if q < 0 || rm == NoReg {
+			return fail(code, pc, "bad shift")
 		}
 		var o Op
 		switch reg {
@@ -284,142 +170,191 @@ func Decode(code []byte, pc uint64) (Inst, int, error) {
 		case 5:
 			o = SHRri
 		default:
-			return fail("unsupported shift ext")
+			return fail(code, pc, "unsupported shift ext")
 		}
-		v, ok := imm8()
-		if !ok {
-			return fail("truncated imm8")
+		if q+1 > len(code) {
+			return fail(code, pc, "truncated imm8")
 		}
-		inst.Op = o
-		inst.R1 = rm
-		inst.SetImm(v & 63)
-		return inst, p, nil
-	case op == 0xEB:
-		v, ok := imm8()
-		if !ok {
-			return fail("truncated rel8")
+		dst.Op, dst.R1 = o, rm
+		dst.SetImm(int64(int8(code[q])) & 63)
+		return q + 1, nil
+	case op == 0xEB || op >= 0x70 && op <= 0x7F: // jmp / jcc rel8
+		if p+1 > len(code) {
+			return fail(code, pc, "truncated rel8")
 		}
-		inst.Op = JMP
-		inst.SetTargetAddr(relTarget(v))
-		return inst, p, nil
-	case op == 0xE9:
-		v, ok := imm32()
-		if !ok {
-			return fail("truncated rel32")
+		dst.Op = JMP
+		if op != 0xEB {
+			dst.Op, dst.Cc = JCC, Cond(op-0x70)
 		}
-		inst.Op = JMP
-		inst.SetTargetAddr(relTarget(v))
-		return inst, p, nil
-	case op >= 0x70 && op <= 0x7F:
-		v, ok := imm8()
-		if !ok {
-			return fail("truncated rel8")
+		// rel targets are relative to the end of the instruction.
+		dst.SetTargetAddr(pc + uint64(p+1) + uint64(int8(code[p])))
+		return p + 1, nil
+	case op == 0xE9 || op == 0xE8: // jmp / call rel32
+		if p+4 > len(code) {
+			return fail(code, pc, "truncated rel32")
 		}
-		inst.Op = JCC
-		inst.Cc = Cond(op - 0x70)
-		inst.SetTargetAddr(relTarget(v))
-		return inst, p, nil
-	case op == 0xE8:
-		v, ok := imm32()
-		if !ok {
-			return fail("truncated rel32")
+		dst.Op = JMP
+		if op == 0xE8 {
+			dst.Op = CALL
 		}
-		inst.Op = CALL
-		inst.SetTargetAddr(relTarget(v))
-		return inst, p, nil
+		dst.SetTargetAddr(pc + uint64(p+4) + uint64(int32(binary.LittleEndian.Uint32(code[p:]))))
+		return p + 4, nil
 	case op == 0xFF:
-		reg, isReg, rm, m, ok := parseModRM()
-		if !ok {
-			return fail("bad FF form")
+		reg, rm, m, q := modRM(code, p, rex)
+		if q < 0 {
+			return fail(code, pc, "bad FF form")
 		}
-		switch reg {
-		case 2:
-			if isReg {
-				inst.Op = CALLr
-				inst.R1 = rm
-			} else {
-				inst.Op = CALLm
-				inst.M = m
-			}
-		case 4:
-			if isReg {
-				inst.Op = JMPr
-				inst.R1 = rm
-			} else {
-				inst.Op = JMPm
-				inst.M = m
-			}
+		switch {
+		case reg == 2 && rm != NoReg:
+			dst.Op, dst.R1 = CALLr, rm
+		case reg == 2:
+			dst.Op, dst.M = CALLm, m
+		case reg == 4 && rm != NoReg:
+			dst.Op, dst.R1 = JMPr, rm
+		case reg == 4:
+			dst.Op, dst.M = JMPm, m
 		default:
-			return fail("unsupported FF ext")
+			return fail(code, pc, "unsupported FF ext")
 		}
-		return inst, p, nil
+		return q, nil
 	case op == 0xC3:
+		dst.Op = RET
 		if repz {
-			inst.Op = REPZRET
-		} else {
-			inst.Op = RET
+			dst.Op = REPZRET
 		}
-		return inst, p, nil
+		return p, nil
 	case op >= 0x50 && op <= 0x57:
-		inst.Op = PUSH
-		inst.R1 = Reg(op - 0x50 | rexBb<<3)
-		return inst, p, nil
+		dst.Op, dst.R1 = PUSH, Reg(op-0x50)|rexB
+		return p, nil
 	case op >= 0x58 && op <= 0x5F:
-		inst.Op = POP
-		inst.R1 = Reg(op - 0x58 | rexBb<<3)
-		return inst, p, nil
+		dst.Op, dst.R1 = POP, Reg(op-0x58)|rexB
+		return p, nil
 	case op == 0x90 && !hasRex:
-		inst.Op = NOP
-		inst.SetImm(int64(p)) // prefixes (e.g. 0x66) already counted
-		return inst, p, nil
+		dst.Op = NOP
+		dst.SetImm(int64(p)) // prefixes (e.g. 0x66) already counted
+		return p, nil
 	case op == 0xF4:
-		inst.Op = HLT
-		return inst, p, nil
+		dst.Op = HLT
+		return p, nil
 	case op == 0x0F:
-		if !need(1) {
-			return fail("truncated 0F")
+		if p+1 > len(code) {
+			return fail(code, pc, "truncated 0F")
 		}
 		op2 := code[p]
 		p++
 		switch {
 		case op2 == 0xB6:
-			reg, isReg, _, m, ok := parseModRM()
-			if !ok || isReg {
-				return fail("bad movzbq")
+			reg, rm, m, q := modRM(code, p, rex)
+			if q < 0 || rm != NoReg {
+				return fail(code, pc, "bad movzbq")
 			}
-			return memInst(MOVZXBrm, reg, m)
+			dst.Op, dst.R1, dst.M = MOVZXBrm, reg|rexR, m
+			return q, nil
 		case op2 == 0xAF:
-			reg, isReg, rm, _, ok := parseModRM()
-			if !ok || !isReg {
-				return fail("bad imul")
+			reg, rm, _, q := modRM(code, p, rex)
+			if q < 0 || rm == NoReg {
+				return fail(code, pc, "bad imul")
 			}
-			inst.Op = IMULrr
-			inst.R1 = Reg(reg | rexR<<3)
-			inst.R2 = rm
-			return inst, p, nil
+			dst.Op, dst.R1, dst.R2 = IMULrr, reg|rexR, rm
+			return q, nil
 		case op2 >= 0x80 && op2 <= 0x8F:
-			v, ok := imm32()
-			if !ok {
-				return fail("truncated rel32")
+			if p+4 > len(code) {
+				return fail(code, pc, "truncated rel32")
 			}
-			inst.Op = JCC
-			inst.Cc = Cond(op2 - 0x80)
-			inst.SetTargetAddr(relTarget(v))
-			return inst, p, nil
+			dst.Op, dst.Cc = JCC, Cond(op2-0x80)
+			dst.SetTargetAddr(pc + uint64(p+4) + uint64(int32(binary.LittleEndian.Uint32(code[p:]))))
+			return p + 4, nil
 		case op2 == 0x0B:
-			inst.Op = UD2
-			return inst, p, nil
+			dst.Op = UD2
+			return p, nil
 		case op2 == 0x1F:
 			// Multi-byte NOP: 0F 1F /0 with arbitrary memory operand.
-			_, isReg, _, _, ok := parseModRM()
-			if !ok || isReg {
-				return fail("bad long nop")
+			_, rm, _, q := modRM(code, p, rex)
+			if q < 0 || rm != NoReg {
+				return fail(code, pc, "bad long nop")
 			}
-			inst.Op = NOP
-			inst.SetImm(int64(p))
-			return inst, p, nil
+			dst.Op = NOP
+			dst.SetImm(int64(q))
+			return q, nil
 		}
-		return fail("unknown 0F opcode")
+		return fail(code, pc, "unknown 0F opcode")
 	}
-	return fail("unknown opcode")
+	return fail(code, pc, "unknown opcode")
+}
+
+// group1 maps the ModRM reg field of the 0x81 / 0x83 immediate group to
+// its operation; INVALID marks the extensions the toolchain never emits.
+var group1 = [8]Op{0: ADDri, 4: ANDri, 5: SUBri, 7: CMPri}
+
+// fail reports an undecodable instruction at pc. Decode writes *dst
+// only once the instruction is known to decode, so it still holds
+// NewInst(INVALID).
+func fail(code []byte, pc uint64, msg string) (int, error) {
+	return 0, &DecodeError{PC: pc, Byte: code[0], Msg: msg}
+}
+
+// modRM decodes the ModRM byte at code[p] and the SIB byte and
+// displacement that follow it, under the REX prefix rex. It returns the
+// reg field without REX.R, the operand — register rm when mod=11,
+// otherwise rm is NoReg and the operand is m — and the position after
+// the operand, or q < 0 when the bytes run out or the form is one the
+// toolchain never emits.
+func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, q int) {
+	if p >= len(code) {
+		return 0, NoReg, Mem{}, -1
+	}
+	modrm := code[p]
+	p++
+	mod := modrm >> 6
+	reg = Reg(modrm >> 3 & 7)
+	rmBits := modrm & 7
+	rexX := rex >> 1 & 1
+	rexB := rex & 1
+	if mod == 3 {
+		return reg, Reg(rmBits | rexB<<3), Mem{}, p
+	}
+	m = Mem{Base: NoReg, Index: NoReg, Scale: 1}
+	if mod == 0 && rmBits == 5 {
+		// RIP-relative.
+		if p+4 > len(code) {
+			return 0, NoReg, Mem{}, -1
+		}
+		m.RIP = true
+		m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
+		return reg, NoReg, m, p + 4
+	}
+	if rmBits == 4 {
+		if p >= len(code) {
+			return 0, NoReg, Mem{}, -1
+		}
+		sib := code[p]
+		p++
+		base := sib & 7
+		if mod == 0 && base == 5 {
+			// disp32 with no base; we never emit this form.
+			return 0, NoReg, Mem{}, -1
+		}
+		if idx := sib >> 3 & 7; idx != 4 || rexX == 1 {
+			m.Index = Reg(idx | rexX<<3)
+			m.Scale = 1 << (sib >> 6)
+		}
+		m.Base = Reg(base | rexB<<3)
+	} else {
+		m.Base = Reg(rmBits | rexB<<3)
+	}
+	switch mod {
+	case 1:
+		if p >= len(code) {
+			return 0, NoReg, Mem{}, -1
+		}
+		m.Disp = int32(int8(code[p]))
+		p++
+	case 2:
+		if p+4 > len(code) {
+			return 0, NoReg, Mem{}, -1
+		}
+		m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
+		p += 4
+	}
+	return reg, NoReg, m, p
 }

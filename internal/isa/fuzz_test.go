@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes at an arbitrary address to the decoder.
-// It must never panic; a decoded instruction is 1–15 bytes long and lies
+// It must never panic and must agree with refDecode on the instruction,
+// the length and the error; a decoded instruction is 1–15 bytes long and lies
 // within the input; and encoding it at the same address (rel32 for every
 // direct branch) and decoding the result must give the same instruction —
 // opcode, registers, condition, memory operand, and the one word that is
@@ -32,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed, uint64(0x401000))
 	}
 	f.Fuzz(func(t *testing.T, code []byte, pc uint64) {
-		in, n, err := Decode(code, pc)
+		in, n, err := matchRef(t, code, pc)
 		if err != nil {
 			return
 		}
@@ -56,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode % x gave %s, which does not encode: %v", code, in.String(), err)
 		}
-		again, m, err := Decode(buf, pc)
+		again, m, err := decodeInst(buf, pc)
 		if err != nil || m != len(buf) {
 			t.Fatalf("re-encoding % x of %s (from % x) decodes to %v after %d of %d bytes", buf, in.String(), code, err, m, len(buf))
 		}

@@ -16,6 +16,14 @@ func encodeOne(t *testing.T, i Inst, pc uint64, long bool) []byte {
 	return buf
 }
 
+// decodeInst is Decode returning the instruction by value, as the
+// tests read it.
+func decodeInst(code []byte, pc uint64) (Inst, int, error) {
+	var in Inst
+	n, err := Decode(&in, code, pc)
+	return in, n, err
+}
+
 func TestEncodeDecodeFixed(t *testing.T) {
 	mk := func(op Op) Inst { return NewInst(op) }
 	cases := []Inst{
@@ -103,7 +111,7 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		if got := InstLen(&c, false); got != len(buf) {
 			t.Errorf("%s: InstLen=%d, encoded %d bytes", c.String(), got, len(buf))
 		}
-		dec, n, err := Decode(buf, pc)
+		dec, n, err := decodeInst(buf, pc)
 		if err != nil {
 			t.Fatalf("decode %s (% x): %v", c.String(), buf, err)
 		}
@@ -141,7 +149,7 @@ func TestBranchEncoding(t *testing.T) {
 		if len(buf) != tc.length {
 			t.Fatalf("%s to %#x: got %d bytes, want %d", i.Mnemonic(), tc.target, len(buf), tc.length)
 		}
-		dec, _, err := Decode(buf, pc)
+		dec, _, err := decodeInst(buf, pc)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -178,7 +186,7 @@ func TestNopLengths(t *testing.T) {
 		// Every nop sequence must decode to NOPs covering exactly n bytes.
 		off := 0
 		for off < n {
-			dec, sz, err := Decode(buf[off:], 0x400000+uint64(off))
+			dec, sz, err := decodeInst(buf[off:], 0x400000+uint64(off))
 			if err != nil {
 				t.Fatalf("nop decode at %d (% x): %v", off, buf, err)
 			}
@@ -298,7 +306,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			t.Logf("InstLen mismatch for %s: %d vs %d", in.String(), InstLen(&in, false), len(buf))
 			return false
 		}
-		dec, n, err := Decode(buf, pc)
+		dec, n, err := decodeInst(buf, pc)
 		if err != nil || n != len(buf) {
 			t.Logf("decode error for %s (% x): %v n=%d", in.String(), buf, err, n)
 			return false
@@ -319,7 +327,7 @@ func TestDecodeGarbage(t *testing.T) {
 	// Unknown opcodes must fail cleanly, never panic.
 	bad := [][]byte{{}, {0x06}, {0x0F}, {0x0F, 0xFF}, {0xC7}, {0xC7, 0xC0}, {0x48}, {0xE9, 1, 2}}
 	for _, b := range bad {
-		if _, _, err := Decode(b, 0x400000); err == nil {
+		if _, _, err := decodeInst(b, 0x400000); err == nil {
 			t.Errorf("decode % x unexpectedly succeeded", b)
 		}
 	}

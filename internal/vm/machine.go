@@ -217,12 +217,14 @@ func (m *Machine) decodeCode() error {
 			if cs.idx[sym.Value-cs.base+pos-off] >= 0 {
 				break // already decoded (alias symbol)
 			}
-			inst, n, err := isa.Decode(sec.Data[pos:end], sec.Addr+pos)
+			m.insts = append(m.insts, decoded{})
+			d := &m.insts[len(m.insts)-1]
+			n, err := isa.Decode(&d.inst, sec.Data[pos:end], sec.Addr+pos)
 			if err != nil {
 				return fmt.Errorf("vm: decoding %s+%#x: %w", sym.Name, pos-off, err)
 			}
-			cs.idx[sec.Addr+pos-cs.base] = int32(len(m.insts))
-			m.insts = append(m.insts, decoded{inst: inst, size: uint8(n)})
+			d.size = uint8(n)
+			cs.idx[sec.Addr+pos-cs.base] = int32(len(m.insts) - 1)
 			pos += uint64(n)
 		}
 	}
