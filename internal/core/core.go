@@ -295,12 +295,10 @@ type BasicBlock struct {
 	// Succs ordering convention: for a conditional branch, Succs[0] is
 	// the taken target and Succs[1] the fall-through; for unconditional
 	// or fall-through blocks, Succs[0] is the sole successor; for jump
-	// tables, one entry per distinct target.
+	// tables, one entry per distinct target. Predecessors and landing
+	// pads are not stored: they follow from Succs and from the calls'
+	// Inst.LP (BinaryFunction.LandingPad).
 	Succs []Edge
-	Preds []*BasicBlock
-
-	// LPs are landing pads reachable from calls in this block.
-	LPs []*BasicBlock
 
 	ExecCount uint64
 	CFIIn     int32

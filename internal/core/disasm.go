@@ -158,14 +158,10 @@ type loaderScratch struct {
 	raw     []rawInst   // the function's instructions, in address order
 	jts     []pendingJT // its jump tables, in instruction order
 	targets []uint64    // their raw target addresses, back to back
-	edges   []edgeRef   // CFG edges, in buildCFG's order
-	lpEdges []edgeRef   // call-to-landing-pad edges, in attachLSDA's order
-	succN   []int32
-	predN   []int32
-	lpN     []int32
-	// seen[b.Index] == stamp marks block b as already listed by the
-	// de-duplication under way (one jump table's targets, one block's
-	// landing pads); bumping stamp starts the next one without a clear.
+	edges   []Edge      // one block's successor edges, in buildCFG's order
+	// seen[b.Index] == stamp marks block b as already listed among one
+	// jump table's targets; bumping stamp starts the next table without
+	// a clear.
 	seen   []int32
 	stamp  int32
 	states []cfi.State  // attachCFI's interned states
@@ -173,21 +169,12 @@ type loaderScratch struct {
 	lsda   cfi.LSDA     // the function's decoded LSDA
 	stats  statShard
 
-	// The worker's slabs: Succs from edgeSlab, Preds and LPs from
-	// blockSlab, the CFI state and landing-pad tables from the last two.
+	// The worker's slabs: Succs from edgeSlab, the CFI state and
+	// landing-pad tables from the other two.
 	pace      pace
 	edgeSlab  slab[Edge]
-	blockSlab slab[*BasicBlock]
 	stateSlab slab[cfi.State]
 	padSlab   slab[landingPad]
-}
-
-// edgeRef is one CFG edge held in scratch until the blocks' edge lists
-// are carved. listed marks a landing-pad edge that also enters the
-// calling block's LPs.
-type edgeRef struct {
-	from, to *BasicBlock
-	listed   bool
 }
 
 // loadFunction is the per-function half of the loader: linear
@@ -216,7 +203,6 @@ func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
 			attachLSDA(fn, lsda, sc)
 			fn.lps = sc.padSlab.clone(sc.lps, &sc.pace)
 		}
-		carveEdges(fn, sc)
 	}
 	if fn.Simple {
 		sc.stats[StatLoadSimple]++
@@ -623,9 +609,9 @@ func (ctx *BinaryContext) objectAt(addr uint64) *elfx.Symbol {
 	return &ctx.objects[k]
 }
 
-// buildCFG collects the successor edges, in order, into the worker's
-// scratch and wires jump-table targets; carveEdges turns the edges into
-// the blocks' Succs and Preds.
+// buildCFG gives every block its Succs, in order, as a window of the
+// worker's edge slab, and wires jump-table targets. A block's edges are
+// collected in scratch and carved once they are all known.
 func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 	if len(fn.Blocks) == 0 {
 		fn.Simple = false
@@ -639,34 +625,26 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 	// the continuous-profiling loop re-disassembles) has no block
 	// successor for its taken side; it simply contributes no edge.
 	edges := sc.edges[:0]
-	addEdge := func(from *BasicBlock, to *BasicBlock) {
-		edges = append(edges, edgeRef{from: from, to: to})
+	addEdge := func(to *BasicBlock) {
+		if to != nil {
+			edges = append(edges, Edge{To: to})
+		}
 	}
 	for bi, b := range fn.Blocks {
 		var next *BasicBlock
 		if bi+1 < len(fn.Blocks) {
 			next = fn.Blocks[bi+1]
 		}
+		edges = edges[:0]
 		last := b.LastInst()
-		if last == nil {
-			if next != nil {
-				addEdge(b, next)
-			}
-			continue
-		}
 		switch {
+		case last == nil:
+			addEdge(next)
 		case last.I.Op == isa.JMP:
-			if to := fn.blockStarting(last.I.TargetAddr()); to != nil {
-				addEdge(b, to)
-			}
-			// else: external tail call, no successor
+			addEdge(fn.blockStarting(last.I.TargetAddr())) // nil: external tail call
 		case last.I.Op == isa.JCC:
-			if to := fn.blockStarting(last.I.TargetAddr()); to != nil {
-				addEdge(b, to) // Succs[0] = taken
-			}
-			if next != nil {
-				addEdge(b, next) // fall-through (Succs[1], or [0] for a cond tail call)
-			}
+			addEdge(fn.blockStarting(last.I.TargetAddr())) // Succs[0] = taken
+			addEdge(next)                                  // fall-through (Succs[1], or [0] for a cond tail call)
 		case last.JT != 0:
 			// One edge per unique target; the table keeps one slot per
 			// entry (duplicates allowed). disassemble made every entry a
@@ -679,7 +657,7 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 				to := fn.blockStarting(taddr)
 				if sc.seen[to.Index] != sc.stamp {
 					sc.seen[to.Index] = sc.stamp
-					addEdge(b, to)
+					addEdge(to)
 				}
 				jt.Targets[k] = to
 			}
@@ -688,56 +666,18 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		case last.I.IsIndirectBranch():
 			// unreachable: would have been non-simple
 		default:
-			if next != nil {
-				addEdge(b, next)
-			}
+			addEdge(next)
 		}
+		b.Succs = sc.edgeSlab.clone(edges, &sc.pace)
 	}
 	sc.edges = edges
 }
 
-// carveEdges gives every block its Succs, Preds and LPs as windows of
-// the worker's slabs, sized by counting the edges buildCFG and attachLSDA
-// collected: a block's Preds list its CFG predecessors, then one entry
-// per call of a block that lands on it, in attachLSDA's order. It leaves
-// both edge lists empty for the next function.
-func carveEdges(fn *BinaryFunction, sc *loaderScratch) {
-	sc.succN = resetCounts(sc.succN, len(fn.Blocks))
-	sc.predN = resetCounts(sc.predN, len(fn.Blocks))
-	sc.lpN = resetCounts(sc.lpN, len(fn.Blocks))
-	for _, e := range sc.edges {
-		sc.succN[e.from.Index]++
-		sc.predN[e.to.Index]++
-	}
-	for _, e := range sc.lpEdges {
-		sc.predN[e.to.Index]++
-		if e.listed {
-			sc.lpN[e.from.Index]++
-		}
-	}
-	for _, b := range fn.Blocks {
-		b.Succs = sc.edgeSlab.take(int(sc.succN[b.Index]), &sc.pace)[:0]
-		b.Preds = sc.blockSlab.take(int(sc.predN[b.Index]), &sc.pace)[:0]
-		b.LPs = sc.blockSlab.take(int(sc.lpN[b.Index]), &sc.pace)[:0]
-	}
-	for _, e := range sc.edges {
-		e.from.Succs = append(e.from.Succs, Edge{To: e.to})
-		e.to.Preds = append(e.to.Preds, e.from)
-	}
-	for _, e := range sc.lpEdges {
-		e.to.Preds = append(e.to.Preds, e.from)
-		if e.listed {
-			e.from.LPs = append(e.from.LPs, e.to)
-		}
-	}
-	sc.edges, sc.lpEdges = sc.edges[:0], sc.lpEdges[:0]
-}
-
-// resetCounts returns a zeroed int32 slice of length n, reusing s's
-// backing array when it is big enough.
-func resetCounts(s []int32, n int) []int32 {
+// resetCounts returns a zeroed slice of length n, reusing s's backing
+// array when it is big enough.
+func resetCounts[T int32 | uint64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -826,16 +766,11 @@ func (sc *loaderScratch) internLandingPad(lpb *BasicBlock, action int32) uint16 
 	return uint16(len(sc.lps))
 }
 
-// attachLSDA connects calls to their landing pads and marks LP blocks,
-// collecting the landing-pad edges for carveEdges and the landing-pad
-// table in the worker's scratch. Each block lists a landing pad once:
-// sc.seen, restamped per block, de-duplicates them — a linear scan per
-// insert made attachment O(n²) for functions with many landing-pad
-// preds.
+// attachLSDA connects calls to their landing pads (Inst.LP) and marks LP
+// blocks, collecting the landing-pad table in the worker's scratch.
 func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 	sc.lps = sc.lps[:0]
 	for _, b := range fn.Blocks {
-		sc.stamp++
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if !in.IsCall() {
@@ -855,9 +790,6 @@ func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 					return
 				}
 				lpb.IsLP = true
-				listed := sc.seen[lpb.Index] != sc.stamp
-				sc.seen[lpb.Index] = sc.stamp
-				sc.lpEdges = append(sc.lpEdges, edgeRef{from: b, to: lpb, listed: listed})
 			}
 		}
 	}

@@ -6,11 +6,12 @@ import (
 	"gobolt/internal/flow"
 )
 
-// flowWorker is one profile:infer worker's inference state: the solver
-// and the problem slabs it is handed, all reused from function to
-// function, so the stage allocates while a worker's largest CFG so far
-// is still growing them and not per function.
+// flowWorker is one profile:infer worker's state: repairFlow's in-flow
+// table, and the inference solver and the problem slabs it is handed,
+// all reused from function to function, so the stage allocates while a
+// worker's largest CFG so far is still growing them and not per function.
 type flowWorker struct {
+	inflow []uint64
 	solver flow.Solver
 	nodes  []flow.Node
 	succs  []flow.Succ

@@ -12,13 +12,17 @@ import (
 // Inst are the largest allocation of a run and every phase walks them, so
 // Inst stays within 48 bytes (isa.Inst within 24: one word for the
 // immediate or target, the memory operand, four one-byte fields) and free
-// of anything the collector would have to scan.
+// of anything the collector would have to scan. A BasicBlock stays within
+// 96 bytes: it stores its successors and nothing derived from them.
 func TestInstLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Inst{}); n > 48 {
 		t.Errorf("sizeof(core.Inst) = %d, want <= 48", n)
 	}
 	if n := unsafe.Sizeof(isa.Inst{}); n > 24 {
 		t.Errorf("sizeof(isa.Inst) = %d, want <= 24", n)
+	}
+	if n := unsafe.Sizeof(BasicBlock{}); n > 96 {
+		t.Errorf("sizeof(core.BasicBlock) = %d, want <= 96", n)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {

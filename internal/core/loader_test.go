@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,13 +111,35 @@ func loaderShapes(ctx *BinaryContext) []string {
 	for _, fn := range ctx.Funcs {
 		buf = fmt.Appendf(buf[:0], "func %s @%#x size=%d simple=%t reason=%q lsda=%t cfi-states=%d\n",
 			fn.Name, fn.Addr, fn.Size, fn.Simple, fn.Reason, fn.HasLSDA, len(fn.cfiStates))
+		// Predecessors and landing pads are derived in the order the
+		// recorded digests (testdata/loader_digests.txt) list them: a
+		// block's CFG predecessors in block and successor order, then one
+		// entry per call that lands on it; a block's landing pads once
+		// each, in the order its calls name them.
+		preds := make([][]int, len(fn.Blocks))
+		lps := make([][]int, len(fn.Blocks))
+		for _, b := range fn.Blocks {
+			for _, e := range b.Succs {
+				preds[e.To.Index] = append(preds[e.To.Index], b.Index)
+			}
+		}
+		for _, b := range fn.Blocks {
+			for i := range b.Insts {
+				if lpb, _ := fn.LandingPad(&b.Insts[i]); lpb != nil {
+					preds[lpb.Index] = append(preds[lpb.Index], b.Index)
+					if !slices.Contains(lps[b.Index], lpb.Index) {
+						lps[b.Index] = append(lps[b.Index], lpb.Index)
+					}
+				}
+			}
+		}
 		for _, b := range fn.Blocks {
 			succs := make([]int, len(b.Succs))
 			for k, e := range b.Succs {
 				succs[k] = e.To.Index
 			}
 			buf = fmt.Appendf(buf, " b%d +%#x cfi=%d entry=%t lp=%t succs=%v preds=%v lps=%v\n",
-				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, idx(b.Preds), idx(b.LPs))
+				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, preds[b.Index], lps[b.Index])
 			for i := range b.Insts {
 				in := &b.Insts[i]
 				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,6 +36,19 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 		return
 	}
 	name := ctx.symNamer()
+	// One sweep names every block's predecessors: the blocks with an edge
+	// into it and those with a call that lands on it.
+	preds := make([][]string, len(fn.Blocks))
+	for _, p := range fn.Blocks {
+		for _, e := range p.Succs {
+			preds[e.To.Index] = append(preds[e.To.Index], p.Label)
+		}
+		for i := range p.Insts {
+			if lp, _ := fn.LandingPad(&p.Insts[i]); lp != nil {
+				preds[lp.Index] = append(preds[lp.Index], p.Label)
+			}
+		}
+	}
 	for _, b := range fn.Blocks {
 		fmt.Fprintf(w, "%s (%d instructions, align : 1)\n", b.Label, len(b.Insts))
 		if b.IsEntry {
@@ -50,14 +64,11 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 		if b.CFIIn >= 0 {
 			fmt.Fprintf(w, "  CFI State : %d\n", b.CFIIn)
 		}
-		if len(b.Preds) > 0 {
-			names := make([]string, 0, len(b.Preds))
-			for _, p := range b.Preds {
-				names = append(names, p.Label)
-			}
+		if names := preds[b.Index]; len(names) > 0 {
 			sort.Strings(names)
 			fmt.Fprintf(w, "  Predecessors: %s\n", strings.Join(dedup(names), ", "))
 		}
+		var lps []*BasicBlock // the block's landing pads, in call order
 		lastCFI := int32(-1)
 		for i := range b.Insts {
 			in := &b.Insts[i]
@@ -69,6 +80,9 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 			var notes []string
 			if lp, action := fn.LandingPad(in); lp != nil {
 				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))
+				if !slices.Contains(lps, lp) {
+					lps = append(lps, lp)
+				}
 			}
 			if in.TargetSym != NoFunc && in.IsCall() {
 				notes = append(notes, ctx.Func(in.TargetSym).Name)
@@ -88,9 +102,9 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 			}
 			fmt.Fprintf(w, "  Successors: %s\n", strings.Join(parts, ", "))
 		}
-		if len(b.LPs) > 0 {
-			parts := make([]string, 0, len(b.LPs))
-			for _, lp := range b.LPs {
+		if len(lps) > 0 {
+			parts := make([]string, 0, len(lps))
+			for _, lp := range lps {
 				parts = append(parts, fmt.Sprintf("%s (count: %d)", lp.Label, lp.ExecCount))
 			}
 			fmt.Fprintf(w, "  Landing Pads: %s\n", strings.Join(parts, ", "))

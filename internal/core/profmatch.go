@@ -88,10 +88,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		violAfter, totalAfter   uint64
 	}
 	terms := make([]accTerm, len(funcs))
-	var workers []flowWorker // one solver arena per worker, reused across its functions
-	if useMCF {
-		workers = make([]flowWorker, jobs)
-	}
+	workers := make([]flowWorker, jobs) // one arena per worker, reused across its functions
 	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:infer",
 		func(i int) string { return funcs[i].Name },
 		len(funcs), jobs, func(w, i int) error {
@@ -101,7 +98,8 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 			}
 			terms[i].violBefore, terms[i].totalBefore = flowViolation(fn)
 			if lbr {
-				repairFlow(fn)
+				workers[w].inflow = resetCounts(workers[w].inflow, len(fn.Blocks))
+				repairFlow(fn, workers[w].inflow)
 				if useMCF {
 					workers[w].infer(fn, true)
 				}
@@ -530,26 +528,30 @@ func isCondTerm(b *BasicBlock) bool {
 // repairFlow reconstructs block counts and fall-through edge counts from
 // taken-branch counts. Following §5.2, surplus flow is attributed to the
 // fall-through path: the static compiler's layout is trusted unless the
-// trace shows taken branches contradicting it.
-func repairFlow(fn *BinaryFunction) {
+// trace shows taken branches contradicting it. in holds one zeroed slot
+// per block (BasicBlock.Index) for its in-flow, the sum of its incoming
+// edge counts: one sweep over the edges fills it, and every count set
+// below updates it.
+func repairFlow(fn *BinaryFunction, in []uint64) {
+	for _, b := range fn.Blocks {
+		for _, e := range b.Succs {
+			in[e.To.Index] += e.Count
+		}
+	}
+	set := func(e *Edge, count uint64) {
+		in[e.To.Index] += count - e.Count // modular: a lowered count subtracts
+		e.Count = count
+	}
 	for iter := 0; iter < 5; iter++ {
 		for _, b := range fn.Blocks {
-			in := uint64(0)
-			for _, p := range b.Preds {
-				for _, e := range p.Succs {
-					if e.To == b {
-						in += e.Count
-					}
-				}
-			}
-			if b.IsEntry && fn.ExecCount > in {
-				in = fn.ExecCount
+			cnt := in[b.Index]
+			if b.IsEntry && fn.ExecCount > cnt {
+				cnt = fn.ExecCount
 			}
 			out := uint64(0)
 			for _, e := range b.Succs {
 				out += e.Count
 			}
-			cnt := in
 			if out > cnt {
 				cnt = out
 			}
@@ -561,11 +563,11 @@ func repairFlow(fn *BinaryFunction) {
 			case isCondTerm(b):
 				taken := b.Succs[0].Count
 				if b.ExecCount > taken {
-					b.Succs[1].Count = b.ExecCount - taken
+					set(&b.Succs[1], b.ExecCount-taken)
 				}
 			case len(b.Succs) == 1:
 				if b.Succs[0].Count < b.ExecCount {
-					b.Succs[0].Count = b.ExecCount
+					set(&b.Succs[0], b.ExecCount)
 				}
 			}
 		}

@@ -376,3 +376,63 @@ func TestStaleMatchIndexBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairFlowCountsEachEdgeOnce: a conditional branch whose taken
+// target is its own fall-through gives its block two edges into the
+// next block. That block's in-flow is the sum of the two, each counted
+// once, so flow repair must leave its count equal to that sum.
+func TestRepairFlowCountsEachEdgeOnce(t *testing.T) {
+	f := ir.NewFunc("twin", "t.mir", 10)
+	next := f.AddBlock()
+	f.Blocks[0].Ops = []ir.Op{{Kind: ir.OpMov, Dst: isa.RCX, Src: isa.RDI}}
+	f.Blocks[0].Term = ir.Term{Kind: ir.TermBranch, CmpReg: isa.RCX, CmpImm: 50,
+		Cc: isa.CondL, Then: next.Index, Else: next.Index} // lowered to `jl next`
+	next.Ops = []ir.Op{{Kind: ir.OpMovImm, Dst: isa.RAX, Imm: 1}}
+	next.Term = ir.Term{Kind: ir.TermReturn}
+	start := ir.NewFunc("_start", "m.mir", 1)
+	start.Blocks[0].Ops = []ir.Op{
+		{Kind: ir.OpMovImm, Dst: isa.RDI, Imm: 7},
+		{Kind: ir.OpCall, Callee: "twin", SpillReg: isa.NoReg, LandingPad: -1},
+	}
+	start.Blocks[0].Term = ir.Term{Kind: ir.TermExit}
+	p := &ir.Program{Modules: []*ir.Module{{Name: "m", Funcs: []*ir.Func{start, f}}}}
+	p.Finalize()
+	opts := cc.DefaultOptions()
+	opts.TinyInlineOps = 1
+	objs, err := cc.Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ld.Link(objs, ld.Options{EmitRelocs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(context.Background(), res.File, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := ctx.ByName["twin"]
+	if len(fn.Blocks) != 2 || len(fn.Blocks[0].Succs) != 2 ||
+		fn.Blocks[0].Succs[0].To != fn.Blocks[1] || fn.Blocks[0].Succs[1].To != fn.Blocks[1] {
+		t.Fatalf("twin is not `jl next` falling through to next:\n%s", loaderShapes(ctx)[fn.Ref()-1])
+	}
+	jl := fn.Blocks[0].LastInst()
+	var call uint64 // the offset of _start's call of twin
+	for _, in := range ctx.ByName["_start"].Blocks[0].Insts {
+		if in.IsCall() {
+			call = uint64(in.Off - 1)
+		}
+	}
+	fd := &profile.Fdata{LBR: true, Branches: []profile.Branch{
+		{From: profile.Loc{Sym: "_start", Off: call}, To: profile.Loc{Sym: "twin"}, Count: 100},
+		{From: profile.Loc{Sym: "twin", Off: uint64(jl.Off - 1)}, To: profile.Loc{Sym: "twin", Off: blockOff(fn, fn.Blocks[1])}, Count: 30},
+	}}
+	applyTo(t, ctx, fd)
+	var in uint64
+	for _, e := range fn.Blocks[0].Succs {
+		in += e.Count
+	}
+	if in == 0 || fn.Blocks[1].ExecCount != in {
+		t.Errorf("next block count %d, want its in-flow %d (edges %+v)", fn.Blocks[1].ExecCount, in, fn.Blocks[0].Succs)
+	}
+}

@@ -163,8 +163,6 @@ func TestSlabWindowsCapped(t *testing.T) {
 			for _, b := range fn.Blocks {
 				capped(fn, "Insts", len(b.Insts), cap(b.Insts))
 				capped(fn, "Succs", len(b.Succs), cap(b.Succs))
-				capped(fn, "Preds", len(b.Preds), cap(b.Preds))
-				capped(fn, "LPs", len(b.LPs), cap(b.LPs))
 			}
 		}
 		e := &emitter{ctx: ctx}

@@ -124,29 +124,36 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 // framework over all registers — ICP consults FLAGS, frame-opts the
 // spilled register — so callers ask for it only once they hold a
 // candidate site. Each block's instructions are folded into use/def
-// once, and the edges (exception edges included) into index arrays, so
-// the fixpoint itself touches no instruction.
+// once, and the edges into index arrays, so the fixpoint itself touches
+// no instruction. A call with a landing pad adds an exception edge from
+// its block.
 func flagsLiveOut(fn *core.BinaryFunction) []isa.RegSet {
 	n, edges := len(fn.Blocks), 0
-	for _, b := range fn.Blocks {
-		edges += len(b.Succs) + len(b.LPs)
-	}
 	sets := make([]isa.RegSet, 2*n)
 	use, def := sets[:n], sets[n:]
-	slab := make([]int32, n+1+edges)
-	succOff, succ := slab[:n+1], slab[n+1:n+1]
 	for i, b := range fn.Blocks {
 		var u, d isa.RegSet
 		for k := range b.Insts {
-			u |= b.Insts[k].I.Uses() &^ d
-			d |= b.Insts[k].I.Defs()
+			in := &b.Insts[k]
+			u |= in.I.Uses() &^ d
+			d |= in.I.Defs()
+			if in.LP != 0 {
+				edges++
+			}
 		}
 		use[i], def[i] = u, d
+		edges += len(b.Succs)
+	}
+	slab := make([]int32, n+1+edges)
+	succOff, succ := slab[:n+1], slab[n+1:n+1]
+	for i, b := range fn.Blocks {
 		for _, e := range b.Succs {
 			succ = append(succ, int32(e.To.Index))
 		}
-		for _, lp := range b.LPs {
-			succ = append(succ, int32(lp.Index))
+		for k := range b.Insts {
+			if lp, _ := fn.LandingPad(&b.Insts[k]); lp != nil {
+				succ = append(succ, int32(lp.Index))
+			}
 		}
 		succOff[i+1] = int32(len(succ))
 	}
@@ -188,14 +195,10 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	// a fresh array below, so the old one is theirs alone.
 	cont.Insts = b.Insts[i+1:]
 	cont.Succs = b.Succs
-	cont.LPs = b.LPs
-	for _, e := range cont.Succs {
-		replacePred(e.To, b, cont)
-	}
 	cont.ExecCount = b.ExecCount
 
-	// Direct path: the call's annotations on a direct call to the hot
-	// target.
+	// Direct path: the call's annotations, its landing pad among them, on
+	// a direct call to the hot target.
 	direct.Insts = []core.Inst{*call}
 	dc := &direct.Insts[0]
 	dc.I = isa.NewInst(isa.CALL)
@@ -203,20 +206,12 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	dc.TargetSym = hot.Ref()
 	direct.Succs = []core.Edge{{To: cont, Count: hotCount}}
 	direct.ExecCount = hotCount
-	cont.Preds = append(cont.Preds, direct)
 
 	// Indirect fallback keeps the original call.
 	call.Off = 0
 	indirect.Insts = b.Insts[i : i+1 : i+1]
 	indirect.Succs = []core.Edge{{To: cont, Count: total - hotCount}}
 	indirect.ExecCount = total - hotCount
-	cont.Preds = append(cont.Preds, indirect)
-
-	// Landing pads propagate to both call copies.
-	if lp, _ := fn.LandingPad(call); lp != nil {
-		direct.LPs = []*core.BasicBlock{lp}
-		indirect.LPs = []*core.BasicBlock{lp}
-	}
 
 	// The original block now compares and branches.
 	cmp := core.Inst{CFIIdx: call.CFIIdx, Src: call.Src}
@@ -229,15 +224,4 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	jcc.I.Cc = isa.CondE
 	b.Insts = append(b.Insts[:i:i], cmp, jcc)
 	b.Succs = []core.Edge{{To: direct, Count: hotCount}, {To: indirect, Count: total - hotCount}}
-	b.LPs = nil
-	direct.Preds = []*core.BasicBlock{b}
-	indirect.Preds = []*core.BasicBlock{b}
-}
-
-func replacePred(b *core.BasicBlock, old, nw *core.BasicBlock) {
-	for i, p := range b.Preds {
-		if p == old {
-			b.Preds[i] = nw
-		}
-	}
 }

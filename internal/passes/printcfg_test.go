@@ -21,21 +21,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 // storing those facts inline, so it proves the compact form prints what
 // the wide one did.
 func TestPrintCFGGolden(t *testing.T) {
-	p := workProgram()
-	worker := p.Modules[0].Funcs[1]
-	promoted := false
-	for _, b := range worker.Blocks {
-		for i := range b.Ops {
-			if b.Ops[i].Kind == ir.OpCallIndirect {
-				b.Ops[i].LandingPad = 9 // worker's landing-pad block
-				promoted = true
-			}
-		}
-	}
-	if !promoted {
-		t.Fatal("worker has no indirect call to turn into an invoke")
-	}
-	f, _ := linkWork(t, p)
+	f, _ := linkWork(t, workInvoke(t))
 	fd := record(t, f, true)
 
 	cx := context.Background()
@@ -73,4 +59,23 @@ func TestPrintCFGGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("PrintCFG(worker) differs from %s:\n%s", path, got.Bytes())
 	}
+}
+
+// workInvoke is workProgram with worker's indirect call turned into an
+// invoke of the landing pad that the rare path's call of thrower uses, so
+// two blocks land on it.
+func workInvoke(t *testing.T) *ir.Program {
+	t.Helper()
+	p := workProgram()
+	worker := p.Modules[0].Funcs[1]
+	for _, b := range worker.Blocks {
+		for i := range b.Ops {
+			if b.Ops[i].Kind == ir.OpCallIndirect {
+				b.Ops[i].LandingPad = 9 // worker's landing-pad block
+				return p
+			}
+		}
+	}
+	t.Fatal("worker has no indirect call to turn into an invoke")
+	return nil
 }

@@ -20,17 +20,29 @@ func (SCTC) Name() string { return "sctc" }
 // RunOnFunction implements core.FunctionPass.
 func (SCTC) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	changed := false
+	var in []int32 // incoming edges per block, counted at the first candidate
 	for _, b := range fn.Blocks {
 		last := b.LastInst()
 		if last == nil || last.I.Op != isa.JCC || last.TargetSym != core.NoFunc || len(b.Succs) != 2 {
 			continue
 		}
 		stub := b.Succs[0].To // taken edge
-		if stub == nil || stub.IsLP || stub.IsEntry || len(stub.Preds) != 1 {
+		if stub == nil || stub.IsLP || stub.IsEntry {
 			continue
 		}
 		tgt, ok := tailCallStub(stub)
 		if !ok {
+			continue
+		}
+		if in == nil {
+			in = fc.Ints(len(fn.Blocks))
+			for _, p := range fn.Blocks {
+				for _, e := range p.Succs {
+					in[e.To.Index]++
+				}
+			}
+		}
+		if in[stub.Index] != 1 {
 			continue
 		}
 		// Retarget the conditional branch straight at the function.

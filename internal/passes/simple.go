@@ -63,8 +63,6 @@ func (Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 				if nt == b {
 					break
 				}
-				removePred(t, b)
-				nt.Preds = append(nt.Preds, b)
 				b.Succs[k].To = nt
 				fc.CountStat(core.StatPeepholeJumpThread, 1)
 				t = nt
@@ -89,15 +87,6 @@ func isTrivialForwarder(b *core.BasicBlock) bool {
 		}
 	}
 	return true
-}
-
-func removePred(b *core.BasicBlock, p *core.BasicBlock) {
-	for i, x := range b.Preds {
-		if x == p {
-			b.Preds = append(b.Preds[:i], b.Preds[i+1:]...)
-			return
-		}
-	}
 }
 
 // UCE eliminates unreachable basic blocks (Table 1, pass 11): anything
@@ -133,7 +122,8 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 		for _, e := range b.Succs {
 			push(e.To)
 		}
-		for _, lp := range b.LPs {
+		for i := range b.Insts {
+			lp, _ := fn.LandingPad(&b.Insts[i])
 			push(lp)
 		}
 		if last := b.LastInst(); last != nil && last.JT != 0 {
@@ -149,14 +139,9 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	for _, b := range fn.Blocks {
 		if reach[b.Index] != 0 {
 			kept = append(kept, b)
-		} else {
-			fc.CountStat(core.StatUCEBlocks, 1)
-			// Unlink from successor pred lists.
-			for _, e := range b.Succs {
-				removePred(e.To, b)
-			}
 		}
 	}
+	fc.CountStat(core.StatUCEBlocks, int64(n-len(kept)))
 	clear(fn.Blocks[len(kept):]) // drop the removed blocks' last references
 	fn.Blocks = kept
 	for i, b := range fn.Blocks {

@@ -1,8 +1,10 @@
 package passes
 
 import (
+	"bytes"
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"gobolt/internal/cc"
@@ -102,9 +104,11 @@ func TestLiveAfterInst(t *testing.T) {
 
 // TestNoWorkNoAllocation: a pass pays for what it changes. FrameOpts on
 // a function without a `push r; call; pop r` triple and UCE on a function
-// whose blocks are all reachable allocate nothing.
+// whose blocks are all reachable allocate nothing. The first UCE run has
+// work: it drops a block made unreachable, which holds an invoke, and the
+// landing pad's printed predecessors no longer name it.
 func TestNoWorkNoAllocation(t *testing.T) {
-	f, _ := buildWork(t)
+	f, _ := linkWork(t, workInvoke(t))
 	ctx := loadProfiled(t, f, core.DefaultOptions())
 	fc := &core.FuncCtx{BinaryContext: ctx}
 	// _start calls worker without a spill; leafA has no call at all.
@@ -115,10 +119,27 @@ func TestNoWorkNoAllocation(t *testing.T) {
 		}
 	}
 	worker := ctx.ByName["worker"]
+	// The rare path's block calls thrower with a landing pad that the
+	// indirect call shares; retarget the entry's branch to the hot path
+	// and nothing reaches the rare path.
+	entry := worker.Blocks[0]
+	rare := entry.Succs[0].To
+	if lp, _ := worker.LandingPad(&rare.Insts[1]); lp == nil {
+		t.Fatalf("%s does not hold an invoke", rare.Label)
+	}
+	entry.Succs[0].To = entry.Succs[1].To
 	n := len(worker.Blocks)
 	(UCE{}).RunOnFunction(fc, worker) // sizes the worker's scratch, removes what is unreachable
-	if len(worker.Blocks) < 10 || len(worker.Blocks) > n {
-		t.Fatalf("worker has %d blocks after UCE, %d before", len(worker.Blocks), n)
+	if len(worker.Blocks) != n-1 || slices.Contains(worker.Blocks, rare) {
+		t.Fatalf("worker has %d blocks after UCE, %d before; want %s dropped", len(worker.Blocks), n, rare.Label)
+	}
+	var cfg bytes.Buffer
+	ctx.PrintCFG(&cfg, worker)
+	for _, line := range strings.Split(cfg.String(), "\n") {
+		if preds, ok := strings.CutPrefix(line, "  Predecessors: "); ok &&
+			slices.Contains(strings.Split(preds, ", "), rare.Label) {
+			t.Errorf("UCE dropped %s, but a block still names it: %q", rare.Label, line)
+		}
 	}
 	if n := testing.AllocsPerRun(20, func() { (UCE{}).RunOnFunction(fc, worker) }); n != 0 {
 		t.Errorf("UCE on a fully reachable function: %v allocations per run, want 0", n)
