@@ -111,9 +111,8 @@ func TestGoldenOutputs(t *testing.T) {
 }
 
 // idlePasses are the default pass rows allowed to change no counter on
-// any golden row: inline-small-scan has no counter of its own, and no
-// preset yet carries a .rodata scalar load or a conditional tail call.
-var idlePasses = map[string]bool{"inline-small-scan": true, "simplify-ro-loads": true, "sctc": true}
+// any golden row: inline-small-scan has no counter of its own.
+var idlePasses = map[string]bool{"inline-small-scan": true}
 
 // checkPassesActOnce holds that no phase name repeats within a run (a
 // pass scheduled twice would show as one), and that every default pass
@@ -150,7 +149,7 @@ func checkPassesActOnce(t *testing.T, reps []*bolt.Report) {
 // (pass 7) and second peephole run (pass 10). On the datacenter input,
 // where inline-small splices over a thousand call sites, the default
 // pipeline is split where the two stood: ICF rerun after
-// simplify-ro-loads folds nothing, and peepholes rerun after reorder-bbs
+// inline-small folds nothing, and peepholes rerun after reorder-bbs
 // rewrites nothing. The one shape a second peephole run could still
 // catch — a ret-only callee spliced into a `call; jmp` block, leaving a
 // jump-only block — is built by no preset.
@@ -194,7 +193,7 @@ func TestSecondRoundsIdle(t *testing.T) {
 	for _, p := range passes.BuildPipeline(opts) {
 		run(p)
 		switch p.Name() {
-		case "simplify-ro-loads":
+		case "inline-small":
 			if ctx.Stats["inline-small"] < 1000 {
 				t.Errorf("inline-small spliced %d sites, want over 1000: the guard lost its input", ctx.Stats["inline-small"])
 			}

@@ -17,13 +17,13 @@ import (
 // ReportSchemaVersion is the version stamped into every Report. It
 // increments whenever a field is removed, changes meaning, or is added:
 // ParseRunReport is strict (unknown fields are errors), so even
-// additive changes are visible to consumers. v2 added the `verify`
-// block (independent output verification, internal/bincheck); v3
-// removed `options.AlignFunctions`, `options.ICPThreshold` and
-// `options.TimePasses`; v4 removed `amdahl`, `functions.simple`,
-// `phases[].parallel`, `profile.total_count`, `profile.inferred_funcs`
-// and the gauges and histograms (each restated a number kept elsewhere).
-const ReportSchemaVersion = 4
+// additive changes are visible to consumers. v2 added `verify`
+// (internal/bincheck); v3 removed `options.AlignFunctions`,
+// `ICPThreshold` and `TimePasses`; v4 removed `amdahl`,
+// `functions.simple`, `phases[].parallel`, `profile.total_count`,
+// `profile.inferred_funcs`, gauges and histograms; v5 removed
+// `options.SimplifyROLoads` and `options.SCTC` (passes deleted).
+const ReportSchemaVersion = 5
 
 // Report is the structured result of Session.Optimize and, as it
 // stands, the versioned JSON document behind `gobolt -report-json`:

@@ -64,12 +64,10 @@ func run() error {
 	icf := flag.Int("icf", 1, "identical code folding (0 = off)")
 	icp := flag.Bool("icp", true, "indirect call promotion")
 	inlineSmall := flag.Bool("inline-small", true, "inline small functions")
-	simplifyRO := flag.Bool("simplify-ro-loads", true, "fold constant loads from .rodata")
 	plt := flag.Bool("plt", true, "bypass PLT stubs for direct calls")
 	peepholes := flag.Bool("peepholes", true, "peephole cleanups")
 	frameOpts := flag.Bool("frame-opts", true, "remove dead caller-saved spills")
 	shrinkWrap := flag.Bool("shrink-wrapping", true, "move cold-only callee-saved spills")
-	sctc := flag.Bool("sctc", true, "simplify conditional tail calls")
 	enableBAT := flag.Bool("enable-bat", true, "write the BOLT Address Translation table (.bolt.bat) for continuous profiling")
 	staleMatch := flag.Bool("stale-matching", true, "recover stale profile records via CFG shape matching (v2 profiles)")
 	inferFlow := flag.String("infer-flow", "auto", "minimum-cost-flow profile inference: auto (non-LBR sample profiles), always (also repair LBR/stale/translated profiles), never (legacy proportional estimator)")
@@ -128,12 +126,10 @@ func run() error {
 	opts.ICF = *icf != 0
 	opts.ICP = *icp
 	opts.InlineSmall = *inlineSmall
-	opts.SimplifyROLoads = *simplifyRO
 	opts.PLT = *plt
 	opts.Peepholes = *peepholes
 	opts.FrameOpts = *frameOpts
 	opts.ShrinkWrapping = *shrinkWrap
-	opts.SCTC = *sctc
 	opts.EnableBAT = *enableBAT
 	opts.StaleMatching = *staleMatch
 	if opts.InferFlow, err = core.ParseInferMode(*inferFlow); err != nil {

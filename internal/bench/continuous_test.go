@@ -84,7 +84,8 @@ func TestContinuousBATRoundTrip(t *testing.T) {
 
 	// The loop re-disassembles gobolt's own output (vmrun -record embeds
 	// shapes of whatever binary it runs, BOLTed or not). This must not
-	// choke on gobolt-only constructs like SCTC conditional tail calls.
+	// choke on gobolt-only constructs like a hot fragment's conditional
+	// branch into its cold fragment.
 	optSess, err := bolt.OpenELF(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -41,13 +41,11 @@ type Options struct {
 	ICF              bool
 	ICP              bool
 	InlineSmall      bool
-	SimplifyROLoads  bool
 	PLT              bool
 	Peepholes        bool
 	StripRepRet      bool
 	FrameOpts        bool
 	ShrinkWrapping   bool
-	SCTC             bool
 	UCE              bool
 
 	DynoStats           bool
@@ -168,13 +166,11 @@ func DefaultOptions() Options {
 		ICF:                 true,
 		ICP:                 true,
 		InlineSmall:         true,
-		SimplifyROLoads:     true,
 		PLT:                 true,
 		Peepholes:           true,
 		StripRepRet:         true,
 		FrameOpts:           true,
 		ShrinkWrapping:      true,
-		SCTC:                true,
 		UCE:                 true,
 		UpdateDebugSections: true,
 		EnableBAT:           true,

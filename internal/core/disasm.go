@@ -621,9 +621,10 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 	fn.Blocks[0].IsEntry = true
 	sc.seen = resetCounts(sc.seen, len(fn.Blocks))
 	sc.stamp = 0
-	// A conditional tail call (present in gobolt's own SCTC output, which
-	// the continuous-profiling loop re-disassembles) has no block
-	// successor for its taken side; it simply contributes no edge.
+	// A conditional branch out of the function (a conditional tail call
+	// as compilers emit it, or a BOLTed hot fragment's branch into its
+	// cold fragment) has no block successor for its taken side; it
+	// simply contributes no edge.
 	edges := sc.edges[:0]
 	addEdge := func(to *BasicBlock) {
 		if to != nil {

@@ -360,8 +360,8 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 	sc.cfiDiff(in.CFIIdx)
 	switch {
 	case in.TargetSym != NoFunc:
-		// Tail call to another function; a conditional one (SCTC output)
-		// still needs its fall-through.
+		// Tail call to another function; a conditional one, as compilers
+		// emit it, still needs its fall-through.
 		sc.anchor(sc.fn.InstAddr(in))
 		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
 		if inst.Op == isa.JCC && len(b.Succs) == 1 && b.Succs[0].To != next {

@@ -36,8 +36,6 @@ const (
 	StatPLTCalls
 	StatICPPromoted
 	StatICPFlagsBlocked
-	StatSimplifyROLoads
-	StatSimplifyROLoadsAborted
 	StatPeepholeSelfmove
 	StatPeepholeJumpThread
 	StatStripRepRet
@@ -46,8 +44,6 @@ const (
 	StatReorderFunctions
 	StatSplitFunctions
 	StatSplitColdBlocks
-	StatSCTC
-	StatSCTCCount
 	StatFrameOptsSpills
 	StatShrinkWrapping
 
@@ -128,28 +124,24 @@ var statDefs = [numStats]StatDef{
 	StatProfileInferredFuncs:  counter("profile-inferred-funcs", "functions rebalanced by the minimum-cost flow solver"),
 
 	// Optimization passes (pipeline order).
-	StatLiteSkipped:            counter("lite-skipped", "functions skipped by lite mode (no profile samples)"),
-	StatICFHashed:              counter("icf-hashed", "functions hashed by identical-code-folding"),
-	StatICFFolded:              counter("icf-folded", "functions folded into an identical twin"),
-	StatICFBytes:               counter("icf-bytes", "code bytes eliminated by ICF"),
-	StatInlineSmall:            counter("inline-small", "small-call sites inlined"),
-	StatPLTCalls:               counter("plt-calls", "PLT calls rewritten to direct calls"),
-	StatICPPromoted:            counter("icp-promoted", "indirect-call sites promoted to conditional direct calls"),
-	StatICPFlagsBlocked:        counter("icp-flags-blocked", "ICP candidates blocked by live EFLAGS"),
-	StatSimplifyROLoads:        counter("simplify-ro-loads", "loads from read-only data folded to immediates"),
-	StatSimplifyROLoadsAborted: counter("simplify-ro-loads-aborted", "read-only load folds abandoned (grew the instruction)"),
-	StatPeepholeSelfmove:       counter("peephole-selfmove", "self-move instructions deleted"),
-	StatPeepholeJumpThread:     counter("peephole-jump-thread", "jumps threaded through empty blocks"),
-	StatStripRepRet:            counter("strip-rep-ret", "repz ret prefixes stripped"),
-	StatUCEBlocks:              counter("uce-blocks", "unreachable basic blocks eliminated"),
-	StatReorderBBsFuncs:        counter("reorder-bbs-funcs", "functions whose basic blocks were relaid out"),
-	StatReorderFunctions:       counter("reorder-functions", "functions placed by the global reordering"),
-	StatSplitFunctions:         counter("split-functions", "functions split into hot and cold fragments"),
-	StatSplitColdBlocks:        counter("split-cold-blocks", "basic blocks moved to cold fragments"),
-	StatSCTC:                   counter("sctc", "functions changed by simplify-conditional-tail-calls"),
-	StatSCTCCount:              counter("sctc-count", "conditional tail calls simplified"),
-	StatFrameOptsSpills:        counter("frame-opts-spills", "callee-saved spills removed by frame optimization"),
-	StatShrinkWrapping:         counter("shrink-wrapping", "functions with saves sunk by shrink wrapping"),
+	StatLiteSkipped:        counter("lite-skipped", "functions skipped by lite mode (no profile samples)"),
+	StatICFHashed:          counter("icf-hashed", "functions hashed by identical-code-folding"),
+	StatICFFolded:          counter("icf-folded", "functions folded into an identical twin"),
+	StatICFBytes:           counter("icf-bytes", "code bytes eliminated by ICF"),
+	StatInlineSmall:        counter("inline-small", "small-call sites inlined"),
+	StatPLTCalls:           counter("plt-calls", "PLT calls rewritten to direct calls"),
+	StatICPPromoted:        counter("icp-promoted", "indirect-call sites promoted to conditional direct calls"),
+	StatICPFlagsBlocked:    counter("icp-flags-blocked", "ICP candidates blocked by live EFLAGS"),
+	StatPeepholeSelfmove:   counter("peephole-selfmove", "self-move instructions deleted"),
+	StatPeepholeJumpThread: counter("peephole-jump-thread", "jumps threaded through empty blocks"),
+	StatStripRepRet:        counter("strip-rep-ret", "repz ret prefixes stripped"),
+	StatUCEBlocks:          counter("uce-blocks", "unreachable basic blocks eliminated"),
+	StatReorderBBsFuncs:    counter("reorder-bbs-funcs", "functions whose basic blocks were relaid out"),
+	StatReorderFunctions:   counter("reorder-functions", "functions placed by the global reordering"),
+	StatSplitFunctions:     counter("split-functions", "functions split into hot and cold fragments"),
+	StatSplitColdBlocks:    counter("split-cold-blocks", "basic blocks moved to cold fragments"),
+	StatFrameOptsSpills:    counter("frame-opts-spills", "callee-saved spills removed by frame optimization"),
+	StatShrinkWrapping:     counter("shrink-wrapping", "functions with saves sunk by shrink wrapping"),
 
 	// Emission (Rewrite).
 	StatEmitPadBytes: counter("emit-pad-bytes", "padding bytes the layout put before fragments of profiled functions to save a cache line, both text sections"),

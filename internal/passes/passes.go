@@ -21,13 +21,15 @@ import (
 //  2. icf (hash ∥, fold)  11. uce
 //  3. icp                 12. fixup-branches (folded into emission)
 //  4. peepholes           13. reorder-functions (HFSort)
-//  5. inline-small        14. sctc
-//  6. simplify-ro-loads   15. frame-opts
+//  5. inline-small        15. frame-opts
 //  8. plt                 16. shrink-wrapping
 //
 // Table 1's second ICF round (7) and second peephole run (10) are not
 // run: on no generated preset, LBR or non-LBR profile, LTO build or not,
 // does anything between the rounds give them a fold or rewrite to make.
+// Nor are simplify-ro-loads (6) and SCTC (14): the compiler emits every
+// .rodata reference as a lea, never a load, and no direct tail jump, so
+// neither ever had an instruction to rewrite.
 func BuildPipeline(opts core.Options) []core.Pass {
 	opts = opts.Normalized()
 	var p []core.Pass
@@ -47,7 +49,6 @@ func BuildPipeline(opts core.Options) []core.Pass {
 	each(opts.Peepholes, Peepholes{})
 	each(opts.InlineSmall, InlineScan{})
 	add(opts.InlineSmall, InlineSmall{})
-	each(opts.SimplifyROLoads, SimplifyROLoads{})
 	each(opts.PLT, PLTPass{})
 	each(true, ReorderBBs{})
 	each(opts.UCE, UCE{})
@@ -55,7 +56,6 @@ func BuildPipeline(opts core.Options) []core.Pass {
 	// emission (core/emit.go), exactly once per final layout, and is
 	// redone after reorder-bbs as the paper notes.
 	add(true, ReorderFunctions{})
-	each(opts.SCTC, SCTC{})
 	each(opts.FrameOpts, FrameOpts{})
 	each(opts.ShrinkWrapping, ShrinkWrapping{})
 	return p

@@ -150,77 +150,6 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	return nil
 }
 
-// SimplifyROLoads converts loads from read-only data at statically known
-// addresses into immediate moves, trading D-cache pressure for I-cache
-// bytes only when the new encoding is not larger (Table 1, pass 6). The
-// pass only reads shared state (.rodata bytes), so it parallelizes.
-type SimplifyROLoads struct{}
-
-// Name implements core.FunctionPass.
-func (SimplifyROLoads) Name() string { return "simplify-ro-loads" }
-
-// RunOnFunction implements core.FunctionPass.
-func (SimplifyROLoads) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
-	rodata := fc.File.Section(".rodata")
-	if rodata == nil {
-		return nil
-	}
-	for _, b := range fn.Blocks {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			addr := in.MemAddr()
-			if addr == 0 || !rodata.Contains(addr) {
-				continue
-			}
-			var width int
-			switch in.I.Op {
-			case isa.MOVrm:
-				width = 8
-			case isa.MOVZXBrm:
-				width = 1
-			case isa.MOVSXDrm:
-				width = 4
-			default:
-				continue
-			}
-			raw, err := fc.File.ReadAt(addr, width)
-			if err != nil {
-				continue
-			}
-			var v uint64
-			for k := width - 1; k >= 0; k-- {
-				v = v<<8 | uint64(raw[k])
-			}
-			if in.I.Op == isa.MOVSXDrm {
-				v = uint64(int64(int32(v)))
-			}
-			// Abort if the immediate form is larger (paper policy).
-			imm := int64(v)
-			var newInst isa.Inst
-			if imm >= -1<<31 && imm < 1<<31 {
-				newInst = isa.NewInst(isa.MOVri)
-			} else {
-				newInst = isa.NewInst(isa.MOVabs)
-			}
-			newInst.R1 = in.I.R1
-			newInst.SetImm(imm)
-			oldLen := int(in.Size)
-			newLen := isa.InstLen(&newInst, true)
-			if newLen > oldLen {
-				fc.CountStat(core.StatSimplifyROLoadsAborted, 1)
-				continue
-			}
-			// Do not simplify loads feeding jump-table dispatch.
-			if in.JT != 0 {
-				continue
-			}
-			in.I = newInst
-			fc.CountStat(core.StatSimplifyROLoads, 1)
-		}
-	}
-	return nil
-}
-
 // PLTPass removes the indirection of calls routed through PLT stubs: the
 // GOT binding is known at rewrite time, so `call stub` becomes a direct
 // call to the target (Table 1, pass 8). It reads only the stub map and

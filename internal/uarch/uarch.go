@@ -141,42 +141,41 @@ func Speedup(base, opt *Metrics) float64 {
 // cache is a set-associative LRU cache over line/page numbers.
 type cache struct {
 	sets    [][]uint64 // tags; 0 = empty
-	lru     [][]uint32
+	lru     [][]uint64 // access stamps; wide enough never to wrap
 	setMask uint64
 	shift   uint
-	tick    uint32
+	tick    uint64
 }
 
-func newCache(lines int, assoc int, shift uint) *cache {
+// newCache builds the named structure of lines entries of 1<<shift
+// bytes. Sets are indexed by mask, so it panics unless the set count is
+// a power of two: rounding it would model a smaller structure than the
+// config names.
+func newCache(name string, lines int, assoc int, shift uint) *cache {
 	if assoc <= 0 {
 		assoc = 1
 	}
-	nsets := lines / assoc
-	if nsets < 1 {
-		nsets = 1
-	}
-	// Round down to a power of two for cheap indexing.
-	for nsets&(nsets-1) != 0 {
-		nsets &^= nsets & (-nsets) // clear lowest set bit... (loop ends at pow2)
+	nsets := max(lines/assoc, 1)
+	if nsets&(nsets-1) != 0 {
+		panic(fmt.Sprintf("uarch: %s: %d × %d-byte entries in %d ways make %d sets, not a power of two",
+			name, lines, 1<<shift, assoc, nsets))
 	}
 	c := &cache{setMask: uint64(nsets - 1), shift: shift}
 	c.sets = make([][]uint64, nsets)
-	c.lru = make([][]uint32, nsets)
+	c.lru = make([][]uint64, nsets)
 	for i := range c.sets {
 		c.sets[i] = make([]uint64, assoc)
-		c.lru[i] = make([]uint32, assoc)
+		c.lru[i] = make([]uint64, assoc)
 	}
 	return c
 }
 
-func newCacheFromCfg(cfg CacheCfg) *cache {
-	lineSize := 1 << cfg.LineLog
-	lines := cfg.SizeKB * 1024 / lineSize
-	return newCache(lines, cfg.Assoc, cfg.LineLog)
+func newCacheFromCfg(name string, cfg CacheCfg) *cache {
+	return newCache(name, cfg.SizeKB*1024>>cfg.LineLog, cfg.Assoc, cfg.LineLog)
 }
 
-func newTLB(cfg TLBCfg) *cache {
-	return newCache(cfg.Entries, cfg.Assoc, cfg.PageLog)
+func newTLB(name string, cfg TLBCfg) *cache {
+	return newCache(name, cfg.Entries, cfg.Assoc, cfg.PageLog)
 }
 
 // access returns true on hit and updates LRU/fill state.
@@ -223,24 +222,25 @@ type Sim struct {
 	lastLine uint64 // last fetched I-line (dedup sequential accesses)
 }
 
-// New builds a simulator; zero-value fields of cfg take defaults.
+// New builds a simulator; zero-value fields of cfg take defaults. It
+// panics when a cache, TLB or BTB set count is not a power of two.
 func New(cfg Config) *Sim {
 	def := DefaultConfig()
 	if cfg.L1I.SizeKB == 0 {
 		cfg = def
 	}
 	s := &Sim{cfg: cfg}
-	s.l1i = newCacheFromCfg(cfg.L1I)
-	s.l1d = newCacheFromCfg(cfg.L1D)
-	s.l2 = newCacheFromCfg(cfg.L2)
-	s.llc = newCacheFromCfg(cfg.LLC)
-	s.itlb = newTLB(cfg.ITLB)
-	s.dtlb = newTLB(cfg.DTLB)
+	s.l1i = newCacheFromCfg("L1I", cfg.L1I)
+	s.l1d = newCacheFromCfg("L1D", cfg.L1D)
+	s.l2 = newCacheFromCfg("L2", cfg.L2)
+	s.llc = newCacheFromCfg("LLC", cfg.LLC)
+	s.itlb = newTLB("ITLB", cfg.ITLB)
+	s.dtlb = newTLB("DTLB", cfg.DTLB)
 	s.gshare = make([]uint8, 1<<cfg.GshareBits)
 	s.gmask = uint64(len(s.gshare) - 1)
 	n := cfg.BTBEntries
-	for n&(n-1) != 0 {
-		n &^= n & (-n)
+	if n <= 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("uarch: BTB: %d entries, not a power of two", n))
 	}
 	s.btb = make([]uint64, n)
 	s.btbMask = uint64(n - 1)

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	c := newCache(64, 4, 6) // 64 lines, 4-way, 64B lines
+	c := newCache("test", 64, 4, 6) // 64 lines, 4-way, 64B lines
 	if c.access(0x1000) {
 		t.Fatal("cold miss expected")
 	}
@@ -24,7 +25,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(4, 4, 6) // one set, 4 ways: addresses with same set index
+	c := newCache("test", 4, 4, 6) // one set, 4 ways: addresses with same set index
 	addrs := []uint64{0x0000, 0x1000, 0x2000, 0x3000}
 	for _, a := range addrs {
 		c.access(a)
@@ -37,6 +38,50 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.access(0x4000) // evicts LRU = 0x0000
 	if c.access(0x0000) {
 		t.Fatal("0x0000 should have been evicted")
+	}
+}
+
+// TestCacheLRUAcrossStampWrap: recency order holds when the access stamp
+// passes 2³², where a 32-bit stamp would wrap to 0 and make the most
+// recently used way look the oldest.
+func TestCacheLRUAcrossStampWrap(t *testing.T) {
+	c := newCache("test", 2, 2, 6) // one set, 2 ways
+	c.tick = math.MaxUint32 - 2
+	c.access(0x0000)
+	c.access(0x1000)
+	c.access(0x0000) // hit; its stamp is the first past 2³²-1
+	c.access(0x2000) // evicts LRU = 0x1000
+	if !c.access(0x0000) {
+		t.Error("0x0000, the most recently used way, was evicted")
+	}
+	if c.access(0x1000) {
+		t.Error("0x1000, the least recently used way, is still resident")
+	}
+}
+
+// TestNewRejectsNonPowerOfTwoSets: a structure whose set count is not a
+// power of two panics, naming it and its sizes, instead of being rounded
+// down to a smaller one; the default config builds.
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	New(DefaultConfig())
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.L2 = CacheCfg{SizeKB: 384, Assoc: 8, LineLog: 6} }, "L2: 6144 × 64-byte entries in 8 ways make 768 sets"},
+		{func(c *Config) { c.ITLB.Entries = 96 }, "ITLB: 96 × 4096-byte entries in 4 ways make 24 sets"},
+		{func(c *Config) { c.BTBEntries = 3000 }, "BTB: 3000 entries"},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("New panicked with %q, want it to name %q", msg, tc.want)
+				}
+			}()
+			New(cfg)
+		}()
 	}
 }
 
