@@ -85,10 +85,11 @@ func scaled(s workload.Spec) workload.Spec {
 // links of the same objects are not the same input bytes.
 func buildSorted(t *testing.T, spec workload.Spec, cfg bench.BuildConfig) *elfx.File {
 	t.Helper()
-	f, _, err := bench.Build(spec, cfg, perf.DefaultMode())
+	s, err := bench.NewLab(1).Subject(spec, cfg)
 	if err != nil {
 		t.Fatalf("build %s: %v", spec.Name, err)
 	}
+	f := s.File
 	syms := f.Symbols
 	sort.Slice(syms, func(i, j int) bool {
 		if syms[i].Value != syms[j].Value {

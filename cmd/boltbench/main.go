@@ -1,9 +1,7 @@
-// Command boltbench regenerates the paper's tables and figures. Each
-// experiment builds the relevant synthetic workload(s), profiles them
-// under the VM, applies gobolt and/or the compiler baselines, and prints
-// the rows/series the paper reports. The experiments are the rows of
-// bench.Experiments; optimizer cost is measured by `go run -C benchmark .`
-// (see benchmark/README.md), not here.
+// Command boltbench regenerates the paper's tables and figures: the rows
+// of bench.Experiments, which share one bench.Lab per run, so each
+// workload build is made, profiled and measured once. Optimizer cost is
+// measured by `go run -C benchmark .` (see benchmark/README.md), not here.
 //
 // Usage:
 //
@@ -105,6 +103,7 @@ func run() error {
 	if *exp != "all" {
 		list = strings.Split(*exp, ",")
 	}
+	lab := bench.NewLab(bench.Scale(*scale))
 	for _, name := range list {
 		name = strings.TrimSpace(name)
 		e, ok := byName[name]
@@ -112,7 +111,7 @@ func run() error {
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 		start := time.Now()
-		res, err := e.Run(bench.Scale(*scale))
+		res, err := e.Run(lab)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

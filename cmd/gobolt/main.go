@@ -58,8 +58,8 @@ func run() error {
 	out := flag.String("o", "", "output binary path (default <input>.bolt)")
 	reorderBlocks := flag.String("reorder-blocks", "cache+", "block layout: none|reverse|ph|cache+")
 	reorderFuncs := flag.String("reorder-functions", "hfsort+", "function layout: none|exec|hfsort|hfsort+")
-	splitFuncs := flag.Int("split-functions", 3, "hot/cold splitting level (0 = off)")
-	splitAllCold := flag.Bool("split-all-cold", true, "move all cold blocks to the cold section")
+	splitFuncs := flag.Int("split-functions", 3, "hot/cold splitting: 0 = off, 1 = never-executed blocks, >=2 also blocks run at most 1/64 as often as the function's hottest (3 acts as 2)")
+	splitAllCold := flag.Bool("split-all-cold", true, "move all cold blocks to the cold section (false: only landing pads, with -split-eh)")
 	splitEH := flag.Bool("split-eh", true, "split exception landing pads")
 	icf := flag.Int("icf", 1, "identical code folding (0 = off)")
 	icp := flag.Bool("icp", true, "indirect call promotion")

@@ -3,7 +3,12 @@
 // from the named generators in internal/workload.
 //
 //	minicc -workload hhvm -o hhvm.elf
+//	minicc -workload clang -flto -o clang.lto.elf
+//	vmrun -record clang.fdata clang.lto.elf
 //	minicc -workload clang -fprofile-use clang.fdata -flto -o clang.pgo.elf
+//
+// -fprofile-use wants a profile of the binary minicc builds from the same
+// flags without it.
 package main
 
 import (
@@ -16,6 +21,7 @@ import (
 	"gobolt/internal/cc"
 	"gobolt/internal/elfx"
 	"gobolt/internal/hfsort"
+	"gobolt/internal/ir"
 	"gobolt/internal/ld"
 	"gobolt/internal/profile"
 	"gobolt/internal/workload"
@@ -25,7 +31,7 @@ func main() {
 	wl := flag.String("workload", "tiny", "workload preset: tiny|hhvm|tao|proxygen|multifeed1|multifeed2|clang|gcc|figure2")
 	out := flag.String("o", "a.elf", "output path")
 	lto := flag.Bool("flto", false, "link-time optimization (cross-module inlining, static PLT elision)")
-	profileUse := flag.String("fprofile-use", "", "fdata profile for PGO (converted to source-level, like AutoFDO)")
+	profileUse := flag.String("fprofile-use", "", "fdata profile for PGO (converted to source-level, like AutoFDO), recorded on this build without the flag")
 	reorderFuncs := flag.String("freorder-functions", "", "link-time function order: hfsort|exec (needs -fprofile-use)")
 	emitRelocs := flag.Bool("emit-relocs", true, "keep relocations in the output (--emit-relocs)")
 	icf := flag.Bool("licf", true, "linker identical-code folding")
@@ -74,42 +80,19 @@ func main() {
 	copts := cc.DefaultOptions()
 	copts.LTO = *lto
 	lopts := ld.Options{EmitRelocs: *emitRelocs, ICF: *icf, NoPLT: *lto}
-
+	var fd *profile.Fdata
 	if *profileUse != "" {
-		// Two-phase: the profile was taken on some binary of this
-		// program; convert to source level against a fresh plain build.
-		objs, err := cc.Compile(p, cc.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
-		plain, err := ld.Link(objs, lopts)
-		if err != nil {
-			fatal(err)
-		}
 		r, err := os.Open(*profileUse)
 		if err != nil {
 			fatal(err)
 		}
-		fd, err := profile.Parse(context.Background(), r)
+		fd, err = profile.Parse(context.Background(), r)
 		r.Close()
 		if err != nil {
 			fatal(err)
 		}
-		sp, err := bench.SourceProfile(plain.File, fd)
-		if err != nil {
-			fatal(err)
-		}
-		copts.PGO = sp
-		if funcOrder != "" {
-			lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain.File, funcOrder)
-		}
 	}
-
-	objs, err := cc.Compile(p, copts)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := ld.Link(objs, lopts)
+	res, err := build(p, copts, lopts, fd, funcOrder)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,6 +102,22 @@ func main() {
 	var f *elfx.File = res.File
 	fmt.Printf("minicc: wrote %s (%d functions, .text %d bytes, entry %#x, linker ICF folded %d)\n",
 		*out, len(f.FuncSymbols()), res.TextSize, f.Entry, res.ICFFolded)
+}
+
+// build compiles and links p under copts and lopts. With a profile fd it
+// is the second phase of a two-phase build: fd must have been recorded on
+// that build of p, and bench.Rebuild — the harness's PGO and HFSort step —
+// converts it against that build and compiles p again.
+func build(p *ir.Program, copts cc.Options, lopts ld.Options, fd *profile.Fdata, order hfsort.Algorithm) (*ld.Result, error) {
+	objs, err := cc.Compile(p, copts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ld.Link(objs, lopts)
+	if err != nil || fd == nil {
+		return res, err
+	}
+	return bench.Rebuild(p, copts, lopts, res.File, fd, true, order)
 }
 
 func fatal(err error) {

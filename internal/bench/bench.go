@@ -1,7 +1,9 @@
 // Package bench is the experiment harness: it wires the whole toolchain
-// into the build→profile→rebuild→bolt→measure pipelines that regenerate
-// every table and figure of the paper's evaluation (§6). Experiments is
-// the index; README "Tools" shows how boltbench runs it.
+// into the build→profile→rebuild→bolt→measure spine that regenerates
+// every table and figure of the paper's evaluation (§6). A Lab holds one
+// run's Subjects, each built, profiled and measured once however many
+// experiments read it. Experiments is the index; README "Tools" shows how
+// boltbench runs it.
 package bench
 
 import (
@@ -15,6 +17,7 @@ import (
 	"gobolt/internal/elfx"
 	"gobolt/internal/heatmap"
 	"gobolt/internal/hfsort"
+	"gobolt/internal/ir"
 	"gobolt/internal/ld"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
@@ -28,7 +31,7 @@ import (
 type BuildConfig struct {
 	Name string
 	// PGO rebuilds with a source-keyed profile (requires a prior train
-	// run; the harness handles the two-phase build).
+	// run; Lab.Subject handles the two-phase build).
 	PGO bool
 	// LTO enables cross-module inlining and static PLT elision.
 	LTO bool
@@ -47,54 +50,32 @@ var (
 	CfgHFSortLTO = BuildConfig{Name: "HFSort+LTO", HFSortLink: true, LTO: true}
 )
 
-// Build compiles and links a workload under a configuration. For PGO or
-// HFSortLink it first builds a plain binary, profiles it on the *train*
-// input, converts the profile (source-keyed for PGO, call graph for
-// HFSort), and rebuilds.
-func Build(spec workload.Spec, cfg BuildConfig, mode perf.Mode) (*elfx.File, *ld.Result, error) {
-	prog := workload.Generate(spec)
-
-	copts := cc.DefaultOptions()
-	copts.LTO = cfg.LTO
-	lopts := ld.Options{EmitRelocs: true, ICF: true, NoPLT: cfg.LTO}
-
+// compile compiles and links prog.
+func compile(prog *ir.Program, copts cc.Options, lopts ld.Options) (*ld.Result, error) {
 	objs, err := cc.Compile(prog, copts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := ld.Link(objs, lopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cfg.PGO && !cfg.HFSortLink {
-		return res.File, res, nil
-	}
+	return ld.Link(objs, lopts)
+}
 
-	// Train run on the plain binary.
-	fd, _, err := perf.RecordFile(res.File, mode, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if cfg.PGO {
-		sp, err := SourceProfile(res.File, fd)
+// Rebuild is the second phase of a PGO or HFSort build: fd is a train
+// profile recorded on plain, prog built under copts and lopts. With pgo,
+// fd is converted to source level against plain and compiled in; a
+// non-empty order lays functions out at link time by that algorithm over
+// fd's calls. Then prog is compiled and linked again.
+func Rebuild(prog *ir.Program, copts cc.Options, lopts ld.Options, plain *elfx.File, fd *profile.Fdata, pgo bool, order hfsort.Algorithm) (*ld.Result, error) {
+	if pgo {
+		sp, err := SourceProfile(plain, fd)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		copts.PGO = sp
-		objs, err = cc.Compile(prog, copts)
-		if err != nil {
-			return nil, nil, err
-		}
 	}
-	if cfg.HFSortLink {
-		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), res.File, hfsort.AlgoHFSort)
+	if order != "" {
+		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain, order)
 	}
-	res, err = ld.Link(objs, lopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.File, res, nil
+	return compile(prog, copts, lopts)
 }
 
 // SourceProfile converts a binary-level profile back to source
@@ -103,7 +84,7 @@ func Build(spec workload.Spec, cfg BuildConfig, mode perf.Mode) (*elfx.File, *ld
 // shares one entry, which is precisely the accuracy loss of paper
 // Figure 2 (§2.2); perfect per-copy truth cannot be represented.
 func SourceProfile(f *elfx.File, fd *profile.Fdata) (*cc.SourceProfile, error) {
-	sess, err := analyzeSession(f, fd)
+	sess, err := analyze(f, fd)
 	if err != nil {
 		return nil, err
 	}
@@ -158,24 +139,12 @@ func blockSrcKey(fn *core.BinaryFunction, b *core.BasicBlock) (cc.SrcKey, bool) 
 	return cc.SrcKey{}, false
 }
 
-// Bolt applies gobolt to a binary: profile on the train input, then
-// optimize through the bolt API.
-func Bolt(f *elfx.File, mode perf.Mode, opts core.Options) (*elfx.File, *bolt.Report, error) {
-	fd, _, err := perf.RecordFile(f, mode, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	sess, rep, err := optimizeSession(f, fd, bolt.WithOptions(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess.Output(), rep, nil
-}
-
-// openSession opens an in-memory binary and attaches fd (nil = no
-// profile). A session opened with no options runs core.DefaultOptions,
-// the paper's evaluation configuration, at GOMAXPROCS workers.
-func openSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, error) {
+// analyze opens f with the profile fd attached (nil = none) and builds its
+// context: the session answers Functions, Stats, DynoStats, Shapes and
+// BadLayoutReport about f, and Optimize runs the pipeline on it. With no
+// options it runs core.DefaultOptions, the paper's evaluation
+// configuration, at GOMAXPROCS workers.
+func analyze(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, error) {
 	sess, err := bolt.OpenELF(f, opts...)
 	if err != nil {
 		return nil, err
@@ -185,35 +154,180 @@ func openSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Se
 			return nil, err
 		}
 	}
-	return sess, nil
+	return sess, sess.Analyze(context.Background())
 }
 
-// analyzeSession stops after load and profile attach: the session
-// answers Functions, Stats, DynoStats and Shapes about the input.
-func analyzeSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, error) {
-	sess, err := openSession(f, fd, opts...)
+// Lab holds the subjects of one experiment run at one scale: boltbench
+// hands one to every experiment of a run, so a build that several figures
+// read is built, profiled and measured once. Not safe for concurrent use.
+type Lab struct {
+	scale    Scale
+	subjects map[subjectKey]*Subject
+}
+
+type subjectKey struct {
+	spec workload.Spec
+	cfg  BuildConfig
+}
+
+// Scale shrinks workload iteration counts for fast runs (1.0 = full).
+type Scale float64
+
+func (s Scale) apply(spec workload.Spec) workload.Spec {
+	if s > 0 && s != 1 {
+		spec.Iterations = max(int(float64(spec.Iterations)*float64(s)), 500)
+	}
+	return spec
+}
+
+// figure2 is the lab key of workload.GenerateFigure2's program, which no
+// Spec knob shapes and no scale changes.
+var figure2 = workload.Spec{Name: "figure2"}
+
+func (l *Lab) generate(spec workload.Spec) *ir.Program {
+	if spec == figure2 {
+		return workload.GenerateFigure2()
+	}
+	return workload.Generate(l.scale.apply(spec))
+}
+
+// NewLab returns an empty lab whose subjects run at scale.
+func NewLab(scale Scale) *Lab {
+	return &Lab{scale: scale, subjects: map[subjectKey]*Subject{}}
+}
+
+// Subject is one build of a workload in a Lab. It is built once, measures
+// its baseline once and records one train profile per perf.Mode; BOLT and
+// the simulation of its output run per request. Every experiment of the
+// lab reads the same File, so none may write it (withInput copies).
+type Subject struct {
+	*ld.Result
+	base     *Measurement
+	profiles map[perf.Mode]*profile.Fdata
+	shapes   map[string]profile.FuncShape
+}
+
+// Subject returns spec, scaled to the lab, built under cfg: built on the
+// first request, the same Subject on every later one. A PGO or HFSort
+// build takes its train profile (perf.DefaultMode) from the lab's plain
+// build of spec under the same LTO setting.
+func (l *Lab) Subject(spec workload.Spec, cfg BuildConfig) (*Subject, error) {
+	key := subjectKey{spec, cfg}
+	if s := l.subjects[key]; s != nil {
+		return s, nil
+	}
+	res, err := l.build(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := sess.Analyze(context.Background()); err != nil {
-		return nil, err
-	}
-	return sess, nil
+	s := &Subject{Result: res, profiles: map[perf.Mode]*profile.Fdata{}}
+	l.subjects[key] = s
+	return s, nil
 }
 
-// optimizeSession drives one full bolt run (open → profile → optimize)
-// and returns the finished session plus its report (the output image is
-// sess.Output()).
-func optimizeSession(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, *bolt.Report, error) {
-	sess, err := openSession(f, fd, opts...)
+func (l *Lab) build(spec workload.Spec, cfg BuildConfig) (*ld.Result, error) {
+	copts := cc.DefaultOptions()
+	copts.LTO = cfg.LTO
+	lopts := ld.Options{EmitRelocs: true, ICF: true, NoPLT: cfg.LTO}
+	if !cfg.PGO && !cfg.HFSortLink {
+		return compile(l.generate(spec), copts, lopts)
+	}
+	plainCfg := CfgBaseline
+	if cfg.LTO {
+		plainCfg = CfgLTO
+	}
+	plain, err := l.Subject(spec, plainCfg)
+	if err != nil {
+		return nil, err
+	}
+	fd, err := plain.Profile(perf.DefaultMode())
+	if err != nil {
+		return nil, err
+	}
+	var order hfsort.Algorithm
+	if cfg.HFSortLink {
+		order = hfsort.AlgoHFSort
+	}
+	return Rebuild(l.generate(spec), copts, lopts, plain.File, fd, cfg.PGO, order)
+}
+
+// Baseline is the subject's binary run under the default
+// microarchitecture, measured on the first request.
+func (s *Subject) Baseline() (*Measurement, error) {
+	var err error
+	if s.base == nil {
+		s.base, err = Measure(s.File, uarch.DefaultConfig(), false)
+	}
+	return s.base, err
+}
+
+// Profile is the subject's profile on its train input under mode,
+// recorded on the first request.
+func (s *Subject) Profile(mode perf.Mode) (*profile.Fdata, error) {
+	if fd := s.profiles[mode]; fd != nil {
+		return fd, nil
+	}
+	fd, _, err := perf.RecordFile(s.File, mode, 0)
+	if err == nil {
+		s.profiles[mode] = fd
+	}
+	return fd, err
+}
+
+// shapedProfile is a copy of Profile(mode) carrying the subject's CFG
+// shapes, the way `vmrun -record` writes a profile.
+func (s *Subject) shapedProfile(mode perf.Mode) (*profile.Fdata, error) {
+	fd, err := s.Profile(mode)
+	if err != nil {
+		return nil, err
+	}
+	if s.shapes == nil {
+		sess, err := analyze(s.File, nil)
+		if err != nil {
+			return nil, err
+		}
+		if s.shapes, err = sess.Shapes(); err != nil {
+			return nil, err
+		}
+	}
+	shaped := *fd
+	shaped.Shapes = s.shapes
+	return &shaped, nil
+}
+
+// optimize runs BOLT on the subject with profile fd, its own or another
+// binary's, and returns the finished session and its report.
+func (s *Subject) optimize(fd *profile.Fdata, opts ...bolt.Option) (*bolt.Session, *bolt.Report, error) {
+	sess, err := analyze(s.File, fd, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep, err := sess.Optimize(context.Background())
+	return sess, rep, err
+}
+
+// bolted optimizes the subject with opts and its profile under mode, and
+// returns its baseline and the output's measurement, which must compute
+// the baseline's result. withHeat measures both anew, with heat maps.
+func (s *Subject) bolted(mode perf.Mode, opts core.Options, withHeat bool) (before, after *Measurement, err error) {
+	if withHeat {
+		before, err = Measure(s.File, uarch.DefaultConfig(), true)
+	} else {
+		before, err = s.Baseline()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return sess, rep, nil
+	fd, err := s.Profile(mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	sess, _, err := s.optimize(fd, bolt.WithOptions(opts))
+	if err != nil {
+		return nil, nil, fmt.Errorf("bolt: %w", err)
+	}
+	after, err = measureSame(sess.Output(), before, withHeat)
+	return before, after, err
 }
 
 // Measurement is one simulated run.
@@ -275,7 +389,8 @@ func Measure(f *elfx.File, cfg uarch.Config, withHeat bool) (*Measurement, error
 	if !m.Halted() {
 		return nil, fmt.Errorf("bench: program did not halt")
 	}
-	return &Measurement{Metrics: probe.Finish(), Checksum: m.Result(), Heat: heat,
+	metrics := *probe.Finish() // a copy: the simulator's own keeps its caches alive
+	return &Measurement{Metrics: &metrics, Checksum: m.Result(), Heat: heat,
 		ColdInsts: probe.insts, ColdCrossings: probe.crossings}, nil
 }
 
@@ -298,46 +413,20 @@ func execSpan(f *elfx.File) (uint64, uint64) {
 	return lo, hi
 }
 
-// measureSame measures f and fails unless it computes ref's VM checksum.
-// Every binary an experiment derives from another — BOLTed, PGO-rebuilt,
-// re-BOLTed from a translated profile — is measured through here, so no
-// figure is ever reported for a binary that changed the program's result.
+// measureSame measures f and fails unless it computes ref's VM checksum
+// (nil ref: f is the reference). Every binary an experiment derives from
+// another — BOLTed, PGO-rebuilt, re-BOLTed from a translated profile — is
+// measured through here, so no figure is ever reported for a binary that
+// changed the program's result.
 func measureSame(f *elfx.File, ref *Measurement, withHeat bool) (*Measurement, error) {
 	m, err := Measure(f, uarch.DefaultConfig(), withHeat)
 	if err != nil {
 		return nil, err
 	}
-	if m.Checksum != ref.Checksum {
+	if ref != nil && m.Checksum != ref.Checksum {
 		return nil, fmt.Errorf("bench: checksum mismatch: got %#x, baseline computes %#x", m.Checksum, ref.Checksum)
 	}
 	return m, nil
-}
-
-// boltMeasured profiles f on the train input under mode, optimizes it
-// with opts and measures the result against ref: the measurement of f
-// itself, or of another build of the same program.
-func boltMeasured(f *elfx.File, ref *Measurement, mode perf.Mode, opts core.Options, withHeat bool) (*Measurement, error) {
-	bolted, _, err := Bolt(f, mode, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bolt: %w", err)
-	}
-	return measureSame(bolted, ref, withHeat)
-}
-
-// buildBoltMeasure is the whole spine for one workload under the
-// default profile mode and options: build → record → optimize → measure
-// the build and its BOLTed form.
-func buildBoltMeasure(spec workload.Spec, cfg BuildConfig, withHeat bool) (before, after *Measurement, err error) {
-	mode := perf.DefaultMode()
-	base, _, err := Build(spec, cfg, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	if before, err = Measure(base, uarch.DefaultConfig(), withHeat); err != nil {
-		return nil, nil, err
-	}
-	after, err = boltMeasured(base, before, mode, core.DefaultOptions(), withHeat)
-	return before, after, err
 }
 
 // GeoMean of (1+x) values minus 1, for speedup aggregation.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,20 +9,19 @@ import (
 	"gobolt/internal/core"
 	"gobolt/internal/ld"
 	"gobolt/internal/perf"
+	"gobolt/internal/profile"
 	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
 )
 
 func TestBuildConfigs(t *testing.T) {
-	spec := workload.Tiny()
-	mode := perf.DefaultMode()
-	mode.Period = 512
+	lab := NewLab(1)
 	for _, cfg := range []BuildConfig{CfgBaseline, CfgLTO, CfgPGO, CfgPGOLTO, CfgHFSort} {
-		f, _, err := Build(spec, cfg, mode)
+		s, err := lab.Subject(workload.Tiny(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		m, err := Measure(f, uarch.DefaultConfig(), false)
+		m, err := s.Baseline()
 		if err != nil {
 			t.Fatalf("%s: measure: %v", cfg.Name, err)
 		}
@@ -34,51 +34,122 @@ func TestBuildConfigs(t *testing.T) {
 // TestConfigsAgreeSemantically: every build configuration and BOLT on top
 // of each must compute the same checksum.
 func TestConfigsAgreeSemantically(t *testing.T) {
-	spec := workload.Tiny()
 	mode := perf.DefaultMode()
 	mode.Period = 512
+	lab := NewLab(1)
 	var want uint64
-	first := true
-	for _, cfg := range []BuildConfig{CfgBaseline, CfgLTO, CfgPGOLTO, CfgHFSort} {
-		f, _, err := Build(spec, cfg, mode)
+	for i, cfg := range []BuildConfig{CfgBaseline, CfgLTO, CfgPGOLTO, CfgHFSort} {
+		s, err := lab.Subject(workload.Tiny(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		m, err := Measure(f, uarch.DefaultConfig(), false)
+		m, bolted, err := s.bolted(mode, core.DefaultOptions(), false)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		if first {
+		if i == 0 {
 			want = m.Checksum
-			first = false
-		} else if m.Checksum != want {
-			t.Fatalf("%s: checksum %d, want %d", cfg.Name, m.Checksum, want)
 		}
-		bolted, _, err := Bolt(f, mode, core.DefaultOptions())
+		if m.Checksum != want || bolted.Checksum != want {
+			t.Fatalf("%s: checksum %d, BOLTed %d, want %d", cfg.Name, m.Checksum, bolted.Checksum, want)
+		}
+	}
+}
+
+// TestLabBuildsOnce: a lab builds each (spec, BuildConfig) once, records
+// each subject's profile once per mode and measures each baseline once.
+// The PGO and HFSort builds take their train profile from the plain build
+// of the same LTO setting, so they add no subject and no recording.
+func TestLabBuildsOnce(t *testing.T) {
+	lab := NewLab(1)
+	get := func(cfg BuildConfig) *Subject {
+		s, err := lab.Subject(workload.Tiny(), cfg)
 		if err != nil {
-			t.Fatalf("%s: bolt: %v", cfg.Name, err)
+			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		mb, err := Measure(bolted, uarch.DefaultConfig(), false)
+		return s
+	}
+	pgo, hfs, pgolto := get(CfgPGO), get(CfgHFSort), get(CfgPGOLTO)
+	plain, lto := get(CfgBaseline), get(CfgLTO)
+	if len(lab.subjects) != 5 {
+		t.Fatalf("lab holds %d subjects after five configurations", len(lab.subjects))
+	}
+	if get(CfgPGO) != pgo || get(CfgHFSort) != hfs || get(CfgPGOLTO) != pgolto || get(CfgBaseline) != plain {
+		t.Fatal("a second request built a subject again")
+	}
+	if len(plain.profiles) != 1 || len(lto.profiles) != 1 || len(pgo.profiles) != 0 {
+		t.Fatalf("train profiles recorded: plain %d, LTO %d, PGO %d; want 1, 1, 0",
+			len(plain.profiles), len(lto.profiles), len(pgo.profiles))
+	}
+	fd, err := plain.Profile(perf.DefaultMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fd != plain.profiles[perf.DefaultMode()] || len(plain.profiles) != 1 {
+		t.Fatal("the train profile was recorded again")
+	}
+	shaped, err := plain.shapedProfile(perf.DefaultMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shaped.Shapes) == 0 || fd.Shapes != nil {
+		t.Fatalf("shaped profile carries %d shapes, the shared one %d", len(shaped.Shapes), len(fd.Shapes))
+	}
+	b1, err := plain.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b2, _ := plain.Baseline(); b2 != b1 {
+		t.Fatal("the baseline was measured again")
+	}
+}
+
+// TestCompilerExperimentRepeats runs Figure 7's spine twice on one lab:
+// the second run gives the first run's rows, and evaluating the shared
+// builds on other inputs leaves each computing what a fresh build does.
+func TestCompilerExperimentRepeats(t *testing.T) {
+	lab := NewLab(1)
+	first, _, err := compilerExperiment(workload.Tiny(), true, lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := compilerExperiment(workload.Tiny(), true, lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second run on the same lab gave\n%+v\nthe first\n%+v", second, first)
+	}
+	for key, s := range lab.subjects {
+		fresh, err := NewLab(1).Subject(key.spec, key.cfg)
 		if err != nil {
-			t.Fatalf("%s+bolt: %v", cfg.Name, err)
+			t.Fatal(err)
 		}
-		if mb.Checksum != want {
-			t.Fatalf("%s+bolt: checksum %d, want %d", cfg.Name, mb.Checksum, want)
+		want, err := fresh.Baseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Measure(s.File, uarch.DefaultConfig(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Checksum != want.Checksum {
+			t.Errorf("%s: the shared build computes %#x, a fresh one %#x", key.cfg.Name, got.Checksum, want.Checksum)
 		}
 	}
 }
 
 func TestSetInputChangesBehaviour(t *testing.T) {
-	spec := workload.Tiny()
-	f, _, err := Build(spec, CfgBaseline, perf.DefaultMode())
+	s, err := NewLab(1).Subject(workload.Tiny(), CfgBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := Measure(f, uarch.DefaultConfig(), false)
+	m1, err := Measure(s.File, uarch.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetInput(f, 999); err != nil {
+	f, err := withInput(s.File, 999)
+	if err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Measure(f, uarch.DefaultConfig(), false)
@@ -88,6 +159,9 @@ func TestSetInputChangesBehaviour(t *testing.T) {
 	if m1.Checksum == m2.Checksum {
 		t.Fatal("input swap did not change behaviour")
 	}
+	if m3, err := Measure(s.File, uarch.DefaultConfig(), false); err != nil || m3.Checksum != m1.Checksum {
+		t.Fatalf("input swap changed the original binary (%v)", err)
+	}
 }
 
 // TestSpineRejectsChecksumMismatch: every figure measures its derived
@@ -96,27 +170,26 @@ func TestSetInputChangesBehaviour(t *testing.T) {
 func TestSpineRejectsChecksumMismatch(t *testing.T) {
 	mode := perf.DefaultMode()
 	mode.Period = 512
-	f, _, err := Build(workload.Tiny(), CfgBaseline, mode)
+	s, err := NewLab(1).Subject(workload.Tiny(), CfgBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Measure(f, uarch.DefaultConfig(), false)
+	before, _, err := s.bolted(mode, core.DefaultOptions(), false)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := boltMeasured(f, before, mode, core.DefaultOptions(), false); err != nil {
 		t.Fatalf("faithful BOLT rejected: %v", err)
 	}
 
 	// The same binary fed other input data stands in for a miscompile.
-	if err := SetInput(f, 999); err != nil {
+	f, err := withInput(s.File, 999)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := measureSame(f, before, false); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("measureSame accepted a binary with a different result: %v", err)
 	}
-	if _, err := boltMeasured(f, before, mode, core.DefaultOptions(), false); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("boltMeasured accepted a BOLTed binary with a different result: %v", err)
+	bad := &Subject{Result: &ld.Result{File: f}, base: before, profiles: map[perf.Mode]*profile.Fdata{}}
+	if _, _, err := bad.bolted(mode, core.DefaultOptions(), false); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("bolted accepted a BOLTed binary with a different result: %v", err)
 	}
 }
 

@@ -41,29 +41,10 @@ type ContinuousResult struct {
 	StaleFuncsMatched   int64
 }
 
-// recordWithShapes samples a binary and embeds its CFG shapes, the way
-// `vmrun -record` does.
-func recordWithShapes(f *elfx.File, mode perf.Mode) (*profile.Fdata, error) {
-	fd, _, err := perf.RecordFile(f, mode, 0)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := analyzeSession(f, nil)
-	if err != nil {
-		return nil, err
-	}
-	shapes, err := sess.Shapes()
-	if err != nil {
-		return nil, err
-	}
-	fd.Shapes = shapes
-	return fd, nil
-}
-
 // appliedCounts applies a profile to a fresh analysis of f and returns
 // the branch counts that landed (edges+calls), plus the full stats map.
 func appliedCounts(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (int64, map[string]int64, error) {
-	sess, err := analyzeSession(f, fd, opts...)
+	sess, err := analyze(f, fd, opts...)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -93,18 +74,18 @@ func ratio(num, den uint64) float64 {
 //	build v2 (a mutated release) -> apply v1's profile
 //	  -> without shape matching the intra-function records drop
 //	  -> with internal/stale they are re-anchored and recovered
-func Continuous(scale Scale) (*ContinuousResult, string, error) {
-	spec := scale.apply(workload.TAO())
+func Continuous(l *Lab) (*ContinuousResult, string, error) {
+	spec := workload.TAO()
 	mode := perf.DefaultMode()
 	res := &ContinuousResult{}
 	var sb strings.Builder
 	sb.WriteString("Continuous profiling (§7.3 'Beyond' + stale matching)\n")
 
-	base, _, err := Build(spec, CfgBaseline, mode)
+	base, err := l.Subject(spec, CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
-	fdFresh, err := recordWithShapes(base, mode)
+	fdFresh, err := base.shapedProfile(mode)
 	if err != nil {
 		return nil, "", err
 	}
@@ -112,7 +93,7 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		spec.Name, len(fdFresh.Branches), fdFresh.TotalBranchCount(), len(fdFresh.Shapes))
 
 	// Round 1: optimize with the fresh profile; the output carries BAT.
-	sess1, _, err := optimizeSession(base, fdFresh)
+	sess1, _, err := base.optimize(fdFresh)
 	if err != nil {
 		return nil, "", fmt.Errorf("round-1 bolt: %w", err)
 	}
@@ -140,11 +121,11 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		100*res.TranslationSurvival, 100*res.VsFresh)
 
 	// How much of each profile ApplyProfile actually attaches to v1.
-	appliedFresh, _, err := appliedCounts(base, fdFresh)
+	appliedFresh, _, err := appliedCounts(base.File, fdFresh)
 	if err != nil {
 		return nil, "", err
 	}
-	appliedTrans, _, err := appliedCounts(base, fdTrans)
+	appliedTrans, _, err := appliedCounts(base.File, fdTrans)
 	if err != nil {
 		return nil, "", err
 	}
@@ -153,12 +134,12 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		appliedFresh, appliedTrans, 100*res.AppliedVsFresh)
 
 	// Round 2: re-optimize v1 with the translated profile and compare.
-	sess2, _, err := optimizeSession(base, fdTrans)
+	sess2, _, err := base.optimize(fdTrans)
 	if err != nil {
 		return nil, "", fmt.Errorf("round-2 bolt: %w", err)
 	}
 	opt2 := sess2.Output()
-	mBase, err := Measure(base, uarch.DefaultConfig(), false)
+	mBase, err := base.Baseline()
 	if err != nil {
 		return nil, "", err
 	}
@@ -179,15 +160,15 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 	// pads, shifting every downstream offset.
 	spec2 := spec
 	spec2.EntryPadOps = 3
-	v2, _, err := Build(spec2, CfgBaseline, mode)
+	v2, err := l.Subject(spec2, CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
-	appliedOff, stOff, err := appliedCounts(v2, fdFresh, bolt.WithStaleMatching(false))
+	appliedOff, stOff, err := appliedCounts(v2.File, fdFresh, bolt.WithStaleMatching(false))
 	if err != nil {
 		return nil, "", err
 	}
-	_, stOn, err := appliedCounts(v2, fdFresh)
+	_, stOn, err := appliedCounts(v2.File, fdFresh)
 	if err != nil {
 		return nil, "", err
 	}
@@ -204,11 +185,11 @@ func Continuous(scale Scale) (*ContinuousResult, string, error) {
 		res.StaleFuncsMatched, res.StaleRecovered, 100*res.StaleRecoveryRate)
 
 	// BOLT the new release with the stale profile.
-	sess3, _, err := optimizeSession(v2, fdFresh)
+	sess3, _, err := v2.optimize(fdFresh)
 	if err != nil {
 		return nil, "", fmt.Errorf("stale bolt: %w", err)
 	}
-	mV2, err := Measure(v2, uarch.DefaultConfig(), false)
+	mV2, err := v2.Baseline()
 	if err != nil {
 		return nil, "", err
 	}

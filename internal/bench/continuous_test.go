@@ -18,16 +18,17 @@ import (
 	"gobolt/internal/workload"
 )
 
-// buildTiny links the Tiny workload (optionally with version-skew pads).
-func buildTiny(t *testing.T, pad int) *elfx.File {
+// buildTiny links the Tiny workload (optionally with version-skew pads)
+// in a lab of its own.
+func buildTiny(t *testing.T, pad int) *Subject {
 	t.Helper()
 	spec := workload.Tiny()
 	spec.EntryPadOps = pad
-	f, _, err := Build(spec, CfgBaseline, perf.DefaultMode())
+	s, err := NewLab(1).Subject(spec, CfgBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return s
 }
 
 // analyzeProfile applies fd to a fresh analysis of f through the bolt
@@ -35,7 +36,7 @@ func buildTiny(t *testing.T, pad int) *elfx.File {
 // for stats and function inspection.
 func analyzeProfile(t *testing.T, f *elfx.File, fd *profile.Fdata, stale bool) *bolt.Session {
 	t.Helper()
-	sess, err := analyzeSession(f, fd, bolt.WithStaleMatching(stale))
+	sess, err := analyze(f, fd, bolt.WithStaleMatching(stale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +59,13 @@ func sessionStats(t *testing.T, sess *bolt.Session) map[string]int64 {
 // functions that were split in round 1).
 func TestContinuousBATRoundTrip(t *testing.T) {
 	cx := context.Background()
-	spec := workload.Tiny()
 	mode := perf.DefaultMode()
-	base, _, err := Build(spec, CfgBaseline, mode)
+	base := buildTiny(t, 0)
+	fdFresh, err := base.shapedProfile(mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdFresh, err := recordWithShapes(base, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess1, _, err := optimizeSession(base, fdFresh)
+	sess1, _, err := base.optimize(fdFresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestContinuousBATRoundTrip(t *testing.T) {
 	// binary: counts must attach, and functions that were split in round
 	// 1 (their profile partly collected in the cold section) must come
 	// out of flow repair with consistent counts.
-	sessT := analyzeProfile(t, base, trans1, true)
+	sessT := analyzeProfile(t, base.File, trans1, true)
 	stats := sessionStats(t, sessT)
 	if stats["profile-edge-count"] == 0 || stats["profile-call-count"] == 0 {
 		t.Fatalf("translated profile did not apply: %v", stats)
@@ -189,17 +186,12 @@ func TestContinuousBATRoundTrip(t *testing.T) {
 // (a mutated release): without matching the intra-function records drop;
 // with matching they recover onto real CFG edges.
 func TestStaleMatchingRecovers(t *testing.T) {
-	mode := perf.DefaultMode()
-	base, _, err := Build(workload.Tiny(), CfgBaseline, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := recordWithShapes(base, mode)
+	fd, err := buildTiny(t, 0).shapedProfile(perf.DefaultMode())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	v2f := buildTiny(t, 3)
+	v2f := buildTiny(t, 3).File
 	// Stale matching off: the classic behaviour, intra-function counts die.
 	offStats := sessionStats(t, analyzeProfile(t, v2f, fd, false))
 
@@ -247,7 +239,7 @@ func TestContinuousExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("continuous experiment takes seconds; skipped in -short")
 	}
-	res, report, err := Continuous(Scale(0.05))
+	res, report, err := Continuous(NewLab(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,25 +288,25 @@ func TestStaleMetricsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ld emits ICF-alias symbols in map order; shapes are keyed by name.
-	sorted := func(f *elfx.File) *elfx.File {
-		sort.Slice(f.Symbols, func(i, j int) bool {
-			a, b := f.Symbols[i], f.Symbols[j]
+	sorted := func(s *Subject) *Subject {
+		sort.Slice(s.File.Symbols, func(i, j int) bool {
+			a, b := s.File.Symbols[i], s.File.Symbols[j]
 			if a.Value != b.Value {
 				return a.Value < b.Value
 			}
 			return a.Name < b.Name
 		})
-		return f
+		return s
 	}
 	for name, mode := range map[string]perf.Mode{
 		"lbr":   perf.DefaultMode(),
 		"nolbr": {Event: perf.EventCycles, Period: 512},
 	} {
-		fd, err := recordWithShapes(sorted(buildTiny(t, 0)), mode)
+		fd, err := sorted(buildTiny(t, 0)).shapedProfile(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := optimizeSession(sorted(buildTiny(t, 3)), fd)
+		_, rep, err := sorted(buildTiny(t, 3)).optimize(fd)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,15 +3,14 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gobolt/bolt"
-	"gobolt/internal/cc"
 	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/hfsort"
 	"gobolt/internal/layout"
-	"gobolt/internal/ld"
 	"gobolt/internal/perf"
 	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
@@ -32,10 +31,11 @@ type Blob struct {
 	Data string
 }
 
-// Experiment is one row of the paper's evaluation.
+// Experiment is one row of the paper's evaluation. Run reads its builds
+// from the lab, which the experiments of one run share.
 type Experiment struct {
 	Name string
-	Run  func(Scale) (Result, error)
+	Run  func(*Lab) (Result, error)
 }
 
 // Experiments is every experiment boltbench can run, in the order "all"
@@ -46,7 +46,7 @@ var Experiments = []Experiment{
 	{"fig6", rows(Fig6)},
 	{"fig7", rows(Fig7)},
 	{"fig8", rows(Fig8)},
-	{"fig9", fig9WithBlobs},
+	{"fig9", Fig9},
 	{"fig10", text(Fig10)},
 	{"fig11", rows(Fig11)},
 	{"table2", text(Table2)},
@@ -57,50 +57,42 @@ var Experiments = []Experiment{
 	{"inference", rows(Inference)},
 }
 
-// rows adapts an experiment that also returns typed rows (read by the
-// tests and the root benchmarks) to the table's shape.
-func rows[T any](f func(Scale) (T, string, error)) func(Scale) (Result, error) {
-	return func(s Scale) (Result, error) {
-		_, report, err := f(s)
+// rows adapts an experiment that also returns typed rows (for tests) to
+// the table's shape.
+func rows[T any](f func(*Lab) (T, string, error)) func(*Lab) (Result, error) {
+	return func(l *Lab) (Result, error) {
+		_, report, err := f(l)
 		return Result{Report: report}, err
 	}
 }
 
 // text adapts an experiment that returns only its report.
-func text(f func(Scale) (string, error)) func(Scale) (Result, error) {
-	return func(s Scale) (Result, error) {
-		report, err := f(s)
+func text(f func(*Lab) (string, error)) func(*Lab) (Result, error) {
+	return func(l *Lab) (Result, error) {
+		report, err := f(l)
 		return Result{Report: report}, err
 	}
 }
 
-// Scale shrinks workload iteration counts for fast runs (1.0 = full).
-type Scale float64
-
-func (s Scale) apply(spec workload.Spec) workload.Spec {
-	if s > 0 && s != 1 {
-		spec.Iterations = int(float64(spec.Iterations) * float64(s))
-		if spec.Iterations < 500 {
-			spec.Iterations = 500
-		}
-	}
-	return spec
-}
-
-// SetInput swaps the input-data blob inside a built binary (baseline or
-// BOLTed) so the same code can be evaluated on a different input, like
-// the paper's input1..3/clang-build runs.
-func SetInput(f *elfx.File, seed uint64) error {
+// withInput returns a copy of a built binary (baseline or BOLTed) whose
+// input-data blob is the one seed generates, so the same code can be
+// evaluated on a different input, like the paper's input1..3/clang-build
+// runs. f is left as it is.
+func withInput(f *elfx.File, seed uint64) (*elfx.File, error) {
 	sym, ok := f.SymbolByName("input")
 	if !ok {
-		return fmt.Errorf("bench: no input symbol")
+		return nil, fmt.Errorf("bench: no input symbol")
 	}
 	sec := f.SectionFor(sym.Value)
 	if sec == nil {
-		return fmt.Errorf("bench: input symbol not mapped")
+		return nil, fmt.Errorf("bench: input symbol not mapped")
 	}
-	copy(sec.Data[sym.Value-sec.Addr:], workload.InputBytes(seed, int(sym.Size)))
-	return nil
+	out, data := *f, *sec
+	data.Data = slices.Clone(sec.Data)
+	copy(data.Data[sym.Value-sec.Addr:], workload.InputBytes(seed, int(sym.Size)))
+	out.Sections = slices.Clone(f.Sections)
+	out.Sections[slices.Index(f.Sections, sec)] = &data
+	return &out, nil
 }
 
 // Fig5Row is one bar of Figure 5.
@@ -111,7 +103,7 @@ type Fig5Row struct {
 
 // Fig5 measures BOLT on top of the HFSort(+LTO for HHVM) baseline for the
 // five data-center workloads.
-func Fig5(scale Scale) ([]Fig5Row, string, error) {
+func Fig5(l *Lab) ([]Fig5Row, string, error) {
 	specs := []workload.Spec{
 		workload.HHVM(), workload.TAO(), workload.Proxygen(),
 		workload.Multifeed1(), workload.Multifeed2(),
@@ -119,12 +111,11 @@ func Fig5(scale Scale) ([]Fig5Row, string, error) {
 	var rows []Fig5Row
 	var speeds []float64
 	for _, spec := range specs {
-		spec = scale.apply(spec)
 		cfg := CfgHFSort
 		if spec.Name == "hhvm" {
 			cfg = CfgHFSortLTO // the paper builds HHVM with LTO too
 		}
-		mb, mo, err := buildBoltMeasure(spec, cfg, false)
+		mb, mo, err := boltDefault(l, spec, cfg, false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -148,9 +139,19 @@ type Fig6Row struct {
 	Reduction float64
 }
 
+// boltDefault is spec built under cfg and BOLTed with the default
+// profile mode and options: its baseline and the output's measurement.
+func boltDefault(l *Lab, spec workload.Spec, cfg BuildConfig, withHeat bool) (before, after *Measurement, err error) {
+	s, err := l.Subject(spec, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.bolted(perf.DefaultMode(), core.DefaultOptions(), withHeat)
+}
+
 // Fig6 reports HHVM miss-rate reductions across the hierarchy.
-func Fig6(scale Scale) ([]Fig6Row, string, error) {
-	mb, mo, err := buildBoltMeasure(scale.apply(workload.HHVM()), CfgHFSortLTO, false)
+func Fig6(l *Lab) ([]Fig6Row, string, error) {
+	mb, mo, err := boltDefault(l, workload.HHVM(), CfgHFSortLTO, false)
 	if err != nil {
 		return nil, "", err
 	}
@@ -181,49 +182,40 @@ type CompilerRow struct {
 }
 
 // Fig7 is the Clang comparison: BOLT against and on top of PGO+LTO.
-func Fig7(scale Scale) ([]CompilerRow, string, error) {
-	return compilerExperiment(workload.Clang(), true, scale)
+func Fig7(l *Lab) ([]CompilerRow, string, error) {
+	return compilerExperiment(workload.Clang(), true, l)
 }
 
 // Fig8 is the GCC comparison: BOLT against and on top of PGO (no LTO).
-func Fig8(scale Scale) ([]CompilerRow, string, error) {
-	return compilerExperiment(workload.GCC(), false, scale)
+func Fig8(l *Lab) ([]CompilerRow, string, error) {
+	return compilerExperiment(workload.GCC(), false, l)
 }
 
 // compilerExperiment implements Figures 7 and 8. Speedups are against
 // the plain -O2 build, measured on four evaluation inputs after training
 // on a separate input.
-func compilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]CompilerRow, string, error) {
-	spec = scale.apply(spec)
-	mode := perf.DefaultMode()
-	trainSeed := spec.Seed ^ 0x7EA12345
-
-	build := func(cfg BuildConfig) (*elfx.File, error) {
-		s := spec
-		s.InputSeed = trainSeed // PGO training input
-		f, _, err := Build(s, cfg, mode)
-		return f, err
-	}
-
-	baseline, err := build(CfgBaseline)
-	if err != nil {
-		return nil, "", err
-	}
+func compilerExperiment(spec workload.Spec, useLTO bool, l *Lab) ([]CompilerRow, string, error) {
+	spec.InputSeed = spec.Seed ^ 0x7EA12345 // PGO training input
 	pgoCfg := CfgPGO
 	if useLTO {
 		pgoCfg = CfgPGOLTO
 	}
-	pgo, err := build(pgoCfg)
-	if err != nil {
-		return nil, "", err
-	}
-	boltedBase, _, err := Bolt(baseline, mode, core.DefaultOptions())
-	if err != nil {
-		return nil, "", fmt.Errorf("bolt baseline: %w", err)
-	}
-	boltedPGO, _, err := Bolt(pgo, mode, core.DefaultOptions())
-	if err != nil {
-		return nil, "", fmt.Errorf("bolt pgo: %w", err)
+	// The plain build, BOLT on it, the PGO build and BOLT on that.
+	var binaries []*elfx.File
+	for _, cfg := range []BuildConfig{CfgBaseline, pgoCfg} {
+		s, err := l.Subject(spec, cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		fd, err := s.Profile(perf.DefaultMode())
+		if err != nil {
+			return nil, "", err
+		}
+		sess, _, err := s.optimize(fd)
+		if err != nil {
+			return nil, "", fmt.Errorf("bolt %s: %w", cfg.Name, err)
+		}
+		binaries = append(binaries, s.File, sess.Output())
 	}
 
 	inputs := []struct {
@@ -235,35 +227,26 @@ func compilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]Compile
 	}
 	// All four are the same program, so on every input the plain build's
 	// checksum is the reference for the other three.
-	binaries := []*elfx.File{baseline, boltedBase, pgo, boltedPGO}
 	var rows []CompilerRow
 	for _, in := range inputs {
-		for _, f := range binaries {
-			if err := SetInput(f, in.seed); err != nil {
+		var ms [4]*Measurement
+		for i, f := range binaries {
+			f, err := withInput(f, in.seed)
+			if err != nil {
 				return nil, "", err
 			}
-		}
-		mb, err := Measure(baseline, uarch.DefaultConfig(), false)
-		if err != nil {
-			return nil, "", err
-		}
-		var speedup [3]float64 // of binaries[1:] over the plain build
-		for i, f := range binaries[1:] {
-			m, err := measureSame(f, mb, false)
-			if err != nil {
+			if ms[i], err = measureSame(f, ms[0], false); err != nil {
 				return nil, "", fmt.Errorf("%s: %w", in.name, err)
 			}
-			speedup[i] = float64(mb.Metrics.Cycles)/float64(m.Metrics.Cycles) - 1
 		}
-		rows = append(rows, CompilerRow{Input: in.name, BOLT: speedup[0], PGO: speedup[1], PGOBOLT: speedup[2]})
-	}
-	pgoName := "PGO"
-	if useLTO {
-		pgoName = "PGO+LTO"
+		speedup := func(i int) float64 {
+			return float64(ms[0].Metrics.Cycles)/float64(ms[i].Metrics.Cycles) - 1
+		}
+		rows = append(rows, CompilerRow{Input: in.name, BOLT: speedup(1), PGO: speedup(2), PGOBOLT: speedup(3)})
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 7/8 (%s): speedups over the plain build\n", spec.Name)
-	fmt.Fprintf(&sb, "  %-10s %10s %12s %14s\n", "input", "BOLT", pgoName, pgoName+"+BOLT")
+	fmt.Fprintf(&sb, "  %-10s %10s %12s %14s\n", "input", "BOLT", pgoCfg.Name, pgoCfg.Name+"+BOLT")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "  %-10s %9.2f%% %11.2f%% %13.2f%%\n",
 			r.Input, 100*r.BOLT, 100*r.PGO, 100*r.PGOBOLT)
@@ -273,60 +256,41 @@ func compilerExperiment(spec workload.Spec, useLTO bool, scale Scale) ([]Compile
 
 // Table2 reproduces the dyno-stats comparison: BOLT's effect on branch
 // statistics over the baseline build and over the PGO+LTO build.
-func Table2(scale Scale) (string, error) {
-	spec := scale.apply(workload.Clang())
-	mode := perf.DefaultMode()
-
-	report := func(cfg BuildConfig) (core.DynoStats, core.DynoStats, error) {
-		f, _, err := Build(spec, cfg, mode)
-		if err != nil {
-			return core.DynoStats{}, core.DynoStats{}, err
-		}
-		fd, _, err := perf.RecordFile(f, mode, 0)
-		if err != nil {
-			return core.DynoStats{}, core.DynoStats{}, err
-		}
-		_, rep, err := optimizeSession(f, fd, bolt.WithDynoStats(true))
-		if err != nil {
-			return core.DynoStats{}, core.DynoStats{}, err
-		}
-		return rep.Dyno.Before, rep.Dyno.After, nil
-	}
-
+func Table2(l *Lab) (string, error) {
 	var buf bytes.Buffer
-	b0, a0, err := report(CfgBaseline)
-	if err != nil {
-		return "", err
+	for _, c := range []struct {
+		title string
+		cfg   BuildConfig
+	}{{"BOLT over baseline", CfgBaseline}, {"BOLT over PGO+LTO", CfgPGOLTO}} {
+		s, err := l.Subject(workload.Clang(), c.cfg)
+		if err != nil {
+			return "", err
+		}
+		fd, err := s.Profile(perf.DefaultMode())
+		if err != nil {
+			return "", err
+		}
+		_, rep, err := s.optimize(fd, bolt.WithDynoStats(true))
+		if err != nil {
+			return "", err
+		}
+		core.PrintComparison(&buf, c.title, rep.Dyno.Before, rep.Dyno.After)
 	}
-	core.PrintComparison(&buf, "BOLT over baseline", b0, a0)
-	b1, a1, err := report(CfgPGOLTO)
-	if err != nil {
-		return "", err
-	}
-	core.PrintComparison(&buf, "BOLT over PGO+LTO", b1, a1)
 	return buf.String(), nil
 }
 
-// Fig9 produces before/after heat maps and the hot-span packing numbers.
-func Fig9(scale Scale) (before, after *Measurement, report string, err error) {
-	before, after, err = buildBoltMeasure(scale.apply(workload.HHVM()), CfgHFSortLTO, true)
+// Fig9 produces before/after heat maps, rendered as text and CSV, and
+// the hot-span packing numbers.
+func Fig9(l *Lab) (Result, error) {
+	before, after, err := boltDefault(l, workload.HHVM(), CfgHFSortLTO, true)
 	if err != nil {
-		return nil, nil, "", err
+		return Result{}, err
 	}
 	var sb strings.Builder
 	sb.WriteString("Figure 9: instruction-address heat (hot-span covering 95% of fetches)\n")
 	fmt.Fprintf(&sb, "  without BOLT: %8d bytes of %d\n", before.Heat.HotSpan(0.95), before.Heat.Limit-before.Heat.Base)
 	fmt.Fprintf(&sb, "  with BOLT:    %8d bytes of %d\n", after.Heat.HotSpan(0.95), after.Heat.Limit-after.Heat.Base)
-	return before, after, sb.String(), nil
-}
-
-// fig9WithBlobs is Fig9 with both heat maps rendered as text and CSV.
-func fig9WithBlobs(scale Scale) (Result, error) {
-	before, after, report, err := Fig9(scale)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Report: report, Blobs: []Blob{
+	return Result{Report: sb.String(), Blobs: []Blob{
 		{"before.txt", before.Heat.Render()},
 		{"after.txt", after.Heat.Render()},
 		{"before.csv", before.Heat.CSV()},
@@ -335,18 +299,16 @@ func fig9WithBlobs(scale Scale) (Result, error) {
 }
 
 // Fig10 runs -report-bad-layout on a PGO+LTO compiler build.
-func Fig10(scale Scale) (string, error) {
-	spec := scale.apply(workload.Clang())
-	mode := perf.DefaultMode()
-	f, _, err := Build(spec, CfgPGOLTO, mode)
+func Fig10(l *Lab) (string, error) {
+	s, err := l.Subject(workload.Clang(), CfgPGOLTO)
 	if err != nil {
 		return "", err
 	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
+	fd, err := s.Profile(perf.DefaultMode())
 	if err != nil {
 		return "", err
 	}
-	sess, err := analyzeSession(f, fd)
+	sess, err := analyze(s.File, fd)
 	if err != nil {
 		return "", err
 	}
@@ -364,17 +326,12 @@ type Fig11Row struct {
 // Fig11 compares BOLT with LBR profiles against BOLT with non-LBR
 // profiles under three scenarios: function reordering only, basic-block
 // reordering (plus other opts), and both.
-func Fig11(scale Scale) ([]Fig11Row, string, error) {
-	spec := scale.apply(workload.HHVM())
+func Fig11(l *Lab) ([]Fig11Row, string, error) {
 	lbrMode := perf.DefaultMode()
 	nolbrMode := lbrMode
 	nolbrMode.LBR = false
 
-	base, _, err := Build(spec, CfgBaseline, lbrMode)
-	if err != nil {
-		return nil, "", err
-	}
-	mb, err := Measure(base, uarch.DefaultConfig(), false)
+	base, err := l.Subject(workload.HHVM(), CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
@@ -385,7 +342,6 @@ func Fig11(scale Scale) ([]Fig11Row, string, error) {
 		case "Functions":
 			opts.ReorderBlocks = layout.AlgoNone
 			opts.SplitFunctions = 0
-			opts.SplitAllCold = false
 		case "BBs":
 			opts.ReorderFunctions = hfsort.AlgoNone
 		}
@@ -397,11 +353,11 @@ func Fig11(scale Scale) ([]Fig11Row, string, error) {
 	sb.WriteString("Figure 11: improvement from LBR profiles vs non-LBR (per scenario)\n")
 	for _, sc := range []string{"Functions", "BBs", "Both"} {
 		opts := scenario(sc)
-		ml, err := boltMeasured(base, mb, lbrMode, opts, false)
+		_, ml, err := base.bolted(lbrMode, opts, false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s, LBR: %w", sc, err)
 		}
-		mn, err := boltMeasured(base, mb, nolbrMode, opts, false)
+		_, mn, err := base.bolted(nolbrMode, opts, false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s, no LBR: %w", sc, err)
 		}
@@ -429,13 +385,8 @@ type EventsRow struct {
 
 // Events reproduces the §5.1 study: BOLT speedups are stable across LBR
 // sampling events but degrade with biased non-LBR samples.
-func Events(scale Scale) ([]EventsRow, string, error) {
-	spec := scale.apply(workload.TAO())
-	base, _, err := Build(spec, CfgBaseline, perf.DefaultMode())
-	if err != nil {
-		return nil, "", err
-	}
-	mb, err := Measure(base, uarch.DefaultConfig(), false)
+func Events(l *Lab) ([]EventsRow, string, error) {
+	base, err := l.Subject(workload.TAO(), CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
@@ -452,7 +403,7 @@ func Events(scale Scale) ([]EventsRow, string, error) {
 		{"nolbr-cycles", perf.Mode{LBR: false, Event: perf.EventCycles, Period: 512}},
 		{"nolbr-cycles-pebs", perf.Mode{LBR: false, Event: perf.EventCycles, Period: 512, PEBS: 3}},
 	} {
-		mo, err := boltMeasured(base, mb, cfg.mode, core.DefaultOptions(), false)
+		mb, mo, err := base.bolted(cfg.mode, core.DefaultOptions(), false)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", cfg.name, err)
 		}
@@ -472,26 +423,24 @@ type ICFResult struct {
 }
 
 // ICF measures how much code gobolt's ICF removes on top of the linker's.
-func ICF(scale Scale) (*ICFResult, string, error) {
-	spec := scale.apply(workload.HHVM())
-	mode := perf.DefaultMode()
-	f, lres, err := Build(spec, CfgBaseline, mode)
+func ICF(l *Lab) (*ICFResult, string, error) {
+	s, err := l.Subject(workload.HHVM(), CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
+	fd, err := s.Profile(perf.DefaultMode())
 	if err != nil {
 		return nil, "", err
 	}
-	_, rep, err := optimizeSession(f, fd)
+	_, rep, err := s.optimize(fd)
 	if err != nil {
 		return nil, "", err
 	}
 	res := &ICFResult{
-		LinkerFolded: lres.ICFFolded,
+		LinkerFolded: s.ICFFolded,
 		BoltFolded:   int(rep.Metrics["icf-folded"]),
 		BoltBytes:    rep.Metrics["icf-bytes"],
-		TextSize:     lres.TextSize,
+		TextSize:     s.TextSize,
 	}
 	report := fmt.Sprintf(
 		"ICF (§4): linker folded %d functions; gobolt folded %d more (%d bytes, %.2f%% of .text)\n",
@@ -508,64 +457,27 @@ func ICF(scale Scale) (*ICFResult, string, error) {
 // take the same number of branches (349 992 and 349 993), and BOLT's
 // lower cycle count comes from about 150 k fewer retired instructions,
 // not from a better layout of either copy.
-func Fig2Report(scale Scale) (string, error) {
-	_ = scale
+func Fig2Report(l *Lab) (string, error) {
 	mode := perf.DefaultMode()
 	mode.Period = 512
-	prog := workload.GenerateFigure2()
-
-	build := func(pgo bool) (*elfx.File, error) {
-		copts := cc.DefaultOptions()
-		copts.LTO = true // inlining across modules is the point
-		if pgo {
-			objs, err := cc.Compile(prog, copts)
-			if err != nil {
-				return nil, err
-			}
-			res, err := ld.Link(objs, ld.Options{EmitRelocs: true})
-			if err != nil {
-				return nil, err
-			}
-			fd, _, err := perf.RecordFile(res.File, mode, 0)
-			if err != nil {
-				return nil, err
-			}
-			sp, err := SourceProfile(res.File, fd)
-			if err != nil {
-				return nil, err
-			}
-			copts.PGO = sp
-		}
-		objs, err := cc.Compile(prog, copts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ld.Link(objs, ld.Options{EmitRelocs: true})
-		if err != nil {
-			return nil, err
-		}
-		return res.File, nil
-	}
-
-	base, err := build(false)
+	lto, err := l.Subject(figure2, CfgLTO) // inlining across modules is the point
 	if err != nil {
 		return "", err
 	}
-	pgo, err := build(true)
+	pgo, err := l.Subject(figure2, CfgPGOLTO)
 	if err != nil {
 		return "", err
 	}
-	before, err := Measure(base, uarch.DefaultConfig(), false)
+	before, err := lto.Baseline()
 	if err != nil {
 		return "", err
 	}
-	withPGO, err := measureSame(pgo, before, false)
+	withPGO, withBolt, err := pgo.bolted(mode, core.DefaultOptions(), false)
 	if err != nil {
 		return "", err
 	}
-	withBolt, err := boltMeasured(pgo, before, mode, core.DefaultOptions(), false)
-	if err != nil {
-		return "", err
+	if withPGO.Checksum != before.Checksum {
+		return "", fmt.Errorf("bench: checksum mismatch: PGO+LTO computes %#x, LTO %#x", withPGO.Checksum, before.Checksum)
 	}
 	mb, mp, mpb := before.Metrics, withPGO.Metrics, withBolt.Metrics
 	var sb strings.Builder

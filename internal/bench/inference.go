@@ -9,7 +9,6 @@ import (
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
-	"gobolt/internal/uarch"
 	"gobolt/internal/workload"
 )
 
@@ -63,7 +62,7 @@ type QuadRow struct {
 // analyzeDyno applies a profile to a fresh analysis of f and returns the
 // pre-pipeline dyno stats plus the session (for accuracy accessors).
 func analyzeDyno(f *elfx.File, fd *profile.Fdata, opts ...bolt.Option) (core.DynoStats, *bolt.Session, error) {
-	sess, err := analyzeSession(f, fd, opts...)
+	sess, err := analyze(f, fd, opts...)
 	if err != nil {
 		return core.DynoStats{}, nil, err
 	}
@@ -162,28 +161,27 @@ func hotEdgeOverlap(truth, got *bolt.Session) (float64, error) {
 // itself or on the previous release, with LBR or with PC samples every
 // 512 instructions — and each output measured against the un-BOLTed
 // release, through measureSame like every figure here.
-func profileQuad(scale Scale) ([]QuadRow, error) {
-	spec := scale.apply(workload.Clang())
-	next := spec
+func profileQuad(l *Lab) ([]QuadRow, error) {
+	next := workload.Clang()
 	next.EntryPadOps = 3
 	lbr := perf.DefaultMode()
 	samples := perf.Mode{Event: perf.EventCycles, Period: 512}
-	v1, _, err := Build(spec, CfgBaseline, lbr)
+	v1, err := l.Subject(workload.Clang(), CfgBaseline)
 	if err != nil {
 		return nil, err
 	}
-	v2, _, err := Build(next, CfgBaseline, lbr)
+	v2, err := l.Subject(next, CfgBaseline)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := Measure(v2, uarch.DefaultConfig(), false)
+	ref, err := v2.Baseline()
 	if err != nil {
 		return nil, err
 	}
 	var rows []QuadRow
 	for _, c := range []struct {
 		name string
-		on   *elfx.File
+		on   *Subject
 		mode perf.Mode
 	}{
 		{"fresh LBR", v2, lbr},
@@ -191,11 +189,11 @@ func profileQuad(scale Scale) ([]QuadRow, error) {
 		{"fresh non-LBR", v2, samples},
 		{"stale non-LBR", v1, samples},
 	} {
-		fd, err := recordWithShapes(c.on, c.mode)
+		fd, err := c.on.shapedProfile(c.mode)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		sess, _, err := optimizeSession(v2, fd)
+		sess, _, err := v2.optimize(fd)
 		if err != nil {
 			return nil, fmt.Errorf("%s: bolt: %w", c.name, err)
 		}
@@ -241,27 +239,27 @@ func checkConsistency(sess *bolt.Session) (bool, error) {
 //	apply the v1 LBR profile to a mutated v2 release (shape matching)
 //	  -> score the re-anchored counts against a fresh v2 profile,
 //	     without and with the MCF consistency repair (-infer-flow=always)
-func Inference(scale Scale) (*InferenceResult, string, error) {
-	spec := scale.apply(workload.TAO())
+func Inference(l *Lab) (*InferenceResult, string, error) {
+	spec := workload.TAO()
 	lbrMode := perf.DefaultMode()
 	sampMode := perf.Mode{LBR: false, Event: perf.EventCycles, Period: 512}
 	res := &InferenceResult{}
 	var sb strings.Builder
 	sb.WriteString("Profile inference (§5.1: minimum cost flow vs the \"non-ideal algorithm\")\n")
 
-	base, _, err := Build(spec, CfgBaseline, lbrMode)
+	base, err := l.Subject(spec, CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
-	fdLBR, err := recordWithShapes(base, lbrMode)
+	fdLBR, err := base.shapedProfile(lbrMode)
 	if err != nil {
 		return nil, "", err
 	}
-	fdSamp, _, err := perf.RecordFile(base, sampMode, 0)
+	fdSamp, err := base.Profile(sampMode)
 	if err != nil {
 		return nil, "", err
 	}
-	truth, sessTruth, err := analyzeDyno(base, fdLBR)
+	truth, sessTruth, err := analyzeDyno(base.File, fdLBR)
 	if err != nil {
 		return nil, "", err
 	}
@@ -269,7 +267,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 		spec.Name, len(fdLBR.Branches), len(fdSamp.Samples))
 
 	// Legacy proportional estimator (InferNever) vs the MCF solver.
-	dProp, sessProp, err := analyzeDyno(base, fdSamp, bolt.WithInferFlow(core.InferNever))
+	dProp, sessProp, err := analyzeDyno(base.File, fdSamp, bolt.WithInferFlow(core.InferNever))
 	if err != nil {
 		return nil, "", err
 	}
@@ -277,7 +275,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	dMCF, sessMCF, err := analyzeDyno(base, fdSamp)
+	dMCF, sessMCF, err := analyzeDyno(base.File, fdSamp)
 	if err != nil {
 		return nil, "", err
 	}
@@ -312,11 +310,11 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	// MCF consistency repair after shape matching.
 	spec2 := spec
 	spec2.EntryPadOps = 3
-	v2, _, err := Build(spec2, CfgBaseline, lbrMode)
+	v2, err := l.Subject(spec2, CfgBaseline)
 	if err != nil {
 		return nil, "", err
 	}
-	fdV2, _, err := perf.RecordFile(v2, lbrMode, 0)
+	fdV2, err := v2.Profile(lbrMode)
 	if err != nil {
 		return nil, "", err
 	}
@@ -330,11 +328,11 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 		{nil, &res.StaleAccPlain},
 		{[]bolt.Option{bolt.WithInferFlow(core.InferAlways)}, &res.StaleAccMCF},
 	} {
-		truth2, _, err := analyzeDyno(v2, fdV2, cfg.opts...)
+		truth2, _, err := analyzeDyno(v2.File, fdV2, cfg.opts...)
 		if err != nil {
 			return nil, "", err
 		}
-		dStale, _, err := analyzeDyno(v2, fdLBR, cfg.opts...)
+		dStale, _, err := analyzeDyno(v2.File, fdLBR, cfg.opts...)
 		if err != nil {
 			return nil, "", err
 		}
@@ -343,7 +341,7 @@ func Inference(scale Scale) (*InferenceResult, string, error) {
 	fmt.Fprintf(&sb, "  stale v1 profile on v2 (+%d entry pad ops), dyno recovery vs a fresh v2 profile: matched %.2f%%, matched+MCF repair %.2f%%\n",
 		spec2.EntryPadOps, 100*res.StaleAccPlain, 100*res.StaleAccMCF)
 
-	if res.Quad, err = profileQuad(scale); err != nil {
+	if res.Quad, err = profileQuad(l); err != nil {
 		return nil, "", err
 	}
 	sb.WriteString("  clang, next release (+3 entry pad ops) BOLTed per profile kind: cycles vs un-BOLTed, instructions run from .text.cold, hot<->cold transitions\n")

@@ -35,7 +35,7 @@ func TestInferenceExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inference experiment takes seconds; skipped in -short")
 	}
-	res, report, err := Inference(Scale(0.1))
+	res, report, err := Inference(NewLab(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

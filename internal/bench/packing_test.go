@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/perf"
 	"gobolt/internal/vm"
@@ -25,13 +24,15 @@ func TestPagePackingImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HHVM build+simulate experiment (~15s); run without -short")
 	}
-	spec := Scale(0.3).apply(workload.HHVM())
-	mode := perf.DefaultMode()
-	base, _, err := Build(spec, CfgHFSortLTO, mode)
+	s, err := NewLab(0.3).Subject(workload.HHVM(), CfgHFSortLTO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bolted, _, err := Bolt(base, mode, core.DefaultOptions())
+	fd, err := s.Profile(perf.DefaultMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := s.optimize(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestPagePackingImproves(t *testing.T) {
 			name, len(list), n99, bySec)
 		return n99
 	}
-	basePages := probe("baseline", base)
-	boltPages := probe("bolted", bolted)
+	basePages := probe("baseline", s.File)
+	boltPages := probe("bolted", sess.Output())
 	if boltPages > basePages {
 		t.Errorf("99%%-fetch page set grew: %d -> %d", basePages, boltPages)
 	}

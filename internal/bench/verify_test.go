@@ -13,20 +13,19 @@ import (
 	"gobolt/internal/workload"
 )
 
-// boltAndSerialize runs the full pipeline over a built workload and
-// returns the serialized output image plus the run report.
-func boltAndSerialize(t *testing.T, spec workload.Spec, cfg BuildConfig, opts ...bolt.Option) ([]byte, *bolt.Report) {
+// boltAndSerialize runs the full pipeline over a workload built in lab l
+// and returns the serialized output image plus the run report.
+func boltAndSerialize(t *testing.T, l *Lab, spec workload.Spec, cfg BuildConfig, opts ...bolt.Option) ([]byte, *bolt.Report) {
 	t.Helper()
-	mode := perf.DefaultMode()
-	f, _, err := Build(spec, cfg, mode)
+	s, err := l.Subject(spec, cfg)
 	if err != nil {
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
+	fd, err := s.Profile(perf.DefaultMode())
 	if err != nil {
 		t.Fatalf("%s: record: %v", spec.Name, err)
 	}
-	sess, rep, err := optimizeSession(f, fd, opts...)
+	sess, rep, err := s.optimize(fd, opts...)
 	if err != nil {
 		t.Fatalf("%s: bolt: %v", spec.Name, err)
 	}
@@ -79,7 +78,7 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 	spec.Name = "mutation-base"
 	spec.ThrowFrac = 0.9 // exception paths everywhere: LSDAs to corrupt
 	spec.ColdProb = 0.1  // splits: cold fragments and split CFI state
-	base, _ := boltAndSerialize(t, spec, CfgBaseline)
+	base, _ := boltAndSerialize(t, NewLab(1), spec, CfgBaseline)
 
 	clean, err := bincheck.Check(base)
 	if err != nil {
@@ -173,9 +172,10 @@ func TestVerifyCleanPipeline(t *testing.T) {
 		{hostile.Name, hostile, CfgLTO, nil}, // LTO feeds the ICF dedup
 		{"lite", workload.Tiny(), CfgBaseline, []bolt.Option{bolt.WithOptions(lite)}},
 	}
+	lab := NewLab(1)
 	for _, sh := range shapes {
 		for _, jobs := range []int{1, 4} {
-			data, _ := boltAndSerialize(t, sh.spec, sh.cfg, append(sh.opts, bolt.WithJobs(jobs))...)
+			data, _ := boltAndSerialize(t, lab, sh.spec, sh.cfg, append(sh.opts, bolt.WithJobs(jobs))...)
 			res, err := bincheck.Check(data)
 			if err != nil {
 				t.Fatalf("%s jobs=%d: %v", sh.name, jobs, err)
@@ -204,7 +204,7 @@ func TestColdSplitBATAnchors(t *testing.T) {
 	spec.Name = "cold-anchors"
 	spec.ColdProb = 0.2
 	spec.ThrowFrac = 0.5
-	data, rep := boltAndSerialize(t, spec, CfgBaseline)
+	data, rep := boltAndSerialize(t, NewLab(1), spec, CfgBaseline)
 	if rep.SplitFuncs == 0 {
 		t.Fatal("workload produced no split functions; the test exercises nothing")
 	}

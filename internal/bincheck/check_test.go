@@ -30,16 +30,15 @@ var mutationBase = sync.OnceValues(func() ([]byte, error) {
 // boltImage builds spec, profiles it under the VM, optimizes it with the
 // default options and returns the serialized output image.
 func boltImage(spec workload.Spec) ([]byte, error) {
-	mode := perf.DefaultMode()
-	f, _, err := bench.Build(spec, bench.CfgBaseline, mode)
+	s, err := bench.NewLab(1).Subject(spec, bench.CfgBaseline)
 	if err != nil {
 		return nil, err
 	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
+	fd, err := s.Profile(perf.DefaultMode())
 	if err != nil {
 		return nil, err
 	}
-	sess, err := bolt.OpenELF(f)
+	sess, err := bolt.OpenELF(s.File)
 	if err != nil {
 		return nil, err
 	}

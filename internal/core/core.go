@@ -35,8 +35,8 @@ import (
 type Options struct {
 	ReorderBlocks    layout.Algorithm
 	ReorderFunctions hfsort.Algorithm
-	SplitFunctions   int // 0 = off, >=1 = split cold code
-	SplitAllCold     bool
+	SplitFunctions   int  // 0 = off, 1 = never-executed blocks, >=2 = also blocks run at most 1/64 as often as the function's hottest (3 acts as 2)
+	SplitAllCold     bool // false: only landing pads move, and only with SplitEH
 	SplitEH          bool
 	ICF              bool
 	ICP              bool

@@ -222,12 +222,19 @@ type Sim struct {
 	lastLine uint64 // last fetched I-line (dedup sequential accesses)
 }
 
-// New builds a simulator; zero-value fields of cfg take defaults. It
-// panics when a cache, TLB or BTB set count is not a power of two.
+// New builds a simulator. A zero Config means DefaultConfig(); any other
+// config is used as given, field by field. New panics, naming the field,
+// when a cache, TLB or BTB set count is not a power of two or IssueWidth
+// or RASDepth is below 1.
 func New(cfg Config) *Sim {
-	def := DefaultConfig()
-	if cfg.L1I.SizeKB == 0 {
-		cfg = def
+	if cfg == (Config{}) {
+		cfg = DefaultConfig()
+	}
+	if cfg.IssueWidth < 1 {
+		panic(fmt.Sprintf("uarch: IssueWidth %d is below 1", cfg.IssueWidth))
+	}
+	if cfg.RASDepth < 1 {
+		panic(fmt.Sprintf("uarch: RASDepth %d is below 1", cfg.RASDepth))
 	}
 	s := &Sim{cfg: cfg}
 	s.l1i = newCacheFromCfg("L1I", cfg.L1I)

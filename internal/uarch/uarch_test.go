@@ -61,9 +61,11 @@ func TestCacheLRUAcrossStampWrap(t *testing.T) {
 
 // TestNewRejectsNonPowerOfTwoSets: a structure whose set count is not a
 // power of two panics, naming it and its sizes, instead of being rounded
-// down to a smaller one; the default config builds.
+// down to a smaller one, and so does an issue width or return stack below
+// one entry; the default config builds.
 func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
 	New(DefaultConfig())
+	New(Config{})
 	for _, tc := range []struct {
 		edit func(*Config)
 		want string
@@ -71,6 +73,8 @@ func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
 		{func(c *Config) { c.L2 = CacheCfg{SizeKB: 384, Assoc: 8, LineLog: 6} }, "L2: 6144 × 64-byte entries in 8 ways make 768 sets"},
 		{func(c *Config) { c.ITLB.Entries = 96 }, "ITLB: 96 × 4096-byte entries in 4 ways make 24 sets"},
 		{func(c *Config) { c.BTBEntries = 3000 }, "BTB: 3000 entries"},
+		{func(c *Config) { c.IssueWidth = 0 }, "IssueWidth 0 is below 1"},
+		{func(c *Config) { c.RASDepth = 0 }, "RASDepth 0 is below 1"},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)
