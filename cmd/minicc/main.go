@@ -15,11 +15,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gobolt/internal/bench"
 	"gobolt/internal/cc"
-	"gobolt/internal/elfx"
 	"gobolt/internal/hfsort"
 	"gobolt/internal/ir"
 	"gobolt/internal/ld"
@@ -27,38 +27,55 @@ import (
 	"gobolt/internal/workload"
 )
 
-func main() {
-	wl := flag.String("workload", "tiny", "workload preset: tiny|hhvm|tao|proxygen|multifeed1|multifeed2|clang|gcc|figure2")
-	out := flag.String("o", "a.elf", "output path")
-	lto := flag.Bool("flto", false, "link-time optimization (cross-module inlining, static PLT elision)")
-	profileUse := flag.String("fprofile-use", "", "fdata profile for PGO (converted to source-level, like AutoFDO), recorded on this build without the flag")
-	reorderFuncs := flag.String("freorder-functions", "", "link-time function order: hfsort|exec (needs -fprofile-use)")
-	emitRelocs := flag.Bool("emit-relocs", true, "keep relocations in the output (--emit-relocs)")
-	icf := flag.Bool("licf", true, "linker identical-code folding")
-	seed := flag.Uint64("seed", 0, "override workload seed")
-	inputSeed := flag.Uint64("input-seed", 0, "override input-data seed")
-	iterations := flag.Int("iterations", 0, "override iteration count")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Unset stays "" (no link-time ordering); anything else must parse.
-	funcOrder, err := hfsort.ParseAlgorithm(*reorderFuncs)
-	if err != nil && *reorderFuncs != "" {
-		fmt.Fprintln(os.Stderr, "minicc: -freorder-functions:", err)
-		os.Exit(2)
+// run is minicc with its arguments and output streams; it returns the
+// exit status: 2 for a usage error, 1 for a failed build.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("minicc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "tiny", "workload preset: tiny|hhvm|tao|proxygen|multifeed1|multifeed2|clang|gcc|figure2")
+	out := fs.String("o", "a.elf", "output path")
+	lto := fs.Bool("flto", false, "link-time optimization (cross-module inlining, static PLT elision)")
+	profileUse := fs.String("fprofile-use", "", "fdata profile for PGO (converted to source-level, like AutoFDO), recorded on this build without the flag")
+	reorderFuncs := fs.String("freorder-functions", "", "link-time function order: hfsort|exec (needs -fprofile-use)")
+	emitRelocs := fs.Bool("emit-relocs", true, "keep relocations in the output (--emit-relocs)")
+	icf := fs.Bool("licf", true, "linker identical-code folding")
+	seed := fs.Uint64("seed", 0, "override workload seed")
+	inputSeed := fs.Uint64("input-seed", 0, "override input-data seed")
+	iterations := fs.Int("iterations", 0, "override iteration count")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "minicc:", err)
+		return 1
 	}
 
-	var prog = func() *workload.Spec {
-		if *wl == "figure2" {
-			return nil
-		}
+	// Unset stays "" (no link-time ordering); anything else must parse,
+	// and orders by a profile, so it needs one.
+	funcOrder, err := hfsort.ParseAlgorithm(*reorderFuncs)
+	if err != nil && *reorderFuncs != "" {
+		fmt.Fprintln(stderr, "minicc: -freorder-functions:", err)
+		return 2
+	}
+	if *reorderFuncs != "" && *profileUse == "" {
+		fmt.Fprintln(stderr, "minicc: -freorder-functions needs -fprofile-use")
+		return 2
+	}
+
+	p := workload.GenerateFigure2()
+	if *wl != "figure2" {
 		spec, ok := workload.ByName(*wl)
 		if !ok {
-			if *wl == "tiny" {
-				spec = workload.Tiny()
-			} else {
-				fmt.Fprintf(os.Stderr, "minicc: unknown workload %q\n", *wl)
-				os.Exit(2)
+			if *wl != "tiny" {
+				fmt.Fprintf(stderr, "minicc: unknown workload %q\n", *wl)
+				return 2
 			}
+			spec = workload.Tiny()
 		}
 		if *seed != 0 {
 			spec.Seed = *seed
@@ -69,12 +86,7 @@ func main() {
 		if *iterations != 0 {
 			spec.Iterations = *iterations
 		}
-		return &spec
-	}()
-
-	p := workload.GenerateFigure2()
-	if prog != nil {
-		p = workload.Generate(*prog)
+		p = workload.Generate(spec)
 	}
 
 	copts := cc.DefaultOptions()
@@ -84,24 +96,25 @@ func main() {
 	if *profileUse != "" {
 		r, err := os.Open(*profileUse)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fd, err = profile.Parse(context.Background(), r)
 		r.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	res, err := build(p, copts, lopts, fd, funcOrder)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := res.File.WriteFile(*out); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	var f *elfx.File = res.File
-	fmt.Printf("minicc: wrote %s (%d functions, .text %d bytes, entry %#x, linker ICF folded %d)\n",
+	f := res.File
+	fmt.Fprintf(stdout, "minicc: wrote %s (%d functions, .text %d bytes, entry %#x, linker ICF folded %d)\n",
 		*out, len(f.FuncSymbols()), res.TextSize, f.Entry, res.ICFFolded)
+	return 0
 }
 
 // build compiles and links p under copts and lopts. With a profile fd it
@@ -118,9 +131,4 @@ func build(p *ir.Program, copts cc.Options, lopts ld.Options, fd *profile.Fdata,
 		return res, err
 	}
 	return bench.Rebuild(p, copts, lopts, res.File, fd, true, order)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "minicc:", err)
-	os.Exit(1)
 }

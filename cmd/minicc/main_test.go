@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"gobolt/internal/bench"
@@ -71,4 +74,24 @@ func image(t *testing.T, f *elfx.File) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestReorderFunctionsNeedsProfile: -freorder-functions orders by a
+// profile, so without -fprofile-use it is a usage error that writes no
+// binary, not a plain build.
+func TestReorderFunctionsNeedsProfile(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "a.elf")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "tiny", "-freorder-functions", "hfsort", "-o", out}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-freorder-functions needs -fprofile-use") {
+		t.Errorf("stderr %q does not say -freorder-functions needs -fprofile-use", msg)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("wrote %s (stat: %v)", out, err)
+	}
+	if code := run([]string{"-workload", "tiny", "-o", out}, &stdout, &stderr); code != 0 {
+		t.Errorf("plain build: exit status %d, stderr %q", code, stderr.String())
+	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // BenchmarkCompile measures lowering the proxygen preset to objects:
-// cloning, inlining and the parallel per-function lowering.
+// inlining, which clones only the functions it splices into, and the
+// parallel per-function lowering.
 func BenchmarkCompile(b *testing.B) {
 	p := workload.Generate(workload.Proxygen())
 	b.ReportAllocs()

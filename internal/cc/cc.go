@@ -15,7 +15,6 @@ import (
 
 	"gobolt/internal/asmx"
 	"gobolt/internal/ir"
-	"gobolt/internal/isa"
 	"gobolt/internal/obj"
 	"gobolt/internal/par"
 )
@@ -117,12 +116,10 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 		return nil, err
 	}
 
-	// Clone functions so inlining never mutates the caller's program.
-	work := cloneProgram(p)
-	inlineAll(work, opts)
+	funcs := inlineAll(p, opts)
 
 	sharedFuncs := map[string]bool{}
-	for _, m := range work.Modules {
+	for _, m := range p.Modules {
 		if m.Shared {
 			for _, f := range m.Funcs {
 				sharedFuncs[f.Name] = true
@@ -133,10 +130,6 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 	// Lower every function over the pool. Each worker reuses one
 	// lowerState, so its assembler and mark buffers stop growing after
 	// the first few functions; results land in module and function order.
-	var funcs []*ir.Func
-	for _, m := range work.Modules {
-		funcs = append(funcs, m.Funcs...)
-	}
 	type lowered struct {
 		f       *obj.Func
 		globals []*obj.Global
@@ -159,7 +152,7 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 		return nil, err
 	}
 	var objs []*obj.Object
-	for _, m := range work.Modules {
+	for _, m := range p.Modules {
 		o := &obj.Object{Name: m.Name, Funcs: make([]*obj.Func, len(m.Funcs))}
 		for j := range m.Funcs {
 			o.Funcs[j] = out[j].f
@@ -171,7 +164,7 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 
 	// Global data lives in a dedicated object.
 	dataObj := &obj.Object{Name: "__data__"}
-	for _, g := range work.Globals {
+	for _, g := range p.Globals {
 		og := &obj.Global{
 			Name: g.Name, Data: g.Data, Align: g.Align, Writable: g.Writable,
 		}
@@ -193,38 +186,6 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 	})
 	objs = append(objs, rt)
 	return objs, nil
-}
-
-// cloneProgram deep-copies the parts the compiler mutates.
-func cloneProgram(p *ir.Program) *ir.Program {
-	q := &ir.Program{Globals: p.Globals}
-	for _, m := range p.Modules {
-		mm := &ir.Module{Name: m.Name, Shared: m.Shared}
-		for _, f := range m.Funcs {
-			mm.Funcs = append(mm.Funcs, cloneFunc(f))
-		}
-		q.Modules = append(q.Modules, mm)
-	}
-	q.Finalize()
-	return q
-}
-
-func cloneFunc(f *ir.Func) *ir.Func {
-	g := &ir.Func{
-		Name: f.Name, File: f.File, Line: f.Line,
-		FrameSlots: f.FrameSlots,
-		SavedRegs:  append([]isa.Reg(nil), f.SavedRegs...),
-		RepzRet:    f.RepzRet,
-		Global:     f.Global,
-	}
-	for _, b := range f.Blocks {
-		nb := &ir.Block{Index: b.Index, Line: b.Line, Cold: b.Cold}
-		nb.Ops = append([]ir.Op(nil), b.Ops...)
-		nb.Term = b.Term
-		nb.Term.Targets = append([]int(nil), b.Term.Targets...)
-		g.Blocks = append(g.Blocks, nb)
-	}
-	return g
 }
 
 // sortedKeys is a tiny helper for deterministic iteration.

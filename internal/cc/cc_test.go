@@ -2,7 +2,9 @@ package cc
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gobolt/internal/ir"
@@ -41,6 +43,16 @@ func singleFuncProgram(f *ir.Func) *ir.Program {
 	return p
 }
 
+// inlinedFunc finds name among inlineAll's functions.
+func inlinedFunc(funcs []*ir.Func, name string) *ir.Func {
+	for _, f := range funcs {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
+
 func TestPGOBranchPolarityFromSuccessorLines(t *testing.T) {
 	p := singleFuncProgram(branchy("src.mir"))
 	sp := NewSourceProfile()
@@ -50,8 +62,7 @@ func TestPGOBranchPolarityFromSuccessorLines(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PGO = sp
 
-	work := cloneProgram(p)
-	f := work.FuncByName("f")
+	f := p.FuncByName("f")
 	prob := branchProb(f, f.Blocks[0], sp)
 	if prob > 0.1 {
 		t.Fatalf("then-probability should be ~0.05, got %f", prob)
@@ -73,9 +84,7 @@ func TestTinyInlining(t *testing.T) {
 	p := &ir.Program{Modules: []*ir.Module{{Name: "m", Funcs: []*ir.Func{caller, callee}}}}
 	p.Finalize()
 
-	work := cloneProgram(p)
-	inlineAll(work, DefaultOptions())
-	got := work.FuncByName("_start")
+	got := inlinedFunc(inlineAll(p, DefaultOptions()), "_start")
 	for _, b := range got.Blocks {
 		for _, op := range b.Ops {
 			if op.Kind == ir.OpCall && op.Callee == "tiny" {
@@ -120,16 +129,12 @@ func TestCrossModuleInliningNeedsLTO(t *testing.T) {
 		}
 		return false
 	}
-	work := cloneProgram(p)
-	inlineAll(work, DefaultOptions())
-	if !hasCall(work.FuncByName("_start")) {
+	if !hasCall(inlinedFunc(inlineAll(p, DefaultOptions()), "_start")) {
 		t.Fatal("cross-module inlining happened without LTO")
 	}
 	lto := DefaultOptions()
 	lto.LTO = true
-	work2 := cloneProgram(p)
-	inlineAll(work2, lto)
-	if hasCall(work2.FuncByName("_start")) {
+	if hasCall(inlinedFunc(inlineAll(p, lto), "_start")) {
 		t.Fatal("LTO did not inline across modules")
 	}
 }
@@ -195,4 +200,101 @@ func TestCompileDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatalf("compile %d at GOMAXPROCS 4 links to other bytes than at 1", i)
 		}
 	}
+}
+
+// cloneProgram deep-copies p, keeping nil slices nil and empty ones
+// empty, so a reflect.DeepEqual against it sees any write to p.
+func cloneProgram(p *ir.Program) *ir.Program {
+	q := &ir.Program{}
+	for _, g := range p.Globals {
+		gg := *g
+		gg.Data = slices.Clone(g.Data)
+		gg.FuncRefs = slices.Clone(g.FuncRefs)
+		q.Globals = append(q.Globals, &gg)
+	}
+	for _, m := range p.Modules {
+		mm := &ir.Module{Name: m.Name, Shared: m.Shared}
+		for _, f := range m.Funcs {
+			g := &ir.Func{
+				Name: f.Name, File: f.File, Line: f.Line,
+				FrameSlots: f.FrameSlots,
+				SavedRegs:  slices.Clone(f.SavedRegs),
+				RepzRet:    f.RepzRet,
+				Global:     f.Global,
+			}
+			for _, b := range f.Blocks {
+				nb := &ir.Block{Index: b.Index, Line: b.Line, Cold: b.Cold, Term: b.Term}
+				nb.Ops = slices.Clone(b.Ops)
+				nb.Term.Targets = slices.Clone(b.Term.Targets)
+				g.Blocks = append(g.Blocks, nb)
+			}
+			mm.Funcs = append(mm.Funcs, g)
+		}
+		q.Modules = append(q.Modules, mm)
+	}
+	q.Finalize()
+	return q
+}
+
+// TestCompileLeavesProgramUnchanged: inlining clones a function only to
+// splice into it, so a compile leaves the caller's program as it was and
+// a second compile of it gives the same objects. LTO and a profile that
+// names every call site hot make tiny and hot-site inlining both fire.
+func TestCompileLeavesProgramUnchanged(t *testing.T) {
+	p := workload.Generate(workload.Proxygen())
+	opts := DefaultOptions()
+	opts.LTO = true
+	opts.PGO = NewSourceProfile()
+	for _, m := range p.Modules {
+		for _, f := range m.Funcs {
+			for _, b := range f.Blocks {
+				for _, op := range b.Ops {
+					if op.Kind == ir.OpCall {
+						opts.PGO.Call[SrcKey{File: f.File, Line: op.Line}] = opts.HotCallCount
+					}
+				}
+			}
+		}
+	}
+	before := cloneProgram(p)
+	first, err := Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, before) {
+		t.Fatal("Compile changed the program it was given")
+	}
+	second, err := Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("a second compile of the same program gave other objects")
+	}
+
+	rewritten := func(o Options) int {
+		n := 0
+		for i, f := range inlineAll(p, o) {
+			if f != funcAt(p, i) {
+				n++
+			}
+		}
+		return n
+	}
+	tinyOnly := DefaultOptions()
+	tinyOnly.LTO = true
+	if tiny, both := rewritten(tinyOnly), rewritten(opts); tiny == 0 || both <= tiny {
+		t.Fatalf("functions inlined into: %d with tiny inlining, %d with hot-site inlining too; want 0 < tiny < both", tiny, both)
+	}
+}
+
+// funcAt returns the i-th function of p in module order.
+func funcAt(p *ir.Program, i int) *ir.Func {
+	for _, m := range p.Modules {
+		if i < len(m.Funcs) {
+			return m.Funcs[i]
+		}
+		i -= len(m.Funcs)
+	}
+	return nil
 }

@@ -36,16 +36,21 @@ func inlinable(callee *ir.Func) bool {
 	return true
 }
 
-// inlineAll applies the inlining policy over the whole program:
+// inlineAll applies the inlining policy over the whole program and
+// returns its functions in module order, ready to lower:
 //   - tiny callees (<= TinyInlineOps) are inlined whenever visible
 //     (same module, or anywhere under LTO);
 //   - with PGO, small callees (<= PGOInlineOps) are also inlined at call
 //     sites whose profile count is hot.
 //
+// p is never mutated: a function is cloned just before its first splice,
+// and from then on byName points at the clone, so a later caller inlines
+// the rewritten body. Functions without a splice are returned as they are.
+//
 // Inlined ops keep the *callee's* source coordinates, so a later PGO build
 // of this program sees merged per-line profiles across all inline copies —
 // the paper's Figure 2 scenario.
-func inlineAll(p *ir.Program, opts Options) {
+func inlineAll(p *ir.Program, opts Options) []*ir.Func {
 	byName := map[string]*ir.Func{}
 	sameModule := map[string]*ir.Module{}
 	for _, m := range p.Modules {
@@ -77,38 +82,57 @@ func inlineAll(p *ir.Program, opts Options) {
 		return false
 	}
 
+	var funcs, cloned []*ir.Func
 	for _, m := range p.Modules {
-		for _, f := range m.Funcs {
+		for _, orig := range m.Funcs {
+			f := orig
 			// Bounded rounds prevent runaway mutual inlining.
 			for round := 0; round < 3; round++ {
-				if !inlineOnePass(f, m, byName, shouldInline) {
+				var changed bool
+				if f, changed = inlineOnePass(f, f != orig, m, byName, shouldInline); !changed {
 					break
 				}
 			}
+			if f != orig {
+				cloned = append(cloned, f)
+			}
+			funcs = append(funcs, f)
 		}
 	}
-	p.Finalize()
+	// The jumps splice adds carry no source coordinates. They are filled
+	// only now, as one whole-program pass after inlining would: a body
+	// inlined before its own splices were filled takes the coordinates of
+	// the function it lands in.
+	for _, f := range cloned {
+		f.Finalize()
+	}
+	return funcs
 }
 
 // inlineOnePass splices the first eligible call site of each block and
-// reports whether anything changed.
-func inlineOnePass(f *ir.Func, m *ir.Module, byName map[string]*ir.Func,
-	shouldInline func(*ir.Func, *ir.Module, ir.Op) bool) bool {
+// reports whether anything changed. Before the first splice into a
+// function it does not own yet, it clones it and points byName at the
+// clone; it returns the function it spliced into.
+func inlineOnePass(f *ir.Func, owned bool, m *ir.Module, byName map[string]*ir.Func,
+	shouldInline func(*ir.Func, *ir.Module, ir.Op) bool) (*ir.Func, bool) {
 
 	changed := false
 	for bi := 0; bi < len(f.Blocks); bi++ {
-		b := f.Blocks[bi]
-		for oi := 0; oi < len(b.Ops); oi++ {
-			op := b.Ops[oi]
+		for oi, op := range f.Blocks[bi].Ops {
 			if op.Kind != ir.OpCall || !shouldInline(f, m, op) {
 				continue
+			}
+			if !owned {
+				f = f.Clone()
+				byName[f.Name] = f
+				owned = true
 			}
 			splice(f, bi, oi, byName[op.Callee], op.LandingPad)
 			changed = true
 			break // block was rewritten; move on
 		}
 	}
-	return changed
+	return f, changed
 }
 
 // splice inlines callee at f.Blocks[bi].Ops[oi].

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"gobolt/internal/isa"
 )
@@ -208,35 +209,58 @@ func (p *Program) Finalize() {
 	for _, m := range p.Modules {
 		for _, f := range m.Funcs {
 			f.mod = m
-			for i, b := range f.Blocks {
-				b.Index = i
-				if b.Line == 0 {
-					b.Line = f.Line
-				}
-				for j := range b.Ops {
-					if b.Ops[j].File == "" {
-						b.Ops[j].File = f.File
-					}
-					if b.Ops[j].Line == 0 {
-						b.Ops[j].Line = b.Line
-					}
-					if b.Ops[j].Kind != OpCall && b.Ops[j].LandingPad == 0 {
-						// Zero value means "no landing pad" for non-calls.
-						b.Ops[j].LandingPad = -1
-					}
-				}
-				if b.Term.File == "" {
-					b.Term.File = f.File
-				}
-				if b.Term.Line == 0 {
-					b.Term.Line = b.Line
-				}
-				if b.Term.Kind != TermThrow && b.Term.LandingPad == 0 {
-					b.Term.LandingPad = -1
-				}
-			}
+			f.Finalize()
 		}
 	}
+}
+
+// Finalize normalizes one function the way Program.Finalize does, for a
+// pass that rewrote f after the program was finalized. It leaves f's
+// module as it is.
+func (f *Func) Finalize() {
+	for i, b := range f.Blocks {
+		b.Index = i
+		if b.Line == 0 {
+			b.Line = f.Line
+		}
+		for j := range b.Ops {
+			if b.Ops[j].File == "" {
+				b.Ops[j].File = f.File
+			}
+			if b.Ops[j].Line == 0 {
+				b.Ops[j].Line = b.Line
+			}
+			if b.Ops[j].Kind != OpCall && b.Ops[j].LandingPad == 0 {
+				// Zero value means "no landing pad" for non-calls.
+				b.Ops[j].LandingPad = -1
+			}
+		}
+		if b.Term.File == "" {
+			b.Term.File = f.File
+		}
+		if b.Term.Line == 0 {
+			b.Term.Line = b.Line
+		}
+		if b.Term.Kind != TermThrow && b.Term.LandingPad == 0 {
+			b.Term.LandingPad = -1
+		}
+	}
+}
+
+// Clone returns a deep copy of f in f's module, for a pass that rewrites
+// one function and must leave the program it came from unchanged.
+func (f *Func) Clone() *Func {
+	g := *f
+	g.SavedRegs = slices.Clone(f.SavedRegs)
+	g.Blocks = make([]*Block, len(f.Blocks))
+	blocks := make([]Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		blocks[i] = *b
+		blocks[i].Ops = slices.Clone(b.Ops)
+		blocks[i].Term.Targets = slices.Clone(b.Term.Targets)
+		g.Blocks[i] = &blocks[i]
+	}
+	return &g
 }
 
 // FuncByName finds a function anywhere in the program.

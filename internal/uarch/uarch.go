@@ -138,10 +138,12 @@ func Speedup(base, opt *Metrics) float64 {
 	return float64(base.Cycles)/float64(opt.Cycles) - 1
 }
 
-// cache is a set-associative LRU cache over line/page numbers.
+// cache is a set-associative LRU cache over line/page numbers. Way w of
+// set s is entry s*assoc+w of tags and lru.
 type cache struct {
-	sets    [][]uint64 // tags; 0 = empty
-	lru     [][]uint64 // access stamps; wide enough never to wrap
+	tags    []uint64 // 0 = empty
+	lru     []uint64 // access stamps; wide enough never to wrap
+	assoc   int
 	setMask uint64
 	shift   uint
 	tick    uint64
@@ -160,14 +162,13 @@ func newCache(name string, lines int, assoc int, shift uint) *cache {
 		panic(fmt.Sprintf("uarch: %s: %d × %d-byte entries in %d ways make %d sets, not a power of two",
 			name, lines, 1<<shift, assoc, nsets))
 	}
-	c := &cache{setMask: uint64(nsets - 1), shift: shift}
-	c.sets = make([][]uint64, nsets)
-	c.lru = make([][]uint64, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]uint64, assoc)
-		c.lru[i] = make([]uint64, assoc)
+	return &cache{
+		tags:    make([]uint64, nsets*assoc),
+		lru:     make([]uint64, nsets*assoc),
+		assoc:   assoc,
+		setMask: uint64(nsets - 1),
+		shift:   shift,
 	}
-	return c
 }
 
 func newCacheFromCfg(name string, cfg CacheCfg) *cache {
@@ -181,9 +182,9 @@ func newTLB(name string, cfg TLBCfg) *cache {
 // access returns true on hit and updates LRU/fill state.
 func (c *cache) access(addr uint64) bool {
 	key := addr>>c.shift | 1<<63 // bias so 0 means empty
-	set := (addr >> c.shift) & c.setMask
-	tags := c.sets[set]
-	lru := c.lru[set]
+	first := int((addr>>c.shift)&c.setMask) * c.assoc
+	tags := c.tags[first : first+c.assoc]
+	lru := c.lru[first : first+c.assoc]
 	c.tick++
 	for i, t := range tags {
 		if t == key {

@@ -81,16 +81,26 @@ func (m *Machine) cond(c isa.Cond) (bool, error) {
 // Run executes up to budget instructions (0 = unlimited) and returns why
 // it stopped. Errors indicate guest faults (wild jumps, unmapped memory,
 // unhandled exceptions) — i.e., rewriter bugs.
+//
+// Run looks m.rip up only for its first instruction and after indirect
+// transfers, returns, unwinds and direct transfers to no decoded
+// instruction; otherwise it follows the decoded links. Either way it reaches the same
+// instruction, and a lookup that fails does so just before that
+// instruction would run.
 func (m *Machine) Run(budget uint64) (StopReason, error) {
 	executed := uint64(0)
+	cur := -1 // index of the instruction at m.rip, -1 = look it up
 	for !m.halted {
 		if budget != 0 && executed >= budget {
 			return StopBudget, nil
 		}
-		d, err := m.fetch(m.rip)
-		if err != nil {
-			return StopHalt, err
+		if cur < 0 {
+			var err error
+			if cur, err = m.fetch(m.rip); err != nil {
+				return StopHalt, err
+			}
 		}
+		d := &m.insts[cur]
 		in := &d.inst
 		pc := m.rip
 		next := pc + uint64(d.size)
@@ -188,6 +198,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		case isa.JMP:
 			m.recordBranch(pc, in.TargetAddr(), BrUncond, false)
 			m.rip = in.TargetAddr()
+			cur = m.linkTarget(d)
 			continue
 		case isa.JCC:
 			taken, err := m.cond(in.Cc)
@@ -200,6 +211,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				m.C.TakenBranch++
 				m.recordBranch(pc, in.TargetAddr(), BrCond, mispred)
 				m.rip = in.TargetAddr()
+				cur = m.linkTarget(d)
 				continue
 			}
 			if m.tracer != nil {
@@ -208,6 +220,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		case isa.JMPr:
 			m.recordBranch(pc, m.Regs[in.R1], BrIndirect, false)
 			m.rip = m.Regs[in.R1]
+			cur = -1
 			continue
 		case isa.JMPm:
 			addr := m.effAddr(&in.M, pc, d.size)
@@ -221,13 +234,16 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			}
 			m.recordBranch(pc, v, BrIndirect, false)
 			m.rip = v
+			cur = -1
 			continue
 		case isa.CALL, isa.CALLr, isa.CALLm:
 			var target uint64
 			kind := BrCall
+			link := -1 // index of the instruction at target, -1 = look it up
 			switch in.Op {
 			case isa.CALL:
 				target = in.TargetAddr()
+				link = m.linkTarget(d)
 			case isa.CALLr:
 				target = m.Regs[in.R1]
 				kind = BrIndCall
@@ -250,6 +266,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				}
 				m.recordBranch(pc, lp, BrUncond, false)
 				m.rip = lp
+				cur = -1
 				continue
 			}
 			if err := m.push(next); err != nil {
@@ -258,6 +275,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			m.C.Calls++
 			m.recordBranch(pc, target, kind, false)
 			m.rip = target
+			cur = link
 			continue
 		case isa.RET, isa.REPZRET:
 			v, err := m.pop()
@@ -267,6 +285,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			m.C.Returns++
 			m.recordBranch(pc, v, BrRet, false)
 			m.rip = v
+			cur = -1
 			continue
 		case isa.PUSH:
 			if err := m.push(m.Regs[in.R1]); err != nil {
@@ -290,6 +309,10 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			return StopHalt, fmt.Errorf("vm: unimplemented op %v at %#x", in.Op, pc)
 		}
 		m.rip = next
+		cur++
+		if !d.fall {
+			cur = -1
+		}
 	}
 	return StopHalt, nil
 }

@@ -67,15 +67,23 @@ const (
 	StopBudget
 )
 
+// decoded is one pre-decoded instruction with its successors linked, so
+// Run follows indices instead of looking every address up: fall says the
+// next entry of Machine.insts starts where this one ends, and target is
+// one plus the index of a direct jmp/jcc/call's destination. Run fills
+// target the first time the transfer is taken (see linkTarget); it is 0
+// until then, and while the destination is no decoded instruction start.
 type decoded struct {
-	inst isa.Inst
-	size uint8
+	inst   isa.Inst
+	size   uint8
+	fall   bool
+	target int32
 }
 
 type codeSection struct {
 	base uint64
 	end  uint64
-	idx  []int32 // byte offset -> index into insts, -1 = not an instruction start
+	idx  []int32 // byte offset -> one plus the index into insts, 0 = not an instruction start
 }
 
 const (
@@ -180,19 +188,17 @@ func New(f *elfx.File) (*Machine, error) {
 }
 
 // decodeCode linearly disassembles every function body (symbol-delimited)
-// in every executable section.
+// in every executable section, linking each instruction to the one that
+// follows it in memory.
 func (m *Machine) decodeCode() error {
 	var code uint64
 	for _, s := range m.file.Sections {
 		if s.Flags&elfx.SHFExecinstr == 0 || s.Size() == 0 {
 			continue
 		}
-		cs := codeSection{base: s.Addr, end: s.Addr + s.Size()}
-		cs.idx = make([]int32, s.Size())
-		for i := range cs.idx {
-			cs.idx[i] = -1
-		}
-		m.sections = append(m.sections, cs)
+		m.sections = append(m.sections, codeSection{
+			base: s.Addr, end: s.Addr + s.Size(), idx: make([]int32, s.Size()),
+		})
 		code += s.Size()
 	}
 	// The toolchain's instructions average 4.7-4.8 bytes on every preset,
@@ -200,6 +206,7 @@ func (m *Machine) decodeCode() error {
 	m.insts = make([]decoded, 0, code/4)
 	sort.Slice(m.sections, func(i, j int) bool { return m.sections[i].base < m.sections[j].base })
 
+	var prevEnd uint64 // end address of the last decoded instruction
 	for _, sym := range m.file.FuncSymbols() {
 		si := m.sectionFor(sym.Value)
 		if si < 0 {
@@ -214,18 +221,23 @@ func (m *Machine) decodeCode() error {
 		}
 		pos := off
 		for pos < end {
-			if cs.idx[sym.Value-cs.base+pos-off] >= 0 {
+			addr := sec.Addr + pos
+			if cs.idx[addr-cs.base] != 0 {
 				break // already decoded (alias symbol)
+			}
+			if len(m.insts) > 0 && prevEnd == addr {
+				m.insts[len(m.insts)-1].fall = true
 			}
 			m.insts = append(m.insts, decoded{})
 			d := &m.insts[len(m.insts)-1]
-			n, err := isa.Decode(&d.inst, sec.Data[pos:end], sec.Addr+pos)
+			n, err := isa.Decode(&d.inst, sec.Data[pos:end], addr)
 			if err != nil {
 				return fmt.Errorf("vm: decoding %s+%#x: %w", sym.Name, pos-off, err)
 			}
 			d.size = uint8(n)
-			cs.idx[sec.Addr+pos-cs.base] = int32(len(m.insts) - 1)
+			cs.idx[addr-cs.base] = int32(len(m.insts))
 			pos += uint64(n)
+			prevEnd = addr + uint64(n)
 		}
 	}
 	return nil
@@ -248,18 +260,39 @@ func (m *Machine) sectionFor(addr uint64) int {
 	return -1
 }
 
-// fetch returns the decoded instruction at addr.
-func (m *Machine) fetch(addr uint64) (*decoded, error) {
+// lookup returns one plus the index of the instruction starting at
+// addr, or 0 when no decoded instruction starts there.
+func (m *Machine) lookup(addr uint64) int32 {
 	si := m.sectionFor(addr)
 	if si < 0 {
-		return nil, fmt.Errorf("vm: execute at unmapped address %#x", addr)
+		return 0
 	}
 	cs := &m.sections[si]
-	id := cs.idx[addr-cs.base]
-	if id < 0 {
-		return nil, fmt.Errorf("vm: execute at non-instruction address %#x", addr)
+	return cs.idx[addr-cs.base]
+}
+
+// linkTarget returns the index of the instruction at d's direct
+// destination, resolving it on first use, or -1 when no decoded
+// instruction starts there. Resolving when a transfer first runs, not in
+// decodeCode, keeps New from looking up every branch target of the image
+// when a run executes few of them.
+func (m *Machine) linkTarget(d *decoded) int {
+	if d.target == 0 {
+		d.target = m.lookup(d.inst.TargetAddr())
 	}
-	return &m.insts[id], nil
+	return int(d.target) - 1
+}
+
+// fetch returns the index of the decoded instruction at addr.
+func (m *Machine) fetch(addr uint64) (int, error) {
+	id := m.lookup(addr)
+	if id == 0 {
+		if m.sectionFor(addr) < 0 {
+			return 0, fmt.Errorf("vm: execute at unmapped address %#x", addr)
+		}
+		return 0, fmt.Errorf("vm: execute at non-instruction address %#x", addr)
+	}
+	return int(id - 1), nil
 }
 
 // SetTracer installs an execution observer (nil to remove).
