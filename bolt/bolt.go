@@ -159,7 +159,7 @@ func newSession(input string, f *elfx.File, image []byte, opts []Option) *Sessio
 	for _, opt := range opts {
 		opt(&o)
 	}
-	s := &Session{input: input, file: f, opts: o.Normalized()}
+	s := &Session{input: input, file: f, opts: o}
 	// Fingerprint the input image now, before any stage mutates the
 	// file in place; Report.InputSHA256 identifies the exact binary a
 	// run report describes.

@@ -449,42 +449,6 @@ func TestMergedShardSource(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsNoFootgun: the historical `core.Options{}` zero value
-// now means "defaults", so an analysis-only context gets stale matching
-// and the full pass set instead of silently disabling everything.
-func TestZeroOptionsNoFootgun(t *testing.T) {
-	if got := (core.Options{}).Normalized(); !reflect.DeepEqual(got, core.DefaultOptions()) {
-		t.Fatalf("Options{}.Normalized() = %+v, want DefaultOptions", got)
-	}
-	// The operational knobs (Jobs, DynoStats) don't count as
-	// configuration: Options{Jobs: n} means "defaults at n workers" for
-	// every n, with the knobs preserved — no discontinuity at n=0.
-	for _, jobs := range []int{0, 1, 4} {
-		got := (core.Options{Jobs: jobs, DynoStats: true}).Normalized()
-		want := core.DefaultOptions()
-		want.Jobs, want.DynoStats = jobs, true
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Options{Jobs:%d}.Normalized() = %+v, want defaults with knobs kept", jobs, got)
-		}
-	}
-	// An explicit pass-selection field marks the Options as configured.
-	explicit := core.Options{ICF: true, Jobs: 2}
-	if got := explicit.Normalized(); !reflect.DeepEqual(got, explicit) {
-		t.Fatalf("configured Options were rewritten: %+v", got)
-	}
-	f := buildTiny(t)
-	ctx, err := core.NewContext(context.Background(), f, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ctx.Opts.StaleMatching || !ctx.Opts.ICF {
-		t.Fatalf("zero Options reached the pipeline un-normalized: %+v", ctx.Opts)
-	}
-	if len(passes.BuildPipeline(core.Options{})) != len(passes.BuildPipeline(core.DefaultOptions())) {
-		t.Fatal("BuildPipeline treats the zero value as all-off")
-	}
-}
-
 // TestVerifyChecksTheBytesWritten: WriteTo, WriteFile and VerifyOutput
 // share one serialization of the rewrite result, so the gate's verdict
 // is about the very bytes that reach the output path. The output image

@@ -8,15 +8,15 @@ import (
 // Option configures a Session at open time. The base configuration is
 // always core.DefaultOptions() — the paper's evaluation setup — so a
 // zero-option session runs the full pipeline; Options only deviate from
-// it. The historical `core.Options{}` "everything silently off" zero
-// value cannot be expressed through this API.
+// it.
 type Option func(*core.Options)
 
 // WithOptions replaces the whole option set — the escape hatch for CLI
-// adapters that materialize a core.Options from flags. The zero value is
-// normalized to the defaults (see core.Options.Normalized).
+// adapters that materialize a core.Options from flags. o is taken as
+// given: start from core.DefaultOptions(), as the zero core.Options runs
+// no pass.
 func WithOptions(o core.Options) Option {
-	return func(dst *core.Options) { *dst = o.Normalized() }
+	return func(dst *core.Options) { *dst = o }
 }
 
 // WithJobs bounds the worker pools of every parallel phase — loader

@@ -22,8 +22,10 @@ import (
 // `ICPThreshold` and `TimePasses`; v4 removed `amdahl`,
 // `functions.simple`, `phases[].parallel`, `profile.total_count`,
 // `profile.inferred_funcs`, gauges and histograms; v5 removed
-// `options.SimplifyROLoads` and `options.SCTC` (passes deleted).
-const ReportSchemaVersion = 5
+// `options.SimplifyROLoads` and `options.SCTC` (passes deleted); v6
+// removed `options.SplitAllCold` and `options.SplitEH` and made
+// `options.SplitFunctions` a boolean.
+const ReportSchemaVersion = 6
 
 // Report is the structured result of Session.Optimize and, as it
 // stands, the versioned JSON document behind `gobolt -report-json`:

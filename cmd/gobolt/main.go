@@ -2,9 +2,12 @@
 // driver for the Figure 3 pipeline, with flags mirroring the llvm-bolt
 // invocation used in the paper (§6.2.1):
 //
-//	gobolt binary -data perf.fdata -o binary.bolt \
+//	gobolt -data perf.fdata -o binary.bolt \
 //	    -reorder-blocks=cache+ -reorder-functions=hfsort+ \
-//	    -split-functions=3 -split-all-cold -split-eh -icf=1 -dyno-stats
+//	    -split-functions=3 -icf=1 -dyno-stats binary
+//
+// The paper's -split-all-cold -split-eh are not flags: splitting always
+// moves every rarely run block, landing pads included.
 //
 // It is a thin flag→option adapter over the bolt library package: all
 // pipeline work happens in bolt.Session, every failure is a returned
@@ -56,11 +59,9 @@ func badFlag(name string, err error) error {
 func run() error {
 	data := flag.String("data", "", "fdata profile file (from perf2bolt)")
 	out := flag.String("o", "", "output binary path (default <input>.bolt)")
-	reorderBlocks := flag.String("reorder-blocks", "cache+", "block layout: none|reverse|ph|cache+")
+	reorderBlocks := flag.String("reorder-blocks", "cache+", "block layout: none|ph|cache+")
 	reorderFuncs := flag.String("reorder-functions", "hfsort+", "function layout: none|exec|hfsort|hfsort+")
-	splitFuncs := flag.Int("split-functions", 3, "hot/cold splitting: 0 = off, 1 = never-executed blocks, >=2 also blocks run at most 1/64 as often as the function's hottest (3 acts as 2)")
-	splitAllCold := flag.Bool("split-all-cold", true, "move all cold blocks to the cold section (false: only landing pads, with -split-eh)")
-	splitEH := flag.Bool("split-eh", true, "split exception landing pads")
+	splitFuncs := flag.Int("split-functions", 3, "hot/cold splitting of blocks run at most 1/64 as often as the function's hottest, landing pads included (0 = off)")
 	icf := flag.Int("icf", 1, "identical code folding (0 = off)")
 	icp := flag.Bool("icp", true, "indirect call promotion")
 	inlineSmall := flag.Bool("inline-small", true, "inline small functions")
@@ -120,9 +121,7 @@ func run() error {
 	if opts.ReorderFunctions, err = hfsort.ParseAlgorithm(*reorderFuncs); err != nil {
 		return badFlag("reorder-functions", err)
 	}
-	opts.SplitFunctions = *splitFuncs
-	opts.SplitAllCold = *splitAllCold
-	opts.SplitEH = *splitEH
+	opts.SplitFunctions = *splitFuncs != 0
 	opts.ICF = *icf != 0
 	opts.ICP = *icp
 	opts.InlineSmall = *inlineSmall

@@ -1,8 +1,8 @@
 // Exceptions: demonstrates that gobolt preserves C++-style exception
-// machinery while aggressively moving code (§3.4, Figure 4): landing pads
-// go to the cold fragment (-split-eh), the CFI and LSDA tables are
-// rebuilt for the new layout, and the VM's CFI-driven unwinder still
-// lands every throw on the right handler.
+// machinery while aggressively moving code (§3.4, Figure 4): cold landing
+// pads go to the cold fragment with the other cold blocks, the CFI and
+// LSDA tables are rebuilt for the new layout, and the VM's CFI-driven
+// unwinder still lands every throw on the right handler.
 //
 //	go run ./examples/exceptions
 package main
@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := bolt.OpenELF(linked.File) // -split-eh is on by default
+	sess, err := bolt.OpenELF(linked.File) // splitting moves cold landing pads too
 	if err != nil {
 		log.Fatal(err)
 	}

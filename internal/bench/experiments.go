@@ -341,7 +341,7 @@ func Fig11(l *Lab) ([]Fig11Row, string, error) {
 		switch name {
 		case "Functions":
 			opts.ReorderBlocks = layout.AlgoNone
-			opts.SplitFunctions = 0
+			opts.SplitFunctions = false
 		case "BBs":
 			opts.ReorderFunctions = hfsort.AlgoNone
 		}

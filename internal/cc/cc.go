@@ -65,53 +65,37 @@ func (sp *SourceProfile) AddBranchSample(key, succ SrcKey, count uint64) {
 	st.BySucc[succ] += count
 }
 
-// Options configures a build.
+// Code-generation constants of every build: functions start 16-byte
+// aligned; loop-header blocks are padded to 16 bytes with NOPs, like
+// -falign-loops (gobolt strips these); with a profile, a callee of at
+// most pgoInlineOps ops is inlined at a call site run at least
+// hotCallCount times.
+const (
+	funcAlign    = 16
+	blockAlign   = 16
+	pgoInlineOps = 14
+	hotCallCount = 32
+)
+
+// Options configures a build. Start from DefaultOptions().
 type Options struct {
 	// LTO allows cross-module inlining (link-time optimization).
 	LTO bool
 	// PGO, when non-nil, enables profile-guided inlining, block layout,
 	// and branch polarity using the (source-keyed) profile.
 	PGO *SourceProfile
-
-	// AlignFuncs is the function start alignment (default 16).
-	AlignFuncs int
-	// AlignBlocks pads branch-target blocks of loops to 16 bytes with
-	// NOPs, like -falign-loops; gobolt strips these (default true).
-	AlignBlocks bool
-
 	// TinyInlineOps is the always-inline size threshold (default 3).
 	TinyInlineOps int
-	// PGOInlineOps is the PGO hot-call-site inline threshold (default 14).
-	PGOInlineOps int
-	// HotCallCount is the minimum profile count for PGO inlining
-	// (default 32).
-	HotCallCount uint64
-}
-
-func (o Options) withDefaults() Options {
-	if o.AlignFuncs == 0 {
-		o.AlignFuncs = 16
-	}
-	if o.TinyInlineOps == 0 {
-		o.TinyInlineOps = 3
-	}
-	if o.PGOInlineOps == 0 {
-		o.PGOInlineOps = 14
-	}
-	if o.HotCallCount == 0 {
-		o.HotCallCount = 32
-	}
-	return o
 }
 
 // DefaultOptions returns the plain -O2 configuration.
-func DefaultOptions() Options { return Options{AlignBlocks: true}.withDefaults() }
+func DefaultOptions() Options { return Options{TinyInlineOps: 3} }
 
 // Compile lowers the program to one object per module, plus a synthetic
-// runtime object providing __throw.
+// runtime object providing __throw. p must be finalized
+// (ir.Program.Finalize); Compile only reads it, so several goroutines may
+// compile one program at once.
 func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
-	opts = opts.withDefaults()
-	p.Finalize()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,7 +122,7 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 	states := make([]*lowerState, par.Jobs(0, len(funcs)))
 	if _, err := par.For(context.TODO(), len(funcs), len(states), func(w, i int) error {
 		if states[w] == nil {
-			states[w] = &lowerState{opts: opts, a: asmx.New(), sharedFuncs: sharedFuncs}
+			states[w] = &lowerState{a: asmx.New(), sharedFuncs: sharedFuncs}
 		}
 		f := funcs[i]
 		of, globals, err := states[w].lower(f, layoutBlocks(f, opts))

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"gobolt/internal/ir"
@@ -174,6 +175,32 @@ func TestCompileEmitsCFIAndLines(t *testing.T) {
 	}
 }
 
+// TestCompileConcurrentOnOneProgram: Compile only reads the program, so
+// two goroutines may compile one at once (the race suite checks the
+// reads) and get equal objects.
+func TestCompileConcurrentOnOneProgram(t *testing.T) {
+	p := workload.Generate(workload.Tiny())
+	var objs [2][]*obj.Object
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			objs[i], errs[i] = Compile(p, DefaultOptions())
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(objs[0], objs[1]) {
+		t.Fatal("two concurrent compiles of one program gave other objects")
+	}
+}
+
 // Functions are lowered in parallel: a preset compiled at GOMAXPROCS 1
 // and at 4 links to the same bytes.
 func TestCompileDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -250,7 +277,7 @@ func TestCompileLeavesProgramUnchanged(t *testing.T) {
 			for _, b := range f.Blocks {
 				for _, op := range b.Ops {
 					if op.Kind == ir.OpCall {
-						opts.PGO.Call[SrcKey{File: f.File, Line: op.Line}] = opts.HotCallCount
+						opts.PGO.Call[SrcKey{File: f.File, Line: op.Line}] = hotCallCount
 					}
 				}
 			}

@@ -40,8 +40,8 @@ func inlinable(callee *ir.Func) bool {
 // returns its functions in module order, ready to lower:
 //   - tiny callees (<= TinyInlineOps) are inlined whenever visible
 //     (same module, or anywhere under LTO);
-//   - with PGO, small callees (<= PGOInlineOps) are also inlined at call
-//     sites whose profile count is hot.
+//   - with PGO, small callees (<= pgoInlineOps) are also inlined at call
+//     sites run at least hotCallCount times.
 //
 // p is never mutated: a function is cloned just before its first splice,
 // and from then on byName points at the clone, so a later caller inlines
@@ -73,11 +73,11 @@ func inlineAll(p *ir.Program, opts Options) []*ir.Func {
 		if size <= opts.TinyInlineOps {
 			return true
 		}
-		if opts.PGO != nil && size <= opts.PGOInlineOps {
+		if opts.PGO != nil && size <= pgoInlineOps {
 			cnt := opts.PGO.Call[SrcKey{File: caller.File, Line: op.Line}]
 			// Merged-at-source caveat applies here too: the count is the
 			// sum over all binary call sites sharing this source line.
-			return cnt >= opts.HotCallCount
+			return cnt >= hotCallCount
 		}
 		return false
 	}

@@ -22,9 +22,8 @@ const (
 // functions in turn; lower resets the per-function parts, keeping their
 // storage.
 type lowerState struct {
-	f    *ir.Func
-	opts Options
-	a    *asmx.Assembler
+	f *ir.Func
+	a *asmx.Assembler
 	// sharedFuncs names the functions living in shared modules (their
 	// calls use PLT32).
 	sharedFuncs map[string]bool
@@ -75,7 +74,6 @@ func (st *lowerState) lower(f *ir.Func, order []int) (*obj.Func, []*obj.Global, 
 		st.blockLabels = append(st.blockLabels, st.a.NewLabel())
 	}
 	st.endLabel = st.a.NewLabel()
-	opts := st.opts
 
 	hasFrame := st.needsFrame()
 	pos := make([]int, len(f.Blocks)) // block -> position in order
@@ -111,8 +109,8 @@ func (st *lowerState) lower(f *ir.Func, order []int) (*obj.Func, []*obj.Global, 
 
 	for idx, bi := range order {
 		b := f.Blocks[bi]
-		if opts.AlignBlocks && idx > 0 && isLoopHead[bi] {
-			st.a.Align(16)
+		if idx > 0 && isLoopHead[bi] {
+			st.a.Align(blockAlign)
 		}
 		st.a.Bind(st.blockLabels[bi])
 		if bi == 0 && hasFrame {
@@ -154,7 +152,7 @@ func (st *lowerState) lower(f *ir.Func, order []int) (*obj.Func, []*obj.Global, 
 	of := &obj.Func{
 		Name:   f.Name,
 		Bytes:  res.Code,
-		Align:  opts.AlignFuncs,
+		Align:  funcAlign,
 		Relocs: res.Relocs,
 		Global: f.Global,
 	}

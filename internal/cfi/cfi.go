@@ -273,7 +273,7 @@ func FindFDE(fdes []FDE, addr uint64) (*FDE, bool) {
 
 // CallSite maps a code range (offsets from the *fragment* start) to a
 // landing pad. Landing pads are absolute addresses so that split-function
-// fragments can point into one another (-split-eh).
+// fragments can point into one another (a landing pad may be cold).
 type CallSite struct {
 	Start      uint32 // code offset of the region start
 	Len        uint32

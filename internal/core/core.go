@@ -31,22 +31,25 @@ import (
 
 // Options mirrors the llvm-bolt command line used in the paper (§6.2.1):
 // -reorder-blocks=cache+ -reorder-functions=hfsort+ -split-functions=3
-// -split-all-cold -split-eh -icf=1.
+// -icf=1, with the paper's -split-all-cold -split-eh always in effect. The
+// zero value turns every pass off: start from DefaultOptions() and change
+// the fields you mean to.
 type Options struct {
 	ReorderBlocks    layout.Algorithm
 	ReorderFunctions hfsort.Algorithm
-	SplitFunctions   int  // 0 = off, 1 = never-executed blocks, >=2 = also blocks run at most 1/64 as often as the function's hottest (3 acts as 2)
-	SplitAllCold     bool // false: only landing pads move, and only with SplitEH
-	SplitEH          bool
-	ICF              bool
-	ICP              bool
-	InlineSmall      bool
-	PLT              bool
-	Peepholes        bool
-	StripRepRet      bool
-	FrameOpts        bool
-	ShrinkWrapping   bool
-	UCE              bool
+	// SplitFunctions moves each non-entry block whose count is at most
+	// 1/64 of the function's hottest, landing pads included, to the cold
+	// fragment.
+	SplitFunctions bool
+	ICF            bool
+	ICP            bool
+	InlineSmall    bool
+	PLT            bool
+	Peepholes      bool
+	StripRepRet    bool
+	FrameOpts      bool
+	ShrinkWrapping bool
+	UCE            bool
 
 	DynoStats           bool
 	UpdateDebugSections bool
@@ -126,43 +129,12 @@ func ParseInferMode(s string) (InferMode, error) {
 	return InferAuto, fmt.Errorf("invalid infer-flow mode %q (want auto, always, or never)", s)
 }
 
-// Normalized upgrades an unconfigured Options value to DefaultOptions.
-// Historically `core.Options{}` silently meant "every pass off" — a
-// footgun for callers that only wanted a context to analyze (compute
-// shapes, apply a profile) and accidentally also disabled stale matching
-// and BAT. Every pipeline entry point (NewContext, passes.BuildPipeline)
-// normalizes its options, so an unconfigured value now means "the
-// paper's defaults".
-//
-// "Unconfigured" ignores the operational knobs that do not select
-// passes — Jobs, DynoStats, Trace — so `Options{Jobs: n}` means
-// "defaults at n workers" for every n, not "all passes off unless n is
-// 0". Turning every optimization off deliberately still works: start
-// from DefaultOptions() and clear fields, or set any pass-selection
-// field.
-func (o Options) Normalized() Options {
-	probe := o
-	probe.Jobs = 0
-	probe.DynoStats = false
-	probe.Trace = nil
-	if probe != (Options{}) {
-		return o
-	}
-	d := DefaultOptions()
-	d.Jobs = o.Jobs
-	d.DynoStats = o.DynoStats
-	d.Trace = o.Trace
-	return d
-}
-
 // DefaultOptions reproduces the paper's evaluation configuration.
 func DefaultOptions() Options {
 	return Options{
 		ReorderBlocks:       layout.AlgoCache,
 		ReorderFunctions:    hfsort.AlgoPlus,
-		SplitFunctions:      3,
-		SplitAllCold:        true,
-		SplitEH:             true,
+		SplitFunctions:      true,
 		ICF:                 true,
 		ICP:                 true,
 		InlineSmall:         true,

@@ -27,13 +27,12 @@ import (
 // serial because it is mostly the symbol scan: the two other decodes are
 // too short to pay for overlapping them with it. The resulting context is
 // identical for every worker count. Cancelling cx aborts the parallel
-// phase promptly and returns cx.Err(). The zero Options value is
-// upgraded to DefaultOptions (see Options.Normalized).
+// phase promptly and returns cx.Err(). opts is taken as given: start
+// from DefaultOptions().
 func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext, error) {
 	if cx == nil {
 		cx = context.Background()
 	}
-	opts = opts.Normalized()
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func TestEmitterAddressResolution(t *testing.T) {
 		spec     workload.Spec
 		markCold func(*BasicBlock) bool
 	}{
-		{"exceptions", exceptions, func(b *BasicBlock) bool { return b.IsLP }},                      // -split-eh
+		{"exceptions", exceptions, func(b *BasicBlock) bool { return b.IsLP }},                      // landing pads
 		{"cold-split", coldSplit, func(b *BasicBlock) bool { return len(b.Succs) == 0 && !b.IsLP }}, // exit blocks
 	} {
 		t.Run(shape.name, func(t *testing.T) {

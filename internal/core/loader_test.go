@@ -262,13 +262,15 @@ func FuzzNewContext(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(img)
+	opts := DefaultOptions()
+	opts.Jobs = 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.Clone(data)
 		file, err := elfx.ReadInPlace(data)
 		if err != nil {
 			return
 		}
-		NewContext(context.Background(), file, Options{Jobs: 1})
+		NewContext(context.Background(), file, opts)
 		if !bytes.Equal(data, in) {
 			t.Fatal("loading the image changed the input buffer")
 		}

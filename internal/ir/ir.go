@@ -284,7 +284,8 @@ func (p *Program) NumFuncs() int {
 	return n
 }
 
-// Validate checks structural invariants of the whole program.
+// Validate checks structural invariants of the whole program, which must
+// have been finalized: a function Finalize never reached is an error.
 func (p *Program) Validate() error {
 	names := map[string]bool{}
 	for _, g := range p.Globals {
@@ -299,6 +300,9 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("ir: duplicate symbol %q", f.Name)
 			}
 			names[f.Name] = true
+			if f.mod != m {
+				return fmt.Errorf("ir: func %s: not finalized (call Program.Finalize)", f.Name)
+			}
 			if err := p.validateFunc(f); err != nil {
 				return fmt.Errorf("ir: func %s: %w", f.Name, err)
 			}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"strings"
 	"testing"
 
 	"gobolt/internal/isa"
@@ -51,6 +52,22 @@ func TestValidateRejectsFramedTailCall(t *testing.T) {
 	p.Finalize()
 	if err := p.Validate(); err == nil {
 		t.Fatal("tail call from framed function accepted")
+	}
+}
+
+// TestValidateRejectsUnfinalized: compilers read a program without
+// finalizing it, so a function added after Finalize is reported by name.
+func TestValidateRejectsUnfinalized(t *testing.T) {
+	p := validProgram()
+	f := NewFunc("late", "m.mir", 30)
+	f.Blocks[0].Term = Term{Kind: TermReturn}
+	p.Modules[0].Funcs = append(p.Modules[0].Funcs, f)
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "late") {
+		t.Fatalf("unfinalized function: Validate() = %v, want an error naming it", err)
+	}
+	p.Finalize()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

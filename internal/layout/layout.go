@@ -1,8 +1,8 @@
 // Package layout implements basic-block ordering algorithms for the
 // reorder-bbs pass (Table 1, pass 9): Pettis–Hansen bottom-up chaining
 // and the "cache+" algorithm (an ext-TSP-style chain merger that scores
-// fall-through and short-jump proximity), plus trivial baselines for
-// ablation benchmarks.
+// fall-through and short-jump proximity), plus the input order as the
+// "none" baseline.
 package layout
 
 import (
@@ -16,19 +16,18 @@ type Algorithm string
 
 // Algorithms (flag values mirror the paper's -reorder-blocks options).
 const (
-	AlgoNone    Algorithm = "none"
-	AlgoReverse Algorithm = "reverse"
-	AlgoPH      Algorithm = "ph"     // Pettis-Hansen chains
-	AlgoCache   Algorithm = "cache+" // ext-TSP-style
+	AlgoNone  Algorithm = "none"
+	AlgoPH    Algorithm = "ph"     // Pettis-Hansen chains
+	AlgoCache Algorithm = "cache+" // ext-TSP-style
 )
 
 // ParseAlgorithm converts a -reorder-blocks flag value.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch a := Algorithm(s); a {
-	case AlgoNone, AlgoReverse, AlgoPH, AlgoCache:
+	case AlgoNone, AlgoPH, AlgoCache:
 		return a, nil
 	}
-	return "", fmt.Errorf("invalid block layout %q (want none, reverse, ph, or cache+)", s)
+	return "", fmt.Errorf("invalid block layout %q (want none, ph, or cache+)", s)
 }
 
 // Edge is a weighted CFG edge between block indices.
@@ -48,13 +47,6 @@ type Graph struct {
 // Reorder returns a permutation of 0..N-1 with 0 first.
 func Reorder(g *Graph, algo Algorithm) []int {
 	switch algo {
-	case AlgoReverse:
-		out := make([]int, 0, g.N)
-		out = append(out, 0)
-		for i := g.N - 1; i >= 1; i-- {
-			out = append(out, i)
-		}
-		return out
 	case AlgoPH:
 		return chainLayout(g, false)
 	case AlgoCache:

@@ -41,7 +41,7 @@ func validPermutation(t *testing.T, g *Graph, order []int) {
 
 func TestAlgorithmsProduceValidPermutations(t *testing.T) {
 	g := diamond()
-	for _, algo := range []Algorithm{AlgoNone, AlgoReverse, AlgoPH, AlgoCache} {
+	for _, algo := range []Algorithm{AlgoNone, AlgoPH, AlgoCache} {
 		validPermutation(t, g, Reorder(g, algo))
 	}
 }
@@ -103,7 +103,7 @@ func TestReorderProperty(t *testing.T) {
 				From: r.Intn(n), To: r.Intn(n), Weight: uint64(r.Intn(500)),
 			})
 		}
-		for _, algo := range []Algorithm{AlgoPH, AlgoCache, AlgoReverse} {
+		for _, algo := range []Algorithm{AlgoPH, AlgoCache} {
 			order := Reorder(g, algo)
 			if len(order) != n || order[0] != 0 {
 				return false
@@ -130,9 +130,9 @@ func TestParseAlgorithm(t *testing.T) {
 		ok   bool
 	}{
 		{"none", AlgoNone, true},
-		{"reverse", AlgoReverse, true},
 		{"ph", AlgoPH, true},
 		{"cache+", AlgoCache, true},
+		{"reverse", "", false},
 		{"", "", false},
 		{"bogus", "", false},
 		{"Cache+", "", false},
@@ -141,7 +141,7 @@ func TestParseAlgorithm(t *testing.T) {
 		if got != tc.want || (err == nil) != tc.ok {
 			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
-		if err != nil && !strings.Contains(err.Error(), "none, reverse, ph, or cache+") {
+		if err != nil && !strings.Contains(err.Error(), "none, ph, or cache+") {
 			t.Errorf("ParseAlgorithm(%q) error does not name the valid values: %v", tc.in, err)
 		}
 	}

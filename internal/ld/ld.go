@@ -22,7 +22,7 @@ import (
 	"gobolt/internal/obj"
 )
 
-// Default image layout constants.
+// Image layout constants: .plt, then .text, start at DefaultTextBase.
 const (
 	DefaultTextBase = uint64(0x401000)
 	pageSize        = uint64(0x1000)
@@ -44,8 +44,6 @@ type Options struct {
 	// (profile-driven ordering such as HFSort); remaining functions keep
 	// their input order.
 	FuncOrder []string
-	// TextBase overrides the default text start address.
-	TextBase uint64
 }
 
 // Result bundles the linked image with link-time statistics.
@@ -60,10 +58,6 @@ type Result struct {
 // Link produces an executable from the given objects. The entry point is
 // the function named "_start".
 func Link(objs []*obj.Object, opts Options) (*Result, error) {
-	if opts.TextBase == 0 {
-		opts.TextBase = DefaultTextBase
-	}
-
 	// Collect functions and globals, preserving input order.
 	var funcs []*obj.Func
 	var globals []*obj.Global
@@ -144,7 +138,7 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 		}
 		return (v + a - 1) &^ (a - 1)
 	}
-	pltBase := opts.TextBase
+	pltBase := DefaultTextBase
 	pltSize := uint64(len(pltTargets) * pltEntrySize)
 	textBase := align(pltBase+pltSize, 16)
 

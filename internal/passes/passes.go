@@ -15,7 +15,8 @@ import (
 	"gobolt/internal/core"
 )
 
-// BuildPipeline returns the Table 1 sequence, honoring the options.
+// BuildPipeline returns the Table 1 sequence, honoring the options as
+// given (start from core.DefaultOptions(): the zero value runs no pass).
 //
 //  1. strip-rep-ret        9. reorder-bbs (+ splitting)
 //  2. icf (hash ∥, fold)  11. uce
@@ -31,7 +32,6 @@ import (
 // .rodata reference as a lea, never a load, and no direct tail jump, so
 // neither ever had an instruction to rewrite.
 func BuildPipeline(opts core.Options) []core.Pass {
-	opts = opts.Normalized()
 	var p []core.Pass
 	add := func(enabled bool, pass core.Pass) {
 		if enabled {

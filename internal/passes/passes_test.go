@@ -46,6 +46,7 @@ func optimize(f *elfx.File, fd *profile.Fdata, opts core.Options) (*core.Rewrite
 // buildAndRun compiles/links p and returns (file, result-of-run).
 func buildAndRun(t *testing.T, p *ir.Program) (*elfx.File, uint64) {
 	t.Helper()
+	p.Finalize()
 	objs, err := cc.Compile(p, cc.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -263,6 +264,7 @@ func buildWork(t *testing.T) (*elfx.File, uint64) {
 // linkWork compiles and links a workProgram variant and runs it once.
 func linkWork(t *testing.T, p *ir.Program) (*elfx.File, uint64) {
 	t.Helper()
+	p.Finalize()
 	objs, err := cc.Compile(p, cc.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)

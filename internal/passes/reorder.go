@@ -9,8 +9,7 @@ import (
 
 // ReorderBBs is the layout workhorse (Table 1, pass 9): it reorders each
 // profiled function's blocks so the hottest successor falls through, and
-// marks never-executed blocks for the cold fragment (function splitting,
-// -split-functions / -split-all-cold / -split-eh).
+// with -split-functions marks its rarely run blocks for the cold fragment.
 type ReorderBBs struct{}
 
 // Name implements core.FunctionPass.
@@ -25,7 +24,7 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 		reorderOne(fc, fn, algo)
 		fc.CountStat(core.StatReorderBBsFuncs, 1)
 	}
-	if fc.Opts.SplitFunctions > 0 {
+	if fc.Opts.SplitFunctions {
 		markCold(fc, fn)
 	}
 	return nil
@@ -88,10 +87,9 @@ func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm
 	}
 }
 
-// markCold assigns cold blocks to the cold fragment. -split-functions
-// levels: 1 splits only never-executed blocks; >=2 also splits blocks
-// whose count is negligible next to the function's hottest block
-// (level 3, the paper's setting, uses a 1/64 threshold).
+// markCold moves to the cold fragment every non-entry block, landing
+// pads included, whose count is at most 1/64 of the function's hottest
+// block (the paper's -split-functions=3 -split-all-cold -split-eh).
 func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	var maxCount uint64
 	for _, b := range fn.Blocks {
@@ -99,19 +97,10 @@ func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 			maxCount = b.ExecCount
 		}
 	}
-	threshold := uint64(0)
-	if fc.Opts.SplitFunctions >= 2 {
-		threshold = maxCount / 64
-	}
+	threshold := maxCount / 64
 	anyCold := false
 	for _, b := range fn.Blocks {
 		if b.IsEntry || b.ExecCount > threshold {
-			continue
-		}
-		if !fc.Opts.SplitAllCold && !b.IsLP {
-			continue
-		}
-		if b.IsLP && !fc.Opts.SplitEH {
 			continue
 		}
 		b.IsCold = true

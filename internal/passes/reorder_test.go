@@ -1,0 +1,47 @@
+package passes
+
+import (
+	"testing"
+
+	"gobolt/internal/core"
+	"gobolt/internal/layout"
+)
+
+// TestMarkColdRule pins the splitting rule: a non-entry block whose count
+// is at most 1/64 of the function's hottest goes cold, a landing pad
+// included, and the entry stays hot whatever its count. With
+// SplitFunctions off no block goes cold.
+func TestMarkColdRule(t *testing.T) {
+	const top = 6400
+	blocks := []*core.BasicBlock{
+		{Label: "entry", ExecCount: 0, IsEntry: true},
+		{Label: "hottest", ExecCount: top},
+		{Label: "at-threshold", ExecCount: top / 64},
+		{Label: "above-threshold", ExecCount: top/64 + 1},
+		{Label: "landing-pad", ExecCount: 0, IsLP: true},
+	}
+	wantCold := map[string]bool{"at-threshold": true, "landing-pad": true}
+	for _, split := range []bool{true, false} {
+		opts := core.DefaultOptions()
+		opts.ReorderBlocks = layout.AlgoNone // keep the block order as built
+		opts.SplitFunctions = split
+		fn := &core.BinaryFunction{Name: "f", Sampled: true}
+		for i, b := range blocks {
+			nb := *b
+			nb.Index = i
+			fn.Blocks = append(fn.Blocks, &nb)
+		}
+		fc := &core.FuncCtx{BinaryContext: &core.BinaryContext{Opts: opts}}
+		if err := (ReorderBBs{}).RunOnFunction(fc, fn); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range fn.Blocks {
+			if want := split && wantCold[b.Label]; b.IsCold != want {
+				t.Errorf("SplitFunctions=%v: %s (count %d) cold = %v, want %v", split, b.Label, b.ExecCount, b.IsCold, want)
+			}
+		}
+		if fn.IsSplit != split {
+			t.Errorf("SplitFunctions=%v: function split = %v", split, fn.IsSplit)
+		}
+	}
+}

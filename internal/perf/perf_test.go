@@ -42,6 +42,7 @@ func loopBinary(t *testing.T) *ldResult {
 	exit.Ops = []ir.Op{{Kind: ir.OpMov, Dst: isa.RAX, Src: isa.RBX}}
 	exit.Term = ir.Term{Kind: ir.TermExit}
 	p := &ir.Program{Modules: []*ir.Module{{Name: "m", Funcs: []*ir.Func{f}}}}
+	p.Finalize()
 	objs, err := cc.Compile(p, cc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

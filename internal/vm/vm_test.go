@@ -10,9 +10,11 @@ import (
 	"gobolt/internal/ld"
 )
 
-// buildProgram compiles and links a MIR program with the given options.
+// buildProgram finalizes, compiles and links a MIR program with the
+// given options.
 func buildProgram(t *testing.T, p *ir.Program, copts cc.Options, lopts ld.Options) *elfx.File {
 	t.Helper()
+	p.Finalize()
 	objs, err := cc.Compile(p, copts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
