@@ -19,6 +19,7 @@ import (
 	"gobolt/internal/hfsort"
 	"gobolt/internal/ir"
 	"gobolt/internal/ld"
+	"gobolt/internal/obj"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
 	"gobolt/internal/uarch"
@@ -220,9 +221,14 @@ func (l *Lab) Subject(spec workload.Spec, cfg BuildConfig) (*Subject, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l.add(key, res), nil
+}
+
+// add registers res as the lab's subject under key.
+func (l *Lab) add(key subjectKey, res *ld.Result) *Subject {
 	s := &Subject{Result: res, profiles: map[perf.Mode]*profile.Fdata{}}
 	l.subjects[key] = s
-	return s, nil
+	return s
 }
 
 func (l *Lab) build(spec workload.Spec, cfg BuildConfig) (*ld.Result, error) {
@@ -232,17 +238,38 @@ func (l *Lab) build(spec workload.Spec, cfg BuildConfig) (*ld.Result, error) {
 	if !cfg.PGO && !cfg.HFSortLink {
 		return compile(l.generate(spec), copts, lopts)
 	}
-	plainCfg := CfgBaseline
+	plainKey := subjectKey{spec, CfgBaseline}
 	if cfg.LTO {
-		plainCfg = CfgLTO
+		plainKey.cfg = CfgLTO
 	}
-	plain, err := l.Subject(spec, plainCfg)
+	// An HFSort-only build links its plain sibling's very objects in
+	// another order, so while the sibling is unbuilt one compile serves
+	// both links. The objects die with this call: keeping them for a
+	// later build would double the lab's peak memory, so a sibling built
+	// earlier costs a second compile.
+	var objs []*obj.Object
+	if !cfg.PGO && l.subjects[plainKey] == nil {
+		var err error
+		if objs, err = cc.Compile(l.generate(spec), copts); err != nil {
+			return nil, err
+		}
+		res, err := ld.Link(objs, lopts)
+		if err != nil {
+			return nil, err
+		}
+		l.add(plainKey, res)
+	}
+	plain, err := l.Subject(spec, plainKey.cfg)
 	if err != nil {
 		return nil, err
 	}
 	fd, err := plain.Profile(perf.DefaultMode())
 	if err != nil {
 		return nil, err
+	}
+	if objs != nil {
+		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain.File, hfsort.AlgoHFSort)
+		return ld.Link(objs, lopts)
 	}
 	var order hfsort.Algorithm
 	if cfg.HFSortLink {

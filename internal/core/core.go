@@ -151,7 +151,7 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3). It is a pointer-free value of 48
+// annotation mechanism from paper §3.3). It is a pointer-free value of 40
 // bytes (TestInstLayout): every phase streams the instruction slabs and
 // the collector never scans them, so the rare facts — source file,
 // symbolic target, jump table, landing pad — are small indices into
@@ -179,13 +179,34 @@ type Inst struct {
 	// (ICP's `cmp $target, %reg`).
 	TargetSym FuncRef
 
-	// JT selects the jump table driving this indirect jump and LP the
-	// landing pad covering this call, both in the owning function's tables
-	// (BinaryFunction.JumpTable, BinaryFunction.LandingPad): an Inst
-	// carrying either must not be copied into another function.
-	JT   uint16
-	LP   uint16
+	// tab is one plus an index into one of the owning function's tables,
+	// 0 for none: on an indirect jump the jump table driving it (JT), on
+	// a call the landing pad covering it (LP). No instruction has both, so
+	// the two share the slot and are read only through JT and LP, which
+	// check the opcode. An Inst carrying either must not be copied into
+	// another function.
+	tab  uint16
 	Size uint8
+}
+
+// JT returns one plus the index of the jump table driving the indirect
+// jump in (BinaryFunction.JumpTable); 0 when in is not an indirect jump
+// or has no table.
+func (in *Inst) JT() uint16 {
+	if in.I.IsIndirectBranch() {
+		return in.tab
+	}
+	return 0
+}
+
+// LP returns one plus the index of the landing pad covering the call in
+// (BinaryFunction.LandingPad); 0 when in is not a call or an exception
+// unwinds straight through it.
+func (in *Inst) LP() uint16 {
+	if in.I.IsCall() {
+		return in.tab
+	}
+	return 0
 }
 
 // MemAddr returns the absolute address of the instruction's RIP-relative
@@ -357,19 +378,21 @@ type landingPad struct {
 // JumpTable returns the table driving the indirect jump in, nil when in
 // is not a jump-table dispatch.
 func (f *BinaryFunction) JumpTable(in *Inst) *JumpTable {
-	if in.JT == 0 {
+	k := in.JT()
+	if k == 0 {
 		return nil
 	}
-	return f.JTs[in.JT-1]
+	return f.JTs[k-1]
 }
 
 // LandingPad returns the handler block and action covering the call in,
 // nil and 0 when an exception unwinds straight through it.
 func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
-	if in.LP == 0 {
+	k := in.LP()
+	if k == 0 {
 		return nil, 0
 	}
-	lp := f.lps[in.LP-1]
+	lp := f.lps[k-1]
 	return lp.block, lp.action
 }
 

@@ -436,7 +436,7 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		}
 		if k := len(fn.JTs); k < len(sc.jts) && sc.jts[k].at == i {
 			fn.JTs = append(fn.JTs, sc.jts[k].table)
-			ci.JT = uint16(k + 1)
+			ci.tab = uint16(k + 1)
 		}
 		// Resolve RIP memory operands to their absolute address (see
 		// Inst.MemAddr).
@@ -645,13 +645,13 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		case last.I.Op == isa.JCC:
 			addEdge(fn.blockStarting(last.I.TargetAddr())) // Succs[0] = taken
 			addEdge(next)                                  // fall-through (Succs[1], or [0] for a cond tail call)
-		case last.JT != 0:
+		case last.JT() != 0:
 			// One edge per unique target; the table keeps one slot per
 			// entry (duplicates allowed). disassemble made every entry a
 			// leader, so each resolves to a block.
 			sc.stamp++
 			jt := fn.JumpTable(last)
-			raw := sc.jts[last.JT-1].targets
+			raw := sc.jts[last.JT()-1].targets
 			jt.Targets = make([]*BasicBlock, len(raw))
 			for k, taddr := range raw {
 				to := fn.blockStarting(taddr)
@@ -784,7 +784,7 @@ func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 					fn.Reason = "landing pad not at block boundary"
 					return
 				}
-				if in.LP = sc.internLandingPad(lpb, action); in.LP == 0 {
+				if in.tab = sc.internLandingPad(lpb, action); in.tab == 0 {
 					fn.Simple = false
 					fn.Reason = "too many landing pads"
 					return

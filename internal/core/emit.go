@@ -315,7 +315,7 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	}
 	inst := in.I
 	var start, end asmx.Label
-	if in.LP != 0 {
+	if in.LP() != 0 {
 		start, end = a.NewLabel(), a.NewLabel()
 		a.Bind(start)
 	}
@@ -338,7 +338,7 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	default:
 		a.Emit(inst)
 	}
-	if in.LP != 0 {
+	if in.LP() != 0 {
 		a.Bind(end)
 		lp, action := sc.fn.LandingPad(in)
 		sc.csMarks = append(sc.csMarks, csMark{start: start, end: end, lp: lp, action: action})

@@ -143,8 +143,8 @@ func loaderShapes(ctx *BinaryContext) []string {
 			for i := range b.Insts {
 				in := &b.Insts[i]
 				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)
-				if in.JT != 0 {
-					buf = fmt.Appendf(buf, " jt=%d", in.JT)
+				if in.JT() != 0 {
+					buf = fmt.Appendf(buf, " jt=%d", in.JT())
 				}
 				if lpb, action := fn.LandingPad(in); lpb != nil {
 					buf = fmt.Appendf(buf, " lp=b%d/%d", lpb.Index, action)

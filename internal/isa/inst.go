@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Op identifies an operation together with its operand form. Keeping the
 // form in the opcode (MOVrr vs MOVri vs MOVrm...) makes the encoder,
@@ -63,11 +66,11 @@ const (
 
 // Mem is a memory operand: [Base + Index*Scale + Disp] or [RIP + Disp].
 type Mem struct {
+	Disp  int32
 	Base  Reg
 	Index Reg
 	Scale uint8 // 1, 2, 4, or 8; meaningful only when Index != NoReg
-	Disp  int32
-	RIP   bool // RIP-relative; Base and Index must be NoReg
+	RIP   bool  // RIP-relative; Base and Index must be NoReg
 }
 
 // Inst is one machine instruction. Its one wide operand lives in a
@@ -75,11 +78,13 @@ type Mem struct {
 // length) of an immediate form, or the absolute destination of a direct
 // branch or call, filled by the decoder and read by the encoder. No form
 // carries both. The encoder ignores the word on memory forms, so the
-// rewriter keeps a RIP-relative operand's absolute address there. Fields
-// run widest first so the struct packs to 24 bytes with no interior
-// padding; every IR instruction embeds one.
+// rewriter keeps a RIP-relative operand's absolute address there. The
+// word is stored as little-endian bytes, so it asks for no 8-byte
+// alignment and the struct packs to 20 bytes aligned to 4 with no
+// padding (the accessors compile to one load or store); every IR
+// instruction embeds one.
 type Inst struct {
-	arg uint64
+	arg [8]byte
 	M   Mem
 
 	Op Op
@@ -94,16 +99,16 @@ func NewInst(op Op) Inst {
 }
 
 // Imm returns the immediate, or a NOP's byte length.
-func (i *Inst) Imm() int64 { return int64(i.arg) }
+func (i *Inst) Imm() int64 { return int64(binary.LittleEndian.Uint64(i.arg[:])) }
 
 // SetImm sets the immediate, or a NOP's byte length.
-func (i *Inst) SetImm(v int64) { i.arg = uint64(v) }
+func (i *Inst) SetImm(v int64) { binary.LittleEndian.PutUint64(i.arg[:], uint64(v)) }
 
 // TargetAddr returns the absolute destination of a direct branch or call.
-func (i *Inst) TargetAddr() uint64 { return i.arg }
+func (i *Inst) TargetAddr() uint64 { return binary.LittleEndian.Uint64(i.arg[:]) }
 
 // SetTargetAddr sets the absolute destination of a direct branch or call.
-func (i *Inst) SetTargetAddr(a uint64) { i.arg = a }
+func (i *Inst) SetTargetAddr(a uint64) { binary.LittleEndian.PutUint64(i.arg[:], a) }
 
 // HasImm reports whether the instruction's word is an immediate (or a
 // NOP length) rather than an address.

@@ -11,7 +11,7 @@ import (
 // two give the same instruction, length and error.
 func matchRef(tb testing.TB, code []byte, pc uint64) (Inst, int, error) {
 	tb.Helper()
-	got := Inst{arg: 0xdeadbeef, M: Mem{Base: R9, Index: R10, Scale: 8, Disp: -1, RIP: true}, Op: numOps, R1: R11, R2: R12, Cc: CondG}
+	got := Inst{arg: [8]byte{0xef, 0xbe, 0xad, 0xde}, M: Mem{Base: R9, Index: R10, Scale: 8, Disp: -1, RIP: true}, Op: numOps, R1: R11, R2: R12, Cc: CondG}
 	n, err := Decode(&got, code, pc)
 	want, wn, werr := refDecode(code, pc)
 	if got != want || n != wn || !reflect.DeepEqual(err, werr) {

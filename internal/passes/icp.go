@@ -137,7 +137,7 @@ func flagsLiveOut(fn *core.BinaryFunction) []isa.RegSet {
 			in := &b.Insts[k]
 			u |= in.I.Uses() &^ d
 			d |= in.I.Defs()
-			if in.LP != 0 {
+			if in.LP() != 0 {
 				edges++
 			}
 		}

@@ -47,7 +47,7 @@ func (InlineScan) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 // when the call is one inlining may replace: direct, outside any try
 // range, and not recursive. Otherwise nil.
 func inlineCallee(ctx *core.BinaryContext, fn *core.BinaryFunction, in *core.Inst) *core.BinaryFunction {
-	if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP != 0 {
+	if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP() != 0 {
 		return nil
 	}
 	callee := ctx.Func(in.TargetSym)

@@ -93,8 +93,8 @@ func TestInlineSmallKeepsTablesApart(t *testing.T) {
 			continue
 		}
 		spliced++
-		if in.JT != 0 || in.LP != 0 {
-			t.Errorf("spliced instruction %d indexes the caller's tables: JT %d LP %d", i, in.JT, in.LP)
+		if in.JT() != 0 || in.LP() != 0 {
+			t.Errorf("spliced instruction %d indexes the caller's tables: JT %d LP %d", i, in.JT(), in.LP())
 		}
 	}
 	if spliced == 0 {

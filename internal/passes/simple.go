@@ -126,7 +126,7 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 			lp, _ := fn.LandingPad(&b.Insts[i])
 			push(lp)
 		}
-		if last := b.LastInst(); last != nil && last.JT != 0 {
+		if last := b.LastInst(); last != nil && last.JT() != 0 {
 			for _, t := range fn.JumpTable(last).Targets {
 				push(t)
 			}
