@@ -56,16 +56,7 @@ func TestInstLayout(t *testing.T) {
 func buildCallEndBinary(t *testing.T) *BinaryContext {
 	t.Helper()
 	thrower := ir.NewFunc("thrower", "lib.mir", 30)
-	throwBlk, okBlk := thrower.AddBlock(), thrower.AddBlock()
-	thrower.Blocks[0].Ops = []ir.Op{
-		{Kind: ir.OpMov, Dst: isa.RAX, Src: isa.RDI},
-		{Kind: ir.OpAndImm, Dst: isa.RAX, Imm: 1},
-	}
-	thrower.Blocks[0].Term = ir.Term{Kind: ir.TermBranch, Cc: isa.CondNE, CmpReg: isa.RAX,
-		Then: throwBlk.Index, Else: okBlk.Index}
-	throwBlk.Term = ir.Term{Kind: ir.TermThrow, LandingPad: -1}
-	okBlk.Ops = []ir.Op{{Kind: ir.OpMov, Dst: isa.RAX, Src: isa.RDI}}
-	okBlk.Term = ir.Term{Kind: ir.TermReturn}
+	thrower.Blocks[0].Term = ir.Term{Kind: ir.TermThrow, LandingPad: -1}
 
 	caller := ir.NewFunc("caller", "main.mir", 40)
 	caller.SavedRegs = []isa.Reg{isa.RBX, isa.R12}
