@@ -19,7 +19,6 @@ import (
 	"gobolt/internal/hfsort"
 	"gobolt/internal/ir"
 	"gobolt/internal/ld"
-	"gobolt/internal/obj"
 	"gobolt/internal/perf"
 	"gobolt/internal/profile"
 	"gobolt/internal/uarch"
@@ -242,40 +241,45 @@ func (l *Lab) build(spec workload.Spec, cfg BuildConfig) (*ld.Result, error) {
 	if cfg.LTO {
 		plainKey.cfg = CfgLTO
 	}
-	// An HFSort-only build links its plain sibling's very objects in
-	// another order, so while the sibling is unbuilt one compile serves
-	// both links. The objects die with this call: keeping them for a
-	// later build would double the lab's peak memory, so a sibling built
-	// earlier costs a second compile.
-	var objs []*obj.Object
-	if !cfg.PGO && l.subjects[plainKey] == nil {
-		var err error
-		if objs, err = cc.Compile(l.generate(spec), copts); err != nil {
+	if cfg.PGO {
+		plain, fd, err := l.trainProfile(spec, plainKey.cfg)
+		if err != nil {
 			return nil, err
 		}
+		return Rebuild(l.generate(spec), copts, lopts, plain.File, fd, true, "")
+	}
+	// An HFSort build links its plain sibling's very objects in another
+	// order, so while the sibling is unbuilt one compile serves both
+	// links. The objects die with this call: keeping them for a later
+	// build would double the lab's peak memory.
+	objs, err := cc.Compile(l.generate(spec), copts)
+	if err != nil {
+		return nil, err
+	}
+	if l.subjects[plainKey] == nil {
 		res, err := ld.Link(objs, lopts)
 		if err != nil {
 			return nil, err
 		}
 		l.add(plainKey, res)
 	}
-	plain, err := l.Subject(spec, plainKey.cfg)
+	plain, fd, err := l.trainProfile(spec, plainKey.cfg)
 	if err != nil {
 		return nil, err
+	}
+	lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain.File, hfsort.AlgoHFSort)
+	return ld.Link(objs, lopts)
+}
+
+// trainProfile is the lab's subject of spec under the plain cfg and its
+// train profile (perf.DefaultMode).
+func (l *Lab) trainProfile(spec workload.Spec, cfg BuildConfig) (*Subject, *profile.Fdata, error) {
+	plain, err := l.Subject(spec, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	fd, err := plain.Profile(perf.DefaultMode())
-	if err != nil {
-		return nil, err
-	}
-	if objs != nil {
-		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain.File, hfsort.AlgoHFSort)
-		return ld.Link(objs, lopts)
-	}
-	var order hfsort.Algorithm
-	if cfg.HFSortLink {
-		order = hfsort.AlgoHFSort
-	}
-	return Rebuild(l.generate(spec), copts, lopts, plain.File, fd, cfg.PGO, order)
+	return plain, fd, err
 }
 
 // Baseline is the subject's binary run under the default

@@ -59,7 +59,9 @@ func TestConfigsAgreeSemantically(t *testing.T) {
 // TestLabBuildsOnce: a lab builds each (spec, BuildConfig) once, records
 // each subject's profile once per mode and measures each baseline once.
 // The PGO and HFSort builds take their train profile from the plain build
-// of the same LTO setting, so they add no subject and no recording.
+// of the same LTO setting, so they add no subject and no recording. An
+// HFSort build requested first registers that plain build from its own
+// compile, and a later request for it builds nothing.
 func TestLabBuildsOnce(t *testing.T) {
 	lab := NewLab(1)
 	get := func(cfg BuildConfig) *Subject {
@@ -69,8 +71,16 @@ func TestLabBuildsOnce(t *testing.T) {
 		}
 		return s
 	}
-	pgo, hfs, pgolto := get(CfgPGO), get(CfgHFSort), get(CfgPGOLTO)
-	plain, lto := get(CfgBaseline), get(CfgLTO)
+	hfs := get(CfgHFSort)
+	if len(lab.subjects) != 2 {
+		t.Fatalf("lab holds %d subjects after an HFSort build, want 2", len(lab.subjects))
+	}
+	plain := get(CfgBaseline)
+	if len(lab.subjects) != 2 || len(plain.profiles) != 1 {
+		t.Fatalf("after the plain request: %d subjects, %d train profiles; want 2, 1",
+			len(lab.subjects), len(plain.profiles))
+	}
+	pgo, pgolto, lto := get(CfgPGO), get(CfgPGOLTO), get(CfgLTO)
 	if len(lab.subjects) != 5 {
 		t.Fatalf("lab holds %d subjects after five configurations", len(lab.subjects))
 	}
