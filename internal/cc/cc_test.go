@@ -140,6 +140,60 @@ func TestCrossModuleInliningNeedsLTO(t *testing.T) {
 	}
 }
 
+// TestHotSpliceKeyedByItsOwnFile: a call spliced into a function from
+// another file keeps that file's coordinates, and so does its PGO
+// lookup. _start (main.mir) inlines mid (mid.mir) at a hot call site;
+// mid's call of leaf, now in _start, is hot under mid.mir:9 — the only
+// key the profile has for it — so leaf is inlined into _start too. The
+// caller's file paired with the op's line, main.mir:9, names no site.
+func TestHotSpliceKeyedByItsOwnFile(t *testing.T) {
+	// Both callees are above the tiny threshold and within PGO's.
+	body := func(n int) []ir.Op {
+		ops := make([]ir.Op, n)
+		for i := range ops {
+			ops[i] = ir.Op{Kind: ir.OpAddImm, Dst: isa.RAX, Imm: int64(i + 1)}
+		}
+		return ops
+	}
+	leaf := ir.NewFunc("leaf", "leaf.mir", 20)
+	leaf.Blocks[0].Ops = body(5)
+	leaf.Blocks[0].Term = ir.Term{Kind: ir.TermReturn}
+	mid := ir.NewFunc("mid", "mid.mir", 8)
+	mid.Blocks[0].Ops = append(body(4),
+		ir.Op{Kind: ir.OpCall, Callee: "leaf", SpillReg: isa.NoReg, LandingPad: -1, Line: 9})
+	mid.Blocks[0].Term = ir.Term{Kind: ir.TermReturn}
+	start := ir.NewFunc("_start", "main.mir", 1)
+	start.Blocks[0].Ops = []ir.Op{{Kind: ir.OpCall, Callee: "mid", SpillReg: isa.NoReg, LandingPad: -1, Line: 3}}
+	start.Blocks[0].Term = ir.Term{Kind: ir.TermExit}
+	p := &ir.Program{Modules: []*ir.Module{{Name: "m", Funcs: []*ir.Func{start, mid, leaf}}}}
+	p.Finalize()
+
+	opts := DefaultOptions()
+	opts.PGO = NewSourceProfile()
+	opts.PGO.Call[SrcKey{File: "main.mir", Line: 3}] = hotCallCount
+	opts.PGO.Call[SrcKey{File: "mid.mir", Line: 9}] = hotCallCount
+	got := inlinedFunc(inlineAll(p, opts), "_start")
+	for _, b := range got.Blocks {
+		for _, op := range b.Ops {
+			if op.Kind == ir.OpCall {
+				t.Fatalf("_start still calls %s (at %s:%d): the spliced site was not found under its own file",
+					op.Callee, op.File, op.Line)
+			}
+		}
+	}
+	leafOps := 0
+	for _, b := range got.Blocks {
+		for _, op := range b.Ops {
+			if op.File == "leaf.mir" {
+				leafOps++
+			}
+		}
+	}
+	if leafOps != 5 {
+		t.Fatalf("_start holds %d of leaf's 5 ops", leafOps)
+	}
+}
+
 func TestCompileEmitsCFIAndLines(t *testing.T) {
 	// Make the callee big enough that it is NOT inlined, so _start keeps
 	// its call (and therefore its frame and CFI).

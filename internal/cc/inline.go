@@ -74,7 +74,7 @@ func inlineAll(p *ir.Program, opts Options) []*ir.Func {
 			return true
 		}
 		if opts.PGO != nil && size <= pgoInlineOps {
-			cnt := opts.PGO.Call[SrcKey{File: caller.File, Line: op.Line}]
+			cnt := opts.PGO.Call[SrcKey{File: op.File, Line: op.Line}]
 			// Merged-at-source caveat applies here too: the count is the
 			// sum over all binary call sites sharing this source line.
 			return cnt >= hotCallCount

@@ -45,6 +45,27 @@ func BenchmarkEmitFunctions(b *testing.B) {
 	}
 }
 
+// BenchmarkStaleCompute measures stale matching on one warmed
+// profile:apply worker: every function's current shape built and matched
+// against a profiled shape one byte off, in the worker's buffers.
+func BenchmarkStaleCompute(b *testing.B) {
+	f := buildLoaderFile(b, 64)
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	ctx, err := NewContext(context.Background(), f, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sm, funcs := staleFixture(b, ctx)
+	var sc staleScratch
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, fn := range funcs {
+			sm.compute(fn, &sc)
+		}
+	}
+}
+
 // BenchmarkRewrite measures the back half of the pipeline: emission plus
 // layout, relocation patching, and metadata regeneration (Rewrite is
 // repeatable on a loaded context; its only CFG mutation, JCC inversion,

@@ -386,8 +386,12 @@ func (f *BinaryFunction) JumpTable(in *Inst) *JumpTable {
 }
 
 // LandingPad returns the handler block and action covering the call in,
-// nil and 0 when an exception unwinds straight through it.
+// nil and 0 when an exception unwinds straight through it. In a
+// function without landing pads it does not read in.
 func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
+	if len(f.lps) == 0 {
+		return nil, 0
+	}
 	k := in.LP()
 	if k == 0 {
 		return nil, 0
@@ -395,6 +399,9 @@ func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
 	lp := f.lps[k-1]
 	return lp.block, lp.action
 }
+
+// HasLandingPads reports whether any call of f has a landing pad.
+func (f *BinaryFunction) HasLandingPads() bool { return len(f.lps) > 0 }
 
 // InternState interns a CFI state and returns its index. The loader
 // interns a function's states in its worker's scratch with internState
@@ -543,6 +550,10 @@ type BinaryContext struct {
 	// profile:infer stage (1.0 = every block's count equals its
 	// out-flow). Set by ApplyProfile.
 	FlowAccBefore, FlowAccAfter float64
+
+	// passWorkers are the function-pass workers' views, made by the first
+	// function pass that needs them and kept for the session.
+	passWorkers []*FuncCtx
 }
 
 // FuncByAddr returns the function starting at addr.

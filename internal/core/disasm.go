@@ -236,12 +236,13 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 }
 
 // rawInst is a decoded instruction before block formation; leader marks
-// the ones that start a basic block.
+// the ones that start a basic block. The one-byte fields fill the
+// 4-aligned instruction's tail, so the entry is 32 bytes.
 type rawInst struct {
 	inst   isa.Inst
-	addr   uint64
 	size   uint8
 	leader bool
+	addr   uint64
 }
 
 // instIndex returns the position in raw (address order) of the

@@ -19,7 +19,9 @@ import (
 // unaligned word for the immediate or target, the memory operand, four
 // one-byte fields), both free of anything the collector would have to
 // scan. A BasicBlock stays within 96 bytes: it stores its successors and
-// nothing derived from them.
+// nothing derived from them. The loader's per-instruction decode entry,
+// rawInst, is 32 bytes: its one-byte fields sit in the instruction's
+// tail, not in padding of their own.
 func TestInstLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Inst{}); n > 40 {
 		t.Errorf("sizeof(core.Inst) = %d, want <= 40", n)
@@ -29,6 +31,9 @@ func TestInstLayout(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(BasicBlock{}); n > 96 {
 		t.Errorf("sizeof(core.BasicBlock) = %d, want <= 96", n)
+	}
+	if n := unsafe.Sizeof(rawInst{}); n != 32 {
+		t.Errorf("sizeof(core.rawInst) = %d, want 32", n)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {

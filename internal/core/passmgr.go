@@ -8,6 +8,8 @@ import (
 	"sort"
 	"time"
 
+	"gobolt/internal/dataflow"
+	"gobolt/internal/layout"
 	"gobolt/internal/par"
 )
 
@@ -26,16 +28,22 @@ type FunctionPass interface {
 // shared BinaryContext for read access (options, file sections, symbol
 // maps) and shadows CountStat with a private shard, so concurrent workers
 // never write ctx.Stats; mergeStats folds the shards in at the pass
-// barrier.
+// barrier. A context keeps its workers' FuncCtx for the session, so the
+// buffers below serve every function pass: a pass keeps nothing that
+// points into them past RunOnFunction.
 type FuncCtx struct {
 	*BinaryContext
 	stats statShard
-	// Scratch is a byte buffer the worker keeps across the functions it
-	// visits: a pass reslices it to [:0], appends, and stores it back, and
-	// keeps nothing that points into it past RunOnFunction.
+	// Scratch is a byte buffer: a pass reslices it to [:0], appends, and
+	// stores it back.
 	Scratch []byte
-	// ints backs Ints.
-	ints []int32
+	// Layout holds block layout's graph and buffers (layout.Scratch).
+	Layout layout.Scratch
+	// Dataflow holds a liveness problem and its solve (dataflow.Scratch).
+	Dataflow dataflow.Scratch
+	// ints and blocks back Ints and Blocks.
+	ints   []int32
+	blocks []*BasicBlock
 }
 
 // Ints returns n zeroed int32s from a buffer the worker keeps across the
@@ -48,6 +56,17 @@ func (fc *FuncCtx) Ints(n int) []int32 {
 	s := fc.ints[:n]
 	clear(s)
 	return s
+}
+
+// Blocks returns n block slots from a buffer the worker keeps, for a
+// pass that rewrites fn.Blocks in place and needs the old order while it
+// does. The slice is the pass's until RunOnFunction returns or it calls
+// Blocks again.
+func (fc *FuncCtx) Blocks(n int) []*BasicBlock {
+	if cap(fc.blocks) < n {
+		fc.blocks = make([]*BasicBlock, n)
+	}
+	return fc.blocks[:n]
 }
 
 // CountStat bumps a statistic in the worker-private shard.
@@ -169,16 +188,16 @@ func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass
 
 // runFunctionPass fans one FunctionPass out over at most jobs workers
 // via the traced fan-out; each worker owns a private stats shard, merged
-// after the join. jobs <= 1 runs the same schedule inline. On error the
-// failure attributed to the lowest function index is reported, keeping
-// messages stable across schedules.
+// and cleared after the join. jobs <= 1 runs the same schedule inline. On
+// error the failure attributed to the lowest function index is reported,
+// keeping messages stable across schedules.
 func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jobs int) (int, int, error) {
 	funcs := ctx.SimpleFuncs()
 	jobs = par.Jobs(jobs, len(funcs))
-	workers := make([]*FuncCtx, jobs)
-	for w := range workers {
-		workers[w] = &FuncCtx{BinaryContext: ctx}
+	for len(ctx.passWorkers) < jobs {
+		ctx.passWorkers = append(ctx.passWorkers, &FuncCtx{BinaryContext: ctx})
 	}
+	workers := ctx.passWorkers[:jobs]
 	errIdx, err := par.ForTraced(cx, ctx.Opts.Trace, fp.Name(),
 		func(i int) string { return funcs[i].Name },
 		len(funcs), jobs, func(w, i int) error {
@@ -186,6 +205,7 @@ func runFunctionPass(cx context.Context, ctx *BinaryContext, fp FunctionPass, jo
 		})
 	for _, fc := range workers {
 		ctx.mergeStats(&fc.stats)
+		fc.stats = statShard{}
 	}
 	if err != nil {
 		if errIdx < 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -78,6 +79,43 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 		if d := ctx.Timings[0].StatDelta[statTouched.String()]; d != 37 {
 			t.Errorf("jobs=%d: stat delta touched=%d, want 37", jobs, d)
 		}
+	}
+}
+
+// TestFuncCtxKeptForSession: a context keeps its function-pass workers,
+// and the buffers they carry, for the session. A second pipeline run on
+// the same context is handed the first run's FuncCtx values, and each
+// worker's stats shard is merged once: cleared at every pass barrier,
+// so a later pass does not merge an earlier pass's counts again.
+func TestFuncCtxKeptForSession(t *testing.T) {
+	ctx := fakeCtx(37)
+	var mu sync.Mutex
+	seen := map[*FuncCtx]int{} // worker → the run that first saw it
+	run := 0
+	record := passFunc{name: "record", fn: func(fc *FuncCtx, fn *BinaryFunction) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := seen[fc]; !ok {
+			seen[fc] = run
+		}
+		fc.CountStat(statTouched, 1)
+		return nil
+	}}
+	for run = 1; run <= 2; run++ {
+		if err := NewPassManager(2).Run(context.Background(), ctx, []Pass{ForEachFunction(record), ForEachFunction(record)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fc, r := range seen {
+		if r != 1 {
+			t.Errorf("run %d was handed a FuncCtx the first run never saw (%p)", r, fc)
+		}
+	}
+	if len(seen) == 0 || len(seen) > 2 {
+		t.Errorf("%d distinct FuncCtx values over four passes on two workers", len(seen))
+	}
+	if got := ctx.Stats[statTouched.String()]; got != 4*37 {
+		t.Errorf("touched = %d after four passes over 37 functions, want %d", got, 4*37)
 	}
 }
 

@@ -45,7 +45,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	ctx.ProfileLBR = fd.LBR
 	var sm *staleMatcher
 	if ctx.Opts.StaleMatching && len(fd.Shapes) > 0 {
-		sm = &staleMatcher{shapes: fd.Shapes, funcs: make([]*staleFunc, len(ctx.Funcs))}
+		sm = &staleMatcher{shapes: fd.Shapes, funcs: make([]staleFunc, len(ctx.Funcs))}
 	}
 	ph := ctx.begin("load", "profile:apply")
 	var nfuncs, jobs int
@@ -146,11 +146,11 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 // staleMatcher holds the profile's CFG shapes and, per function the
 // profile touches, whether that shape still describes this binary's CFG.
 // funcs is indexed by BinaryFunction.ordIdx and filled by applyBuckets:
-// nil = the shape is current, or none was carried, or the function is not
-// simple — resolve offsets directly.
+// a nil match = the shape is current, or none was carried, or the
+// function is not simple — resolve offsets directly.
 type staleMatcher struct {
 	shapes map[string]profile.FuncShape
-	funcs  []*staleFunc
+	funcs  []staleFunc
 }
 
 // staleFunc is a function whose profiled shape differs from its current
@@ -163,10 +163,18 @@ type staleFunc struct {
 
 // of returns fn's stale state, nil when its offsets resolve directly.
 func (sm *staleMatcher) of(fn *BinaryFunction) *staleFunc {
-	if sm == nil {
+	if sm == nil || sm.funcs[fn.ordIdx].match == nil {
 		return nil
 	}
-	return sm.funcs[fn.ordIdx]
+	return &sm.funcs[fn.ordIdx]
+}
+
+// staleScratch is one profile:apply worker's state for stale matching,
+// kept across the functions it visits: the current shape is built, and
+// matched, in its buffers.
+type staleScratch struct {
+	cur     shapeScratch
+	matcher stale.Matcher
 }
 
 // block returns the current block that old shape block i matched, nil
@@ -183,18 +191,19 @@ func (sf *staleFunc) block(fn *BinaryFunction, i int) *BasicBlock {
 }
 
 // compute diagnoses fn against its profiled shape and, when they differ,
-// matches the old blocks to the current ones. It reads shared state only,
-// so it is safe to call concurrently for distinct functions.
-func (sm *staleMatcher) compute(fn *BinaryFunction) *staleFunc {
+// matches the old blocks to the current ones in sc; the match is the one
+// allocation. It reads shared state only, so it is safe to call
+// concurrently for distinct functions with distinct scratch.
+func (sm *staleMatcher) compute(fn *BinaryFunction, sc *staleScratch) staleFunc {
 	sh, ok := sm.shapes[fn.Name]
 	if !ok || !fn.Simple || len(fn.Blocks) == 0 {
-		return nil
+		return staleFunc{}
 	}
-	cur, _ := computeFuncShape(fn, nil)
+	cur := sc.cur.shape(fn)
 	if stale.ShapesEqual(sh, cur) {
-		return nil
+		return staleFunc{}
 	}
-	return &staleFunc{old: sh, match: stale.Match(sh.Blocks, cur.Blocks)}
+	return staleFunc{old: sh, match: sc.matcher.Match(sh.Blocks, cur.Blocks)}
 }
 
 // funcRecs is one function's shard of profile records, applied by a
@@ -204,19 +213,61 @@ type funcRecs struct {
 	fn   *BinaryFunction
 	brs  []profile.Branch
 	smps []profile.Sample
+	n    int // records the classify pass put here
 }
 
 // add counts a profile record of weight n under s.
 func (c *statShard) add(s Stat, n uint64) { c[s] += int64(n) }
 
-// bucketFor returns the funcRecs shard for fn, creating it on first use;
-// at[fn.ordIdx] is one plus its index in buckets, 0 while fn has none.
-func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, at []int32) *funcRecs {
-	if at[fn.ordIdx] == 0 {
-		*buckets = append(*buckets, &funcRecs{fn: fn})
-		at[fn.ordIdx] = int32(len(*buckets))
+// recShards groups one profile's records by function. The serial
+// classify pass puts each record it keeps in its function's bucket
+// (add), and fillShards then copies every bucket's records, in record
+// order, into the bucket's window of one slab: sharding allocates per
+// profile, not per function or record.
+type recShards struct {
+	at      []int32 // BinaryFunction.ordIdx → one plus the index of its bucket, 0 while it has none
+	of      []int32 // record → one plus the index of its bucket, 0 while it has none
+	buckets []funcRecs
+}
+
+func newRecShards(funcs, recs int) *recShards {
+	return &recShards{at: make([]int32, funcs), of: make([]int32, recs)}
+}
+
+// bucket opens fn's bucket on first use.
+func (s *recShards) bucket(fn *BinaryFunction) int32 {
+	if s.at[fn.ordIdx] == 0 {
+		s.buckets = append(s.buckets, funcRecs{fn: fn})
+		s.at[fn.ordIdx] = int32(len(s.buckets))
 	}
-	return (*buckets)[at[fn.ordIdx]-1]
+	return s.at[fn.ordIdx]
+}
+
+// add puts record i in fn's bucket.
+func (s *recShards) add(i int, fn *BinaryFunction) {
+	b := s.bucket(fn)
+	s.of[i] = b
+	s.buckets[b-1].n++
+}
+
+// fillShards copies recs into the windows of their buckets; window
+// names the bucket's list for this kind of record.
+func fillShards[R any](s *recShards, recs []R, window func(*funcRecs) *[]R) {
+	total := 0
+	for i := range s.buckets {
+		total += s.buckets[i].n
+	}
+	slab := make([]R, total)
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		*window(b), slab = slab[:0:b.n], slab[b.n:]
+	}
+	for i, b := range s.of {
+		if b != 0 {
+			w := window(&s.buckets[b-1])
+			*w = append(*w, recs[i])
+		}
+	}
 }
 
 // applyBuckets is the parallel middle of both profile modes: each
@@ -225,17 +276,21 @@ func bucketFor(fn *BinaryFunction, buckets *[]*funcRecs, at []int32) *funcRecs {
 // per-worker shard; a function is in one bucket, so its slot of sm.funcs
 // has one writer. The serial join counts the stale functions and folds
 // the shards into ctx.Stats.
-func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []*funcRecs) (jobs int, err error) {
+func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buckets []funcRecs) (jobs int, err error) {
 	jobs = par.Jobs(ctx.Opts.Jobs, len(buckets))
 	shards := make([]statShard, jobs)
+	var scratch []staleScratch
+	if sm != nil {
+		scratch = make([]staleScratch, jobs)
+	}
 	if _, err := par.ForTraced(cx, ctx.Opts.Trace, "profile:apply",
 		func(i int) string { return buckets[i].fn.Name },
 		len(buckets), jobs, func(w, i int) error {
-			b := buckets[i]
+			b := &buckets[i]
 			var sf *staleFunc
 			if sm != nil {
-				sf = sm.compute(b.fn)
-				sm.funcs[b.fn.ordIdx] = sf
+				sm.funcs[b.fn.ordIdx] = sm.compute(b.fn, &scratch[w])
+				sf = sm.of(b.fn)
 			}
 			for _, br := range b.brs {
 				applyIntraBranch(b.fn, sf, br, &shards[w])
@@ -249,7 +304,7 @@ func (ctx *BinaryContext) applyBuckets(cx context.Context, sm *staleMatcher, buc
 	}
 	if sm != nil {
 		for _, b := range buckets {
-			if sm.funcs[b.fn.ordIdx] != nil {
+			if sm.of(b.fn) != nil {
 				ctx.CountStat(StatProfileStaleFuncs, 1)
 			}
 		}
@@ -274,10 +329,9 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 		br           profile.Branch
 	}
 	var c statShard // the serial classify pass and call tail count here
-	var buckets []*funcRecs
-	at := make([]int32, len(ctx.Funcs))
+	sh := newRecShards(len(ctx.Funcs), len(fd.Branches))
 	var calls []callRec
-	for _, br := range fd.Branches {
+	for i, br := range fd.Branches {
 		c.add(StatProfileTotalCount, br.Count)
 		fromFn := ctx.ByName[br.From.Sym]
 		toFn := ctx.ByName[br.To.Sym]
@@ -295,8 +349,7 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 			continue
 		}
 		if fromFn == toFn {
-			b := bucketFor(fromFn, &buckets, at)
-			b.brs = append(b.brs, br)
+			sh.add(i, fromFn)
 			continue
 		}
 		if br.To.Off != 0 {
@@ -310,16 +363,17 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	// whose shape is current, so a caller with no record of its own joins
 	// the fan-out with an empty shard — behind every other, where the
 	// serial tail used to diagnose it.
-	nfuncs := len(buckets)
+	nfuncs := len(sh.buckets)
 	if sm != nil {
 		for _, cr := range calls {
 			if cr.fromFn.Simple {
-				bucketFor(cr.fromFn, &buckets, at)
+				sh.bucket(cr.fromFn)
 			}
 		}
 	}
+	fillShards(sh, fd.Branches, func(b *funcRecs) *[]profile.Branch { return &b.brs })
 
-	jobs, err := ctx.applyBuckets(cx, sm, buckets)
+	jobs, err := ctx.applyBuckets(cx, sm, sh.buckets)
 	if err != nil {
 		return nfuncs, jobs, err
 	}
@@ -472,18 +526,18 @@ func applyStaleBranch(fn *BinaryFunction, sf *staleFunc, br profile.Branch) stal
 // stat folding.
 func (ctx *BinaryContext) applySamples(cx context.Context, fd *profile.Fdata, sm *staleMatcher) (int, int, error) {
 	var c statShard // the serial classify pass counts here
-	var buckets []*funcRecs
-	at := make([]int32, len(ctx.Funcs))
-	for _, s := range fd.Samples {
+	sh := newRecShards(len(ctx.Funcs), len(fd.Samples))
+	for i, s := range fd.Samples {
 		c.add(StatProfileTotalCount, s.Count)
 		fn := ctx.ByName[s.At.Sym]
 		if fn == nil || !fn.Simple {
 			c.add(StatProfileDropCount, s.Count)
 			continue
 		}
-		b := bucketFor(fn, &buckets, at)
-		b.smps = append(b.smps, s)
+		sh.add(i, fn)
 	}
+	fillShards(sh, fd.Samples, func(b *funcRecs) *[]profile.Sample { return &b.smps })
+	buckets := sh.buckets
 
 	jobs, err := ctx.applyBuckets(cx, sm, buckets)
 	if err != nil {

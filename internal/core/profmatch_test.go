@@ -354,7 +354,7 @@ func TestLBRInferAlwaysRepairs(t *testing.T) {
 func TestStaleMatchIndexBounds(t *testing.T) {
 	ctx := buildProfBinary(t, 0)
 	hot := ctx.ByName["hot"]
-	old, _ := computeFuncShape(hot, nil)
+	old := new(shapeScratch).shape(hot)
 	if len(old.Blocks) != 4 {
 		t.Fatalf("hot has %d blocks, want the diamond's 4", len(old.Blocks))
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gobolt/internal/profile"
 	"gobolt/internal/stale"
 )
@@ -14,34 +16,56 @@ import (
 // indices and offsets reflect the on-disk layout the profiler saw.
 func ComputeShapes(ctx *BinaryContext) map[string]profile.FuncShape {
 	out := make(map[string]profile.FuncShape)
-	var buf []byte
+	var sc shapeScratch
 	for _, fn := range ctx.Funcs {
 		if !fn.Simple || fn.FoldedInto != nil || len(fn.Blocks) == 0 {
 			continue
 		}
-		sh, scratch := computeFuncShape(fn, buf)
-		buf = scratch
-		out[fn.Name] = sh
+		out[fn.Name] = sc.shape(fn)
+		sc.blocks, sc.succs = nil, nil // the map keeps them
 	}
 	return out
 }
 
-// computeFuncShape builds one function's shape; buf is reusable scratch.
-func computeFuncShape(fn *BinaryFunction, buf []byte) (profile.FuncShape, []byte) {
-	sh := profile.FuncShape{Blocks: make([]profile.BlockShape, len(fn.Blocks))}
+// shapeScratch holds the buffers a function's shape is built in: one
+// block array, one successor slab and the opcode bytes being hashed. A
+// worker keeps one across the functions it visits.
+type shapeScratch struct {
+	blocks []profile.BlockShape
+	succs  []int
+	ops    []byte
+}
+
+// shape builds fn's shape in sc's buffers. The shape, its blocks and
+// their successor lists are sc's until the next call.
+func (sc *shapeScratch) shape(fn *BinaryFunction) profile.FuncShape {
+	nSuccs := 0
+	for _, b := range fn.Blocks {
+		nSuccs += len(b.Succs)
+	}
+	blocks := slices.Grow(sc.blocks[:0], len(fn.Blocks))[:len(fn.Blocks)]
+	// Grown once to hold every list, so the appends below never move
+	// the windows already cut from it.
+	succs := slices.Grow(sc.succs[:0], nSuccs)
 	for i, b := range fn.Blocks {
-		buf = buf[:0]
+		ops := sc.ops[:0]
 		for k := range b.Insts {
 			in := &b.Insts[k].I
-			buf = append(buf, byte(in.Op), byte(in.Cc))
+			ops = append(ops, byte(in.Op), byte(in.Cc))
 		}
-		bs := profile.BlockShape{Off: b.Addr - fn.Addr, Hash: stale.HashBytes(buf)}
+		sc.ops = ops
+		start := len(succs)
 		for _, e := range b.Succs {
 			if e.To != nil {
-				bs.Succs = append(bs.Succs, e.To.Index)
+				succs = append(succs, e.To.Index)
 			}
 		}
-		sh.Blocks[i] = bs
+		bs := profile.BlockShape{Off: b.Addr - fn.Addr, Hash: stale.HashBytes(ops)}
+		if len(succs) > start {
+			bs.Succs = succs[start:len(succs):len(succs)]
+		}
+		blocks[i] = bs
 	}
-	return sh, buf
+	sc.blocks, sc.succs = blocks, succs
+	return profile.FuncShape{Blocks: blocks}
 }

@@ -134,6 +134,56 @@ func TestEmitAllocsDoNotScale(t *testing.T) {
 	t.Logf("%v allocations per pass of %d functions", got, len(simple))
 }
 
+// staleFixture loads the slab fixture and a stale matcher whose shapes
+// are the fixture's own with every block one byte further on, so that
+// each function with a shape is stale and goes through the matcher; it
+// returns those functions.
+func staleFixture(t testing.TB, ctx *BinaryContext) (*staleMatcher, []*BinaryFunction) {
+	shapes := ComputeShapes(ctx)
+	for _, sh := range shapes {
+		for i := range sh.Blocks {
+			sh.Blocks[i].Off++
+		}
+	}
+	var funcs []*BinaryFunction
+	for _, fn := range ctx.SimpleFuncs() {
+		if _, ok := shapes[fn.Name]; ok {
+			funcs = append(funcs, fn)
+		}
+	}
+	if len(funcs) < 8 {
+		t.Fatalf("fixture has %d functions with shapes; the rule needs several", len(funcs))
+	}
+	return &staleMatcher{shapes: shapes, funcs: make([]staleFunc, len(ctx.Funcs))}, funcs
+}
+
+// TestStaleComputeAllocsDoNotScale is the worker-scratch rule for stale
+// matching: a warmed profile:apply worker builds each function's current
+// shape and matches it in its own buffers, so a pass over the fixture's
+// stale functions allocates one kept match slice per function and
+// nothing else, however many passes run. With a shape, a successor list
+// per block and four maps per round made per function, it took 91
+// allocations per pass over the fixture's 11 functions.
+func TestStaleComputeAllocsDoNotScale(t *testing.T) {
+	ctx := loadSlabCtx(t, 1)
+	sm, funcs := staleFixture(t, ctx)
+	var sc staleScratch
+	pass := func() {
+		for _, fn := range funcs {
+			if sf := sm.compute(fn, &sc); sf.match == nil {
+				t.Fatalf("%s: shape moved by a byte, but compute found it current", fn.Name)
+			}
+		}
+	}
+	pass() // warm the worker: its buffers reach their sizes
+	got := testing.AllocsPerRun(10, pass)
+	if got > float64(len(funcs)) {
+		t.Errorf("stale compute over %d functions allocated %v times per pass, want one match slice each (%d)",
+			len(funcs), got, len(funcs))
+	}
+	t.Logf("%v allocations per pass of %d functions", got, len(funcs))
+}
+
 // TestSlabWindowsCapped extends TestSlabInstsSurviveAppend's rule to
 // every window the loader and the emitter carve: cap == len, so an
 // append to one reallocates it instead of writing into the next. The

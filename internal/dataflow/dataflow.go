@@ -15,10 +15,40 @@ type Graph struct {
 	PredOff, Pred []int32
 }
 
+// Scratch holds the buffers a liveness problem is stated and solved
+// in: its use/def sets and successor table, the table's transpose, and
+// the solver's sets and worklist. A worker keeps one across the
+// functions it analyses, so an analysis allocates only while the
+// buffers grow. The zero value is ready to use.
+type Scratch struct {
+	useDef, sets []isa.RegSet
+	table, preds []int32
+	inWork       []bool
+	work         []int32
+}
+
+// Problem returns, in s's buffers, zeroed use and def sets for n blocks
+// and a successor table with room for edges: succ is empty, and a caller
+// appends block i's successors to it and sets succOff[i+1] = len(succ).
+// They are s's until the next call.
+func (s *Scratch) Problem(n, edges int) (use, def []isa.RegSet, succOff, succ []int32) {
+	s.useDef = zeroed(s.useDef, 2*n)
+	s.table = zeroed(s.table, n+1+edges)
+	return s.useDef[:n:n], s.useDef[n:], s.table[:n+1], s.table[n+1 : n+1]
+}
+
 // NewGraph completes a successor table with its transpose.
 func NewGraph(succOff, succ []int32) Graph {
+	var s Scratch
+	return s.NewGraph(succOff, succ)
+}
+
+// NewGraph is the package-level NewGraph with the transpose in s's
+// buffer: the graph is s's until the next call.
+func (s *Scratch) NewGraph(succOff, succ []int32) Graph {
 	n := len(succOff) - 1
-	slab := make([]int32, n+1+len(succ))
+	slab := zeroed(s.preds, n+1+len(succ))
+	s.preds = slab
 	predOff, pred := slab[:n+1], slab[n+1:]
 	for _, s := range succ {
 		predOff[s+1]++
@@ -44,11 +74,19 @@ func NewGraph(succOff, succ []int32) Graph {
 // write, def[i] what it writes. The result is the least fixpoint, so it
 // does not depend on the visiting order.
 func Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
+	var s Scratch
+	return s.Liveness(g, use, def)
+}
+
+// Liveness is the package-level Liveness in s's buffers: the sets are
+// s's until the next call.
+func (s *Scratch) Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
 	n := len(use)
-	sets := make([]isa.RegSet, 2*n)
+	sets := zeroed(s.sets, 2*n)
 	liveIn, liveOut = sets[:n:n], sets[n:]
-	inWork := make([]bool, n)
-	work := make([]int32, n)
+	inWork := zeroed(s.inWork, n)
+	work := zeroed(s.work, n)
+	s.sets, s.inWork, s.work = sets, inWork, work
 	// Popped from the end, so the last block is visited first: layout
 	// order approximates a topological one and liveness flows backward.
 	for i := range work {
@@ -77,4 +115,14 @@ func Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
 		}
 	}
 	return liveIn, liveOut
+}
+
+// zeroed returns n zero elements, reusing buf when it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

@@ -46,18 +46,66 @@ type Graph struct {
 
 // Reorder returns a permutation of 0..N-1 with 0 first.
 func Reorder(g *Graph, algo Algorithm) []int {
+	var s Scratch
+	return s.Reorder(g, algo)
+}
+
+// Scratch holds the buffers a layout is computed in: the graph a caller
+// fills, the chain slab, the edge list, the chain heads and the order.
+// A worker keeps one across the functions it lays out, so a layout
+// allocates only while the buffers grow. The zero value is ready to use.
+type Scratch struct {
+	g     Graph
+	nodes []node
+	edges []Edge
+	heads []int32
+	order []int
+}
+
+// Graph returns s's graph with n blocks of zero weight and size and no
+// edges, with room for edges of them. It is s's until the next call.
+func (s *Scratch) Graph(n, edges int) *Graph {
+	s.g = Graph{
+		N:      n,
+		Weight: zeroed(s.g.Weight, n),
+		Size:   zeroed(s.g.Size, n),
+		Edges:  slices.Grow(s.g.Edges[:0], edges),
+	}
+	return &s.g
+}
+
+// zeroed returns n zero elements, reusing buf when it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Reorder is the package-level Reorder in s's buffers. The permutation
+// is s's until the next call.
+func (s *Scratch) Reorder(g *Graph, algo Algorithm) []int {
 	switch algo {
 	case AlgoPH:
-		return chainLayout(g, false)
+		return s.chainLayout(g, false)
 	case AlgoCache:
-		return chainLayout(g, true)
+		return s.chainLayout(g, true)
 	default:
-		out := make([]int, g.N)
+		out := zeroed(s.order, g.N)
 		for i := range out {
 			out[i] = i
 		}
+		s.order = out
 		return out
 	}
+}
+
+// chainLayout is Scratch.chainLayout in fresh buffers.
+func chainLayout(g *Graph, extTSP bool) []int {
+	var s Scratch
+	return s.chainLayout(g, extTSP)
 }
 
 // node is one block's share of the chain slab. A chain is a list of
@@ -78,8 +126,9 @@ type node struct {
 // merges happen in strict edge-weight order when endpoints match. In
 // cache+ (ext-TSP-like) mode, merges are chosen by a proximity score that
 // also rewards short forward jumps, iterating until no positive gain.
-func chainLayout(g *Graph, extTSP bool) []int {
-	nodes := make([]node, g.N)
+func (s *Scratch) chainLayout(g *Graph, extTSP bool) []int {
+	nodes := zeroed(s.nodes, g.N)
+	s.nodes = nodes
 	for i := range nodes {
 		nd := node{next: -1, chain: int32(i), tail: int32(i)}
 		if i < len(g.Size) {
@@ -105,12 +154,13 @@ func chainLayout(g *Graph, extTSP bool) []int {
 	}
 
 	// Zero-weight and self edges never merge anything.
-	edges := make([]Edge, 0, len(g.Edges))
+	edges := slices.Grow(s.edges[:0], len(g.Edges))
 	for _, e := range g.Edges {
 		if e.Weight != 0 && e.From != e.To {
 			edges = append(edges, e)
 		}
 	}
+	s.edges = edges
 	slices.SortStableFunc(edges, func(x, y Edge) int { return cmp.Compare(y.Weight, x.Weight) })
 
 	live := g.N // chains left
@@ -167,7 +217,7 @@ func chainLayout(g *Graph, extTSP bool) []int {
 
 	// Order chains: entry chain first, then by hotness (chain execution
 	// weight); equally hot chains stay in order of their lowest block.
-	heads := make([]int32, 0, live)
+	heads := slices.Grow(s.heads[:0], live)
 	for i := range nodes {
 		if c := nodes[i].chain; !nodes[c].listed {
 			nodes[c].listed = true
@@ -184,12 +234,14 @@ func chainLayout(g *Graph, extTSP bool) []int {
 		return cmp.Compare(nodes[y].weight, nodes[x].weight)
 	})
 
-	out := make([]int, 0, g.N)
+	s.heads = heads
+	out := slices.Grow(s.order[:0], g.N)
 	for _, c := range heads {
 		for blk := c; blk >= 0; blk = nodes[blk].next {
 			out = append(out, int(blk))
 		}
 	}
+	s.order = out
 	return out
 }
 

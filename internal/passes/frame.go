@@ -37,7 +37,7 @@ func (FrameOpts) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 				continue
 			}
 			if liveOut == nil {
-				liveOut = flagsLiveOut(fn)
+				liveOut = flagsLiveOut(fn, &fc.Dataflow)
 			}
 			if liveAfterInst(b, i+2, liveOut[b.Index]).Has(r) {
 				// The value is consumed later: the spill is real.

@@ -77,6 +77,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 		return sort.Search(len(hot), func(k int) bool { return hot[k].site >= addr })
 	}
 	var sites []icpSite
+	var live dataflow.Scratch
 	for _, fn := range ctx.Funcs {
 		k := at(fn.Addr)
 		if k == len(hot) || hot[k].site >= fn.Addr+fn.Size || !fn.Simple || fn.FoldedInto != nil {
@@ -102,7 +103,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 			continue
 		}
 		// The cmp clobbers FLAGS: liveness, once per function with a site.
-		liveOut := flagsLiveOut(fn)
+		liveOut := flagsLiveOut(fn, &live)
 		for s := len(sites) - 1; s >= 0; s-- {
 			st := sites[s]
 			if liveAfterInst(st.b, st.i, liveOut[st.b.Index])&isa.FlagsBit != 0 {
@@ -119,46 +120,47 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 	return nil
 }
 
-// flagsLiveOut runs register liveness over the function and returns each
-// block's live-out set. It is the general analysis of the dataflow
-// framework over all registers — ICP consults FLAGS, frame-opts the
-// spilled register — so callers ask for it only once they hold a
-// candidate site. Each block's instructions are folded into use/def
-// once, and the edges into index arrays, so the fixpoint itself touches
-// no instruction. A call with a landing pad adds an exception edge from
-// its block.
-func flagsLiveOut(fn *core.BinaryFunction) []isa.RegSet {
-	n, edges := len(fn.Blocks), 0
-	sets := make([]isa.RegSet, 2*n)
-	use, def := sets[:n], sets[n:]
+// flagsLiveOut runs register liveness over the function in s and returns
+// each block's live-out set, which is s's until its next use. It is the
+// general analysis of the dataflow framework over all registers — ICP
+// consults FLAGS, frame-opts the spilled register — so callers ask for
+// it only once they hold a candidate site. Each block's instructions are
+// folded into use/def once, and the edges into index arrays, so the
+// fixpoint itself touches no instruction. A call with a landing pad adds
+// an exception edge from its block; a function without landing pads
+// has none to look for.
+func flagsLiveOut(fn *core.BinaryFunction, s *dataflow.Scratch) []isa.RegSet {
+	lps := fn.HasLandingPads()
+	edges := 0
+	for _, b := range fn.Blocks {
+		edges += len(b.Succs)
+		for k := 0; lps && k < len(b.Insts); k++ {
+			if b.Insts[k].LP() != 0 {
+				edges++
+			}
+		}
+	}
+	use, def, succOff, succ := s.Problem(len(fn.Blocks), edges)
 	for i, b := range fn.Blocks {
 		var u, d isa.RegSet
 		for k := range b.Insts {
 			in := &b.Insts[k]
 			u |= in.I.Uses() &^ d
 			d |= in.I.Defs()
-			if in.LP() != 0 {
-				edges++
-			}
 		}
 		use[i], def[i] = u, d
-		edges += len(b.Succs)
-	}
-	slab := make([]int32, n+1+edges)
-	succOff, succ := slab[:n+1], slab[n+1:n+1]
-	for i, b := range fn.Blocks {
 		for _, e := range b.Succs {
 			succ = append(succ, int32(e.To.Index))
 		}
-		for k := range b.Insts {
+		for k := 0; lps && k < len(b.Insts); k++ {
 			if lp, _ := fn.LandingPad(&b.Insts[k]); lp != nil {
 				succ = append(succ, int32(lp.Index))
 			}
 		}
 		succOff[i+1] = int32(len(succ))
 	}
-	g := dataflow.NewGraph(succOff, succ)
-	_, liveOut := dataflow.Liveness(&g, use, def)
+	g := s.NewGraph(succOff, succ)
+	_, liveOut := s.Liveness(&g, use, def)
 	return liveOut
 }
 

@@ -30,12 +30,14 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 	return nil
 }
 
-// reorderOne partitions hot/cold and lays out the hot subgraph.
+// reorderOne partitions hot/cold and lays out the hot subgraph. It
+// works in the worker's buffers and rewrites fn.Blocks in place.
 func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm) {
 	// pos maps BasicBlock.Index to one plus the block's node in the
 	// layout graph, 0 for a cold block. The entry is node 0 whatever its
 	// count, and the only block the loader marks IsEntry.
-	pos := fc.Ints(len(fn.Blocks))
+	n := len(fn.Blocks)
+	pos := fc.Ints(n)
 	nHot := 1
 	pos[0] = 1
 	for _, b := range fn.Blocks[1:] {
@@ -44,25 +46,24 @@ func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm
 			pos[b.Index] = int32(nHot)
 		}
 	}
-	hot := make([]*core.BasicBlock, 0, nHot)
-	newBlocks := make([]*core.BasicBlock, nHot, len(fn.Blocks))
+	// old holds the hot blocks in node order, then the cold ones in
+	// input order, while fn.Blocks is rewritten.
+	old := fc.Blocks(n)
+	hot, cold := 0, nHot
 	nEdges := 0
 	for i, b := range fn.Blocks {
 		if pos[i] != 0 {
-			hot = append(hot, b)
+			old[hot] = b
+			hot++
 			nEdges += len(b.Succs)
 		} else {
-			newBlocks = append(newBlocks, b)
+			old[cold] = b
+			cold++
 		}
 	}
 
-	g := &layout.Graph{
-		N:      nHot,
-		Weight: make([]uint64, nHot),
-		Size:   make([]int, nHot),
-		Edges:  make([]layout.Edge, 0, nEdges),
-	}
-	for i, b := range hot {
+	g := fc.Layout.Graph(nHot, nEdges)
+	for i, b := range old[:nHot] {
 		g.Weight[i] = b.ExecCount
 		size := 0
 		for k := range b.Insts {
@@ -78,10 +79,10 @@ func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm
 			}
 		}
 	}
-	for i, o := range layout.Reorder(g, algo) {
-		newBlocks[i] = hot[o]
+	for i, o := range fc.Layout.Reorder(g, algo) {
+		fn.Blocks[i] = old[o]
 	}
-	fn.Blocks = newBlocks
+	copy(fn.Blocks[nHot:], old[nHot:])
 	for i, b := range fn.Blocks {
 		b.Index = i
 	}

@@ -5,6 +5,7 @@ import (
 
 	"gobolt/internal/core"
 	"gobolt/internal/layout"
+	"gobolt/internal/workload"
 )
 
 // TestMarkColdRule pins the splitting rule: a non-entry block whose count
@@ -43,5 +44,37 @@ func TestMarkColdRule(t *testing.T) {
 		if fn.IsSplit != split {
 			t.Errorf("SplitFunctions=%v: function split = %v", split, fn.IsSplit)
 		}
+	}
+}
+
+// TestWarmWorkerLayoutAndLivenessAllocateNothing: reorder-bbs and the
+// liveness behind frame-opts work in the FuncCtx buffers a worker keeps
+// for the session. Once a worker has laid out and analysed every
+// function of a binary, doing it all again allocates nothing.
+func TestWarmWorkerLayoutAndLivenessAllocateNothing(t *testing.T) {
+	f, _ := linkWorkload(t, workload.Proxygen())
+	ctx := loadProfiled(t, f, core.DefaultOptions())
+	fc := &core.FuncCtx{BinaryContext: ctx}
+	funcs := ctx.SimpleFuncs()
+	laidOut := 0
+	pass := func() {
+		for _, fn := range funcs {
+			if err := (ReorderBBs{}).RunOnFunction(fc, fn); err != nil {
+				t.Fatal(err)
+			}
+			flagsLiveOut(fn, &fc.Dataflow)
+		}
+	}
+	pass() // warm the worker: its buffers reach their sizes
+	for _, fn := range funcs {
+		if fn.Sampled && len(fn.Blocks) > 2 {
+			laidOut++
+		}
+	}
+	if laidOut < 10 {
+		t.Fatalf("%d functions laid out; the rule needs several", laidOut)
+	}
+	if n := testing.AllocsPerRun(5, pass); n != 0 {
+		t.Errorf("a warmed worker allocated %v times laying out %d functions and analysing %d", n, laidOut, len(funcs))
 	}
 }

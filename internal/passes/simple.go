@@ -115,6 +115,7 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 			stack = append(stack, int32(b.Index))
 		}
 	}
+	lps := fn.HasLandingPads() // without any, no call has an exception edge
 	push(fn.Blocks[0])
 	for len(stack) > 0 {
 		b := fn.Blocks[stack[len(stack)-1]]
@@ -122,7 +123,7 @@ func (UCE) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 		for _, e := range b.Succs {
 			push(e.To)
 		}
-		for i := range b.Insts {
+		for i := 0; lps && i < len(b.Insts); i++ {
 			lp, _ := fn.LandingPad(&b.Insts[i])
 			push(lp)
 		}

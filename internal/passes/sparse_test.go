@@ -268,3 +268,31 @@ func TestInlineChainOrder(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkUCE measures the uce pass's reachability walk over every
+// simple function of the proxygen preset on one warmed worker. The first
+// run, outside the timer, removes what is unreachable, so every timed
+// run walks the same CFGs and changes nothing.
+func BenchmarkUCE(b *testing.B) {
+	f, _ := linkWorkload(b, workload.Proxygen())
+	opts := core.DefaultOptions()
+	opts.Jobs = 1
+	ctx, err := core.NewContext(context.Background(), f, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fc := &core.FuncCtx{BinaryContext: ctx}
+	funcs := ctx.SimpleFuncs()
+	pass := func() {
+		for _, fn := range funcs {
+			if err := (UCE{}).RunOnFunction(fc, fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	for b.Loop() {
+		pass()
+	}
+}

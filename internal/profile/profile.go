@@ -429,11 +429,27 @@ type namedShape struct {
 // next chunk is guaranteed to start with a non-blank, non-`b` line).
 func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkData) error {
 	lineNo := baseLine - 1
-	var fields [][]byte // reused across lines
-	var curShape *FuncShape
+	var fields [][]byte    // reused across lines
+	var curShape FuncShape // the shape being read, while open
+	open := false
 	var curName string
 	var curBlocks int
 	var succSlab []int // successor indices of this chunk's shapes
+	// Their blocks: one slab holds every `b` line a chunk written by Write
+	// has.
+	blockSlab := make([]BlockShape, 0, bytes.Count(body, []byte("\nb ")))
+	// Record symbols, interned: a profile names each function on many
+	// records, so a name costs one string per chunk, not one per field.
+	syms := map[string]string{}
+	sym := func(field []byte) string {
+		if s, ok := syms[string(field)]; ok {
+			return s
+		}
+		k := string(field)
+		s := unescape(k)
+		syms[k] = s
+		return s
+	}
 	for off := 0; off < len(body); {
 		lineNo++
 		line := body[off:]
@@ -450,7 +466,7 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 		if len(fields[0]) == 1 {
 			rec = fields[0][0]
 		}
-		if rec != 'b' && curShape != nil && len(curShape.Blocks) != curBlocks {
+		if rec != 'b' && open && len(curShape.Blocks) != curBlocks {
 			return fmt.Errorf("profile: line %d: shape has %d blocks, declared %d",
 				lineNo, len(curShape.Blocks), curBlocks)
 		}
@@ -468,14 +484,14 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			if n > 1<<20 {
 				return fmt.Errorf("profile: line %d: implausible block count %d", lineNo, n)
 			}
-			sh := FuncShape{Blocks: make([]BlockShape, 0, n)}
-			curShape, curName, curBlocks = &sh, name, n
+			sh := FuncShape{Blocks: cut(&blockSlab, n)}
+			curShape, curName, curBlocks, open = sh, name, n, true
 			if n == 0 {
 				out.shapes = append(out.shapes, namedShape{curName, sh})
-				curShape = nil
+				open = false
 			}
 		case 'b':
-			if curShape == nil {
+			if !open {
 				return fmt.Errorf("profile: line %d: block shape outside function shape", lineNo)
 			}
 			if len(fields) != 4 {
@@ -494,8 +510,8 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			}
 			curShape.Blocks = append(curShape.Blocks, b)
 			if len(curShape.Blocks) == curBlocks {
-				out.shapes = append(out.shapes, namedShape{curName, *curShape})
-				curShape = nil
+				out.shapes = append(out.shapes, namedShape{curName, curShape})
+				open = false
 			}
 		case '1':
 			if len(fields) != 8 {
@@ -503,8 +519,8 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			}
 			var b Branch
 			var err error
-			b.From.Sym = unescape(string(fields[1]))
-			b.To.Sym = unescape(string(fields[4]))
+			b.From.Sym = sym(fields[1])
+			b.To.Sym = sym(fields[4])
 			if b.From.Off, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
@@ -524,7 +540,7 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			}
 			var s Sample
 			var err error
-			s.At.Sym = unescape(string(fields[1]))
+			s.At.Sym = sym(fields[1])
 			if s.At.Off, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
@@ -536,7 +552,7 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			return fmt.Errorf("profile: line %d: unknown record %q", lineNo, string(fields[0]))
 		}
 	}
-	if curShape != nil {
+	if open {
 		if last {
 			return fmt.Errorf("profile: truncated shape for %q (%d of %d blocks)",
 				curName, len(curShape.Blocks), curBlocks)
@@ -606,19 +622,25 @@ func appendSuccs(dst []byte, succs []int) []byte {
 // and a slice per block.
 const succSlabLen = 4096
 
+// cut returns an empty window of n elements cut from *slab, which a
+// full slab is replaced to hold, never regrown, so earlier windows stay
+// valid; its cap is n, so appending to one cannot reach the next.
+func cut[T any](slab *[]T, n int) []T {
+	if *slab == nil || cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, succSlabLen))
+	}
+	w := (*slab)[len(*slab) : len(*slab) : len(*slab)+n]
+	*slab = (*slab)[:len(*slab)+n]
+	return w
+}
+
 // parseSuccs parses a block's successor list ("0,2,5", "-" when none),
-// scanning the commas in place, and cuts the indices from *slab with a
-// three-index slice so blocks sharing a slab cannot grow into each
-// other; a full slab is replaced, never regrown, so earlier cuts stay
-// valid.
+// scanning the commas in place, into a window cut from *slab.
 func parseSuccs(s []byte, slab *[]int) ([]int, error) {
 	if len(s) == 1 && s[0] == '-' {
 		return nil, nil
 	}
-	if n := bytes.Count(s, []byte{','}) + 1; cap(*slab)-len(*slab) < n {
-		*slab = make([]int, 0, max(n, succSlabLen))
-	}
-	out := (*slab)[len(*slab):len(*slab)]
+	out := cut(slab, bytes.Count(s, []byte{','})+1)
 	for rest := s; rest != nil; {
 		tok := rest
 		if i := bytes.IndexByte(rest, ','); i >= 0 {
@@ -644,8 +666,7 @@ func parseSuccs(s []byte, slab *[]int) ([]int, error) {
 		}
 		out = append(out, v)
 	}
-	*slab = (*slab)[:len(*slab)+len(out)]
-	return out[:len(out):len(out)], nil
+	return out, nil
 }
 
 // appendEscaped appends a symbol made safe for the whitespace-separated

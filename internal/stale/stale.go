@@ -20,7 +20,12 @@
 // tooling can share one matcher without an import cycle.
 package stale
 
-import "gobolt/internal/profile"
+import (
+	"cmp"
+	"slices"
+
+	"gobolt/internal/profile"
+)
 
 // HashSeed/hashPrime are the FNV-1a 64-bit parameters.
 const (
@@ -60,53 +65,74 @@ func neighborHash(blocks []profile.BlockShape, i int) uint64 {
 	return h
 }
 
+// Matcher holds the buffers Match works in. A worker keeps one across
+// the functions it matches, so a match allocates only the slice it
+// returns. The zero value is ready to use.
+type Matcher struct {
+	keys               []keyed
+	oldTaken, curTaken []bool
+}
+
+// keyed is one unmatched block under a round's key: its index, and
+// whether it is a current block (cur) or an old one.
+type keyed struct {
+	key uint64
+	idx int32
+	cur bool
+}
+
 // Match maps old block indices to current block indices: out[i] is the
 // index in cur that old block i matched, -1 when it matched none. Both
 // slices are in layout order (profile.FuncShape convention).
 func Match(old, cur []profile.BlockShape) []int32 {
+	var m Matcher
+	return m.Match(old, cur)
+}
+
+// Match is the package-level Match on m's buffers; only the returned
+// slice is new.
+func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 	out := make([]int32, len(old))
 	for i := range out {
 		out[i] = -1
 	}
-	oldTaken := make([]bool, len(old))
-	curTaken := make([]bool, len(cur))
+	m.oldTaken = resetFlags(m.oldTaken, len(old))
+	m.curTaken = resetFlags(m.curTaken, len(cur))
+	oldTaken, curTaken := m.oldTaken, m.curTaken
 
+	// A key matches when it is unique among the unmatched blocks on BOTH
+	// sides; collisions wait for a later, stricter round. Sorting the
+	// unmatched blocks of both sides by key puts each key's blocks in one
+	// run, and a run of one old and one current block is a match.
 	match := func(key func(bs []profile.BlockShape, i int) uint64) {
-		// A key matches when it is unique among the unmatched blocks on
-		// BOTH sides; collisions wait for a later, stricter round.
-		oldByKey := map[uint64]int{}
-		oldDup := map[uint64]bool{}
+		keys := m.keys[:0]
 		for i := range old {
-			if oldTaken[i] {
-				continue
+			if !oldTaken[i] {
+				keys = append(keys, keyed{key(old, i), int32(i), false})
 			}
-			k := key(old, i)
-			if _, ok := oldByKey[k]; ok {
-				oldDup[k] = true
-			}
-			oldByKey[k] = i
 		}
-		curByKey := map[uint64]int{}
-		curDup := map[uint64]bool{}
 		for j := range cur {
-			if curTaken[j] {
-				continue
+			if !curTaken[j] {
+				keys = append(keys, keyed{key(cur, j), int32(j), true})
 			}
-			k := key(cur, j)
-			if _, ok := curByKey[k]; ok {
-				curDup[k] = true
-			}
-			curByKey[k] = j
 		}
-		for k, i := range oldByKey {
-			if oldDup[k] || curDup[k] {
-				continue
+		m.keys = keys
+		slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		for lo := 0; lo < len(keys); {
+			hi := lo + 1
+			for hi < len(keys) && keys[hi].key == keys[lo].key {
+				hi++
 			}
-			if j, ok := curByKey[k]; ok {
-				out[i] = int32(j)
+			if run := keys[lo:hi]; len(run) == 2 && run[0].cur != run[1].cur {
+				i, j := run[0].idx, run[1].idx
+				if run[0].cur {
+					i, j = j, i
+				}
+				out[i] = j
 				oldTaken[i] = true
 				curTaken[j] = true
 			}
+			lo = hi
 		}
 	}
 
@@ -138,6 +164,16 @@ func Match(old, cur []profile.BlockShape) []int32 {
 		}
 	}
 	return out
+}
+
+// resetFlags returns n false flags, reusing s when it is large enough.
+func resetFlags(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // ShapesEqual reports whether two shapes describe byte-for-byte the same
