@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,36 +84,38 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 }
 
 // TestFuncCtxKeptForSession: a context keeps its function-pass workers,
-// and the buffers they carry, for the session. A second pipeline run on
-// the same context is handed the first run's FuncCtx values, and each
-// worker's stats shard is merged once: cleared at every pass barrier,
-// so a later pass does not merge an earlier pass's counts again.
+// and the buffers they carry, for the session. Every pass of two
+// pipeline runs on the same context is handed FuncCtx values from the
+// one set the first run made, and each worker's stats shard is merged
+// once: cleared at every pass barrier, so a later pass does not merge an
+// earlier pass's counts again.
 func TestFuncCtxKeptForSession(t *testing.T) {
 	ctx := fakeCtx(37)
 	var mu sync.Mutex
-	seen := map[*FuncCtx]int{} // worker → the run that first saw it
-	run := 0
+	seen := map[*FuncCtx]bool{}
 	record := passFunc{name: "record", fn: func(fc *FuncCtx, fn *BinaryFunction) error {
 		mu.Lock()
-		defer mu.Unlock()
-		if _, ok := seen[fc]; !ok {
-			seen[fc] = run
-		}
+		seen[fc] = true
+		mu.Unlock()
 		fc.CountStat(statTouched, 1)
 		return nil
 	}}
-	for run = 1; run <= 2; run++ {
+	var first []*FuncCtx
+	for run := 1; run <= 2; run++ {
 		if err := NewPassManager(2).Run(context.Background(), ctx, []Pass{ForEachFunction(record), ForEachFunction(record)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for fc, r := range seen {
-		if r != 1 {
-			t.Errorf("run %d was handed a FuncCtx the first run never saw (%p)", r, fc)
+		if run == 1 {
+			first = slices.Clone(ctx.passWorkers)
 		}
 	}
-	if len(seen) == 0 || len(seen) > 2 {
-		t.Errorf("%d distinct FuncCtx values over four passes on two workers", len(seen))
+	if len(first) != 2 || !slices.Equal(ctx.passWorkers, first) {
+		t.Errorf("workers after the first run %p, after the second %p: want the same two", first, ctx.passWorkers)
+	}
+	for fc := range seen {
+		if !slices.Contains(first, fc) {
+			t.Errorf("a pass was handed a FuncCtx (%p) the context does not keep", fc)
+		}
 	}
 	if got := ctx.Stats[statTouched.String()]; got != 4*37 {
 		t.Errorf("touched = %d after four passes over 37 functions, want %d", got, 4*37)

@@ -96,8 +96,8 @@ func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 	for i := range out {
 		out[i] = -1
 	}
-	m.oldTaken = resetFlags(m.oldTaken, len(old))
-	m.curTaken = resetFlags(m.curTaken, len(cur))
+	m.oldTaken = zeroed(m.oldTaken, len(old))
+	m.curTaken = zeroed(m.curTaken, len(cur))
 	oldTaken, curTaken := m.oldTaken, m.curTaken
 
 	// A key matches when it is unique among the unmatched blocks on BOTH
@@ -166,14 +166,14 @@ func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 	return out
 }
 
-// resetFlags returns n false flags, reusing s when it is large enough.
-func resetFlags(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+// zeroed returns n zero elements, reusing buf when it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // ShapesEqual reports whether two shapes describe byte-for-byte the same
