@@ -444,20 +444,11 @@ func (s *Session) buildReport(dyno *Dyno) *Report {
 		InputSHA256:   s.inputSHA,
 		InputSize:     s.inputSize,
 		Options:       s.opts,
-		Functions: Functions{
-			MovedFuncs:   s.res.MovedFuncs,
-			SkippedFuncs: s.res.SkippedFuncs,
-			FoldedFuncs:  s.res.FoldedFuncs,
-			SplitFuncs:   s.res.SplitFuncs,
-		},
-		Sizes: Sizes{
-			HotTextSize:  s.res.HotTextSize,
-			ColdTextSize: s.res.ColdTextSize,
-			OrigTextSize: s.res.OrigTextSize,
-		},
-		Phases:  s.bctx.Timings,
-		Metrics: maps.Clone(s.bctx.Stats),
-		Dyno:    dyno,
+		Functions:     s.res.Functions,
+		Sizes:         s.res.Sizes,
+		Phases:        s.bctx.Timings,
+		Metrics:       maps.Clone(s.bctx.Stats),
+		Dyno:          dyno,
 	}
 	// The tracer handle is operational state, not run description: the
 	// report keeps what was derived from it, not the handle.

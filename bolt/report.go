@@ -51,8 +51,8 @@ type Report struct {
 	// Functions is the rewrite accounting and Sizes the layout sizes;
 	// both are embedded, so rep.MovedFuncs and rep.HotTextSize select
 	// straight through.
-	Functions `json:"functions"`
-	Sizes     `json:"sizes"`
+	core.Functions `json:"functions"`
+	core.Sizes     `json:"sizes"`
 
 	// Phases is the per-phase wall-clock instrumentation in execution
 	// order; each row's Group says which stage it belongs to — "load"
@@ -84,23 +84,6 @@ type Report struct {
 	// verifier re-reads the serialized output from scratch — see
 	// internal/bincheck.
 	Verify *bincheck.Result `json:"verify,omitempty"`
-}
-
-// Functions is the rewrite's function accounting: moved into the new
-// layout (every final rewritable function), skipped as non-simple,
-// folded by ICF, split hot/cold.
-type Functions struct {
-	MovedFuncs   int `json:"moved"`
-	SkippedFuncs int `json:"skipped"`
-	FoldedFuncs  int `json:"folded"`
-	SplitFuncs   int `json:"split"`
-}
-
-// Sizes holds the emitted section sizes versus the original .text.
-type Sizes struct {
-	HotTextSize  uint64 `json:"hot_text"`
-	ColdTextSize uint64 `json:"cold_text"`
-	OrigTextSize uint64 `json:"orig_text"`
 }
 
 // Profile is the profile provenance — source description and record

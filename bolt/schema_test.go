@@ -106,8 +106,8 @@ func TestReportSchemaInSync(t *testing.T) {
 	checkSchemaDefs(t, defs, map[string]reflect.Type{
 		"run_report": reflect.TypeOf(bolt.Report{}),
 		"options":    reflect.TypeOf(core.Options{}),
-		"functions":  reflect.TypeOf(bolt.Functions{}),
-		"sizes":      reflect.TypeOf(bolt.Sizes{}),
+		"functions":  reflect.TypeOf(core.Functions{}),
+		"sizes":      reflect.TypeOf(core.Sizes{}),
 		"phase":      reflect.TypeOf(core.PassTiming{}),
 		"occupancy":  reflect.TypeOf(obsv.PhaseStats{}),
 		"task_stat":  reflect.TypeOf(obsv.TaskStat{}),

@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -47,31 +45,15 @@ func run() error {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := obsv.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "boltbench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "boltbench: memprofile:", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "boltbench:", err)
+		}
+	}()
 
 	// Standalone validation mode: check artifacts from a gobolt run
 	// against the obsv schemas and exit without running experiments.

@@ -23,8 +23,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"gobolt/bolt"
@@ -87,34 +85,17 @@ func run() error {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := obsv.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gobolt: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "gobolt: memprofile:", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "gobolt:", err)
+		}
+	}()
 
 	opts := core.DefaultOptions()
-	var err error
 	if opts.ReorderBlocks, err = layout.ParseAlgorithm(*reorderBlocks); err != nil {
 		return badFlag("reorder-blocks", err)
 	}

@@ -26,20 +26,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var lo, hi uint64
-	first := true
-	for _, s := range f.Sections {
-		if s.Flags&elfx.SHFExecinstr == 0 || s.Size() == 0 {
-			continue
-		}
-		if first || s.Addr < lo {
-			lo = s.Addr
-		}
-		if first || s.Addr+s.Size() > hi {
-			hi = s.Addr + s.Size()
-		}
-		first = false
-	}
+	lo, hi := f.ExecSpan()
 	m, err := vm.New(f)
 	if err != nil {
 		fatal(err)

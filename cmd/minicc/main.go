@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // build compiles and links p under copts and lopts. With a profile fd it
 // is the second phase of a two-phase build: fd must have been recorded on
-// that build of p, and bench.Rebuild — the harness's PGO and HFSort step —
+// that build of p, and bench.Rebuild — the harness's PGO step —
 // converts it against that build and compiles p again.
 func build(p *ir.Program, copts cc.Options, lopts ld.Options, fd *profile.Fdata, order hfsort.Algorithm) (*ld.Result, error) {
 	objs, err := cc.Compile(p, copts)
@@ -130,5 +130,5 @@ func build(p *ir.Program, copts cc.Options, lopts ld.Options, fd *profile.Fdata,
 	if err != nil || fd == nil {
 		return res, err
 	}
-	return bench.Rebuild(p, copts, lopts, res.File, fd, true, order)
+	return bench.Rebuild(p, copts, lopts, res.File, fd, order)
 }

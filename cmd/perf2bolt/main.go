@@ -33,8 +33,6 @@ import (
 	"os/signal"
 
 	"gobolt/bolt"
-	"gobolt/internal/core"
-	"gobolt/internal/profile"
 )
 
 // errUsage marks a bad invocation; main exits 2 (the flag-package
@@ -58,17 +56,12 @@ func run() error {
 	merge := flag.Bool("merge", false, "merge N profile shards (args are fdata files, no binary)")
 	jobs := flag.Int("jobs", 0, "worker threads for parsing merge shards (0 = GOMAXPROCS)")
 	translate := flag.Bool("translate", true, "translate through the binary's .bolt.bat section when present")
-	inferFlow := flag.Bool("infer-flow", false, "report the profile's flow-equation consistency against the binary's CFGs before/after minimum-cost-flow inference (plain mode: the profile must be in this binary's coordinates)")
 	flag.Parse()
 
 	cx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	if *merge {
-		if *inferFlow {
-			fmt.Fprintln(os.Stderr, "usage: -infer-flow needs a binary to analyze; it does not apply to -merge")
-			return errUsage
-		}
 		return runMerge(cx, flag.Args(), *out, *jobs)
 	}
 	if flag.NArg() != 1 || *in == "" {
@@ -102,38 +95,6 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "perf2bolt: %d branch records, %d samples kept (%d dropped) -> %s\n",
 			r.Branches, r.Samples, r.Dropped, outPath(*in, *out))
 	}
-	if *inferFlow {
-		return reportFlowAccuracy(cx, binary, fd, r.Translated)
-	}
-	return nil
-}
-
-// reportFlowAccuracy analyzes the binary's CFGs, applies the cleaned
-// profile with minimum-cost-flow inference forced on, and prints how
-// consistent the counts were before and after the solver — the quickest
-// way to judge whether a profile needs inference before trusting it.
-func reportFlowAccuracy(cx context.Context, binary string, fd *profile.Fdata, translated bool) error {
-	if translated {
-		// The profile is now in input-binary coordinates; this binary is
-		// the optimized one, so its CFGs no longer match the records.
-		fmt.Fprintln(os.Stderr, "perf2bolt: -infer-flow: profile was BAT-translated to input-binary coordinates; run gobolt -infer-flow=always on the input binary instead")
-		return nil
-	}
-	sess, err := bolt.Open(binary, bolt.WithInferFlow(core.InferAlways))
-	if err != nil {
-		return err
-	}
-	if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-		return err
-	}
-	if err := sess.Analyze(cx); err != nil {
-		return err
-	}
-	before, after, err := sess.FlowAccuracy()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "perf2bolt: flow accuracy %.4f -> %.4f after min-cost-flow inference\n", before, after)
 	return nil
 }
 

@@ -59,19 +59,17 @@ func compile(prog *ir.Program, copts cc.Options, lopts ld.Options) (*ld.Result, 
 	return ld.Link(objs, lopts)
 }
 
-// Rebuild is the second phase of a PGO or HFSort build: fd is a train
-// profile recorded on plain, prog built under copts and lopts. With pgo,
-// fd is converted to source level against plain and compiled in; a
-// non-empty order lays functions out at link time by that algorithm over
-// fd's calls. Then prog is compiled and linked again.
-func Rebuild(prog *ir.Program, copts cc.Options, lopts ld.Options, plain *elfx.File, fd *profile.Fdata, pgo bool, order hfsort.Algorithm) (*ld.Result, error) {
-	if pgo {
-		sp, err := SourceProfile(plain, fd)
-		if err != nil {
-			return nil, err
-		}
-		copts.PGO = sp
+// Rebuild is the second phase of a PGO build: fd is a train profile
+// recorded on plain, prog built under copts and lopts. fd is converted to
+// source level against plain and compiled in; a non-empty order also lays
+// functions out at link time by that algorithm over fd's calls. Then prog
+// is compiled and linked again.
+func Rebuild(prog *ir.Program, copts cc.Options, lopts ld.Options, plain *elfx.File, fd *profile.Fdata, order hfsort.Algorithm) (*ld.Result, error) {
+	sp, err := SourceProfile(plain, fd)
+	if err != nil {
+		return nil, err
 	}
+	copts.PGO = sp
 	if order != "" {
 		lopts.FuncOrder = hfsort.LinkOrder(profile.BuildCallGraph(fd), plain, order)
 	}
@@ -246,7 +244,7 @@ func (l *Lab) build(spec workload.Spec, cfg BuildConfig) (*ld.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Rebuild(l.generate(spec), copts, lopts, plain.File, fd, true, "")
+		return Rebuild(l.generate(spec), copts, lopts, plain.File, fd, "")
 	}
 	// An HFSort build links its plain sibling's very objects in another
 	// order, so while the sibling is unbuilt one compile serves both
@@ -364,6 +362,7 @@ func (s *Subject) bolted(mode perf.Mode, opts core.Options, withHeat bool) (befo
 // Measurement is one simulated run.
 type Measurement struct {
 	Metrics  *uarch.Metrics
+	Counters vm.Counters // the VM's retirement counts
 	Checksum uint64
 	Heat     *heatmap.Map
 	// ColdInsts is how many of Metrics.Instructions were fetched from
@@ -409,8 +408,7 @@ func Measure(f *elfx.File, cfg uarch.Config, withHeat bool) (*Measurement, error
 	var tr vm.Tracer = probe
 	var heat *heatmap.Map
 	if withHeat {
-		lo, hi := execSpan(f)
-		heat = heatmap.New(lo, hi)
+		heat = heatmap.New(f.ExecSpan())
 		tr = vm.TeeTracer{probe, heat.Tracer()}
 	}
 	m.SetTracer(tr)
@@ -421,27 +419,8 @@ func Measure(f *elfx.File, cfg uarch.Config, withHeat bool) (*Measurement, error
 		return nil, fmt.Errorf("bench: program did not halt")
 	}
 	metrics := *probe.Finish() // a copy: the simulator's own keeps its caches alive
-	return &Measurement{Metrics: &metrics, Checksum: m.Result(), Heat: heat,
+	return &Measurement{Metrics: &metrics, Counters: m.C, Checksum: m.Result(), Heat: heat,
 		ColdInsts: probe.insts, ColdCrossings: probe.crossings}, nil
-}
-
-// execSpan returns the [lo, hi) address range of executable sections.
-func execSpan(f *elfx.File) (uint64, uint64) {
-	var lo, hi uint64
-	first := true
-	for _, s := range f.Sections {
-		if s.Flags&elfx.SHFExecinstr == 0 || s.Size() == 0 {
-			continue
-		}
-		if first || s.Addr < lo {
-			lo = s.Addr
-		}
-		if first || s.Addr+s.Size() > hi {
-			hi = s.Addr + s.Size()
-		}
-		first = false
-	}
-	return lo, hi
 }
 
 // measureSame measures f and fails unless it computes ref's VM checksum

@@ -452,9 +452,10 @@ func ICF(l *Lab) (*ICFResult, string, error) {
 // Fig2Report runs the paper's Figure 2 setup end to end: with PGO the
 // inlined copies of foo share one merged (50/50) source profile, while
 // gobolt sees each binary copy's own branch statistics. The report
-// shows taken branches (all kinds) and cycles per configuration:
-// PGO+LTO takes 149 996, and PGO+LTO+BOLT 49 998, the loop's back edge
-// alone, because BOLT makes each copy's own hot side its fall-through.
+// shows taken conditional branches (the VM's retirement count) and
+// cycles per configuration: PGO+LTO takes 99 997, and PGO+LTO+BOLT
+// 49 998, the loop's back edge alone, because BOLT makes each copy's own
+// hot side its fall-through.
 // TestFigure2Mechanism holds the mechanism per copy.
 func Fig2Report(l *Lab) (string, error) {
 	mode := perf.DefaultMode()
@@ -478,11 +479,10 @@ func Fig2Report(l *Lab) (string, error) {
 	if withPGO.Checksum != before.Checksum {
 		return "", fmt.Errorf("bench: checksum mismatch: PGO+LTO computes %#x, LTO %#x", withPGO.Checksum, before.Checksum)
 	}
-	mb, mp, mpb := before.Metrics, withPGO.Metrics, withBolt.Metrics
 	var sb strings.Builder
 	sb.WriteString("Figure 2 mechanism: taken conditional branches (lower is better)\n")
-	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d\n", "LTO (no profile)", mb.TakenBranches, mb.Cycles)
-	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d  (merged source profile)\n", "PGO+LTO", mp.TakenBranches, mp.Cycles)
-	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d  (per-copy binary profile)\n", "PGO+LTO+BOLT", mpb.TakenBranches, mpb.Cycles)
+	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d\n", "LTO (no profile)", before.Counters.TakenBranch, before.Metrics.Cycles)
+	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d  (merged source profile)\n", "PGO+LTO", withPGO.Counters.TakenBranch, withPGO.Metrics.Cycles)
+	fmt.Fprintf(&sb, "  %-22s taken=%d  cycles=%d  (per-copy binary profile)\n", "PGO+LTO+BOLT", withBolt.Counters.TakenBranch, withBolt.Metrics.Cycles)
 	return sb.String(), nil
 }

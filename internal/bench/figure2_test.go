@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 
 	"gobolt/internal/elfx"
@@ -117,4 +119,18 @@ func TestFigure2Mechanism(t *testing.T) {
 			after.totalTaken, before.totalTaken)
 	}
 	t.Logf("taken conditional branches: PGO+LTO %d, PGO+LTO+BOLT %d", before.totalTaken, after.totalTaken)
+
+	// The fig2 report's "taken conditional branches" are these counts.
+	report, err := Fig2Report(lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken := map[string]uint64{}
+	for _, m := range regexp.MustCompile(`(?m)^  (\S+) +taken=(\d+) `).FindAllStringSubmatch(report, -1) {
+		taken[m[1]], _ = strconv.ParseUint(m[2], 10, 64)
+	}
+	if taken["PGO+LTO"] != before.totalTaken || taken["PGO+LTO+BOLT"] != after.totalTaken {
+		t.Errorf("fig2 reports taken=%d (PGO+LTO) and %d (PGO+LTO+BOLT), want the conditional counts %d and %d:\n%s",
+			taken["PGO+LTO"], taken["PGO+LTO+BOLT"], before.totalTaken, after.totalTaken, report)
+	}
 }

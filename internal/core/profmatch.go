@@ -155,7 +155,7 @@ type staleMatcher struct {
 
 // staleFunc is a function whose profiled shape differs from its current
 // CFG: the old shape, and for each of its blocks the index in fn.Blocks
-// of the block it matched (stale.Match; -1 = none).
+// of the block it matched (stale.Matcher.Match; -1 = none).
 type staleFunc struct {
 	old   profile.FuncShape
 	match []int32

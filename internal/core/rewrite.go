@@ -20,13 +20,25 @@ type RewriteResult struct {
 	File  *elfx.File
 	Image []byte // File serialized; File's sections are windows of it
 
-	MovedFuncs   int
-	SkippedFuncs int
-	HotTextSize  uint64
-	ColdTextSize uint64
-	OrigTextSize uint64
-	FoldedFuncs  int
-	SplitFuncs   int
+	Functions
+	Sizes
+}
+
+// Functions is the rewrite's function accounting: moved into the new
+// layout (every final rewritable function), skipped as non-simple,
+// folded by ICF, split hot/cold. The JSON tags are the run report's.
+type Functions struct {
+	MovedFuncs   int `json:"moved"`
+	SkippedFuncs int `json:"skipped"`
+	FoldedFuncs  int `json:"folded"`
+	SplitFuncs   int `json:"split"`
+}
+
+// Sizes holds the emitted section sizes versus the original .text.
+type Sizes struct {
+	HotTextSize  uint64 `json:"hot_text"`
+	ColdTextSize uint64 `json:"cold_text"`
+	OrigTextSize uint64 `json:"orig_text"`
 }
 
 // Rewrite emits all simple functions into a fresh .text (hot) and

@@ -37,14 +37,8 @@ func (s *Scratch) Problem(n, edges int) (use, def []isa.RegSet, succOff, succ []
 	return s.useDef[:n:n], s.useDef[n:], s.table[:n+1], s.table[n+1 : n+1]
 }
 
-// NewGraph completes a successor table with its transpose.
-func NewGraph(succOff, succ []int32) Graph {
-	var s Scratch
-	return s.NewGraph(succOff, succ)
-}
-
-// NewGraph is the package-level NewGraph with the transpose in s's
-// buffer: the graph is s's until the next call.
+// NewGraph completes a successor table with its transpose, which it
+// builds in s's buffer: the graph is s's until the next call.
 func (s *Scratch) NewGraph(succOff, succ []int32) Graph {
 	n := len(succOff) - 1
 	slab := zeroed(s.preds, n+1+len(succ))
@@ -72,14 +66,8 @@ func (s *Scratch) NewGraph(succOff, succ []int32) Graph {
 // Liveness computes per-block live-in/live-out register sets with a
 // backward worklist iteration: use[i] is what block i reads before any
 // write, def[i] what it writes. The result is the least fixpoint, so it
-// does not depend on the visiting order.
-func Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
-	var s Scratch
-	return s.Liveness(g, use, def)
-}
-
-// Liveness is the package-level Liveness in s's buffers: the sets are
-// s's until the next call.
+// does not depend on the visiting order. The sets are in s's buffers and
+// are s's until the next call.
 func (s *Scratch) Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
 	n := len(use)
 	sets := zeroed(s.sets, 2*n)

@@ -16,7 +16,7 @@ func graphOf(succs [][]int32) *Graph {
 		flat = append(flat, s...)
 		off = append(off, int32(len(flat)))
 	}
-	g := NewGraph(off, flat)
+	g := new(Scratch).NewGraph(off, flat)
 	return &g
 }
 
@@ -108,7 +108,7 @@ func TestLivenessMatchesReference(t *testing.T) {
 			},
 			func(b int) isa.RegSet { return use[b] },
 			func(b int) isa.RegSet { return def[b] })
-		gotIn, gotOut := Liveness(graphOf(succs), use, def)
+		gotIn, gotOut := new(Scratch).Liveness(graphOf(succs), use, def)
 		if !slices.Equal(gotIn, wantIn) || !slices.Equal(gotOut, wantOut) {
 			t.Fatalf("cfg %d (succs %v):\n in  %v\n want %v\n out %v\n want %v", i, succs, gotIn, wantIn, gotOut, wantOut)
 		}
@@ -120,7 +120,7 @@ func TestLivenessStraightLine(t *testing.T) {
 	g := graphOf([][]int32{{1}, nil})
 	use := []isa.RegSet{0, isa.RegMask(isa.RAX)}
 	def := []isa.RegSet{isa.RegMask(isa.RAX), 0}
-	liveIn, liveOut := Liveness(g, use, def)
+	liveIn, liveOut := new(Scratch).Liveness(g, use, def)
 	if !liveOut[0].Has(isa.RAX) {
 		t.Errorf("RAX must be live out of b0: %v", liveOut[0])
 	}
@@ -137,7 +137,7 @@ func TestLivenessLoop(t *testing.T) {
 	g := graphOf([][]int32{{1}, {2, 3}, {1}, nil})
 	use := []isa.RegSet{0, 0, isa.RegMask(isa.RBX), 0}
 	def := []isa.RegSet{isa.RegMask(isa.RBX), 0, 0, 0}
-	liveIn, liveOut := Liveness(g, use, def)
+	liveIn, liveOut := new(Scratch).Liveness(g, use, def)
 	// RBX must be live around the whole loop.
 	for _, b := range []int{1, 2} {
 		if !liveIn[b].Has(isa.RBX) {

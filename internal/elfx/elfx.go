@@ -148,6 +148,21 @@ func (f *File) SectionFor(vaddr uint64) *Section {
 	return nil
 }
 
+// ExecSpan returns the [lo, hi) address range the non-empty executable
+// sections span, or (0, 0) when there are none.
+func (f *File) ExecSpan() (lo, hi uint64) {
+	for _, s := range f.Sections {
+		if s.Flags&SHFExecinstr == 0 || s.Size() == 0 {
+			continue
+		}
+		if hi == 0 || s.Addr < lo {
+			lo = s.Addr
+		}
+		hi = max(hi, s.Addr+s.Size())
+	}
+	return lo, hi
+}
+
 // ReadAt copies out bytes at virtual address vaddr from whichever section
 // holds them.
 func (f *File) ReadAt(vaddr uint64, n int) ([]byte, error) {

@@ -256,6 +256,30 @@ func TestReadAt(t *testing.T) {
 	}
 }
 
+func TestExecSpan(t *testing.T) {
+	exec := SHFAlloc | SHFExecinstr
+	f := New()
+	// .text comes first so that .plt has to lower the span's start; the
+	// empty executable section lies below .plt and the read-only data
+	// above .text.cold, so either would widen the span if counted.
+	f.AddSection(&Section{Name: ".text", Type: SHTProgbits, Flags: exec, Addr: 0x401100, Data: make([]byte, 0x80)})
+	f.AddSection(&Section{Name: ".plt", Type: SHTProgbits, Flags: exec, Addr: 0x401000, Data: make([]byte, 0x20)})
+	f.AddSection(&Section{Name: ".init", Type: SHTProgbits, Flags: exec, Addr: 0x400000})
+	f.AddSection(&Section{Name: ".text.cold", Type: SHTProgbits, Flags: exec, Addr: 0x402000, Data: make([]byte, 0x30)})
+	f.AddSection(&Section{Name: ".rodata", Type: SHTProgbits, Flags: SHFAlloc, Addr: 0x403000, Data: make([]byte, 8)})
+	if lo, hi := f.ExecSpan(); lo != 0x401000 || hi != 0x402030 {
+		t.Errorf("ExecSpan = [%#x, %#x), want [0x401000, 0x402030)", lo, hi)
+	}
+
+	noExec := New()
+	noExec.AddSection(&Section{Name: ".rodata", Type: SHTProgbits, Flags: SHFAlloc, Addr: 0x403000, Data: make([]byte, 8)})
+	for _, g := range []*File{New(), noExec} {
+		if lo, hi := g.ExecSpan(); lo != 0 || hi != 0 {
+			t.Errorf("ExecSpan with no executable section = [%#x, %#x), want [0, 0)", lo, hi)
+		}
+	}
+}
+
 func TestOverlapRejected(t *testing.T) {
 	f := New()
 	f.AddSection(&Section{Name: "a", Flags: SHFAlloc, Addr: 0x1000, Data: make([]byte, 32), Type: SHTProgbits})

@@ -148,13 +148,6 @@ type Result struct {
 	Residual int64
 }
 
-// Infer solves one problem on a fresh Solver. Callers that infer many
-// functions keep a Solver per worker instead.
-func Infer(nodes []Node) Result {
-	var s Solver
-	return s.Infer(nodes)
-}
-
 // arc is one directed residual edge; arcs are stored in pairs so arc
 // id^1 is always the reverse (and arcs[id^1].to is arc id's tail).
 type arc struct {

@@ -44,7 +44,7 @@ func TestDiamondFromSamples(t *testing.T) {
 		{Weight: 70, Succs: []Succ{{To: 3, Cost: CostFallThrough}}},
 		{Weight: 100},
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	if res.Residual != 0 {
 		t.Fatalf("residual %d", res.Residual)
 	}
@@ -67,7 +67,7 @@ func TestColdEntryInflated(t *testing.T) {
 		{Weight: 1000, Succs: []Succ{{To: 1, Cost: CostBackward}, {To: 2, Cost: CostFallThrough}}},
 		{Weight: 10},
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	checkConserved(t, nodes, res)
 	if res.NodeCounts[0] == 0 {
 		t.Fatal("entry count stayed 0 despite hot loop downstream")
@@ -90,7 +90,7 @@ func TestSurplusPrefersFallThrough(t *testing.T) {
 		{Weight: 0, Succs: []Succ{{To: 3, Cost: CostFallThrough}}},
 		{Weight: 0},
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	checkConserved(t, nodes, res)
 	if res.EdgeCounts[0][1] != 100 || res.EdgeCounts[0][0] != 0 {
 		t.Errorf("surplus took the taken edge: %v", res.EdgeCounts[0])
@@ -108,7 +108,7 @@ func TestLBRRepairMinimalAdjustment(t *testing.T) {
 		{Weight: 100, Succs: []Succ{{To: 2, Weight: 100, Cost: CostFallThrough}}},
 		{Weight: 100},
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	if res.Residual != 0 {
 		t.Fatalf("residual %d", res.Residual)
 	}
@@ -129,7 +129,7 @@ func TestDanglingBlockKeepsSamples(t *testing.T) {
 		{Weight: 50},
 		{Weight: 7}, // dangling
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	checkConserved(t, nodes, res)
 	if res.NodeCounts[2] != 7 {
 		t.Errorf("dangling block count = %d, want 7", res.NodeCounts[2])
@@ -138,10 +138,10 @@ func TestDanglingBlockKeepsSamples(t *testing.T) {
 
 // TestEmpty covers the degenerate inputs.
 func TestEmpty(t *testing.T) {
-	if res := Infer(nil); len(res.NodeCounts) != 0 {
+	if res := new(Solver).Infer(nil); len(res.NodeCounts) != 0 {
 		t.Fatal("non-empty result for empty input")
 	}
-	res := Infer([]Node{{Weight: 3, IsEntry: true}})
+	res := new(Solver).Infer([]Node{{Weight: 3, IsEntry: true}})
 	if res.NodeCounts[0] != 3 {
 		t.Fatalf("single node count %d, want 3", res.NodeCounts[0])
 	}
@@ -185,7 +185,7 @@ func TestRandomCFGsConserve(t *testing.T) {
 				nodes[i].Succs = append(nodes[i].Succs, sc)
 			}
 		}
-		res := Infer(nodes)
+		res := new(Solver).Infer(nodes)
 		if res.Residual != 0 {
 			t.Fatalf("trial %d: residual %d", trial, res.Residual)
 		}
@@ -206,9 +206,9 @@ func TestDeterministic(t *testing.T) {
 			nodes[i].Succs = append(nodes[i].Succs, Succ{To: j, Cost: CostTaken})
 		}
 	}
-	first := Infer(nodes)
+	first := new(Solver).Infer(nodes)
 	for k := 0; k < 5; k++ {
-		got := Infer(nodes)
+		got := new(Solver).Infer(nodes)
 		for i := range got.NodeCounts {
 			if got.NodeCounts[i] != first.NodeCounts[i] {
 				t.Fatalf("run %d: node %d diverged", k, i)
@@ -233,7 +233,7 @@ func TestUnsampledDiamondTakesShortArm(t *testing.T) {
 		{Size: 40, Succs: []Succ{{To: 3, Cost: CostFallThrough}}},
 		{Weight: 100, Size: 4},
 	}
-	res := Infer(nodes)
+	res := new(Solver).Infer(nodes)
 	checkConserved(t, nodes, res)
 	if res.NodeCounts[1] != 100 || res.NodeCounts[2] != 0 {
 		t.Errorf("arm counts short=%d long=%d, want 100 and 0", res.NodeCounts[1], res.NodeCounts[2])
@@ -243,7 +243,7 @@ func TestUnsampledDiamondTakesShortArm(t *testing.T) {
 	for i := range nodes {
 		nodes[i].Size = 0
 	}
-	if res = Infer(nodes); res.NodeCounts[2] != 100 {
+	if res = new(Solver).Infer(nodes); res.NodeCounts[2] != 100 {
 		t.Errorf("unsized diamond: fall-through arm got %d, want 100", res.NodeCounts[2])
 	}
 }

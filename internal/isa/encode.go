@@ -11,10 +11,6 @@ var (
 	errBranchRange = fmt.Errorf("isa: rel8 branch target out of range")
 )
 
-// IsBranchRangeError reports whether err means "rel8 did not fit"; the
-// emitter reacts by widening the branch to rel32 and re-laying-out.
-func IsBranchRangeError(err error) bool { return err == errBranchRange }
-
 // rex builds a REX prefix byte. w=1 selects 64-bit operand size.
 func rex(w, r, x, b byte) byte { return 0x40 | w<<3 | r<<2 | x<<1 | b }
 

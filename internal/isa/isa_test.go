@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -167,7 +168,7 @@ func TestBranchRangeError(t *testing.T) {
 	i := NewInst(JMP)
 	i.SetTargetAddr(0x400000 + 1000)
 	_, err := AppendInst(nil, &i, 0x400000, false)
-	if !IsBranchRangeError(err) {
+	if !errors.Is(err, errBranchRange) {
 		t.Fatalf("expected branch range error, got %v", err)
 	}
 	// The long form must succeed.

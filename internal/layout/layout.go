@@ -44,12 +44,6 @@ type Graph struct {
 	Edges  []Edge
 }
 
-// Reorder returns a permutation of 0..N-1 with 0 first.
-func Reorder(g *Graph, algo Algorithm) []int {
-	var s Scratch
-	return s.Reorder(g, algo)
-}
-
 // Scratch holds the buffers a layout is computed in: the graph a caller
 // fills, the chain slab, the edge list, the chain heads and the order.
 // A worker keeps one across the functions it lays out, so a layout
@@ -84,8 +78,8 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// Reorder is the package-level Reorder in s's buffers. The permutation
-// is s's until the next call.
+// Reorder returns a permutation of 0..N-1 with 0 first, computed in s's
+// buffers. The permutation is s's until the next call.
 func (s *Scratch) Reorder(g *Graph, algo Algorithm) []int {
 	switch algo {
 	case AlgoPH:

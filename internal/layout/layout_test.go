@@ -42,14 +42,14 @@ func validPermutation(t *testing.T, g *Graph, order []int) {
 func TestAlgorithmsProduceValidPermutations(t *testing.T) {
 	g := diamond()
 	for _, algo := range []Algorithm{AlgoNone, AlgoPH, AlgoCache} {
-		validPermutation(t, g, Reorder(g, algo))
+		validPermutation(t, g, new(Scratch).Reorder(g, algo))
 	}
 }
 
 func TestHotPathFallsThrough(t *testing.T) {
 	g := diamond()
 	for _, algo := range []Algorithm{AlgoPH, AlgoCache} {
-		order := Reorder(g, algo)
+		order := new(Scratch).Reorder(g, algo)
 		pos := make([]int, g.N)
 		for i, b := range order {
 			pos[b] = i
@@ -59,7 +59,7 @@ func TestHotPathFallsThrough(t *testing.T) {
 			t.Errorf("%s: hot path not contiguous: %v", algo, order)
 		}
 		// And must beat the identity layout on the ext-TSP score.
-		id := Reorder(g, AlgoNone)
+		id := new(Scratch).Reorder(g, AlgoNone)
 		if Score(g, order) < Score(g, id) {
 			t.Errorf("%s: score %f worse than identity %f", algo, Score(g, order), Score(g, id))
 		}
@@ -79,7 +79,7 @@ func TestLoopBody(t *testing.T) {
 			{From: 1, To: 3, Weight: 10},
 		},
 	}
-	order := Reorder(g, AlgoCache)
+	order := new(Scratch).Reorder(g, AlgoCache)
 	pos := make([]int, g.N)
 	for i, b := range order {
 		pos[b] = i
@@ -104,7 +104,7 @@ func TestReorderProperty(t *testing.T) {
 			})
 		}
 		for _, algo := range []Algorithm{AlgoPH, AlgoCache} {
-			order := Reorder(g, algo)
+			order := new(Scratch).Reorder(g, algo)
 			if len(order) != n || order[0] != 0 {
 				return false
 			}

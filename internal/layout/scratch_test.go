@@ -24,7 +24,7 @@ func TestScratchReuseMatchesReference(t *testing.T) {
 			var want []int
 			switch algo {
 			case AlgoNone:
-				want = Reorder(g, algo)
+				want = new(Scratch).Reorder(g, algo)
 			default:
 				want = refChainLayout(g, algo == AlgoCache)
 			}

@@ -1,8 +1,9 @@
 // Package obsv is the pipeline's zero-dependency tracing subsystem: a
 // low-overhead span tracer (per-worker append-only buffers, no locks on
-// the hot path), a Chrome trace-event exporter, and derived per-phase
-// occupancy statistics. The engine's counters are not kept here: they
-// live in core.BinaryContext.Stats.
+// the hot path), a Chrome trace-event exporter, derived per-phase
+// occupancy statistics, and the pprof hooks the command-line tools
+// share. The engine's counters are not kept here: they live in
+// core.BinaryContext.Stats.
 //
 // A nil *Tracer is the disabled state: every instrumentation site
 // nil-checks before recording, so tracing off costs a pointer compare

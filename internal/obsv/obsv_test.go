@@ -2,6 +2,8 @@ package obsv
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -135,5 +137,34 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 		if err := ValidateChromeTrace([]byte(in)); err == nil {
 			t.Errorf("%s: validated, want error", name)
 		}
+	}
+}
+
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{cpu, mem} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", name, err)
+		}
+	}
+
+	missing := filepath.Join(dir, "no-such-dir", "p.pprof")
+	if _, err := StartProfiles(missing, ""); err == nil {
+		t.Error("an uncreatable CPU profile must fail the start")
+	}
+	stop, err = StartProfiles("", missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err == nil {
+		t.Errorf("an unwritable heap profile must fail the stop, got %v", err)
 	}
 }

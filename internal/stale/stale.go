@@ -83,14 +83,8 @@ type keyed struct {
 
 // Match maps old block indices to current block indices: out[i] is the
 // index in cur that old block i matched, -1 when it matched none. Both
-// slices are in layout order (profile.FuncShape convention).
-func Match(old, cur []profile.BlockShape) []int32 {
-	var m Matcher
-	return m.Match(old, cur)
-}
-
-// Match is the package-level Match on m's buffers; only the returned
-// slice is new.
+// slices are in layout order (profile.FuncShape convention). It works in
+// m's buffers; only the returned slice is new.
 func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 	out := make([]int32, len(old))
 	for i := range out {

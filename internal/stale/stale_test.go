@@ -14,7 +14,7 @@ func TestMatchExactHashes(t *testing.T) {
 	// Same blocks, shifted offsets (the new-release case).
 	old := []profile.BlockShape{bs(0, 100, 1, 2), bs(0x10, 200, 2), bs(0x20, 300)}
 	cur := []profile.BlockShape{bs(0, 100, 1, 2), bs(0x18, 200, 2), bs(0x28, 300)}
-	m := Match(old, cur)
+	m := new(Matcher).Match(old, cur)
 	for i := 0; i < 3; i++ {
 		if m[i] != int32(i) {
 			t.Fatalf("block %d matched to %d: %v", i, m[i], m)
@@ -40,7 +40,7 @@ func TestMatchNeighborDisambiguation(t *testing.T) {
 		bs(0x34, 400),
 		bs(0x44, 500),
 	}
-	m := Match(old, cur)
+	m := new(Matcher).Match(old, cur)
 	// old 1 leads to hash-400 (cur index 3); in cur that is block 2.
 	if m[1] != 2 || m[2] != 1 {
 		t.Fatalf("neighbor disambiguation failed: %v", m)
@@ -55,7 +55,7 @@ func TestMatchPositionalFallback(t *testing.T) {
 	// successor arity survived.
 	old := []profile.BlockShape{bs(0, 111, 1, 2), bs(0x10, 200), bs(0x20, 300)}
 	cur := []profile.BlockShape{bs(0, 999, 1, 2), bs(0x14, 200), bs(0x24, 300)}
-	m := Match(old, cur)
+	m := new(Matcher).Match(old, cur)
 	if m[0] != 0 {
 		t.Fatalf("positional fallback failed: %v", m)
 	}
@@ -65,7 +65,7 @@ func TestMatchRefusesIncompatiblePositional(t *testing.T) {
 	// Leftovers with different successor arity must not pair up.
 	old := []profile.BlockShape{bs(0, 111, 1, 2), bs(0x10, 200)}
 	cur := []profile.BlockShape{bs(0, 999), bs(0x14, 200)}
-	m := Match(old, cur)
+	m := new(Matcher).Match(old, cur)
 	if len(m) != len(old) {
 		t.Fatalf("result has %d entries for %d old blocks", len(m), len(old))
 	}
@@ -82,7 +82,7 @@ func TestMatchFewerCurrentBlocks(t *testing.T) {
 	// the one with no counterpart reads -1, and no entry points past cur.
 	old := []profile.BlockShape{bs(0, 100, 1), bs(0x10, 200, 2), bs(0x20, 300)}
 	cur := []profile.BlockShape{bs(0, 100, 1), bs(0x10, 300)}
-	m := Match(old, cur)
+	m := new(Matcher).Match(old, cur)
 	if len(m) != 3 || m[0] != 0 || m[1] != -1 || m[2] != 1 {
 		t.Fatalf("match = %v, want [0 -1 1]", m)
 	}
