@@ -209,11 +209,18 @@ func (s *SampledSource) Load(cx context.Context) (*profile.Fdata, error) {
 }
 
 // validateProfile drops records whose locations no longer resolve
-// against the binary's symbol table.
+// against the binary's symbol table: a location resolves when the first
+// symbol of its name is larger than its offset.
 func validateProfile(fd *profile.Fdata, f *elfx.File) (*profile.Fdata, int) {
+	size := make(map[string]uint64, len(f.Symbols))
+	for _, sym := range f.Symbols {
+		if _, seen := size[sym.Name]; !seen {
+			size[sym.Name] = sym.Size
+		}
+	}
 	resolves := func(l profile.Loc) bool {
-		sym, ok := f.SymbolByName(l.Sym)
-		return ok && l.Off < sym.Size
+		sz, ok := size[l.Sym]
+		return ok && l.Off < sz
 	}
 	kept := &profile.Fdata{LBR: fd.LBR, Event: fd.Event, Shapes: fd.Shapes}
 	dropped := 0

@@ -12,6 +12,7 @@ import (
 
 	"gobolt/internal/isa"
 	"gobolt/internal/obj"
+	"gobolt/internal/scratch"
 )
 
 // Label identifies a position in the assembled stream.
@@ -130,11 +131,8 @@ type Result struct {
 // until a fixpoint (widening is monotone, so this terminates).
 func (a *Assembler) Layout(base uint64) (Size, error) {
 	a.base, a.size = base, Size{}
-	if cap(a.labelOffs) < len(a.labels) {
-		a.labelOffs = make([]uint32, len(a.labels))
-	}
-	labelOffs := a.labelOffs[:len(a.labels)]
-	clear(labelOffs)
+	a.labelOffs = scratch.Zeroed(a.labelOffs, len(a.labels))
+	labelOffs := a.labelOffs
 	if len(a.items) == 0 {
 		return Size{}, nil
 	}

@@ -15,8 +15,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
+
+	"gobolt/internal/scratch"
 )
 
 // OpKind enumerates CFI instruction kinds (names follow DWARF).
@@ -315,7 +316,7 @@ func (l *LSDA) Decode(data []byte, off uint32) error {
 	if p+int(n)*callSiteSize > len(data) {
 		return fmt.Errorf("cfi: truncated LSDA")
 	}
-	l.CallSites = slices.Grow(l.CallSites[:0], int(n))[:n]
+	l.CallSites = scratch.Zeroed(l.CallSites, int(n))
 	for i := range l.CallSites {
 		l.CallSites[i] = CallSite{
 			Start:      binary.LittleEndian.Uint32(data[p:]),

@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -294,6 +295,30 @@ type BasicBlock struct {
 	IsLP      bool
 	IsCold    bool // assigned to the cold fragment by splitting
 	IsEntry   bool
+}
+
+// nLabels bounds the precomputed block-label table; functions with more
+// basic blocks than this exist but are rare enough that falling back to
+// a fresh allocation does not show up in profiles.
+const nLabels = 1024
+
+var lbb = func() [nLabels]string {
+	var a [nLabels]string
+	for i := range a {
+		a[i] = ".LBB" + strconv.Itoa(i)
+	}
+	return a
+}()
+
+// blockLabel returns the canonical ".LBB<i>" basic-block label. The same
+// labels repeat across every function in a binary, so the loader takes
+// them from one process-wide table instead of formatting a fresh string
+// per block.
+func blockLabel(i int) string {
+	if i >= 0 && i < nLabels {
+		return lbb[i]
+	}
+	return ".LBB" + strconv.Itoa(i)
 }
 
 // LastInst returns the final instruction or nil.

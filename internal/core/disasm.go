@@ -10,9 +10,9 @@ import (
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
 	"gobolt/internal/elfx"
-	"gobolt/internal/intern"
 	"gobolt/internal/isa"
 	"gobolt/internal/par"
+	"gobolt/internal/scratch"
 )
 
 // NewContext discovers functions, disassembles them, and builds CFGs —
@@ -408,7 +408,7 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 			cur.Index = len(fn.Blocks)
 			cur.Addr = r.addr
 			cur.CFIIn = -1
-			cur.Label = intern.Label(cur.Index)
+			cur.Label = blockLabel(cur.Index)
 			fn.Blocks = append(fn.Blocks, cur)
 			curStart = len(instSlab)
 		}
@@ -619,7 +619,7 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		return
 	}
 	fn.Blocks[0].IsEntry = true
-	sc.seen = resetCounts(sc.seen, len(fn.Blocks))
+	sc.seen = scratch.Zeroed(sc.seen, len(fn.Blocks))
 	sc.stamp = 0
 	// A conditional branch out of the function (a conditional tail call
 	// as compilers emit it, or a BOLTed hot fragment's branch into its
@@ -672,17 +672,6 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		b.Succs = sc.edgeSlab.clone(edges, &sc.pace)
 	}
 	sc.edges = edges
-}
-
-// resetCounts returns a zeroed slice of length n, reusing s's backing
-// array when it is big enough.
-func resetCounts[T int32 | uint64](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // attachCFI replays the FDE over the original instruction order and

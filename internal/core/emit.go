@@ -9,6 +9,7 @@ import (
 	"gobolt/internal/dbg"
 	"gobolt/internal/isa"
 	"gobolt/internal/obj"
+	"gobolt/internal/scratch"
 )
 
 // Emission relocation symbol encoding. Emitted code references targets
@@ -126,10 +127,7 @@ type emitScratch struct {
 // slots, reusing every backing array that is big enough.
 func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) {
 	sc.asm.Reset()
-	if cap(sc.labels) < nBlocks {
-		sc.labels = make([]asmx.Label, nBlocks)
-	}
-	sc.labels = sc.labels[:nBlocks]
+	sc.labels = scratch.Zeroed(sc.labels, nBlocks)
 	for i := range sc.labels {
 		sc.labels[i] = asmx.None
 	}

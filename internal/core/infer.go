@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gobolt/internal/flow"
+	"gobolt/internal/scratch"
 )
 
 // flowWorker is one profile:infer worker's state: repairFlow's in-flow
@@ -40,9 +41,9 @@ func (w *flowWorker) problem(fn *BinaryFunction, withEdges bool) []flow.Node {
 	for _, b := range fn.Blocks {
 		nEdges += len(b.Succs)
 	}
-	w.nodes = slices.Grow(w.nodes[:0], len(fn.Blocks))
+	w.nodes = scratch.Zeroed(w.nodes, len(fn.Blocks))
 	w.succs = slices.Grow(w.succs[:0], nEdges)
-	nodes, succs := w.nodes[:len(fn.Blocks)], w.succs
+	nodes, succs := w.nodes, w.succs
 	for i, b := range fn.Blocks {
 		nd := flow.Node{Weight: b.ExecCount, IsEntry: b.IsEntry || i == 0}
 		if !withEdges {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gobolt/internal/cc"
 	"gobolt/internal/elfx"
@@ -362,5 +363,19 @@ func TestOversizedFunctionNonSimple(t *testing.T) {
 	if fn.Simple || !strings.Contains(fn.Reason, "instruction offset") || len(fn.Blocks) != 0 {
 		t.Errorf("Simple=%t Reason=%q blocks=%d, want non-simple past the offset bound with no blocks",
 			fn.Simple, fn.Reason, len(fn.Blocks))
+	}
+}
+
+func TestBlockLabel(t *testing.T) {
+	for _, i := range []int{0, 1, 37, nLabels - 1, nLabels, nLabels + 5} {
+		want := fmt.Sprintf(".LBB%d", i)
+		if got := blockLabel(i); got != want {
+			t.Fatalf("blockLabel(%d) = %q, want %q", i, got, want)
+		}
+	}
+	// Within the precomputed range the same instance comes back every
+	// time — block labels are process-wide constants.
+	if unsafe.StringData(blockLabel(3)) != unsafe.StringData(blockLabel(3)) {
+		t.Fatal("blockLabel(3) not identity-stable")
 	}
 }

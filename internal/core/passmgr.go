@@ -11,6 +11,7 @@ import (
 	"gobolt/internal/dataflow"
 	"gobolt/internal/layout"
 	"gobolt/internal/par"
+	"gobolt/internal/scratch"
 )
 
 // FunctionPass is a transformation confined to a single function: it may
@@ -50,23 +51,17 @@ type FuncCtx struct {
 // functions it visits, for tables keyed by BasicBlock.Index. The slice is
 // the pass's until RunOnFunction returns or it calls Ints again.
 func (fc *FuncCtx) Ints(n int) []int32 {
-	if cap(fc.ints) < n {
-		fc.ints = make([]int32, n)
-	}
-	s := fc.ints[:n]
-	clear(s)
-	return s
+	fc.ints = scratch.Zeroed(fc.ints, n)
+	return fc.ints
 }
 
-// Blocks returns n block slots from a buffer the worker keeps, for a
+// Blocks returns n nil block slots from a buffer the worker keeps, for a
 // pass that rewrites fn.Blocks in place and needs the old order while it
 // does. The slice is the pass's until RunOnFunction returns or it calls
 // Blocks again.
 func (fc *FuncCtx) Blocks(n int) []*BasicBlock {
-	if cap(fc.blocks) < n {
-		fc.blocks = make([]*BasicBlock, n)
-	}
-	return fc.blocks[:n]
+	fc.blocks = scratch.Zeroed(fc.blocks, n)
+	return fc.blocks
 }
 
 // CountStat bumps a statistic in the worker-private shard.

@@ -8,6 +8,7 @@ import (
 	"gobolt/internal/isa"
 	"gobolt/internal/par"
 	"gobolt/internal/profile"
+	"gobolt/internal/scratch"
 	"gobolt/internal/stale"
 )
 
@@ -98,7 +99,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 			}
 			terms[i].violBefore, terms[i].totalBefore = flowViolation(fn)
 			if lbr {
-				workers[w].inflow = resetCounts(workers[w].inflow, len(fn.Blocks))
+				workers[w].inflow = scratch.Zeroed(workers[w].inflow, len(fn.Blocks))
 				repairFlow(fn, workers[w].inflow)
 				if useMCF {
 					workers[w].infer(fn, true)

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gobolt/internal/profile"
+	"gobolt/internal/scratch"
 	"gobolt/internal/stale"
 )
 
@@ -43,7 +44,7 @@ func (sc *shapeScratch) shape(fn *BinaryFunction) profile.FuncShape {
 	for _, b := range fn.Blocks {
 		nSuccs += len(b.Succs)
 	}
-	blocks := slices.Grow(sc.blocks[:0], len(fn.Blocks))[:len(fn.Blocks)]
+	blocks := scratch.Zeroed(sc.blocks, len(fn.Blocks))
 	// Grown once to hold every list, so the appends below never move
 	// the windows already cut from it.
 	succs := slices.Grow(sc.succs[:0], nSuccs)

@@ -4,7 +4,10 @@
 // generic over block graphs described by dense index arrays.
 package dataflow
 
-import "gobolt/internal/isa"
+import (
+	"gobolt/internal/isa"
+	"gobolt/internal/scratch"
+)
 
 // Graph is a block graph in compressed-sparse-row form: the successors
 // of block i are Succ[SuccOff[i]:SuccOff[i+1]] (exception edges
@@ -32,8 +35,8 @@ type Scratch struct {
 // appends block i's successors to it and sets succOff[i+1] = len(succ).
 // They are s's until the next call.
 func (s *Scratch) Problem(n, edges int) (use, def []isa.RegSet, succOff, succ []int32) {
-	s.useDef = zeroed(s.useDef, 2*n)
-	s.table = zeroed(s.table, n+1+edges)
+	s.useDef = scratch.Zeroed(s.useDef, 2*n)
+	s.table = scratch.Zeroed(s.table, n+1+edges)
 	return s.useDef[:n:n], s.useDef[n:], s.table[:n+1], s.table[n+1 : n+1]
 }
 
@@ -41,7 +44,7 @@ func (s *Scratch) Problem(n, edges int) (use, def []isa.RegSet, succOff, succ []
 // builds in s's buffer: the graph is s's until the next call.
 func (s *Scratch) NewGraph(succOff, succ []int32) Graph {
 	n := len(succOff) - 1
-	slab := zeroed(s.preds, n+1+len(succ))
+	slab := scratch.Zeroed(s.preds, n+1+len(succ))
 	s.preds = slab
 	predOff, pred := slab[:n+1], slab[n+1:]
 	for _, s := range succ {
@@ -70,10 +73,10 @@ func (s *Scratch) NewGraph(succOff, succ []int32) Graph {
 // are s's until the next call.
 func (s *Scratch) Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []isa.RegSet) {
 	n := len(use)
-	sets := zeroed(s.sets, 2*n)
+	sets := scratch.Zeroed(s.sets, 2*n)
 	liveIn, liveOut = sets[:n:n], sets[n:]
-	inWork := zeroed(s.inWork, n)
-	work := zeroed(s.work, n)
+	inWork := scratch.Zeroed(s.inWork, n)
+	work := scratch.Zeroed(s.work, n)
 	s.sets, s.inWork, s.work = sets, inWork, work
 	// Popped from the end, so the last block is visited first: layout
 	// order approximates a topological one and liveness flows backward.
@@ -103,14 +106,4 @@ func (s *Scratch) Liveness(g *Graph, use, def []isa.RegSet) (liveIn, liveOut []i
 		}
 	}
 	return liveIn, liveOut
-}
-
-// zeroed returns n zero elements, reusing buf when it is large enough.
-func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }

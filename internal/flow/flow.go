@@ -32,7 +32,8 @@ package flow
 
 import (
 	"math"
-	"slices"
+
+	"gobolt/internal/scratch"
 )
 
 // Jump-weight costs for adding flow to a CFG edge, exported so callers
@@ -209,10 +210,6 @@ type Solver struct {
 	inflow     []uint64
 }
 
-// grow returns s resized to n elements, reallocating only when the slab
-// is too small. Contents are unspecified: callers overwrite or clear.
-func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
-
 // addArc inserts a forward arc and its zero-capacity reverse; the
 // returned id addresses the forward arc (flow() reads it back).
 func (s *Solver) addArc(from, to int, capacity, cost int64) int32 {
@@ -234,15 +231,15 @@ func (s *Solver) flow(id int32) int64 { return s.csr[s.pos[id^1]].cap }
 func (s *Solver) Infer(nodes []Node) Result {
 	n := len(nodes)
 	nEdges := 0
-	s.edgeOff = grow(s.edgeOff, n+1)
+	s.edgeOff = scratch.Zeroed(s.edgeOff, n+1)
 	for i := range nodes {
 		s.edgeOff[i] = int32(nEdges)
 		nEdges += len(nodes[i].Succs)
 	}
 	s.edgeOff[n] = int32(nEdges)
-	s.nodeCounts = grow(s.nodeCounts, n)
-	s.edgeCounts = grow(s.edgeCounts, nEdges)
-	s.edgeRows = grow(s.edgeRows, n)
+	s.nodeCounts = scratch.Zeroed(s.nodeCounts, n)
+	s.edgeCounts = scratch.Zeroed(s.edgeCounts, nEdges)
+	s.edgeRows = scratch.Zeroed(s.edgeRows, n)
 	for i := range nodes {
 		lo, hi := s.edgeOff[i], s.edgeOff[i+1]
 		s.edgeRows[i] = s.edgeCounts[lo:hi:hi]
@@ -252,8 +249,7 @@ func (s *Solver) Infer(nodes []Node) Result {
 		return res
 	}
 
-	s.hasPred = grow(s.hasPred, n)
-	clear(s.hasPred)
+	s.hasPred = scratch.Zeroed(s.hasPred, n)
 	for i := range nodes {
 		for _, e := range nodes[i].Succs {
 			if e.To >= 0 && e.To < n {
@@ -272,14 +268,13 @@ func (s *Solver) Infer(nodes []Node) Result {
 	// net accumulates baseline-flow imbalance per node: positive = the
 	// baselines produce surplus here, negative = they consume more than
 	// they deliver.
-	s.net = grow(s.net, 2*n+4)
-	clear(s.net)
+	s.net = scratch.Zeroed(s.net, 2*n+4)
 	net := s.net
 
-	s.blockInc = grow(s.blockInc, n)
-	s.blockRed = grow(s.blockRed, n)
-	s.edgeInc = grow(s.edgeInc, nEdges)
-	s.edgeRed = grow(s.edgeRed, nEdges)
+	s.blockInc = scratch.Zeroed(s.blockInc, n)
+	s.blockRed = scratch.Zeroed(s.blockRed, n)
+	s.edgeInc = scratch.Zeroed(s.edgeInc, nEdges)
+	s.edgeRed = scratch.Zeroed(s.edgeRed, nEdges)
 
 	for i := range nodes {
 		in, out := 2*i, 2*i+1
@@ -375,8 +370,7 @@ func (s *Solver) Infer(nodes []Node) Result {
 // On a fully-routed solution this is a no-op — conservation already
 // holds arc-by-arc — so the common path pays one verification sweep.
 func (s *Solver) rebalance(nodes []Node, res *Result) {
-	s.inflow = grow(s.inflow, len(nodes))
-	clear(s.inflow)
+	s.inflow = scratch.Zeroed(s.inflow, len(nodes))
 	inflow := s.inflow
 	for i := range nodes {
 		for k, e := range nodes[i].Succs {
@@ -403,19 +397,18 @@ func (s *Solver) rebalance(nodes []Node, res *Result) {
 // index lays the v-node network out by tail from the arc list (a
 // counting sort, stable in arc id) and sizes the search state.
 func (s *Solver) index(v int) {
-	s.adjOff = grow(s.adjOff, v+1)
-	clear(s.adjOff)
+	s.adjOff = scratch.Zeroed(s.adjOff, v+1)
 	for id := range s.arcs {
 		s.adjOff[s.arcs[id^1].to+1]++
 	}
 	for u := 0; u < v; u++ {
 		s.adjOff[u+1] += s.adjOff[u]
 	}
-	s.csr = grow(s.csr, len(s.arcs))
-	s.rev = grow(s.rev, len(s.arcs))
-	s.pos = grow(s.pos, len(s.arcs))
+	s.csr = scratch.Zeroed(s.csr, len(s.arcs))
+	s.rev = scratch.Zeroed(s.rev, len(s.arcs))
+	s.pos = scratch.Zeroed(s.pos, len(s.arcs))
 	// prevArc doubles as the per-node fill cursor; run resets it.
-	s.prevArc = grow(s.prevArc, v)
+	s.prevArc = scratch.Zeroed(s.prevArc, v)
 	copy(s.prevArc, s.adjOff[:v])
 	for id, a := range s.arcs {
 		u := s.arcs[id^1].to
@@ -427,10 +420,9 @@ func (s *Solver) index(v int) {
 	for id := range s.arcs {
 		s.rev[s.pos[id]] = s.pos[id^1]
 	}
-	s.dist = grow(s.dist, v)
-	s.inQueue = grow(s.inQueue, v)
-	clear(s.inQueue)
-	s.queue = grow(s.queue, v)
+	s.dist = scratch.Zeroed(s.dist, v)
+	s.inQueue = scratch.Zeroed(s.inQueue, v)
+	s.queue = scratch.Zeroed(s.queue, v)
 }
 
 // run pushes flow from src to dst along successive cheapest residual

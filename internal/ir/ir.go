@@ -275,15 +275,6 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
-// NumFuncs counts all functions.
-func (p *Program) NumFuncs() int {
-	n := 0
-	for _, m := range p.Modules {
-		n += len(m.Funcs)
-	}
-	return n
-}
-
 // Validate checks structural invariants of the whole program, which must
 // have been finalized: a function Finalize never reached is an error.
 func (p *Program) Validate() error {

@@ -115,11 +115,8 @@ func TestSuccessors(t *testing.T) {
 	}
 }
 
-func TestNumFuncsAndLookup(t *testing.T) {
+func TestFuncByName(t *testing.T) {
 	p := validProgram()
-	if p.NumFuncs() != 2 {
-		t.Fatalf("NumFuncs = %d", p.NumFuncs())
-	}
 	if p.FuncByName("g") == nil || p.FuncByName("nope") != nil {
 		t.Fatal("FuncByName broken")
 	}

@@ -9,6 +9,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"gobolt/internal/scratch"
 )
 
 // Algorithm selects a block-ordering strategy.
@@ -61,21 +63,11 @@ type Scratch struct {
 func (s *Scratch) Graph(n, edges int) *Graph {
 	s.g = Graph{
 		N:      n,
-		Weight: zeroed(s.g.Weight, n),
-		Size:   zeroed(s.g.Size, n),
+		Weight: scratch.Zeroed(s.g.Weight, n),
+		Size:   scratch.Zeroed(s.g.Size, n),
 		Edges:  slices.Grow(s.g.Edges[:0], edges),
 	}
 	return &s.g
-}
-
-// zeroed returns n zero elements, reusing buf when it is large enough.
-func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // Reorder returns a permutation of 0..N-1 with 0 first, computed in s's
@@ -87,19 +79,13 @@ func (s *Scratch) Reorder(g *Graph, algo Algorithm) []int {
 	case AlgoCache:
 		return s.chainLayout(g, true)
 	default:
-		out := zeroed(s.order, g.N)
+		out := scratch.Zeroed(s.order, g.N)
 		for i := range out {
 			out[i] = i
 		}
 		s.order = out
 		return out
 	}
-}
-
-// chainLayout is Scratch.chainLayout in fresh buffers.
-func chainLayout(g *Graph, extTSP bool) []int {
-	var s Scratch
-	return s.chainLayout(g, extTSP)
 }
 
 // node is one block's share of the chain slab. A chain is a list of
@@ -121,7 +107,7 @@ type node struct {
 // cache+ (ext-TSP-like) mode, merges are chosen by a proximity score that
 // also rewards short forward jumps, iterating until no positive gain.
 func (s *Scratch) chainLayout(g *Graph, extTSP bool) []int {
-	nodes := zeroed(s.nodes, g.N)
+	nodes := scratch.Zeroed(s.nodes, g.N)
 	s.nodes = nodes
 	for i := range nodes {
 		nd := node{next: -1, chain: int32(i), tail: int32(i)}

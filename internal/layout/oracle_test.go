@@ -173,7 +173,7 @@ func TestChainLayoutMatchesReference(t *testing.T) {
 		edges := slices.Clone(g.Edges)
 		for _, extTSP := range []bool{false, true} {
 			want := refChainLayout(g, extTSP)
-			got := chainLayout(g, extTSP)
+			got := new(Scratch).chainLayout(g, extTSP)
 			if !slices.Equal(got, want) {
 				t.Fatalf("graph %d extTSP=%v:\n got  %v\n want %v\n graph %+v", i, extTSP, got, want, *g)
 			}

@@ -11,6 +11,7 @@
 package ld
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -204,16 +205,6 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 	}
 
 	// Patch code.
-	le := func(b []byte, off uint32, v uint32) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	le64 := func(b []byte, off uint32, v uint64) {
-		le(b, off, uint32(v))
-		le(b, off+4, uint32(v>>32))
-	}
 	textData := make([]byte, textEnd-textBase)
 	var textRelas []elfx.Rela
 	for _, f := range ordered {
@@ -227,15 +218,15 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 			}
 			switch r.Type {
 			case obj.RelPC32:
-				le(textData, uint32(p-textBase), uint32(int64(s)+r.Addend-int64(p)))
+				binary.LittleEndian.PutUint32(textData[p-textBase:], uint32(int64(s)+r.Addend-int64(p)))
 			case obj.RelPLT32:
 				target := s
 				if stub, ok := pltStubAddr[resolveAlias(r.Sym)]; ok {
 					target = stub
 				}
-				le(textData, uint32(p-textBase), uint32(int64(target)+r.Addend-int64(p)))
+				binary.LittleEndian.PutUint32(textData[p-textBase:], uint32(int64(target)+r.Addend-int64(p)))
 			case obj.RelAbs64:
-				le64(textData, uint32(p-textBase), uint64(int64(s)+r.Addend))
+				binary.LittleEndian.PutUint64(textData[p-textBase:], uint64(int64(s)+r.Addend))
 			default:
 				return nil, fmt.Errorf("ld: unsupported reloc type %d in %s", r.Type, f.Name)
 			}
@@ -256,7 +247,7 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 		pltData[off] = 0xFF
 		pltData[off+1] = 0x25
 		disp := uint32(int64(got) - int64(stub) - 6)
-		le(pltData, uint32(off+2), disp)
+		binary.LittleEndian.PutUint32(pltData[off+2:], disp)
 		// Pad the 16-byte entry with decodable NOPs.
 		copy(pltData[off+6:], []byte{0x0F, 0x1F, 0x84, 0x00, 0, 0, 0, 0, 0x66, 0x90})
 	}
@@ -276,13 +267,13 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 			}
 			switch r.Type {
 			case obj.RelAbs64:
-				le64(sect, uint32(p-sectBase), uint64(int64(s)+r.Addend))
+				binary.LittleEndian.PutUint64(sect[p-sectBase:], uint64(int64(s)+r.Addend))
 			case obj.RelJT32:
 				// PIC jump-table entry: target - table base. Resolved here
 				// and *never emitted*, per the paper's observation.
-				le(sect, uint32(p-sectBase), uint32(int64(s)+r.Addend-int64(base)))
+				binary.LittleEndian.PutUint32(sect[p-sectBase:], uint32(int64(s)+r.Addend-int64(base)))
 			case obj.RelPC32:
-				le(sect, uint32(p-sectBase), uint32(int64(s)+r.Addend-int64(p)))
+				binary.LittleEndian.PutUint32(sect[p-sectBase:], uint32(int64(s)+r.Addend-int64(p)))
 			default:
 				return fmt.Errorf("ld: unsupported data reloc %d in %s", r.Type, g.Name)
 			}
@@ -314,7 +305,7 @@ func Link(objs []*obj.Object, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		le64(gotData, uint32(gotAddr[t]-gotBase), v)
+		binary.LittleEndian.PutUint64(gotData[gotAddr[t]-gotBase:], v)
 		if opts.EmitRelocs {
 			gotRelas = append(gotRelas, elfx.Rela{
 				Off: gotAddr[t] - gotBase, Type: obj.RelAbs64, Sym: resolveAlias(t),

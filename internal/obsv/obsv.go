@@ -82,9 +82,6 @@ func New() *Tracer {
 	return &Tracer{epoch: time.Now()}
 }
 
-// Epoch returns the tracer's time origin.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
-
 // EnsureWorkers grows the lane table to at least n worker lanes. Pools
 // call it once before fanning out so workers never mutate the table.
 func (t *Tracer) EnsureWorkers(n int) {

@@ -14,7 +14,7 @@ import (
 func record(t *testing.T) *Tracer {
 	t.Helper()
 	tr := New()
-	e := tr.Epoch()
+	e := tr.epoch
 	tr.EnsureWorkers(2)
 	tr.Task(0, "load", "f1", e, 2*time.Millisecond)
 	tr.Task(0, "load", "f2", e.Add(2*time.Millisecond), 4*time.Millisecond)
@@ -100,7 +100,7 @@ func TestOccupancy(t *testing.T) {
 
 func TestOccupancySkipsTasklessPhases(t *testing.T) {
 	tr := New()
-	tr.Phase("barrier", tr.Epoch(), time.Millisecond, 1)
+	tr.Phase("barrier", tr.epoch, time.Millisecond, 1)
 	if occ := Occupancy(tr.Spans()); len(occ) != 0 {
 		t.Errorf("taskless phase produced occupancy rows: %+v", occ)
 	}

@@ -102,15 +102,6 @@ func NewBuilder(lbr bool, event string) *Builder {
 	}
 }
 
-// AddBranch accumulates one taken-branch observation.
-func (b *Builder) AddBranch(from, to Loc, mispred bool) {
-	var m uint64
-	if mispred {
-		m = 1
-	}
-	b.AddBranchN(from, to, 1, m)
-}
-
 // AddBranchN accumulates an already-aggregated branch record.
 func (b *Builder) AddBranchN(from, to Loc, count, mispreds uint64) {
 	key := [2]Loc{from, to}
@@ -122,9 +113,6 @@ func (b *Builder) AddBranchN(from, to Loc, count, mispreds uint64) {
 	e.Count += count
 	e.Mispreds += mispreds
 }
-
-// AddSample accumulates one PC sample.
-func (b *Builder) AddSample(at Loc) { b.samples[at]++ }
 
 // AddSampleN accumulates an aggregated PC sample count.
 func (b *Builder) AddSampleN(at Loc, count uint64) { b.samples[at] += count }

@@ -13,8 +13,8 @@ import (
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	b := NewBuilder(true, "cycles")
-	b.AddBranch(Loc{"foo", 0x10}, Loc{"foo", 0x40}, true)
-	b.AddBranch(Loc{"foo", 0x10}, Loc{"foo", 0x40}, false)
+	b.AddBranchN(Loc{"foo", 0x10}, Loc{"foo", 0x40}, 1, 1)
+	b.AddBranchN(Loc{"foo", 0x10}, Loc{"foo", 0x40}, 1, 0)
 	b.AddBranchN(Loc{"bar", 0x8}, Loc{"baz", 0}, 100, 7)
 	fd := b.Build()
 
@@ -44,7 +44,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 func TestNonLBRRoundTrip(t *testing.T) {
 	b := NewBuilder(false, "instructions")
 	b.AddSampleN(Loc{"f", 4}, 10)
-	b.AddSample(Loc{"g", 0})
+	b.AddSampleN(Loc{"g", 0}, 1)
 	fd := b.Build()
 	var buf bytes.Buffer
 	if err := fd.Write(&buf); err != nil {
@@ -82,7 +82,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 
 func TestSymbolEscaping(t *testing.T) {
 	b := NewBuilder(true, "cycles")
-	b.AddBranch(Loc{"fn with space", 1}, Loc{"other", 2}, false)
+	b.AddBranchN(Loc{"fn with space", 1}, Loc{"other", 2}, 1, 0)
 	var buf bytes.Buffer
 	if err := b.Build().Write(&buf); err != nil {
 		t.Fatal(err)

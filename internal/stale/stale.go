@@ -25,6 +25,7 @@ import (
 	"slices"
 
 	"gobolt/internal/profile"
+	"gobolt/internal/scratch"
 )
 
 // HashSeed/hashPrime are the FNV-1a 64-bit parameters.
@@ -90,8 +91,8 @@ func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 	for i := range out {
 		out[i] = -1
 	}
-	m.oldTaken = zeroed(m.oldTaken, len(old))
-	m.curTaken = zeroed(m.curTaken, len(cur))
+	m.oldTaken = scratch.Zeroed(m.oldTaken, len(old))
+	m.curTaken = scratch.Zeroed(m.curTaken, len(cur))
 	oldTaken, curTaken := m.oldTaken, m.curTaken
 
 	// A key matches when it is unique among the unmatched blocks on BOTH
@@ -158,16 +159,6 @@ func (m *Matcher) Match(old, cur []profile.BlockShape) []int32 {
 		}
 	}
 	return out
-}
-
-// zeroed returns n zero elements, reusing buf when it is large enough.
-func zeroed[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // ShapesEqual reports whether two shapes describe byte-for-byte the same
