@@ -353,7 +353,7 @@ type BinaryFunction struct {
 
 	Blocks    []*BasicBlock // current layout order
 	cfiStates []cfi.State
-	JTs       []*JumpTable
+	JTs       []JumpTable // Inst.JT indexes it (one-based)
 
 	HasLSDA   bool
 	ExecCount uint64
@@ -407,7 +407,7 @@ func (f *BinaryFunction) JumpTable(in *Inst) *JumpTable {
 	if k == 0 {
 		return nil
 	}
-	return f.JTs[k-1]
+	return &f.JTs[k-1]
 }
 
 // LandingPad returns the handler block and action covering the call in,

@@ -151,8 +151,8 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 // Everything in it but the slabs is truncated or zeroed — not
 // reallocated — between functions, and every table is addressed by
 // position (instruction order, BasicBlock.Index), so steady-state loading
-// only allocates the function's block and instruction slabs and, when
-// one fills, a worker slab. A scratch is owned by exactly one worker.
+// only allocates the function's instruction slab and, when one fills, a
+// worker slab. A scratch is owned by exactly one worker.
 type loaderScratch struct {
 	raw     []rawInst   // the function's instructions, in address order
 	jts     []pendingJT // its jump tables, in instruction order
@@ -168,9 +168,14 @@ type loaderScratch struct {
 	lsda   cfi.LSDA     // the function's decoded LSDA
 	stats  statShard
 
-	// The worker's slabs: Succs from edgeSlab, the CFI state and
-	// landing-pad tables from the other two.
+	// The worker's slabs: the blocks from blockSlab, the block list and
+	// every jump table's Targets from listSlab, the jump tables from
+	// jtSlab, Succs from edgeSlab, and the CFI state and landing-pad
+	// tables from the last two.
 	pace      pace
+	blockSlab slab[BasicBlock]
+	listSlab  slab[*BasicBlock]
+	jtSlab    slab[JumpTable]
 	edgeSlab  slab[Edge]
 	stateSlab slab[cfi.State]
 	padSlab   slab[landingPad]
@@ -364,10 +369,10 @@ func (ctx *BinaryContext) landingPads(fn *BinaryFunction, fde *cfi.FDE, sc *load
 
 // formBlocks cuts the decoded instructions into basic blocks at the
 // leaders, dropping NOPs per the paper's I-cache policy (§4). Block and
-// instruction counts are known from the leader flags, so both are
-// slab-allocated exactly once: one backing array of BasicBlocks and one
-// of Insts per function, instead of an incremental append per block and
-// per instruction.
+// instruction counts are known from the leader flags, so the blocks, the
+// block list and the jump tables are windows of the worker's slabs, and
+// the instructions one exact array per function, instead of an
+// incremental append per block and per instruction.
 func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 	raw := sc.raw
 	nBlocks, nInsts := 0, 0
@@ -379,13 +384,15 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 			nInsts++
 		}
 	}
-	blockSlab := make([]BasicBlock, nBlocks)
+	blocks := sc.blockSlab.take(nBlocks, &sc.pace)
 	instSlab := make([]Inst, 0, nInsts)
-	fn.Blocks = make([]*BasicBlock, 0, nBlocks)
-	if len(sc.jts) > 0 {
-		fn.JTs = make([]*JumpTable, 0, len(sc.jts))
+	fn.Blocks = sc.listSlab.take(nBlocks, &sc.pace)
+	fn.JTs = sc.jtSlab.take(len(sc.jts), &sc.pace)
+	for k := range sc.jts {
+		fn.JTs[k] = sc.jts[k].table
 	}
 	var cur *BasicBlock
+	nb, jt := 0, 0 // blocks and jump tables reached so far
 	curStart := 0
 	// lt.Entries[lineNext] is the first line entry past lineAddr (what
 	// dbg.Table.LookupEntry searches for); 0 = not yet searched.
@@ -404,12 +411,13 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		r := &raw[i]
 		if r.leader {
 			seal()
-			cur = &blockSlab[len(fn.Blocks)]
-			cur.Index = len(fn.Blocks)
+			cur = &blocks[nb]
+			cur.Index = nb
 			cur.Addr = r.addr
 			cur.CFIIn = -1
-			cur.Label = blockLabel(cur.Index)
-			fn.Blocks = append(fn.Blocks, cur)
+			cur.Label = blockLabel(nb)
+			fn.Blocks[nb] = cur
+			nb++
 			curStart = len(instSlab)
 		}
 		if r.inst.Op == isa.NOP {
@@ -435,9 +443,9 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 				ci.Src = int32(lineNext)
 			}
 		}
-		if k := len(fn.JTs); k < len(sc.jts) && sc.jts[k].at == i {
-			fn.JTs = append(fn.JTs, sc.jts[k].table)
-			ci.tab = uint16(k + 1)
+		if jt < len(sc.jts) && sc.jts[jt].at == i {
+			jt++
+			ci.tab = uint16(jt)
 		}
 		// Resolve RIP memory operands to their absolute address (see
 		// Inst.MemAddr).
@@ -468,7 +476,7 @@ const maxFuncSize = 1<<32 - 1
 // loaderScratch.targets (which stays readable if a later table's append
 // moves the slab: the array it was cut from keeps its contents).
 type pendingJT struct {
-	table   *JumpTable
+	table   JumpTable
 	at      int
 	targets []uint64
 }
@@ -571,7 +579,7 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 		sc.targets = append(sc.targets, target)
 	}
 	sc.jts = append(sc.jts, pendingJT{
-		table: &JumpTable{Addr: tableAddr, EntrySize: entrySize, PIC: pic, SymName: symName},
+		table: JumpTable{Addr: tableAddr, EntrySize: entrySize, PIC: pic, SymName: symName},
 		at:    i, targets: sc.targets[lo:],
 	})
 	return nil
@@ -653,7 +661,7 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 			sc.stamp++
 			jt := fn.JumpTable(last)
 			raw := sc.jts[last.JT()-1].targets
-			jt.Targets = make([]*BasicBlock, len(raw))
+			jt.Targets = sc.listSlab.take(len(raw), &sc.pace)
 			for k, taddr := range raw {
 				to := fn.blockStarting(taddr)
 				if sc.seen[to.Index] != sc.stamp {

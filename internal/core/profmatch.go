@@ -414,12 +414,12 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 func sumCounts[T any](s []T, compare func(a, b T) int, count func(*T) *uint64) []T {
 	slices.SortFunc(s, compare)
 	out := s[:0]
-	for _, e := range s {
-		if n := len(out); n > 0 && compare(out[n-1], e) == 0 {
-			*count(&out[n-1]) += *count(&e)
+	for i := range s {
+		if n := len(out); n > 0 && compare(out[n-1], s[i]) == 0 {
+			*count(&out[n-1]) += *count(&s[i])
 			continue
 		}
-		out = append(out, e)
+		out = append(out, s[i])
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gobolt/internal/cc"
@@ -434,5 +436,44 @@ func TestRepairFlowCountsEachEdgeOnce(t *testing.T) {
 	}
 	if in == 0 || fn.Blocks[1].ExecCount != in {
 		t.Errorf("next block count %d, want its in-flow %d (edges %+v)", fn.Blocks[1].ExecCount, in, fn.Blocks[0].Succs)
+	}
+}
+
+// TestSumCountsAllocatesNothing checks the call tail's fold: on random
+// call edges it gives each (caller, callee) pair once, in order, with the
+// sum of its counts, and it folds in place without allocating. While it
+// took the address of its range variable, that variable moved to the heap
+// and the fold allocated once per edge.
+func TestSumCountsAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]CallEdge, 500)
+	want := map[[2]FuncRef]uint64{}
+	for i := range edges {
+		e := CallEdge{FuncRef(1 + rng.Intn(20)), FuncRef(1 + rng.Intn(20)), uint64(rng.Intn(1000))}
+		edges[i] = e
+		want[[2]FuncRef{e.Caller, e.Callee}] += e.Count
+	}
+	byPair := func(a, b CallEdge) int {
+		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
+	}
+	count := func(e *CallEdge) *uint64 { return &e.Count }
+	got := sumCounts(slices.Clone(edges), byPair, count)
+	if len(got) != len(want) {
+		t.Fatalf("folded to %d edges, want %d distinct pairs", len(got), len(want))
+	}
+	for i, e := range got {
+		if i > 0 && byPair(got[i-1], e) >= 0 {
+			t.Fatalf("edge %d %v does not follow %v in order", i, e, got[i-1])
+		}
+		if n := want[[2]FuncRef{e.Caller, e.Callee}]; e.Count != n {
+			t.Errorf("%d -> %d: count %d, want %d", e.Caller, e.Callee, e.Count, n)
+		}
+	}
+	buf := make([]CallEdge, len(edges))
+	if n := testing.AllocsPerRun(10, func() {
+		copy(buf, edges)
+		sumCounts(buf, byPair, count)
+	}); n != 0 {
+		t.Errorf("sumCounts over %d edges allocated %v times, want 0", len(edges), n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"gobolt/internal/bat"
 	"gobolt/internal/cfi"
@@ -446,7 +447,8 @@ func (e *emitter) patchInputRelocs() {
 func (e *emitter) rewriteJumpTables() error {
 	for i := range e.funcs {
 		fn := e.funcs[i].fn
-		for _, jt := range fn.JTs {
+		for j := range fn.JTs {
+			jt := &fn.JTs[j]
 			sec := e.out.SectionFor(jt.Addr)
 			if sec == nil {
 				continue
@@ -644,15 +646,32 @@ func (e *emitter) writeSymbols() {
 		}
 		e.out.Symbols = append(e.out.Symbols, sym)
 	}
+	const suffix = ".cold.0"
+	cold, size := len(e.out.Symbols), 0
 	for i := range e.funcs {
 		for s := range e.funcs[i].frags {
 			if fr := &e.funcs[i].frags[s]; fr.cold {
 				e.out.Symbols = append(e.out.Symbols, elfx.Symbol{
-					Name: fr.fn.Name + ".cold.0", Value: fr.addr, Size: uint64(len(fr.Code)),
+					Name: fr.fn.Name, Value: fr.addr, Size: uint64(len(fr.Code)),
 					Type: elfx.STTFunc, Bind: elfx.STBLocal, Section: e.text[s].name,
 				})
+				size += len(fr.fn.Name) + len(suffix)
 			}
 		}
+	}
+	// Each marker's name is its function's name and the suffix, cut from
+	// one string that holds them all back to back.
+	var b strings.Builder
+	b.Grow(size)
+	for _, sym := range e.out.Symbols[cold:] {
+		b.WriteString(sym.Name)
+		b.WriteString(suffix)
+	}
+	names := b.String()
+	for i := range e.out.Symbols[cold:] {
+		sym := &e.out.Symbols[cold+i]
+		n := len(sym.Name) + len(suffix)
+		sym.Name, names = names[:n], names[n:]
 	}
 }
 

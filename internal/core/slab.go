@@ -13,9 +13,9 @@ package core
 // pace tells a worker's slabs how much of the stage is left, so that a
 // refill is sized from the input rather than from a constant: every item
 // of the stage has a weight (the loader uses a function's input bytes,
-// the emitter its instruction count), and a refill holds the worker's
-// share of the weight still to come at the rate the worker has used the
-// slab so far. The zero value sizes every refill to the request.
+// the emitter its instruction count), and a refill holds half the
+// worker's share of the weight still to come at the rate the worker has
+// used the slab so far. The zero value sizes every refill to the request.
 type pace struct {
 	jobs int   // workers sharing the stage
 	done int64 // weight of the items this worker has started
@@ -30,13 +30,16 @@ func (p *pace) next(rest []int64, i int) {
 }
 
 // chunk returns how many elements a refill holds when the worker has
-// carved used elements of a slab and needs n more: its share of the rest
-// of the stage, extrapolated from its use per unit of weight, but never
-// more than doubling what it has carved so far, because the first items
-// are a poor sample of the rest.
+// carved used elements of a slab and needs n more: half its share of the
+// rest of the stage, extrapolated from its use per unit of weight, but
+// never more than doubling what it has carved so far, because the first
+// items are a poor sample of the rest. Taking half, the worker estimates
+// again on a better sample before each further refill, so the tail the
+// stage leaves unused is a part of the last, small refill rather than the
+// error of one estimate over the whole rest.
 func (p *pace) chunk(used, n int) int {
 	need := int64(used + n)
-	share := need * p.rest / (max(p.done, 1) * int64(max(p.jobs, 1)))
+	share := need * p.rest / (max(p.done, 1) * int64(max(p.jobs, 1)) * 2)
 	return int(max(int64(n), min(need, share)))
 }
 

@@ -134,6 +134,53 @@ func TestEmitAllocsDoNotScale(t *testing.T) {
 	t.Logf("%v allocations per pass of %d functions", got, len(simple))
 }
 
+// loadSlabs is the number of slab types a loader worker refills: blocks,
+// block lists and jump-table targets, jump tables, edges, CFI states and
+// landing pads.
+const loadSlabs = 6
+
+// TestLoadAllocsDoNotScale is the worker-slab rule for the loader: a
+// warmed worker loading the fixture's simple functions allocates each
+// function's instruction array and otherwise refills each of its slabs at
+// most once per pass, so the count grows with the functions by one, not
+// by the blocks and tables each carries. The stage lists the functions
+// once per pass, as a binary with that many times the functions would.
+// With a block array, a block list and the jump-table list, values and
+// targets allocated per function it took 36 allocations per pass over the
+// fixture's 11 simple functions.
+func TestLoadAllocsDoNotScale(t *testing.T) {
+	const passes = 12
+	ctx := loadSlabCtx(t, 1)
+	simple := ctx.SimpleFuncs()
+	if len(simple) < 8 {
+		t.Fatalf("fixture has %d simple functions; the rule needs several", len(simple))
+	}
+	stage := slices.Repeat(simple, passes)
+	rest := make([]int64, len(stage)+1)
+	for i := len(stage) - 1; i >= 0; i-- {
+		rest[i] = rest[i+1] + int64(stage[i].Size)
+	}
+	sc := loaderScratch{pace: pace{jobs: 1}}
+	next := 0
+	pass := func() {
+		for range simple {
+			sc.pace.next(rest, next)
+			ctx.loadFunction(stage[next], &sc)
+			if !stage[next].Simple {
+				t.Fatalf("%s: reloading made it non-simple: %s", stage[next].Name, stage[next].Reason)
+			}
+			next++
+		}
+	}
+	pass() // warm the worker: its scratch lists reach their sizes
+	got := testing.AllocsPerRun(passes-2, pass)
+	if want := float64(len(simple) + loadSlabs); got > want {
+		t.Errorf("loading %d functions allocated %v times per pass, want one instruction array each and at most one refill per slab (%v)",
+			len(simple), got, want)
+	}
+	t.Logf("%v allocations per pass of %d functions", got, len(simple))
+}
+
 // staleFixture loads the slab fixture and a stale matcher whose shapes
 // are the fixture's own with every block one byte further on, so that
 // each function with a shape is stale and goes through the matcher; it
@@ -186,7 +233,8 @@ func TestStaleComputeAllocsDoNotScale(t *testing.T) {
 
 // TestSlabWindowsCapped extends TestSlabInstsSurviveAppend's rule to
 // every window the loader and the emitter carve: cap == len, so an
-// append to one reallocates it instead of writing into the next. The
+// append to one (as ICP's new blocks are appended to the block list)
+// reallocates it instead of writing into the next. The
 // loader fixture has jump tables and the tiny preset, made to throw
 // often, has landing pads, so every kind of window occurs.
 func TestSlabWindowsCapped(t *testing.T) {
@@ -210,6 +258,11 @@ func TestSlabWindowsCapped(t *testing.T) {
 		for _, fn := range ctx.SimpleFuncs() {
 			capped(fn, "CFI states", len(fn.cfiStates), cap(fn.cfiStates))
 			capped(fn, "landing pads", len(fn.lps), cap(fn.lps))
+			capped(fn, "block list", len(fn.Blocks), cap(fn.Blocks))
+			capped(fn, "jump tables", len(fn.JTs), cap(fn.JTs))
+			for _, jt := range fn.JTs {
+				capped(fn, "jump-table targets", len(jt.Targets), cap(jt.Targets))
+			}
 			for _, b := range fn.Blocks {
 				capped(fn, "Insts", len(b.Insts), cap(b.Insts))
 				capped(fn, "Succs", len(b.Succs), cap(b.Succs))

@@ -1,6 +1,7 @@
 package elfx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -86,24 +87,36 @@ func parse(data []byte, copies bool) (*File, error) {
 			zeroFill += h.size
 		}
 	}
-	shstr := hdrs[shstrndx]
-	strAt := func(tab rawShdr, off uint32) string {
-		start := tab.off + uint64(off)
-		if start >= uint64(len(data)) {
-			return ""
+	// A string table is converted to one string the first time a name is
+	// read from it, and each of its names is a substring of that. A name
+	// the table does not hold NUL-terminated (its offset lies past the
+	// table's end, it runs off the end, or the table lies outside the
+	// image) is read from the image instead, up to the next NUL.
+	tabs := make([]struct {
+		s    string
+		read bool
+	}, shnum)
+	nameAt := func(tab uint64, off uint32) string {
+		t, h := &tabs[tab], hdrs[tab]
+		if !t.read {
+			t.read = true
+			if inFile(h.off, h.size) {
+				t.s = string(data[h.off : h.off+h.size])
+			}
 		}
-		end := start
-		for end < uint64(len(data)) && data[end] != 0 {
-			end++
+		if uint64(off) < uint64(len(t.s)) {
+			if n := strings.IndexByte(t.s[off:], 0); n >= 0 {
+				return t.s[off : int(off)+n]
+			}
 		}
-		return string(data[start:end])
+		return cstring(data, h.off+uint64(off))
 	}
 
 	names := make([]string, shnum)
 	secByIdx := make([]*Section, shnum)
 	for i := uint64(1); i < shnum; i++ {
 		h := hdrs[i]
-		names[i] = strAt(shstr, h.nameOff)
+		names[i] = nameAt(shstrndx, h.nameOff)
 		var payload []byte
 		if h.typ != SHTNobits {
 			if !inFile(h.off, h.size) {
@@ -140,7 +153,6 @@ func parse(data []byte, copies bool) (*File, error) {
 		if uint64(hdrs[i].link) >= shnum {
 			return nil, fmt.Errorf("elfx: symbol table links to section %d of %d", hdrs[i].link, shnum)
 		}
-		strtab := hdrs[hdrs[i].link]
 		n := hdrs[i].size / symSize
 		symNames = make([]string, n)
 		f.Symbols = slices.Grow(f.Symbols, int(max(n, 1)-1))
@@ -151,7 +163,7 @@ func parse(data []byte, copies bool) (*File, error) {
 			shndx := binary.LittleEndian.Uint16(e[6:])
 			val := binary.LittleEndian.Uint64(e[8:])
 			size := binary.LittleEndian.Uint64(e[16:])
-			name := strAt(strtab, nameOff)
+			name := nameAt(uint64(hdrs[i].link), nameOff)
 			symNames[j] = name
 			var secName string
 			switch {
@@ -198,6 +210,19 @@ func parse(data []byte, copies bool) (*File, error) {
 		f.EmitRelocs = true
 	}
 	return f, nil
+}
+
+// cstring returns the NUL-terminated string at data[start:], cut at the
+// end of data; "" when start lies outside data.
+func cstring(data []byte, start uint64) string {
+	if start >= uint64(len(data)) {
+		return ""
+	}
+	n := bytes.IndexByte(data[start:], 0)
+	if n < 0 {
+		n = len(data[start:])
+	}
+	return string(data[start : start+uint64(n)])
 }
 
 // ReadFile reads and parses the ELF file at path.

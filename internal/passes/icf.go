@@ -141,7 +141,7 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 			in := &b.Insts[i]
 			kind, mem := byte('M'), in.MemAddr() // 'M' with 0: no memory operand
 			switch {
-			case mem != 0 && slices.ContainsFunc(fn.JTs, func(jt *core.JumpTable) bool { return jt.Addr == mem }):
+			case mem != 0 && slices.ContainsFunc(fn.JTs, func(jt core.JumpTable) bool { return jt.Addr == mem }):
 				// The function's own jump tables are position-dependent
 				// data; the *structure* (entry target blocks) is compared
 				// instead, so two clones with distinct table addresses
