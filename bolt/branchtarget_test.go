@@ -155,7 +155,7 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 					}
 					continue
 				}
-				where := fmt.Sprintf("+%#x", branch.Off-1)
+				where := fmt.Sprintf("+%#x", victim.InstAddr(branch)-victim.Addr)
 				if fn.Simple || !strings.Contains(fn.Reason, where) {
 					t.Errorf("%s: Simple=%t Reason=%q, want non-simple with a Reason naming the branch at %s",
 						fn.Name, fn.Simple, fn.Reason, where)

@@ -31,8 +31,8 @@ const (
 )
 
 type item struct {
-	kind   itemKind
 	inst   isa.Inst
+	kind   itemKind
 	target Label // kindBranch
 	// kindReloc
 	relType uint32
@@ -90,8 +90,10 @@ func (a *Assembler) EmitBranch(i isa.Inst, target Label) {
 }
 
 // EmitReloc appends an instruction whose trailing 4 bytes are a
-// linker-patched field (call rel32, RIP-relative disp32). The relocation
-// is recorded at (instruction end - 4) with the given type/sym/addend.
+// linker-patched field (call rel32, RIP-relative disp32; Finish encodes
+// the latter as 0, whatever address the instruction holds). The
+// relocation is recorded at (instruction end - 4) with the given
+// type/sym/addend.
 func (a *Assembler) EmitReloc(i isa.Inst, relType uint32, sym string, addend int64) {
 	a.items = append(a.items, item{kind: kindReloc, inst: i, relType: relType, sym: sym, addend: addend})
 }
@@ -241,6 +243,10 @@ func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
 			inst.SetTargetAddr(base + uint64(labelOffs[it.target]))
 			code, err = isa.AppendInst(code, &inst, pc, it.long)
 		case kindReloc:
+			if it.inst.M.RIP && it.inst.HasMem() {
+				// The patched field is the displacement: encode it as 0.
+				it.inst.SetTargetAddr(pc + uint64(it.size))
+			}
 			code, err = isa.AppendInst(code, &it.inst, pc, true)
 			if err == nil {
 				relocs = append(relocs, obj.Reloc{
@@ -255,7 +261,7 @@ func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
 			code = isa.AppendNop(code, int(it.size))
 		}
 		if err != nil {
-			return Result{}, fmt.Errorf("asmx: encoding %s at %#x: %w", it.inst.String(), pc, err)
+			return Result{}, fmt.Errorf("asmx: encoding %s at %#x: %w", it.inst.Format(pc, nil), pc, err)
 		}
 	}
 	res.Code, res.Relocs = code, relocs

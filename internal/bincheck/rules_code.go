@@ -64,10 +64,9 @@ func (c *checker) deriveTable(fr *fragment, win *window, idx int) (jt jumpTable,
 
 	findLea := func(reg isa.Reg, from int) (uint64, bool) {
 		for k := from; k >= 0 && k > from-8; k-- {
-			ia := win.at(k)
-			r := &ia.inst
+			r := &win.at(k).inst
 			if r.Op == isa.LEA && r.R1 == reg && r.M.RIP {
-				return fr.addr + uint64(ia.off) + uint64(ia.size) + uint64(int64(r.M.Disp)), true
+				return r.TargetAddr(), true
 			}
 			if r.Defs().Has(reg) {
 				return 0, false

@@ -119,10 +119,8 @@ func (st *lowerState) lower(f *ir.Func, order []int) (*obj.Func, []*obj.Global, 
 		if isLandingPad[bi] {
 			lea := isa.NewInst(isa.LEA)
 			lea.R1 = isa.RSP
-			lea.M = isa.Mem{
-				Base: isa.RBP, Index: isa.NoReg, Scale: 1,
-				Disp: int32(-8 * (len(f.SavedRegs) + f.FrameSlots)),
-			}
+			lea.M = isa.Mem{Base: isa.RBP, Index: isa.NoReg, Scale: 1}
+			lea.SetDisp(int32(-8 * (len(f.SavedRegs) + f.FrameSlots)))
 			st.a.Emit(lea)
 		}
 		st.markLine(b.Term.File, b.Line)
@@ -359,7 +357,8 @@ func (st *lowerState) lowerOp(o *ir.Op) error {
 			i = isa.NewInst(isa.MOVmr)
 		}
 		i.R1 = o.Dst
-		i.M = isa.Mem{Base: isa.RBP, Index: isa.NoReg, Scale: 1, Disp: slotOff}
+		i.M = isa.Mem{Base: isa.RBP, Index: isa.NoReg, Scale: 1}
+		i.SetDisp(slotOff)
 		st.a.Emit(i)
 	case ir.OpCall:
 		if o.SpillReg != isa.NoReg {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -152,25 +153,23 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3). It is a pointer-free value of 40
-// bytes (TestInstLayout): every phase streams the instruction slabs and
-// the collector never scans them, so the rare facts — source file,
-// symbolic target, jump table, landing pad — are small indices into
-// tables owned by the function or the context, 0 meaning none. The loader
-// resolves a RIP-relative memory operand to its absolute address in
-// I.TargetAddr (see MemAddr).
+// annotation mechanism from paper §3.3). It is a pointer-free value of 32
+// bytes, half a cache line (TestInstLayout): every phase streams the
+// instruction slabs and the collector never scans them, so the rare
+// facts — symbolic target, jump table, landing pad — are small indices
+// into tables owned by the function or the context, 0 meaning none, and
+// what the input already records is not stored twice: a RIP-relative
+// operand's absolute address is I's word (see MemAddr), and the source
+// line is looked up from the origin (see BinaryFunction.SourceLine).
 type Inst struct {
 	I isa.Inst
-	// Off is one plus the instruction's offset from its function's
-	// original address (see BinaryFunction.InstAddr); 0 for synthesized
-	// instructions. It is relative to the owning function, so an Inst
-	// copied into another function must clear it.
+	// Off is one plus the instruction's origin — the input address its
+	// bytes came from — as an offset from the context's code base; 0 for
+	// a synthesized instruction. The offset survives a copy into another
+	// function, which sets offCopied (MarkCopied): a copy keeps its source
+	// line but no longer stands for the original (see InstAddr).
 	Off uint32
 
-	// Src is one plus the index of the .debug_line entry covering the
-	// instruction's origin (see BinaryFunction.SourceLine; the table is
-	// the context's, so this one survives a copy across functions).
-	Src int32
 	// CFIIdx indexes the function's interned CFI state table: the unwind
 	// state in effect AT this instruction. -1 = unknown/na.
 	CFIIdx int32
@@ -210,8 +209,20 @@ func (in *Inst) LP() uint16 {
 	return 0
 }
 
+// offCopied marks an Inst.Off whose instruction is a copy.
+const offCopied = 1 << 31
+
+// MarkCopied records that in is a copy of the instruction at its origin,
+// spliced or duplicated by a pass: it keeps its source line, reads
+// InstAddr 0 and anchors no BAT entry.
+func (in *Inst) MarkCopied() {
+	if in.Off != 0 {
+		in.Off |= offCopied
+	}
+}
+
 // MemAddr returns the absolute address of the instruction's RIP-relative
-// memory operand, 0 when it has none or the loader did not resolve it.
+// memory operand, 0 when it has none.
 func (in *Inst) MemAddr() uint64 {
 	if in.I.M.RIP && in.I.HasMem() {
 		return in.I.TargetAddr()
@@ -253,10 +264,24 @@ func (ctx *BinaryContext) Func(r FuncRef) *BinaryFunction {
 // SourceLine returns the source origin of in (from .debug_line), "" and
 // 0 when it has none.
 func (f *BinaryFunction) SourceLine(in *Inst) (file string, line int32) {
-	return sourceAt(f.lines, in.Src)
+	return sourceAt(f.lines, f.lineEntry(in))
 }
 
-// sourceAt resolves an Inst.Src value against the context's line table.
+// lineEntry returns one plus the index of the line-table entry covering
+// in's origin, 0 when there is none.
+func (f *BinaryFunction) lineEntry(in *Inst) int32 {
+	a := f.origin(in)
+	if a == 0 || f.lines == nil {
+		return 0
+	}
+	k, ok := f.lines.LookupEntry(a)
+	if !ok {
+		return 0
+	}
+	return int32(k + 1)
+}
+
+// sourceAt resolves a lineEntry value against the context's line table.
 func sourceAt(t *dbg.Table, src int32) (file string, line int32) {
 	if src == 0 {
 		return "", 0
@@ -297,9 +322,8 @@ type BasicBlock struct {
 	IsEntry   bool
 }
 
-// nLabels bounds the precomputed block-label table; functions with more
-// basic blocks than this exist but are rare enough that falling back to
-// a fresh allocation does not show up in profiles.
+// nLabels bounds the precomputed block-label table; a function with more
+// basic blocks cuts the rest of its labels from one string (farLabels).
 const nLabels = 1024
 
 var lbb = func() [nLabels]string {
@@ -313,12 +337,36 @@ var lbb = func() [nLabels]string {
 // blockLabel returns the canonical ".LBB<i>" basic-block label. The same
 // labels repeat across every function in a binary, so the loader takes
 // them from one process-wide table instead of formatting a fresh string
-// per block.
-func blockLabel(i int) string {
-	if i >= 0 && i < nLabels {
+// per block. Past the table it cuts the label from the front of *far,
+// which farLabels built for the function: such calls come in index
+// order.
+func blockLabel(i int, far *string) string {
+	if i < nLabels {
 		return lbb[i]
 	}
-	return ".LBB" + strconv.Itoa(i)
+	n := strings.IndexByte((*far)[1:], '.') + 1
+	if n == 0 {
+		n = len(*far)
+	}
+	l := (*far)[:n]
+	*far = (*far)[n:]
+	return l
+}
+
+// farLabels returns the labels of a function's blocks nLabels..n-1 back
+// to back, in one allocation, "" when it has no more than nLabels blocks.
+func farLabels(n int) string {
+	if n <= nLabels {
+		return ""
+	}
+	var d [20]byte
+	var b strings.Builder
+	b.Grow((n - nLabels) * (len(".LBB") + len(strconv.AppendInt(d[:0], int64(n-1), 10))))
+	for i := nLabels; i < n; i++ {
+		b.WriteString(".LBB")
+		b.Write(strconv.AppendInt(d[:0], int64(i), 10))
+	}
+	return b.String()
 }
 
 // LastInst returns the final instruction or nil.
@@ -386,8 +434,10 @@ type BinaryFunction struct {
 	// per-function side tables without map lookups.
 	ordIdx int
 
-	// lines is the context's line table, which Inst.Src indexes.
-	lines *dbg.Table
+	// lines is the context's line table, which SourceLine reads, and
+	// codeBase the context's, which Inst.Off counts from.
+	lines    *dbg.Table
+	codeBase uint64
 	// lps holds the distinct (landing pad, action) pairs of the LSDA;
 	// Inst.LP indexes it (one-based).
 	lps []landingPad
@@ -458,14 +508,26 @@ func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
 	return &f.cfiStates[idx]
 }
 
-// InstAddr returns in's original address, 0 for a synthesized
+// InstAddr returns in's original address, 0 for a synthesized or copied
 // instruction.
 func (f *BinaryFunction) InstAddr(in *Inst) uint64 {
+	if in.Off&offCopied != 0 {
+		return 0
+	}
+	return f.origin(in)
+}
+
+// origin returns the input address in's bytes came from, copied or not,
+// 0 for a synthesized instruction.
+func (f *BinaryFunction) origin(in *Inst) uint64 {
 	if in.Off == 0 {
 		return 0
 	}
-	return f.Addr + uint64(in.Off-1)
+	return f.codeBase + uint64(in.Off&^offCopied-1)
 }
+
+// instOff returns the offset of in's origin from the function's address.
+func (f *BinaryFunction) instOff(in *Inst) uint32 { return uint32(f.origin(in) - f.Addr) }
 
 // contains reports whether addr lies inside the function's input bytes.
 func (f *BinaryFunction) contains(addr uint64) bool { return addr-f.Addr < f.Size }
@@ -511,7 +573,7 @@ func (f *BinaryFunction) instAt(addr uint64) (*BasicBlock, *Inst) {
 	if b == nil || !f.contains(addr) {
 		return nil, nil
 	}
-	off := uint32(addr-f.Addr) + 1
+	off := uint32(addr-f.codeBase) + 1
 	i := sort.Search(len(b.Insts), func(i int) bool { return b.Insts[i].Off >= off })
 	if i == len(b.Insts) || b.Insts[i].Off != off {
 		return nil, nil
@@ -535,6 +597,9 @@ type BinaryContext struct {
 	PLTStubs map[uint64]uint64
 
 	LineTable *dbg.Table
+	// codeBase is the lowest function address, which Inst.Off counts
+	// from.
+	codeBase uint64
 
 	fdes     []cfi.FDE
 	lsdaData []byte

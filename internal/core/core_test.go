@@ -187,7 +187,7 @@ func cfiFixture(insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch)
 	for off := uint64(0); off < 12; off += 4 {
 		b.Insts = append(b.Insts, Inst{I: isa.NewInst(isa.NOP), Size: 4, Off: uint32(off) + 1, CFIIdx: -1})
 	}
-	fn := &BinaryFunction{Name: "f", Addr: addr, Size: 12, Simple: true, Blocks: []*BasicBlock{b}}
+	fn := &BinaryFunction{Name: "f", Addr: addr, Size: 12, Simple: true, Blocks: []*BasicBlock{b}, codeBase: addr}
 	return &cfi.FDE{Start: addr, Len: 12, Insts: insts}, fn, &loaderScratch{}
 }
 
@@ -278,11 +278,11 @@ func TestAddressLookupBySearch(t *testing.T) {
 	// One record inside switchy and a call record out of _start, so both
 	// the parallel apply and the serial call-edge tail do lookups.
 	fn, start := ctx.ByName["switchy"], ctx.ByName["_start"]
-	off := uint64(fn.Blocks[1].Insts[0].Off - 1)
+	off := uint64(fn.instOff(&fn.Blocks[1].Insts[0]))
 	var callOff uint64
 	for i := range start.Blocks[0].Insts {
 		if in := &start.Blocks[0].Insts[i]; in.IsCall() {
-			callOff = uint64(in.Off - 1)
+			callOff = uint64(start.instOff(in))
 		}
 	}
 	fd := &profile.Fdata{LBR: true, Branches: []profile.Branch{

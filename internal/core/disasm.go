@@ -110,6 +110,9 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	for i, fn := range ctx.Funcs {
 		fn.ordIdx = i
 	}
+	if len(ctx.Funcs) > 0 {
+		ctx.codeBase = ctx.Funcs[0].Addr
+	}
 	ctx.indexObjects()
 	// Relocations (--emit-relocs) enable relocations mode.
 	ctx.HasRelocs = len(f.Relas) > 0
@@ -187,7 +190,7 @@ type loaderScratch struct {
 // undecidable in general (§3.3). It writes only fn-local state and the
 // caller's private scratch.
 func (ctx *BinaryContext) loadFunction(fn *BinaryFunction, sc *loaderScratch) {
-	fn.lines = ctx.LineTable
+	fn.lines, fn.codeBase = ctx.LineTable, ctx.codeBase
 	fde, _ := cfi.FindFDE(ctx.fdes, fn.Addr)
 	var lsda *cfi.LSDA
 	err := ctx.disassemble(fn, sc)
@@ -224,12 +227,11 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 		return
 	}
 	var inst isa.Inst
-	n, err := isa.Decode(&inst, data, sym.Value)
+	_, err = isa.Decode(&inst, data, sym.Value)
 	if err != nil || inst.Op != isa.JMPm || !inst.M.RIP {
 		return
 	}
-	gotAddr := sym.Value + uint64(n) + uint64(int64(inst.M.Disp))
-	raw, err := ctx.File.ReadAt(gotAddr, 8)
+	raw, err := ctx.File.ReadAt(inst.TargetAddr(), 8)
 	if err != nil {
 		return
 	}
@@ -241,8 +243,7 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 }
 
 // rawInst is a decoded instruction before block formation; leader marks
-// the ones that start a basic block. The one-byte fields fill the
-// 4-aligned instruction's tail, so the entry is 32 bytes.
+// the ones that start a basic block.
 type rawInst struct {
 	inst   isa.Inst
 	size   uint8
@@ -275,8 +276,9 @@ func instIndex(raw []rawInst, addr uint64) int {
 // must land on an instruction of this function or on another function's
 // entry, or the function is non-simple.
 func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) error {
-	if fn.Size > maxFuncSize {
-		return fmt.Errorf("%d bytes exceed the %d an instruction offset can address", fn.Size, uint64(maxFuncSize))
+	if fn.Size > maxOriginSpan || fn.Addr-ctx.codeBase > maxOriginSpan-fn.Size {
+		return fmt.Errorf("%d bytes at +%#x exceed the %d an instruction offset can address",
+			fn.Size, fn.Addr-ctx.codeBase, uint64(maxOriginSpan))
 	}
 	raw := sc.raw[:0]
 	off := uint64(0)
@@ -370,9 +372,10 @@ func (ctx *BinaryContext) landingPads(fn *BinaryFunction, fde *cfi.FDE, sc *load
 // formBlocks cuts the decoded instructions into basic blocks at the
 // leaders, dropping NOPs per the paper's I-cache policy (§4). Block and
 // instruction counts are known from the leader flags, so the blocks, the
-// block list and the jump tables are windows of the worker's slabs, and
-// the instructions one exact array per function, instead of an
-// incremental append per block and per instruction.
+// block list and the jump tables are windows of the worker's slabs, the
+// instructions one exact array per function, and the labels past the
+// shared table one string per function, instead of an incremental
+// append per block and per instruction.
 func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 	raw := sc.raw
 	nBlocks, nInsts := 0, 0
@@ -394,10 +397,7 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 	var cur *BasicBlock
 	nb, jt := 0, 0 // blocks and jump tables reached so far
 	curStart := 0
-	// lt.Entries[lineNext] is the first line entry past lineAddr (what
-	// dbg.Table.LookupEntry searches for); 0 = not yet searched.
-	lt := ctx.LineTable
-	lineNext, lineAddr := 0, uint64(0)
+	far := farLabels(nBlocks)
 	// seal fixes the finished block's window into the instruction slab.
 	// The three-index slice caps it at its own length: a pass appending
 	// to b.Insts reallocates onto a fresh array instead of clobbering
@@ -415,7 +415,7 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 			cur.Index = nb
 			cur.Addr = r.addr
 			cur.CFIIn = -1
-			cur.Label = blockLabel(nb)
+			cur.Label = blockLabel(nb, &far)
 			fn.Blocks[nb] = cur
 			nb++
 			curStart = len(instSlab)
@@ -427,30 +427,10 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		// to build on the stack and copy in.
 		instSlab = instSlab[:len(instSlab)+1]
 		ci := &instSlab[len(instSlab)-1]
-		ci.I, ci.Size, ci.Off, ci.CFIIdx = r.inst, r.size, uint32(r.addr-fn.Addr)+1, -1
-		if lt != nil {
-			// Instructions arrive in address order, so the entry covering
-			// this one is at or just past the one that covered the last:
-			// step the cursor, and search only on a backwards step.
-			if lineNext == 0 || r.addr < lineAddr {
-				lineNext = sort.Search(len(lt.Entries), func(i int) bool { return lt.Entries[i].Addr > r.addr })
-			}
-			for lineNext < len(lt.Entries) && lt.Entries[lineNext].Addr <= r.addr {
-				lineNext++
-			}
-			lineAddr = r.addr
-			if lineNext > 0 && int(lt.Entries[lineNext-1].File) < len(lt.Files) {
-				ci.Src = int32(lineNext)
-			}
-		}
+		ci.I, ci.Size, ci.Off, ci.CFIIdx = r.inst, r.size, uint32(r.addr-ctx.codeBase)+1, -1
 		if jt < len(sc.jts) && sc.jts[jt].at == i {
 			jt++
 			ci.tab = uint16(jt)
-		}
-		// Resolve RIP memory operands to their absolute address (see
-		// Inst.MemAddr).
-		if r.inst.HasMem() && r.inst.M.RIP {
-			ci.I.SetTargetAddr(r.addr + uint64(r.size) + uint64(int64(r.inst.M.Disp)))
 		}
 		// Symbolize external direct targets.
 		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr())) {
@@ -466,10 +446,11 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 // (one-based uint16); a function past it is left untouched as non-simple.
 const maxInstTable = 1<<16 - 1
 
-// maxFuncSize bounds a function's input bytes so that Inst.Off, one plus
-// a uint32 offset, reaches every instruction; a larger function is left
-// untouched as non-simple.
-const maxFuncSize = 1<<32 - 1
+// maxOriginSpan bounds how far a function's input bytes may reach past
+// the code base so that Inst.Off, one plus a 31-bit offset beside the
+// copied bit, reaches every instruction; a function reaching further is
+// left untouched as non-simple.
+const maxOriginSpan = offCopied - 1
 
 // pendingJT is a recovered jump table until blocks exist: the raw index
 // of its indirect jump and its entries' addresses, a window of
@@ -498,7 +479,7 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 		for k := from; k >= 0 && k > from-8; k-- {
 			r := &raw[k].inst
 			if r.Op == isa.LEA && r.R1 == reg && r.M.RIP {
-				return raw[k].addr + uint64(raw[k].size) + uint64(int64(r.M.Disp)), true
+				return r.TargetAddr(), true
 			}
 			if r.Defs().Has(reg) {
 				return 0, false
@@ -739,7 +720,7 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 			continue
 		}
 		for i := range b.Insts {
-			b.Insts[i].CFIIdx = at(b.Insts[i].Off - 1)
+			b.Insts[i].CFIIdx = at(fn.instOff(&b.Insts[i]))
 		}
 		b.CFIIn = b.Insts[0].CFIIdx
 	}
@@ -774,8 +755,7 @@ func attachLSDA(fn *BinaryFunction, lsda *cfi.LSDA, sc *loaderScratch) {
 			if !in.IsCall() {
 				continue
 			}
-			off := in.Off - 1
-			if lp, action, ok := lsda.Lookup(off); ok {
+			if lp, action, ok := lsda.Lookup(fn.instOff(in)); ok {
 				lpb := fn.blockStarting(lp)
 				if lpb == nil {
 					fn.Simple = false

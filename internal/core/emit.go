@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"gobolt/internal/asmx"
 	"gobolt/internal/bat"
@@ -76,7 +77,7 @@ type csMark struct {
 }
 type lineMark struct {
 	label asmx.Label
-	src   int32 // Inst.Src of the instruction that opened the line
+	src   int32 // lineOf the instruction that opened the line
 }
 type anchorMark struct {
 	label  asmx.Label
@@ -121,6 +122,13 @@ type emitScratch struct {
 	// while it is still the initial state.
 	runningIdx int32
 	lastPos    srcPos // a line mark opens where the (file, line) pair changes
+
+	// lineOf's window of the line table, where the entries covering the
+	// function's own bytes are, and its last answer: the entry lineSrc
+	// (one-based, 0 = none) covers the lineSpan bytes from lineAddr.
+	lineLo, lineHi     int
+	lineAddr, lineSpan uint64
+	lineSrc            int32
 }
 
 // reset prepares the scratch for one fragment of fn with nBlocks label
@@ -138,6 +146,47 @@ func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) 
 	sc.fn, sc.lines = fn, lines
 	sc.running, sc.runningIdx = cfi.InitialState(), -1
 	sc.lastPos = srcPos{}
+	sc.lineSpan = 0
+	if lines != nil {
+		e := lines.Entries
+		sc.lineLo = sort.Search(len(e), func(i int) bool { return e[i].Addr > fn.Addr })
+		sc.lineHi = sc.lineLo + sort.Search(len(e)-sc.lineLo, func(i int) bool { return e[sc.lineLo+i].Addr >= fn.Addr+fn.Size })
+	}
+}
+
+// lineOf returns one plus the index of the line-table entry covering the
+// input address a, 0 when there is none (as BinaryFunction.lineEntry).
+// Consecutive instructions mostly share a line, so it answers from the
+// range the last answer covers and searches only past it: within the
+// function's window of the table, or the whole table for an origin
+// outside the function, a copy's.
+func (sc *emitScratch) lineOf(a uint64) int32 {
+	t := sc.lines
+	if a == 0 || t == nil {
+		return 0
+	}
+	if a-sc.lineAddr < sc.lineSpan {
+		return sc.lineSrc
+	}
+	e := t.Entries
+	lo, hi := 0, len(e)
+	if sc.fn.contains(a) {
+		lo, hi = sc.lineLo, sc.lineHi
+	}
+	// e[k-1] is the last entry at or before a; it covers a up to e[k].
+	k := lo + sort.Search(hi-lo, func(i int) bool { return e[lo+i].Addr > a })
+	start, end := uint64(0), ^uint64(0)
+	if k > 0 {
+		start = e[k-1].Addr
+	}
+	if k < len(e) {
+		end = e[k].Addr
+	}
+	sc.lineAddr, sc.lineSpan, sc.lineSrc = start, end-start, 0
+	if k > 0 && int(e[k-1].File) < len(t.Files) {
+		sc.lineSrc = int32(k)
+	}
+	return sc.lineSrc
 }
 
 // emitShape returns what emitting fn fills — its fragment count (two
@@ -298,17 +347,18 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	a := &sc.asm
 	sc.cfiDiff(in.CFIIdx)
 	var pos srcPos
-	if in.Src != 0 {
-		e := &sc.lines.Entries[in.Src-1]
+	src := sc.lineOf(sc.fn.origin(in))
+	if src != 0 {
+		e := &sc.lines.Entries[src-1]
 		pos = srcPos{file: e.File + 1, line: e.Line}
 	}
 	if pos != sc.lastPos {
 		sc.lastPos = pos
 		// A source file with no name makes no line entry.
-		if in.Src != 0 && sc.lines.Files[pos.file-1] != "" {
+		if src != 0 && sc.lines.Files[pos.file-1] != "" {
 			l := a.NewLabel()
 			a.Bind(l)
-			sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: in.Src})
+			sc.lineMarks = append(sc.lineMarks, lineMark{label: l, src: src})
 		}
 	}
 	inst := in.I
@@ -330,9 +380,7 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	case inst.Op == isa.CALL:
 		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr()), -4)
 	case in.MemAddr() != 0:
-		m := inst
-		m.M.Disp = 0
-		a.EmitRelocID(m, obj.RelPC32, obj.AbsSym(in.MemAddr()), -4)
+		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(in.MemAddr()), -4)
 	default:
 		a.Emit(inst)
 	}

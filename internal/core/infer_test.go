@@ -68,7 +68,7 @@ func sampleUniformly(fn *BinaryFunction, b *BasicBlock, execs, period uint64) []
 	var out []profile.Sample
 	for i := range b.Insts {
 		out = append(out, profile.Sample{
-			At:    profile.Loc{Sym: fn.Name, Off: uint64(b.Insts[i].Off - 1)},
+			At:    profile.Loc{Sym: fn.Name, Off: uint64(fn.instOff(&b.Insts[i]))},
 			Count: execs / period,
 		})
 	}

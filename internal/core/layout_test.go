@@ -14,20 +14,20 @@ import (
 
 // TestInstLayout holds the instruction IR to its budget: the slabs of
 // Inst are the largest allocation of a run and every phase walks them, so
-// Inst stays within 40 bytes (one table index serves the jump table of an
-// indirect jump and the landing pad of a call) and isa.Inst within 20 (an
-// unaligned word for the immediate or target, the memory operand, four
-// one-byte fields), both free of anything the collector would have to
-// scan. A BasicBlock stays within 96 bytes: it stores its successors and
-// nothing derived from them. The loader's per-instruction decode entry,
-// rawInst, is 32 bytes: its one-byte fields sit in the instruction's
-// tail, not in padding of their own.
+// Inst is 32 bytes, half a cache line (one table index serves the jump
+// table of an indirect jump and the landing pad of a call, and the source
+// line is read from the origin, not stored), and isa.Inst 16 with 1-byte
+// alignment (an unaligned word for the immediate, target or
+// displacement, the memory operand, four one-byte fields), both free of
+// anything the collector would have to scan. A BasicBlock stays within 96
+// bytes: it stores its successors and nothing derived from them. The
+// loader's per-instruction decode entry, rawInst, is 32 bytes.
 func TestInstLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Inst{}); n > 40 {
-		t.Errorf("sizeof(core.Inst) = %d, want <= 40", n)
+	if n := unsafe.Sizeof(Inst{}); n != 32 {
+		t.Errorf("sizeof(core.Inst) = %d, want 32", n)
 	}
-	if n := unsafe.Sizeof(isa.Inst{}); n > 20 {
-		t.Errorf("sizeof(isa.Inst) = %d, want <= 20", n)
+	if n, a := unsafe.Sizeof(isa.Inst{}), unsafe.Alignof(isa.Inst{}); n != 16 || a != 1 {
+		t.Errorf("sizeof(isa.Inst) = %d aligned to %d, want 16 aligned to 1", n, a)
 	}
 	if n := unsafe.Sizeof(BasicBlock{}); n > 96 {
 		t.Errorf("sizeof(core.BasicBlock) = %d, want <= 96", n)

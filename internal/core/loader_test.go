@@ -143,7 +143,7 @@ func loaderShapes(ctx *BinaryContext) []string {
 				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, preds[b.Index], lps[b.Index])
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, in.Src)
+				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, fn.lineEntry(in))
 				if in.JT() != 0 {
 					buf = fmt.Appendf(buf, " jt=%d", in.JT())
 				}
@@ -352,30 +352,43 @@ func TestObjectAtFirstInTableOrder(t *testing.T) {
 	}
 }
 
-// TestOversizedFunctionNonSimple: Inst.Off reaches at most maxFuncSize
-// bytes of a function, so a longer one is left non-simple with a Reason
-// naming the bound, never loaded with wrapped offsets. The body is one
-// ret: past the guard the loader would read it and then fail to decode.
+// TestOversizedFunctionNonSimple: Inst.Off reaches at most
+// maxOriginSpan bytes past the code base, so a function reaching further
+// is left non-simple with a Reason naming the bound, never loaded with
+// wrapped offsets. The body is one ret: past the guard the loader would
+// read it and then fail to decode.
 func TestOversizedFunctionNonSimple(t *testing.T) {
-	ctx := &BinaryContext{}
-	fn := &BinaryFunction{Name: "huge", Addr: 0x1000, Size: maxFuncSize + 1, Bytes: []byte{0xC3}, Simple: true}
-	ctx.loadFunction(fn, &loaderScratch{})
-	if fn.Simple || !strings.Contains(fn.Reason, "instruction offset") || len(fn.Blocks) != 0 {
-		t.Errorf("Simple=%t Reason=%q blocks=%d, want non-simple past the offset bound with no blocks",
-			fn.Simple, fn.Reason, len(fn.Blocks))
+	for _, fn := range []*BinaryFunction{
+		{Name: "huge", Addr: 0x1000, Size: 1<<32 + 1},
+		{Name: "far", Addr: 0x1000 + maxOriginSpan, Size: 1},
+	} {
+		ctx := &BinaryContext{codeBase: 0x1000}
+		fn.Bytes, fn.Simple = []byte{0xC3}, true
+		ctx.loadFunction(fn, &loaderScratch{})
+		if fn.Simple || !strings.Contains(fn.Reason, "instruction offset") || len(fn.Blocks) != 0 {
+			t.Errorf("%s: Simple=%t Reason=%q blocks=%d, want non-simple past the offset bound with no blocks",
+				fn.Name, fn.Simple, fn.Reason, len(fn.Blocks))
+		}
 	}
 }
 
 func TestBlockLabel(t *testing.T) {
-	for _, i := range []int{0, 1, 37, nLabels - 1, nLabels, nLabels + 5} {
+	// Block labels come in index order; past the shared table they are
+	// cut from the function's one string.
+	n := nLabels + 6
+	far := farLabels(n)
+	for i := 0; i < n; i++ {
 		want := fmt.Sprintf(".LBB%d", i)
-		if got := blockLabel(i); got != want {
+		if got := blockLabel(i, &far); got != want {
 			t.Fatalf("blockLabel(%d) = %q, want %q", i, got, want)
 		}
 	}
+	if far != "" {
+		t.Fatalf("%q left over after the last label", far)
+	}
 	// Within the precomputed range the same instance comes back every
 	// time — block labels are process-wide constants.
-	if unsafe.StringData(blockLabel(3)) != unsafe.StringData(blockLabel(3)) {
+	if unsafe.StringData(blockLabel(3, nil)) != unsafe.StringData(blockLabel(3, nil)) {
 		t.Fatal("blockLabel(3) not identity-stable")
 	}
 }

@@ -76,7 +76,7 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 				fmt.Fprintf(w, "    %08x: !CFI state %d\n", fn.InstAddr(in)-fn.Addr, in.CFIIdx)
 			}
 			lastCFI = in.CFIIdx
-			line := fmt.Sprintf("    %08x: %s", fn.InstAddr(in)-fn.Addr, in.I.Format(name))
+			line := fmt.Sprintf("    %08x: %s", fn.InstAddr(in)-fn.Addr, in.I.Format(fn.origin(in), name))
 			var notes []string
 			if lp, action := fn.LandingPad(in); lp != nil {
 				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))

@@ -252,7 +252,7 @@ func lbrRecords(fn *BinaryFunction, scale uint64) []profile.Branch {
 		if last == nil || last.I.Op != isa.JCC || len(b.Succs) != 2 {
 			continue
 		}
-		lastOff := uint64(last.Off - 1)
+		lastOff := uint64(fn.instOff(last))
 		out = append(out, profile.Branch{
 			From:  profile.Loc{Sym: fn.Name, Off: lastOff},
 			To:    profile.Loc{Sym: fn.Name, Off: blockOff(fn, b.Succs[0].To)},
@@ -422,12 +422,12 @@ func TestRepairFlowCountsEachEdgeOnce(t *testing.T) {
 	var call uint64 // the offset of _start's call of twin
 	for _, in := range ctx.ByName["_start"].Blocks[0].Insts {
 		if in.IsCall() {
-			call = uint64(in.Off - 1)
+			call = uint64(ctx.ByName["_start"].instOff(&in))
 		}
 	}
 	fd := &profile.Fdata{LBR: true, Branches: []profile.Branch{
 		{From: profile.Loc{Sym: "_start", Off: call}, To: profile.Loc{Sym: "twin"}, Count: 100},
-		{From: profile.Loc{Sym: "twin", Off: uint64(jl.Off - 1)}, To: profile.Loc{Sym: "twin", Off: blockOff(fn, fn.Blocks[1])}, Count: 30},
+		{From: profile.Loc{Sym: "twin", Off: uint64(fn.instOff(jl))}, To: profile.Loc{Sym: "twin", Off: blockOff(fn, fn.Blocks[1])}, Count: 30},
 	}}
 	applyTo(t, ctx, fd)
 	var in uint64

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"gobolt/internal/cc"
 	"gobolt/internal/elfx"
+	"gobolt/internal/ir"
+	"gobolt/internal/isa"
+	"gobolt/internal/ld"
 	"gobolt/internal/workload"
 )
 
@@ -139,15 +144,58 @@ func TestEmitAllocsDoNotScale(t *testing.T) {
 // landing pads.
 const loadSlabs = 6
 
+// wideFunc loads a program whose function "wide" has more basic blocks
+// than the shared label table holds, a chain of n conditional branches,
+// and returns its context and the function.
+func wideFunc(t testing.TB, n int) (*BinaryContext, *BinaryFunction) {
+	t.Helper()
+	w := ir.NewFunc("wide", "wide.mir", 1)
+	exit := w.AddBlock()
+	exit.Term = ir.Term{Kind: ir.TermReturn}
+	cur := w.Blocks[0]
+	for i := 0; i < n; i++ {
+		next := w.AddBlock()
+		cur.Ops = []ir.Op{{Kind: ir.OpAddImm, Dst: isa.RAX, Imm: 1}}
+		cur.Term = ir.Term{Kind: ir.TermBranch, Cc: isa.CondL, CmpReg: isa.RAX, CmpImm: int64(i),
+			Then: next.Index, Else: exit.Index, Prob: 0.5}
+		cur = next
+	}
+	cur.Term = ir.Term{Kind: ir.TermReturn}
+	start := ir.NewFunc("_start", "wide.mir", 2)
+	start.Blocks[0].Ops = []ir.Op{{Kind: ir.OpCall, Callee: "wide", SpillReg: isa.NoReg, LandingPad: -1}}
+	start.Blocks[0].Term = ir.Term{Kind: ir.TermExit}
+	p := &ir.Program{Modules: []*ir.Module{{Name: "m", Funcs: []*ir.Func{w, start}}}}
+	p.Finalize()
+	objs, err := cc.Compile(p, cc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ld.Link(objs, ld.Options{EmitRelocs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(context.Background(), res.File, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := ctx.ByName["wide"]
+	if !fn.Simple || len(fn.Blocks) <= nLabels {
+		t.Fatalf("wide: simple=%t (%s) with %d blocks, want simple past the %d shared labels", fn.Simple, fn.Reason, len(fn.Blocks), nLabels)
+	}
+	return ctx, fn
+}
+
 // TestLoadAllocsDoNotScale is the worker-slab rule for the loader: a
 // warmed worker loading the fixture's simple functions allocates each
 // function's instruction array and otherwise refills each of its slabs at
 // most once per pass, so the count grows with the functions by one, not
 // by the blocks and tables each carries. The stage lists the functions
-// once per pass, as a binary with that many times the functions would.
-// With a block array, a block list and the jump-table list, values and
-// targets allocated per function it took 36 allocations per pass over the
-// fixture's 11 simple functions.
+// once per pass, as a binary with that many times the functions would,
+// and one of them has more blocks than the shared label table holds: its
+// labels past the table are one more string. With a block array, a block
+// list and the jump-table list, values and targets allocated per
+// function it took 36 allocations per pass over the fixture's 11 simple
+// functions, and a string per label past the table took 78 more.
 func TestLoadAllocsDoNotScale(t *testing.T) {
 	const passes = 12
 	ctx := loadSlabCtx(t, 1)
@@ -155,6 +203,8 @@ func TestLoadAllocsDoNotScale(t *testing.T) {
 	if len(simple) < 8 {
 		t.Fatalf("fixture has %d simple functions; the rule needs several", len(simple))
 	}
+	wideCtx, wide := wideFunc(t, nLabels+75)
+	simple = append(simple, wide)
 	stage := slices.Repeat(simple, passes)
 	rest := make([]int64, len(stage)+1)
 	for i := len(stage) - 1; i >= 0; i-- {
@@ -164,19 +214,27 @@ func TestLoadAllocsDoNotScale(t *testing.T) {
 	next := 0
 	pass := func() {
 		for range simple {
+			fn := stage[next]
+			c := ctx
+			if fn == wide {
+				c = wideCtx
+			}
 			sc.pace.next(rest, next)
-			ctx.loadFunction(stage[next], &sc)
-			if !stage[next].Simple {
-				t.Fatalf("%s: reloading made it non-simple: %s", stage[next].Name, stage[next].Reason)
+			c.loadFunction(fn, &sc)
+			if !fn.Simple {
+				t.Fatalf("%s: reloading made it non-simple: %s", fn.Name, fn.Reason)
 			}
 			next++
 		}
 	}
 	pass() // warm the worker: its scratch lists reach their sizes
 	got := testing.AllocsPerRun(passes-2, pass)
-	if want := float64(len(simple) + loadSlabs); got > want {
-		t.Errorf("loading %d functions allocated %v times per pass, want one instruction array each and at most one refill per slab (%v)",
+	if want := float64(len(simple) + 1 + loadSlabs); got > want {
+		t.Errorf("loading %d functions allocated %v times per pass, want one instruction array each, one label string and at most one refill per slab (%v)",
 			len(simple), got, want)
+	}
+	if l := wide.Blocks[len(wide.Blocks)-1].Label; l != fmt.Sprintf(".LBB%d", len(wide.Blocks)-1) {
+		t.Errorf("wide's last block is labeled %q", l)
 	}
 	t.Logf("%v allocations per pass of %d functions", got, len(simple))
 }

@@ -22,9 +22,10 @@ func (e *DecodeError) Error() string {
 const MaxInstLen = 15
 
 // Decode decodes the instruction at the start of code, at address pc,
-// into *dst and returns its encoded length. Direct branch targets are
-// resolved to absolute addresses in TargetAddr. On error *dst is
-// NewInst(INVALID) and the length 0; only an error allocates.
+// into *dst and returns its encoded length. Direct branch targets and
+// RIP-relative memory operands are resolved to absolute addresses in
+// TargetAddr. On error *dst is NewInst(INVALID) and the length 0; only
+// an error allocates.
 func Decode(dst *Inst, code []byte, pc uint64) (int, error) {
 	*dst = NewInst(INVALID)
 	if len(code) == 0 {
@@ -63,7 +64,7 @@ prefixes:
 	p++
 	switch {
 	case op == 0x89 || op == 0x8B: // mov rr / rm / mr
-		reg, rm, m, q := modRM(code, p, rex)
+		reg, rm, m, disp, q := modRM(code, p, rex)
 		if q < 0 {
 			return fail(code, pc, "bad modrm")
 		}
@@ -73,7 +74,8 @@ prefixes:
 			if op == 0x8B {
 				dst.Op = MOVrm
 			}
-			dst.R1, dst.M = reg|rexR, m
+			dst.R1 = reg | rexR
+			dst.setMem(m, disp, pc, q)
 		case op == 0x89:
 			dst.Op, dst.R1, dst.R2 = MOVrr, rm, reg|rexR
 		default:
@@ -82,7 +84,7 @@ prefixes:
 		}
 		return q, nil
 	case op == 0xC7:
-		reg, rm, _, q := modRM(code, p, rex)
+		reg, rm, _, _, q := modRM(code, p, rex)
 		if q < 0 || rm == NoReg || reg != 0 {
 			return fail(code, pc, "bad C7 form")
 		}
@@ -100,20 +102,21 @@ prefixes:
 		dst.SetImm(int64(binary.LittleEndian.Uint64(code[p:])))
 		return p + 8, nil
 	case op == 0x8D || op == 0x63: // lea / movslq
-		reg, rm, m, q := modRM(code, p, rex)
+		reg, rm, m, disp, q := modRM(code, p, rex)
 		if q < 0 || rm != NoReg {
 			if op == 0x8D {
 				return fail(code, pc, "bad lea")
 			}
 			return fail(code, pc, "bad movslq")
 		}
-		dst.Op, dst.R1, dst.M = MOVSXDrm, reg|rexR, m
+		dst.Op, dst.R1 = MOVSXDrm, reg|rexR
 		if op == 0x8D {
 			dst.Op = LEA
 		}
+		dst.setMem(m, disp, pc, q)
 		return q, nil
 	case op == 0x01 || op == 0x29 || op == 0x31 || op == 0x39 || op == 0x85:
-		reg, rm, _, q := modRM(code, p, rex)
+		reg, rm, _, _, q := modRM(code, p, rex)
 		if q < 0 || rm == NoReg {
 			return fail(code, pc, "unsupported mem form")
 		}
@@ -133,7 +136,7 @@ prefixes:
 		dst.Op, dst.R1, dst.R2 = o, rm, reg|rexR
 		return q, nil
 	case op == 0x83 || op == 0x81:
-		reg, rm, _, q := modRM(code, p, rex)
+		reg, rm, _, _, q := modRM(code, p, rex)
 		if q < 0 || rm == NoReg {
 			return fail(code, pc, "unsupported mem form")
 		}
@@ -159,7 +162,7 @@ prefixes:
 		dst.SetImm(v)
 		return q, nil
 	case op == 0xC1:
-		reg, rm, _, q := modRM(code, p, rex)
+		reg, rm, _, _, q := modRM(code, p, rex)
 		if q < 0 || rm == NoReg {
 			return fail(code, pc, "bad shift")
 		}
@@ -200,7 +203,7 @@ prefixes:
 		dst.SetTargetAddr(pc + uint64(p+4) + uint64(int32(binary.LittleEndian.Uint32(code[p:]))))
 		return p + 4, nil
 	case op == 0xFF:
-		reg, rm, m, q := modRM(code, p, rex)
+		reg, rm, m, disp, q := modRM(code, p, rex)
 		if q < 0 {
 			return fail(code, pc, "bad FF form")
 		}
@@ -208,11 +211,13 @@ prefixes:
 		case reg == 2 && rm != NoReg:
 			dst.Op, dst.R1 = CALLr, rm
 		case reg == 2:
-			dst.Op, dst.M = CALLm, m
+			dst.Op = CALLm
+			dst.setMem(m, disp, pc, q)
 		case reg == 4 && rm != NoReg:
 			dst.Op, dst.R1 = JMPr, rm
 		case reg == 4:
-			dst.Op, dst.M = JMPm, m
+			dst.Op = JMPm
+			dst.setMem(m, disp, pc, q)
 		default:
 			return fail(code, pc, "unsupported FF ext")
 		}
@@ -244,14 +249,15 @@ prefixes:
 		p++
 		switch {
 		case op2 == 0xB6:
-			reg, rm, m, q := modRM(code, p, rex)
+			reg, rm, m, disp, q := modRM(code, p, rex)
 			if q < 0 || rm != NoReg {
 				return fail(code, pc, "bad movzbq")
 			}
-			dst.Op, dst.R1, dst.M = MOVZXBrm, reg|rexR, m
+			dst.Op, dst.R1 = MOVZXBrm, reg|rexR
+			dst.setMem(m, disp, pc, q)
 			return q, nil
 		case op2 == 0xAF:
-			reg, rm, _, q := modRM(code, p, rex)
+			reg, rm, _, _, q := modRM(code, p, rex)
 			if q < 0 || rm == NoReg {
 				return fail(code, pc, "bad imul")
 			}
@@ -269,7 +275,7 @@ prefixes:
 			return p, nil
 		case op2 == 0x1F:
 			// Multi-byte NOP: 0F 1F /0 with arbitrary memory operand.
-			_, rm, _, q := modRM(code, p, rex)
+			_, rm, _, _, q := modRM(code, p, rex)
 			if q < 0 || rm != NoReg {
 				return fail(code, pc, "bad long nop")
 			}
@@ -293,15 +299,28 @@ func fail(code []byte, pc uint64, msg string) (int, error) {
 	return 0, &DecodeError{PC: pc, Byte: code[0], Msg: msg}
 }
 
+// setMem stores memory operand m with displacement disp in dst. A
+// RIP-relative displacement becomes the absolute address it reaches from
+// the end of the instruction, which no memory form extends past its
+// operand: pc+end.
+func (dst *Inst) setMem(m Mem, disp int32, pc uint64, end int) {
+	dst.M = m
+	if m.RIP {
+		dst.SetTargetAddr(pc + uint64(end) + uint64(int64(disp)))
+	} else {
+		dst.SetDisp(disp)
+	}
+}
+
 // modRM decodes the ModRM byte at code[p] and the SIB byte and
 // displacement that follow it, under the REX prefix rex. It returns the
 // reg field without REX.R, the operand — register rm when mod=11,
-// otherwise rm is NoReg and the operand is m — and the position after
-// the operand, or q < 0 when the bytes run out or the form is one the
-// toolchain never emits.
-func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, q int) {
+// otherwise rm is NoReg and the operand is m with displacement disp —
+// and the position after the operand, or q < 0 when the bytes run out
+// or the form is one the toolchain never emits.
+func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, disp int32, q int) {
 	if p >= len(code) {
-		return 0, NoReg, Mem{}, -1
+		return 0, NoReg, Mem{}, 0, -1
 	}
 	modrm := code[p]
 	p++
@@ -311,28 +330,27 @@ func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, q int) {
 	rexX := rex >> 1 & 1
 	rexB := rex & 1
 	if mod == 3 {
-		return reg, Reg(rmBits | rexB<<3), Mem{}, p
+		return reg, Reg(rmBits | rexB<<3), Mem{}, 0, p
 	}
 	m = Mem{Base: NoReg, Index: NoReg, Scale: 1}
 	if mod == 0 && rmBits == 5 {
 		// RIP-relative.
 		if p+4 > len(code) {
-			return 0, NoReg, Mem{}, -1
+			return 0, NoReg, Mem{}, 0, -1
 		}
 		m.RIP = true
-		m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
-		return reg, NoReg, m, p + 4
+		return reg, NoReg, m, int32(binary.LittleEndian.Uint32(code[p:])), p + 4
 	}
 	if rmBits == 4 {
 		if p >= len(code) {
-			return 0, NoReg, Mem{}, -1
+			return 0, NoReg, Mem{}, 0, -1
 		}
 		sib := code[p]
 		p++
 		base := sib & 7
 		if mod == 0 && base == 5 {
 			// disp32 with no base; we never emit this form.
-			return 0, NoReg, Mem{}, -1
+			return 0, NoReg, Mem{}, 0, -1
 		}
 		if idx := sib >> 3 & 7; idx != 4 || rexX == 1 {
 			m.Index = Reg(idx | rexX<<3)
@@ -345,16 +363,16 @@ func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, q int) {
 	switch mod {
 	case 1:
 		if p >= len(code) {
-			return 0, NoReg, Mem{}, -1
+			return 0, NoReg, Mem{}, 0, -1
 		}
-		m.Disp = int32(int8(code[p]))
+		disp = int32(int8(code[p]))
 		p++
 	case 2:
 		if p+4 > len(code) {
-			return 0, NoReg, Mem{}, -1
+			return 0, NoReg, Mem{}, 0, -1
 		}
-		m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
+		disp = int32(binary.LittleEndian.Uint32(code[p:]))
 		p += 4
 	}
-	return reg, NoReg, m, p
+	return reg, NoReg, m, disp, p
 }

@@ -20,21 +20,20 @@ func needsSIB(m Mem) bool {
 }
 
 // appendModRM encodes the ModRM (+ optional SIB, + displacement) bytes for
-// a register field `reg` and memory operand m. For RIP-relative operands
-// m.Disp must already hold the displacement from the instruction end.
-func appendModRM(buf []byte, reg byte, m Mem) []byte {
+// a register field `reg` and memory operand m with displacement disp,
+// which for a RIP-relative operand counts from the instruction end.
+func appendModRM(buf []byte, reg byte, m Mem, disp int64) []byte {
 	if m.RIP {
 		buf = append(buf, reg<<3|0x05) // mod=00 rm=101 -> RIP+disp32
-		return binary.LittleEndian.AppendUint32(buf, uint32(m.Disp))
+		return binary.LittleEndian.AppendUint32(buf, uint32(disp))
 	}
 	var mod byte
-	disp8 := m.Disp >= math.MinInt8 && m.Disp <= math.MaxInt8
 	// RBP/R13 as base with mod=00 means RIP/abs, so force a displacement.
 	forceDisp := m.Base == RBP || m.Base == R13
 	switch {
-	case m.Disp == 0 && !forceDisp:
+	case disp == 0 && !forceDisp:
 		mod = 0
-	case disp8:
+	case imm8OK(disp):
 		mod = 1
 	default:
 		mod = 2
@@ -62,15 +61,16 @@ func appendModRM(buf []byte, reg byte, m Mem) []byte {
 	}
 	switch mod {
 	case 1:
-		buf = append(buf, byte(int8(m.Disp)))
+		buf = append(buf, byte(int8(disp)))
 	case 2:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Disp))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(disp))
 	}
 	return buf
 }
 
-// modRMLen returns the byte length of ModRM+SIB+disp for operand m.
-func modRMLen(m Mem) int {
+// modRMLen returns the byte length of ModRM+SIB+disp for operand m with
+// displacement disp.
+func modRMLen(m Mem, disp int64) int {
 	if m.RIP {
 		return 5
 	}
@@ -80,8 +80,8 @@ func modRMLen(m Mem) int {
 	}
 	forceDisp := m.Base == RBP || m.Base == R13
 	switch {
-	case m.Disp == 0 && !forceDisp:
-	case m.Disp >= math.MinInt8 && m.Disp <= math.MaxInt8:
+	case disp == 0 && !forceDisp:
+	case imm8OK(disp):
 		n++
 	default:
 		n += 4
@@ -121,9 +121,9 @@ func InstLen(i *Inst, long bool) int {
 	case MOVabs:
 		return 10
 	case MOVrm, MOVmr, LEA, MOVSXDrm:
-		return 2 + modRMLen(i.M)
+		return 2 + modRMLen(i.M, i.Disp())
 	case MOVZXBrm:
-		return 3 + modRMLen(i.M)
+		return 3 + modRMLen(i.M, i.Disp())
 	case ADDri, SUBri, ANDri, CMPri:
 		if imm8OK(i.Imm()) {
 			return 4
@@ -148,7 +148,7 @@ func InstLen(i *Inst, long bool) int {
 		}
 		return n
 	case JMPm, CALLm:
-		n := 1 + modRMLen(i.M)
+		n := 1 + modRMLen(i.M, i.Disp())
 		if x, b := memRex(i.M); x != 0 || b != 0 {
 			n++
 		}
@@ -200,11 +200,36 @@ func AppendNop(buf []byte, n int) []byte {
 	return buf
 }
 
+// memDisp returns the displacement that encodes i's memory operand at
+// pc: a RIP-relative address becomes a displacement from the end of the
+// instruction.
+func (i *Inst) memDisp(pc uint64) (int64, error) {
+	if !i.M.RIP {
+		if d := i.Disp(); imm32OK(d) {
+			return d, nil
+		}
+		return 0, fmt.Errorf("isa: displacement %d does not fit disp32", i.Disp())
+	}
+	rel := int64(i.TargetAddr()) - int64(pc) - int64(InstLen(i, true))
+	if !imm32OK(rel) {
+		return 0, fmt.Errorf("isa: rip-relative address %#x out of range at %#x", i.TargetAddr(), pc)
+	}
+	return rel, nil
+}
+
 // AppendInst encodes i at address pc and appends the bytes to buf.
-// Direct branches read i.TargetAddr(); `long` forces the rel32 form and an
-// errBranchRange is returned if a rel8 form is requested but the target is
-// out of range (the caller should widen and retry).
+// Direct branches and RIP-relative operands read i.TargetAddr(); `long`
+// forces the rel32 form and an errBranchRange is returned if a rel8 form
+// is requested but the target is out of range (the caller should widen
+// and retry).
 func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
+	var disp int64
+	if i.HasMem() {
+		var err error
+		if disp, err = i.memDisp(pc); err != nil {
+			return buf, err
+		}
+	}
 	rr := func(opcode byte, reg, rm Reg) []byte {
 		b := append(buf, rex(1, reg.hi(), 0, rm.hi()), opcode)
 		return append(b, 0xC0|reg.lo3()<<3|rm.lo3())
@@ -213,7 +238,7 @@ func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
 		x, bbit := memRex(i.M)
 		b := append(buf, rex(w, regHi, x, bbit))
 		b = append(b, opcodes...)
-		return appendModRM(b, reg, i.M)
+		return appendModRM(b, reg, i.M, disp)
 	}
 	switch i.Op {
 	case MOVrr:
@@ -333,7 +358,7 @@ func AppendInst(buf []byte, i *Inst, pc uint64, long bool) ([]byte, error) {
 			b = append(b, rex(0, 0, x, bbit))
 		}
 		b = append(b, 0xFF)
-		return appendModRM(b, ext, i.M), nil
+		return appendModRM(b, ext, i.M, disp), nil
 	case RET:
 		return append(buf, 0xC3), nil
 	case REPZRET:

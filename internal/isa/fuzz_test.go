@@ -11,15 +11,19 @@ import (
 // within the input; and encoding it at the same address (rel32 for every
 // direct branch) and decoding the result must give the same instruction —
 // opcode, registers, condition, memory operand, and the one word that is
-// its immediate or its branch target. The encodings the encoder cannot
-// reproduce are skipped below, each with its reason.
+// its immediate, displacement or absolute address. Encoded at the address
+// moved by delta and decoded there, it must still be the same
+// instruction: a RIP-relative operand and a direct branch keep their
+// absolute addresses whenever the displacement from the new address fits.
+// The encodings the encoder cannot reproduce are skipped below, each with
+// its reason.
 func FuzzDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for k := 0; k < 64; k++ {
 		in := randInst(r)
 		buf, err := AppendInst(nil, &in, 0x401000, false)
 		if err == nil {
-			f.Add(buf, uint64(0x401000))
+			f.Add(buf, uint64(0x401000), int64(k-32)<<12)
 		}
 	}
 	for _, seed := range [][]byte{
@@ -30,9 +34,11 @@ func FuzzDecode(f *testing.F) {
 		{0xF3, 0xC3},                         // repz ret
 		{0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x90},
 	} {
-		f.Add(seed, uint64(0x401000))
+		f.Add(seed, uint64(0x401000), int64(0x1000))
 	}
-	f.Fuzz(func(t *testing.T, code []byte, pc uint64) {
+	f.Add([]byte{0x48, 0x8B, 0x05, 0x10, 0x00, 0x00, 0x00}, uint64(0x401000), int64(-0x2000)) // movq 0x10(%rip), %rax
+	f.Add([]byte{0x48, 0x89, 0x45, 0xF8}, uint64(0x401000), int64(0x7FFF0000))                // movq %rax, -0x8(%rbp)
+	f.Fuzz(func(t *testing.T, code []byte, pc uint64, delta int64) {
 		in, n, err := matchRef(t, code, pc)
 		if err != nil {
 			return
@@ -40,29 +46,40 @@ func FuzzDecode(f *testing.F) {
 		if n < 1 || n > MaxInstLen || n > len(code) {
 			t.Fatalf("decode % x: length %d, want 1..%d within %d input bytes", code, n, MaxInstLen, len(code))
 		}
+		// fits reports whether the instruction's address, if it has one,
+		// is within reach of a displacement from at.
+		fits := func(at uint64) bool {
+			if in.Op != CALL && !in.IsDirectBranch() && !(in.HasMem() && in.M.RIP) {
+				return true
+			}
+			return imm32OK(int64(in.TargetAddr()-at) - int64(InstLen(&in, true)))
+		}
 		switch {
 		case in.Op == NOP && in.Imm() > int64(len(nopPatterns)-1):
 			// AppendNop splits filler past its longest pattern into
 			// several NOPs, so one decode cannot read it back whole.
 			return
-		case in.Op == CALL || in.IsDirectBranch():
-			// Prefixes the encoder never writes lengthen a rel32 branch;
+		case !fits(pc):
+			// Prefixes the encoder never writes lengthen an instruction;
 			// from the shorter canonical encoding a displacement at the
 			// int32 limit can fall out of range.
-			if rel := int64(in.TargetAddr()-pc) - int64(InstLen(&in, true)); !imm32OK(rel) {
-				return
+			return
+		}
+		for _, at := range []uint64{pc, pc + uint64(delta)} {
+			if !fits(at) {
+				continue
 			}
-		}
-		buf, err := AppendInst(nil, &in, pc, true)
-		if err != nil {
-			t.Fatalf("decode % x gave %s, which does not encode: %v", code, in.String(), err)
-		}
-		again, m, err := decodeInst(buf, pc)
-		if err != nil || m != len(buf) {
-			t.Fatalf("re-encoding % x of %s (from % x) decodes to %v after %d of %d bytes", buf, in.String(), code, err, m, len(buf))
-		}
-		if again != in {
-			t.Fatalf("decode % x = %+v; re-encoded % x decodes to %+v", code, in, buf, again)
+			buf, err := AppendInst(nil, &in, at, true)
+			if err != nil {
+				t.Fatalf("decode % x at %#x gave %s, which does not encode at %#x: %v", code, pc, in.String(), at, err)
+			}
+			again, m, err := decodeInst(buf, at)
+			if err != nil || m != len(buf) {
+				t.Fatalf("re-encoding % x of %s (from % x) at %#x decodes to %v after %d of %d bytes", buf, in.String(), code, at, err, m, len(buf))
+			}
+			if again != in {
+				t.Fatalf("decode % x at %#x = %+v; re-encoded % x at %#x decodes to %+v", code, pc, in, buf, at, again)
+			}
 		}
 	})
 }

@@ -64,9 +64,10 @@ const (
 	numOps
 )
 
-// Mem is a memory operand: [Base + Index*Scale + Disp] or [RIP + Disp].
+// Mem is a memory operand: [Base + Index*Scale + disp] or [RIP + disp].
+// Its displacement is not stored here but in the instruction's word (see
+// Inst), so the operand is four bytes with no alignment.
 type Mem struct {
-	Disp  int32
 	Base  Reg
 	Index Reg
 	Scale uint8 // 1, 2, 4, or 8; meaningful only when Index != NoReg
@@ -74,15 +75,16 @@ type Mem struct {
 }
 
 // Inst is one machine instruction. Its one wide operand lives in a
-// single word, reached through Imm and TargetAddr: the immediate (or NOP
-// length) of an immediate form, or the absolute destination of a direct
-// branch or call, filled by the decoder and read by the encoder. No form
-// carries both. The encoder ignores the word on memory forms, so the
-// rewriter keeps a RIP-relative operand's absolute address there. The
-// word is stored as little-endian bytes, so it asks for no 8-byte
-// alignment and the struct packs to 20 bytes aligned to 4 with no
-// padding (the accessors compile to one load or store); every IR
-// instruction embeds one.
+// single word: the immediate (or NOP length) of an immediate form
+// (Imm), the absolute destination of a direct branch or call
+// (TargetAddr), the displacement of a base-relative memory operand
+// (Disp), or the absolute address of a RIP-relative one (TargetAddr).
+// No form carries two. Decode fills the addresses from the instruction's
+// pc and AppendInst turns them back into displacements from the pc it
+// encodes at, so an instruction moves to another address unchanged. The
+// word is stored as little-endian bytes, so the struct packs to 16 bytes
+// with 1-byte alignment (the accessors compile to one load or store);
+// every IR instruction embeds one.
 type Inst struct {
 	arg [8]byte
 	M   Mem
@@ -104,11 +106,19 @@ func (i *Inst) Imm() int64 { return int64(binary.LittleEndian.Uint64(i.arg[:])) 
 // SetImm sets the immediate, or a NOP's byte length.
 func (i *Inst) SetImm(v int64) { binary.LittleEndian.PutUint64(i.arg[:], uint64(v)) }
 
-// TargetAddr returns the absolute destination of a direct branch or call.
+// TargetAddr returns the absolute destination of a direct branch or
+// call, or the absolute address of a RIP-relative memory operand.
 func (i *Inst) TargetAddr() uint64 { return binary.LittleEndian.Uint64(i.arg[:]) }
 
-// SetTargetAddr sets the absolute destination of a direct branch or call.
+// SetTargetAddr sets the absolute destination of a direct branch or
+// call, or the absolute address of a RIP-relative memory operand.
 func (i *Inst) SetTargetAddr(a uint64) { binary.LittleEndian.PutUint64(i.arg[:], a) }
+
+// Disp returns the displacement of a base-relative memory operand.
+func (i *Inst) Disp() int64 { return int64(binary.LittleEndian.Uint64(i.arg[:])) }
+
+// SetDisp sets the displacement of a base-relative memory operand.
+func (i *Inst) SetDisp(d int32) { binary.LittleEndian.PutUint64(i.arg[:], uint64(int64(d))) }
 
 // HasImm reports whether the instruction's word is an immediate (or a
 // NOP length) rather than an address.
@@ -145,14 +155,11 @@ func (i *Inst) IsReturn() bool { return i.Op == RET || i.Op == REPZRET }
 // IsTerminator reports whether the instruction ends a basic block.
 func (i *Inst) IsTerminator() bool { return i.IsBranch() || i.Op == UD2 || i.Op == HLT }
 
+// memOps has bit op set for each op with a memory operand.
+const memOps uint64 = 1<<MOVrm | 1<<MOVmr | 1<<MOVZXBrm | 1<<MOVSXDrm | 1<<LEA | 1<<JMPm | 1<<CALLm
+
 // HasMem reports whether the instruction has a memory operand.
-func (i *Inst) HasMem() bool {
-	switch i.Op {
-	case MOVrm, MOVmr, MOVZXBrm, MOVSXDrm, LEA, JMPm, CALLm:
-		return true
-	}
-	return false
-}
+func (i *Inst) HasMem() bool { return memOps>>i.Op&1 != 0 }
 
 // Uses returns the set of registers read by the instruction.
 // Call semantics: argument registers (RDI, RSI, RDX, RCX, R8, R9) are

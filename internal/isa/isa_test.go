@@ -36,37 +36,41 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst {
 			i := mk(MOVrm)
 			i.R1 = RAX
-			i.M = Mem{Base: RBP, Index: NoReg, Scale: 1, Disp: -8}
+			i.M = Mem{Base: RBP, Index: NoReg, Scale: 1}
+			i.SetDisp(-8)
 			return i
 		}(),
 		func() Inst {
 			i := mk(MOVmr)
 			i.R1 = RCX
-			i.M = Mem{Base: RSP, Index: NoReg, Scale: 1, Disp: 16}
+			i.M = Mem{Base: RSP, Index: NoReg, Scale: 1}
+			i.SetDisp(16)
 			return i
 		}(),
 		func() Inst {
 			i := mk(MOVrm)
 			i.R1 = RDX
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true, Disp: 0x100}
+			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.SetTargetAddr(0x400000 + 0x100)
 			return i
 		}(),
 		func() Inst {
 			i := mk(MOVZXBrm)
 			i.R1 = RAX
-			i.M = Mem{Base: RDI, Index: RSI, Scale: 1, Disp: 0}
+			i.M = Mem{Base: RDI, Index: RSI, Scale: 1}
 			return i
 		}(),
 		func() Inst {
 			i := mk(MOVSXDrm)
 			i.R1 = RBX
-			i.M = Mem{Base: RDI, Index: RAX, Scale: 4, Disp: 0}
+			i.M = Mem{Base: RDI, Index: RAX, Scale: 4}
 			return i
 		}(),
 		func() Inst {
 			i := mk(LEA)
 			i.R1 = R10
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true, Disp: -64}
+			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.SetTargetAddr(0x400000 - 64)
 			return i
 		}(),
 		func() Inst { i := mk(ADDrr); i.R1 = RAX; i.R2 = RDX; return i }(),
@@ -86,18 +90,20 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst { i := mk(JMPr); i.R1 = R11; return i }(),
 		func() Inst {
 			i := mk(JMPm)
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true, Disp: 0x2000}
+			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.SetTargetAddr(0x400000 + 0x2000)
 			return i
 		}(),
 		func() Inst {
 			i := mk(JMPm)
-			i.M = Mem{Base: RDI, Index: RAX, Scale: 8, Disp: 0}
+			i.M = Mem{Base: RDI, Index: RAX, Scale: 8}
 			return i
 		}(),
 		func() Inst { i := mk(CALLr); i.R1 = RDX; return i }(),
 		func() Inst {
 			i := mk(CALLm)
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true, Disp: 0x40}
+			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.SetTargetAddr(0x400000 + 0x40)
 			return i
 		}(),
 		mk(RET), mk(REPZRET), mk(UD2), mk(HLT),
@@ -230,7 +236,8 @@ func TestRegSets(t *testing.T) {
 	}
 	st := NewInst(MOVmr)
 	st.R1 = RDX
-	st.M = Mem{Base: RSP, Index: NoReg, Disp: 8}
+	st.M = Mem{Base: RSP, Index: NoReg}
+	st.SetDisp(8)
 	if !st.Uses().Has(RDX) || !st.Uses().Has(RSP) {
 		t.Errorf("store uses wrong: %v", st.Uses())
 	}
@@ -252,15 +259,20 @@ func randInst(r *rand.Rand) Inst {
 			}
 		}
 	}
-	randMem := func() Mem {
+	// randMem gives i a random memory operand; a RIP-relative one
+	// reaches up to half a megabyte either side of 0x401000.
+	randMem := func(i *Inst) {
 		switch r.Intn(3) {
 		case 0:
-			return Mem{Base: NoReg, Index: NoReg, RIP: true, Disp: int32(r.Intn(1<<20) - 1<<19)}
+			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.SetTargetAddr(uint64(0x401000 + r.Intn(1<<20) - 1<<19))
 		case 1:
-			return Mem{Base: anyReg(), Index: NoReg, Scale: 1, Disp: int32(r.Intn(512) - 256)}
+			i.M = Mem{Base: anyReg(), Index: NoReg, Scale: 1}
+			i.SetDisp(int32(r.Intn(512) - 256))
 		default:
 			scales := []uint8{1, 2, 4, 8}
-			return Mem{Base: anyReg(), Index: idxReg(), Scale: scales[r.Intn(4)], Disp: int32(r.Intn(1<<16) - 1<<15)}
+			i.M = Mem{Base: anyReg(), Index: idxReg(), Scale: scales[r.Intn(4)]}
+			i.SetDisp(int32(r.Intn(1<<16) - 1<<15))
 		}
 	}
 	ops := []Op{MOVrr, MOVri, MOVabs, MOVrm, MOVmr, MOVZXBrm, MOVSXDrm, LEA,
@@ -281,14 +293,14 @@ func randInst(r *rand.Rand) Inst {
 		i.SetImm(int64(r.Intn(64)))
 	case MOVrm, MOVZXBrm, MOVSXDrm, LEA:
 		i.R1 = anyReg()
-		i.M = randMem()
+		randMem(&i)
 	case MOVmr:
 		i.R1 = anyReg()
-		i.M = randMem()
+		randMem(&i)
 	case JMPr, CALLr, PUSH, POP:
 		i.R1 = anyReg()
 	case JMPm, CALLm:
-		i.M = randMem()
+		randMem(&i)
 	}
 	return i
 }

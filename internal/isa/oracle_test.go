@@ -11,7 +11,7 @@ import (
 // two give the same instruction, length and error.
 func matchRef(tb testing.TB, code []byte, pc uint64) (Inst, int, error) {
 	tb.Helper()
-	got := Inst{arg: [8]byte{0xef, 0xbe, 0xad, 0xde}, M: Mem{Base: R9, Index: R10, Scale: 8, Disp: -1, RIP: true}, Op: numOps, R1: R11, R2: R12, Cc: CondG}
+	got := Inst{arg: [8]byte{0xef, 0xbe, 0xad, 0xde}, M: Mem{Base: R9, Index: R10, Scale: 8, RIP: true}, Op: numOps, R1: R11, R2: R12, Cc: CondG}
 	n, err := Decode(&got, code, pc)
 	want, wn, werr := refDecode(code, pc)
 	if got != want || n != wn || !reflect.DeepEqual(err, werr) {
@@ -74,7 +74,9 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 	need := func(n int) bool { return p+n <= len(code) }
 
 	// parseModRM decodes ModRM (+SIB+disp) starting at code[p]; it returns
-	// the reg field and either a register (mod=11) or memory operand.
+	// the reg field and either a register (mod=11) or memory operand,
+	// whose displacement it leaves in disp.
+	var disp int32
 	parseModRM := func() (reg byte, isReg bool, rm Reg, m Mem, ok bool) {
 		if !need(1) {
 			return 0, false, 0, Mem{}, false
@@ -94,7 +96,7 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 				return 0, false, 0, Mem{}, false
 			}
 			m.RIP = true
-			m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
+			disp = int32(binary.LittleEndian.Uint32(code[p:]))
 			p += 4
 			return reg, false, 0, m, true
 		}
@@ -124,13 +126,13 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 			if !need(1) {
 				return 0, false, 0, Mem{}, false
 			}
-			m.Disp = int32(int8(code[p]))
+			disp = int32(int8(code[p]))
 			p++
 		case 2:
 			if !need(4) {
 				return 0, false, 0, Mem{}, false
 			}
-			m.Disp = int32(binary.LittleEndian.Uint32(code[p:]))
+			disp = int32(binary.LittleEndian.Uint32(code[p:]))
 			p += 4
 		}
 		return reg, false, 0, m, true
@@ -165,10 +167,21 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 		inst.R2 = Reg(reg | rexR<<3)
 		return inst, p, nil
 	}
+	// setMem stores a memory operand ending the instruction: the word
+	// takes its displacement, or for RIP the absolute address reached from
+	// the instruction's end.
+	setMem := func(m Mem) {
+		inst.M = m
+		if m.RIP {
+			inst.SetTargetAddr(pc + uint64(p) + uint64(int64(disp)))
+		} else {
+			inst.SetDisp(disp)
+		}
+	}
 	memInst := func(o Op, reg byte, m Mem) (Inst, int, error) {
 		inst.Op = o
 		inst.R1 = Reg(reg | rexR<<3)
-		inst.M = m
+		setMem(m)
 		return inst, p, nil
 	}
 
@@ -343,7 +356,7 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 				inst.R1 = rm
 			} else {
 				inst.Op = CALLm
-				inst.M = m
+				setMem(m)
 			}
 		case 4:
 			if isReg {
@@ -351,7 +364,7 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 				inst.R1 = rm
 			} else {
 				inst.Op = JMPm
-				inst.M = m
+				setMem(m)
 			}
 		default:
 			return fail("unsupported FF ext")

@@ -5,17 +5,18 @@ import (
 	"strings"
 )
 
-// FormatMem renders a memory operand in AT&T syntax.
-func FormatMem(m Mem) string {
+// FormatMem renders memory operand m with displacement disp in AT&T
+// syntax.
+func FormatMem(m Mem, disp int64) string {
 	if m.RIP {
-		return fmt.Sprintf("%#x(%%rip)", m.Disp)
+		return fmt.Sprintf("%#x(%%rip)", disp)
 	}
 	var sb strings.Builder
-	if m.Disp != 0 {
-		if m.Disp < 0 {
-			fmt.Fprintf(&sb, "-%#x", -int64(m.Disp))
+	if disp != 0 {
+		if disp < 0 {
+			fmt.Fprintf(&sb, "-%#x", -disp)
 		} else {
-			fmt.Fprintf(&sb, "%#x", m.Disp)
+			fmt.Fprintf(&sb, "%#x", disp)
 		}
 	}
 	sb.WriteByte('(')
@@ -29,9 +30,11 @@ func FormatMem(m Mem) string {
 	return sb.String()
 }
 
-// Format renders the instruction in AT&T syntax. SymName, if non-nil, maps
+// Format renders the instruction at address pc in AT&T syntax: a
+// RIP-relative operand shows its displacement from the end of the
+// instruction there, as a disassembler does. SymName, if non-nil, maps
 // branch-target addresses to symbolic names for readability.
-func (i *Inst) Format(symName func(uint64) string) string {
+func (i *Inst) Format(pc uint64, symName func(uint64) string) string {
 	target := func() string {
 		if symName != nil {
 			if n := symName(i.TargetAddr()); n != "" {
@@ -40,6 +43,10 @@ func (i *Inst) Format(symName func(uint64) string) string {
 		}
 		return fmt.Sprintf("%#x", i.TargetAddr())
 	}
+	disp := i.Disp()
+	if i.M.RIP {
+		disp = int64(i.TargetAddr()) - int64(pc) - int64(InstLen(i, true))
+	}
 	m := i.Mnemonic()
 	switch i.Op {
 	case MOVrr, ADDrr, SUBrr, XORrr, CMPrr, TESTrr, IMULrr:
@@ -47,15 +54,15 @@ func (i *Inst) Format(symName func(uint64) string) string {
 	case MOVri, MOVabs, ADDri, SUBri, ANDri, SHLri, SHRri, CMPri:
 		return fmt.Sprintf("%s $%#x, %s", m, i.Imm(), i.R1.ATT())
 	case MOVrm, MOVZXBrm, MOVSXDrm, LEA:
-		return fmt.Sprintf("%s %s, %s", m, FormatMem(i.M), i.R1.ATT())
+		return fmt.Sprintf("%s %s, %s", m, FormatMem(i.M, disp), i.R1.ATT())
 	case MOVmr:
-		return fmt.Sprintf("%s %s, %s", m, i.R1.ATT(), FormatMem(i.M))
+		return fmt.Sprintf("%s %s, %s", m, i.R1.ATT(), FormatMem(i.M, disp))
 	case JMP, JCC, CALL:
 		return fmt.Sprintf("%s %s", m, target())
 	case JMPr, CALLr:
 		return fmt.Sprintf("%s *%s", m, i.R1.ATT())
 	case JMPm, CALLm:
-		return fmt.Sprintf("%s *%s", m, FormatMem(i.M))
+		return fmt.Sprintf("%s *%s", m, FormatMem(i.M, disp))
 	case PUSH, POP:
 		return fmt.Sprintf("%s %s", m, i.R1.ATT())
 	case NOP:
@@ -68,5 +75,5 @@ func (i *Inst) Format(symName func(uint64) string) string {
 	}
 }
 
-// String implements fmt.Stringer.
-func (i *Inst) String() string { return i.Format(nil) }
+// String implements fmt.Stringer, formatting i at address 0.
+func (i *Inst) String() string { return i.Format(0, nil) }

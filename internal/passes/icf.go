@@ -150,7 +150,7 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 			case mem == 0 && in.I.HasMem():
 				m := in.I.M
 				kind = 'm'
-				mem = uint64(m.Base) | uint64(m.Index)<<8 | uint64(m.Scale)<<16 | uint64(uint32(m.Disp))<<32
+				mem = uint64(m.Base) | uint64(m.Index)<<8 | uint64(m.Scale)<<16 | uint64(uint32(in.I.Disp()))<<32
 			}
 			// Branch targets stay out: the successor lists carry them as
 			// block indices.

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"slices"
 	"sort"
 
 	"gobolt/internal/core"
@@ -104,6 +105,7 @@ func (p ICP) Run(ctx *core.BinaryContext) error {
 		}
 		// The cmp clobbers FLAGS: liveness, once per function with a site.
 		liveOut := flagsLiveOut(fn, &live)
+		fn.Blocks = slices.Grow(fn.Blocks, 3*len(sites))
 		for s := len(sites) - 1; s >= 0; s-- {
 			st := sites[s]
 			if liveAfterInst(st.b, st.i, liveOut[st.b.Index])&isa.FlagsBit != 0 {
@@ -174,23 +176,29 @@ func liveAfterInst(b *core.BasicBlock, i int, liveOut isa.RegSet) isa.RegSet {
 	return live
 }
 
-// promote performs the CFG surgery for one call site.
+// promote performs the CFG surgery for one call site in three
+// allocations: the three new blocks with their edges, the rebuilt
+// block's instructions with the direct call, and the three labels, cut
+// from one string. Run grows fn.Blocks once per function, so appending
+// the new blocks allocates nothing.
 func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.BinaryFunction, hotCount, total uint64) {
 	call := &b.Insts[i] // valid until b.Insts is rebuilt at the end
 	reg := call.I.R1
 
-	newBlock := func(label string) *core.BasicBlock {
-		nb := &core.BasicBlock{
-			Index: len(fn.Blocks),
-			Label: label,
-			CFIIn: call.CFIIdx,
-		}
+	site := new(struct {
+		blocks [3]core.BasicBlock // direct, indirect, cont
+		edges  [4]core.Edge       // b's two, then direct's and indirect's
+	})
+	labels := b.Label + ".icp_d" + b.Label + ".icp_i" + b.Label + ".icp_c"
+	n := len(labels) / 3
+	for k := range site.blocks {
+		nb := &site.blocks[k]
+		nb.Index, nb.Label, nb.CFIIn = len(fn.Blocks), labels[k*n:(k+1)*n], call.CFIIdx
 		fn.Blocks = append(fn.Blocks, nb)
-		return nb
 	}
-	direct := newBlock(b.Label + ".icp_d")
-	indirect := newBlock(b.Label + ".icp_i")
-	cont := newBlock(b.Label + ".icp_c")
+	direct, indirect, cont := &site.blocks[0], &site.blocks[1], &site.blocks[2]
+	e := site.edges[:]
+	insts := make([]core.Inst, i+3)
 
 	// The continuation takes the rest of the block and the indirect
 	// fallback the original call, both where they already are: b moves to
@@ -201,29 +209,37 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 
 	// Direct path: the call's annotations, its landing pad among them, on
 	// a direct call to the hot target.
-	direct.Insts = []core.Inst{*call}
-	dc := &direct.Insts[0]
+	insts[i+2] = *call
+	dc := &insts[i+2]
 	dc.I = isa.NewInst(isa.CALL)
-	dc.Off = 0
+	dc.MarkCopied()
 	dc.TargetSym = hot.Ref()
-	direct.Succs = []core.Edge{{To: cont, Count: hotCount}}
+	direct.Insts = insts[i+2 : i+3 : i+3]
+	e[2] = core.Edge{To: cont, Count: hotCount}
+	direct.Succs = e[2:3:3]
 	direct.ExecCount = hotCount
 
 	// Indirect fallback keeps the original call.
-	call.Off = 0
+	call.MarkCopied()
 	indirect.Insts = b.Insts[i : i+1 : i+1]
-	indirect.Succs = []core.Edge{{To: cont, Count: total - hotCount}}
+	e[3] = core.Edge{To: cont, Count: total - hotCount}
+	indirect.Succs = e[3:4:4]
 	indirect.ExecCount = total - hotCount
 
 	// The original block now compares and branches.
-	cmp := core.Inst{CFIIdx: call.CFIIdx, Src: call.Src}
+	copy(insts, b.Insts[:i])
+	cmp := &insts[i]
+	cmp.Off, cmp.CFIIdx = call.Off, call.CFIIdx
 	cmp.I = isa.NewInst(isa.CMPri)
 	cmp.I.R1 = reg
 	cmp.I.SetImm(1 << 30) // placeholder; patched via TargetSym at emission
 	cmp.TargetSym = hot.Ref()
-	jcc := core.Inst{CFIIdx: call.CFIIdx}
+	jcc := &insts[i+1]
+	jcc.CFIIdx = call.CFIIdx
 	jcc.I = isa.NewInst(isa.JCC)
 	jcc.I.Cc = isa.CondE
-	b.Insts = append(b.Insts[:i:i], cmp, jcc)
-	b.Succs = []core.Edge{{To: direct, Count: hotCount}, {To: indirect, Count: total - hotCount}}
+	b.Insts = insts[: i+2 : i+2]
+	e[0] = core.Edge{To: direct, Count: hotCount}
+	e[1] = core.Edge{To: indirect, Count: total - hotCount}
+	b.Succs = e[0:2:2]
 }

@@ -93,10 +93,12 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				spliced = append(spliced, b.Insts[:i]...)
 				// Only context-wide facts cross over: the callee's JT and
 				// LP indices mean nothing in the caller (and a qualifying
-				// body has neither).
+				// body has neither). The copies keep their origin, so
+				// their source line.
 				for k := range body {
 					bi := &body[k]
-					spliced = append(spliced, core.Inst{I: bi.I, CFIIdx: in.CFIIdx, Src: bi.Src})
+					spliced = append(spliced, core.Inst{I: bi.I, Off: bi.Off, CFIIdx: in.CFIIdx})
+					spliced[len(spliced)-1].MarkCopied()
 				}
 				spliced = append(spliced, b.Insts[i+1:]...)
 				b.Insts = spliced

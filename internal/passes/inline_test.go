@@ -89,7 +89,7 @@ func TestInlineSmallKeepsTablesApart(t *testing.T) {
 	spliced := 0
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		if in.Off != 0 {
+		if fn.InstAddr(in) != 0 {
 			continue
 		}
 		spliced++

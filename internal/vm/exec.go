@@ -6,13 +6,14 @@ import (
 	"gobolt/internal/isa"
 )
 
-// effAddr computes the effective address of a memory operand at pc with
-// instruction length n (RIP-relative displacements are end-relative).
-func (m *Machine) effAddr(mem *isa.Mem, pc uint64, n uint8) uint64 {
+// effAddr computes the effective address of in's memory operand; a
+// RIP-relative one holds its address already.
+func (m *Machine) effAddr(in *isa.Inst) uint64 {
+	mem := &in.M
 	if mem.RIP {
-		return pc + uint64(n) + uint64(int64(mem.Disp))
+		return in.TargetAddr()
 	}
-	addr := uint64(int64(mem.Disp))
+	addr := uint64(in.Disp())
 	if mem.Base != isa.NoReg {
 		addr += m.Regs[mem.Base]
 	}
@@ -116,7 +117,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		case isa.MOVri, isa.MOVabs:
 			m.Regs[in.R1] = uint64(in.Imm())
 		case isa.MOVrm, isa.MOVZXBrm, isa.MOVSXDrm:
-			addr := m.effAddr(&in.M, pc, d.size)
+			addr := m.effAddr(in)
 			size := 8
 			switch in.Op {
 			case isa.MOVZXBrm:
@@ -137,7 +138,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				m.tracer.Mem(addr, uint8(size), false)
 			}
 		case isa.MOVmr:
-			addr := m.effAddr(&in.M, pc, d.size)
+			addr := m.effAddr(in)
 			if err := m.write(addr, m.Regs[in.R1], 8); err != nil {
 				return StopHalt, err
 			}
@@ -146,7 +147,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				m.tracer.Mem(addr, 8, true)
 			}
 		case isa.LEA:
-			m.Regs[in.R1] = m.effAddr(&in.M, pc, d.size)
+			m.Regs[in.R1] = m.effAddr(in)
 		case isa.ADDrr:
 			a, b := m.Regs[in.R1], m.Regs[in.R2]
 			r := a + b
@@ -223,7 +224,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			cur = -1
 			continue
 		case isa.JMPm:
-			addr := m.effAddr(&in.M, pc, d.size)
+			addr := m.effAddr(in)
 			v, err := m.read(addr, 8)
 			if err != nil {
 				return StopHalt, err
@@ -248,7 +249,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				target = m.Regs[in.R1]
 				kind = BrIndCall
 			case isa.CALLm:
-				addr := m.effAddr(&in.M, pc, d.size)
+				addr := m.effAddr(in)
 				v, err := m.read(addr, 8)
 				if err != nil {
 					return StopHalt, err

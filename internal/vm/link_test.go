@@ -49,11 +49,11 @@ func (t *traceHash) Mem(addr uint64, size uint8, write bool) {
 // for Run(0), which follows the links linkTarget makes on a transfer's
 // first run. Both must retire the same instructions with the same
 // counters, result, LBR and trace, on a preset and on a program whose
-// throws unwind through CFI. A decoded entry is pinned at 28 bytes: the
-// 20-byte isa.Inst plus its size, fall-through flag and link.
+// throws unwind through CFI. A decoded entry is pinned at 24 bytes: the
+// 16-byte isa.Inst plus its size, fall-through flag and link.
 func TestLinkedRunMatchesStepping(t *testing.T) {
-	if size := unsafe.Sizeof(decoded{}); size != 28 {
-		t.Errorf("decoded is %d bytes, want 28", size)
+	if size := unsafe.Sizeof(decoded{}); size != 24 {
+		t.Errorf("decoded is %d bytes, want 24", size)
 	}
 	objs, err := cc.Compile(workload.Generate(workload.Proxygen()), cc.DefaultOptions())
 	if err != nil {
