@@ -1,7 +1,9 @@
 // Command vmrun executes a toolchain ELF binary under the VM — the
 // "hardware" of this reproduction. It can sample profiles like
 // `perf record` (-record, -lbr, -event) and report microarchitecture
-// counters like `perf stat` (-stat).
+// counters like `perf stat` (-stat), from one run: with both flags the
+// sampler and the simulator watch the same execution, and -max-instr
+// stops it at exactly N instructions either way.
 package main
 
 import (
@@ -58,12 +60,29 @@ func run() error {
 		return err
 	}
 
+	m, err := vm.New(f)
+	if err != nil {
+		return err
+	}
+	var tracers vm.TeeTracer
+	var sampler *perf.Sampler
 	if *record != "" {
-		mode := perf.Mode{LBR: *lbr, Event: ev, Period: *period, PEBS: *pebs}
-		fd, m, err := perf.RecordFile(f, mode, *maxInstr)
-		if err != nil {
-			return err
-		}
+		sampler = perf.NewSampler(perf.Mode{LBR: *lbr, Event: ev, Period: *period, PEBS: *pebs})
+		tracers = append(tracers, sampler)
+	}
+	var sim *uarch.Sim
+	if *stat {
+		sim = uarch.New(uarch.DefaultConfig())
+		tracers = append(tracers, sim)
+	}
+	if len(tracers) > 0 {
+		m.SetTracer(tracers)
+	}
+	if _, err := m.Run(*maxInstr); err != nil {
+		return err
+	}
+	if sampler != nil {
+		fd := perf.Convert(&sampler.Raw, f)
 		if *shapes {
 			// Disassemble the profiled binary and embed its CFG shapes so
 			// a future gobolt run on a *different* build can stale-match
@@ -79,24 +98,11 @@ func run() error {
 		}
 		fmt.Printf("vmrun: result=%d instructions=%d branches=%d (profile: %d branch records, %d samples, %d shapes)\n",
 			m.Result(), m.C.Instructions, m.C.Branches, len(fd.Branches), len(fd.Samples), len(fd.Shapes))
-		return nil
+	} else {
+		fmt.Printf("vmrun: result=%d halted=%v\n", m.Result(), m.Halted())
+		fmt.Printf("  retired: %d instructions, %d cond branches (%d taken), %d calls, %d returns, %d throws\n",
+			m.C.Instructions, m.C.Branches, m.C.TakenBranch, m.C.Calls, m.C.Returns, m.C.Throws)
 	}
-
-	m, err := vm.New(f)
-	if err != nil {
-		return err
-	}
-	var sim *uarch.Sim
-	if *stat {
-		sim = uarch.New(uarch.DefaultConfig())
-		m.SetTracer(sim)
-	}
-	if _, err := m.Run(*maxInstr); err != nil {
-		return err
-	}
-	fmt.Printf("vmrun: result=%d halted=%v\n", m.Result(), m.Halted())
-	fmt.Printf("  retired: %d instructions, %d cond branches (%d taken), %d calls, %d returns, %d throws\n",
-		m.C.Instructions, m.C.Branches, m.C.TakenBranch, m.C.Calls, m.C.Returns, m.C.Throws)
 	if sim != nil {
 		fmt.Print(sim.Finish().Format())
 	}

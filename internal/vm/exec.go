@@ -197,7 +197,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		case isa.TESTrr:
 			m.setFlagsLogic(m.Regs[in.R1] & m.Regs[in.R2])
 		case isa.JMP:
-			m.recordBranch(pc, in.TargetAddr(), BrUncond, false)
+			m.traceTaken(pc, in.TargetAddr(), BrUncond)
 			m.rip = in.TargetAddr()
 			cur = m.linkTarget(d)
 			continue
@@ -207,10 +207,9 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				return StopHalt, err
 			}
 			m.C.Branches++
-			mispred := m.predict(pc, taken)
 			if taken {
 				m.C.TakenBranch++
-				m.recordBranch(pc, in.TargetAddr(), BrCond, mispred)
+				m.traceTaken(pc, in.TargetAddr(), BrCond)
 				m.rip = in.TargetAddr()
 				cur = m.linkTarget(d)
 				continue
@@ -219,7 +218,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				m.tracer.Branch(pc, next, false, BrCond)
 			}
 		case isa.JMPr:
-			m.recordBranch(pc, m.Regs[in.R1], BrIndirect, false)
+			m.traceTaken(pc, m.Regs[in.R1], BrIndirect)
 			m.rip = m.Regs[in.R1]
 			cur = -1
 			continue
@@ -233,7 +232,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 			if m.tracer != nil {
 				m.tracer.Mem(addr, 8, false)
 			}
-			m.recordBranch(pc, v, BrIndirect, false)
+			m.traceTaken(pc, v, BrIndirect)
 			m.rip = v
 			cur = -1
 			continue
@@ -265,7 +264,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				if err != nil {
 					return StopHalt, err
 				}
-				m.recordBranch(pc, lp, BrUncond, false)
+				m.traceTaken(pc, lp, BrUncond)
 				m.rip = lp
 				cur = -1
 				continue
@@ -274,7 +273,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				return StopHalt, err
 			}
 			m.C.Calls++
-			m.recordBranch(pc, target, kind, false)
+			m.traceTaken(pc, target, kind)
 			m.rip = target
 			cur = link
 			continue
@@ -284,7 +283,7 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 				return StopHalt, err
 			}
 			m.C.Returns++
-			m.recordBranch(pc, v, BrRet, false)
+			m.traceTaken(pc, v, BrRet)
 			m.rip = v
 			cur = -1
 			continue

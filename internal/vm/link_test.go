@@ -3,7 +3,6 @@ package vm
 import (
 	"hash"
 	"hash/fnv"
-	"reflect"
 	"testing"
 	"unsafe"
 
@@ -48,8 +47,9 @@ func (t *traceHash) Mem(addr uint64, size uint8, write bool) {
 // address, so stepping a machine one instruction at a time is the oracle
 // for Run(0), which follows the links linkTarget makes on a transfer's
 // first run. Both must retire the same instructions with the same
-// counters, result, LBR and trace, on a preset and on a program whose
-// throws unwind through CFI. A decoded entry is pinned at 24 bytes: the
+// counters, result and trace (every Inst, Branch and Mem event, so every
+// taken transfer a sampler's ring would hold), on a preset and on a
+// program whose throws unwind through CFI. A decoded entry is pinned at 24 bytes: the
 // 16-byte isa.Inst plus its size, fall-through flag and link.
 func TestLinkedRunMatchesStepping(t *testing.T) {
 	if size := unsafe.Sizeof(decoded{}); size != 24 {
@@ -95,9 +95,6 @@ func TestLinkedRunMatchesStepping(t *testing.T) {
 		}
 		if stepped.Result() != linked.Result() {
 			t.Errorf("%s: result %d linked, %d stepped", tc.name, linked.Result(), stepped.Result())
-		}
-		if !reflect.DeepEqual(stepped.LBR(), linked.LBR()) {
-			t.Errorf("%s: LBR differs", tc.name)
 		}
 		if steppedTrace != linkedTrace {
 			t.Errorf("%s: trace hash %#x linked, %#x stepped", tc.name, linkedTrace, steppedTrace)

@@ -1,10 +1,13 @@
 // Package vm executes the toolchain's ELF binaries. It stands in for the
 // paper's production hardware: it interprets the x86-64 subset with full
-// flag semantics, maintains an LBR-style ring of the last 32 taken
-// branches (with mispredict flags from an embedded bimodal predictor, like
-// Intel's LBR), exposes retirement counters, and unwinds exceptions using
-// the binary's CFI — so a rewriter that corrupts frame information breaks
-// programs at runtime, exactly as it would on real hardware.
+// flag semantics, exposes retirement counters, and unwinds exceptions
+// using the binary's CFI — so a rewriter that corrupts frame information
+// breaks programs at runtime, exactly as it would on real hardware.
+//
+// The machine is the CPU and nothing more: it keeps no branch history and
+// predicts no branch. Its observers are Tracers — the sampling PMU with
+// its LBR ring (internal/perf), the microarchitecture model with its
+// predictor (internal/uarch) — and TeeTracer lets several watch one run.
 package vm
 
 import (
@@ -15,9 +18,6 @@ import (
 	"gobolt/internal/elfx"
 	"gobolt/internal/isa"
 )
-
-// LBRSize is the depth of the last-branch-record ring (Intel: 32).
-const LBRSize = 32
 
 // BranchKind classifies a control transfer for tracing and profiling.
 type BranchKind uint8
@@ -32,14 +32,8 @@ const (
 	BrRet
 )
 
-// BranchRecord is one LBR entry.
-type BranchRecord struct {
-	From, To uint64
-	Mispred  bool
-}
-
-// Tracer observes execution; any method may be a no-op. Used by the
-// microarchitecture simulator and by trace tools.
+// Tracer observes execution; any method may be a no-op. Inst comes before
+// the instruction at addr executes, Branch and Mem while it does.
 type Tracer interface {
 	Inst(addr uint64, size uint8)
 	Branch(from, to uint64, taken bool, kind BranchKind)
@@ -93,16 +87,13 @@ const (
 
 // Machine is one virtual CPU plus its loaded program image.
 type Machine struct {
-	Regs   [16]uint64
-	rip    uint64
-	zf     bool
-	sf     bool
-	of     bool
-	cf     bool
-	C      Counters
-	lbr    [LBRSize]BranchRecord
-	lbrPos int
-	lbrCnt int
+	Regs [16]uint64
+	rip  uint64
+	zf   bool
+	sf   bool
+	of   bool
+	cf   bool
+	C    Counters
 
 	mem     []byte // image slab
 	memBase uint64
@@ -121,9 +112,6 @@ type Machine struct {
 	file      *elfx.File
 
 	tracer Tracer
-
-	// predictor state for LBR mispredict flags (bimodal 2-bit).
-	pred [4096]uint8
 }
 
 // New loads an executable into a fresh machine.
@@ -307,41 +295,11 @@ func (m *Machine) Halted() bool { return m.halted }
 // Result returns the conventional exit value (RAX).
 func (m *Machine) Result() uint64 { return m.Regs[isa.RAX] }
 
-// LBR returns the last-branch records, most recent last. Valid entries
-// only (fewer than LBRSize early in execution).
-func (m *Machine) LBR() []BranchRecord {
-	n := m.lbrCnt
-	if n > LBRSize {
-		n = LBRSize
-	}
-	out := make([]BranchRecord, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, m.lbr[(m.lbrPos-n+i+LBRSize*2)%LBRSize])
-	}
-	return out
-}
-
-// recordBranch appends a taken transfer to the LBR and notifies tracers.
-func (m *Machine) recordBranch(from, to uint64, kind BranchKind, mispred bool) {
-	m.lbr[m.lbrPos] = BranchRecord{From: from, To: to, Mispred: mispred}
-	m.lbrPos = (m.lbrPos + 1) % LBRSize
-	m.lbrCnt++
+// traceTaken notifies the tracer of a taken transfer.
+func (m *Machine) traceTaken(from, to uint64, kind BranchKind) {
 	if m.tracer != nil {
 		m.tracer.Branch(from, to, true, kind)
 	}
-}
-
-// predict runs the embedded bimodal predictor for conditional branches and
-// returns whether the outcome was mispredicted.
-func (m *Machine) predict(pc uint64, taken bool) bool {
-	slot := &m.pred[(pc>>1)&4095]
-	predTaken := *slot >= 2
-	if taken && *slot < 3 {
-		*slot++
-	} else if !taken && *slot > 0 {
-		*slot--
-	}
-	return predTaken != taken
 }
 
 // read8 loads a byte from the guest address space.

@@ -379,7 +379,11 @@ func TestSpillAroundCall(t *testing.T) {
 	}
 }
 
-func TestLBRRecordsTakenBranches(t *testing.T) {
+// TestBranchCountersSane: a loop with a data-dependent branch executes
+// and takes conditional branches, and never takes more than it executes.
+// The ring of taken transfers is the sampler's (internal/perf,
+// TestLBRRecordsTakenBranches).
+func TestBranchCountersSane(t *testing.T) {
 	f := buildProgram(t, branchProgram(false), cc.DefaultOptions(), ld.Options{})
 	m, err := New(f)
 	if err != nil {
@@ -387,15 +391,6 @@ func TestLBRRecordsTakenBranches(t *testing.T) {
 	}
 	if _, err := m.Run(0); err != nil {
 		t.Fatal(err)
-	}
-	lbr := m.LBR()
-	if len(lbr) != LBRSize {
-		t.Fatalf("LBR has %d entries, want %d", len(lbr), LBRSize)
-	}
-	for _, r := range lbr {
-		if r.From == 0 || r.To == 0 {
-			t.Fatalf("zero LBR entry: %+v", r)
-		}
 	}
 	if m.C.Branches == 0 || m.C.TakenBranch == 0 || m.C.TakenBranch > m.C.Branches {
 		t.Fatalf("counter sanity: %+v", m.C)
