@@ -75,7 +75,10 @@ func run() error {
 		sim = uarch.New(uarch.DefaultConfig())
 		tracers = append(tracers, sim)
 	}
-	if len(tracers) > 0 {
+	switch len(tracers) {
+	case 1:
+		m.SetTracer(tracers[0]) // not through a tee: a recording pays no fan-out
+	case 2:
 		m.SetTracer(tracers)
 	}
 	if _, err := m.Run(*maxInstr); err != nil {

@@ -11,20 +11,24 @@ import (
 	"gobolt/internal/workload"
 )
 
-// refRing is the ring the VM kept before the sampler became a tracer:
-// a Branch-only tracer holding the last lbrSize taken transfers.
+// refRing stands in for what the machine-driving Record read from the
+// VM: the ring of the last lbrSize taken transfers the VM kept, and the
+// PC (rip), which is where the last instruction fell through or the last
+// taken transfer went.
 type refRing struct {
 	buf      [lbrSize][2]uint64
 	pos, cnt int
+	rip      uint64
 }
 
-func (r *refRing) Inst(uint64, uint8)      {}
-func (r *refRing) Mem(uint64, uint8, bool) {}
+func (r *refRing) Inst(addr uint64, size uint8) { r.rip = addr + uint64(size) }
+func (r *refRing) Mem(uint64, uint8, bool)      {}
 
 func (r *refRing) Branch(from, to uint64, taken bool, _ vm.BranchKind) {
 	if !taken {
 		return
 	}
+	r.rip = to
 	r.buf[r.pos] = [2]uint64{from, to}
 	r.pos = (r.pos + 1) % lbrSize
 	r.cnt++
@@ -105,7 +109,7 @@ func refRecord(m *vm.Machine, mode Mode, maxInstr uint64) (*Raw, error) {
 				raw.Branches[r]++
 			}
 		} else {
-			raw.Samples[m.RIP()]++
+			raw.Samples[ring.rip]++
 		}
 	}
 	raw.Retired = m.C.Instructions - start

@@ -286,9 +286,6 @@ func (m *Machine) fetch(addr uint64) (int, error) {
 // SetTracer installs an execution observer (nil to remove).
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
-// RIP returns the current program counter.
-func (m *Machine) RIP() uint64 { return m.rip }
-
 // Halted reports whether the program has executed HLT.
 func (m *Machine) Halted() bool { return m.halted }
 
