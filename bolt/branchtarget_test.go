@@ -101,13 +101,13 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 							continue
 						}
 						width := 1
-						if in.Size >= 5 {
+						if in.I.Size >= 5 {
 							width = 4
 						}
 						if width != tc.rel {
 							continue
 						}
-						end := fn.InstAddr(in) + uint64(in.Size)
+						end := fn.InstAddr(in) + uint64(in.I.Size)
 						target := in.I.TargetAddr() + uint64(tc.delta)
 						if tc.delta == 0 {
 							target = pristine[i+1].Addr + 1
@@ -123,7 +123,7 @@ func TestBadBranchTargetLeavesFunctionAlone(t *testing.T) {
 				t.Fatalf("no %s branch to patch in the Tiny workload", tc.name)
 			}
 
-			at := victim.InstAddr(branch) - victim.Addr + uint64(branch.Size) - uint64(tc.rel)
+			at := victim.InstAddr(branch) - victim.Addr + uint64(branch.I.Size) - uint64(tc.rel)
 			field := victim.Bytes[at : at+uint64(tc.rel)]
 			saved := append([]byte(nil), field...)
 			defer copy(field, saved)

@@ -243,7 +243,7 @@ func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
 			inst.SetTargetAddr(base + uint64(labelOffs[it.target]))
 			code, err = isa.AppendInst(code, &inst, pc, it.long)
 		case kindReloc:
-			if it.inst.M.RIP && it.inst.HasMem() {
+			if it.inst.M.IsRIP() && it.inst.HasMem() {
 				// The patched field is the displacement: encode it as 0.
 				it.inst.SetTargetAddr(pc + uint64(it.size))
 			}

@@ -127,7 +127,7 @@ func TestRelocPlacement(t *testing.T) {
 	a.EmitReloc(call, obj.RelPC32, "callee", -4)
 	lea := isa.NewInst(isa.LEA)
 	lea.R1 = isa.RAX
-	lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+	lea.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 	a.EmitReloc(lea, obj.RelPC32, "table", -4)
 	res, err := finish(a, 0x400000)
 	if err != nil {

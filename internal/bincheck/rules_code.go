@@ -65,7 +65,7 @@ func (c *checker) deriveTable(fr *fragment, win *window, idx int) (jt jumpTable,
 	findLea := func(reg isa.Reg, from int) (uint64, bool) {
 		for k := from; k >= 0 && k > from-8; k-- {
 			r := &win.at(k).inst
-			if r.Op == isa.LEA && r.R1 == reg && r.M.RIP {
+			if r.Op == isa.LEA && r.R1 == reg && r.M.IsRIP() {
 				return r.TargetAddr(), true
 			}
 			if r.Defs().Has(reg) {

@@ -11,7 +11,6 @@ package cc
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"gobolt/internal/asmx"
 	"gobolt/internal/ir"
@@ -170,14 +169,4 @@ func Compile(p *ir.Program, opts Options) ([]*obj.Object, error) {
 	})
 	objs = append(objs, rt)
 	return objs, nil
-}
-
-// sortedKeys is a tiny helper for deterministic iteration.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

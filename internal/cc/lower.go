@@ -300,13 +300,13 @@ func (st *lowerState) memInst(op isa.Op, valReg isa.Reg, o *ir.Op) {
 	if o.Src == isa.NoReg {
 		i := isa.NewInst(op)
 		i.R1 = valReg
-		i.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+		i.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 		st.a.EmitReloc(i, obj.RelPC32, o.Sym, o.SymOff-4)
 		return
 	}
 	lea := isa.NewInst(isa.LEA)
 	lea.R1 = scratchB
-	lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+	lea.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 	st.a.EmitReloc(lea, obj.RelPC32, o.Sym, o.SymOff-4)
 	i := isa.NewInst(op)
 	i.R1 = valReg
@@ -371,7 +371,7 @@ func (st *lowerState) lowerOp(o *ir.Op) error {
 	case ir.OpCallIndirect:
 		lea := isa.NewInst(isa.LEA)
 		lea.R1 = scratchB
-		lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+		lea.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 		st.a.EmitReloc(lea, obj.RelPC32, o.Sym, o.SymOff-4)
 		mov := isa.NewInst(isa.MOVrm)
 		mov.R1 = scratchA
@@ -456,7 +456,7 @@ func (st *lowerState) lowerTerm(b *ir.Block, next int, hasFrame bool) error {
 		st.jtFixes = append(st.jtFixes, jt)
 		lea := isa.NewInst(isa.LEA)
 		lea.R1 = scratchB
-		lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+		lea.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 		st.a.EmitReloc(lea, obj.RelPC32, jt.name, -4)
 		if t.PIC {
 			mov := isa.NewInst(isa.MOVSXDrm)
@@ -495,7 +495,7 @@ func (st *lowerState) lowerTerm(b *ir.Block, next int, hasFrame bool) error {
 		// the containing function becomes non-simple (paper §6.4).
 		lea := isa.NewInst(isa.LEA)
 		lea.R1 = scratchB
-		lea.M = isa.Mem{Base: isa.NoReg, Index: isa.NoReg, RIP: true}
+		lea.M = isa.Mem{Base: isa.RIP, Index: isa.NoReg}
 		st.a.EmitReloc(lea, obj.RelPC32, t.Callee, -4)
 		mov := isa.NewInst(isa.MOVrm)
 		mov.R1 = scratchA

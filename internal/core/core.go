@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,14 +154,15 @@ func DefaultOptions() Options {
 }
 
 // Inst is one instruction plus gobolt's annotations (the MCInst
-// annotation mechanism from paper §3.3). It is a pointer-free value of 32
-// bytes, half a cache line (TestInstLayout): every phase streams the
-// instruction slabs and the collector never scans them, so the rare
-// facts — symbolic target, jump table, landing pad — are small indices
-// into tables owned by the function or the context, 0 meaning none, and
-// what the input already records is not stored twice: a RIP-relative
-// operand's absolute address is I's word (see MemAddr), and the source
-// line is looked up from the origin (see BinaryFunction.SourceLine).
+// annotation mechanism from paper §3.3). It is a pointer-free value of 24
+// bytes (TestInstLayout): every phase streams the instruction slabs and
+// the collector never scans them, so the rare facts — jump table, landing
+// pad, CFI state — are small indices into tables owned by the function, 0
+// meaning none, and what the input already records is not stored twice:
+// the encoded length is I.Size, a RIP-relative operand's absolute address
+// and a call's destination are I's word (see MemAddr and
+// BinaryContext.TargetSym), and the source line is looked up from the
+// origin (see BinaryFunction.SourceLine).
 type Inst struct {
 	I isa.Inst
 	// Off is one plus the instruction's origin — the input address its
@@ -170,23 +172,19 @@ type Inst struct {
 	// line but no longer stands for the original (see InstAddr).
 	Off uint32
 
-	// CFIIdx indexes the function's interned CFI state table: the unwind
-	// state in effect AT this instruction. -1 = unknown/na.
-	CFIIdx int32
-
-	// TargetSym names an external direct-call/branch target or, on a
-	// CMPri, the function whose absolute address is the 32-bit immediate
-	// (ICP's `cmp $target, %reg`).
-	TargetSym FuncRef
+	// CFIIdx is one plus the index of the unwind state in effect AT this
+	// instruction in the function's interned CFI state table (StateAt);
+	// 0 = unknown/na.
+	CFIIdx uint16
 
 	// tab is one plus an index into one of the owning function's tables,
 	// 0 for none: on an indirect jump the jump table driving it (JT), on
 	// a call the landing pad covering it (LP). No instruction has both, so
 	// the two share the slot and are read only through JT and LP, which
 	// check the opcode. An Inst carrying either must not be copied into
-	// another function.
-	tab  uint16
-	Size uint8
+	// another function. On a CMPri, a non-zero tab marks the immediate as
+	// a function's entry address (ICP's `cmp $target, %reg`, SetImmFunc).
+	tab uint16
 }
 
 // JT returns one plus the index of the jump table driving the indirect
@@ -209,6 +207,13 @@ func (in *Inst) LP() uint16 {
 	return 0
 }
 
+// SetImmFunc makes the CMPri in compare against f's entry address, which
+// emission patches with f's final address.
+func (in *Inst) SetImmFunc(f *BinaryFunction) {
+	in.I.SetImm(int64(f.Addr))
+	in.tab = 1
+}
+
 // offCopied marks an Inst.Off whose instruction is a copy.
 const offCopied = 1 << 31
 
@@ -224,7 +229,7 @@ func (in *Inst) MarkCopied() {
 // MemAddr returns the absolute address of the instruction's RIP-relative
 // memory operand, 0 when it has none.
 func (in *Inst) MemAddr() uint64 {
-	if in.I.M.RIP && in.I.HasMem() {
+	if in.I.M.IsRIP() && in.I.HasMem() {
 		return in.I.TargetAddr()
 	}
 	return 0
@@ -316,7 +321,7 @@ type BasicBlock struct {
 	Succs []Edge
 
 	ExecCount uint64
-	CFIIn     int32
+	CFIIn     uint16 // one-based CFI state on entry, as Inst.CFIIdx
 	IsLP      bool
 	IsCold    bool // assigned to the cold fragment by splitting
 	IsEntry   bool
@@ -478,34 +483,51 @@ func (f *BinaryFunction) LandingPad(in *Inst) (*BasicBlock, int32) {
 // HasLandingPads reports whether any call of f has a landing pad.
 func (f *BinaryFunction) HasLandingPads() bool { return len(f.lps) > 0 }
 
-// InternState interns a CFI state and returns its index. The loader
-// interns a function's states in its worker's scratch with internState
-// (one call per change of state) and copies the table in once; a
-// function has a handful of distinct states, and consecutive instructions
-// mostly share one, so a backwards scan beats a map.
-func (f *BinaryFunction) InternState(st cfi.State) int32 {
-	var idx int32
-	f.cfiStates, idx = internState(f.cfiStates, st)
+// MaxCFIStates bounds a function's interned CFI state table: Inst.CFIIdx
+// is one-based and 16 bits wide. The loader leaves a function whose FDE
+// could give it more states non-simple (attachCFI).
+const MaxCFIStates = 1<<16 - 1
+
+// InternState interns a CFI state and returns one plus its index. The
+// loader interns a function's states in its worker's scratch with
+// internState (one call per change of state) and copies the table in
+// once; a function has a handful of distinct states, and consecutive
+// instructions mostly share one, so a backwards scan beats a map. A pass
+// that adds states checks CFIStates first: InternState panics on a state
+// the full table cannot take.
+func (f *BinaryFunction) InternState(st cfi.State) uint16 {
+	var idx uint16
+	if f.cfiStates, idx = internState(f.cfiStates, st); idx == 0 {
+		panic(fmt.Sprintf("core: %s: CFI state table full", f.Name))
+	}
 	return idx
 }
 
-// internState returns states with st in it and st's index there,
-// appending st when it is new.
-func internState(states []cfi.State, st cfi.State) ([]cfi.State, int32) {
+// internState returns states with st in it and one plus st's index
+// there, appending st when it is new; 0 for a new state when states
+// already holds MaxCFIStates.
+func internState(states []cfi.State, st cfi.State) ([]cfi.State, uint16) {
 	for i := len(states) - 1; i >= 0; i-- {
 		if states[i] == st {
-			return states, int32(i)
+			return states, uint16(i + 1)
 		}
 	}
-	return append(states, st), int32(len(states))
+	if len(states) == MaxCFIStates {
+		return states, 0
+	}
+	return append(states, st), uint16(len(states) + 1)
 }
 
-// StateAt returns the interned CFI state by index.
-func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
-	if idx < 0 || int(idx) >= len(f.cfiStates) {
+// CFIStates returns the number of f's interned CFI states.
+func (f *BinaryFunction) CFIStates() int { return len(f.cfiStates) }
+
+// StateAt returns the interned CFI state with one-based index idx, nil
+// for 0.
+func (f *BinaryFunction) StateAt(idx uint16) *cfi.State {
+	if idx == 0 || int(idx) > len(f.cfiStates) {
 		return nil
 	}
-	return &f.cfiStates[idx]
+	return &f.cfiStates[idx-1]
 }
 
 // InstAddr returns in's original address, 0 for a synthesized or copied
@@ -588,6 +610,9 @@ type BinaryContext struct {
 
 	Funcs  []*BinaryFunction
 	ByName map[string]*BinaryFunction
+	// entries holds the entry address of each function of Funcs, in the
+	// same order, for FuncByAddr's search.
+	entries []uint64
 
 	// HasRelocs is true when the binary was linked with --emit-relocs,
 	// enabling relocations mode (function reordering; paper §3.2).
@@ -646,12 +671,39 @@ type BinaryContext struct {
 	passWorkers []*FuncCtx
 }
 
-// FuncByAddr returns the function starting at addr.
+// FuncByAddr returns the function starting at addr. Each call of the
+// emitter and of several passes asks it for its callee (TargetSym), so
+// it searches the dense entry addresses, not the functions.
 func (ctx *BinaryContext) FuncByAddr(addr uint64) *BinaryFunction {
-	if f := ctx.FuncContaining(addr); f != nil && f.Addr == addr {
-		return f
+	if i, ok := slices.BinarySearch(ctx.entries, addr); ok {
+		return ctx.Funcs[i]
 	}
 	return nil
+}
+
+// TargetSym returns the function the instruction in of fn names, NoFunc
+// for none: the callee of a direct call, the destination of a direct
+// branch out of fn (a tail call; the loader admits no other), or the
+// function whose entry address ICP's cmp compares against. The word
+// holds that entry address, so the name is looked up, not stored: a call
+// into no function's entry (a PLT stub the plt pass has not resolved)
+// names none.
+func (ctx *BinaryContext) TargetSym(fn *BinaryFunction, in *Inst) FuncRef {
+	addr := in.I.TargetAddr()
+	switch {
+	case in.I.Op == isa.CALL:
+	case in.I.IsDirectBranch():
+		if fn.contains(addr) {
+			return NoFunc
+		}
+	case in.I.Op == isa.CMPri && in.tab != 0:
+	default:
+		return NoFunc
+	}
+	if f := ctx.FuncByAddr(addr); f != nil {
+		return f.Ref()
+	}
+	return NoFunc
 }
 
 // FuncContaining returns the function covering addr. Funcs is sorted by

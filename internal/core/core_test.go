@@ -91,14 +91,14 @@ func TestDiscoveryAndCFG(t *testing.T) {
 		t.Fatalf("switch successors wrong: %+v", swBlock)
 	}
 	// CFI must be attached (framed function).
-	if fn.Blocks[0].CFIIn < 0 {
+	if fn.Blocks[0].CFIIn == 0 {
 		t.Error("entry CFI state missing")
 	}
 	// Call target symbolized.
 	found := false
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
-			if g := ctx.Func(b.Insts[i].TargetSym); g != nil && g.Name == "leaf" {
+			if g := ctx.Func(ctx.TargetSym(fn, &b.Insts[i])); g != nil && g.Name == "leaf" {
 				found = true
 			}
 		}
@@ -168,27 +168,70 @@ func TestStateInterning(t *testing.T) {
 	if fn.InternState(s6) == fn.InternState(cfi.InitialState()) {
 		t.Fatal("states differing in CFA offset must not collide")
 	}
-	// Indices are handed out in first-appearance order and stay stable.
-	for want, st := range []cfi.State{s1, s2, s3, s5, s6} {
-		if got := fn.InternState(st); got != int32(want) {
+	// Indices are handed out one-based in first-appearance order and
+	// stay stable.
+	for i, st := range []cfi.State{s1, s2, s3, s5, s6} {
+		want := uint16(i + 1)
+		if got := fn.InternState(st); got != want {
 			t.Errorf("state %d re-interned as %d", want, got)
 		}
-		if *fn.StateAt(int32(want)) != st {
+		if *fn.StateAt(want) != st {
 			t.Errorf("StateAt(%d) is not the interned state", want)
 		}
+	}
+	if fn.StateAt(0) != nil {
+		t.Error("StateAt(0) is not nil")
 	}
 }
 
 // cfiFixture is a one-block function with instructions at offsets 0, 4
 // and 8, and the FDE covering it that carries the given program.
 func cfiFixture(insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch) {
+	return cfiFixtureN(3, insts...)
+}
+
+// cfiFixtureN is cfiFixture with n four-byte instructions.
+func cfiFixtureN(n int, insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch) {
 	const addr = 0x1000
 	b := &BasicBlock{Addr: addr, IsEntry: true}
-	for off := uint64(0); off < 12; off += 4 {
-		b.Insts = append(b.Insts, Inst{I: isa.NewInst(isa.NOP), Size: 4, Off: uint32(off) + 1, CFIIdx: -1})
+	nop := isa.NewInst(isa.NOP)
+	nop.Size = 4
+	for off := uint64(0); off < uint64(4*n); off += 4 {
+		b.Insts = append(b.Insts, Inst{I: nop, Off: uint32(off) + 1})
 	}
-	fn := &BinaryFunction{Name: "f", Addr: addr, Size: 12, Simple: true, Blocks: []*BasicBlock{b}, codeBase: addr}
-	return &cfi.FDE{Start: addr, Len: 12, Insts: insts}, fn, &loaderScratch{}
+	size := uint64(4 * n)
+	fn := &BinaryFunction{Name: "f", Addr: addr, Size: size, Simple: true, Blocks: []*BasicBlock{b}, codeBase: addr}
+	return &cfi.FDE{Start: addr, Len: uint32(size), Insts: insts}, fn, &loaderScratch{}
+}
+
+// TestCFIStatesPastIndexNonSimple: Inst.CFIIdx is one-based and 16 bits
+// wide, and the replay interns at most one state more than the FDE has
+// rules, so a function whose FDE has MaxCFIStates rules is left
+// non-simple with a Reason naming the bound, never loaded with wrapped
+// indices. One rule fewer loads, its states interned once each (the
+// rules alternate between two CFA offsets).
+func TestCFIStatesPastIndexNonSimple(t *testing.T) {
+	for _, n := range []int{MaxCFIStates - 1, MaxCFIStates} {
+		// Instruction k+1 runs with CFA offset 16 or 24 after rule k.
+		rules := make([]cfi.PCInst, n)
+		for k := range rules {
+			rules[k] = cfi.PCInst{PC: 4 * uint32(k+1), Inst: cfi.Inst{Kind: cfi.OpDefCfaOffset, Off: int32(16 + 8*(k%2))}}
+		}
+		fde, fn, sc := cfiFixtureN(n+1, rules...)
+		attachCFI(fn, fde, sc)
+		insts := fn.Blocks[0].Insts
+		if n < MaxCFIStates {
+			if !fn.Simple || len(fn.cfiStates) != 3 || fn.StateAt(insts[n].CFIIdx).CfaOff != int32(16+8*((n-1)%2)) {
+				t.Errorf("%d rules: Simple=%t Reason=%q states=%d, want simple with three states",
+					n, fn.Simple, fn.Reason, len(fn.cfiStates))
+			}
+			continue
+		}
+		if fn.Simple || !strings.Contains(fn.Reason, "an instruction can index") || len(fn.cfiStates) != 0 || insts[0].CFIIdx != 0 {
+			t.Errorf("%d rules: Simple=%t Reason=%q states=%d, want non-simple past the index bound with no states",
+				n, fn.Simple, fn.Reason, len(fn.cfiStates))
+		}
+	}
 }
 
 // TestAttachCFIRememberWithNothingSaved: remember_state with no register
@@ -257,7 +300,7 @@ func TestAddressLookupBySearch(t *testing.T) {
 				if gb := fn.blockStarting(addr); (gb == blk) != (addr == blk.Addr) || (gb != nil && gb != blk) {
 					t.Errorf("%s: blockStarting(%#x) = %v in block %d starting at %#x", fn.Name, addr, gb, blk.Index, blk.Addr)
 				}
-				if in.Size > 1 {
+				if in.I.Size > 1 {
 					if gb, gi := fn.instAt(addr + 1); gb != nil || gi != nil {
 						t.Errorf("%s: instAt(%#x) resolved a mid-instruction address", fn.Name, addr+1)
 					}

@@ -107,8 +107,10 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		byAddr[sym.Value] = fn
 	}
 	sort.Slice(ctx.Funcs, func(i, j int) bool { return ctx.Funcs[i].Addr < ctx.Funcs[j].Addr })
+	ctx.entries = make([]uint64, len(ctx.Funcs))
 	for i, fn := range ctx.Funcs {
 		fn.ordIdx = i
+		ctx.entries[i] = fn.Addr
 	}
 	if len(ctx.Funcs) > 0 {
 		ctx.codeBase = ctx.Funcs[0].Addr
@@ -228,7 +230,7 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 	}
 	var inst isa.Inst
 	_, err = isa.Decode(&inst, data, sym.Value)
-	if err != nil || inst.Op != isa.JMPm || !inst.M.RIP {
+	if err != nil || inst.Op != isa.JMPm || !inst.M.IsRIP() {
 		return
 	}
 	raw, err := ctx.File.ReadAt(inst.TargetAddr(), 8)
@@ -246,7 +248,6 @@ func (ctx *BinaryContext) discoverPLTStub(sym elfx.Symbol) {
 // the ones that start a basic block.
 type rawInst struct {
 	inst   isa.Inst
-	size   uint8
 	leader bool
 	addr   uint64
 }
@@ -290,7 +291,6 @@ func (ctx *BinaryContext) disassemble(fn *BinaryFunction, sc *loaderScratch) err
 			sc.raw = raw[:len(raw)-1]
 			return fmt.Errorf("undecodable at +%#x: %w", off, err)
 		}
-		r.size = uint8(n)
 		off += uint64(n)
 	}
 	sc.raw = raw
@@ -414,7 +414,6 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 			cur = &blocks[nb]
 			cur.Index = nb
 			cur.Addr = r.addr
-			cur.CFIIn = -1
 			cur.Label = blockLabel(nb, &far)
 			fn.Blocks[nb] = cur
 			nb++
@@ -427,16 +426,10 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		// to build on the stack and copy in.
 		instSlab = instSlab[:len(instSlab)+1]
 		ci := &instSlab[len(instSlab)-1]
-		ci.I, ci.Size, ci.Off, ci.CFIIdx = r.inst, r.size, uint32(r.addr-ctx.codeBase)+1, -1
+		ci.I, ci.Off = r.inst, uint32(r.addr-ctx.codeBase)+1
 		if jt < len(sc.jts) && sc.jts[jt].at == i {
 			jt++
 			ci.tab = uint16(jt)
-		}
-		// Symbolize external direct targets.
-		if r.inst.Op == isa.CALL || (r.inst.IsDirectBranch() && !fn.contains(r.inst.TargetAddr())) {
-			if g := ctx.FuncByAddr(r.inst.TargetAddr()); g != nil {
-				ci.TargetSym = g.Ref()
-			}
 		}
 	}
 	seal()
@@ -478,7 +471,7 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 	findLea := func(reg isa.Reg, from int) (uint64, bool) {
 		for k := from; k >= 0 && k > from-8; k-- {
 			r := &raw[k].inst
-			if r.Op == isa.LEA && r.R1 == reg && r.M.RIP {
+			if r.Op == isa.LEA && r.R1 == reg && r.M.IsRIP() {
 				return r.TargetAddr(), true
 			}
 			if r.Defs().Has(reg) {
@@ -666,8 +659,17 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 // attachCFI replays the FDE over the original instruction order and
 // interns per-instruction unwind states, in the worker's scratch, into a
 // table it then copies into the function once. Save and restore rules
-// naming a register the state cannot track are skipped and counted.
+// naming a register the state cannot track are skipped and counted. The
+// replay interns at most one state more than the FDE has rules, so a
+// function with MaxCFIStates rules or more is left non-simple: its
+// states might not fit Inst.CFIIdx.
 func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
+	if len(fde.Insts) >= MaxCFIStates {
+		fn.Simple = false
+		fn.Reason = fmt.Sprintf("%d CFI rules may give more unwind states than the %d an instruction can index",
+			len(fde.Insts), MaxCFIStates)
+		return
+	}
 	st := cfi.InitialState()
 	var stack []cfi.State
 	k := 0
@@ -705,10 +707,10 @@ func attachCFI(fn *BinaryFunction, fde *cfi.FDE, sc *loaderScratch) {
 	}
 	// The state is interned once per change, not per instruction: idx
 	// stays valid until apply consumes another CFI instruction.
-	idx := int32(-1)
+	var idx uint16
 	sc.states = sc.states[:0]
-	at := func(off uint32) int32 {
-		if apply(off) || idx < 0 {
+	at := func(off uint32) uint16 {
+		if apply(off) || idx == 0 {
 			sc.states, idx = internState(sc.states, st)
 		}
 		return idx

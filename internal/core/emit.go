@@ -115,12 +115,13 @@ type emitScratch struct {
 	callSlab  slab[fragCallSite]
 	lineSlab  slab[obj.LineEntry]
 
+	ctx     *BinaryContext
 	fn      *BinaryFunction
 	lines   *dbg.Table
 	running cfi.State // unwind state in effect at the current position
-	// runningIdx is the interned state running was last set from, -1
-	// while it is still the initial state.
-	runningIdx int32
+	// runningIdx is the interned state (one-based) running was last set
+	// from, 0 while it is still the initial state.
+	runningIdx uint16
 	lastPos    srcPos // a line mark opens where the (file, line) pair changes
 
 	// lineOf's window of the line table, where the entries covering the
@@ -131,9 +132,9 @@ type emitScratch struct {
 	lineSrc            int32
 }
 
-// reset prepares the scratch for one fragment of fn with nBlocks label
-// slots, reusing every backing array that is big enough.
-func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) {
+// reset prepares the scratch for one fragment of ctx's function fn with
+// nBlocks label slots, reusing every backing array that is big enough.
+func (sc *emitScratch) reset(ctx *BinaryContext, fn *BinaryFunction, nBlocks int) {
 	sc.asm.Reset()
 	sc.labels = scratch.Zeroed(sc.labels, nBlocks)
 	for i := range sc.labels {
@@ -143,11 +144,11 @@ func (sc *emitScratch) reset(fn *BinaryFunction, lines *dbg.Table, nBlocks int) 
 	sc.csMarks = sc.csMarks[:0]
 	sc.lineMarks = sc.lineMarks[:0]
 	sc.anchorMarks = sc.anchorMarks[:0]
-	sc.fn, sc.lines = fn, lines
-	sc.running, sc.runningIdx = cfi.InitialState(), -1
+	sc.ctx, sc.fn, sc.lines = ctx, fn, ctx.LineTable
+	sc.running, sc.runningIdx = cfi.InitialState(), 0
 	sc.lastPos = srcPos{}
 	sc.lineSpan = 0
-	if lines != nil {
+	if lines := sc.lines; lines != nil {
 		e := lines.Entries
 		sc.lineLo = sort.Search(len(e), func(i int) bool { return e[i].Addr > fn.Addr })
 		sc.lineHi = sc.lineLo + sort.Search(len(e)-sc.lineLo, func(i int) bool { return e[sc.lineLo+i].Addr >= fn.Addr+fn.Size })
@@ -252,7 +253,7 @@ func (r FuncRef) symID() obj.SymID { return obj.FuncSym(int(r) - 1) }
 // emitFragment assembles blocks, in order, into fragment s of fn and
 // enters their offsets into the function's block-offset table.
 func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock, s int, blockOff []uint32, sc *emitScratch) (fragment, error) {
-	sc.reset(fn, ctx.LineTable, len(blockOff))
+	sc.reset(ctx, fn, len(blockOff))
 	a := &sc.asm
 	for _, b := range blocks {
 		sc.labels[b.Index] = a.NewLabel()
@@ -310,9 +311,10 @@ func (sc *emitScratch) anchor(inAddr uint64) {
 }
 
 // cfiDiff emits the CFI instructions that take the running unwind state
-// to the function's interned state idx. Consecutive instructions mostly
-// share a state, so the diff is paid per change of index.
-func (sc *emitScratch) cfiDiff(idx int32) {
+// to the function's interned state idx (one-based). Consecutive
+// instructions mostly share a state, so the diff is paid per change of
+// index.
+func (sc *emitScratch) cfiDiff(idx uint16) {
 	if idx == sc.runningIdx {
 		return
 	}
@@ -370,13 +372,13 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	if inst.Op != isa.NOP {
 		sc.anchor(sc.fn.InstAddr(in))
 	}
-	switch {
+	switch sym := sc.ctx.TargetSym(sc.fn, in); {
 	case inst.Op == isa.NOP:
 		// dropped
-	case inst.Op == isa.CMPri && in.TargetSym != NoFunc:
-		a.EmitRelocID(inst, relImmAbs32, in.TargetSym.symID(), 0)
-	case inst.Op == isa.CALL && in.TargetSym != NoFunc:
-		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
+	case inst.Op == isa.CMPri && sym != NoFunc:
+		a.EmitRelocID(inst, relImmAbs32, sym.symID(), 0)
+	case inst.Op == isa.CALL && sym != NoFunc:
+		a.EmitRelocID(inst, obj.RelPC32, sym.symID(), -4)
 	case inst.Op == isa.CALL:
 		a.EmitRelocID(inst, obj.RelPC32, obj.AbsSym(inst.TargetAddr()), -4)
 	case in.MemAddr() != 0:
@@ -404,12 +406,12 @@ func (sc *emitScratch) emitTail(b *BasicBlock, in *Inst, next *BasicBlock) error
 		return nil
 	}
 	sc.cfiDiff(in.CFIIdx)
-	switch {
-	case in.TargetSym != NoFunc:
+	switch sym := sc.ctx.TargetSym(fn, in); {
+	case sym != NoFunc:
 		// Tail call to another function; a conditional one, as compilers
 		// emit it, still needs its fall-through.
 		sc.anchor(sc.fn.InstAddr(in))
-		a.EmitRelocID(inst, obj.RelPC32, in.TargetSym.symID(), -4)
+		a.EmitRelocID(inst, obj.RelPC32, sym.symID(), -4)
 		if inst.Op == isa.JCC && len(b.Succs) == 1 && b.Succs[0].To != next {
 			sc.branchTo(isa.NewInst(isa.JMP), b.Succs[0].To)
 		}

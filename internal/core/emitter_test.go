@@ -177,7 +177,7 @@ func TestBATAnchorRule(t *testing.T) {
 	fn := &BinaryFunction{Name: "f", Addr: 0x1000, Size: 0x100}
 	const foreign = 0x5000
 	var sc emitScratch
-	sc.reset(fn, nil, 0)
+	sc.reset(&BinaryContext{}, fn, 0)
 	ret := isa.NewInst(isa.RET) // one byte: each Emit advances the offset by 1
 	for _, step := range [][]uint64{
 		{0x1000},          // offset 0: native

@@ -14,17 +14,18 @@ import (
 
 // TestInstLayout holds the instruction IR to its budget: the slabs of
 // Inst are the largest allocation of a run and every phase walks them, so
-// Inst is 32 bytes, half a cache line (one table index serves the jump
-// table of an indirect jump and the landing pad of a call, and the source
-// line is read from the origin, not stored), and isa.Inst 16 with 1-byte
-// alignment (an unaligned word for the immediate, target or
-// displacement, the memory operand, four one-byte fields), both free of
-// anything the collector would have to scan. A BasicBlock stays within 96
-// bytes: it stores its successors and nothing derived from them. The
-// loader's per-instruction decode entry, rawInst, is 32 bytes.
+// Inst is 24 bytes (one table index serves the jump table of an indirect
+// jump and the landing pad of a call, the CFI state index is 16 bits, and
+// the call target and source line are read from the word and the origin,
+// not stored), and isa.Inst 16 with 1-byte alignment (an unaligned word
+// for the immediate, target or displacement, the memory operand with RIP
+// as a base, five one-byte fields, the decoded length among them), both
+// free of anything the collector would have to scan. A BasicBlock stays
+// within 96 bytes: it stores its successors and nothing derived from
+// them. The loader's per-instruction decode entry, rawInst, is 32 bytes.
 func TestInstLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Inst{}); n != 32 {
-		t.Errorf("sizeof(core.Inst) = %d, want 32", n)
+	if n := unsafe.Sizeof(Inst{}); n != 24 {
+		t.Errorf("sizeof(core.Inst) = %d, want 24", n)
 	}
 	if n, a := unsafe.Sizeof(isa.Inst{}), unsafe.Alignof(isa.Inst{}); n != 16 || a != 1 {
 		t.Errorf("sizeof(isa.Inst) = %d aligned to %d, want 16 aligned to 1", n, a)

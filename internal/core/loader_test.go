@@ -140,18 +140,18 @@ func loaderShapes(ctx *BinaryContext) []string {
 				succs[k] = e.To.Index
 			}
 			buf = fmt.Appendf(buf, " b%d +%#x cfi=%d entry=%t lp=%t succs=%v preds=%v lps=%v\n",
-				b.Index, b.Addr-fn.Addr, b.CFIIn, b.IsEntry, b.IsLP, succs, preds[b.Index], lps[b.Index])
+				b.Index, b.Addr-fn.Addr, int(b.CFIIn)-1, b.IsEntry, b.IsLP, succs, preds[b.Index], lps[b.Index])
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.Size, in.I.Op, in.CFIIdx, fn.lineEntry(in))
+				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.I.Size, in.I.Op, int(in.CFIIdx)-1, fn.lineEntry(in))
 				if in.JT() != 0 {
 					buf = fmt.Appendf(buf, " jt=%d", in.JT())
 				}
 				if lpb, action := fn.LandingPad(in); lpb != nil {
 					buf = fmt.Appendf(buf, " lp=b%d/%d", lpb.Index, action)
 				}
-				if in.TargetSym != NoFunc {
-					buf = fmt.Appendf(buf, " sym=%d", in.TargetSym)
+				if sym := ctx.TargetSym(fn, in); sym != NoFunc {
+					buf = fmt.Appendf(buf, " sym=%d", sym)
 				}
 				if mem := in.MemAddr(); mem != 0 {
 					buf = fmt.Appendf(buf, " mem=%#x", mem)

@@ -61,19 +61,19 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 			fmt.Fprintf(w, "  Cold\n")
 		}
 		fmt.Fprintf(w, "  Exec Count : %d\n", b.ExecCount)
-		if b.CFIIn >= 0 {
-			fmt.Fprintf(w, "  CFI State : %d\n", b.CFIIn)
+		if b.CFIIn != 0 {
+			fmt.Fprintf(w, "  CFI State : %d\n", b.CFIIn-1)
 		}
 		if names := preds[b.Index]; len(names) > 0 {
 			sort.Strings(names)
 			fmt.Fprintf(w, "  Predecessors: %s\n", strings.Join(dedup(names), ", "))
 		}
 		var lps []*BasicBlock // the block's landing pads, in call order
-		lastCFI := int32(-1)
+		var lastCFI uint16
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			if in.CFIIdx >= 0 && in.CFIIdx != lastCFI && lastCFI >= 0 {
-				fmt.Fprintf(w, "    %08x: !CFI state %d\n", fn.InstAddr(in)-fn.Addr, in.CFIIdx)
+			if in.CFIIdx != 0 && in.CFIIdx != lastCFI && lastCFI != 0 {
+				fmt.Fprintf(w, "    %08x: !CFI state %d\n", fn.InstAddr(in)-fn.Addr, in.CFIIdx-1)
 			}
 			lastCFI = in.CFIIdx
 			line := fmt.Sprintf("    %08x: %s", fn.InstAddr(in)-fn.Addr, in.I.Format(fn.origin(in), name))
@@ -84,8 +84,8 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 					lps = append(lps, lp)
 				}
 			}
-			if in.TargetSym != NoFunc && in.IsCall() {
-				notes = append(notes, ctx.Func(in.TargetSym).Name)
+			if sym := ctx.TargetSym(fn, in); sym != NoFunc && in.IsCall() {
+				notes = append(notes, ctx.Func(sym).Name)
 			}
 			if file, line := fn.SourceLine(in); file != "" {
 				notes = append(notes, fmt.Sprintf("%s:%d", file, line))

@@ -430,19 +430,29 @@ func (s *Solver) index(v int) {
 // the adjacency order is insertion order and SPFA relaxes strictly, so
 // tied shortest paths always resolve the same way. prevArc holds csr
 // positions.
+//
+// Successive shortest paths never get shorter, so once dst's label
+// equals the previous path's length no later relaxation can lower it or
+// any label on its prevArc chain (a lower one would make a path shorter
+// than the previous), and strict relaxation never replaces an equal
+// label: the chain is the one a full scan ends with, and the scan stops
+// there.
 func (s *Solver) run(src, dst int) int64 {
 	dist, prevArc, inQueue, queue := s.dist, s.prevArc, s.inQueue, s.queue
 	csr, rev := s.csr, s.rev
 	n := len(dist)
 	var totalFlow int64
+	last := inf // no label reaches inf: the first scan runs to the end
 	for {
 		for i := range dist {
 			dist[i] = inf
 			prevArc[i] = -1
+			inQueue[i] = false // a stopped scan leaves nodes queued
 		}
 		dist[src] = 0
 		queue[0] = int32(src)
 		inQueue[src] = true
+	scan:
 		for head, tail, queued := 0, 1, 1; queued > 0; queued-- {
 			u := queue[head]
 			if head++; head == n {
@@ -458,6 +468,9 @@ func (s *Solver) run(src, dst int) int64 {
 				if nd := du + int64(a.cost); nd < dist[a.to] {
 					dist[a.to] = nd
 					prevArc[a.to] = p
+					if nd == last && int(a.to) == dst {
+						break scan
+					}
 					if !inQueue[a.to] {
 						inQueue[a.to] = true
 						if tail == n {
@@ -473,6 +486,7 @@ func (s *Solver) run(src, dst int) int64 {
 		if prevArc[dst] < 0 {
 			return totalFlow
 		}
+		last = dist[dst]
 		push := inf
 		for v := int32(dst); v != int32(src); {
 			p := prevArc[v]

@@ -22,11 +22,18 @@ func (e *DecodeError) Error() string {
 const MaxInstLen = 15
 
 // Decode decodes the instruction at the start of code, at address pc,
-// into *dst and returns its encoded length. Direct branch targets and
-// RIP-relative memory operands are resolved to absolute addresses in
-// TargetAddr. On error *dst is NewInst(INVALID) and the length 0; only
-// an error allocates.
+// into *dst and returns its encoded length, which it also stores in
+// dst.Size. Direct branch targets and RIP-relative memory operands are
+// resolved to absolute addresses in TargetAddr. On error *dst is
+// NewInst(INVALID) and the length 0; only an error allocates.
 func Decode(dst *Inst, code []byte, pc uint64) (int, error) {
+	n, err := decode(dst, code, pc)
+	dst.Size = uint8(n)
+	return n, err
+}
+
+// decode is Decode but for dst.Size.
+func decode(dst *Inst, code []byte, pc uint64) (int, error) {
 	*dst = NewInst(INVALID)
 	if len(code) == 0 {
 		return 0, &DecodeError{PC: pc, Msg: "empty"}
@@ -305,7 +312,7 @@ func fail(code []byte, pc uint64, msg string) (int, error) {
 // operand: pc+end.
 func (dst *Inst) setMem(m Mem, disp int32, pc uint64, end int) {
 	dst.M = m
-	if m.RIP {
+	if m.IsRIP() {
 		dst.SetTargetAddr(pc + uint64(end) + uint64(int64(disp)))
 	} else {
 		dst.SetDisp(disp)
@@ -338,7 +345,7 @@ func modRM(code []byte, p int, rex byte) (reg Reg, rm Reg, m Mem, disp int32, q 
 		if p+4 > len(code) {
 			return 0, NoReg, Mem{}, 0, -1
 		}
-		m.RIP = true
+		m.Base = RIP
 		return reg, NoReg, m, int32(binary.LittleEndian.Uint32(code[p:])), p + 4
 	}
 	if rmBits == 4 {

@@ -23,7 +23,7 @@ func needsSIB(m Mem) bool {
 // a register field `reg` and memory operand m with displacement disp,
 // which for a RIP-relative operand counts from the instruction end.
 func appendModRM(buf []byte, reg byte, m Mem, disp int64) []byte {
-	if m.RIP {
+	if m.IsRIP() {
 		buf = append(buf, reg<<3|0x05) // mod=00 rm=101 -> RIP+disp32
 		return binary.LittleEndian.AppendUint32(buf, uint32(disp))
 	}
@@ -71,7 +71,7 @@ func appendModRM(buf []byte, reg byte, m Mem, disp int64) []byte {
 // modRMLen returns the byte length of ModRM+SIB+disp for operand m with
 // displacement disp.
 func modRMLen(m Mem, disp int64) int {
-	if m.RIP {
+	if m.IsRIP() {
 		return 5
 	}
 	n := 1
@@ -94,7 +94,7 @@ func memRex(m Mem) (x, b byte) {
 	if m.Index != NoReg {
 		x = m.Index.hi()
 	}
-	if m.Base != NoReg && !m.RIP {
+	if m.Base != NoReg && !m.IsRIP() {
 		b = m.Base.hi()
 	}
 	return
@@ -204,7 +204,7 @@ func AppendNop(buf []byte, n int) []byte {
 // pc: a RIP-relative address becomes a displacement from the end of the
 // instruction.
 func (i *Inst) memDisp(pc uint64) (int64, error) {
-	if !i.M.RIP {
+	if !i.M.IsRIP() {
 		if d := i.Disp(); imm32OK(d) {
 			return d, nil
 		}

@@ -64,15 +64,18 @@ const (
 	numOps
 )
 
-// Mem is a memory operand: [Base + Index*Scale + disp] or [RIP + disp].
-// Its displacement is not stored here but in the instruction's word (see
-// Inst), so the operand is four bytes with no alignment.
+// Mem is a memory operand: [Base + Index*Scale + disp] or, with Base
+// RIP, [RIP + disp]. Its displacement is not stored here but in the
+// instruction's word (see Inst), so the operand is three bytes with no
+// alignment.
 type Mem struct {
-	Base  Reg
+	Base  Reg // RIP for a RIP-relative operand, whose Index is NoReg
 	Index Reg
 	Scale uint8 // 1, 2, 4, or 8; meaningful only when Index != NoReg
-	RIP   bool  // RIP-relative; Base and Index must be NoReg
 }
+
+// IsRIP reports whether m is RIP-relative.
+func (m Mem) IsRIP() bool { return m.Base == RIP }
 
 // Inst is one machine instruction. Its one wide operand lives in a
 // single word: the immediate (or NOP length) of an immediate form
@@ -93,6 +96,12 @@ type Inst struct {
 	R1 Reg // destination / primary operand
 	R2 Reg // source
 	Cc Cond
+
+	// Size is the length Decode read the instruction from, 0 for one
+	// built by hand. It is not part of what the instruction is: the
+	// encoder picks its own form, and no comparison of instructions may
+	// read it.
+	Size uint8
 }
 
 // NewInst returns an instruction of op with no register operands.

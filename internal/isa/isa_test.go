@@ -50,7 +50,7 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst {
 			i := mk(MOVrm)
 			i.R1 = RDX
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.M = Mem{Base: RIP, Index: NoReg}
 			i.SetTargetAddr(0x400000 + 0x100)
 			return i
 		}(),
@@ -69,7 +69,7 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst {
 			i := mk(LEA)
 			i.R1 = R10
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.M = Mem{Base: RIP, Index: NoReg}
 			i.SetTargetAddr(0x400000 - 64)
 			return i
 		}(),
@@ -90,7 +90,7 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst { i := mk(JMPr); i.R1 = R11; return i }(),
 		func() Inst {
 			i := mk(JMPm)
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.M = Mem{Base: RIP, Index: NoReg}
 			i.SetTargetAddr(0x400000 + 0x2000)
 			return i
 		}(),
@@ -102,7 +102,7 @@ func TestEncodeDecodeFixed(t *testing.T) {
 		func() Inst { i := mk(CALLr); i.R1 = RDX; return i }(),
 		func() Inst {
 			i := mk(CALLm)
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.M = Mem{Base: RIP, Index: NoReg}
 			i.SetTargetAddr(0x400000 + 0x40)
 			return i
 		}(),
@@ -264,7 +264,7 @@ func randInst(r *rand.Rand) Inst {
 	randMem := func(i *Inst) {
 		switch r.Intn(3) {
 		case 0:
-			i.M = Mem{Base: NoReg, Index: NoReg, RIP: true}
+			i.M = Mem{Base: RIP, Index: NoReg}
 			i.SetTargetAddr(uint64(0x401000 + r.Intn(1<<20) - 1<<19))
 		case 1:
 			i.M = Mem{Base: anyReg(), Index: NoReg, Scale: 1}

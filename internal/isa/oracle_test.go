@@ -8,16 +8,24 @@ import (
 
 // matchRef decodes code at pc with Decode, into an instruction that
 // holds garbage beforehand, and with refDecode, and fails tb unless the
-// two give the same instruction, length and error.
+// two give the same instruction, length and error, and Decode's Size is
+// the length.
 func matchRef(tb testing.TB, code []byte, pc uint64) (Inst, int, error) {
 	tb.Helper()
-	got := Inst{arg: [8]byte{0xef, 0xbe, 0xad, 0xde}, M: Mem{Base: R9, Index: R10, Scale: 8, RIP: true}, Op: numOps, R1: R11, R2: R12, Cc: CondG}
+	got := Inst{arg: [8]byte{0xef, 0xbe, 0xad, 0xde}, M: Mem{Base: R9, Index: R10, Scale: 8}, Op: numOps, R1: R11, R2: R12, Cc: CondG, Size: 99}
 	n, err := Decode(&got, code, pc)
 	want, wn, werr := refDecode(code, pc)
-	if got != want || n != wn || !reflect.DeepEqual(err, werr) {
+	if !sameInst(got, want) || int(got.Size) != n || n != wn || !reflect.DeepEqual(err, werr) {
 		tb.Fatalf("decode % x at %#x: got %+v, %d, %v; reference %+v, %d, %v", code, pc, got, n, err, want, wn, werr)
 	}
 	return got, n, err
+}
+
+// sameInst reports whether a and b are the same instruction, whatever
+// lengths they were decoded from.
+func sameInst(a, b Inst) bool {
+	a.Size, b.Size = 0, 0
+	return a == b
 }
 
 // MatchRef is matchRef for the external tests, which decode the
@@ -95,7 +103,7 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 			if !need(4) {
 				return 0, false, 0, Mem{}, false
 			}
-			m.RIP = true
+			m.Base = RIP
 			disp = int32(binary.LittleEndian.Uint32(code[p:]))
 			p += 4
 			return reg, false, 0, m, true
@@ -172,7 +180,7 @@ func refDecode(code []byte, pc uint64) (Inst, int, error) {
 	// the instruction's end.
 	setMem := func(m Mem) {
 		inst.M = m
-		if m.RIP {
+		if m.IsRIP() {
 			inst.SetTargetAddr(pc + uint64(p) + uint64(int64(disp)))
 		} else {
 			inst.SetDisp(disp)

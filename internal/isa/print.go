@@ -8,7 +8,7 @@ import (
 // FormatMem renders memory operand m with displacement disp in AT&T
 // syntax.
 func FormatMem(m Mem, disp int64) string {
-	if m.RIP {
+	if m.IsRIP() {
 		return fmt.Sprintf("%#x(%%rip)", disp)
 	}
 	var sb strings.Builder
@@ -44,7 +44,7 @@ func (i *Inst) Format(pc uint64, symName func(uint64) string) string {
 		return fmt.Sprintf("%#x", i.TargetAddr())
 	}
 	disp := i.Disp()
-	if i.M.RIP {
+	if i.M.IsRIP() {
 		disp = int64(i.TargetAddr()) - int64(pc) - int64(InstLen(i, true))
 	}
 	m := i.Mnemonic()

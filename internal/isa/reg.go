@@ -31,6 +31,9 @@ const (
 	R13
 	R14
 	R15
+	// RIP is the base of a RIP-relative memory operand (Mem.IsRIP); it
+	// names no general-purpose register.
+	RIP Reg = 0xFE
 	// NoReg marks an absent register operand (e.g. no index register).
 	NoReg Reg = 0xFF
 )
@@ -45,8 +48,11 @@ var regNames = [NumRegs]string{
 
 // String returns the AT&T-style name without the % sigil.
 func (r Reg) String() string {
-	if r < NumRegs {
+	switch {
+	case r < NumRegs:
 		return regNames[r]
+	case r == RIP:
+		return "rip"
 	}
 	return "noreg"
 }
@@ -138,9 +144,6 @@ func RegMask(r Reg) RegSet {
 
 // Add returns s with r added.
 func (s RegSet) Add(r Reg) RegSet { return s | RegMask(r) }
-
-// Remove returns s with r removed.
-func (s RegSet) Remove(r Reg) RegSet { return s &^ RegMask(r) }
 
 // Has reports whether r is in s.
 func (s RegSet) Has(r Reg) bool { return s&RegMask(r) != 0 }

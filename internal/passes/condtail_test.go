@@ -66,10 +66,10 @@ func TestConditionalTailCallRoundTrip(t *testing.T) {
 	// shape a compiler emits for a conditional tail call.
 	entry, tail := fn.Blocks[0], fn.Blocks[0].Succs[0].To
 	jcc := entry.LastInst()
-	if jcc == nil || jcc.I.Op != isa.JCC || len(tail.Insts) != 1 || tail.Insts[0].TargetSym != ctx.ByName["target"].Ref() {
+	if jcc == nil || jcc.I.Op != isa.JCC || len(tail.Insts) != 1 || ctx.TargetSym(fn, &tail.Insts[0]) != ctx.ByName["target"].Ref() {
 		t.Fatalf("cond is not `jcc stub; ...; stub: jmp target`")
 	}
-	jcc.TargetSym = tail.Insts[0].TargetSym
+	jcc.I.SetTargetAddr(tail.Insts[0].I.TargetAddr())
 	entry.Succs = entry.Succs[1:]
 	fn.Blocks = slices.DeleteFunc(fn.Blocks, func(b *core.BasicBlock) bool { return b == tail })
 	for i, b := range fn.Blocks {

@@ -74,7 +74,7 @@ func TestCopiedInstKeepsLine(t *testing.T) {
 		for k := range b.Insts {
 			in := &b.Insts[k]
 			switch {
-			case in.I.Op == isa.CMPri && in.TargetSym != core.NoFunc,
+			case in.I.Op == isa.CMPri && ctx.TargetSym(worker, in) != core.NoFunc,
 				in.IsCall() && (strings.HasSuffix(b.Label, ".icp_d") || strings.HasSuffix(b.Label, ".icp_i")):
 				icp++
 				if got := lineOf(worker, in); got != siteLine {

@@ -144,6 +144,11 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	if entry.ExecCount == 0 || home.ExecCount*20 > entry.ExecCount {
 		return
 	}
+	// The CFI surgery below may intern a saved and a restored variant of
+	// every state the function has.
+	if 3*fn.CFIStates() > core.MaxCFIStates {
+		return
+	}
 
 	// Compute the old save offset (CFA-relative) for CFI surgery.
 	saveOff := int32(-24 - 8*int32(nPush-1))
@@ -176,7 +181,7 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	// (after the push) it stays saved at the same CFA offset.
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
-			if b.Insts[i].CFIIdx < 0 {
+			if b.Insts[i].CFIIdx == 0 {
 				continue
 			}
 			st := *fn.StateAt(b.Insts[i].CFIIdx)

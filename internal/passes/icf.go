@@ -36,7 +36,7 @@ func (ICFHash) Name() string { return "icf-hash" }
 // RunOnFunction implements core.FunctionPass.
 func (ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	if icfEligible(fn) {
-		fc.Scratch = appendICFBody(fc.Scratch[:0], fn)
+		fc.Scratch = appendICFBody(fc.Scratch[:0], fc.BinaryContext, fn)
 		fn.ICFDigest = icfDigest(fc.Scratch) | 1 // 0 means none
 		fc.CountStat(core.StatICFHashed, 1)
 	}
@@ -80,7 +80,7 @@ func (ICF) Run(ctx *core.BinaryContext) error {
 		d := fn.ICFDigest
 		fn.ICFDigest, body = 0, body[:0]
 		if d == 0 {
-			body = appendICFBody(body, fn)
+			body = appendICFBody(body, ctx, fn)
 			d = icfDigest(body) | 1
 		}
 		var twin *core.BinaryFunction
@@ -91,9 +91,9 @@ func (ICF) Run(ctx *core.BinaryContext) error {
 				break
 			}
 			if len(body) == 0 {
-				body = appendICFBody(body, fn)
+				body = appendICFBody(body, ctx, fn)
 			}
-			if other = appendICFBody(other[:0], cand); bytes.Equal(body, other) {
+			if other = appendICFBody(other[:0], ctx, cand); bytes.Equal(body, other) {
 				twin = cand
 			}
 		}
@@ -135,7 +135,7 @@ var (
 // and an optional jump-table part ('T', or 'P' for a PIC table); a zero byte and
 // the length-prefixed successor list close the block. The bytes parse one
 // way only, so two bodies are equal iff their encodings are.
-func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
+func appendICFBody(buf []byte, ctx *core.BinaryContext, fn *core.BinaryFunction) []byte {
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
@@ -161,7 +161,7 @@ func appendICFBody(buf []byte, fn *core.BinaryFunction) []byte {
 			buf = append(buf, 'I', byte(in.I.Op), byte(in.I.R1), byte(in.I.R2), byte(in.I.Cc), kind)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(imm))
 			buf = binary.LittleEndian.AppendUint64(buf, mem)
-			buf = binary.AppendUvarint(buf, uint64(in.TargetSym))
+			buf = binary.AppendUvarint(buf, uint64(ctx.TargetSym(fn, in)))
 			if jt := fn.JumpTable(in); jt != nil {
 				tag := byte('T')
 				if jt.PIC {

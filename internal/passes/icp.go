@@ -208,12 +208,14 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	cont.ExecCount = b.ExecCount
 
 	// Direct path: the call's annotations, its landing pad among them, on
-	// a direct call to the hot target.
+	// a direct call to the hot target. It keeps the indirect call's Size,
+	// which block layout reads as its length.
 	insts[i+2] = *call
 	dc := &insts[i+2]
 	dc.I = isa.NewInst(isa.CALL)
+	dc.I.SetTargetAddr(hot.Addr)
+	dc.I.Size = call.I.Size
 	dc.MarkCopied()
-	dc.TargetSym = hot.Ref()
 	direct.Insts = insts[i+2 : i+3 : i+3]
 	e[2] = core.Edge{To: cont, Count: hotCount}
 	direct.Succs = e[2:3:3]
@@ -232,8 +234,7 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 	cmp.Off, cmp.CFIIdx = call.Off, call.CFIIdx
 	cmp.I = isa.NewInst(isa.CMPri)
 	cmp.I.R1 = reg
-	cmp.I.SetImm(1 << 30) // placeholder; patched via TargetSym at emission
-	cmp.TargetSym = hot.Ref()
+	cmp.SetImmFunc(hot)
 	jcc := &insts[i+1]
 	jcc.CFIIdx = call.CFIIdx
 	jcc.I = isa.NewInst(isa.JCC)

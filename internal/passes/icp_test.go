@@ -51,7 +51,7 @@ func TestICPTieGoesToLesserName(t *testing.T) {
 		promoted := ""
 		for _, b := range worker.Blocks {
 			if strings.HasSuffix(b.Label, ".icp_d") {
-				promoted = ctx.Func(b.Insts[0].TargetSym).Name
+				promoted = ctx.Func(ctx.TargetSym(worker, &b.Insts[0])).Name
 			}
 		}
 		if promoted != tc.want {

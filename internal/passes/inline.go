@@ -47,11 +47,11 @@ func (InlineScan) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 // when the call is one inlining may replace: direct, outside any try
 // range, and not recursive. Otherwise nil.
 func inlineCallee(ctx *core.BinaryContext, fn *core.BinaryFunction, in *core.Inst) *core.BinaryFunction {
-	if in.I.Op != isa.CALL || in.TargetSym == core.NoFunc || in.LP() != 0 {
+	if in.I.Op != isa.CALL || in.LP() != 0 {
 		return nil
 	}
-	callee := ctx.Func(in.TargetSym)
-	if callee == fn {
+	callee := ctx.Func(ctx.TargetSym(fn, in))
+	if callee == nil || callee == fn {
 		return nil
 	}
 	for callee.FoldedInto != nil {

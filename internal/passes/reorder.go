@@ -67,8 +67,8 @@ func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm
 		g.Weight[i] = b.ExecCount
 		size := 0
 		for k := range b.Insts {
-			size += int(b.Insts[k].Size)
-			if b.Insts[k].Size == 0 {
+			size += int(b.Insts[k].I.Size)
+			if b.Insts[k].I.Size == 0 {
 				size += isa.InstLen(&b.Insts[k].I, true)
 			}
 		}
@@ -150,9 +150,10 @@ func (ReorderFunctions) Run(ctx *core.BinaryContext) error {
 					continue
 				}
 				for i := range b.Insts {
-					in := &b.Insts[i]
-					if in.I.Op == isa.CALL && in.TargetSym != core.NoFunc {
-						calls = append(calls, core.CallEdge{Caller: fn.Ref(), Callee: in.TargetSym, Count: b.ExecCount})
+					if in := &b.Insts[i]; in.I.Op == isa.CALL {
+						if callee := ctx.TargetSym(fn, in); callee != core.NoFunc {
+							calls = append(calls, core.CallEdge{Caller: fn.Ref(), Callee: callee, Count: b.ExecCount})
+						}
 					}
 				}
 			}

@@ -169,15 +169,15 @@ func (PLTPass) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			if in.I.Op != isa.CALL || in.TargetSym != core.NoFunc {
+			if in.I.Op != isa.CALL {
 				continue
 			}
 			target, ok := fc.PLTStubs[in.I.TargetAddr()]
 			if !ok {
 				continue
 			}
-			if g := fc.FuncByAddr(target); g != nil {
-				in.TargetSym = g.Ref()
+			if fc.FuncByAddr(target) != nil {
+				in.I.SetTargetAddr(target)
 				fc.CountStat(core.StatPLTCalls, 1)
 			}
 		}

@@ -213,10 +213,11 @@ func inlineChain(t *testing.T, aFirst bool) *core.BinaryContext {
 // listing renders a function's instructions, calls by callee name.
 func listing(ctx *core.BinaryContext, name string) []string {
 	var out []string
-	for _, b := range ctx.ByName[name].Blocks {
+	fn := ctx.ByName[name]
+	for _, b := range fn.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			if callee := ctx.Func(in.TargetSym); callee != nil {
+			if callee := ctx.Func(ctx.TargetSym(fn, in)); callee != nil {
 				out = append(out, "call "+callee.Name)
 			} else {
 				out = append(out, in.I.String())

@@ -10,7 +10,7 @@ import (
 // RIP-relative one holds its address already.
 func (m *Machine) effAddr(in *isa.Inst) uint64 {
 	mem := &in.M
-	if mem.RIP {
+	if mem.IsRIP() {
 		return in.TargetAddr()
 	}
 	addr := uint64(in.Disp())
