@@ -36,7 +36,7 @@ type item struct {
 	target Label // kindBranch
 	// kindReloc
 	relType uint32
-	sym     string
+	name    int32 // Assembler.names[name-1] is the symbol's name; 0 = none
 	symID   obj.SymID
 	addend  int64
 	// kindAlign
@@ -49,7 +49,10 @@ type item struct {
 
 // Assembler accumulates instructions and produces machine code.
 type Assembler struct {
+	// items holds no pointer — EmitReloc's names live in names — so
+	// appending one costs no GC write barrier while a collection marks.
 	items     []item
+	names     []string
 	labels    []int    // label -> item index (position *before* that item)
 	labelOffs []uint32 // Layout's reusable label-offset scratch
 	base      uint64   // the address Layout laid the stream out at
@@ -66,6 +69,8 @@ func New() *Assembler { return &Assembler{} }
 func (a *Assembler) Reset() {
 	a.items = a.items[:0]
 	a.labels = a.labels[:0]
+	clear(a.names)
+	a.names = a.names[:0]
 }
 
 // NewLabel allocates an unbound label.
@@ -95,7 +100,8 @@ func (a *Assembler) EmitBranch(i isa.Inst, target Label) {
 // relocation is recorded at (instruction end - 4) with the given
 // type/sym/addend.
 func (a *Assembler) EmitReloc(i isa.Inst, relType uint32, sym string, addend int64) {
-	a.items = append(a.items, item{kind: kindReloc, inst: i, relType: relType, sym: sym, addend: addend})
+	a.names = append(a.names, sym)
+	a.items = append(a.items, item{kind: kindReloc, inst: i, relType: relType, name: int32(len(a.names)), addend: addend})
 }
 
 // EmitRelocID is EmitReloc with a packed numeric symbol instead of a
@@ -103,6 +109,14 @@ func (a *Assembler) EmitReloc(i isa.Inst, relType uint32, sym string, addend int
 // emission path free of per-relocation string building.
 func (a *Assembler) EmitRelocID(i isa.Inst, relType uint32, symID obj.SymID, addend int64) {
 	a.items = append(a.items, item{kind: kindReloc, inst: i, relType: relType, symID: symID, addend: addend})
+}
+
+// symName returns the name a relocation item refers to, "" for none.
+func (a *Assembler) symName(name int32) string {
+	if name == 0 {
+		return ""
+	}
+	return a.names[name-1]
 }
 
 // Align pads with NOPs to the given power-of-two boundary.
@@ -139,7 +153,10 @@ func (a *Assembler) Layout(base uint64) (Size, error) {
 		return Size{}, nil
 	}
 
-	computeLayout := func() {
+	// computeLayout assigns offsets. Only an alignment pad depends on
+	// them, so the first round sizes every instruction and later rounds
+	// reuse those sizes; a branch widened since is resized where it widens.
+	computeLayout := func(sized bool) {
 		off := uint32(0)
 		for idx := range a.items {
 			it := &a.items[idx]
@@ -148,9 +165,13 @@ func (a *Assembler) Layout(base uint64) (Size, error) {
 			case kindInst, kindReloc:
 				// Non-label-relative instructions always use their long
 				// form (fixed size regardless of final addresses).
-				it.size = uint32(isa.InstLen(&it.inst, true))
+				if !sized {
+					it.size = uint32(isa.InstLen(&it.inst, true))
+				}
 			case kindBranch:
-				it.size = uint32(isa.InstLen(&it.inst, it.long))
+				if !sized {
+					it.size = uint32(isa.InstLen(&it.inst, it.long))
+				}
 			case kindAlign:
 				pad := uint32(0)
 				if it.align > 1 {
@@ -183,7 +204,7 @@ func (a *Assembler) Layout(base uint64) (Size, error) {
 		if iter > len(a.items)+8 {
 			return Size{}, fmt.Errorf("asmx: relaxation did not converge")
 		}
-		computeLayout()
+		computeLayout(iter > 0)
 		widened := false
 		for idx := range a.items {
 			it := &a.items[idx]
@@ -197,6 +218,7 @@ func (a *Assembler) Layout(base uint64) (Size, error) {
 			rel := targetOff - int64(it.off) - int64(it.size)
 			if rel < -128 || rel > 127 {
 				it.long = true
+				it.size = uint32(isa.InstLen(&it.inst, true))
 				widened = true
 			}
 		}
@@ -252,7 +274,7 @@ func (a *Assembler) Finish(code []byte, relocs []obj.Reloc) (Result, error) {
 				relocs = append(relocs, obj.Reloc{
 					Off:    uint32(len(code) - start - 4),
 					Type:   it.relType,
-					Sym:    it.sym,
+					Sym:    a.symName(it.name),
 					SymID:  it.symID,
 					Addend: it.addend,
 				})

@@ -1,6 +1,7 @@
 package asmx
 
 import (
+	"reflect"
 	"testing"
 
 	"gobolt/internal/isa"
@@ -143,6 +144,42 @@ func TestRelocPlacement(t *testing.T) {
 	if res.Relocs[1].Off != 8 || res.Relocs[1].Sym != "table" {
 		t.Errorf("lea reloc wrong: %+v", res.Relocs[1])
 	}
+}
+
+// TestRelocNamesSurviveReset: a named relocation keeps its name next to
+// numbered ones and across a Reset, and the stream's items stay free of
+// pointers, so the emitter's appends cost no GC write barrier.
+func TestRelocNamesSurviveReset(t *testing.T) {
+	a := New()
+	for round, want := range []string{"first", "second"} {
+		a.Reset()
+		a.EmitRelocID(isa.NewInst(isa.CALL), obj.RelPC32, obj.FuncSym(7), -4)
+		a.EmitReloc(isa.NewInst(isa.CALL), obj.RelPC32, want, -4)
+		res, err := finish(a, 0x400000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Relocs) != 2 || res.Relocs[0].Sym != "" || res.Relocs[0].SymID != obj.FuncSym(7) || res.Relocs[1].Sym != want {
+			t.Errorf("round %d: relocs %+v, want FuncSym(7) then %q", round, res.Relocs, want)
+		}
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s is a %s: item must stay pointer-free", path, ty.Kind())
+		}
+	}
+	walk("item", reflect.TypeOf(item{}))
 }
 
 func TestUnboundLabel(t *testing.T) {

@@ -139,10 +139,18 @@ type Anchors struct {
 
 // Add appends e, which must not lie before the last entry added.
 func (a *Anchors) Add(e Entry) {
-	a.Wire = binary.AppendUvarint(a.Wire, uint64(e.OutOff)-uint64(a.last.OutOff))
-	a.Wire = appendZigzag(a.Wire, int64(e.InOff)-int64(a.last.InOff))
+	a.Wire = AppendEntry(a.Wire, a.last, e)
 	a.N++
 	a.last = e
+}
+
+// AppendEntry appends e in wire form to w, the wire bytes of a range
+// whose previous entry is last (the zero Entry before the first). A hot
+// loop that keeps w in a local variable stores no slice header per entry,
+// and so pays no GC write barrier for it while a collection marks.
+func AppendEntry(w []byte, last, e Entry) []byte {
+	w = binary.AppendUvarint(w, uint64(e.OutOff)-uint64(last.OutOff))
+	return appendZigzag(w, int64(e.InOff)-int64(last.InOff))
 }
 
 // Reset empties a, keeping Wire's buffer.

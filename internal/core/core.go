@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -610,9 +611,8 @@ type BinaryContext struct {
 
 	Funcs  []*BinaryFunction
 	ByName map[string]*BinaryFunction
-	// entries holds the entry address of each function of Funcs, in the
-	// same order, for FuncByAddr's search.
-	entries []uint64
+	// byAddr finds Funcs by address, for FuncByAddr and FuncContaining.
+	byAddr funcIndex
 
 	// HasRelocs is true when the binary was linked with --emit-relocs,
 	// enabling relocations mode (function reordering; paper §3.2).
@@ -671,12 +671,66 @@ type BinaryContext struct {
 	passWorkers []*FuncCtx
 }
 
-// FuncByAddr returns the function starting at addr. Each call of the
-// emitter and of several passes asks it for its callee (TargetSym), so
-// it searches the dense entry addresses, not the functions.
+// funcIndex finds functions by address in one array. entries[i] is
+// Funcs[i].Addr (Funcs is sorted by address at discovery and never
+// reordered), and bucket[k] is the index of the first entry at or above
+// entries[0] + k<<shift, with one bucket past the last entry. The shift
+// makes a bucket about as wide as the mean gap between entries, so a
+// lookup reads one bucket pair and searches the few entries between them
+// instead of all of them: TargetSym asks for every call that emission
+// and several passes visit, and FuncContaining sits on the profile and
+// patching paths.
+type funcIndex struct {
+	entries []uint64
+	bucket  []uint32
+	shift   uint
+}
+
+// indexFuncs builds ctx.byAddr over ctx.Funcs.
+func (ctx *BinaryContext) indexFuncs() {
+	n := len(ctx.Funcs)
+	x := funcIndex{entries: make([]uint64, n)}
+	for i, fn := range ctx.Funcs {
+		x.entries[i] = fn.Addr
+	}
+	if n > 0 {
+		e := x.entries
+		span := e[n-1] - e[0]
+		x.shift = uint(bits.Len64(span / uint64(n)))
+		x.bucket = make([]uint32, span>>x.shift+2)
+		i := 0
+		for k := range x.bucket {
+			for i < n && e[i]-e[0] < uint64(k)<<x.shift {
+				i++
+			}
+			x.bucket[k] = uint32(i)
+		}
+	}
+	ctx.byAddr = x
+}
+
+// upper returns the number of entries at or below addr.
+func (x *funcIndex) upper(addr uint64) int {
+	e := x.entries
+	if len(e) == 0 || addr < e[0] {
+		return 0
+	}
+	k := (addr - e[0]) >> x.shift
+	if k >= uint64(len(x.bucket)-1) {
+		return len(e)
+	}
+	lo, hi := int(x.bucket[k]), int(x.bucket[k+1])
+	i, found := slices.BinarySearch(e[lo:hi], addr)
+	if found {
+		i++
+	}
+	return lo + i
+}
+
+// FuncByAddr returns the function starting at addr.
 func (ctx *BinaryContext) FuncByAddr(addr uint64) *BinaryFunction {
-	if i, ok := slices.BinarySearch(ctx.entries, addr); ok {
-		return ctx.Funcs[i]
+	if i := ctx.byAddr.upper(addr); i > 0 && ctx.byAddr.entries[i-1] == addr {
+		return ctx.Funcs[i-1]
 	}
 	return nil
 }
@@ -706,18 +760,10 @@ func (ctx *BinaryContext) TargetSym(fn *BinaryFunction, in *Inst) FuncRef {
 	return NoFunc
 }
 
-// FuncContaining returns the function covering addr. Funcs is sorted by
-// address at discovery and never reordered, so this is a binary search —
-// it sits on the hot profile-matching path.
+// FuncContaining returns the function covering addr.
 func (ctx *BinaryContext) FuncContaining(addr uint64) *BinaryFunction {
-	i := sort.Search(len(ctx.Funcs), func(i int) bool {
-		return ctx.Funcs[i].Addr > addr
-	})
-	if i == 0 {
-		return nil
-	}
-	if f := ctx.Funcs[i-1]; f.contains(addr) {
-		return f
+	if i := ctx.byAddr.upper(addr); i > 0 && ctx.Funcs[i-1].contains(addr) {
+		return ctx.Funcs[i-1]
 	}
 	return nil
 }

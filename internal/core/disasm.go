@@ -107,11 +107,10 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		byAddr[sym.Value] = fn
 	}
 	sort.Slice(ctx.Funcs, func(i, j int) bool { return ctx.Funcs[i].Addr < ctx.Funcs[j].Addr })
-	ctx.entries = make([]uint64, len(ctx.Funcs))
 	for i, fn := range ctx.Funcs {
 		fn.ordIdx = i
-		ctx.entries[i] = fn.Addr
 	}
+	ctx.indexFuncs()
 	if len(ctx.Funcs) > 0 {
 		ctx.codeBase = ctx.Funcs[0].Addr
 	}

@@ -104,7 +104,7 @@ type emitScratch struct {
 	csMarks     []csMark
 	lineMarks   []lineMark
 	anchorMarks []anchorMark
-	bat         bat.Anchors
+	batWire     []byte // the fragment's BAT entries in wire form
 
 	// The worker's slabs: a fragment's code and BAT wire from byteSlab,
 	// and one slab for each of its other lists.
@@ -372,7 +372,13 @@ func (sc *emitScratch) emitInst(in *Inst) {
 	if inst.Op != isa.NOP {
 		sc.anchor(sc.fn.InstAddr(in))
 	}
-	switch sym := sc.ctx.TargetSym(sc.fn, in); {
+	// Only a call or ICP's cmp can name a function: the lookup is skipped
+	// for the rest.
+	sym := NoFunc
+	if inst.Op == isa.CALL || inst.Op == isa.CMPri {
+		sym = sc.ctx.TargetSym(sc.fn, in)
+	}
+	switch {
 	case inst.Op == isa.NOP:
 		// dropped
 	case inst.Op == isa.CMPri && sym != NoFunc:
@@ -479,11 +485,11 @@ func (sc *emitScratch) materialize(res asmx.Result) fragment {
 	// zero-size emission collapses onto its successor), and gets an entry
 	// only if it is native: instructions spliced in from another function
 	// keep their origin addresses, outside this function's input
-	// coordinates. The entries are encoded into the worker's buffer, and
-	// the fragment keeps a copy in the worker's byte slab.
+	// coordinates. The entries are encoded into the worker's buffer, held
+	// in a local while the loop appends, and the fragment keeps a copy in
+	// the worker's byte slab.
 	if len(sc.anchorMarks) > 0 {
-		a := &sc.bat
-		a.Reset()
+		w, n, prev := sc.batWire[:0], 0, bat.Entry{}
 		fn, last := sc.fn, uint32(0)
 		for i, m := range sc.anchorMarks {
 			off := res.LabelOffs[m.label]
@@ -492,11 +498,13 @@ func (sc *emitScratch) materialize(res asmx.Result) fragment {
 			}
 			last = off
 			if fn.contains(m.inAddr) {
-				a.Add(bat.Entry{OutOff: off, InOff: uint32(m.inAddr - fn.Addr)})
+				e := bat.Entry{OutOff: off, InOff: uint32(m.inAddr - fn.Addr)}
+				w, prev = bat.AppendEntry(w, prev, e), e
+				n++
 			}
 		}
-		frag.BAT = *a
-		frag.BAT.Wire = sc.byteSlab.clone(a.Wire, &sc.pace)
+		sc.batWire = w
+		frag.BAT = bat.Anchors{Wire: sc.byteSlab.clone(w, &sc.pace), N: n}
 	}
 	return frag
 }

@@ -31,6 +31,7 @@ func fakeCtx(n int) *BinaryContext {
 		ctx.Funcs = append(ctx.Funcs, fn)
 		ctx.ByName[fn.Name] = fn
 	}
+	ctx.indexFuncs()
 	return ctx
 }
 
@@ -286,6 +287,44 @@ func TestPassManagerCancelledFunctionPass(t *testing.T) {
 	}
 	if got := ctx.Stats[statTouched.String()]; got == 0 || got >= 512 {
 		t.Errorf("visited=%d, want partial progress (0 < n < 512)", got)
+	}
+}
+
+// TestFuncIndexMatchesSearch checks the bucketed address index against a
+// plain search of the entry addresses, on layouts with even gaps, a dense
+// cluster of tiny functions inside one bucket, one function and none, at
+// every entry, one byte either side of it, and past both ends.
+func TestFuncIndexMatchesSearch(t *testing.T) {
+	layouts := [][]uint64{
+		nil,
+		{0x4000},
+		{0x1000, 0x1010, 0x1020, 0x1030},
+		{0x1000, 0x1001, 0x1002, 0x1003, 0x1004, 0x1005, 0x1006, 0x1007, 0x1008, 0x9000, 0x9400, 0x80000},
+		{0x400000, 0x400100, 0x400180, 0x401000, 0x401004, 0x47ffff, 0x480000},
+	}
+	for _, addrs := range layouts {
+		ctx := &BinaryContext{}
+		for _, a := range addrs {
+			ctx.Funcs = append(ctx.Funcs, &BinaryFunction{Name: fmt.Sprintf("f%x", a), Addr: a, Size: 1})
+		}
+		ctx.indexFuncs()
+		probes := []uint64{0, 1, ^uint64(0)}
+		for _, a := range addrs {
+			probes = append(probes, a-1, a, a+1)
+		}
+		for _, p := range probes {
+			want := 0
+			for want < len(addrs) && addrs[want] <= p {
+				want++
+			}
+			if got := ctx.byAddr.upper(p); got != want {
+				t.Errorf("%#x: upper(%#x) = %d, want %d", addrs, p, got, want)
+			}
+			fn := ctx.FuncByAddr(p)
+			if at := slices.Index(addrs, p); (at < 0) != (fn == nil) || fn != nil && fn != ctx.Funcs[at] {
+				t.Errorf("%#x: FuncByAddr(%#x) = %v, want index %d", addrs, p, fn, at)
+			}
+		}
 	}
 }
 

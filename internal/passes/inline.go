@@ -94,10 +94,13 @@ func (InlineSmall) Run(ctx *core.BinaryContext) error {
 				// Only context-wide facts cross over: the callee's JT and
 				// LP indices mean nothing in the caller (and a qualifying
 				// body has neither). The copies keep their origin, so
-				// their source line.
+				// their source line, but not their decoded length: a
+				// spliced instruction has none in the caller, and block
+				// layout sizes it by its encoding.
 				for k := range body {
 					bi := &body[k]
 					spliced = append(spliced, core.Inst{I: bi.I, Off: bi.Off, CFIIdx: in.CFIIdx})
+					spliced[len(spliced)-1].I.Size = 0
 					spliced[len(spliced)-1].MarkCopied()
 				}
 				spliced = append(spliced, b.Insts[i+1:]...)

@@ -15,8 +15,9 @@ import (
 // TestInlineSmallKeepsTablesApart: Inst.JT and Inst.LP index tables of
 // the owning function, so instructions spliced in from a callee must not
 // bring indices along, the caller's own invoke in the same block must
-// keep its handler, and — the slab contract — growing the rebuilt block
-// must leave the neighbouring block's slab window alone.
+// keep its handler, the copies carry no decoded length (block layout
+// sizes them by their encoding), and — the slab contract — growing the
+// rebuilt block must leave the neighbouring block's slab window alone.
 func TestInlineSmallKeepsTablesApart(t *testing.T) {
 	tiny := ir.NewFunc("tiny", "t.mir", 1)
 	tiny.Blocks[0].Ops = []ir.Op{
@@ -95,6 +96,9 @@ func TestInlineSmallKeepsTablesApart(t *testing.T) {
 		spliced++
 		if in.JT() != 0 || in.LP() != 0 {
 			t.Errorf("spliced instruction %d indexes the caller's tables: JT %d LP %d", i, in.JT(), in.LP())
+		}
+		if in.I.Size != 0 {
+			t.Errorf("spliced instruction %d keeps the callee's decoded length %d", i, in.I.Size)
 		}
 	}
 	if spliced == 0 {
