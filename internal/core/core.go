@@ -673,7 +673,8 @@ type BinaryContext struct {
 
 // funcIndex finds functions by address in one array. entries[i] is
 // Funcs[i].Addr (Funcs is sorted by address at discovery and never
-// reordered), and bucket[k] is the index of the first entry at or above
+// reordered; the addresses are distinct, as an alias symbol joins the
+// function already at its address), and bucket[k] is the index of the first entry at or above
 // entries[0] + k<<shift, with one bucket past the last entry. The shift
 // makes a bucket about as wide as the mean gap between entries, so a
 // lookup reads one bucket pair and searches the few entries between them
