@@ -162,7 +162,7 @@ func TestContinuousBATRoundTrip(t *testing.T) {
 	}
 	splitSampled := 0
 	for _, fn1 := range funcs1 {
-		if !fn1.IsSplit {
+		if !fn1.IsSplit() {
 			continue
 		}
 		fn, err := sessT.Function(fn1.Name)

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -308,8 +307,7 @@ type Edge struct {
 
 // BasicBlock is a node of the reconstructed CFG.
 type BasicBlock struct {
-	Index int
-	Label string
+	Index int    // position in BinaryFunction.Blocks, renumbered by layout
 	Addr  uint64 // original start address
 	Insts []Inst
 
@@ -322,58 +320,38 @@ type BasicBlock struct {
 	Succs []Edge
 
 	ExecCount uint64
+	ID        BlockID
 	CFIIn     uint16 // one-based CFI state on entry, as Inst.CFIIdx
 	IsLP      bool
 	IsCold    bool // assigned to the cold fragment by splitting
-	IsEntry   bool
 }
 
-// nLabels bounds the precomputed block-label table; a function with more
-// basic blocks cuts the rest of its labels from one string (farLabels).
-const nLabels = 1024
+// BlockID names a block for the life of its function: the position at
+// which the loader formed it, which layout never changes. A block ICP
+// splits off a loaded block takes its parent's position and an ICP kind
+// in the top two bits. ICP runs once and splits only loaded blocks, so
+// kinds never nest. The entry block is ID 0.
+type BlockID uint32
 
-var lbb = func() [nLabels]string {
-	var a [nLabels]string
-	for i := range a {
-		a[i] = ".LBB" + strconv.Itoa(i)
-	}
-	return a
-}()
+// The kinds of block ICP makes, or'd into the parent's ID.
+const (
+	ICPDirect   BlockID = 1 << blockKindShift
+	ICPIndirect BlockID = 2 << blockKindShift
+	ICPCont     BlockID = 3 << blockKindShift
 
-// blockLabel returns the canonical ".LBB<i>" basic-block label. The same
-// labels repeat across every function in a binary, so the loader takes
-// them from one process-wide table instead of formatting a fresh string
-// per block. Past the table it cuts the label from the front of *far,
-// which farLabels built for the function: such calls come in index
-// order.
-func blockLabel(i int, far *string) string {
-	if i < nLabels {
-		return lbb[i]
-	}
-	n := strings.IndexByte((*far)[1:], '.') + 1
-	if n == 0 {
-		n = len(*far)
-	}
-	l := (*far)[:n]
-	*far = (*far)[n:]
-	return l
+	blockKindShift = 30
+)
+
+var blockKindSuffix = [...]string{"", ".icp_d", ".icp_i", ".icp_c"}
+
+// String renders the block's name as the CFG printer shows it: .LBB<n>
+// for the n-th loaded block, with an ICP kind's suffix.
+func (id BlockID) String() string {
+	return ".LBB" + strconv.Itoa(int(id&(1<<blockKindShift-1))) + blockKindSuffix[id>>blockKindShift]
 }
 
-// farLabels returns the labels of a function's blocks nLabels..n-1 back
-// to back, in one allocation, "" when it has no more than nLabels blocks.
-func farLabels(n int) string {
-	if n <= nLabels {
-		return ""
-	}
-	var d [20]byte
-	var b strings.Builder
-	b.Grow((n - nLabels) * (len(".LBB") + len(strconv.AppendInt(d[:0], int64(n-1), 10))))
-	for i := nLabels; i < n; i++ {
-		b.WriteString(".LBB")
-		b.Write(strconv.AppendInt(d[:0], int64(i), 10))
-	}
-	return b.String()
-}
+// IsEntry reports whether b is the function's entry block.
+func (b *BasicBlock) IsEntry() bool { return b.ID == 0 }
 
 // LastInst returns the final instruction or nil.
 func (b *BasicBlock) LastInst() *Inst {
@@ -386,11 +364,9 @@ func (b *BasicBlock) LastInst() *Inst {
 // JumpTable describes a recovered jump table (paper §3.2: PIC tables must
 // be rediscovered by analysis because their relocations are discarded).
 type JumpTable struct {
-	Addr      uint64
-	EntrySize int
-	PIC       bool
-	Targets   []*BasicBlock
-	SymName   string
+	Addr    uint64
+	Targets []*BasicBlock
+	PIC     bool // 4-byte entries relative to Addr; else 8-byte addresses
 }
 
 // BinaryFunction is one discovered function.
@@ -399,7 +375,6 @@ type BinaryFunction struct {
 	Aliases []string
 	Addr    uint64
 	Size    uint64
-	Section string
 	Bytes   []byte
 
 	Simple bool
@@ -431,9 +406,6 @@ type BinaryFunction struct {
 	// an unscanned function is simply visited.
 	NoInlineSite bool
 
-	// IsSplit marks functions whose cold blocks go to the cold section.
-	IsSplit bool
-
 	// ordIdx is this function's index in BinaryContext.Funcs (assigned
 	// once after discovery sorts the list). Emission packs it into
 	// numeric relocation symbols and the rewriter uses it to index
@@ -464,6 +436,12 @@ func (f *BinaryFunction) JumpTable(in *Inst) *JumpTable {
 		return nil
 	}
 	return &f.JTs[k-1]
+}
+
+// IsSplit reports whether splitting moved any of the function's blocks
+// to the cold fragment.
+func (f *BinaryFunction) IsSplit() bool {
+	return slices.ContainsFunc(f.Blocks, func(b *BasicBlock) bool { return b.IsCold })
 }
 
 // LandingPad returns the handler block and action covering the call in,

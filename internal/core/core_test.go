@@ -193,7 +193,7 @@ func cfiFixture(insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch)
 // cfiFixtureN is cfiFixture with n four-byte instructions.
 func cfiFixtureN(n int, insts ...cfi.PCInst) (*cfi.FDE, *BinaryFunction, *loaderScratch) {
 	const addr = 0x1000
-	b := &BasicBlock{Addr: addr, IsEntry: true}
+	b := &BasicBlock{Addr: addr}
 	nop := isa.NewInst(isa.NOP)
 	nop.Size = 4
 	for off := uint64(0); off < uint64(4*n); off += 4 {

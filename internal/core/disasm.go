@@ -91,10 +91,9 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 			continue
 		}
 		fnSlab = append(fnSlab, BinaryFunction{
-			Name:    sym.Name,
-			Addr:    sym.Value,
-			Size:    sym.Size,
-			Section: sec.Name,
+			Name: sym.Name,
+			Addr: sym.Value,
+			Size: sym.Size,
 			// Bytes aliases the mapped section data. Safe: disassembly
 			// only reads it, and rewriting emits into fresh output
 			// buffers — nothing writes a function body in place.
@@ -396,7 +395,6 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 	var cur *BasicBlock
 	nb, jt := 0, 0 // blocks and jump tables reached so far
 	curStart := 0
-	far := farLabels(nBlocks)
 	// seal fixes the finished block's window into the instruction slab.
 	// The three-index slice caps it at its own length: a pass appending
 	// to b.Insts reallocates onto a fresh array instead of clobbering
@@ -411,9 +409,8 @@ func (ctx *BinaryContext) formBlocks(fn *BinaryFunction, sc *loaderScratch) {
 		if r.leader {
 			seal()
 			cur = &blocks[nb]
-			cur.Index = nb
+			cur.Index, cur.ID = nb, BlockID(nb)
 			cur.Addr = r.addr
-			cur.Label = blockLabel(nb, &far)
 			fn.Blocks[nb] = cur
 			nb++
 			curStart = len(instSlab)
@@ -515,10 +512,9 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 	}
 
 	// Bound the table via its data symbol.
-	var symName string
 	var symSize uint64
 	if s := ctx.objectAt(tableAddr); s != nil {
-		symName, symSize = s.Name, s.Size
+		symSize = s.Size
 	}
 	if symSize == 0 {
 		return fmt.Errorf("no symbol bounds table at %#x", tableAddr)
@@ -552,7 +548,7 @@ func (ctx *BinaryContext) matchJumpTable(sc *loaderScratch, i int) error {
 		sc.targets = append(sc.targets, target)
 	}
 	sc.jts = append(sc.jts, pendingJT{
-		table: JumpTable{Addr: tableAddr, EntrySize: entrySize, PIC: pic, SymName: symName},
+		table: JumpTable{Addr: tableAddr, PIC: pic},
 		at:    i, targets: sc.targets[lo:],
 	})
 	return nil
@@ -599,7 +595,6 @@ func buildCFG(fn *BinaryFunction, sc *loaderScratch) {
 		fn.Reason = "empty function"
 		return
 	}
-	fn.Blocks[0].IsEntry = true
 	sc.seen = scratch.Zeroed(sc.seen, len(fn.Blocks))
 	sc.stamp = 0
 	// A conditional branch out of the function (a conditional tail call

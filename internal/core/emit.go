@@ -97,8 +97,8 @@ type srcPos struct{ file, line uint32 }
 // owned by exactly one worker.
 type emitScratch struct {
 	asm         asmx.Assembler
-	parts       [2][]*BasicBlock // the function's hot and cold blocks, in layout order
-	labels      []asmx.Label     // block Index -> label; asmx.None = not in fragment
+	parts       [2][]int32   // the function's hot and cold block indices, in layout order
+	labels      []asmx.Label // block Index -> label; asmx.None = not in fragment
 	cfiMarks    []cfiMark
 	cfiInsts    []cfi.Inst
 	csMarks     []csMark
@@ -191,14 +191,14 @@ func (sc *emitScratch) lineOf(a uint64) int32 {
 }
 
 // emitShape returns what emitting fn fills — its fragment count (two
-// when it is split and has a cold block) and the length of its
+// when it has a cold block) and the length of its
 // block-offset table — and its instruction count. The emitter sizes its
 // tables from it before emission starts, so every function's share is a
 // window of them.
 func emitShape(fn *BinaryFunction) (frags, offs, insts int) {
 	frags = 1
 	for _, b := range fn.Blocks {
-		if b.IsCold && fn.IsSplit {
+		if b.IsCold {
 			frags = 2
 		}
 		offs = max(offs, b.Index+1)
@@ -225,14 +225,14 @@ func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, frags []fragment, blo
 	// Partition the layout into the hot and cold block lists.
 	parts := &sc.parts
 	parts[0], parts[1] = parts[0][:0], parts[1][:0]
-	for _, b := range fn.Blocks {
+	for i, b := range fn.Blocks {
 		s := 0
-		if b.IsCold && fn.IsSplit {
+		if b.IsCold {
 			s = 1
 		}
-		parts[s] = append(parts[s], b)
+		parts[s] = append(parts[s], int32(i))
 	}
-	if len(parts[0]) == 0 || !parts[0][0].IsEntry {
+	if len(parts[0]) == 0 || !fn.Blocks[parts[0][0]].IsEntry() {
 		return fmt.Errorf("core: %s: entry block must lead the hot fragment", fn.Name)
 	}
 	for i := range blockOff {
@@ -250,19 +250,21 @@ func (ctx *BinaryContext) emitFunction(fn *BinaryFunction, frags []fragment, blo
 // symID packs a referenced function into an emission relocation symbol.
 func (r FuncRef) symID() obj.SymID { return obj.FuncSym(int(r) - 1) }
 
-// emitFragment assembles blocks, in order, into fragment s of fn and
-// enters their offsets into the function's block-offset table.
-func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock, s int, blockOff []uint32, sc *emitScratch) (fragment, error) {
+// emitFragment assembles the blocks of fn at the indices in blocks, in
+// order, into fragment s and enters their offsets into the function's
+// block-offset table.
+func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []int32, s int, blockOff []uint32, sc *emitScratch) (fragment, error) {
 	sc.reset(ctx, fn, len(blockOff))
 	a := &sc.asm
-	for _, b := range blocks {
-		sc.labels[b.Index] = a.NewLabel()
+	for _, k := range blocks {
+		sc.labels[k] = a.NewLabel()
 	}
-	for bi, b := range blocks {
-		a.Bind(sc.labels[b.Index])
+	for bi, k := range blocks {
+		a.Bind(sc.labels[k])
+		b := fn.Blocks[k]
 		var next *BasicBlock
 		if bi+1 < len(blocks) {
-			next = blocks[bi+1]
+			next = fn.Blocks[blocks[bi+1]]
 		}
 		// The control-flow tail is the final instruction if it is a
 		// branch, return or trap; everything before it is body.
@@ -291,8 +293,8 @@ func (ctx *BinaryContext) emitFragment(fn *BinaryFunction, blocks []*BasicBlock,
 	if err != nil {
 		return fragment{}, fmt.Errorf("core: emitting %s: %w", fn.Name, err)
 	}
-	for _, b := range blocks {
-		blockOff[b.Index] = res.LabelOffs[sc.labels[b.Index]] | uint32(s)<<blockOffBits
+	for _, k := range blocks {
+		blockOff[k] = res.LabelOffs[sc.labels[k]] | uint32(s)<<blockOffBits
 	}
 	frag := sc.materialize(res)
 	frag.fn, frag.cold = fn, s == 1

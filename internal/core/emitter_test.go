@@ -37,13 +37,13 @@ func placedEmitter(t *testing.T, spec workload.Spec, markCold func(*BasicBlock) 
 	for _, fn := range ctx.SimpleFuncs() {
 		for _, b := range fn.Blocks[1:] {
 			if markCold(b) {
-				b.IsCold, fn.IsSplit = true, true
+				b.IsCold = true
 			}
 		}
 		switch {
-		case fn.IsSplit && split == nil:
+		case fn.IsSplit() && split == nil:
 			split = fn
-		case fn.IsSplit || fn.Name == "_start":
+		case fn.IsSplit() || fn.Name == "_start":
 		case canon == nil:
 			canon = fn
 		case folded == nil:
@@ -151,7 +151,7 @@ func TestEmitterAddressResolution(t *testing.T) {
 				ef := &e.funcs[i]
 				for _, b := range ef.fn.Blocks {
 					want := &ef.frags[0]
-					if b.IsCold && ef.fn.IsSplit {
+					if b.IsCold {
 						want = &ef.frags[1]
 					}
 					addr, err := e.blockAddr(ef.fn, b.Index)

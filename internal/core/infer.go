@@ -45,7 +45,7 @@ func (w *flowWorker) problem(fn *BinaryFunction, withEdges bool) []flow.Node {
 	w.succs = slices.Grow(w.succs[:0], nEdges)
 	nodes, succs := w.nodes, w.succs
 	for i, b := range fn.Blocks {
-		nd := flow.Node{Weight: b.ExecCount, IsEntry: b.IsEntry || i == 0}
+		nd := flow.Node{Weight: b.ExecCount, IsEntry: b.IsEntry() || i == 0}
 		if !withEdges {
 			nd.Size = len(b.Insts)
 		}

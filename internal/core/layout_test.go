@@ -21,8 +21,9 @@ import (
 // for the immediate, target or displacement, the memory operand with RIP
 // as a base, five one-byte fields, the decoded length among them), both
 // free of anything the collector would have to scan. A BasicBlock stays
-// within 96 bytes: it stores its successors and nothing derived from
-// them. The loader's per-instruction decode entry, rawInst, is 32 bytes.
+// within 80 bytes: it stores its successors and nothing derived from
+// them, and is named by its ID, not a label string. The loader's
+// per-instruction decode entry, rawInst, is 32 bytes.
 func TestInstLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Inst{}); n != 24 {
 		t.Errorf("sizeof(core.Inst) = %d, want 24", n)
@@ -30,8 +31,8 @@ func TestInstLayout(t *testing.T) {
 	if n, a := unsafe.Sizeof(isa.Inst{}), unsafe.Alignof(isa.Inst{}); n != 16 || a != 1 {
 		t.Errorf("sizeof(isa.Inst) = %d aligned to %d, want 16 aligned to 1", n, a)
 	}
-	if n := unsafe.Sizeof(BasicBlock{}); n > 96 {
-		t.Errorf("sizeof(core.BasicBlock) = %d, want <= 96", n)
+	if n := unsafe.Sizeof(BasicBlock{}); n > 80 {
+		t.Errorf("sizeof(core.BasicBlock) = %d, want <= 80", n)
 	}
 	if n := unsafe.Sizeof(rawInst{}); n != 32 {
 		t.Errorf("sizeof(core.rawInst) = %d, want 32", n)

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"gobolt/internal/cc"
 	"gobolt/internal/elfx"
@@ -140,7 +139,7 @@ func loaderShapes(ctx *BinaryContext) []string {
 				succs[k] = e.To.Index
 			}
 			buf = fmt.Appendf(buf, " b%d +%#x cfi=%d entry=%t lp=%t succs=%v preds=%v lps=%v\n",
-				b.Index, b.Addr-fn.Addr, int(b.CFIIn)-1, b.IsEntry, b.IsLP, succs, preds[b.Index], lps[b.Index])
+				b.Index, b.Addr-fn.Addr, int(b.CFIIn)-1, b.IsEntry(), b.IsLP, succs, preds[b.Index], lps[b.Index])
 			for i := range b.Insts {
 				in := &b.Insts[i]
 				buf = fmt.Appendf(buf, "  +%#x/%d op=%d cfi=%d src=%d", fn.InstAddr(in)-fn.Addr, in.I.Size, in.I.Op, int(in.CFIIdx)-1, fn.lineEntry(in))
@@ -160,8 +159,12 @@ func loaderShapes(ctx *BinaryContext) []string {
 			}
 		}
 		for k, jt := range fn.JTs {
+			entrySize := 8
+			if jt.PIC {
+				entrySize = 4
+			}
 			buf = fmt.Appendf(buf, " jt%d @%#x entry=%d pic=%t targets=%v\n",
-				k+1, jt.Addr, jt.EntrySize, jt.PIC, idx(jt.Targets))
+				k+1, jt.Addr, entrySize, jt.PIC, idx(jt.Targets))
 		}
 		out = append(out, string(buf))
 	}
@@ -372,23 +375,30 @@ func TestOversizedFunctionNonSimple(t *testing.T) {
 	}
 }
 
-func TestBlockLabel(t *testing.T) {
-	// Block labels come in index order; past the shared table they are
-	// cut from the function's one string.
-	n := nLabels + 6
-	far := farLabels(n)
-	for i := 0; i < n; i++ {
-		want := fmt.Sprintf(".LBB%d", i)
-		if got := blockLabel(i, &far); got != want {
-			t.Fatalf("blockLabel(%d) = %q, want %q", i, got, want)
+// TestBlockIDName: a block's name is rendered from its ID, .LBB<n> for
+// the n-th loaded block, at any n, and an ICP block's name is its
+// parent's with its kind's suffix. Only ID 0 is the entry, so an ICP
+// block split off the entry is not.
+func TestBlockIDName(t *testing.T) {
+	for _, tc := range []struct {
+		id    BlockID
+		name  string
+		entry bool
+	}{
+		{0, ".LBB0", true},
+		{7, ".LBB7", false},
+		{1024, ".LBB1024", false},
+		{123456, ".LBB123456", false},
+		{0 | ICPDirect, ".LBB0.icp_d", false},
+		{1030 | ICPIndirect, ".LBB1030.icp_i", false},
+		{5 | ICPCont, ".LBB5.icp_c", false},
+	} {
+		b := &BasicBlock{ID: tc.id}
+		if got := tc.id.String(); got != tc.name {
+			t.Errorf("BlockID(%#x) = %q, want %q", uint32(tc.id), got, tc.name)
 		}
-	}
-	if far != "" {
-		t.Fatalf("%q left over after the last label", far)
-	}
-	// Within the precomputed range the same instance comes back every
-	// time — block labels are process-wide constants.
-	if unsafe.StringData(blockLabel(3, nil)) != unsafe.StringData(blockLabel(3, nil)) {
-		t.Fatal("blockLabel(3) not identity-stable")
+		if b.IsEntry() != tc.entry {
+			t.Errorf("%s: IsEntry() = %t, want %t", tc.name, b.IsEntry(), tc.entry)
+		}
 	}
 }

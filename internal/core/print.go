@@ -19,12 +19,12 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 	fmt.Fprintf(w, "  State       : CFG constructed\n")
 	fmt.Fprintf(w, "  Address     : %#x\n", fn.Addr)
 	fmt.Fprintf(w, "  Size        : %#x\n", fn.Size)
-	fmt.Fprintf(w, "  Section     : %s\n", fn.Section)
+	fmt.Fprintf(w, "  Section     : %s\n", ctx.File.SectionFor(fn.Addr).Name)
 	if fn.HasLSDA {
 		fmt.Fprintf(w, "  LSDA        : present\n")
 	}
 	fmt.Fprintf(w, "  IsSimple    : %d\n", boolInt(fn.Simple))
-	fmt.Fprintf(w, "  IsSplit     : %d\n", boolInt(fn.IsSplit))
+	fmt.Fprintf(w, "  IsSplit     : %d\n", boolInt(fn.IsSplit()))
 	fmt.Fprintf(w, "  BB Count    : %d\n", len(fn.Blocks))
 	fmt.Fprintf(w, "  CFI States  : %d\n", len(fn.cfiStates))
 	fmt.Fprintf(w, "  BB Layout   : %s\n", layoutString(fn))
@@ -41,17 +41,17 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 	preds := make([][]string, len(fn.Blocks))
 	for _, p := range fn.Blocks {
 		for _, e := range p.Succs {
-			preds[e.To.Index] = append(preds[e.To.Index], p.Label)
+			preds[e.To.Index] = append(preds[e.To.Index], p.ID.String())
 		}
 		for i := range p.Insts {
 			if lp, _ := fn.LandingPad(&p.Insts[i]); lp != nil {
-				preds[lp.Index] = append(preds[lp.Index], p.Label)
+				preds[lp.Index] = append(preds[lp.Index], p.ID.String())
 			}
 		}
 	}
 	for _, b := range fn.Blocks {
-		fmt.Fprintf(w, "%s (%d instructions, align : 1)\n", b.Label, len(b.Insts))
-		if b.IsEntry {
+		fmt.Fprintf(w, "%s (%d instructions, align : 1)\n", b.ID, len(b.Insts))
+		if b.IsEntry() {
 			fmt.Fprintf(w, "  Entry Point\n")
 		}
 		if b.IsLP {
@@ -79,7 +79,7 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 			line := fmt.Sprintf("    %08x: %s", fn.InstAddr(in)-fn.Addr, in.I.Format(fn.origin(in), name))
 			var notes []string
 			if lp, action := fn.LandingPad(in); lp != nil {
-				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.Label, action))
+				notes = append(notes, fmt.Sprintf("handler: %s; action: %d", lp.ID, action))
 				if !slices.Contains(lps, lp) {
 					lps = append(lps, lp)
 				}
@@ -98,14 +98,14 @@ func (ctx *BinaryContext) PrintCFG(w io.Writer, fn *BinaryFunction) {
 		if len(b.Succs) > 0 {
 			parts := make([]string, 0, len(b.Succs))
 			for _, e := range b.Succs {
-				parts = append(parts, fmt.Sprintf("%s (mispreds: %d, count: %d)", e.To.Label, e.Mispreds, e.Count))
+				parts = append(parts, fmt.Sprintf("%s (mispreds: %d, count: %d)", e.To.ID, e.Mispreds, e.Count))
 			}
 			fmt.Fprintf(w, "  Successors: %s\n", strings.Join(parts, ", "))
 		}
 		if len(lps) > 0 {
 			parts := make([]string, 0, len(lps))
 			for _, lp := range lps {
-				parts = append(parts, fmt.Sprintf("%s (count: %d)", lp.Label, lp.ExecCount))
+				parts = append(parts, fmt.Sprintf("%s (count: %d)", lp.ID, lp.ExecCount))
 			}
 			fmt.Fprintf(w, "  Landing Pads: %s\n", strings.Join(parts, ", "))
 		}
@@ -134,7 +134,7 @@ func (ctx *BinaryContext) symNamer() func(uint64) string {
 func layoutString(fn *BinaryFunction) string {
 	names := make([]string, 0, len(fn.Blocks))
 	for _, b := range fn.Blocks {
-		names = append(names, b.Label)
+		names = append(names, b.ID.String())
 	}
 	return strings.Join(names, ", ")
 }
@@ -195,7 +195,7 @@ func (ctx *BinaryContext) BadLayoutReport(limit int) string {
 			}
 		}
 		fmt.Fprintf(&sb, "  %s: block %s (Exec Count: 0) between hot blocks (count %d)%s\n",
-			f.fn.Name, f.block.Label, f.score, src)
+			f.fn.Name, f.block.ID, f.score, src)
 	}
 	return sb.String()
 }

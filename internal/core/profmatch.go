@@ -600,7 +600,7 @@ func repairFlow(fn *BinaryFunction, in []uint64) {
 	for iter := 0; iter < 5; iter++ {
 		for _, b := range fn.Blocks {
 			cnt := in[b.Index]
-			if b.IsEntry && fn.ExecCount > cnt {
+			if b.IsEntry() && fn.ExecCount > cnt {
 				cnt = fn.ExecCount
 			}
 			out := uint64(0)

@@ -231,7 +231,7 @@ func TestSampleInferenceConservesFlow(t *testing.T) {
 							trial, fn.Name, i, b.ExecCount, out)
 					}
 				}
-				if i > 0 && hasPred[b] && !b.IsEntry && b.ExecCount != inflow[b] {
+				if i > 0 && hasPred[b] && !b.IsEntry() && b.ExecCount != inflow[b] {
 					t.Errorf("trial %d: %s block %d: count %d != inflow %d",
 						trial, fn.Name, i, b.ExecCount, inflow[b])
 				}

@@ -144,9 +144,9 @@ func TestEmitAllocsDoNotScale(t *testing.T) {
 // landing pads.
 const loadSlabs = 6
 
-// wideFunc loads a program whose function "wide" has more basic blocks
-// than the shared label table holds, a chain of n conditional branches,
-// and returns its context and the function.
+// wideFunc loads a program whose function "wide" is a chain of n
+// conditional branches, more than a thousand basic blocks for the n the
+// tests pass, and returns its context and the function.
 func wideFunc(t testing.TB, n int) (*BinaryContext, *BinaryFunction) {
 	t.Helper()
 	w := ir.NewFunc("wide", "wide.mir", 1)
@@ -179,8 +179,8 @@ func wideFunc(t testing.TB, n int) (*BinaryContext, *BinaryFunction) {
 		t.Fatal(err)
 	}
 	fn := ctx.ByName["wide"]
-	if !fn.Simple || len(fn.Blocks) <= nLabels {
-		t.Fatalf("wide: simple=%t (%s) with %d blocks, want simple past the %d shared labels", fn.Simple, fn.Reason, len(fn.Blocks), nLabels)
+	if !fn.Simple || len(fn.Blocks) <= n {
+		t.Fatalf("wide: simple=%t (%s) with %d blocks, want simple with more than %d", fn.Simple, fn.Reason, len(fn.Blocks), n)
 	}
 	return ctx, fn
 }
@@ -191,11 +191,12 @@ func wideFunc(t testing.TB, n int) (*BinaryContext, *BinaryFunction) {
 // most once per pass, so the count grows with the functions by one, not
 // by the blocks and tables each carries. The stage lists the functions
 // once per pass, as a binary with that many times the functions would,
-// and one of them has more blocks than the shared label table holds: its
-// labels past the table are one more string. With a block array, a block
+// and one of them has over a thousand blocks, which the loader names by
+// their positions and allocates nothing for. With a block array, a block
 // list and the jump-table list, values and targets allocated per
 // function it took 36 allocations per pass over the fixture's 11 simple
-// functions, and a string per label past the table took 78 more.
+// functions, a string per block label past a shared table of 1 024 took
+// 78 more, and one string for all of them took one.
 func TestLoadAllocsDoNotScale(t *testing.T) {
 	const passes = 12
 	ctx := loadSlabCtx(t, 1)
@@ -203,7 +204,7 @@ func TestLoadAllocsDoNotScale(t *testing.T) {
 	if len(simple) < 8 {
 		t.Fatalf("fixture has %d simple functions; the rule needs several", len(simple))
 	}
-	wideCtx, wide := wideFunc(t, nLabels+75)
+	wideCtx, wide := wideFunc(t, 1099)
 	simple = append(simple, wide)
 	stage := slices.Repeat(simple, passes)
 	rest := make([]int64, len(stage)+1)
@@ -229,12 +230,12 @@ func TestLoadAllocsDoNotScale(t *testing.T) {
 	}
 	pass() // warm the worker: its scratch lists reach their sizes
 	got := testing.AllocsPerRun(passes-2, pass)
-	if want := float64(len(simple) + 1 + loadSlabs); got > want {
-		t.Errorf("loading %d functions allocated %v times per pass, want one instruction array each, one label string and at most one refill per slab (%v)",
+	if want := float64(len(simple) + loadSlabs); got > want {
+		t.Errorf("loading %d functions allocated %v times per pass, want one instruction array each and at most one refill per slab (%v)",
 			len(simple), got, want)
 	}
-	if l := wide.Blocks[len(wide.Blocks)-1].Label; l != fmt.Sprintf(".LBB%d", len(wide.Blocks)-1) {
-		t.Errorf("wide's last block is labeled %q", l)
+	if last := wide.Blocks[len(wide.Blocks)-1]; last.ID != BlockID(last.Index) || last.ID.String() != fmt.Sprintf(".LBB%d", last.Index) {
+		t.Errorf("wide's last block %d has ID %d, named %s", last.Index, last.ID, last.ID)
 	}
 	t.Logf("%v allocations per pass of %d functions", got, len(simple))
 }

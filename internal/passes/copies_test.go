@@ -75,7 +75,7 @@ func TestCopiedInstKeepsLine(t *testing.T) {
 			in := &b.Insts[k]
 			switch {
 			case in.I.Op == isa.CMPri && ctx.TargetSym(worker, in) != core.NoFunc,
-				in.IsCall() && (strings.HasSuffix(b.Label, ".icp_d") || strings.HasSuffix(b.Label, ".icp_i")):
+				in.IsCall() && (strings.HasSuffix(b.ID.String(), ".icp_d") || strings.HasSuffix(b.ID.String(), ".icp_i")):
 				icp++
 				if got := lineOf(worker, in); got != siteLine {
 					t.Errorf("ICP's %s reads line %v, want the call's %v", in.I.String(), got, siteLine)
@@ -117,10 +117,11 @@ func TestCopiedInstKeepsLine(t *testing.T) {
 	}
 }
 
-// TestPromoteAllocatesThreePerSite: promote makes three allocations per
-// site — the new blocks with their edges, the instructions, the labels —
-// once fn.Blocks has room, which Run makes once per function.
-func TestPromoteAllocatesThreePerSite(t *testing.T) {
+// TestPromoteAllocatesTwoPerSite: promote makes two allocations per
+// site — the new blocks with their edges, and the instructions — once
+// fn.Blocks has room, which Run makes once per function. The new blocks
+// take the split block's ID and their kinds.
+func TestPromoteAllocatesTwoPerSite(t *testing.T) {
 	f, _ := buildWork(t)
 	ctx, err := core.NewContext(context.Background(), f, core.DefaultOptions())
 	if err != nil {
@@ -147,13 +148,13 @@ func TestPromoteAllocatesThreePerSite(t *testing.T) {
 		promote(clones[k].fn, clones[k].b, i, leaf, 10, 12)
 		k++
 	})
-	if allocs > 3 {
-		t.Errorf("promote made %.0f allocations per site, want at most 3", allocs)
+	if allocs > 2 {
+		t.Errorf("promote made %.0f allocations per site, want at most 2", allocs)
 	}
 	c := clones[0]
-	if n := len(c.fn.Blocks); n != len(worker.Blocks)+3 || c.fn.Blocks[n-3].Label != b.Label+".icp_d" ||
-		c.fn.Blocks[n-2].Label != b.Label+".icp_i" || c.fn.Blocks[n-1].Label != b.Label+".icp_c" {
-		t.Errorf("promote's blocks: %d, labels %q %q %q", n,
-			c.fn.Blocks[n-3].Label, c.fn.Blocks[n-2].Label, c.fn.Blocks[n-1].Label)
+	if n := len(c.fn.Blocks); n != len(worker.Blocks)+3 || c.fn.Blocks[n-3].ID != b.ID|core.ICPDirect ||
+		c.fn.Blocks[n-2].ID != b.ID|core.ICPIndirect || c.fn.Blocks[n-1].ID != b.ID|core.ICPCont {
+		t.Errorf("promote's blocks: %d, named %s %s %s after %s", n,
+			c.fn.Blocks[n-3].ID, c.fn.Blocks[n-2].ID, c.fn.Blocks[n-1].ID, b.ID)
 	}
 }

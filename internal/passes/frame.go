@@ -131,7 +131,7 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 			return
 		}
 	}
-	if home == nil || home == entry || home.IsEntry {
+	if home == nil || home == entry || home.IsEntry() {
 		return
 	}
 	// Calls anywhere in home block?

@@ -176,11 +176,11 @@ func liveAfterInst(b *core.BasicBlock, i int, liveOut isa.RegSet) isa.RegSet {
 	return live
 }
 
-// promote performs the CFG surgery for one call site in three
-// allocations: the three new blocks with their edges, the rebuilt
-// block's instructions with the direct call, and the three labels, cut
-// from one string. Run grows fn.Blocks once per function, so appending
-// the new blocks allocates nothing.
+// promote performs the CFG surgery for one call site in two
+// allocations: the three new blocks with their edges, and the rebuilt
+// block's instructions with the direct call. Each new block is named by
+// b's ID and its kind. Run grows fn.Blocks once per function, so
+// appending the new blocks allocates nothing.
 func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.BinaryFunction, hotCount, total uint64) {
 	call := &b.Insts[i] // valid until b.Insts is rebuilt at the end
 	reg := call.I.R1
@@ -189,11 +189,9 @@ func promote(fn *core.BinaryFunction, b *core.BasicBlock, i int, hot *core.Binar
 		blocks [3]core.BasicBlock // direct, indirect, cont
 		edges  [4]core.Edge       // b's two, then direct's and indirect's
 	})
-	labels := b.Label + ".icp_d" + b.Label + ".icp_i" + b.Label + ".icp_c"
-	n := len(labels) / 3
-	for k := range site.blocks {
+	for k, kind := range [...]core.BlockID{core.ICPDirect, core.ICPIndirect, core.ICPCont} {
 		nb := &site.blocks[k]
-		nb.Index, nb.Label, nb.CFIIn = len(fn.Blocks), labels[k*n:(k+1)*n], call.CFIIdx
+		nb.Index, nb.ID, nb.CFIIn = len(fn.Blocks), b.ID|kind, call.CFIIdx
 		fn.Blocks = append(fn.Blocks, nb)
 	}
 	direct, indirect, cont := &site.blocks[0], &site.blocks[1], &site.blocks[2]

@@ -50,7 +50,7 @@ func TestICPTieGoesToLesserName(t *testing.T) {
 		}
 		promoted := ""
 		for _, b := range worker.Blocks {
-			if strings.HasSuffix(b.Label, ".icp_d") {
+			if strings.HasSuffix(b.ID.String(), ".icp_d") {
 				promoted = ctx.Func(ctx.TargetSym(worker, &b.Insts[0])).Name
 			}
 		}

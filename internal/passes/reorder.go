@@ -35,7 +35,7 @@ func (ReorderBBs) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error
 func reorderOne(fc *core.FuncCtx, fn *core.BinaryFunction, algo layout.Algorithm) {
 	// pos maps BasicBlock.Index to one plus the block's node in the
 	// layout graph, 0 for a cold block. The entry is node 0 whatever its
-	// count, and the only block the loader marks IsEntry.
+	// count, and the only block with ID 0.
 	n := len(fn.Blocks)
 	pos := fc.Ints(n)
 	nHot := 1
@@ -101,7 +101,7 @@ func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 	threshold := maxCount / 64
 	anyCold := false
 	for _, b := range fn.Blocks {
-		if b.IsEntry || b.ExecCount > threshold {
+		if b.IsEntry() || b.ExecCount > threshold {
 			continue
 		}
 		b.IsCold = true
@@ -109,7 +109,6 @@ func markCold(fc *core.FuncCtx, fn *core.BinaryFunction) {
 		fc.CountStat(core.StatSplitColdBlocks, 1)
 	}
 	if anyCold {
-		fn.IsSplit = true
 		fc.CountStat(core.StatSplitFunctions, 1)
 	}
 }

@@ -14,12 +14,13 @@ import (
 // SplitFunctions off no block goes cold.
 func TestMarkColdRule(t *testing.T) {
 	const top = 6400
+	names := []string{"entry", "hottest", "at-threshold", "above-threshold", "landing-pad"}
 	blocks := []*core.BasicBlock{
-		{Label: "entry", ExecCount: 0, IsEntry: true},
-		{Label: "hottest", ExecCount: top},
-		{Label: "at-threshold", ExecCount: top / 64},
-		{Label: "above-threshold", ExecCount: top/64 + 1},
-		{Label: "landing-pad", ExecCount: 0, IsLP: true},
+		{ExecCount: 0},
+		{ExecCount: top},
+		{ExecCount: top / 64},
+		{ExecCount: top/64 + 1},
+		{ExecCount: 0, IsLP: true},
 	}
 	wantCold := map[string]bool{"at-threshold": true, "landing-pad": true}
 	for _, split := range []bool{true, false} {
@@ -29,7 +30,7 @@ func TestMarkColdRule(t *testing.T) {
 		fn := &core.BinaryFunction{Name: "f", Sampled: true}
 		for i, b := range blocks {
 			nb := *b
-			nb.Index = i
+			nb.Index, nb.ID = i, core.BlockID(i)
 			fn.Blocks = append(fn.Blocks, &nb)
 		}
 		fc := &core.FuncCtx{BinaryContext: &core.BinaryContext{Opts: opts}}
@@ -37,12 +38,13 @@ func TestMarkColdRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range fn.Blocks {
-			if want := split && wantCold[b.Label]; b.IsCold != want {
-				t.Errorf("SplitFunctions=%v: %s (count %d) cold = %v, want %v", split, b.Label, b.ExecCount, b.IsCold, want)
+			name := names[b.ID]
+			if want := split && wantCold[name]; b.IsCold != want {
+				t.Errorf("SplitFunctions=%v: %s (count %d) cold = %v, want %v", split, name, b.ExecCount, b.IsCold, want)
 			}
 		}
-		if fn.IsSplit != split {
-			t.Errorf("SplitFunctions=%v: function split = %v", split, fn.IsSplit)
+		if fn.IsSplit() != split {
+			t.Errorf("SplitFunctions=%v: function split = %v", split, fn.IsSplit())
 		}
 	}
 }

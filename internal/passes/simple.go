@@ -78,7 +78,7 @@ func (Peepholes) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error 
 // successor is unconditional — landing pads are excluded (the unwinder
 // targets them directly).
 func isTrivialForwarder(b *core.BasicBlock) bool {
-	if b.IsLP || b.IsEntry || len(b.Succs) != 1 {
+	if b.IsLP || b.IsEntry() || len(b.Succs) != 1 {
 		return false
 	}
 	for i := range b.Insts {

@@ -57,7 +57,7 @@ func TestBlockIndexIsPosition(t *testing.T) {
 			for _, fn := range ctx.SimpleFuncs() {
 				for i, b := range fn.Blocks {
 					if b.Index != i {
-						t.Fatalf("%s after %s: %s block %d (%s) has Index %d", spec.Name, after, fn.Name, i, b.Label, b.Index)
+						t.Fatalf("%s after %s: %s block %d (%s) has Index %d", spec.Name, after, fn.Name, i, b.ID, b.Index)
 					}
 				}
 			}
@@ -125,20 +125,20 @@ func TestNoWorkNoAllocation(t *testing.T) {
 	entry := worker.Blocks[0]
 	rare := entry.Succs[0].To
 	if lp, _ := worker.LandingPad(&rare.Insts[1]); lp == nil {
-		t.Fatalf("%s does not hold an invoke", rare.Label)
+		t.Fatalf("%s does not hold an invoke", rare.ID)
 	}
 	entry.Succs[0].To = entry.Succs[1].To
 	n := len(worker.Blocks)
 	(UCE{}).RunOnFunction(fc, worker) // sizes the worker's scratch, removes what is unreachable
 	if len(worker.Blocks) != n-1 || slices.Contains(worker.Blocks, rare) {
-		t.Fatalf("worker has %d blocks after UCE, %d before; want %s dropped", len(worker.Blocks), n, rare.Label)
+		t.Fatalf("worker has %d blocks after UCE, %d before; want %s dropped", len(worker.Blocks), n, rare.ID)
 	}
 	var cfg bytes.Buffer
 	ctx.PrintCFG(&cfg, worker)
 	for _, line := range strings.Split(cfg.String(), "\n") {
 		if preds, ok := strings.CutPrefix(line, "  Predecessors: "); ok &&
-			slices.Contains(strings.Split(preds, ", "), rare.Label) {
-			t.Errorf("UCE dropped %s, but a block still names it: %q", rare.Label, line)
+			slices.Contains(strings.Split(preds, ", "), rare.ID.String()) {
+			t.Errorf("UCE dropped %s, but a block still names it: %q", rare.ID, line)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() { (UCE{}).RunOnFunction(fc, worker) }); n != 0 {

@@ -104,11 +104,11 @@ func (m *Machine) Run(budget uint64) (StopReason, error) {
 		d := &m.insts[cur]
 		in := &d.inst
 		pc := m.rip
-		next := pc + uint64(d.size)
+		next := pc + uint64(in.Size)
 		m.C.Instructions++
 		executed++
 		if m.tracer != nil {
-			m.tracer.Inst(pc, d.size)
+			m.tracer.Inst(pc, in.Size)
 		}
 
 		switch in.Op {

@@ -50,7 +50,7 @@ func (t *traceHash) Mem(addr uint64, size uint8, write bool) {
 // counters, result and trace (every Inst, Branch and Mem event, so every
 // taken transfer a sampler's ring would hold), on a preset and on a
 // program whose throws unwind through CFI. A decoded entry is pinned at 24 bytes: the
-// 16-byte isa.Inst plus its size, fall-through flag and link.
+// 16-byte isa.Inst, which holds its length, plus its fall-through flag and link.
 func TestLinkedRunMatchesStepping(t *testing.T) {
 	if size := unsafe.Sizeof(decoded{}); size != 24 {
 		t.Errorf("decoded is %d bytes, want 24", size)

@@ -68,8 +68,7 @@ const (
 // target the first time the transfer is taken (see linkTarget); it is 0
 // until then, and while the destination is no decoded instruction start.
 type decoded struct {
-	inst   isa.Inst
-	size   uint8
+	inst   isa.Inst // its Size is the decoded length
 	fall   bool
 	target int32
 }
@@ -222,7 +221,6 @@ func (m *Machine) decodeCode() error {
 			if err != nil {
 				return fmt.Errorf("vm: decoding %s+%#x: %w", sym.Name, pos-off, err)
 			}
-			d.size = uint8(n)
 			cs.idx[addr-cs.base] = int32(len(m.insts))
 			pos += uint64(n)
 			prevEnd = addr + uint64(n)
