@@ -37,12 +37,13 @@ func (s fileSource) Load(cx context.Context) (*profile.Fdata, error) {
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}
-	r, err := os.Open(s.path)
+	// os.ReadFile sizes its buffer from the file's size; reading through
+	// io.ReadAll would grow one from 512 bytes.
+	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return profile.Parse(cx, r)
+	return profile.ParseData(cx, data, 0)
 }
 
 // memSource hands over an in-memory profile.

@@ -332,10 +332,21 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	var c statShard // the serial classify pass and call tail count here
 	sh := newRecShards(len(ctx.Funcs), len(fd.Branches))
 	var calls []callRec
+	// Write sorts records by source, and an intra-function record's
+	// target is its source, so a name is looked up only when it differs
+	// from the same field of the record before.
+	var fromFn, toFn *BinaryFunction
 	for i, br := range fd.Branches {
 		c.add(StatProfileTotalCount, br.Count)
-		fromFn := ctx.ByName[br.From.Sym]
-		toFn := ctx.ByName[br.To.Sym]
+		if i == 0 || br.From.Sym != fd.Branches[i-1].From.Sym {
+			fromFn = ctx.ByName[br.From.Sym]
+		}
+		switch {
+		case br.To.Sym == br.From.Sym:
+			toFn = fromFn
+		case i == 0 || br.To.Sym != fd.Branches[i-1].To.Sym:
+			toFn = ctx.ByName[br.To.Sym]
+		}
 		if fromFn == nil || toFn == nil {
 			c.add(StatProfileDropCount, br.Count)
 			continue

@@ -188,7 +188,7 @@ func TestParallelParseErrorLineNumbers(t *testing.T) {
 func TestParseCancelled(t *testing.T) {
 	in := []byte(genFdata(3, 20, 400))
 	body := in[bytes.IndexByte(in, '\n')+1:]
-	if n := len(splitChunks(body, 4)); n < 2 {
+	if n := len(splitChunks(string(body), 4)); n < 2 {
 		t.Fatalf("input splits into %d chunks at jobs 4, want more than one", n)
 	}
 	cx, cancel := context.WithCancel(context.Background())

@@ -256,13 +256,17 @@ const parallelParseMin = 1 << 16
 // line-aligned chunks parsed concurrently by up to jobs workers (jobs <=
 // 0 selects GOMAXPROCS, dropping to one worker for small inputs). The
 // result is byte-identical on Write to a serial parse for any chunk
-// count: chunk results are concatenated in input order, and chunk
-// boundaries never split a multi-line `s`/`b` shape group. Errors carry
-// absolute line numbers regardless of chunking, and the reported error is
-// always the one serial parsing would hit first (chunks cover disjoint
-// line ranges in order, and the pool returns the lowest-chunk error).
-// Cancelling cx stops the pool at the next chunk claim; a nil cx
-// parses without a cancellation point.
+// count: chunk boundaries never split a multi-line `s`/`b` shape group,
+// and each chunk's records land in its own window of the result's record
+// slices, in input order. Errors carry absolute line numbers regardless
+// of chunking, and the reported error is always the one serial parsing
+// would hit first (chunks cover disjoint line ranges in order, and the
+// pool returns the lowest-chunk error). Cancelling cx stops the pool at
+// the next chunk claim; a nil cx parses without a cancellation point.
+//
+// The body is copied into one string, and every record and shape name is
+// a substring of it; only a name written with escapes gets a string of
+// its own. Any name kept from the result keeps that whole string alive.
 func ParseData(cx context.Context, data []byte, jobs int) (*Fdata, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("profile: empty input")
@@ -290,7 +294,7 @@ func ParseData(cx context.Context, data []byte, jobs int) (*Fdata, error) {
 			jobs = 1
 		}
 	}
-	chunks := splitChunks(body, jobs)
+	chunks := splitChunks(string(body), jobs)
 	if len(chunks) == 0 {
 		return f, nil
 	}
@@ -300,36 +304,49 @@ func ParseData(cx context.Context, data []byte, jobs int) (*Fdata, error) {
 	starts := make([]int, len(chunks)+1)
 	starts[0] = 2
 	for i, c := range chunks {
-		n := bytes.Count(c, []byte{'\n'})
+		n := strings.Count(c, "\n")
 		if len(c) > 0 && c[len(c)-1] != '\n' {
 			n++ // final line without trailing newline
 		}
 		starts[i+1] = starts[i] + n
 	}
+	// Count each chunk's records by the rule parseChunk classifies lines
+	// by, then cut each chunk its exact window of one slice per record
+	// kind: the parse writes every record in its final place.
 	results := make([]chunkData, len(chunks))
-	_, err := par.For(cx, len(chunks), jobs, func(_, i int) error {
-		return parseChunk(chunks[i], starts[i], starts[i+1], i == len(chunks)-1, &results[i])
-	})
-	if err != nil {
+	if _, err := par.For(cx, len(chunks), jobs, func(_, i int) error {
+		results[i].nb, results[i].ns = countRecords(chunks[i])
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	var nb, ns int
 	for i := range results {
-		nb += len(results[i].branches)
-		ns += len(results[i].samples)
+		nb += results[i].nb
+		ns += results[i].ns
 	}
 	// Leave record slices nil when empty: parse results are compared
 	// with reflect.DeepEqual in round-trip tests and a serial parse of
 	// an empty body yields nil, not a zero-length allocation.
 	if nb > 0 {
-		f.Branches = make([]Branch, 0, nb)
+		f.Branches = make([]Branch, nb)
 	}
 	if ns > 0 {
-		f.Samples = make([]Sample, 0, ns)
+		f.Samples = make([]Sample, ns)
+	}
+	nb, ns = 0, 0
+	for i := range results {
+		r := &results[i]
+		r.branches = f.Branches[nb : nb+r.nb : nb+r.nb]
+		r.samples = f.Samples[ns : ns+r.ns : ns+r.ns]
+		nb, ns = nb+r.nb, ns+r.ns
+	}
+	if _, err := par.For(cx, len(chunks), jobs, func(_, i int) error {
+		return parseChunk(chunks[i], starts[i], starts[i+1], i == len(chunks)-1, &results[i])
+	}); err != nil {
+		return nil, err
 	}
 	for i := range results {
-		f.Branches = append(f.Branches, results[i].branches...)
-		f.Samples = append(f.Samples, results[i].samples...)
 		for _, sh := range results[i].shapes {
 			if f.Shapes == nil {
 				f.Shapes = map[string]FuncShape{}
@@ -346,14 +363,14 @@ func ParseData(cx context.Context, data []byte, jobs int) (*Fdata, error) {
 // continuation lines (blank lines — legal inside shape groups — and `b`
 // block records), so every chunk starts at a line that serial parsing
 // treats as a fresh top-level record.
-func splitChunks(body []byte, n int) [][]byte {
+func splitChunks(body string, n int) []string {
 	if len(body) == 0 {
 		return nil
 	}
 	if n <= 1 || len(body) < 2*n {
-		return [][]byte{body}
+		return []string{body}
 	}
-	chunks := make([][]byte, 0, n)
+	chunks := make([]string, 0, n)
 	target := len(body) / n
 	start := 0
 	for len(chunks) < n-1 {
@@ -361,21 +378,17 @@ func splitChunks(body []byte, n int) [][]byte {
 		if cut >= len(body) {
 			break
 		}
-		j := bytes.IndexByte(body[cut:], '\n')
+		j := strings.IndexByte(body[cut:], '\n')
 		if j < 0 {
 			break
 		}
 		cut += j + 1
 		for cut < len(body) {
-			adv := len(body) - cut
-			line := body[cut:]
-			if end := bytes.IndexByte(line, '\n'); end >= 0 {
-				line, adv = line[:end], end+1
-			}
+			line, rest, _ := strings.Cut(body[cut:], "\n")
 			if !isContinuationLine(line) {
 				break
 			}
-			cut += adv
+			cut = len(body) - len(rest)
 		}
 		if cut >= len(body) {
 			break
@@ -388,18 +401,46 @@ func splitChunks(body []byte, n int) [][]byte {
 
 // isContinuationLine reports whether a line cannot begin a chunk: blank
 // lines may sit inside shape groups and `b` records extend the shape
-// opened by a preceding `s` line. Field splitting matches the parser's
-// (Unicode whitespace), so the boundary scan and the parser agree on
-// what "blank" means.
-func isContinuationLine(line []byte) bool {
-	fields := strings.Fields(string(line))
-	return len(fields) == 0 || fields[0] == "b"
+// opened by a preceding `s` line.
+func isContinuationLine(line string) bool {
+	first, _ := nextField(line)
+	return first == "" || first == "b"
 }
 
-// chunkData is one chunk's private parse result, concatenated in chunk
-// order by ParseData. Records stay in input order (no aggregation) so the
-// merged Fdata writes back byte-identically to a serial parse.
+// recordKind is the record type a line's first field names: the field's
+// one byte, or 0 for a blank line or a longer first field (which the
+// parser rejects as an unknown record).
+func recordKind(first string) byte {
+	if len(first) == 1 {
+		return first[0]
+	}
+	return 0
+}
+
+// countRecords counts a chunk's branch (`1`) and sample (`2`) lines by
+// the same first-field rule parseChunk classifies them by, so the window
+// it sizes holds exactly the records the parse writes.
+func countRecords(chunk string) (nb, ns int) {
+	for chunk != "" {
+		var line string
+		line, chunk, _ = strings.Cut(chunk, "\n")
+		first, _ := nextField(line)
+		switch recordKind(first) {
+		case '1':
+			nb++
+		case '2':
+			ns++
+		}
+	}
+	return nb, ns
+}
+
+// chunkData is one chunk's share of the parse. branches and samples are
+// the chunk's windows of the Fdata's record slices, nb and ns records
+// long, which parseChunk fills in input order; shapes are merged into the
+// Fdata's map in chunk order by ParseData.
 type chunkData struct {
+	nb, ns   int
 	branches []Branch
 	samples  []Sample
 	shapes   []namedShape
@@ -415,45 +456,29 @@ type namedShape struct {
 // absolute line number of the next chunk's first line, where a shape
 // left open at the chunk end would be diagnosed by a serial parse (the
 // next chunk is guaranteed to start with a non-blank, non-`b` line).
-func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkData) error {
+// Record and shape names are substrings of body, unescaped only where
+// written with escapes.
+func parseChunk(body string, baseLine, boundaryLine int, last bool, out *chunkData) error {
 	lineNo := baseLine - 1
-	var fields [][]byte    // reused across lines
-	var curShape FuncShape // the shape being read, while open
+	fields := make([]string, 0, 8) // reused across lines; a record has at most 8
+	var curShape FuncShape         // the shape being read, while open
 	open := false
 	var curName string
 	var curBlocks int
 	var succSlab []int // successor indices of this chunk's shapes
 	// Their blocks: one slab holds every `b` line a chunk written by Write
 	// has.
-	blockSlab := make([]BlockShape, 0, bytes.Count(body, []byte("\nb ")))
-	// Record symbols, interned: a profile names each function on many
-	// records, so a name costs one string per chunk, not one per field.
-	syms := map[string]string{}
-	sym := func(field []byte) string {
-		if s, ok := syms[string(field)]; ok {
-			return s
-		}
-		k := string(field)
-		s := unescape(k)
-		syms[k] = s
-		return s
-	}
-	for off := 0; off < len(body); {
+	blockSlab := make([]BlockShape, 0, strings.Count(body, "\nb "))
+	var nb, ns int // records written to out's windows
+	for rest := body; rest != ""; {
 		lineNo++
-		line := body[off:]
-		if end := bytes.IndexByte(line, '\n'); end >= 0 {
-			line, off = line[:end], off+end+1
-		} else {
-			off = len(body)
-		}
-		fields = splitFieldsBytes(line, fields)
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		fields = splitFields(line, fields)
 		if len(fields) == 0 {
 			continue
 		}
-		rec := byte(0)
-		if len(fields[0]) == 1 {
-			rec = fields[0][0]
-		}
+		rec := recordKind(fields[0])
 		if rec != 'b' && open && len(curShape.Blocks) != curBlocks {
 			return fmt.Errorf("profile: line %d: shape has %d blocks, declared %d",
 				lineNo, len(curShape.Blocks), curBlocks)
@@ -463,8 +488,8 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			if len(fields) != 3 {
 				return fmt.Errorf("profile: line %d: want 3 fields, got %d", lineNo, len(fields))
 			}
-			name := unescape(string(fields[1]))
-			n64, err := strconv.ParseUint(string(fields[2]), 10, 32)
+			name := unescape(fields[1])
+			n64, err := strconv.ParseUint(fields[2], 10, 32)
 			if err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
@@ -487,10 +512,10 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			}
 			var b BlockShape
 			var err error
-			if b.Off, err = strconv.ParseUint(string(fields[1]), 16, 64); err != nil {
+			if b.Off, err = strconv.ParseUint(fields[1], 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			if b.Hash, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
+			if b.Hash, err = strconv.ParseUint(fields[2], 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
 			if b.Succs, err = parseSuccs(fields[3], &succSlab); err != nil {
@@ -505,39 +530,39 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 			if len(fields) != 8 {
 				return fmt.Errorf("profile: line %d: want 8 fields, got %d", lineNo, len(fields))
 			}
-			var b Branch
+			b := &out.branches[nb]
+			nb++
 			var err error
-			b.From.Sym = sym(fields[1])
-			b.To.Sym = sym(fields[4])
-			if b.From.Off, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
+			b.From.Sym = unescape(fields[1])
+			b.To.Sym = unescape(fields[4])
+			if b.From.Off, err = strconv.ParseUint(fields[2], 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			if b.To.Off, err = strconv.ParseUint(string(fields[5]), 16, 64); err != nil {
+			if b.To.Off, err = strconv.ParseUint(fields[5], 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			if b.Mispreds, err = strconv.ParseUint(string(fields[6]), 10, 64); err != nil {
+			if b.Mispreds, err = strconv.ParseUint(fields[6], 10, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			if b.Count, err = strconv.ParseUint(string(fields[7]), 10, 64); err != nil {
+			if b.Count, err = strconv.ParseUint(fields[7], 10, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			out.branches = append(out.branches, b)
 		case '2':
 			if len(fields) != 4 {
 				return fmt.Errorf("profile: line %d: want 4 fields, got %d", lineNo, len(fields))
 			}
-			var s Sample
+			s := &out.samples[ns]
+			ns++
 			var err error
-			s.At.Sym = sym(fields[1])
-			if s.At.Off, err = strconv.ParseUint(string(fields[2]), 16, 64); err != nil {
+			s.At.Sym = unescape(fields[1])
+			if s.At.Off, err = strconv.ParseUint(fields[2], 16, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			if s.Count, err = strconv.ParseUint(string(fields[3]), 10, 64); err != nil {
+			if s.Count, err = strconv.ParseUint(fields[3], 10, 64); err != nil {
 				return fmt.Errorf("profile: line %d: %w", lineNo, err)
 			}
-			out.samples = append(out.samples, s)
 		default:
-			return fmt.Errorf("profile: line %d: unknown record %q", lineNo, string(fields[0]))
+			return fmt.Errorf("profile: line %d: unknown record %q", lineNo, fields[0])
 		}
 	}
 	if open {
@@ -553,28 +578,39 @@ func parseChunk(body []byte, baseLine, boundaryLine int, last bool, out *chunkDa
 	return nil
 }
 
-// splitFieldsBytes splits a line on Unicode whitespace into dst
-// (reused), mirroring strings.Fields without the per-line string
-// conversion.
-func splitFieldsBytes(line []byte, dst [][]byte) [][]byte {
+// splitFields splits a line on Unicode whitespace into dst (reused), as
+// strings.Fields does, without allocating the fields.
+func splitFields(line string, dst []string) []string {
 	dst = dst[:0]
+	for {
+		var f string
+		if f, line = nextField(line); f == "" {
+			return dst
+		}
+		dst = append(dst, f)
+	}
+}
+
+// nextField returns line's first whitespace-separated field ("" when
+// there is none) and what follows it.
+func nextField(line string) (field, rest string) {
 	i := 0
 	for i < len(line) {
-		if sp, size := spaceAt(line, i); sp {
-			i += size
-			continue
+		sp, size := spaceAt(line, i)
+		if !sp {
+			break
 		}
-		start := i
-		for i < len(line) {
-			sp, size := spaceAt(line, i)
-			if sp {
-				break
-			}
-			i += size
-		}
-		dst = append(dst, line[start:i])
+		i += size
 	}
-	return dst
+	j := i
+	for j < len(line) {
+		sp, size := spaceAt(line, j)
+		if sp {
+			break
+		}
+		j += size
+	}
+	return line[i:j], line[j:]
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -583,11 +619,11 @@ var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': t
 // spaceAt reports whether line[i:] opens with Unicode whitespace, and the
 // width of the rune there. ASCII is looked up; only a byte past it costs
 // a rune decode (U+0085 and U+00A0 are the non-ASCII spaces names meet).
-func spaceAt(line []byte, i int) (bool, int) {
+func spaceAt(line string, i int) (bool, int) {
 	if c := line[i]; c < utf8.RuneSelf {
 		return asciiSpace[c], 1
 	}
-	r, size := utf8.DecodeRune(line[i:])
+	r, size := utf8.DecodeRuneInString(line[i:])
 	return unicode.IsSpace(r), size
 }
 
@@ -624,18 +660,14 @@ func cut[T any](slab *[]T, n int) []T {
 
 // parseSuccs parses a block's successor list ("0,2,5", "-" when none),
 // scanning the commas in place, into a window cut from *slab.
-func parseSuccs(s []byte, slab *[]int) ([]int, error) {
-	if len(s) == 1 && s[0] == '-' {
+func parseSuccs(s string, slab *[]int) ([]int, error) {
+	if s == "-" {
 		return nil, nil
 	}
-	out := cut(slab, bytes.Count(s, []byte{','})+1)
-	for rest := s; rest != nil; {
-		tok := rest
-		if i := bytes.IndexByte(rest, ','); i >= 0 {
-			tok, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = nil
-		}
+	out := cut(slab, strings.Count(s, ",")+1)
+	for rest, more := s, true; more; {
+		var tok string
+		tok, rest, more = strings.Cut(rest, ",")
 		v, plain := 0, len(tok) > 0 && len(tok) <= 9
 		for _, c := range tok {
 			if c < '0' || c > '9' {
@@ -648,7 +680,7 @@ func parseSuccs(s []byte, slab *[]int) ([]int, error) {
 			// Signs, overflow, empty fields: strconv decides, as it did
 			// when every field went through it.
 			var err error
-			if v, err = strconv.Atoi(string(tok)); err != nil || v < 0 {
+			if v, err = strconv.Atoi(tok); err != nil || v < 0 {
 				return nil, fmt.Errorf("bad successor list %q", s)
 			}
 		}

@@ -324,7 +324,7 @@ func TestParseSuccs(t *testing.T) {
 		{in: "1,x", bad: true},
 		{in: "99999999999999999999", bad: true},
 	} {
-		got, err := parseSuccs([]byte(tc.in), &slab)
+		got, err := parseSuccs(tc.in, &slab)
 		if tc.bad != (err != nil) {
 			t.Errorf("%q: err = %v, want error %v", tc.in, err, tc.bad)
 			continue
@@ -333,22 +333,22 @@ func TestParseSuccs(t *testing.T) {
 			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	a, _ := parseSuccs([]byte("1,2"), &slab)
-	b, _ := parseSuccs([]byte("3"), &slab)
+	a, _ := parseSuccs("1,2", &slab)
+	b, _ := parseSuccs("3", &slab)
 	if a = append(a, 9); b[0] != 3 {
 		t.Errorf("appending to one list overwrote its slab neighbour: %v", b)
 	}
 	big := strings.Repeat("7,", succSlabLen) + "7"
-	if c, err := parseSuccs([]byte(big), &slab); err != nil || len(c) != succSlabLen+1 || a[0] != 1 {
+	if c, err := parseSuccs(big, &slab); err != nil || len(c) != succSlabLen+1 || a[0] != 1 {
 		t.Errorf("list longer than a slab: len %d err %v, earlier cut %v", len(c), err, a)
 	}
 }
 
-// TestSplitFieldsBytesMatchesStringsFields: the byte splitter answers
+// TestSplitFieldsMatchesStringsFields: the field splitter answers
 // ASCII from a table and decodes only bytes past it, so it must still cut
 // exactly where strings.Fields does — at U+0085 and U+00A0 inside a name,
 // and not at a lone 0x85 or 0xA0 byte, which is invalid UTF-8.
-func TestSplitFieldsBytesMatchesStringsFields(t *testing.T) {
+func TestSplitFieldsMatchesStringsFields(t *testing.T) {
 	for _, line := range []string{
 		"",
 		"   \t ",
@@ -361,12 +361,9 @@ func TestSplitFieldsBytesMatchesStringsFields(t *testing.T) {
 		"1 \u65e5\u3000\u8a9e 0",
 		"x y\u200bz",
 	} {
-		var got []string
-		for _, f := range splitFieldsBytes([]byte(line), nil) {
-			got = append(got, string(f))
-		}
+		got := splitFields(line, nil)
 		if want := strings.Fields(line); !slices.Equal(got, want) {
-			t.Errorf("splitFieldsBytes(%q) = %q, want %q", line, got, want)
+			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
 		}
 	}
 }
