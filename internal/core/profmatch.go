@@ -332,9 +332,10 @@ func (ctx *BinaryContext) applyLBR(cx context.Context, fd *profile.Fdata, sm *st
 	var c statShard // the serial classify pass and call tail count here
 	sh := newRecShards(len(ctx.Funcs), len(fd.Branches))
 	var calls []callRec
-	// Write sorts records by source, and an intra-function record's
+	// A profile's records come sorted by source (Builder.Build sorts
+	// them, Write keeps the order), and an intra-function record's
 	// target is its source, so a name is looked up only when it differs
-	// from the same field of the record before.
+	// from the same field of the record before; any order stays correct.
 	var fromFn, toFn *BinaryFunction
 	for i, br := range fd.Branches {
 		c.add(StatProfileTotalCount, br.Count)
